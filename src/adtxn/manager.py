@@ -21,13 +21,23 @@ from the monitors' edge ledgers, and the youngest transaction on a cycle
 (the largest id, the one with the least work behind it) is aborted outright;
 this repeats until the graph is acyclic, so a blocked transaction sleeps
 only on live, cycle-free waits.
+
+The search is rooted at the transaction that just blocked, and is exact.
+Edges are added only when a transaction blocks, and every resolution leaves
+the graph acyclic, so any cycle passes through the blocker and all its
+nodes can reach the blocker. The search therefore looks only at those
+transactions, gathered by walking waits-for edges backwards from the
+blocker. A transaction outside that set cannot reach into it, so the
+depth-first search of `find_cycle`, visiting nodes and neighbours in sorted
+order, meets the same cycle first on that subgraph as on the whole graph:
+victims, and hence traces, are those of a whole-graph search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import count
+from itertools import chain, count
 
 from . import history as hist
 from .core import (AdtSpec, FrameworkError, Lifecycle, Origin, PrivateCall,
@@ -79,31 +89,50 @@ class TransactionRecord:
 
 
 def find_cycle(adj: dict[int, set[int]]) -> list[int] | None:
-    """First cycle under deterministic DFS order, as a node list."""
+    """First cycle under deterministic DFS order, as a node list.
+
+    Roots are tried in sorted order and each node's neighbours in sorted
+    order. The DFS keeps its own stack of neighbour iterators, so a chain of
+    any length fits.
+    """
     nodes = sorted(set(adj) | {v for vs in adj.values() for v in vs})
-    color = {n: 0 for n in nodes}
-    path: list[int] = []
-
-    def visit(u):
-        color[u] = 1
-        path.append(u)
-        for v in sorted(adj.get(u, ())):
-            if color[v] == 1:
-                return path[path.index(v):]
-            if color[v] == 0:
-                found = visit(v)
-                if found is not None:
-                    return found
-        color[u] = 2
-        path.pop()
-        return None
-
+    color = dict.fromkeys(nodes, 0)
     for n in nodes:
-        if color[n] == 0:
-            found = visit(n)
-            if found is not None:
-                return found
+        if color[n]:
+            continue
+        color[n] = 1
+        path = [n]
+        pending = [iter(sorted(adj.get(n, ())))]
+        while pending:
+            for v in pending[-1]:
+                if color[v] == 1:
+                    return path[path.index(v):]
+                if color[v] == 0:
+                    color[v] = 1
+                    path.append(v)
+                    pending.append(iter(sorted(adj.get(v, ()))))
+                    break
+            else:
+                color[path.pop()] = 2
+                pending.pop()
     return None
+
+
+def waits_for_graph(txns) -> dict[int, set[int]]:
+    """The whole waits-for graph of `txns`, each with `id` and `blocked_on`.
+
+    A blocked transaction waits for the owners of every invocation its
+    blocked one is blocked by.
+    """
+    adj: dict[int, set[int]] = {}
+    for txn in txns:
+        if txn.blocked_on is None:
+            continue
+        obj, w = txn.blocked_on
+        owners = {obj.find_invocation(b).txn for b in obj.blocked_by[w.id]}
+        assert txn.id not in owners, "self-edge in waits-for graph"
+        adj[txn.id] = owners
+    return adj
 
 
 class TransactionManager:
@@ -180,7 +209,7 @@ class TransactionManager:
             self.history.emit(hist.BLOCK, txn=rec.name, obj=obj.name,
                               op=inv.op, ins=inv.ins, inv_id=inv.id)
             rec.blocked_on = (obj, inv)
-            self._resolve_deadlocks()
+            self._resolve_deadlocks(rec)
             if rec.status is not TxnStatus.ACTIVE:
                 raise TransactionAborted(rec.name)
             if inv.lifecycle is Lifecycle.BLOCKED:
@@ -261,23 +290,32 @@ class TransactionManager:
             if self.on_wake:
                 self.on_wake(w.txn)
 
-    def waits_for_edges(self) -> dict[int, set[int]]:
-        """Transaction-level waits-for graph, derived from the monitors."""
+    def waits_for_edges(self, root: int | None = None) -> dict[int, set[int]]:
+        """Transaction-level waits-for graph, derived from the monitors.
+
+        With a root, only the subgraph induced by the transactions that can
+        reach the root, found by walking the edges backwards from it.
+        """
+        if root is None:
+            return waits_for_graph(self.txns.values())
         adj: dict[int, set[int]] = {}
-        for rec in self.txns.values():
-            if rec.blocked_on is None:
-                continue
-            obj, w = rec.blocked_on
-            for blocker_id, waiters in obj.blocks.items():
-                if w.id in waiters:
-                    owner = obj.find_invocation(blocker_id).txn
-                    assert owner != rec.id, "self-edge in waits-for graph"
-                    adj.setdefault(rec.id, set()).add(owner)
+        reach, frontier = {root}, [root]
+        while frontier:
+            rec = self.txns[frontier.pop()]
+            for obj, inv in chain(rec.invocations, (rec.blocked_on,)):
+                for wid in obj.blocks.get(inv.id, ()):
+                    waiter = obj.blocked[wid].txn
+                    adj.setdefault(waiter, set()).add(rec.id)
+                    if waiter not in reach:
+                        reach.add(waiter)
+                        frontier.append(waiter)
         return adj
 
-    def _resolve_deadlocks(self):
-        while True:
-            cycle = find_cycle(self.waits_for_edges())
+    def _resolve_deadlocks(self, rec: TransactionRecord):
+        """Abort victims until no cycle runs through `rec`, which just
+        blocked; see the module docstring for why that is every cycle."""
+        while rec.blocked_on is not None:
+            cycle = find_cycle(self.waits_for_edges(rec.id))
             if cycle is None:
                 return
             victim = self.txns[max(cycle)]

@@ -20,10 +20,12 @@ build. Under the cooperative scheduler used here a quantum never splits an
 entry section, so the exclusion is the scheduler itself; the invariant
 checker still runs after every section to keep the discipline honest.
 
-Blocking is tracked as a bipartite ledger: `blocks[b]` holds the ids waiting
-on b, `waiting_for[w]` counts w's remaining blockers. When the count hits
-zero the op moves to in-execution immediately, inside the same entry section
-that removed the last edge, so "blocked iff counted" is never observably
+Blocking is tracked as a ledger kept in both directions: `blocks[b]` holds
+the ids waiting on b, and `blocked_by[w]` holds the ids w still waits on.
+Each edge is in both or in neither, so a blocker's waiters and a waiter's
+blockers are each one lookup. When a waiter's last blocker goes, the op
+moves to in-execution immediately, inside the same entry section that
+removed the edge, so "blocked iff it has a blocker" is never observably
 false. The caller is handed the list of newly admitted ops and owns waking
 their transactions.
 
@@ -63,8 +65,8 @@ class ManagedObject:
     blocked: dict[int, PrivateInvocation] = field(default_factory=dict)
     in_execution: dict[int, PrivateInvocation] = field(default_factory=dict)
     executed: dict[int, PrivateInvocation] = field(default_factory=dict)
-    waiting_for: dict[int, int] = field(default_factory=dict)
     blocks: dict[int, set[int]] = field(default_factory=dict)
+    blocked_by: dict[int, set[int]] = field(default_factory=dict)
     max_in_execution: int = 0
 
     # -- step (1): deduction, then in-control ------------------------------
@@ -94,7 +96,7 @@ class ManagedObject:
         if conflicts:
             inv.lifecycle = Lifecycle.BLOCKED
             self.blocked[inv.id] = inv
-            self.waiting_for[inv.id] = len(conflicts)
+            self.blocked_by[inv.id] = conflicts
             for b in conflicts:
                 self.blocks.setdefault(b, set()).add(inv.id)
             self._check()
@@ -134,7 +136,7 @@ class ManagedObject:
             waiter = self.blocked[wid]
             if commute_with_in_out(self.spec.tables, inv, waiter).commutes:
                 self.blocks[inv.id].discard(wid)
-                woken += self._shed_edge(waiter)
+                woken += self._shed_edge(waiter, inv.id)
         if inv.id in self.blocks and not self.blocks[inv.id]:
             del self.blocks[inv.id]
         self._check()
@@ -149,7 +151,7 @@ class ManagedObject:
         inv.lifecycle = Lifecycle.FINISHED
         woken = []
         for wid in sorted(self.blocks.pop(inv.id, set())):
-            woken += self._shed_edge(self.blocked[wid])
+            woken += self._shed_edge(self.blocked[wid], inv.id)
         self._check()
         return woken
 
@@ -161,13 +163,12 @@ class ManagedObject:
         """
         assert inv.lifecycle is Lifecycle.BLOCKED
         del self.blocked[inv.id]
-        del self.waiting_for[inv.id]
         woken = []
         for wid in sorted(self.blocks.pop(inv.id, set())):
-            woken += self._shed_edge(self.blocked[wid])
+            woken += self._shed_edge(self.blocked[wid], inv.id)
         # then drop the edges that pointed at the withdrawn op itself
-        for b in list(self.blocks):
-            self.blocks[b].discard(inv.id)
+        for b in self.blocked_by.pop(inv.id):
+            self.blocks[b].remove(inv.id)
             if not self.blocks[b]:
                 del self.blocks[b]
         inv.lifecycle = Lifecycle.FINISHED
@@ -197,11 +198,15 @@ class ManagedObject:
         if self.strict:
             self._admission_safety(inv)
 
-    def _shed_edge(self, waiter: PrivateInvocation) -> list[PrivateInvocation]:
-        self.waiting_for[waiter.id] -= 1
-        if self.waiting_for[waiter.id] > 0:
+    def _shed_edge(self, waiter: PrivateInvocation,
+                   blocker_id: int) -> list[PrivateInvocation]:
+        """Drop the edge blocker -> waiter from `blocked_by`; the caller has
+        already dropped it from `blocks`. Admits the waiter if it was the last."""
+        blockers = self.blocked_by[waiter.id]
+        blockers.remove(blocker_id)
+        if blockers:
             return []
-        del self.waiting_for[waiter.id]
+        del self.blocked_by[waiter.id]
         del self.blocked[waiter.id]
         self._enter_execution(waiter)
         return [waiter]
@@ -239,18 +244,24 @@ class ManagedObject:
                            (self.executed, Lifecycle.EXECUTED)):
             for iid, inv in pool.items():
                 assert inv.id == iid and inv.lifecycle is life, f"{inv!r} misfiled"
-        assert set(self.waiting_for) == b, f"{self.name}: counts vs blocked drift"
-        indegree = {w: 0 for w in b}
+        assert self.blocked_by.keys() == b, f"{self.name}: blocked_by vs blocked drift"
         live = b | x | e
+        edges = 0
         for blocker, waiters in self.blocks.items():
             assert blocker in live, f"{self.name}: edges from dead op {blocker}"
             for w in waiters:
                 assert w in b, f"{self.name}: edge to non-blocked {w}"
                 assert blocker < w, f"{self.name}: edge {blocker}->{w} not forward"
-                indegree[w] += 1
-        for w, n in self.waiting_for.items():
-            assert n > 0 and n == indegree[w], \
-                f"{self.name}: waiting_for[{w}]={n} vs indegree {indegree[w]}"
+                assert blocker in self.blocked_by[w], \
+                    f"{self.name}: edge {blocker}->{w} missing from blocked_by"
+            edges += len(waiters)
+        # every blocks edge is in blocked_by, so equal totals make them mirrors
+        mirrored = 0
+        for w, blockers in self.blocked_by.items():
+            assert blockers, f"{self.name}: {w} blocked by nothing"
+            mirrored += len(blockers)
+        assert mirrored == edges, \
+            f"{self.name}: {mirrored} blocked_by edges vs {edges} blocks edges"
         for inv in self.executed.values():
             assert inv.outs is not None
             expect = 0 if inv.origin is Origin.DEDUCED else 1

@@ -29,7 +29,7 @@ from .core import (Lifecycle, Origin, PrivateCall, PrivateInvocation,
                    translate_public)
 from . import history as hist
 from .history import History, check_metric_identities
-from .manager import Observation, TxnStatus, find_cycle
+from .manager import Observation, TxnStatus, find_cycle, waits_for_graph
 from .monitor import AdmitOutcome, ManagedObject
 from .simulate import RunResult
 from .workload import TxnDecl, Workload, initial_state
@@ -132,8 +132,7 @@ class _Replayer:
                 name=decl.name, index=i, spec=get_adt(decl.adt),
                 state=initial_state(decl), strict=True)
         self.txns: dict[str, _ShadowTxn] = {}
-        self.txn_ids = {}
-        self.next_txn_id = 1
+        self.txns_by_id: dict[int, _ShadowTxn] = {}
         self.pending_admit = None          # (obj, inv, AdmitOutcome)
         self.expected_wakes = []           # invs in emission order
         self.active_plan = None            # _ShadowTxn currently aborting
@@ -174,17 +173,11 @@ class _Replayer:
 
     def _wake_up(self, obj, woken):
         for w in woken:
-            txn = self._txn_of(w)
+            txn = self.txns_by_id[w.txn]
             assert txn.blocked_on is not None and txn.blocked_on[1] is w, \
                 f"woken {w!r} is not what {txn.name} was blocked on"
             txn.blocked_on = None
         self.expected_wakes.extend(woken)
-
-    def _txn_of(self, inv):
-        for txn in self.txns.values():
-            if txn.id == inv.txn:
-                return txn
-        raise HistoryReplayError(f"no txn with id {inv.txn}")
 
     def _register(self, txn, obj, inv):
         txn.invocations.append((obj, inv))
@@ -201,8 +194,8 @@ class _Replayer:
 
     def _on_begin(self, e):
         self._require(e.txn not in self.txns, e, "txn began twice")
-        self.txns[e.txn] = _ShadowTxn(self.next_txn_id, e.txn)
-        self.next_txn_id += 1
+        txn = _ShadowTxn(len(self.txns) + 1, e.txn)
+        self.txns[e.txn] = self.txns_by_id[txn.id] = txn
 
     def _on_nullop(self, e):
         obj = self.objects[e.obj]
@@ -277,16 +270,9 @@ class _Replayer:
                       f"victim should be txn id {max(cycle)}, trace chose {txn.id}")
 
     def _waits_for_edges(self):
-        adj: dict[int, set[int]] = {}
-        for txn in self.txns.values():
-            if txn.blocked_on is None:
-                continue
-            obj, w = txn.blocked_on
-            for blocker_id, waiters in obj.blocks.items():
-                if w.id in waiters:
-                    adj.setdefault(txn.id, set()).add(
-                        obj.find_invocation(blocker_id).txn)
-        return adj
+        # the whole graph, unlike the engine's rooted search: the replay
+        # does not assume the graph was acyclic before each block
+        return waits_for_graph(self.txns.values())
 
     def _on_abort(self, e):
         txn = self.txns[e.txn]

@@ -4,6 +4,7 @@ perform() is a generator; these tests step it directly instead of going
 through the scheduler, which pins the protocol a scheduler must follow.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,17 @@ import pytest
 from adtxn import history as hist
 from adtxn.adts import get_adt
 from adtxn.core import Lifecycle, PublicCall
+from adtxn.fuzz import derive_seed, flip_random_abort, generate_workload
 from adtxn.manager import (
     TransactionAborted,
     TransactionManager,
     TxnStatus,
     find_cycle,
 )
+from adtxn.simulate import run_simulated
 from adtxn.values import item, rational, report
+from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
+                            make_step)
 
 OK = report("Ok")
 
@@ -110,7 +115,8 @@ def test_deduced_ops_hold_their_edges_until_release():
     got = start(mgr, t3, "s", "PUSH", item("a"))
     assert got[0] == "wait"
     obj = mgr.objects["s"]
-    assert obj.waiting_for[got[2].id] == 2  # blocked by the probe and the pop
+    probe, pop = t1.invocations[0][1], t2.invocations[0][1]
+    assert obj.blocked_by[got[2].id] == {probe.id, pop.id}
     mgr.commit(t1)
     assert got[2].lifecycle is Lifecycle.BLOCKED
     mgr.commit(t2)                          # deduced op released here
@@ -222,3 +228,83 @@ def test_find_cycle():
     assert find_cycle({2: {1}, 1: {2}}) == [1, 2]
     # only the reachable cycle comes back
     assert find_cycle({1: {2}, 3: {4}, 4: {3}}) == [3, 4]
+
+
+RING = 5000
+
+
+def test_find_cycle_on_a_long_ring_does_not_recurse():
+    ring = {i: {i + 1} for i in range(RING - 1)}
+    ring[RING - 1] = {0}
+    assert find_cycle(ring) == list(range(RING))
+
+
+def test_deadlock_ring_of_thousands_of_transactions():
+    # T_i holds o_i and waits for o_{i-1}; T_0 closes the ring on o_{N-1}
+    mgr = TransactionManager()
+    stack = get_adt("stack")
+    for i in range(RING):
+        mgr.add_object(f"o{i}", stack)
+    txns = [mgr.begin(f"T{i}") for i in range(RING)]
+    for i, rec in enumerate(txns):
+        run_op(mgr, rec, f"o{i}", "PUSH", item("a"))
+    for i in range(1, RING):
+        assert start(mgr, txns[i], f"o{i - 1}", "PUSH", item("b"))[0] == "wait"
+    assert mgr.history.count(hist.VICTIM) == 0
+    got = start(mgr, txns[0], f"o{RING - 1}", "PUSH", item("b"))
+    assert got == ("done", (OK,))          # woken while resolving, never parked
+    victims = [e.txn for e in mgr.history if e.kind == hist.VICTIM]
+    assert victims == [f"T{RING - 1}"]
+    assert txns[-1].status is TxnStatus.ABORTED
+    wakes = [e.txn for e in mgr.history if e.kind == hist.WAKE]
+    assert wakes == ["T0"]
+    assert mgr.objects[f"o{RING - 1}"].state == ("b",)
+
+
+# ------------------------------------------------- rooted vs whole-graph search
+
+def _stack_instance(rng, txns=50):
+    spec = get_adt("stack")
+    decls, total = [], 0
+    for t in range(txns):
+        steps = []
+        for _ in range(rng.randint(2, 4)):
+            op = rng.choice(("PUSH", "POP", "EMPTY", "CLEAR"))
+            ins = (item(rng.choice("abc")),) if op == "PUSH" else ()
+            steps.append(make_step(spec, "s", op, ins))
+        total += len(steps)
+        decls.append(TxnDecl(f"T{t + 1}", tuple(steps), "commit"))
+    return Workload((ObjectDecl("s", "stack", "()"),), tuple(decls),
+                    RandomSchedule(rng.randrange(2 ** 31), 20 * total + 20))
+
+
+def test_rooted_search_finds_the_whole_graph_cycle(monkeypatch):
+    found = []
+    edges = TransactionManager.waits_for_edges
+    resolve = TransactionManager._resolve_deadlocks
+
+    def compared(mgr, root=None):
+        adj = edges(mgr, root)
+        if root is not None:
+            cycle = find_cycle(adj)
+            assert cycle == find_cycle(edges(mgr))
+            found.append(cycle is not None)
+        return adj
+
+    def resolved(mgr, rec):
+        resolve(mgr, rec)
+        # what the rooted search relies on: resolution leaves no cycle
+        assert find_cycle(edges(mgr)) is None
+
+    monkeypatch.setattr(TransactionManager, "waits_for_edges", compared)
+    monkeypatch.setattr(TransactionManager, "_resolve_deadlocks", resolved)
+    workloads = []
+    for i in range(200):
+        rng = random.Random(derive_seed(20260816, i))
+        workload = generate_workload(rng)
+        workloads += [workload, flip_random_abort(workload, rng)]
+    rng = random.Random(11)
+    workloads += [_stack_instance(rng) for _ in range(4)]
+    for workload in workloads:
+        run_simulated(workload)
+    assert sum(found) > 100 and len(found) > sum(found)

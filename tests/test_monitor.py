@@ -64,7 +64,7 @@ def test_conflict_blocks_until_finish():
     obj.admit(pusher)
     popper = ids.inv(2, "POP")
     assert obj.admit(popper) is AdmitOutcome.BLOCKED
-    assert obj.waiting_for == {popper.id: 1}
+    assert obj.blocked_by == {popper.id: {pusher.id}}
     assert obj.blocks == {pusher.id: {popper.id}}
     # results do not help here: a successful push still conflicts with POP
     assert obj.complete(pusher, obj.execute(pusher)) == []
@@ -127,7 +127,7 @@ def test_deduction_withheld_while_a_writer_is_pending():
     # the pending push could invalidate the answer, so no deduction; POP
     # blocks on the push (and on nothing else: probe's out-entry admits it)
     assert obj.admit(pop) is AdmitOutcome.BLOCKED
-    assert obj.waiting_for[pop.id] == 1
+    assert obj.blocked_by[pop.id] == {pusher.id}
     assert pop.id in obj.blocks[pusher.id]
 
 
@@ -139,10 +139,10 @@ def test_withdraw_scrubs_both_edge_directions():
     obj.admit(popper)
     probe = ids.inv(3, "EMPTY")
     assert obj.admit(probe) is AdmitOutcome.BLOCKED
-    assert obj.waiting_for[probe.id] == 2
+    assert obj.blocked_by[probe.id] == {pusher.id, popper.id}
     woken = obj.withdraw(popper)
     assert woken == []                      # probe still waits on the push
-    assert obj.waiting_for[probe.id] == 1
+    assert obj.blocked_by[probe.id] == {pusher.id}
     assert obj.blocks == {pusher.id: {probe.id}}
     assert popper.lifecycle is Lifecycle.FINISHED
     # withdrawing the last blocker admits the waiter
