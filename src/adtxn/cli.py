@@ -17,7 +17,7 @@ import sys
 from .adts import UnknownAdt, builtin_names, get_adt
 from .fuzz import MAX_TXNS, fuzz
 from .history import render_trace
-from .oracles import check_abort_transparency, check_serializable, validate_run
+from .oracles import SerializabilityBudgetError, check_run
 from .simulate import SimulationError, run_simulated
 from .validate import validate_adt
 from .workload import RandomSchedule, WorkloadError, parse_workload
@@ -69,23 +69,16 @@ def _cmd_check(args) -> int:
     failures = 0
     for seed in seeds:
         try:
-            result = run_simulated(workload, seed=seed)
-        except SimulationError as exc:
+            stage, verdict = check_run(run_simulated(workload, seed=seed))
+        except (SimulationError, SerializabilityBudgetError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         label = "seed=-" if seed is None else f"seed={seed}"
-        verdicts = [("replay", validate_run(result)),
-                    ("serializable", check_serializable(result))]
-        if any(t.terminal == "abort" for t in workload.txns) or \
-                result.metrics.victims:
-            verdicts.append(("transparency", check_abort_transparency(result)))
-        bad = [(stage, v) for stage, v in verdicts if not v.ok]
-        if bad:
+        if stage is not None:
             failures += 1
-            for stage, v in bad:
-                print(f"FAIL {label} {stage}: {v.detail}")
+            print(f"FAIL {label} {stage}: {verdict.detail}")
         else:
-            witness = ",".join(verdicts[1][1].witness or ())
+            witness = ",".join(verdict.witness or ())
             print(f"PASS {label} serial_order={witness or '-'}")
     print(f"checked {len(seeds)} run(s), {failures} failure(s)")
     return 1 if failures else 0

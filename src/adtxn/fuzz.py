@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .adts import builtin_names, get_adt
 from .simulate import run_simulated
-from .oracles import check_abort_transparency, check_serializable, validate_run
+from .oracles import check_run
 from .values import Tag, Value, boolean, item, rational
 from .workload import (ObjectDecl, OpStep, RandomSchedule, TxnDecl, Workload,
                        make_step, render_workload)
@@ -82,27 +82,14 @@ def flip_random_abort(workload: Workload, rng: random.Random) -> Workload:
 
 
 def run_pipeline(workload: Workload, seed: int | None = None) -> tuple[bool, str, str]:
-    """(ok, failing stage, detail). Stages: run, replay, serializability,
-    transparency."""
+    """(ok, failing stage, detail). Stages: run, then those of
+    `oracles.check_run`."""
     try:
         result = run_simulated(workload, seed=seed)
     except Exception as exc:                      # noqa: BLE001 - oracle boundary
         return False, "run", f"{type(exc).__name__}: {exc}"
-    try:
-        verdict = validate_run(result)
-    except AssertionError as exc:
-        return False, "replay", str(exc)
-    if not verdict.ok:
-        return False, "replay", verdict.detail
-    verdict = check_serializable(result)
-    if not verdict.ok:
-        return False, "serializability", verdict.detail
-    if any(t.terminal == "abort" for t in workload.txns) or \
-            result.metrics.victims:
-        verdict = check_abort_transparency(result)
-        if not verdict.ok:
-            return False, "transparency", verdict.detail
-    return True, "", ""
+    stage, verdict = check_run(result)
+    return (True, "", "") if stage is None else (False, stage, verdict.detail)
 
 
 def minimize(workload: Workload, still_fails) -> Workload:

@@ -10,11 +10,11 @@ why cascading rollback cannot occur.
 Aborting runs the undo log backwards. Each executed operation recorded its
 inverse at registration time, chosen from its own results; NULL inverses
 (the op turned out to change nothing) are not logged at all but their
-invocations still hold edges and are released at the end. Inverses are
-applied straight to the object, bypassing admission: the aborter still owns
-every conflict its direct ops created, so admission could only be vacuous
-or, worse, self-blocking. Each direct op is released immediately after its
-inverse lands, never before.
+invocations still hold edges and are released at the end, in the order
+`abort_plan` gives. Inverses are applied straight to the object, bypassing
+admission: the aborter still owns every conflict its direct ops created, so
+admission could only be vacuous or, worse, self-blocking. Each direct op is
+released immediately after its inverse lands, never before.
 
 Deadlock is handled at block time. The waits-for graph is derived on demand
 from the monitors' edge ledgers, and the youngest transaction on a cycle
@@ -86,6 +86,36 @@ class TransactionRecord:
     undo: list = field(default_factory=list)          # UndoEntry, execution order
     blocked_on: tuple | None = None                   # (ManagedObject, inv)
     observations: list = field(default_factory=list)
+
+    def register(self, obj: ManagedObject, inv: PrivateInvocation):
+        """Hold `inv`'s edges until release; log its inverse unless NULL."""
+        self.invocations.append((obj, inv))
+        inverse = determine_inverse(obj.spec, inv.op, inv.ins, inv.outs)
+        if inv.origin is Origin.DEDUCED:
+            # a deduced result means the state never moved for this op
+            assert inverse is None, f"deduced {inv!r} demands an undo"
+        if inverse is not None:
+            self.undo.append(UndoEntry(obj, inv, inverse))
+
+    def release_order(self) -> list:
+        """The invocations by object, then by id."""
+        return sorted(self.invocations, key=lambda p: (p[0].index, p[1].id))
+
+
+# An abort step that emits no event of its own, only the wakes it causes.
+RELEASE = "RELEASE"
+
+
+def abort_plan(rec: TransactionRecord) -> list[tuple]:
+    """The (kind, obj, inv, call) steps that erase `rec`: WITHDRAW its
+    blocked op, then INVERSE each undo entry newest first (releasing `inv`
+    once `call` lands), then RELEASE the rest in release order."""
+    plan = [(hist.WITHDRAW, *rec.blocked_on, None)] if rec.blocked_on else []
+    plan += [(hist.INVERSE, u.obj, u.inv, u.call) for u in reversed(rec.undo)]
+    undone = {u.inv.id for u in rec.undo}
+    plan += [(RELEASE, obj, inv, None) for obj, inv in rec.release_order()
+             if inv.id not in undone]
+    return plan
 
 
 def find_cycle(adj: dict[int, set[int]]) -> list[int] | None:
@@ -201,10 +231,7 @@ class TransactionManager:
             self.history.emit(hist.DEDUCE, txn=rec.name, obj=obj.name,
                               op=inv.op, ins=inv.ins, outs=inv.outs,
                               inv_id=inv.id)
-            self._register(rec, obj, inv)
-            pub = public_outs_from_private(tr.rule, call.ins, inv.outs)
-            rec.observations.append(Observation(obj.name, call.op, call.ins, pub))
-            return pub
+            return self._observe(rec, obj, inv, tr, call)
         if outcome is AdmitOutcome.BLOCKED:
             self.history.emit(hist.BLOCK, txn=rec.name, obj=obj.name,
                               op=inv.op, ins=inv.ins, inv_id=inv.id)
@@ -220,25 +247,21 @@ class TransactionManager:
         outs = obj.execute(inv)
         self.history.emit(hist.EXEC, txn=rec.name, obj=obj.name, op=inv.op,
                           ins=inv.ins, outs=outs, inv_id=inv.id)
-        woken = obj.complete(inv, outs)
-        self._fire_wakes(obj, woken)
-        self._register(rec, obj, inv)
-        pub = public_outs_from_private(tr.rule, call.ins, outs)
-        rec.observations.append(Observation(obj.name, call.op, call.ins, pub))
-        return pub
+        self._fire_wakes(obj, obj.complete(inv, outs))
+        return self._observe(rec, obj, inv, tr, call)
 
     def commit(self, rec: TransactionRecord):
         assert rec.status is TxnStatus.ACTIVE, f"{rec.name} is {rec.status.value}"
         assert rec.blocked_on is None
         rec.status = TxnStatus.COMMITTING
         self.history.emit(hist.COMMIT, txn=rec.name)
-        for obj, inv in self._release_order(rec):
+        for obj, inv in rec.release_order():
             assert inv.lifecycle is Lifecycle.EXECUTED
             self._fire_wakes(obj, obj.finish(inv))
         rec.status = TxnStatus.COMMITTED
 
     def abort(self, rec: TransactionRecord):
-        """Erase a transaction: withdraw, undo backwards, release.
+        """Erase a transaction by running its `abort_plan`.
 
         Never fails and never blocks; that is what makes two-phase locking
         with inverse undo livable.
@@ -246,39 +269,30 @@ class TransactionManager:
         assert rec.status is TxnStatus.ACTIVE, f"{rec.name} is {rec.status.value}"
         rec.status = TxnStatus.ABORTING
         self.history.emit(hist.ABORT, txn=rec.name)
-        if rec.blocked_on is not None:
-            obj, binv = rec.blocked_on
-            self.history.emit(hist.WITHDRAW, txn=rec.name, obj=obj.name,
-                              op=binv.op, ins=binv.ins, inv_id=binv.id)
-            rec.blocked_on = None
-            self._fire_wakes(obj, obj.withdraw(binv))
-        for entry in reversed(rec.undo):
-            outs = entry.obj.apply_inverse(entry.call)
-            self.history.emit(hist.INVERSE, txn=rec.name, obj=entry.obj.name,
-                              op=entry.call.op, ins=entry.call.ins, outs=outs,
-                              inv_id=entry.inv.id)
-            # release the undone op only once its inverse has landed
-            self._fire_wakes(entry.obj, entry.obj.finish(entry.inv))
-        for obj, inv in self._release_order(rec):
-            if inv.lifecycle is Lifecycle.EXECUTED:   # the NULL-inverse ones
-                self._fire_wakes(obj, obj.finish(inv))
+        for kind, obj, inv, call in abort_plan(rec):
+            if kind == hist.WITHDRAW:
+                self.history.emit(kind, txn=rec.name, obj=obj.name, op=inv.op,
+                                  ins=inv.ins, inv_id=inv.id)
+                rec.blocked_on = None
+                self._fire_wakes(obj, obj.withdraw(inv))
+                continue
+            if kind == hist.INVERSE:
+                outs = obj.apply_inverse(call)
+                self.history.emit(kind, txn=rec.name, obj=obj.name, op=call.op,
+                                  ins=call.ins, outs=outs, inv_id=inv.id)
+            self._fire_wakes(obj, obj.finish(inv))
         rec.status = TxnStatus.ABORTED
         if self.on_abort:
             self.on_abort(rec.id)
 
     # -- internals --------------------------------------------------------------
 
-    def _release_order(self, rec):
-        return sorted(rec.invocations, key=lambda p: (p[0].index, p[1].id))
-
-    def _register(self, rec, obj, inv):
-        rec.invocations.append((obj, inv))
-        inverse = determine_inverse(obj.spec, inv.op, inv.ins, inv.outs)
-        if inv.origin is Origin.DEDUCED:
-            # a deduced result means the state never moved for this op
-            assert inverse is None, f"deduced {inv!r} demands an undo"
-        if inverse is not None:
-            rec.undo.append(UndoEntry(obj, inv, inverse))
+    def _observe(self, rec, obj, inv, tr, call):
+        """Register `inv`, then record and return the public answer."""
+        rec.register(obj, inv)
+        pub = public_outs_from_private(tr.rule, call.ins, inv.outs)
+        rec.observations.append(Observation(obj.name, call.op, call.ins, pub))
+        return pub
 
     def _fire_wakes(self, obj, woken):
         for w in woken:

@@ -11,8 +11,16 @@ These deliberately share no cleverness with the machinery they judge:
   ones never existed;
 * the history replay rebuilds every monitor from the event stream alone,
   re-deciding each admission, deduction, wake, inverse and victim with the
-  same pure table functions, and asserts the run's decisions and the
+  same pure table functions, and checks the run's decisions and the
   structural invariants after every single event.
+
+The history replay shares the engine's transaction bookkeeping only:
+`TransactionRecord` with its `register` and `release_order`, and
+`abort_plan`. Those fix orders, not outcomes; every admission, wake, inverse
+result and victim is still re-decided by fresh `ManagedObject`s. A wrong
+shared order would still show in the serial-replay checks, which share
+nothing with the engine: an inverse out of order, or an op released before
+its inverse lands, leaves states or answers no serial order explains.
 
 Factorial and exponential costs are embraced: inputs are kept small enough
 that exhaustiveness is affordable, which is the point.
@@ -24,17 +32,21 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .adts import get_adt
-from .core import (Lifecycle, Origin, PrivateCall, PrivateInvocation,
-                   PublicCall, determine_inverse, public_outs_from_private,
-                   translate_public)
+from .core import (FrameworkError, Lifecycle, PrivateInvocation, PublicCall,
+                   public_outs_from_private, translate_public)
 from . import history as hist
 from .history import History, check_metric_identities
-from .manager import Observation, TxnStatus, find_cycle, waits_for_graph
+from .manager import (RELEASE, Observation, TransactionRecord, TxnStatus,
+                      abort_plan, find_cycle, waits_for_graph)
 from .monitor import AdmitOutcome, ManagedObject
 from .simulate import RunResult
-from .workload import TxnDecl, Workload, initial_state
+from .workload import Workload, initial_state
 
 MAX_PERMUTED_TXNS = 8
+
+
+class SerializabilityBudgetError(FrameworkError):
+    """More committed transactions than the factorial search can afford."""
 
 
 @dataclass(frozen=True)
@@ -76,8 +88,10 @@ def check_serializable(result: RunResult) -> Verdict:
     the run's final states and every committed transaction's answers?"""
     committed = [t for t in result.workload.txns
                  if result.statuses[t.name] is TxnStatus.COMMITTED]
-    assert len(committed) <= MAX_PERMUTED_TXNS, \
-        f"{len(committed)} committed txns is past the factorial budget"
+    if len(committed) > MAX_PERMUTED_TXNS:
+        raise SerializabilityBudgetError(
+            f"{len(committed)} committed txns is past the factorial budget "
+            f"of {MAX_PERMUTED_TXNS}")
     for order in permutations(committed):
         states, observations = replay_serial(result.workload, order)
         if states != result.final_states:
@@ -107,17 +121,6 @@ def check_abort_transparency(result: RunResult) -> Verdict:
 # -- history replay -----------------------------------------------------------
 
 
-class _ShadowTxn:
-    def __init__(self, txn_id, name):
-        self.id = txn_id
-        self.name = name
-        self.status = TxnStatus.ACTIVE
-        self.invocations = []       # (ManagedObject, inv)
-        self.undo = []              # (ManagedObject, inv, PrivateCall)
-        self.blocked_on = None      # (ManagedObject, inv)
-        self.plan = None            # abort steps still owed by the trace
-
-
 class HistoryReplayError(AssertionError):
     pass
 
@@ -131,14 +134,16 @@ class _Replayer:
             self.objects[decl.name] = ManagedObject(
                 name=decl.name, index=i, spec=get_adt(decl.adt),
                 state=initial_state(decl), strict=True)
-        self.txns: dict[str, _ShadowTxn] = {}
-        self.txns_by_id: dict[int, _ShadowTxn] = {}
+        self.txns: dict[str, TransactionRecord] = {}
+        self.txns_by_id: dict[int, TransactionRecord] = {}
         self.pending_admit = None          # (obj, inv, AdmitOutcome)
         self.expected_wakes = []           # invs in emission order
-        self.active_plan = None            # _ShadowTxn currently aborting
+        self.aborting = None               # TransactionRecord mid-abort
+        self.plan = []                     # its abort steps the trace still owes
 
     def _fail(self, event, msg):
-        raise HistoryReplayError(f"event {event.index} ({event.render()}): {msg}")
+        where = f"event {event.index} ({event.render()})" if event else "end of history"
+        raise HistoryReplayError(f"{where}: {msg}")
 
     def _require(self, cond, event, msg):
         if not cond:
@@ -149,13 +154,15 @@ class _Replayer:
             self._step(event)
             for obj in self.objects.values():
                 obj.check_invariants()
-        assert self.pending_admit is None, "history ended mid-admission"
-        assert self.active_plan is None, "history ended mid-abort"
-        assert not self.expected_wakes, "announced wakes never happened"
+        self._require(self.pending_admit is None, None, "history ended mid-admission")
+        self._require(self.aborting is None, None, "history ended mid-abort")
+        self._require(not self.expected_wakes, None, "announced wakes never happened")
         for obj in self.objects.values():
-            assert not obj.blocked and not obj.in_execution and not obj.executed
+            self._require(not (obj.blocked or obj.in_execution or obj.executed),
+                          None, f"{obj.name} still holds invocations")
         for txn in self.txns.values():
-            assert txn.status in (TxnStatus.COMMITTED, TxnStatus.ABORTED)
+            self._require(txn.status in (TxnStatus.COMMITTED, TxnStatus.ABORTED),
+                          None, f"{txn.name} ended {txn.status.value}")
         return {name: obj.state for name, obj in self.objects.items()}
 
     # one event
@@ -171,30 +178,19 @@ class _Replayer:
         handler = getattr(self, "_on_" + e.kind.lower())
         handler(e)
 
-    def _wake_up(self, obj, woken):
+    def _wake_up(self, e, obj, woken):
         for w in woken:
             txn = self.txns_by_id[w.txn]
-            assert txn.blocked_on is not None and txn.blocked_on[1] is w, \
-                f"woken {w!r} is not what {txn.name} was blocked on"
+            self._require(txn.blocked_on is not None and txn.blocked_on[1] is w,
+                          e, f"woken {w!r} is not what {txn.name} was blocked on")
             txn.blocked_on = None
         self.expected_wakes.extend(woken)
-
-    def _register(self, txn, obj, inv):
-        txn.invocations.append((obj, inv))
-        inverse = determine_inverse(obj.spec, inv.op, inv.ins, inv.outs)
-        if inv.origin is Origin.DEDUCED:
-            assert inverse is None
-        if inverse is not None:
-            txn.undo.append((obj, inv, inverse))
-
-    def _release_order(self, txn):
-        return sorted(txn.invocations, key=lambda p: (p[0].index, p[1].id))
 
     # handlers
 
     def _on_begin(self, e):
         self._require(e.txn not in self.txns, e, "txn began twice")
-        txn = _ShadowTxn(len(self.txns) + 1, e.txn)
+        txn = TransactionRecord(len(self.txns) + 1, e.txn)
         self.txns[e.txn] = self.txns_by_id[txn.id] = txn
 
     def _on_nullop(self, e):
@@ -226,7 +222,7 @@ class _Replayer:
         obj, inv = self._take_pending(e, AdmitOutcome.DEDUCED)
         self._require(inv.outs == e.outs, e,
                       f"deduction produced {inv.outs}, trace says {e.outs}")
-        self._register(self.txns[e.txn], obj, inv)
+        self.txns[e.txn].register(obj, inv)
 
     def _on_block(self, e):
         obj, inv = self._take_pending(e, AdmitOutcome.BLOCKED)
@@ -242,8 +238,8 @@ class _Replayer:
                           "executing an op that was never admitted")
         outs = obj.execute(inv)
         self._require(outs == e.outs, e, f"execution produced {outs}")
-        self._wake_up(obj, obj.complete(inv, outs))
-        self._register(self.txns[e.txn], obj, inv)
+        self._wake_up(e, obj, obj.complete(inv, outs))
+        self.txns[e.txn].register(obj, inv)
 
     def _on_wake(self, e):
         self._require(bool(self.expected_wakes), e, "wake out of thin air")
@@ -256,10 +252,10 @@ class _Replayer:
         txn = self.txns[e.txn]
         self._require(txn.status is TxnStatus.ACTIVE, e, "commit of non-active txn")
         self._require(txn.blocked_on is None, e, "committing while blocked")
-        for obj, inv in self._release_order(txn):
+        for obj, inv in txn.release_order():
             self._require(inv.lifecycle is Lifecycle.EXECUTED, e,
                           f"commit with unfinished {inv!r}")
-            self._wake_up(obj, obj.finish(inv))
+            self._wake_up(e, obj, obj.finish(inv))
         txn.status = TxnStatus.COMMITTED
 
     def _on_victim(self, e):
@@ -277,55 +273,42 @@ class _Replayer:
     def _on_abort(self, e):
         txn = self.txns[e.txn]
         self._require(txn.status is TxnStatus.ACTIVE, e, "abort of non-active txn")
-        self._require(self.active_plan is None, e, "overlapping aborts")
+        self._require(self.aborting is None, e, "overlapping aborts")
         txn.status = TxnStatus.ABORTING
-        plan = []
-        if txn.blocked_on is not None:
-            plan.append(("withdraw",) + txn.blocked_on)
-        for obj, inv, call in reversed(txn.undo):
-            plan.append(("inverse", obj, inv, call))
-        undone = {id(inv) for _, inv, _ in txn.undo}
-        for obj, inv in self._release_order(txn):
-            if id(inv) not in undone:
-                plan.append(("release", obj, inv))
-        txn.plan = plan
-        self.active_plan = txn
-        self._drain_plan(txn)
+        self.aborting, self.plan = txn, abort_plan(txn)
+        self._release_due(e)
 
-    def _drain_plan(self, txn):
+    def _release_due(self, e):
         # releases emit no event of their own, only wakes; run them as soon
         # as they reach the head of the plan
-        while txn.plan and txn.plan[0][0] == "release":
-            _, obj, inv = txn.plan.pop(0)
-            self._wake_up(obj, obj.finish(inv))
-        if not txn.plan:
-            txn.plan = None
-            txn.status = TxnStatus.ABORTED
-            self.active_plan = None
+        while self.plan and self.plan[0][0] == RELEASE:
+            _, obj, inv, _ = self.plan.pop(0)
+            self._wake_up(e, obj, obj.finish(inv))
+        if not self.plan:
+            self.aborting.status = TxnStatus.ABORTED
+            self.aborting = None
 
-    def _on_withdraw(self, e):
-        txn = self.txns[e.txn]
-        self._require(self.active_plan is txn and txn.plan
-                      and txn.plan[0][0] == "withdraw", e,
-                      "withdraw not due for this txn")
-        _, obj, inv = txn.plan.pop(0)
-        self._require(inv.id == e.inv_id, e, f"expected withdrawal of {inv.id}")
-        txn.blocked_on = None
-        self._wake_up(obj, obj.withdraw(inv))
-        self._drain_plan(txn)
+    def _on_abort_step(self, e):
+        # a WITHDRAW or INVERSE line: the head of the plan, of that kind
+        self._require(self.aborting is self.txns[e.txn] and self.plan
+                      and self.plan[0][0] == e.kind, e,
+                      f"{e.kind.lower()} not due for this txn")
+        kind, obj, inv, call = self.plan.pop(0)
+        if kind == hist.WITHDRAW:
+            self._require(inv.id == e.inv_id, e, f"expected withdrawal of {inv.id}")
+            self.aborting.blocked_on = None
+            woken = obj.withdraw(inv)
+        else:
+            self._require(obj.name == e.obj and call.op == e.op
+                          and call.ins == e.ins, e,
+                          f"expected inverse {call!r} of {inv!r}")
+            outs = obj.apply_inverse(call)
+            self._require(outs == e.outs, e, f"inverse produced {outs}")
+            woken = obj.finish(inv)
+        self._wake_up(e, obj, woken)
+        self._release_due(e)
 
-    def _on_inverse(self, e):
-        txn = self.txns[e.txn]
-        self._require(self.active_plan is txn and txn.plan
-                      and txn.plan[0][0] == "inverse", e,
-                      "inverse not due for this txn")
-        _, obj, inv, call = txn.plan.pop(0)
-        self._require(obj.name == e.obj and call.op == e.op and call.ins == e.ins,
-                      e, f"expected inverse {call!r} of {inv!r}")
-        outs = obj.apply_inverse(call)
-        self._require(outs == e.outs, e, f"inverse produced {outs}")
-        self._wake_up(obj, obj.finish(inv))
-        self._drain_plan(txn)
+    _on_withdraw = _on_inverse = _on_abort_step
 
 
 def replay_history(workload: Workload, history: History) -> dict[str, object]:
@@ -341,3 +324,24 @@ def validate_run(result: RunResult) -> Verdict:
         return Verdict(False, f"replayed states {final} != run states "
                               f"{result.final_states}")
     return Verdict(True, "history replays cleanly")
+
+
+def check_run(result: RunResult) -> tuple[str | None, Verdict]:
+    """(first failing stage, its verdict), or (None, the serializability
+    verdict) if all pass. Stages: replay, where a raise is a failure, then
+    serializability, then transparency if any txn aborted or was a victim."""
+    try:
+        verdict = validate_run(result)
+    except AssertionError as exc:
+        return "replay", Verdict(False, str(exc))
+    if not verdict.ok:
+        return "replay", verdict
+    verdict = check_serializable(result)
+    if not verdict.ok:
+        return "serializability", verdict
+    if any(t.terminal == "abort" for t in result.workload.txns) or \
+            result.metrics.victims:
+        transparency = check_abort_transparency(result)
+        if not transparency.ok:
+            return "transparency", transparency
+    return None, verdict

@@ -1,8 +1,12 @@
 """CLI surface: subcommands, exit codes, output shapes."""
 
+import dataclasses
+
 import pytest
 
+from adtxn import cli
 from adtxn.cli import main
+from adtxn.history import History
 
 DEDUCTION = """\
 object s stack ()
@@ -103,6 +107,34 @@ schedule seed 10 steps 100
 def test_check_covers_transparency_for_aborting_workloads(wl, capsys):
     assert main(["check", wl(ABORTER)]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_check_past_the_serializability_budget_is_an_input_error(wl, capsys):
+    txns = "".join(f"txn T{i}\n  op s{i} PUSH a\nend commit\n" for i in range(1, 10))
+    objects = "".join(f"object s{i} stack ()\n" for i in range(1, 10))
+    text = objects + txns + "schedule seed 1 steps 100\n"
+    assert main(["check", wl(text), "--runs", "1"]) == 2
+    assert "error: 9 committed txns is past the factorial budget" in \
+        capsys.readouterr().err
+
+
+def test_check_reports_replay_drift_as_a_failed_stage(wl, capsys, monkeypatch):
+    run = cli.run_simulated
+
+    def truncated(workload, seed=None):
+        # drop the last COMMIT, so the replay ends with work still held
+        result = run(workload, seed=seed)
+        return dataclasses.replace(
+            result, history=History(result.history.events[:-1]))
+
+    monkeypatch.setattr(cli, "run_simulated", truncated)
+    text = "object s stack ()\ntxn T1\n  op s PUSH a\nend commit\n" \
+           "schedule seed 10 steps 100\n"
+    assert main(["check", wl(text), "--runs", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL seed=10 replay: end of history" in out
+    assert "FAIL seed=11 replay: " in out
+    assert "checked 2 run(s), 2 failure(s)" in out
 
 
 def test_verify_tables_single_and_unknown(capsys):

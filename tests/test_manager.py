@@ -14,9 +14,11 @@ from adtxn.adts import get_adt
 from adtxn.core import Lifecycle, PublicCall
 from adtxn.fuzz import derive_seed, flip_random_abort, generate_workload
 from adtxn.manager import (
+    RELEASE,
     TransactionAborted,
     TransactionManager,
     TxnStatus,
+    abort_plan,
     find_cycle,
 )
 from adtxn.simulate import run_simulated
@@ -137,6 +139,45 @@ def test_withdraw_on_abort_of_a_blocked_transaction():
     assert mgr.history.count(hist.INVERSE) == 0
     assert mgr.objects["s"].blocked == {}
     mgr.commit(t1)
+
+
+def test_abort_plan_withdraws_then_undoes_backwards_then_releases():
+    mgr = TransactionManager()
+    for name, adt in (("s", "stack"), ("r", "real"), ("q", "stack")):
+        mgr.add_object(name, get_adt(adt))
+    t1, t2 = mgr.begin("T1"), mgr.begin("T2")
+    run_op(mgr, t1, "r", "ADD", rational(7))
+    run_op(mgr, t1, "s", "EMPTY")             # a query: NULL inverse
+    run_op(mgr, t1, "s", "PUSH", item("a"))
+    run_op(mgr, t2, "q", "PUSH", item("b"))
+    assert start(mgr, t1, "q", "POP")[0] == "wait"
+    plan = abort_plan(t1)
+    assert [(kind, obj.name, inv.op, call and call.op)
+            for kind, obj, inv, call in plan] == [
+        (hist.WITHDRAW, "q", "POP", None),
+        (hist.INVERSE, "s", "PUSH", "POP"),
+        (hist.INVERSE, "r", "ADD", "SUB"),
+        (RELEASE, "s", "EMPTY", None)]
+    mgr.abort(t1)
+    tail = [(e.kind, e.obj, e.op) for e in mgr.history][-4:]
+    assert tail == [(hist.ABORT, None, None), (hist.WITHDRAW, "q", "POP"),
+                    (hist.INVERSE, "s", "POP"), (hist.INVERSE, "r", "SUB")]
+    assert all(inv.lifecycle is Lifecycle.FINISHED for _, _, inv, _ in plan)
+    mgr.commit(t2)
+
+
+def test_commit_releases_by_object_then_invocation():
+    mgr = TransactionManager()
+    mgr.add_object("s", get_adt("stack"))
+    mgr.add_object("q", get_adt("stack"))
+    t1, t2, t3 = mgr.begin("T1"), mgr.begin("T2"), mgr.begin("T3")
+    run_op(mgr, t1, "q", "PUSH", item("a"))   # the older invocation
+    run_op(mgr, t1, "s", "PUSH", item("b"))
+    assert start(mgr, t2, "q", "POP")[0] == "wait"
+    assert start(mgr, t3, "s", "POP")[0] == "wait"
+    assert [(obj.name, inv.id) for obj, inv in t1.release_order()] == [("s", 2), ("q", 1)]
+    mgr.commit(t1)
+    assert [e.txn for e in mgr.history if e.kind == hist.WAKE] == ["T3", "T2"]
 
 
 def test_commit_refused_while_blocked_or_settled():

@@ -3,6 +3,11 @@ doctored ones. Every rejection test here is a seam a regression could hide
 in if the oracle went soft."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +197,19 @@ schedule steps T1 T1 T1
         replay_history(res.workload, doctored(res.history, swap))
 
 
+@pytest.mark.parametrize("kind,message", [
+    (hist.WITHDRAW, "inverse not due"),
+    (hist.INVERSE, "wake out of thin air"),
+])
+def test_replay_rejects_a_dropped_abort_step(kind, message):
+    # the victim T2 withdraws its blocked push, then undoes its executed one
+    res = run_simulated(parse_workload(DEADLOCK))
+    assert res.history.count(kind) == 1
+    bad = doctored(res.history, lambda ev: [e for e in ev if e.kind != kind])
+    with pytest.raises(HistoryReplayError, match=message):
+        replay_history(res.workload, bad)
+
+
 def test_replay_rejects_a_forged_victim():
     res = run_simulated(parse_workload(DEADLOCK))
 
@@ -210,8 +228,32 @@ def test_replay_rejects_a_forged_victim():
 def test_replay_rejects_a_truncated_history():
     res = run_simulated(parse_workload(CONTENTIOUS))
     bad = doctored(res.history, lambda ev: ev[:-1])   # drop T2's COMMIT
-    with pytest.raises(AssertionError):
+    with pytest.raises(HistoryReplayError, match="end of history"):
         replay_history(res.workload, bad)
+
+
+def test_replay_rejects_a_truncated_history_under_optimization():
+    # python -O strips asserts; the replay's own checks must not go with them
+    script = textwrap.dedent("""\
+        import sys
+        sys.path.insert(0, "tests")
+        from test_oracles import CONTENTIOUS, doctored
+        from adtxn.oracles import HistoryReplayError, replay_history
+        from adtxn.simulate import run_simulated
+        from adtxn.workload import parse_workload
+        assert False, "asserts are live: not running under -O"
+        res = run_simulated(parse_workload(CONTENTIOUS))
+        try:
+            replay_history(res.workload, doctored(res.history, lambda ev: ev[:-1]))
+        except HistoryReplayError as exc:
+            print("rejected:", exc)
+        """)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "rejected: end of history" in proc.stdout
 
 
 # -------------------------------------------------------------- validate_run
