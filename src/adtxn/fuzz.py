@@ -83,7 +83,8 @@ def flip_random_abort(workload: Workload, rng: random.Random) -> Workload:
 
 def run_pipeline(workload: Workload, seed: int | None = None) -> tuple[bool, str, str]:
     """(ok, failing stage, detail). Stages: run, then those of
-    `oracles.check_run`."""
+    `oracles.check_run` (replay, then serializability, which also covers
+    abort transparency)."""
     try:
         result = run_simulated(workload, seed=seed)
     except Exception as exc:                      # noqa: BLE001 - oracle boundary

@@ -48,6 +48,12 @@ from .tables import commute_with_in, commute_with_in_out, try_deduce
 from .values import Value
 
 
+class MonitorInvariantError(AssertionError):
+    """A strict check found the monitor's bookkeeping broken. Raised rather
+    than asserted so the checks hold under `python -O`; an AssertionError
+    so the oracles count it as a failed check."""
+
+
 class AdmitOutcome(Enum):
     ADMITTED = "admitted"    # runs now
     DEDUCED = "deduced"      # answered without running
@@ -223,50 +229,61 @@ class ManagedObject:
         for other in self.in_execution.values():
             if other is inv or other.txn == inv.txn:
                 continue
-            assert commute_with_in(self.spec.tables, other, inv), \
-                f"{inv!r} admitted against conflicting {other!r}"
+            if not commute_with_in(self.spec.tables, other, inv):
+                raise MonitorInvariantError(
+                    f"{inv!r} admitted against conflicting {other!r}")
         for other in self.executed.values():
             if other.txn == inv.txn:
                 continue
-            assert commute_with_in_out(self.spec.tables, other, inv).commutes, \
-                f"{inv!r} admitted against conflicting executed {other!r}"
+            if not commute_with_in_out(self.spec.tables, other, inv).commutes:
+                raise MonitorInvariantError(
+                    f"{inv!r} admitted against conflicting executed {other!r}")
 
-    def check_invariants(self):
-        self._check(force=True)
-
-    def _check(self, force: bool = False):
-        if not (self.strict or force):
+    def _check(self):
+        if not self.strict:
             return
         b, x, e = set(self.blocked), set(self.in_execution), set(self.executed)
-        assert not (b & x or b & e or x & e), f"{self.name}: partition overlap"
+        if b & x or b & e or x & e:
+            raise MonitorInvariantError(f"{self.name}: partition overlap")
         for pool, life in ((self.blocked, Lifecycle.BLOCKED),
                            (self.in_execution, Lifecycle.IN_EXECUTION),
                            (self.executed, Lifecycle.EXECUTED)):
             for iid, inv in pool.items():
-                assert inv.id == iid and inv.lifecycle is life, f"{inv!r} misfiled"
-        assert self.blocked_by.keys() == b, f"{self.name}: blocked_by vs blocked drift"
+                if inv.id != iid or inv.lifecycle is not life:
+                    raise MonitorInvariantError(f"{inv!r} misfiled")
+        if self.blocked_by.keys() != b:
+            raise MonitorInvariantError(f"{self.name}: blocked_by vs blocked drift")
         live = b | x | e
         edges = 0
         for blocker, waiters in self.blocks.items():
-            assert blocker in live, f"{self.name}: edges from dead op {blocker}"
+            if blocker not in live:
+                raise MonitorInvariantError(f"{self.name}: edges from dead op {blocker}")
             for w in waiters:
-                assert w in b, f"{self.name}: edge to non-blocked {w}"
-                assert blocker < w, f"{self.name}: edge {blocker}->{w} not forward"
-                assert blocker in self.blocked_by[w], \
-                    f"{self.name}: edge {blocker}->{w} missing from blocked_by"
+                if w not in b:
+                    raise MonitorInvariantError(f"{self.name}: edge to non-blocked {w}")
+                if blocker >= w:
+                    raise MonitorInvariantError(
+                        f"{self.name}: edge {blocker}->{w} not forward")
+                if blocker not in self.blocked_by[w]:
+                    raise MonitorInvariantError(
+                        f"{self.name}: edge {blocker}->{w} missing from blocked_by")
             edges += len(waiters)
         # every blocks edge is in blocked_by, so equal totals make them mirrors
         mirrored = 0
         for w, blockers in self.blocked_by.items():
-            assert blockers, f"{self.name}: {w} blocked by nothing"
+            if not blockers:
+                raise MonitorInvariantError(f"{self.name}: {w} blocked by nothing")
             mirrored += len(blockers)
-        assert mirrored == edges, \
-            f"{self.name}: {mirrored} blocked_by edges vs {edges} blocks edges"
+        if mirrored != edges:
+            raise MonitorInvariantError(
+                f"{self.name}: {mirrored} blocked_by edges vs {edges} blocks edges")
         for inv in self.executed.values():
-            assert inv.outs is not None
             expect = 0 if inv.origin is Origin.DEDUCED else 1
-            assert inv.executions == expect, f"{inv!r} execution count"
+            if inv.outs is None or inv.executions != expect:
+                raise MonitorInvariantError(f"{inv!r} outs or execution count")
         for inv in self.blocked.values():
-            assert inv.outs is None and inv.executions == 0
+            if inv.outs is not None or inv.executions != 0:
+                raise MonitorInvariantError(f"{inv!r} blocked with outs or executions")
         for inv in self.in_execution.values():
-            assert inv.outs is None
+            if inv.outs is not None:
+                raise MonitorInvariantError(f"{inv!r} in execution with outs")

@@ -24,7 +24,7 @@ from adtxn.manager import (
 from adtxn.simulate import run_simulated
 from adtxn.values import item, rational, report
 from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
-                            make_step)
+                            make_step, parse_workload)
 
 OK = report("Ok")
 
@@ -178,6 +178,58 @@ def test_commit_releases_by_object_then_invocation():
     assert [(obj.name, inv.id) for obj, inv in t1.release_order()] == [("s", 2), ("q", 1)]
     mgr.commit(t1)
     assert [e.txn for e in mgr.history if e.kind == hist.WAKE] == ["T3", "T2"]
+
+
+# T1 read p and q through queries, whose inverses are NULL, and T3 and T2
+# wait on those reads. The abort must land T1's inverse first, then release
+# the queries by object (p before q, though q's read is older).
+NULL_RELEASE = """\
+object p stack ()
+object q stack ()
+object s stack ()
+txn T1
+  op q EMPTY
+  op p EMPTY
+  op s PUSH a
+end abort
+txn T2
+  op q PUSH b
+end commit
+txn T3
+  op p PUSH c
+end commit
+schedule steps T1 T1 T1 T2 T3 T1 T2 T2 T3 T3
+"""
+
+NULL_RELEASE_TRACE = """\
+0 BEGIN txn=T1 obj=- op=- in=[] out=[]
+1 INVOKE txn=T1 obj=q op=EMPTY in=[] out=[]
+2 EXEC txn=T1 obj=q op=EMPTY in=[] out=[true]
+3 INVOKE txn=T1 obj=p op=EMPTY in=[] out=[]
+4 EXEC txn=T1 obj=p op=EMPTY in=[] out=[true]
+5 INVOKE txn=T1 obj=s op=PUSH in=[a] out=[]
+6 EXEC txn=T1 obj=s op=PUSH in=[a] out=[Ok]
+7 BEGIN txn=T2 obj=- op=- in=[] out=[]
+8 INVOKE txn=T2 obj=q op=PUSH in=[b] out=[]
+9 BLOCK txn=T2 obj=q op=PUSH in=[b] out=[]
+10 BEGIN txn=T3 obj=- op=- in=[] out=[]
+11 INVOKE txn=T3 obj=p op=PUSH in=[c] out=[]
+12 BLOCK txn=T3 obj=p op=PUSH in=[c] out=[]
+13 ABORT txn=T1 obj=- op=- in=[] out=[]
+14 INVERSE txn=T1 obj=s op=POP in=[] out=[a,Ok]
+15 WAKE txn=T3 obj=p op=PUSH in=[c] out=[]
+16 WAKE txn=T2 obj=q op=PUSH in=[b] out=[]
+17 EXEC txn=T2 obj=q op=PUSH in=[b] out=[Ok]
+18 COMMIT txn=T2 obj=- op=- in=[] out=[]
+19 EXEC txn=T3 obj=p op=PUSH in=[c] out=[Ok]
+20 COMMIT txn=T3 obj=- op=- in=[] out=[]
+"""
+
+
+def test_abort_releases_null_inverse_ops_after_the_inverses():
+    result = run_simulated(parse_workload(NULL_RELEASE))
+    assert result.trace == NULL_RELEASE_TRACE
+    assert result.rendered_states() == {"p": "c", "q": "b", "s": "()"}
 
 
 def test_commit_refused_while_blocked_or_settled():

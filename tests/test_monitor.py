@@ -2,12 +2,17 @@
 wakeups at completion vs finish, withdrawal, and the invariant checker."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from adtxn.adts import get_adt
 from adtxn.core import Lifecycle, Origin, PrivateCall, PrivateInvocation
-from adtxn.monitor import AdmitOutcome, ManagedObject
+from adtxn.monitor import AdmitOutcome, ManagedObject, MonitorInvariantError
 from adtxn.values import TRUE, UNIT, item, report
 
 OK = report("Ok")
@@ -181,5 +186,32 @@ def test_invariant_checker_notices_tampering():
     inv = ids.inv(1, "PUSH", item("a"))
     obj.admit(inv)
     inv.lifecycle = Lifecycle.EXECUTED      # lie: still filed under in_execution
-    with pytest.raises(AssertionError):
-        obj.check_invariants()
+    with pytest.raises(MonitorInvariantError, match="misfiled"):
+        obj._check()
+
+
+def test_invariant_checker_notices_tampering_under_optimization():
+    # python -O strips asserts; the strict checks must not go with them
+    script = textwrap.dedent("""\
+        import sys
+        sys.path.insert(0, "tests")
+        from test_monitor import Ids, make_object
+        from adtxn.core import Lifecycle
+        from adtxn.monitor import MonitorInvariantError
+        from adtxn.values import item
+        assert False, "asserts are live: not running under -O"
+        obj, ids = make_object(), Ids()
+        inv = ids.inv(1, "PUSH", item("a"))
+        obj.admit(inv)
+        inv.lifecycle = Lifecycle.EXECUTED
+        try:
+            obj._check()
+        except MonitorInvariantError as exc:
+            print("rejected:", exc)
+        """)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "rejected:" in proc.stdout and "misfiled" in proc.stdout

@@ -4,6 +4,7 @@ in if the oracle went soft."""
 
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -12,11 +13,16 @@ from pathlib import Path
 import pytest
 
 from adtxn import history as hist
+from adtxn import oracles
+from adtxn.adts import get_adt
+from adtxn.fuzz import derive_seed, flip_random_abort, generate_workload
 from adtxn.history import History
 from adtxn.manager import Observation, TxnStatus
+from adtxn.monitor import ManagedObject
 from adtxn.oracles import (
     HistoryReplayError,
     check_abort_transparency,
+    check_run,
     check_serializable,
     replay_history,
     replay_serial,
@@ -24,7 +30,9 @@ from adtxn.oracles import (
 )
 from adtxn.simulate import run_simulated
 from adtxn.values import UNIT, item, report
-from adtxn.workload import parse_workload
+from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
+                            make_step, parse_workload)
+from test_manager import _stack_instance
 
 OK = report("Ok")
 
@@ -256,6 +264,71 @@ def test_replay_rejects_a_truncated_history_under_optimization():
     assert "rejected: end of history" in proc.stdout
 
 
+# ------------------------------- replay: each monitor checked once per change
+
+def _sets_instance(rng, txns=50, sets=3):
+    spec = get_adt("set")
+    decls, total = [], 0
+    for t in range(txns):
+        steps = []
+        for _ in range(rng.randint(2, 4)):
+            op = rng.choice(("INSERT", "DELETE", "IN", "CARD"))
+            ins = () if op == "CARD" else (item(rng.choice("abcd")),)
+            steps.append(make_step(spec, f"s{rng.randint(1, sets)}", op, ins))
+        total += len(steps)
+        decls.append(TxnDecl(f"T{t + 1}", tuple(steps), "commit"))
+    objects = tuple(ObjectDecl(f"s{i + 1}", "set", "{}") for i in range(sets))
+    return Workload(objects, tuple(decls),
+                    RandomSchedule(rng.randrange(2 ** 31), 20 * total + 20))
+
+
+def _bookkeeping(obj):
+    pools = tuple({i: (inv.lifecycle, inv.outs, inv.executions)
+                   for i, inv in pool.items()}
+                  for pool in (obj.blocked, obj.in_execution, obj.executed))
+    return (pools, {b: set(w) for b, w in obj.blocks.items()},
+            {w: set(b) for w, b in obj.blocked_by.items()})
+
+
+def test_replay_leaves_every_monitor_as_it_was_last_checked(monkeypatch):
+    # The replay runs no invariant sweep of its own: it relies on each strict
+    # entry section ending with _check and on nothing else changing a
+    # monitor's bookkeeping. Require that after every event.
+    workloads = []
+    for i in range(200):
+        rng = random.Random(derive_seed(20260816, i))
+        workload = generate_workload(rng)
+        workloads += [workload, flip_random_abort(workload, rng)]
+    rng = random.Random(11)
+    workloads += [_stack_instance(rng) for _ in range(3)]
+    workloads += [_sets_instance(rng) for _ in range(3)]
+    results = [run_simulated(w) for w in workloads]
+
+    empty = _bookkeeping(ManagedObject("x", 0, get_adt("set"), frozenset()))
+    checked = {}
+    events = 0
+    check, step = ManagedObject._check, oracles._Replayer._step
+
+    def recorded(obj):
+        check(obj)
+        checked[obj] = _bookkeeping(obj)
+
+    def compared(replayer, event):
+        nonlocal events
+        step(replayer, event)
+        events += 1
+        for obj in replayer.objects.values():
+            assert obj.strict
+            assert _bookkeeping(obj) == checked.get(obj, empty), \
+                f"event {event.index}: {obj.name} changed since its last check"
+
+    monkeypatch.setattr(ManagedObject, "_check", recorded)
+    monkeypatch.setattr(oracles._Replayer, "_step", compared)
+    for res in results:
+        assert replay_history(res.workload, res.history) == res.final_states
+    assert events > 10_000 and len(checked) > 700
+
+
 # -------------------------------------------------------------- validate_run
 
 def test_validate_run_passes_and_catches_state_drift():
@@ -263,3 +336,27 @@ def test_validate_run_passes_and_catches_state_drift():
     assert validate_run(res).ok
     res.final_states["A"] = ("zzz",)
     assert not validate_run(res).ok
+
+
+# ------------------------------------------------------------------ check_run
+
+def test_check_run_searches_serial_orders_once_per_run(monkeypatch):
+    calls = 0
+
+    def counted(workload, order):
+        nonlocal calls
+        calls += 1
+        return replay_serial(workload, order)
+
+    monkeypatch.setattr(oracles, "replay_serial", counted)
+    results = []
+    for i in range(30):
+        rng = random.Random(derive_seed(20260816, i))
+        results.append(run_simulated(flip_random_abort(generate_workload(rng), rng)))
+    for res in results:
+        assert TxnStatus.ABORTED in res.statuses.values()
+        assert check_serializable(res).ok
+    alone, calls = calls, 0
+    for res in results:
+        assert check_run(res)[0] is None
+    assert calls == alone
