@@ -49,7 +49,8 @@ from .values import Value
 
 
 class MonitorInvariantError(AssertionError):
-    """A strict check found the monitor's bookkeeping broken. Raised rather
+    """An entry section was called on an op in the wrong lifecycle, an op
+    ran twice, or a strict check found the bookkeeping broken. Raised rather
     than asserted so the checks hold under `python -O`; an AssertionError
     so the oracles count it as a failed check."""
 
@@ -78,7 +79,8 @@ class ManagedObject:
     # -- step (1): deduction, then in-control ------------------------------
 
     def admit(self, inv: PrivateInvocation) -> AdmitOutcome:
-        assert inv.lifecycle is Lifecycle.NEW and inv.obj == self.name
+        if inv.lifecycle is not Lifecycle.NEW or inv.obj != self.name:
+            raise MonitorInvariantError(f"{self.name}: cannot admit {inv!r}")
         executed = [self.executed[i] for i in sorted(self.executed)]
         pending = ([self.blocked[i] for i in sorted(self.blocked)]
                    + [self.in_execution[i] for i in sorted(self.in_execution)])
@@ -114,9 +116,11 @@ class ManagedObject:
     # -- step (3): the only forward mutation of object state ---------------
 
     def execute(self, inv: PrivateInvocation) -> tuple[Value, ...]:
-        assert inv.lifecycle is Lifecycle.IN_EXECUTION
+        if inv.lifecycle is not Lifecycle.IN_EXECUTION:
+            raise MonitorInvariantError(f"{inv!r} is not in execution")
         inv.executions += 1
-        assert inv.executions == 1, f"{inv!r} executed more than once"
+        if inv.executions != 1:
+            raise MonitorInvariantError(f"{inv!r} executed more than once")
         new_state, outs = self.spec.apply(self.state, inv.op, inv.ins)
         check_outs(self.spec, inv.op, outs)
         self.state = new_state
@@ -132,7 +136,8 @@ class ManagedObject:
         though the in-params did not promise it) sheds that edge now.
         Returns the ops this admitted, in id order.
         """
-        assert inv.lifecycle is Lifecycle.IN_EXECUTION
+        if inv.lifecycle is not Lifecycle.IN_EXECUTION:
+            raise MonitorInvariantError(f"{inv!r} completed outside execution")
         inv.outs = outs
         del self.in_execution[inv.id]
         inv.lifecycle = Lifecycle.EXECUTED
@@ -152,7 +157,8 @@ class ManagedObject:
 
     def finish(self, inv: PrivateInvocation) -> list[PrivateInvocation]:
         """Commit-or-reject for one executed op: drop every edge it holds."""
-        assert inv.lifecycle is Lifecycle.EXECUTED
+        if inv.lifecycle is not Lifecycle.EXECUTED:
+            raise MonitorInvariantError(f"{inv!r} finished before it executed")
         del self.executed[inv.id]
         inv.lifecycle = Lifecycle.FINISHED
         woken = []
@@ -167,7 +173,8 @@ class ManagedObject:
         Only Blocked ops can be withdrawn: once admitted, an op's effects
         exist and must be undone through its inverse instead.
         """
-        assert inv.lifecycle is Lifecycle.BLOCKED
+        if inv.lifecycle is not Lifecycle.BLOCKED:
+            raise MonitorInvariantError(f"{inv!r} withdrawn but not blocked")
         del self.blocked[inv.id]
         woken = []
         for wid in sorted(self.blocks.pop(inv.id, set())):

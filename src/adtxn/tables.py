@@ -19,11 +19,28 @@ writer commits.
 In-commutativity is the stronger claim (it holds whatever the results turn
 out to be), so the out-query falls back to the in-table when no out-entry
 matches; the fallback never deduces.
+
+Every query names one op pair, so `CommutTables` indexes its entries by
+pair once, when it is built (and rebuilt with it, as by
+`dataclasses.replace`), and a query reads only its own pair's entries:
+
+* `in_by_pair[(x, y)]` holds `(when, swapped)` for every in-entry on ops x
+  and y, stored under both orders: an X/Y entry sits under (x, y) as is and
+  under (y, x) swapped, so the query calls `when` with the arguments in the
+  entry's order. An entry on one op twice (X/X) sits under (x, x) both ways.
+* `out_by_pair[(executed, incoming)]` holds the out-entries for that pair.
+
+Both keep table order. For the in-table that only fixes which condition
+runs first, but the *first* matching out-entry decides the deduction, so
+its order is part of the answer.
+
+A query that commutes without a deduction answers the shared `COMMUTES`,
+as one that conflicts answers `NO_COMMUTE`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .values import Value
@@ -32,6 +49,12 @@ from .values import Value
 #   in-entry   when(ins_a, ins_b) -> bool
 #   out-entry  when(executed_ins, executed_outs, incoming_ins) -> bool
 #   deduce(executed_ins, executed_outs, incoming_ins) -> incoming outs
+
+
+class TableSoundnessError(AssertionError):
+    """A table query met a case the tables cannot answer soundly. Raised
+    rather than asserted so the check holds under `python -O`; an
+    AssertionError so the oracles count it as a failed check."""
 
 
 @dataclass(frozen=True)
@@ -56,14 +79,29 @@ class OutCommutEntry:
 class CommutTables:
     in_entries: tuple[InCommutEntry, ...]
     out_entries: tuple[OutCommutEntry, ...]
+    in_by_pair: dict[tuple[str, str], tuple[tuple[Callable, bool], ...]] = field(
+        init=False, repr=False, compare=False)
+    out_by_pair: dict[tuple[str, str], tuple[OutCommutEntry, ...]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        in_by_pair: dict[tuple[str, str], list] = {}
+        for e in self.in_entries:
+            in_by_pair.setdefault((e.op_a, e.op_b), []).append((e.when, False))
+            in_by_pair.setdefault((e.op_b, e.op_a), []).append((e.when, True))
+        out_by_pair: dict[tuple[str, str], list] = {}
+        for e in self.out_entries:
+            out_by_pair.setdefault((e.executed_op, e.incoming_op), []).append(e)
+        object.__setattr__(self, "in_by_pair",
+                           {k: tuple(v) for k, v in in_by_pair.items()})
+        object.__setattr__(self, "out_by_pair",
+                           {k: tuple(v) for k, v in out_by_pair.items()})
 
 
 def commute_with_in(tables: CommutTables, a, b) -> bool:
     """Unordered in-parameter commutativity of two calls (.op/.ins duck type)."""
-    for e in tables.in_entries:
-        if e.op_a == a.op and e.op_b == b.op and e.when(a.ins, b.ins):
-            return True
-        if e.op_a == b.op and e.op_b == a.op and e.when(b.ins, a.ins):
+    for when, swapped in tables.in_by_pair.get((a.op, b.op), ()):
+        if when(b.ins, a.ins) if swapped else when(a.ins, b.ins):
             return True
     return False
 
@@ -75,12 +113,12 @@ class OutVerdict:
 
 
 NO_COMMUTE = OutVerdict(False)
+COMMUTES = OutVerdict(True)
 
 
 def _out_entry_for(tables: CommutTables, executed, incoming) -> OutCommutEntry | None:
-    for e in tables.out_entries:
-        if (e.executed_op == executed.op and e.incoming_op == incoming.op
-                and e.when(executed.ins, executed.outs, incoming.ins)):
+    for e in tables.out_by_pair.get((executed.op, incoming.op), ()):
+        if e.when(executed.ins, executed.outs, incoming.ins):
             return e
     return None
 
@@ -91,13 +129,15 @@ def commute_with_in_out(tables: CommutTables, executed, incoming) -> OutVerdict:
     `executed` must carry outs. Returns the deduction the matching entry
     offers, if any; the in-table fallback offers none.
     """
-    assert executed.outs is not None, f"{executed!r} has no outs yet"
+    if executed.outs is None:
+        raise TableSoundnessError(f"{executed!r} has no outs yet")
     e = _out_entry_for(tables, executed, incoming)
     if e is not None:
-        ded = e.deduce(executed.ins, executed.outs, incoming.ins) if e.deduce else None
-        return OutVerdict(True, ded)
+        if e.deduce is None:
+            return COMMUTES
+        return OutVerdict(True, e.deduce(executed.ins, executed.outs, incoming.ins))
     if commute_with_in(tables, executed, incoming):
-        return OutVerdict(True, None)
+        return COMMUTES
     return NO_COMMUTE
 
 
@@ -112,7 +152,7 @@ def try_deduce(tables: CommutTables, incoming, executed_ops, pending_ops
     there is nothing to pin the state, so no deduction.
 
     All executed ops must agree on the deduced value; a disagreement is a
-    table soundness bug and fails loud.
+    table soundness bug and raises `TableSoundnessError`.
     """
     if not executed_ops:
         return None
@@ -126,6 +166,7 @@ def try_deduce(tables: CommutTables, incoming, executed_ops, pending_ops
         if not commute_with_in(tables, p, incoming):
             return None
     first = deduced[0]
-    assert all(d == first for d in deduced), \
-        f"deduction disagreement for {incoming!r}: {deduced}"
+    if not all(d == first for d in deduced):
+        raise TableSoundnessError(
+            f"deduction disagreement for {incoming!r}: {deduced}")
     return first

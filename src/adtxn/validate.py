@@ -144,9 +144,8 @@ def check_in_table(spec: AdtSpec, bound: int) -> CheckReport:
     violations = []
     cases = 0
     probes = spec.probe_calls(bound)
-    listed = {(e.op_a, e.op_b) for e in spec.tables.in_entries}
     for p, q in combinations_with_replacement(probes, 2):
-        if (p.op, q.op) not in listed and (q.op, p.op) not in listed:
+        if (p.op, q.op) not in spec.tables.in_by_pair:
             continue
         if not commute_with_in(spec.tables, p, q):
             continue
@@ -165,16 +164,14 @@ def check_out_table(spec: AdtSpec, bound: int) -> CheckReport:
     violations = []
     cases = 0
     probes = spec.probe_calls(bound)
-    listed = {(e.executed_op, e.incoming_op) for e in spec.tables.out_entries}
     for p in probes:
         for q in probes:
-            if (p.op, q.op) not in listed:
+            entries = spec.tables.out_by_pair.get((p.op, q.op))
+            if entries is None:
                 continue
             for s in spec.enumerate_states(bound):
                 s1, p_outs = spec.apply(s, p.op, p.ins)
-                matches = [e for e in spec.tables.out_entries
-                           if e.executed_op == p.op and e.incoming_op == q.op
-                           and e.when(p.ins, p_outs, q.ins)]
+                matches = [e for e in entries if e.when(p.ins, p_outs, q.ins)]
                 if len(matches) > 1:
                     violations.append(Violation(
                         "out-table",

@@ -59,8 +59,27 @@ def test_execute_twice_trips_the_counter():
     inv = ids.inv(1, "PUSH", item("a"))
     obj.admit(inv)
     obj.execute(inv)
-    with pytest.raises(AssertionError):
+    with pytest.raises(MonitorInvariantError, match="executed more than once"):
         obj.execute(inv)
+
+
+def test_entry_sections_check_the_lifecycle():
+    obj, ids = make_object(), Ids()
+    inv = ids.inv(1, "PUSH", item("a"))
+    with pytest.raises(MonitorInvariantError, match="not in execution"):
+        obj.execute(inv)
+    with pytest.raises(MonitorInvariantError, match="completed outside execution"):
+        obj.complete(inv, (OK,))
+    with pytest.raises(MonitorInvariantError, match="cannot admit"):
+        obj.admit(ids.inv(1, "POP", obj="elsewhere"))
+    obj.admit(inv)
+    with pytest.raises(MonitorInvariantError, match="cannot admit"):
+        obj.admit(inv)
+    with pytest.raises(MonitorInvariantError, match="finished before it executed"):
+        obj.finish(inv)
+    obj.complete(inv, obj.execute(inv))
+    obj.finish(inv)
+    assert not obj.executed and inv.lifecycle is Lifecycle.FINISHED
 
 
 def test_conflict_blocks_until_finish():
@@ -159,7 +178,7 @@ def test_withdraw_requires_blocked():
     obj, ids = make_object(), Ids()
     inv = ids.inv(1, "PUSH", item("a"))
     obj.admit(inv)
-    with pytest.raises(AssertionError):
+    with pytest.raises(MonitorInvariantError, match="withdrawn but not blocked"):
         obj.withdraw(inv)
 
 
@@ -190,8 +209,9 @@ def test_invariant_checker_notices_tampering():
         obj._check()
 
 
-def test_invariant_checker_notices_tampering_under_optimization():
-    # python -O strips asserts; the strict checks must not go with them
+def run_optimized(body):
+    """Run `body` under `python -O` after the imports every script here
+    needs; returns its stdout."""
     script = textwrap.dedent("""\
         import sys
         sys.path.insert(0, "tests")
@@ -200,6 +220,18 @@ def test_invariant_checker_notices_tampering_under_optimization():
         from adtxn.monitor import MonitorInvariantError
         from adtxn.values import item
         assert False, "asserts are live: not running under -O"
+        """) + textwrap.dedent(body)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_invariant_checker_notices_tampering_under_optimization():
+    # python -O strips asserts; the strict checks must not go with them
+    out = run_optimized("""\
         obj, ids = make_object(), Ids()
         inv = ids.inv(1, "PUSH", item("a"))
         obj.admit(inv)
@@ -209,9 +241,20 @@ def test_invariant_checker_notices_tampering_under_optimization():
         except MonitorInvariantError as exc:
             print("rejected:", exc)
         """)
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=root, env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "rejected:" in proc.stdout and "misfiled" in proc.stdout
+    assert "rejected:" in out and "misfiled" in out
+
+
+def test_double_execution_is_refused_under_optimization():
+    out = run_optimized("""\
+        obj, ids = make_object(), Ids()
+        inv = ids.inv(1, "PUSH", item("a"))
+        obj.admit(inv)
+        obj.execute(inv)
+        try:
+            obj.execute(inv)
+        except MonitorInvariantError as exc:
+            print("rejected:", exc)
+        print("state:", obj.state)
+        """)
+    assert "rejected:" in out and "executed more than once" in out
+    assert "state: ('a',)" in out

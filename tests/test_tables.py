@@ -1,9 +1,21 @@
 """Commutativity table queries: unordered in-matching, out-entry deductions,
-the in-table fallback, and the deduction rule."""
+the in-table fallback, and the deduction rule; the per-pair index against a
+linear scan of the entries; soundness checks that hold under `python -O`."""
 
-from adtxn.adts import get_adt
+import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from adtxn.adts import builtin_names, get_adt
 from adtxn.core import PrivateCall
-from adtxn.tables import commute_with_in, commute_with_in_out, try_deduce
+from adtxn.tables import (COMMUTES, CommutTables, InCommutEntry, OutCommutEntry,
+                          _out_entry_for, commute_with_in, commute_with_in_out,
+                          try_deduce)
 from adtxn.values import FALSE, TRUE, UNIT, item, rational, report, seq
 
 
@@ -129,3 +141,152 @@ def test_try_deduce_blocked_by_pending_conflicts():
     assert try_deduce(STACK, pop, [empty_true], [pending_push]) is None
     # a pending in-commuting op does not spoil it
     assert try_deduce(STACK, Ex("EMPTY"), [empty_true], [Ex("EMPTY")]) == (TRUE,)
+
+
+# ------------------------------------------ the pair index vs a linear scan
+
+def scan_commute_with_in(tables, a, b):
+    for e in tables.in_entries:
+        if e.op_a == a.op and e.op_b == b.op and e.when(a.ins, b.ins):
+            return True
+        if e.op_a == b.op and e.op_b == a.op and e.when(b.ins, a.ins):
+            return True
+    return False
+
+
+def scan_out_entry_for(tables, executed, incoming):
+    for e in tables.out_entries:
+        if (e.executed_op == executed.op and e.incoming_op == incoming.op
+                and e.when(executed.ins, executed.outs, incoming.ins)):
+            return e
+    return None
+
+
+def scan_commute_with_in_out(tables, executed, incoming):
+    """(commutes, deduced) as the first matching out-entry, else the
+    in-table, decides."""
+    e = scan_out_entry_for(tables, executed, incoming)
+    if e is not None:
+        return True, e.deduce(executed.ins, executed.outs, incoming.ins) if e.deduce else None
+    return scan_commute_with_in(tables, executed, incoming), None
+
+
+def assert_index_matches_scan(tables, p, q):
+    """Every query on executed `p` (it carries outs) and incoming `q`, plus
+    the in-query both ways, agrees with the scan. Returns the out verdict."""
+    assert commute_with_in(tables, p, q) == scan_commute_with_in(tables, p, q)
+    assert commute_with_in(tables, q, p) == scan_commute_with_in(tables, q, p)
+    assert _out_entry_for(tables, p, q) is scan_out_entry_for(tables, p, q)
+    v = commute_with_in_out(tables, p, q)
+    assert (v.commutes, v.deduced) == scan_commute_with_in_out(tables, p, q)
+    return v
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_pair_index_answers_as_a_linear_scan(name):
+    spec = get_adt(name)
+    probes = spec.probe_calls(3)
+    verdicts = []
+    for s in spec.enumerate_states(3):
+        for p in probes:
+            _, outs = spec.apply(s, p.op, p.ins)
+            executed = Ex(p.op, p.ins, outs)
+            verdicts += [assert_index_matches_scan(spec.tables, executed, q)
+                         for q in probes]
+    # the sweep reaches all three answers: conflict, commute, deduce
+    assert any(not v.commutes for v in verdicts)
+    assert any(v is COMMUTES for v in verdicts)
+    assert any(v.deduced is not None for v in verdicts)
+
+
+def _before(a, b):
+    return a[0].payload < b[0].payload
+
+
+# An asymmetric in-entry, two out-entries overlapping on executed A vs
+# incoming B, and one on executed A vs incoming C whose deduction echoes the
+# executed op's argument, so two executed As can disagree.
+SYNTH = CommutTables(
+    in_entries=(InCommutEntry("A", "B", when=_before),),
+    out_entries=(
+        OutCommutEntry("A", "B", when=lambda ei, eo, ii: ei[0] == ii[0],
+                       deduce=lambda ei, eo, ii: (item("first"),)),
+        OutCommutEntry("A", "B", when=lambda ei, eo, ii: True,
+                       deduce=lambda ei, eo, ii: (item("second"),)),
+        OutCommutEntry("A", "C", when=lambda ei, eo, ii: True,
+                       deduce=lambda ei, eo, ii: ei),
+    ))
+
+
+def test_pair_index_swaps_an_asymmetric_in_entry():
+    a_a, a_b = Ex("A", [item("a")]), Ex("A", [item("b")])
+    b_a, b_b = Ex("B", [item("a")]), Ex("B", [item("b")])
+    # the entry's condition always sees A's ins first
+    assert commute_with_in(SYNTH, a_a, b_b) and commute_with_in(SYNTH, b_b, a_a)
+    assert not commute_with_in(SYNTH, a_b, b_a)
+    assert not commute_with_in(SYNTH, b_a, a_b)
+    # an A/B entry says nothing about A/A or B/B
+    assert not commute_with_in(SYNTH, a_a, a_b)
+    assert not commute_with_in(SYNTH, b_a, b_b)
+    for x in (a_a, a_b, b_a, b_b):
+        for y in (a_a, a_b, b_a, b_b):
+            assert commute_with_in(SYNTH, x, y) == scan_commute_with_in(SYNTH, x, y)
+
+
+def test_pair_index_keeps_the_first_matching_out_entry():
+    executed = Ex("A", [item("a")], [OK])
+    assert commute_with_in_out(SYNTH, executed, Ex("B", [item("a")])).deduced \
+        == (item("first"),)
+    assert commute_with_in_out(SYNTH, executed, Ex("B", [item("b")])).deduced \
+        == (item("second"),)
+    # out-entries are ordered: executed B vs incoming A falls back to the in-table
+    v = commute_with_in_out(SYNTH, Ex("B", [item("b")], [OK]), Ex("A", [item("a")]))
+    assert v is COMMUTES
+    for ins in ("a", "b"):
+        for incoming in (Ex("B", [item(ins)]), Ex("C", [item(ins)])):
+            assert_index_matches_scan(SYNTH, executed, incoming)
+
+
+def test_replace_rebuilds_the_pair_index():
+    reordered = dataclasses.replace(SYNTH, out_entries=SYNTH.out_entries[::-1])
+    executed = Ex("A", [item("a")], [OK])
+    assert commute_with_in_out(reordered, executed, Ex("B", [item("a")])).deduced \
+        == (item("second"),)
+    fewer = dataclasses.replace(SYNTH, in_entries=())
+    assert not commute_with_in(fewer, Ex("A", [item("a")]), Ex("B", [item("b")]))
+    # the index is derived: it takes no part in equality or the repr
+    assert CommutTables(SYNTH.in_entries, SYNTH.out_entries) == SYNTH
+    assert "by_pair" not in repr(fewer)
+
+
+# ------------------------------------- soundness checks that -O keeps
+
+def test_soundness_checks_hold_under_optimization():
+    # python -O strips asserts; the table soundness checks must not go with them
+    script = textwrap.dedent("""\
+        import sys
+        sys.path.insert(0, "tests")
+        from test_tables import OK, SET, SYNTH, Ex
+        from adtxn.core import PrivateCall
+        from adtxn.tables import TableSoundnessError, commute_with_in_out, try_deduce
+        from adtxn.values import item
+        assert False, "asserts are live: not running under -O"
+        try:
+            commute_with_in_out(SET, Ex("IN", [item("a")]),
+                                PrivateCall("IN", (item("a"),)))
+        except TableSoundnessError as exc:
+            print("rejected:", exc)
+        try:
+            try_deduce(SYNTH, Ex("C", [item("a")]),
+                       [Ex("A", [item("a")], [OK]), Ex("A", [item("b")], [OK])], [])
+        except TableSoundnessError as exc:
+            print("rejected:", exc)
+        """)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "has no outs" in proc.stdout
+    assert "deduction disagreement" in proc.stdout
+
