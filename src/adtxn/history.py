@@ -33,6 +33,12 @@ KINDS = (BEGIN, INVOKE, BLOCK, WAKE, EXEC, DEDUCE, NULLOP, COMMIT, ABORT,
          INVERSE, WITHDRAW, VICTIM)
 
 
+class MetricIdentityError(AssertionError):
+    """A run's event counts break an accounting identity. Raised rather than
+    asserted so the check holds under `python -O`; an AssertionError so the
+    oracles count it as a failed check."""
+
+
 @dataclass(frozen=True)
 class Event:
     index: int
@@ -131,7 +137,9 @@ def check_metric_identities(m: Metrics):
     Each invocation that reaches a monitor ends in exactly one of:
     executed, deduced, or withdrawn while still blocked.
     """
-    assert m.executions + m.deductions + m.withdrawals == m.invocations, \
-        f"invocation accounting broken: {m}"
-    assert m.blocks >= m.wakeups, f"more wakeups than blocks: {m}"
-    assert m.victims <= m.aborts, f"victims not a subset of aborts: {m}"
+    if m.executions + m.deductions + m.withdrawals != m.invocations:
+        raise MetricIdentityError(f"invocation accounting broken: {m}")
+    if m.blocks < m.wakeups:
+        raise MetricIdentityError(f"more wakeups than blocks: {m}")
+    if m.victims > m.aborts:
+        raise MetricIdentityError(f"victims not a subset of aborts: {m}")

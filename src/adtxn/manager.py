@@ -53,6 +53,13 @@ class TransactionAborted(FrameworkError):
     deadlock resolution."""
 
 
+class ManagerInvariantError(AssertionError):
+    """A transaction was driven in the wrong status, a wake or a waits-for
+    edge broke the bookkeeping, or a deduced op asked for an undo. Raised
+    rather than asserted so the checks hold under `python -O`; an
+    AssertionError so the oracles count it as a failed check."""
+
+
 class TxnStatus(Enum):
     ACTIVE = "active"
     COMMITTING = "committing"
@@ -91,10 +98,10 @@ class TransactionRecord:
         """Hold `inv`'s edges until release; log its inverse unless NULL."""
         self.invocations.append((obj, inv))
         inverse = determine_inverse(obj.spec, inv.op, inv.ins, inv.outs)
-        if inv.origin is Origin.DEDUCED:
-            # a deduced result means the state never moved for this op
-            assert inverse is None, f"deduced {inv!r} demands an undo"
         if inverse is not None:
+            if inv.origin is Origin.DEDUCED:
+                # a deduced result means the state never moved for this op
+                raise ManagerInvariantError(f"deduced {inv!r} demands an undo")
             self.undo.append(UndoEntry(obj, inv, inverse))
 
     def release_order(self) -> list:
@@ -160,7 +167,8 @@ def waits_for_graph(txns) -> dict[int, set[int]]:
             continue
         obj, w = txn.blocked_on
         owners = {obj.find_invocation(b).txn for b in obj.blocked_by[w.id]}
-        assert txn.id not in owners, "self-edge in waits-for graph"
+        if txn.id in owners:
+            raise ManagerInvariantError(f"self-edge on {txn.id} in waits-for graph")
         adj[txn.id] = owners
     return adj
 
@@ -212,7 +220,8 @@ class TransactionManager:
         out-params. Raises TransactionAborted if issuing this call closed a
         waits-for cycle that this transaction lost.
         """
-        assert rec.status is TxnStatus.ACTIVE, f"{rec.name} is {rec.status.value}"
+        if rec.status is not TxnStatus.ACTIVE:
+            raise ManagerInvariantError(f"{rec.name} is {rec.status.value}")
         obj = self.objects[obj_name]
         tr = translate_public(obj.spec, call)
         if tr.null:
@@ -242,8 +251,8 @@ class TransactionManager:
             if inv.lifecycle is Lifecycle.BLOCKED:
                 yield ("wait", inv)
             # resolving a deadlock elsewhere may have admitted us already
-            assert inv.lifecycle is Lifecycle.IN_EXECUTION
-            assert rec.blocked_on is None
+            if inv.lifecycle is not Lifecycle.IN_EXECUTION or rec.blocked_on is not None:
+                raise ManagerInvariantError(f"{rec.name} resumed with {inv!r} not admitted")
         outs = obj.execute(inv)
         self.history.emit(hist.EXEC, txn=rec.name, obj=obj.name, op=inv.op,
                           ins=inv.ins, outs=outs, inv_id=inv.id)
@@ -251,12 +260,14 @@ class TransactionManager:
         return self._observe(rec, obj, inv, tr, call)
 
     def commit(self, rec: TransactionRecord):
-        assert rec.status is TxnStatus.ACTIVE, f"{rec.name} is {rec.status.value}"
-        assert rec.blocked_on is None
+        if rec.status is not TxnStatus.ACTIVE:
+            raise ManagerInvariantError(f"{rec.name} is {rec.status.value}")
+        if rec.blocked_on is not None:
+            raise ManagerInvariantError(f"{rec.name} commits while blocked")
         rec.status = TxnStatus.COMMITTING
         self.history.emit(hist.COMMIT, txn=rec.name)
         for obj, inv in rec.release_order():
-            assert inv.lifecycle is Lifecycle.EXECUTED
+            # finish refuses an op that has not executed
             self._fire_wakes(obj, obj.finish(inv))
         rec.status = TxnStatus.COMMITTED
 
@@ -266,7 +277,8 @@ class TransactionManager:
         Never fails and never blocks; that is what makes two-phase locking
         with inverse undo livable.
         """
-        assert rec.status is TxnStatus.ACTIVE, f"{rec.name} is {rec.status.value}"
+        if rec.status is not TxnStatus.ACTIVE:
+            raise ManagerInvariantError(f"{rec.name} is {rec.status.value}")
         rec.status = TxnStatus.ABORTING
         self.history.emit(hist.ABORT, txn=rec.name)
         for kind, obj, inv, call in abort_plan(rec):
@@ -297,7 +309,9 @@ class TransactionManager:
     def _fire_wakes(self, obj, woken):
         for w in woken:
             wrec = self.txns[w.txn]
-            assert wrec.blocked_on is not None and wrec.blocked_on[1] is w
+            if wrec.blocked_on is None or wrec.blocked_on[1] is not w:
+                raise ManagerInvariantError(f"{wrec.name} woken for {w!r}, "
+                                            "which it was not waiting on")
             wrec.blocked_on = None
             self.history.emit(hist.WAKE, txn=wrec.name, obj=obj.name, op=w.op,
                               ins=w.ins, inv_id=w.id)

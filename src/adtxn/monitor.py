@@ -20,6 +20,33 @@ build. Under the cooperative scheduler used here a quantum never splits an
 entry section, so the exclusion is the scheduler itself; the invariant
 checker still runs after every section to keep the discipline honest.
 
+In strict mode a section checks what it changed, not the whole object. The
+invariant is a conjunction of predicates on one op each (filed in exactly
+one pool, with the lifecycle, outs and execution count that pool implies;
+blocked exactly when it waits on a non-empty blocker set; holding no edges
+once dead; wait-listed by no one while in execution) and on one edge each
+(in both directions of the ledger or in neither; from a smaller id to a
+larger one; from a live op to a blocked one). A predicate turns false only
+when something it reads changes, and a section changes only its own op,
+the ops it releases or wakes, and the edges between those and its op. So
+if the invariant held before a section, `_check(op, peers)` over exactly
+those shows it holds after:
+
+  * `admit` passes the new op alone. When it blocks, all its edges are new
+    and are read from its side (each blocker lists it, precedes it and is
+    live); nothing about the blockers' own filing moved.
+  * `complete` and `finish` pass the op and its former waiters, whether
+    they were woken or still wait on others.
+  * `withdraw` passes the op, its former waiters and its blockers.
+
+A direct admission needs no separate safety check: admit's empty conflict
+set was computed over the same pools with the same queries, and is the
+certificate. An op woken through `_shed_edge` enters execution at a moment
+admit never checked, so it alone is re-tested against the pools
+(`_admission_safety`). That no section touches more than it passes is
+tested too: tests/test_oracles.py runs the whole-object `_check()` and the
+admission re-test after every section of several hundred runs.
+
 Blocking is tracked as a ledger kept in both directions: `blocks[b]` holds
 the ids waiting on b, and `blocked_by[w]` holds the ids w still waits on.
 Each edge is in both or in neither, so a blocker's waiters and a waiter's
@@ -41,6 +68,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
+from typing import Iterable
 
 from .core import (AdtSpec, Lifecycle, Origin, PrivateCall, PrivateInvocation,
                    check_outs)
@@ -91,7 +120,7 @@ class ManagedObject:
             inv.origin = Origin.DEDUCED
             inv.lifecycle = Lifecycle.EXECUTED
             self.executed[inv.id] = inv
-            self._check()
+            self._check(inv.id)
             return AdmitOutcome.DEDUCED
         conflicts = set()
         for other in pending:
@@ -99,7 +128,7 @@ class ManagedObject:
                 conflicts.add(other.id)
         for other in executed:
             if other.txn != inv.txn and \
-                    not commute_with_in_out(self.spec.tables, other, inv).commutes:
+                    not commute_with_in_out(self.spec.tables, other, inv):
                 conflicts.add(other.id)
         if conflicts:
             inv.lifecycle = Lifecycle.BLOCKED
@@ -107,10 +136,12 @@ class ManagedObject:
             self.blocked_by[inv.id] = conflicts
             for b in conflicts:
                 self.blocks.setdefault(b, set()).add(inv.id)
-            self._check()
+            self._check(inv.id)
             return AdmitOutcome.BLOCKED
+        # the empty conflict set, over every pool `_admission_safety` reads,
+        # certifies this admission
         self._enter_execution(inv)
-        self._check()
+        self._check(inv.id)
         return AdmitOutcome.ADMITTED
 
     # -- step (3): the only forward mutation of object state ---------------
@@ -143,14 +174,15 @@ class ManagedObject:
         inv.lifecycle = Lifecycle.EXECUTED
         self.executed[inv.id] = inv
         woken = []
-        for wid in sorted(self.blocks.get(inv.id, set())):
+        waiters = sorted(self.blocks.get(inv.id, ()))
+        for wid in waiters:
             waiter = self.blocked[wid]
-            if commute_with_in_out(self.spec.tables, inv, waiter).commutes:
+            if commute_with_in_out(self.spec.tables, inv, waiter):
                 self.blocks[inv.id].discard(wid)
                 woken += self._shed_edge(waiter, inv.id)
         if inv.id in self.blocks and not self.blocks[inv.id]:
             del self.blocks[inv.id]
-        self._check()
+        self._check(inv.id, waiters)
         return woken
 
     # -- release: transaction outcome reached -------------------------------
@@ -162,9 +194,10 @@ class ManagedObject:
         del self.executed[inv.id]
         inv.lifecycle = Lifecycle.FINISHED
         woken = []
-        for wid in sorted(self.blocks.pop(inv.id, set())):
+        waiters = sorted(self.blocks.pop(inv.id, ()))
+        for wid in waiters:
             woken += self._shed_edge(self.blocked[wid], inv.id)
-        self._check()
+        self._check(inv.id, waiters)
         return woken
 
     def withdraw(self, inv: PrivateInvocation) -> list[PrivateInvocation]:
@@ -177,15 +210,17 @@ class ManagedObject:
             raise MonitorInvariantError(f"{inv!r} withdrawn but not blocked")
         del self.blocked[inv.id]
         woken = []
-        for wid in sorted(self.blocks.pop(inv.id, set())):
+        waiters = sorted(self.blocks.pop(inv.id, ()))
+        for wid in waiters:
             woken += self._shed_edge(self.blocked[wid], inv.id)
         # then drop the edges that pointed at the withdrawn op itself
-        for b in self.blocked_by.pop(inv.id):
+        blockers = self.blocked_by.pop(inv.id)
+        for b in blockers:
             self.blocks[b].remove(inv.id)
             if not self.blocks[b]:
                 del self.blocks[b]
         inv.lifecycle = Lifecycle.FINISHED
-        self._check()
+        self._check(inv.id, chain(waiters, blockers))
         return woken
 
     # -- undo path -----------------------------------------------------------
@@ -208,8 +243,6 @@ class ManagedObject:
         inv.lifecycle = Lifecycle.IN_EXECUTION
         self.in_execution[inv.id] = inv
         self.max_in_execution = max(self.max_in_execution, len(self.in_execution))
-        if self.strict:
-            self._admission_safety(inv)
 
     def _shed_edge(self, waiter: PrivateInvocation,
                    blocker_id: int) -> list[PrivateInvocation]:
@@ -222,6 +255,10 @@ class ManagedObject:
         del self.blocked_by[waiter.id]
         del self.blocked[waiter.id]
         self._enter_execution(waiter)
+        if self.strict:
+            # admit never checked this moment: the waiter's edges were
+            # recorded against the pools as they stood then
+            self._admission_safety(waiter)
         return [waiter]
 
     def find_invocation(self, inv_id: int) -> PrivateInvocation:
@@ -242,55 +279,92 @@ class ManagedObject:
         for other in self.executed.values():
             if other.txn == inv.txn:
                 continue
-            if not commute_with_in_out(self.spec.tables, other, inv).commutes:
+            if not commute_with_in_out(self.spec.tables, other, inv):
                 raise MonitorInvariantError(
                     f"{inv!r} admitted against conflicting executed {other!r}")
 
-    def _check(self):
+    def _check(self, inv_id: int | None = None, peers: Iterable[int] = ()):
+        """Check the bookkeeping an entry section can have changed.
+
+        Given an op, that is the filing of the op and of each peer, and the
+        edges between the op and each peer, read from both sides; a blocked
+        op's own edges are read from its side. With no op, every live op and
+        every edge. The module docstring says why the first, after every
+        section, keeps the whole invariant.
+        """
         if not self.strict:
             return
-        b, x, e = set(self.blocked), set(self.in_execution), set(self.executed)
-        if b & x or b & e or x & e:
-            raise MonitorInvariantError(f"{self.name}: partition overlap")
-        for pool, life in ((self.blocked, Lifecycle.BLOCKED),
-                           (self.in_execution, Lifecycle.IN_EXECUTION),
-                           (self.executed, Lifecycle.EXECUTED)):
-            for iid, inv in pool.items():
-                if inv.id != iid or inv.lifecycle is not life:
+        blocked, running, executed = self.blocked, self.in_execution, self.executed
+        blocks, blocked_by = self.blocks, self.blocked_by
+        whole = inv_id is None
+        if whole:
+            ids = chain(blocked, running, executed)
+        else:
+            ids = chain((inv_id,), peers)
+            out_edges, in_edges = blocks.get(inv_id, ()), blocked_by.get(inv_id, ())
+        for i in ids:
+            # filing: one pool, its lifecycle, outs and executions to match;
+            # blocked iff it waits on something; no edges from a dead op
+            inv = blocked.get(i)
+            if inv is not None:
+                if (inv.id != i or inv.lifecycle is not Lifecycle.BLOCKED
+                        or i in running or i in executed):
                     raise MonitorInvariantError(f"{inv!r} misfiled")
-        if self.blocked_by.keys() != b:
+                if inv.outs is not None or inv.executions:
+                    raise MonitorInvariantError(f"{inv!r} blocked with outs or executions")
+                if not blocked_by.get(i):
+                    raise MonitorInvariantError(f"{self.name}: {i} blocked by nothing")
+            elif i in blocked_by:
+                raise MonitorInvariantError(f"{self.name}: {i} waits but is not blocked")
+            elif (inv := running.get(i)) is not None:
+                if (inv.id != i or inv.lifecycle is not Lifecycle.IN_EXECUTION
+                        or i in executed):
+                    raise MonitorInvariantError(f"{inv!r} misfiled")
+                if inv.outs is not None:
+                    raise MonitorInvariantError(f"{inv!r} in execution with outs")
+                # it was just admitted or woken: nothing may still wait-list it
+                for waiters in blocks.values():
+                    if i in waiters:
+                        raise MonitorInvariantError(f"{self.name}: edge to non-blocked {i}")
+            elif (inv := executed.get(i)) is not None:
+                if inv.id != i or inv.lifecycle is not Lifecycle.EXECUTED:
+                    raise MonitorInvariantError(f"{inv!r} misfiled")
+                expect = 0 if inv.origin is Origin.DEDUCED else 1
+                if inv.outs is None or inv.executions != expect:
+                    raise MonitorInvariantError(f"{inv!r} outs or execution count")
+            elif i in blocks:
+                raise MonitorInvariantError(f"{self.name}: edges from dead op {i}")
+            if whole:
+                continue
+            # the edges between the op and this peer: in both maps or in
+            # neither, and forward; the filing above makes them run from a
+            # live op to a blocked one
+            there = i in out_edges
+            if there != (inv_id in blocked_by.get(i, ())) or there and inv_id >= i:
+                raise MonitorInvariantError(f"{self.name}: edge {inv_id}->{i} broken")
+            there = inv_id in blocks.get(i, ())
+            if there != (i in in_edges) or there and i >= inv_id:
+                raise MonitorInvariantError(f"{self.name}: edge {i}->{inv_id} broken")
+        if not whole:
+            if inv_id in blocked:
+                for b in in_edges:
+                    if (b >= inv_id or inv_id not in blocks.get(b, ())
+                            or not (b in blocked or b in running or b in executed)):
+                        raise MonitorInvariantError(
+                            f"{self.name}: edge {b}->{inv_id} broken")
+            return
+        if len(blocked_by) != len(blocked):
             raise MonitorInvariantError(f"{self.name}: blocked_by vs blocked drift")
-        live = b | x | e
         edges = 0
-        for blocker, waiters in self.blocks.items():
-            if blocker not in live:
-                raise MonitorInvariantError(f"{self.name}: edges from dead op {blocker}")
+        for b, waiters in blocks.items():
+            if not (b in blocked or b in running or b in executed):
+                raise MonitorInvariantError(f"{self.name}: edges from dead op {b}")
             for w in waiters:
-                if w not in b:
+                if w not in blocked:
                     raise MonitorInvariantError(f"{self.name}: edge to non-blocked {w}")
-                if blocker >= w:
-                    raise MonitorInvariantError(
-                        f"{self.name}: edge {blocker}->{w} not forward")
-                if blocker not in self.blocked_by[w]:
-                    raise MonitorInvariantError(
-                        f"{self.name}: edge {blocker}->{w} missing from blocked_by")
+                if b >= w or b not in blocked_by[w]:
+                    raise MonitorInvariantError(f"{self.name}: edge {b}->{w} broken")
             edges += len(waiters)
         # every blocks edge is in blocked_by, so equal totals make them mirrors
-        mirrored = 0
-        for w, blockers in self.blocked_by.items():
-            if not blockers:
-                raise MonitorInvariantError(f"{self.name}: {w} blocked by nothing")
-            mirrored += len(blockers)
-        if mirrored != edges:
-            raise MonitorInvariantError(
-                f"{self.name}: {mirrored} blocked_by edges vs {edges} blocks edges")
-        for inv in self.executed.values():
-            expect = 0 if inv.origin is Origin.DEDUCED else 1
-            if inv.outs is None or inv.executions != expect:
-                raise MonitorInvariantError(f"{inv!r} outs or execution count")
-        for inv in self.blocked.values():
-            if inv.outs is not None or inv.executions != 0:
-                raise MonitorInvariantError(f"{inv!r} blocked with outs or executions")
-        for inv in self.in_execution.values():
-            if inv.outs is not None:
-                raise MonitorInvariantError(f"{inv!r} in execution with outs")
+        if sum(map(len, blocked_by.values())) != edges:
+            raise MonitorInvariantError(f"{self.name}: blocks and blocked_by differ")

@@ -15,13 +15,14 @@ These deliberately share no cleverness with the machinery they judge:
   trace at every event.
 
 The replay's monitors are strict, so each of their entry sections (`admit`,
-`complete`, `finish`, `withdraw`) ends by checking that monitor's structural
-invariants. Nothing else changes a monitor's bookkeeping: `execute` and
-`apply_inverse` touch only the state and the execution counter, and the same
-event always follows them with `complete` or `finish`. So after every event
-each monitor has been checked since its last change, which is every state
-the run passes through; checking every monitor again after every event
-would only re-read bookkeeping that has not moved.
+`complete`, `finish`, `withdraw`) ends by checking the ops and edges it
+changed; the `monitor` docstring shows why that keeps the monitor's whole
+structural invariant. Nothing else changes a monitor's bookkeeping:
+`execute` and `apply_inverse` touch only the state and the execution
+counter, and the same event always follows them with `complete` or
+`finish`. So after every event each monitor has been checked since its last
+change, which is every state the run passes through; checking every monitor
+again after every event would only re-read bookkeeping that has not moved.
 
 The history replay shares the engine's transaction bookkeeping only:
 `TransactionRecord` with its `register` and `release_order`, and

@@ -27,7 +27,9 @@ from enum import Enum
 from .adts import get_adt
 from .core import FrameworkError, PublicCall
 from .history import History, Metrics, compute_metrics, render_trace
-from .manager import (TransactionAborted, TransactionManager, TxnStatus)
+from .manager import (ManagerInvariantError, TransactionAborted,
+                      TransactionManager, TxnStatus)
+from .monitor import MonitorInvariantError
 from .workload import (ExplicitSchedule, RandomSchedule, TxnDecl, Workload,
                        initial_state)
 
@@ -194,13 +196,14 @@ class _Simulation:
 
     def _result(self):
         for obj in self.mgr.objects.values():
-            assert not obj.blocked and not obj.in_execution and not obj.executed, \
-                f"{obj.name} not drained at end of run"
+            if obj.blocked or obj.in_execution or obj.executed:
+                raise MonitorInvariantError(f"{obj.name} not drained at end of run")
         statuses = {}
         observations = {}
         for act in self.activities:
-            assert act.rec is not None
-            assert act.rec.status in (TxnStatus.COMMITTED, TxnStatus.ABORTED)
+            if act.rec is None or act.rec.status not in (TxnStatus.COMMITTED,
+                                                         TxnStatus.ABORTED):
+                raise ManagerInvariantError(f"{act.decl.name} unfinished at end of run")
             statuses[act.decl.name] = act.rec.status
             observations[act.decl.name] = list(act.rec.observations)
         high = {name: obj.max_in_execution

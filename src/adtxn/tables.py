@@ -20,6 +20,10 @@ In-commutativity is the stronger claim (it holds whatever the results turn
 out to be), so the out-query falls back to the in-table when no out-entry
 matches; the fallback never deduces.
 
+The out-query answers only whether the pair commutes. Admission and
+out-control need nothing more, so no deduction is evaluated for them; the
+deduction is read only by `try_deduce`, from the same first matching entry.
+
 Every query names one op pair, so `CommutTables` indexes its entries by
 pair once, when it is built (and rebuilt with it, as by
 `dataclasses.replace`), and a query reads only its own pair's entries:
@@ -33,9 +37,6 @@ pair once, when it is built (and rebuilt with it, as by
 Both keep table order. For the in-table that only fixes which condition
 runs first, but the *first* matching out-entry decides the deduction, so
 its order is part of the answer.
-
-A query that commutes without a deduction answers the shared `COMMUTES`,
-as one that conflicts answers `NO_COMMUTE`.
 """
 
 from __future__ import annotations
@@ -106,16 +107,6 @@ def commute_with_in(tables: CommutTables, a, b) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class OutVerdict:
-    commutes: bool
-    deduced: tuple[Value, ...] | None = None
-
-
-NO_COMMUTE = OutVerdict(False)
-COMMUTES = OutVerdict(True)
-
-
 def _out_entry_for(tables: CommutTables, executed, incoming) -> OutCommutEntry | None:
     for e in tables.out_by_pair.get((executed.op, incoming.op), ()):
         if e.when(executed.ins, executed.outs, incoming.ins):
@@ -123,22 +114,16 @@ def _out_entry_for(tables: CommutTables, executed, incoming) -> OutCommutEntry |
     return None
 
 
-def commute_with_in_out(tables: CommutTables, executed, incoming) -> OutVerdict:
+def commute_with_in_out(tables: CommutTables, executed, incoming) -> bool:
     """Does `incoming` commute with the already-executed `executed`?
 
-    `executed` must carry outs. Returns the deduction the matching entry
-    offers, if any; the in-table fallback offers none.
+    `executed` must carry outs. A matching out-entry says yes; failing
+    that, the in-table decides.
     """
     if executed.outs is None:
         raise TableSoundnessError(f"{executed!r} has no outs yet")
-    e = _out_entry_for(tables, executed, incoming)
-    if e is not None:
-        if e.deduce is None:
-            return COMMUTES
-        return OutVerdict(True, e.deduce(executed.ins, executed.outs, incoming.ins))
-    if commute_with_in(tables, executed, incoming):
-        return COMMUTES
-    return NO_COMMUTE
+    return (_out_entry_for(tables, executed, incoming) is not None
+            or commute_with_in(tables, executed, incoming))
 
 
 def try_deduce(tables: CommutTables, incoming, executed_ops, pending_ops

@@ -212,8 +212,7 @@ def check_containment(spec: AdtSpec, bound: int) -> CheckReport:
             for s in spec.enumerate_states(bound):
                 cases += 1
                 _, p_outs = spec.apply(s, p.op, p.ins)
-                if not commute_with_in_out(spec.tables,
-                                           _Ex(p.op, p.ins, p_outs), q).commutes:
+                if not commute_with_in_out(spec.tables, _Ex(p.op, p.ins, p_outs), q):
                     violations.append(Violation(
                         "containment",
                         f"{p!r} -> {render_params(p_outs)} rejects {q!r} "

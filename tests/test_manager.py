@@ -15,6 +15,7 @@ from adtxn.core import Lifecycle, PublicCall
 from adtxn.fuzz import derive_seed, flip_random_abort, generate_workload
 from adtxn.manager import (
     RELEASE,
+    ManagerInvariantError,
     TransactionAborted,
     TransactionManager,
     TxnStatus,
@@ -25,6 +26,7 @@ from adtxn.simulate import run_simulated
 from adtxn.values import item, rational, report
 from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
                             make_step, parse_workload)
+from test_monitor import run_optimized
 
 OK = report("Ok")
 
@@ -239,10 +241,10 @@ def test_commit_refused_while_blocked_or_settled():
     run_op(mgr, t1, "s", "PUSH", item("a"))
     got = start(mgr, t2, "s", "POP")
     assert got[0] == "wait"
-    with pytest.raises(AssertionError):
+    with pytest.raises(ManagerInvariantError, match="T2 commits while blocked"):
         mgr.commit(t2)                      # still parked
     mgr.abort(t2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ManagerInvariantError, match="T2 is aborted"):
         mgr.commit(t2)                      # already aborted
     mgr.commit(t1)
 
@@ -401,3 +403,25 @@ def test_rooted_search_finds_the_whole_graph_cycle(monkeypatch):
     for workload in workloads:
         run_simulated(workload)
     assert sum(found) > 100 and len(found) > sum(found)
+
+
+def test_transaction_status_checks_hold_under_optimization():
+    # python -O strips asserts; the manager's preconditions must not go with them
+    out = run_optimized("""\
+        from adtxn.adts import get_adt
+        from adtxn.core import PublicCall
+        from adtxn.manager import ManagerInvariantError, TransactionManager
+        mgr = TransactionManager()
+        mgr.add_object("s", get_adt("stack"))
+        rec = mgr.begin("T1")
+        mgr.commit(rec)
+        for again in (lambda: mgr.commit(rec), lambda: mgr.abort(rec),
+                      lambda: next(mgr.perform(rec, "s", PublicCall("EMPTY", ())))):
+            try:
+                again()
+            except ManagerInvariantError as exc:
+                print("rejected:", exc)
+        print("events:", len(mgr.history.events))
+        """)
+    assert out.count("rejected: T1 is committed") == 3
+    assert "events: 2" in out

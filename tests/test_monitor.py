@@ -1,6 +1,7 @@
 """Monitor protocol, driven directly: admission outcomes, blocking edges,
 wakeups at completion vs finish, withdrawal, and the invariant checker."""
 
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -10,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from adtxn import monitor
 from adtxn.adts import get_adt
 from adtxn.core import Lifecycle, Origin, PrivateCall, PrivateInvocation
 from adtxn.monitor import AdmitOutcome, ManagedObject, MonitorInvariantError
+from adtxn.tables import try_deduce as tables_try_deduce
 from adtxn.values import TRUE, UNIT, item, report
 
 OK = report("Ok")
@@ -200,6 +203,39 @@ def test_apply_inverse_bypasses_admission():
     assert outs == (item("a"), OK) and obj.state == ()
 
 
+def test_admission_and_out_control_evaluate_no_deduction(monkeypatch):
+    # Only try_deduce reads a deduction. Count every deduce the set's
+    # out-entries make while admit's conflict loop and complete query
+    # executed ops whose matching entries carry one.
+    calls = []
+
+    def counted(entry):
+        def deduce(*args):
+            calls.append(entry.note)
+            return entry.deduce(*args)
+        return dataclasses.replace(entry, deduce=deduce)
+
+    spec = get_adt("set")
+    tables = dataclasses.replace(
+        spec.tables, out_entries=tuple(counted(e) for e in spec.tables.out_entries))
+    obj = ManagedObject("s", 0, dataclasses.replace(spec, tables=tables),
+                        frozenset({"a"}))
+    monkeypatch.setattr(monitor, "try_deduce", lambda *args: None)
+    ids = Ids()
+    first = ids.inv(1, "INSERT", item("a"))
+    run_to_executed(obj, first)
+    assert first.outs == (report("AlreadyIn"),)
+    reader = ids.inv(2, "IN", item("a"))
+    assert obj.admit(reader) is AdmitOutcome.ADMITTED     # INSERT/IN out-entry
+    writer = ids.inv(3, "INSERT", item("a"))
+    assert obj.admit(writer) is AdmitOutcome.BLOCKED      # on the running reader
+    assert obj.complete(reader, obj.execute(reader)) == [writer]   # IN/INSERT
+    assert calls == []
+    # the entries do deduce, when asked
+    assert tables_try_deduce(tables, ids.inv(4, "IN", item("a")), [first], []) == (TRUE,)
+    assert len(calls) == 1
+
+
 def test_invariant_checker_notices_tampering():
     obj, ids = make_object(), Ids()
     inv = ids.inv(1, "PUSH", item("a"))
@@ -207,6 +243,24 @@ def test_invariant_checker_notices_tampering():
     inv.lifecycle = Lifecycle.EXECUTED      # lie: still filed under in_execution
     with pytest.raises(MonitorInvariantError, match="misfiled"):
         obj._check()
+
+
+def test_scoped_check_reads_an_edge_from_both_sides():
+    obj, ids = make_object(), Ids()
+    pusher = ids.inv(1, "PUSH", item("a"))
+    obj.admit(pusher)
+    popper = ids.inv(2, "POP")
+    obj.admit(popper)
+    obj._check(pusher.id, [popper.id])
+    obj.blocks[pusher.id].discard(popper.id)     # lie: only blocked_by keeps it
+    with pytest.raises(MonitorInvariantError, match="edge 1->2 broken"):
+        obj._check(pusher.id, [popper.id])
+    with pytest.raises(MonitorInvariantError, match="edge 1->2 broken"):
+        obj._check(popper.id)
+    obj.blocks[pusher.id].add(popper.id)
+    obj.blocked_by[popper.id].clear()            # lie: only blocks keeps it
+    with pytest.raises(MonitorInvariantError, match="2 blocked by nothing"):
+        obj._check(pusher.id, [popper.id])
 
 
 def run_optimized(body):

@@ -18,7 +18,7 @@ from adtxn.adts import get_adt
 from adtxn.fuzz import derive_seed, flip_random_abort, generate_workload
 from adtxn.history import History
 from adtxn.manager import Observation, TxnStatus
-from adtxn.monitor import ManagedObject
+from adtxn.monitor import AdmitOutcome, ManagedObject
 from adtxn.oracles import (
     HistoryReplayError,
     check_abort_transparency,
@@ -33,6 +33,7 @@ from adtxn.values import UNIT, item, report
 from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
                             make_step, parse_workload)
 from test_manager import _stack_instance
+from test_monitor import run_optimized
 
 OK = report("Ok")
 
@@ -290,10 +291,9 @@ def _bookkeeping(obj):
             {w: set(b) for w, b in obj.blocked_by.items()})
 
 
-def test_replay_leaves_every_monitor_as_it_was_last_checked(monkeypatch):
-    # The replay runs no invariant sweep of its own: it relies on each strict
-    # entry section ending with _check and on nothing else changing a
-    # monitor's bookkeeping. Require that after every event.
+def _mixed_workloads():
+    """400 acceptance-corpus instances (200 and their abort twins), then
+    three 50-txn single-stack and three 50-txn three-set instances."""
     workloads = []
     for i in range(200):
         rng = random.Random(derive_seed(20260816, i))
@@ -302,15 +302,22 @@ def test_replay_leaves_every_monitor_as_it_was_last_checked(monkeypatch):
     rng = random.Random(11)
     workloads += [_stack_instance(rng) for _ in range(3)]
     workloads += [_sets_instance(rng) for _ in range(3)]
-    results = [run_simulated(w) for w in workloads]
+    return workloads
+
+
+def test_replay_leaves_every_monitor_as_it_was_last_checked(monkeypatch):
+    # The replay runs no invariant sweep of its own: it relies on each strict
+    # entry section ending with _check and on nothing else changing a
+    # monitor's bookkeeping. Require that after every event.
+    results = [run_simulated(w) for w in _mixed_workloads()]
 
     empty = _bookkeeping(ManagedObject("x", 0, get_adt("set"), frozenset()))
     checked = {}
     events = 0
     check, step = ManagedObject._check, oracles._Replayer._step
 
-    def recorded(obj):
-        check(obj)
+    def recorded(obj, *scope):
+        check(obj, *scope)
         checked[obj] = _bookkeeping(obj)
 
     def compared(replayer, event):
@@ -329,6 +336,31 @@ def test_replay_leaves_every_monitor_as_it_was_last_checked(monkeypatch):
     assert events > 10_000 and len(checked) > 700
 
 
+def test_scoped_checks_see_what_the_whole_checks_see(monkeypatch):
+    # Each strict entry section checks only the ops and edges it touched, and
+    # a direct admission is certified by admit's own conflict queries. Redo
+    # both the long way after every section: re-test each direct admission
+    # against the pools, and check the whole monitor.
+    sections = 0
+
+    def whole(section):
+        def checked(obj, inv, *args):
+            nonlocal sections
+            result = section(obj, inv, *args)
+            if result is AdmitOutcome.ADMITTED:
+                obj._admission_safety(inv)
+            obj._check()
+            sections += 1
+            return result
+        return checked
+
+    for name in ("admit", "complete", "finish", "withdraw"):
+        monkeypatch.setattr(ManagedObject, name, whole(getattr(ManagedObject, name)))
+    for workload in _mixed_workloads():
+        run_simulated(workload)
+    assert sections > 9_000
+
+
 # -------------------------------------------------------------- validate_run
 
 def test_validate_run_passes_and_catches_state_drift():
@@ -336,6 +368,27 @@ def test_validate_run_passes_and_catches_state_drift():
     assert validate_run(res).ok
     res.final_states["A"] = ("zzz",)
     assert not validate_run(res).ok
+
+
+def test_validate_run_refuses_broken_metrics_under_optimization():
+    # python -O strips asserts; the accounting identities must not go with them
+    out = run_optimized("""\
+        import dataclasses
+        from test_oracles import DEADLOCK
+        from adtxn.history import MetricIdentityError
+        from adtxn.oracles import check_run, validate_run
+        from adtxn.simulate import run_simulated
+        from adtxn.workload import parse_workload
+        res = run_simulated(parse_workload(DEADLOCK))
+        res.metrics = dataclasses.replace(res.metrics, wakeups=res.metrics.blocks + 1)
+        try:
+            validate_run(res)
+        except MetricIdentityError as exc:
+            print("rejected:", exc)
+        print("stage:", check_run(res)[0])
+        """)
+    assert "rejected: more wakeups than blocks" in out
+    assert "stage: replay" in out
 
 
 # ------------------------------------------------------------------ check_run

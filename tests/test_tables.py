@@ -13,7 +13,7 @@ import pytest
 
 from adtxn.adts import builtin_names, get_adt
 from adtxn.core import PrivateCall
-from adtxn.tables import (COMMUTES, CommutTables, InCommutEntry, OutCommutEntry,
+from adtxn.tables import (CommutTables, InCommutEntry, OutCommutEntry,
                           _out_entry_for, commute_with_in, commute_with_in_out,
                           try_deduce)
 from adtxn.values import FALSE, TRUE, UNIT, item, rational, report, seq
@@ -39,6 +39,13 @@ OK = report("Ok")
 EMPTY_STACK = report("EmptyStack")
 ALREADY_IN = report("AlreadyIn")
 NOT_FOUND = report("NotFound")
+
+
+def out_answer(tables, executed, incoming):
+    """(commutes, deduced): the out-query, and the deduction `try_deduce`
+    reads off `executed` alone."""
+    return (commute_with_in_out(tables, executed, incoming),
+            try_deduce(tables, incoming, [executed], []))
 
 
 def test_in_table_is_order_insensitive():
@@ -72,51 +79,48 @@ def test_card_conflicts_with_writers_but_not_readers():
 
 def test_out_entry_grants_commutativity_and_a_deduction():
     executed = Ex("POP", [], [UNIT, EMPTY_STACK])
-    v = commute_with_in_out(STACK, executed, PrivateCall("POP", ()))
-    assert v.commutes and v.deduced == (UNIT, EMPTY_STACK)
-    v = commute_with_in_out(STACK, executed, PrivateCall("EMPTY", ()))
-    assert v.commutes and v.deduced == (TRUE,)
-    v = commute_with_in_out(STACK, executed, PrivateCall("CLEAR", ()))
-    assert v.commutes and v.deduced == (report("AlreadyEmpty"), seq(()))
+    assert out_answer(STACK, executed, PrivateCall("POP", ())) \
+        == (True, (UNIT, EMPTY_STACK))
+    assert out_answer(STACK, executed, PrivateCall("EMPTY", ())) == (True, (TRUE,))
+    assert out_answer(STACK, executed, PrivateCall("CLEAR", ())) \
+        == (True, (report("AlreadyEmpty"), seq(())))
 
 
 def test_out_entry_condition_gates_on_results():
     # a successful pop pins nothing useful: conflict
     executed = Ex("POP", [], [item("a"), OK])
-    assert not commute_with_in_out(STACK, executed, PrivateCall("POP", ())).commutes
-    assert not commute_with_in_out(STACK, executed, PrivateCall("EMPTY", ())).commutes
+    assert not commute_with_in_out(STACK, executed, PrivateCall("POP", ()))
+    assert not commute_with_in_out(STACK, executed, PrivateCall("EMPTY", ()))
 
 
 def test_out_query_falls_back_to_the_in_table_without_deducing():
     executed = Ex("PUSH", [item("a")], [OK])
-    v = commute_with_in_out(STACK, executed, PrivateCall("PUSH", (item("a"),)))
-    assert v.commutes and v.deduced is None
-    assert not commute_with_in_out(STACK, executed, PrivateCall("PUSH", (item("b"),))).commutes
+    assert out_answer(STACK, executed, PrivateCall("PUSH", (item("a"),))) == (True, None)
+    assert not commute_with_in_out(STACK, executed, PrivateCall("PUSH", (item("b"),)))
 
 
 def test_set_out_entries():
     ins = Ex("INSERT", [item("a")], [ALREADY_IN])
-    assert commute_with_in_out(SET, ins, PrivateCall("INSERT", (item("a"),))).deduced \
-        == (ALREADY_IN,)
-    assert commute_with_in_out(SET, ins, PrivateCall("IN", (item("a"),))).deduced == (TRUE,)
+    assert out_answer(SET, ins, PrivateCall("INSERT", (item("a"),))) \
+        == (True, (ALREADY_IN,))
+    assert out_answer(SET, ins, PrivateCall("IN", (item("a"),))) == (True, (TRUE,))
     # successful insert answers nothing, and same-item operations conflict
     ins_ok = Ex("INSERT", [item("a")], [OK])
-    assert not commute_with_in_out(SET, ins_ok, PrivateCall("IN", (item("a"),))).commutes
+    assert not commute_with_in_out(SET, ins_ok, PrivateCall("IN", (item("a"),)))
     dele = Ex("DELETE", [item("a")], [NOT_FOUND])
-    assert commute_with_in_out(SET, dele, PrivateCall("IN", (item("a"),))).deduced == (FALSE,)
+    assert out_answer(SET, dele, PrivateCall("IN", (item("a"),))) == (True, (FALSE,))
     card = Ex("CARD", [], [rational(2)])
-    assert commute_with_in_out(SET, card, PrivateCall("CARD", ())).deduced == (rational(2),)
+    assert out_answer(SET, card, PrivateCall("CARD", ())) == (True, (rational(2),))
 
 
 def test_real_read_deductions():
     setto = Ex("SETTO", [rational(7)], [rational(7)])
-    v = commute_with_in_out(REAL, setto, PrivateCall("READ", ()))
-    assert v.commutes and v.deduced == (rational(7),)
+    assert out_answer(REAL, setto, PrivateCall("READ", ())) == (True, (rational(7),))
     # old != new: the write moved the state, a reader must wait
     moved = Ex("SETTO", [rational(7)], [rational(2)])
-    assert not commute_with_in_out(REAL, moved, PrivateCall("READ", ())).commutes
+    assert not commute_with_in_out(REAL, moved, PrivateCall("READ", ()))
     read = Ex("READ", [], [rational(9)])
-    assert commute_with_in_out(REAL, read, PrivateCall("READ", ())).deduced == (rational(9),)
+    assert out_answer(REAL, read, PrivateCall("READ", ())) == (True, (rational(9),))
 
 
 def test_try_deduce_requires_executed_evidence():
@@ -173,30 +177,29 @@ def scan_commute_with_in_out(tables, executed, incoming):
 
 def assert_index_matches_scan(tables, p, q):
     """Every query on executed `p` (it carries outs) and incoming `q`, plus
-    the in-query both ways, agrees with the scan. Returns the out verdict."""
+    the in-query both ways, agrees with the scan. Returns the out answer."""
     assert commute_with_in(tables, p, q) == scan_commute_with_in(tables, p, q)
     assert commute_with_in(tables, q, p) == scan_commute_with_in(tables, q, p)
     assert _out_entry_for(tables, p, q) is scan_out_entry_for(tables, p, q)
-    v = commute_with_in_out(tables, p, q)
-    assert (v.commutes, v.deduced) == scan_commute_with_in_out(tables, p, q)
-    return v
+    answer = out_answer(tables, p, q)
+    assert answer == scan_commute_with_in_out(tables, p, q)
+    return answer
 
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_pair_index_answers_as_a_linear_scan(name):
     spec = get_adt(name)
     probes = spec.probe_calls(3)
-    verdicts = []
+    answers = set()
     for s in spec.enumerate_states(3):
         for p in probes:
             _, outs = spec.apply(s, p.op, p.ins)
             executed = Ex(p.op, p.ins, outs)
-            verdicts += [assert_index_matches_scan(spec.tables, executed, q)
-                         for q in probes]
+            answers |= {assert_index_matches_scan(spec.tables, executed, q)
+                        for q in probes}
     # the sweep reaches all three answers: conflict, commute, deduce
-    assert any(not v.commutes for v in verdicts)
-    assert any(v is COMMUTES for v in verdicts)
-    assert any(v.deduced is not None for v in verdicts)
+    assert (False, None) in answers and (True, None) in answers
+    assert any(deduced is not None for _, deduced in answers)
 
 
 def _before(a, b):
@@ -235,13 +238,11 @@ def test_pair_index_swaps_an_asymmetric_in_entry():
 
 def test_pair_index_keeps_the_first_matching_out_entry():
     executed = Ex("A", [item("a")], [OK])
-    assert commute_with_in_out(SYNTH, executed, Ex("B", [item("a")])).deduced \
-        == (item("first"),)
-    assert commute_with_in_out(SYNTH, executed, Ex("B", [item("b")])).deduced \
-        == (item("second"),)
+    assert out_answer(SYNTH, executed, Ex("B", [item("a")])) == (True, (item("first"),))
+    assert out_answer(SYNTH, executed, Ex("B", [item("b")])) == (True, (item("second"),))
     # out-entries are ordered: executed B vs incoming A falls back to the in-table
-    v = commute_with_in_out(SYNTH, Ex("B", [item("b")], [OK]), Ex("A", [item("a")]))
-    assert v is COMMUTES
+    assert out_answer(SYNTH, Ex("B", [item("b")], [OK]), Ex("A", [item("a")])) \
+        == (True, None)
     for ins in ("a", "b"):
         for incoming in (Ex("B", [item(ins)]), Ex("C", [item(ins)])):
             assert_index_matches_scan(SYNTH, executed, incoming)
@@ -250,8 +251,8 @@ def test_pair_index_keeps_the_first_matching_out_entry():
 def test_replace_rebuilds_the_pair_index():
     reordered = dataclasses.replace(SYNTH, out_entries=SYNTH.out_entries[::-1])
     executed = Ex("A", [item("a")], [OK])
-    assert commute_with_in_out(reordered, executed, Ex("B", [item("a")])).deduced \
-        == (item("second"),)
+    assert out_answer(reordered, executed, Ex("B", [item("a")])) \
+        == (True, (item("second"),))
     fewer = dataclasses.replace(SYNTH, in_entries=())
     assert not commute_with_in(fewer, Ex("A", [item("a")]), Ex("B", [item("b")]))
     # the index is derived: it takes no part in equality or the repr
