@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .adts import builtin_names, get_adt
+from .core import FrameworkError
 from .simulate import run_simulated
 from .oracles import check_run
 from .values import Tag, Value, boolean, item, rational
@@ -21,6 +22,12 @@ from .workload import (ObjectDecl, OpStep, RandomSchedule, TxnDecl, Workload,
 
 ITEMS = ("a", "b", "c")
 MAX_TXNS = 5   # the serializability oracle's factorial budget
+
+
+class ShrinkError(AssertionError):
+    """A shrunk workload passed the pipeline that it failed while being
+    shrunk, so the pipeline is not deterministic. Raised rather than
+    asserted so the check holds under `python -O`."""
 
 
 def _random_state(rng: random.Random, adt: str):
@@ -163,7 +170,9 @@ def derive_seed(master: int, index: int) -> int:
 def fuzz(master_seed: int, runs: int, adts=None, txns_range=(2, 4),
          ops_range=(1, 5), with_abort: bool = False,
          shrink: bool = True) -> FuzzReport:
-    assert txns_range[1] <= MAX_TXNS, "past the serializability oracle budget"
+    if txns_range[1] > MAX_TXNS:
+        raise FrameworkError(f"{txns_range[1]} txns is past the serializability "
+                             f"oracle budget of {MAX_TXNS}")
     report = FuzzReport(runs=runs, with_abort=with_abort)
     for i in range(runs):
         seed = derive_seed(master_seed, i)
@@ -178,7 +187,8 @@ def fuzz(master_seed: int, runs: int, adts=None, txns_range=(2, 4),
             workload = minimize(
                 workload, lambda w: not run_pipeline(w)[0])
             ok, stage, detail = run_pipeline(workload)
-            assert not ok
+            if ok:
+                raise ShrinkError(f"run {i} (seed {seed}) passed once shrunk")
         report.failures.append(FuzzFailure(
             i, seed, stage, detail, render_workload(workload)))
     return report

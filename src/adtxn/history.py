@@ -33,6 +33,11 @@ KINDS = (BEGIN, INVOKE, BLOCK, WAKE, EXEC, DEDUCE, NULLOP, COMMIT, ABORT,
          INVERSE, WITHDRAW, VICTIM)
 
 
+class EventKindError(AssertionError):
+    """An event of a kind the trace format does not have. Raised rather than
+    asserted so the check holds under `python -O`."""
+
+
 class MetricIdentityError(AssertionError):
     """A run's event counts break an accounting identity. Raised rather than
     asserted so the check holds under `python -O`; an AssertionError so the
@@ -61,7 +66,8 @@ class History:
     events: list[Event] = field(default_factory=list)
 
     def emit(self, kind, txn, obj=None, op=None, ins=(), outs=(), inv_id=None) -> Event:
-        assert kind in KINDS
+        if kind not in KINDS:
+            raise EventKindError(f"unknown event kind {kind!r}")
         ev = Event(len(self.events), kind, txn, obj, op, tuple(ins), tuple(outs), inv_id)
         self.events.append(ev)
         return ev

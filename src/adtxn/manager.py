@@ -20,17 +20,31 @@ Deadlock is handled at block time. The waits-for graph is derived on demand
 from the monitors' edge ledgers, and the youngest transaction on a cycle
 (the largest id, the one with the least work behind it) is aborted outright;
 this repeats until the graph is acyclic, so a blocked transaction sleeps
-only on live, cycle-free waits.
+only on live, cycle-free waits. A blocker's owner is read from the map
+`perform` fills when it creates each invocation, never searched for.
 
 The search is rooted at the transaction that just blocked, and is exact.
 Edges are added only when a transaction blocks, and every resolution leaves
 the graph acyclic, so any cycle passes through the blocker and all its
 nodes can reach the blocker. The search therefore looks only at those
 transactions, gathered by walking waits-for edges backwards from the
-blocker. A transaction outside that set cannot reach into it, so the
+blocker. A transaction outside that set has no edge into it, so the
 depth-first search of `find_cycle`, visiting nodes and neighbours in sorted
 order, meets the same cycle first on that subgraph as on the whole graph:
-victims, and hence traces, are those of a whole-graph search.
+from a root outside the set it never enters the set, and from inside it
+any excursion out of the set finishes without coming back. Victims, and
+hence traces, are those of a whole-graph search. The same holds for any
+set that contains every cycle and that no outside edge enters.
+
+The backward walk runs once per BLOCK. An abort only deletes edges: it
+takes out the victim's own edges and the out-edges of the transactions it
+wakes, and it adds none. So after each victim the walked subgraph is pruned
+rather than walked again: every transaction no longer blocked, the victim
+among them, loses its out-edges, and the victim leaves every remaining edge
+set. What is left is the current graph induced on the walked set. That set
+still contains every cycle, since any cycle now was one at the BLOCK, and
+no edge enters it from outside, since every edge now was an edge then; by
+the argument above the next search meets the whole graph's first cycle.
 """
 
 from __future__ import annotations
@@ -128,23 +142,26 @@ def abort_plan(rec: TransactionRecord) -> list[tuple]:
 def find_cycle(adj: dict[int, set[int]]) -> list[int] | None:
     """First cycle under deterministic DFS order, as a node list.
 
-    Roots are tried in sorted order and each node's neighbours in sorted
-    order. The DFS keeps its own stack of neighbour iterators, so a chain of
-    any length fits.
+    Roots are the keys of `adj`, tried in sorted order, and each node's
+    neighbours are tried in sorted order. A node that is only a target has
+    no out-edges: it cannot start a cycle, and visiting it as a root first
+    would change no later path, so it is visited only when reached. The
+    DFS keeps its own stack of neighbour iterators, so a chain of any
+    length fits.
     """
-    nodes = sorted(set(adj) | {v for vs in adj.values() for v in vs})
-    color = dict.fromkeys(nodes, 0)
-    for n in nodes:
-        if color[n]:
+    color: dict[int, int] = {}
+    for n in sorted(adj):
+        if color.get(n, 0):
             continue
         color[n] = 1
         path = [n]
-        pending = [iter(sorted(adj.get(n, ())))]
+        pending = [iter(sorted(adj[n]))]
         while pending:
             for v in pending[-1]:
-                if color[v] == 1:
+                c = color.get(v, 0)
+                if c == 1:
                     return path[path.index(v):]
-                if color[v] == 0:
+                if c == 0:
                     color[v] = 1
                     path.append(v)
                     pending.append(iter(sorted(adj.get(v, ()))))
@@ -155,18 +172,19 @@ def find_cycle(adj: dict[int, set[int]]) -> list[int] | None:
     return None
 
 
-def waits_for_graph(txns) -> dict[int, set[int]]:
+def waits_for_graph(txns, owner: dict[int, int]) -> dict[int, set[int]]:
     """The whole waits-for graph of `txns`, each with `id` and `blocked_on`.
 
     A blocked transaction waits for the owners of every invocation its
-    blocked one is blocked by.
+    blocked one is blocked by; `owner` maps each invocation id to the id of
+    the transaction that invoked it.
     """
     adj: dict[int, set[int]] = {}
     for txn in txns:
         if txn.blocked_on is None:
             continue
         obj, w = txn.blocked_on
-        owners = {obj.find_invocation(b).txn for b in obj.blocked_by[w.id]}
+        owners = {owner[b] for b in obj.blocked_by[w.id]}
         if txn.id in owners:
             raise ManagerInvariantError(f"self-edge on {txn.id} in waits-for graph")
         adj[txn.id] = owners
@@ -190,6 +208,7 @@ class TransactionManager:
         self.on_abort = on_abort
         self.objects: dict[str, ManagedObject] = {}
         self.txns: dict[int, TransactionRecord] = {}
+        self.owner: dict[int, int] = {}    # invocation id -> its txn's id
         self._txn_ids = count(1)
         self._inv_ids = count(1)
 
@@ -233,6 +252,7 @@ class TransactionManager:
             return tr.public_outs
         inv = PrivateInvocation(id=next(self._inv_ids), txn=rec.id,
                                 obj=obj.name, op=tr.call.op, ins=tr.call.ins)
+        self.owner[inv.id] = rec.id
         self.history.emit(hist.INVOKE, txn=rec.name, obj=obj.name,
                           op=inv.op, ins=inv.ins, inv_id=inv.id)
         outcome = obj.admit(inv)
@@ -325,7 +345,7 @@ class TransactionManager:
         reach the root, found by walking the edges backwards from it.
         """
         if root is None:
-            return waits_for_graph(self.txns.values())
+            return waits_for_graph(self.txns.values(), self.owner)
         adj: dict[int, set[int]] = {}
         reach, frontier = {root}, [root]
         while frontier:
@@ -341,11 +361,16 @@ class TransactionManager:
 
     def _resolve_deadlocks(self, rec: TransactionRecord):
         """Abort victims until no cycle runs through `rec`, which just
-        blocked; see the module docstring for why that is every cycle."""
+        blocked. One backward walk, pruned after each victim; see the module
+        docstring for why that finds every cycle, and the same ones."""
+        adj = self.waits_for_edges(rec.id)
         while rec.blocked_on is not None:
-            cycle = find_cycle(self.waits_for_edges(rec.id))
+            cycle = find_cycle(adj)
             if cycle is None:
                 return
             victim = self.txns[max(cycle)]
             self.history.emit(hist.VICTIM, txn=victim.name)
             self.abort(victim)
+            # prune rather than walk again (the victim is unblocked too)
+            adj = {t: waits - {victim.id} for t, waits in adj.items()
+                   if self.txns[t].blocked_on is not None}

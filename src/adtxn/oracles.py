@@ -14,6 +14,12 @@ These deliberately share no cleverness with the machinery they judge:
   same pure table functions, and checks the run's decisions against the
   trace at every event.
 
+The replay's waits-for graph reads each blocker's owner from the trace's
+INVOKE events, which name the transaction of every invocation id; nothing
+is searched for. It derives the whole graph at every VICTIM, not the
+engine's rooted and pruned subgraph, so it does not trust the engine's
+claim that each resolution left the graph acyclic.
+
 The replay's monitors are strict, so each of their entry sections (`admit`,
 `complete`, `finish`, `withdraw`) ends by checking the ops and edges it
 changed; the `monitor` docstring shows why that keeps the monitor's whole
@@ -120,7 +126,8 @@ def check_abort_transparency(result: RunResult) -> Verdict:
     """Aborted transactions must be invisible: the committed remainder alone
     must explain everything observable."""
     aborted = [n for n, s in result.statuses.items() if s is TxnStatus.ABORTED]
-    assert aborted, "transparency check needs at least one aborted txn"
+    if not aborted:
+        raise FrameworkError("transparency check needs at least one aborted txn")
     verdict = check_serializable(result)
     if not verdict.ok:
         return Verdict(False, f"aborted {aborted} left a visible residue: "
@@ -146,6 +153,7 @@ class _Replayer:
                 state=initial_state(decl), strict=True)
         self.txns: dict[str, TransactionRecord] = {}
         self.txns_by_id: dict[int, TransactionRecord] = {}
+        self.owner: dict[int, int] = {}    # invocation id -> txn id, from INVOKE
         self.pending_admit = None          # (obj, inv, AdmitOutcome)
         self.expected_wakes = []           # invs in emission order
         self.aborting = None               # TransactionRecord mid-abort
@@ -213,6 +221,8 @@ class _Replayer:
     def _on_invoke(self, e):
         obj = self.objects[e.obj]
         txn = self.txns[e.txn]
+        self._require(e.inv_id not in self.owner, e, "invocation id reused")
+        self.owner[e.inv_id] = txn.id
         inv = PrivateInvocation(id=e.inv_id, txn=txn.id, obj=e.obj,
                                 op=e.op, ins=e.ins)
         outcome = obj.admit(inv)
@@ -278,7 +288,7 @@ class _Replayer:
     def _waits_for_edges(self):
         # the whole graph, unlike the engine's rooted search: the replay
         # does not assume the graph was acyclic before each block
-        return waits_for_graph(self.txns.values())
+        return waits_for_graph(self.txns.values(), self.owner)
 
     def _on_abort(self, e):
         txn = self.txns[e.txn]

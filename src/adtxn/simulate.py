@@ -104,11 +104,12 @@ class _Simulation:
             self.rng = random.Random(sched.seed if seed is None else seed)
             self.max_steps = sched.max_steps
             self.tokens = None
-        else:
-            assert isinstance(sched, ExplicitSchedule)
+        elif isinstance(sched, ExplicitSchedule):
             self.rng = None
             self.max_steps = None
             self.tokens = list(sched.tokens)
+        else:
+            raise SimulationError(f"unknown schedule {sched!r}")
 
     def run(self) -> RunResult:
         steps = 0
@@ -147,9 +148,10 @@ class _Simulation:
             return
         if yielded == ("boundary",):
             act.state = _ActState.READY
-        else:
-            assert yielded[0] == "wait"
+        elif yielded[0] == "wait":
             act.state = _ActState.WAITING
+        else:
+            raise ManagerInvariantError(f"{act.decl.name} yielded {yielded!r}")
 
     # -- transaction program ----------------------------------------------------
 
@@ -182,14 +184,15 @@ class _Simulation:
         if act.state is _ActState.RUNNING:
             # the victim is the caller itself; perform raises on return
             return
-        assert act.state is _ActState.WAITING, \
-            f"victim {act.decl.name} was {act.state.value}"
+        if act.state is not _ActState.WAITING:
+            raise ManagerInvariantError(
+                f"victim {act.decl.name} was {act.state.value}")
         try:
             act.gen.throw(TransactionAborted(act.decl.name))
         except StopIteration:
             pass
         else:
-            raise AssertionError(f"{act.decl.name} kept running after abort")
+            raise ManagerInvariantError(f"{act.decl.name} kept running after abort")
         act.state = _ActState.DONE
 
     # -- wrap-up ----------------------------------------------------------------

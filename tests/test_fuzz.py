@@ -3,8 +3,13 @@ small smoke batch through the full pipeline."""
 
 import random
 
+import pytest
+
+from adtxn import fuzz as fuzz_module
+from adtxn.core import FrameworkError
 from adtxn.fuzz import (
     MAX_TXNS,
+    ShrinkError,
     derive_seed,
     flip_random_abort,
     fuzz,
@@ -111,3 +116,13 @@ def test_fuzz_failures_come_back_reproducible():
 
 def test_txn_cap_matches_the_oracle_budget():
     assert MAX_TXNS == 5
+    with pytest.raises(FrameworkError, match="budget of 5"):
+        fuzz(1, runs=1, txns_range=(2, MAX_TXNS + 1))
+
+
+def test_a_failure_that_passes_once_shrunk_is_refused(monkeypatch):
+    verdicts = iter([(False, "run", "flaky"), (True, "", "")])
+    monkeypatch.setattr(fuzz_module, "run_pipeline", lambda workload: next(verdicts))
+    monkeypatch.setattr(fuzz_module, "minimize", lambda workload, still_fails: workload)
+    with pytest.raises(ShrinkError, match="passed once shrunk"):
+        fuzz(1, runs=1)

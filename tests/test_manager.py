@@ -10,18 +10,22 @@ from fractions import Fraction
 import pytest
 
 from adtxn import history as hist
+from adtxn import manager
 from adtxn.adts import get_adt
-from adtxn.core import Lifecycle, PublicCall
+from adtxn.core import Lifecycle, PrivateInvocation, PublicCall
 from adtxn.fuzz import derive_seed, flip_random_abort, generate_workload
 from adtxn.manager import (
     RELEASE,
     ManagerInvariantError,
     TransactionAborted,
     TransactionManager,
+    TransactionRecord,
     TxnStatus,
     abort_plan,
     find_cycle,
+    waits_for_graph,
 )
+from adtxn.monitor import AdmitOutcome, ManagedObject
 from adtxn.simulate import run_simulated
 from adtxn.values import item, rational, report
 from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
@@ -315,6 +319,58 @@ def test_waits_for_edges_derive_from_the_monitors():
     assert mgr.waits_for_edges() == {t2.id: {t1.id}, t3.id: {t1.id, t2.id}}
 
 
+def test_waits_for_graph_reads_each_blockers_owner_from_the_map():
+    # T3 waits on r for T1's executed ADD and for T2's ADD, which is still in
+    # execution and not yet registered; T1 waits on s for T3's push
+    r = ManagedObject("r", 0, get_adt("real"), Fraction(0))
+    s = ManagedObject("s", 1, get_adt("stack"), ())
+    t1, t2, t3 = (TransactionRecord(i, f"T{i}") for i in (1, 2, 3))
+    owner = {}
+
+    def invoke(txn, obj, op, *ins):
+        inv = PrivateInvocation(id=len(owner) + 1, txn=txn.id, obj=obj.name,
+                                op=op, ins=ins)
+        owner[inv.id] = txn.id
+        outcome = obj.admit(inv)
+        if outcome is AdmitOutcome.BLOCKED:
+            txn.blocked_on = (obj, inv)
+        return inv, outcome
+
+    def run(txn, obj, op, *ins):
+        inv, outcome = invoke(txn, obj, op, *ins)
+        assert outcome is AdmitOutcome.ADMITTED
+        obj.complete(inv, obj.execute(inv))
+        txn.register(obj, inv)
+
+    run(t1, r, "ADD", rational(1))
+    run(t3, s, "PUSH", item("a"))
+    running, outcome = invoke(t2, r, "ADD", rational(2))
+    assert outcome is AdmitOutcome.ADMITTED and t2.invocations == []
+    assert invoke(t3, r, "MULTIPLY", rational(2))[1] is AdmitOutcome.BLOCKED
+    assert invoke(t1, s, "POP")[1] is AdmitOutcome.BLOCKED
+    assert r.blocked_by[t3.blocked_on[1].id] == {1, running.id}
+    assert waits_for_graph([t1, t2, t3], owner) == {t3.id: {t1.id, t2.id},
+                                                   t1.id: {t3.id}}
+
+
+def test_waits_for_graph_refuses_a_self_edge_under_optimization():
+    out = run_optimized("""\
+        from adtxn.manager import (ManagerInvariantError, TransactionRecord,
+                                   waits_for_graph)
+        obj, ids = make_object(), Ids()
+        push, pop = ids.inv(1, "PUSH", item("a")), ids.inv(2, "POP")
+        obj.admit(push)
+        obj.complete(push, obj.execute(push))
+        obj.admit(pop)
+        waiter = TransactionRecord(2, "T2", blocked_on=(obj, pop))
+        try:
+            waits_for_graph([waiter], {push.id: 2, pop.id: 2})
+        except ManagerInvariantError as exc:
+            print("rejected:", exc)
+        """)
+    assert "rejected: self-edge on 2" in out
+
+
 def test_find_cycle():
     assert find_cycle({}) is None
     assert find_cycle({1: {2}, 2: {3}}) is None
@@ -323,6 +379,55 @@ def test_find_cycle():
     assert find_cycle({2: {1}, 1: {2}}) == [1, 2]
     # only the reachable cycle comes back
     assert find_cycle({1: {2}, 3: {4}, 4: {3}}) == [3, 4]
+    # the smallest node is only a target, so it is never a root
+    assert find_cycle({3: {1, 2}, 2: {1, 3}, 4: {1}}) == [2, 3]
+
+
+def find_cycle_all_nodes(adj):
+    """The search as it was: every node a root, targets included."""
+    nodes = sorted(set(adj) | {v for vs in adj.values() for v in vs})
+    color = dict.fromkeys(nodes, 0)
+    for n in nodes:
+        if color[n]:
+            continue
+        color[n] = 1
+        path = [n]
+        pending = [iter(sorted(adj.get(n, ())))]
+        while pending:
+            for v in pending[-1]:
+                if color[v] == 1:
+                    return path[path.index(v):]
+                if color[v] == 0:
+                    color[v] = 1
+                    path.append(v)
+                    pending.append(iter(sorted(adj.get(v, ()))))
+                    break
+            else:
+                color[path.pop()] = 2
+                pending.pop()
+    return None
+
+
+def test_find_cycle_roots_at_keys_as_all_nodes_would():
+    rng = random.Random(20260816)
+    kinds = dict.fromkeys(("cycle", "none", "several", "self-loop", "sink-only"), 0)
+    for _ in range(3000):
+        # keys from a wider range than their count, so some nodes are only
+        # targets; a key may list itself, and the denser graphs hold several
+        # cycles
+        nodes = range(rng.randint(1, 14))
+        keys = rng.sample(nodes, rng.randint(0, len(nodes)))
+        adj = {k: set(rng.sample(nodes, rng.randint(0, min(3, len(nodes)))))
+               for k in keys}
+        cycle = find_cycle(adj)
+        assert cycle == find_cycle_all_nodes(adj), adj
+        kinds["cycle" if cycle else "none"] += 1
+        if cycle:
+            rest = {k: vs - set(cycle) for k, vs in adj.items() if k not in cycle}
+            kinds["several"] += find_cycle(rest) is not None
+        kinds["self-loop"] += any(k in vs for k, vs in adj.items())
+        kinds["sink-only"] += any(v not in adj for vs in adj.values() for v in vs)
+    assert min(kinds.values()) > 200, kinds
 
 
 RING = 5000
@@ -374,24 +479,37 @@ def _stack_instance(rng, txns=50):
 
 
 def test_rooted_search_finds_the_whole_graph_cycle(monkeypatch):
-    found = []
-    edges = TransactionManager.waits_for_edges
+    # every search of a resolution, on the walked graph or on one pruned
+    # after a victim, must meet the cycle a search of the whole graph,
+    # derived afresh, meets first
+    searches = []          # (found a cycle, searches before it in its resolution)
+    resolving = []         # [manager, searches so far] per open resolution
     resolve = TransactionManager._resolve_deadlocks
 
-    def compared(mgr, root=None):
-        adj = edges(mgr, root)
-        if root is not None:
-            cycle = find_cycle(adj)
-            assert cycle == find_cycle(edges(mgr))
-            found.append(cycle is not None)
-        return adj
+    def compared(adj):
+        mgr, before = resolving[-1]
+        whole = mgr.waits_for_edges()
+        nodes = set(adj).union(*adj.values())
+        for t, waits in adj.items():
+            # the current graph induced on the searched nodes: no stale node
+            # or edge, and no live edge between them left out
+            assert t in whole and whole[t] & nodes <= waits <= whole[t]
+        cycle = find_cycle(adj)
+        assert cycle == find_cycle(whole)
+        searches.append((cycle is not None, before))
+        resolving[-1][1] += 1
+        return cycle
 
     def resolved(mgr, rec):
-        resolve(mgr, rec)
+        resolving.append([mgr, 0])
+        try:
+            resolve(mgr, rec)
+        finally:
+            resolving.pop()
         # what the rooted search relies on: resolution leaves no cycle
-        assert find_cycle(edges(mgr)) is None
+        assert find_cycle(mgr.waits_for_edges()) is None
 
-    monkeypatch.setattr(TransactionManager, "waits_for_edges", compared)
+    monkeypatch.setattr(manager, "find_cycle", compared)
     monkeypatch.setattr(TransactionManager, "_resolve_deadlocks", resolved)
     workloads = []
     for i in range(200):
@@ -402,7 +520,11 @@ def test_rooted_search_finds_the_whole_graph_cycle(monkeypatch):
     workloads += [_stack_instance(rng) for _ in range(4)]
     for workload in workloads:
         run_simulated(workload)
-    assert sum(found) > 100 and len(found) > sum(found)
+    found = sum(cycle for cycle, _ in searches)
+    pruned = [cycle for cycle, before in searches if before]
+    assert found > 100 and len(searches) > found
+    # searches after a victim, some of which find a further cycle
+    assert len(pruned) > 50 and any(pruned)
 
 
 def test_transaction_status_checks_hold_under_optimization():
@@ -425,3 +547,17 @@ def test_transaction_status_checks_hold_under_optimization():
         """)
     assert out.count("rejected: T1 is committed") == 3
     assert "events: 2" in out
+
+
+def test_history_refuses_an_unknown_event_kind_under_optimization():
+    out = run_optimized("""\
+        from adtxn.history import EventKindError, History
+        history = History()
+        try:
+            history.emit("LAUNCH", txn="T1")
+        except EventKindError as exc:
+            print("rejected:", exc)
+        print("events:", len(history))
+        """)
+    assert "rejected: unknown event kind 'LAUNCH'" in out
+    assert "events: 0" in out

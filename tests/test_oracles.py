@@ -15,6 +15,7 @@ import pytest
 from adtxn import history as hist
 from adtxn import oracles
 from adtxn.adts import get_adt
+from adtxn.core import FrameworkError
 from adtxn.fuzz import derive_seed, flip_random_abort, generate_workload
 from adtxn.history import History
 from adtxn.manager import Observation, TxnStatus
@@ -108,7 +109,7 @@ def test_transparency_accepts_a_real_rollback():
 
 def test_transparency_requires_an_aborted_txn():
     res = run_simulated(parse_workload(CONTENTIOUS))
-    with pytest.raises(AssertionError):
+    with pytest.raises(FrameworkError, match="at least one aborted txn"):
         check_abort_transparency(res)
 
 
@@ -231,6 +232,20 @@ def test_replay_rejects_a_forged_victim():
         return out
 
     with pytest.raises(HistoryReplayError, match="victim"):
+        replay_history(res.workload, doctored(res.history, forge))
+
+
+def test_replay_rejects_a_reused_invocation_id():
+    # the waits-for graph reads owners by invocation id, so an id names one
+    # invocation for the whole history
+    res = run_simulated(parse_workload(CONTENTIOUS))
+
+    def forge(ev):
+        first, second = [i for i, e in enumerate(ev) if e.kind == hist.INVOKE]
+        ev[second] = dataclasses.replace(ev[second], inv_id=ev[first].inv_id)
+        return ev
+
+    with pytest.raises(HistoryReplayError, match="invocation id reused"):
         replay_history(res.workload, doctored(res.history, forge))
 
 

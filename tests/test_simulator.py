@@ -1,10 +1,12 @@
 """Cooperative simulator: quantum semantics, token schedules, determinism."""
 
+import dataclasses
+
 import pytest
 
 from adtxn.history import BEGIN, COMMIT, EXEC, INVOKE
 from adtxn.manager import TxnStatus
-from adtxn.simulate import StepLimitExceeded, run_simulated
+from adtxn.simulate import SimulationError, StepLimitExceeded, run_simulated
 from adtxn.values import UNIT, item, report
 from adtxn.workload import parse_workload
 
@@ -183,3 +185,9 @@ schedule seed 1 steps 2
 """
     with pytest.raises(StepLimitExceeded):
         run_text(text)
+
+
+def test_an_unknown_schedule_is_refused():
+    workload = dataclasses.replace(parse_workload(DEDUCTION), schedule=("T1", "T2"))
+    with pytest.raises(SimulationError, match="unknown schedule"):
+        run_simulated(workload)
