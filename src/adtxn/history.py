@@ -12,6 +12,7 @@ to the invocation they concern.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .values import Value, render_params
@@ -119,18 +120,19 @@ class Metrics:
 
 
 def compute_metrics(history: History, high_water: dict[str, int] | None = None) -> Metrics:
+    counts = Counter(e.kind for e in history.events)
     m = Metrics(
-        invocations=history.count(INVOKE),
-        null_ops=history.count(NULLOP),
-        executions=history.count(EXEC),
-        deductions=history.count(DEDUCE),
-        blocks=history.count(BLOCK),
-        wakeups=history.count(WAKE),
-        withdrawals=history.count(WITHDRAW),
-        inverses=history.count(INVERSE),
-        commits=history.count(COMMIT),
-        aborts=history.count(ABORT),
-        victims=history.count(VICTIM),
+        invocations=counts[INVOKE],
+        null_ops=counts[NULLOP],
+        executions=counts[EXEC],
+        deductions=counts[DEDUCE],
+        blocks=counts[BLOCK],
+        wakeups=counts[WAKE],
+        withdrawals=counts[WITHDRAW],
+        inverses=counts[INVERSE],
+        commits=counts[COMMIT],
+        aborts=counts[ABORT],
+        victims=counts[VICTIM],
         max_in_execution=dict(high_water or {}),
     )
     check_metric_identities(m)

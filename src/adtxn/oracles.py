@@ -160,35 +160,35 @@ class _Replayer:
         self.plan = []                     # its abort steps the trace still owes
 
     def _fail(self, event, msg):
+        # callers test their condition first, so a message is only
+        # formatted for a check that failed
         where = f"event {event.index} ({event.render()})" if event else "end of history"
         raise HistoryReplayError(f"{where}: {msg}")
-
-    def _require(self, cond, event, msg):
-        if not cond:
-            self._fail(event, msg)
 
     def replay(self, history: History) -> dict[str, object]:
         # no invariant sweep here: every entry section of the strict
         # monitors ends with its own check (see the module docstring)
         for event in history:
             self._step(event)
-        self._require(self.pending_admit is None, None, "history ended mid-admission")
-        self._require(self.aborting is None, None, "history ended mid-abort")
-        self._require(not self.expected_wakes, None, "announced wakes never happened")
+        if self.pending_admit is not None:
+            self._fail(None, "history ended mid-admission")
+        if self.aborting is not None:
+            self._fail(None, "history ended mid-abort")
+        if self.expected_wakes:
+            self._fail(None, "announced wakes never happened")
         for obj in self.objects.values():
-            self._require(not (obj.blocked or obj.in_execution or obj.executed),
-                          None, f"{obj.name} still holds invocations")
+            if obj.blocked or obj.in_execution or obj.executed:
+                self._fail(None, f"{obj.name} still holds invocations")
         for txn in self.txns.values():
-            self._require(txn.status in (TxnStatus.COMMITTED, TxnStatus.ABORTED),
-                          None, f"{txn.name} ended {txn.status.value}")
+            if txn.status not in (TxnStatus.COMMITTED, TxnStatus.ABORTED):
+                self._fail(None, f"{txn.name} ended {txn.status.value}")
         return {name: obj.state for name, obj in self.objects.items()}
 
     # one event
 
     def _step(self, e):
-        if e.kind != hist.WAKE:
-            self._require(not self.expected_wakes, e,
-                          f"wakes {[w.id for w in self.expected_wakes]} "
+        if self.expected_wakes and e.kind != hist.WAKE:
+            self._fail(e, f"wakes {[w.id for w in self.expected_wakes]} "
                           f"were due before this event")
         if self.pending_admit is not None and e.kind not in (
                 hist.DEDUCE, hist.BLOCK, hist.EXEC):
@@ -199,29 +199,32 @@ class _Replayer:
     def _wake_up(self, e, obj, woken):
         for w in woken:
             txn = self.txns_by_id[w.txn]
-            self._require(txn.blocked_on is not None and txn.blocked_on[1] is w,
-                          e, f"woken {w!r} is not what {txn.name} was blocked on")
+            if txn.blocked_on is None or txn.blocked_on[1] is not w:
+                self._fail(e, f"woken {w!r} is not what {txn.name} was blocked on")
             txn.blocked_on = None
         self.expected_wakes.extend(woken)
 
     # handlers
 
     def _on_begin(self, e):
-        self._require(e.txn not in self.txns, e, "txn began twice")
+        if e.txn in self.txns:
+            self._fail(e, "txn began twice")
         txn = TransactionRecord(len(self.txns) + 1, e.txn)
         self.txns[e.txn] = self.txns_by_id[txn.id] = txn
 
     def _on_nullop(self, e):
         obj = self.objects[e.obj]
         tr = translate_public(obj.spec, PublicCall(e.op, e.ins))
-        self._require(tr.null, e, "op reached a monitor yet claimed NULL")
-        self._require(tr.public_outs == e.outs, e,
-                      f"NULL outs should be {tr.public_outs}")
+        if not tr.null:
+            self._fail(e, "op reached a monitor yet claimed NULL")
+        if tr.public_outs != e.outs:
+            self._fail(e, f"NULL outs should be {tr.public_outs}")
 
     def _on_invoke(self, e):
         obj = self.objects[e.obj]
         txn = self.txns[e.txn]
-        self._require(e.inv_id not in self.owner, e, "invocation id reused")
+        if e.inv_id in self.owner:
+            self._fail(e, "invocation id reused")
         self.owner[e.inv_id] = txn.id
         inv = PrivateInvocation(id=e.inv_id, txn=txn.id, obj=e.obj,
                                 op=e.op, ins=e.ins)
@@ -229,19 +232,20 @@ class _Replayer:
         self.pending_admit = (obj, inv, outcome)
 
     def _take_pending(self, e, *allowed):
-        self._require(self.pending_admit is not None, e,
-                      "no admission was in flight")
+        if self.pending_admit is None:
+            self._fail(e, "no admission was in flight")
         obj, inv, outcome = self.pending_admit
         self.pending_admit = None
-        self._require(inv.id == e.inv_id, e, f"expected invocation {inv.id}")
-        self._require(outcome in allowed, e,
-                      f"admission decided {outcome.value}, trace disagrees")
+        if inv.id != e.inv_id:
+            self._fail(e, f"expected invocation {inv.id}")
+        if outcome not in allowed:
+            self._fail(e, f"admission decided {outcome.value}, trace disagrees")
         return obj, inv
 
     def _on_deduce(self, e):
         obj, inv = self._take_pending(e, AdmitOutcome.DEDUCED)
-        self._require(inv.outs == e.outs, e,
-                      f"deduction produced {inv.outs}, trace says {e.outs}")
+        if inv.outs != e.outs:
+            self._fail(e, f"deduction produced {inv.outs}, trace says {e.outs}")
         self.txns[e.txn].register(obj, inv)
 
     def _on_block(self, e):
@@ -254,36 +258,43 @@ class _Replayer:
         else:
             obj = self.objects[e.obj]
             inv = obj.in_execution.get(e.inv_id)
-            self._require(inv is not None, e,
-                          "executing an op that was never admitted")
+            if inv is None:
+                self._fail(e, "executing an op that was never admitted")
         outs = obj.execute(inv)
-        self._require(outs == e.outs, e, f"execution produced {outs}")
+        if outs != e.outs:
+            self._fail(e, f"execution produced {outs}")
         self._wake_up(e, obj, obj.complete(inv, outs))
         self.txns[e.txn].register(obj, inv)
 
     def _on_wake(self, e):
-        self._require(bool(self.expected_wakes), e, "wake out of thin air")
+        if not self.expected_wakes:
+            self._fail(e, "wake out of thin air")
         inv = self.expected_wakes.pop(0)
-        self._require(inv.id == e.inv_id, e, f"expected wake of {inv.id}")
-        self._require(inv.lifecycle is Lifecycle.IN_EXECUTION, e,
-                      "woken op is not in execution")
+        if inv.id != e.inv_id:
+            self._fail(e, f"expected wake of {inv.id}")
+        if inv.lifecycle is not Lifecycle.IN_EXECUTION:
+            self._fail(e, "woken op is not in execution")
 
     def _on_commit(self, e):
         txn = self.txns[e.txn]
-        self._require(txn.status is TxnStatus.ACTIVE, e, "commit of non-active txn")
-        self._require(txn.blocked_on is None, e, "committing while blocked")
+        if txn.status is not TxnStatus.ACTIVE:
+            self._fail(e, "commit of non-active txn")
+        if txn.blocked_on is not None:
+            self._fail(e, "committing while blocked")
         for obj, inv in txn.release_order():
-            self._require(inv.lifecycle is Lifecycle.EXECUTED, e,
-                          f"commit with unfinished {inv!r}")
+            if inv.lifecycle is not Lifecycle.EXECUTED:
+                self._fail(e, f"commit with unfinished {inv!r}")
             self._wake_up(e, obj, obj.finish(inv))
         txn.status = TxnStatus.COMMITTED
 
     def _on_victim(self, e):
         txn = self.txns[e.txn]
         cycle = find_cycle(self._waits_for_edges())
-        self._require(cycle is not None, e, "victim without a waits-for cycle")
-        self._require(max(cycle) == txn.id, e,
-                      f"victim should be txn id {max(cycle)}, trace chose {txn.id}")
+        if cycle is None:
+            self._fail(e, "victim without a waits-for cycle")
+        if max(cycle) != txn.id:
+            self._fail(e, f"victim should be txn id {max(cycle)}, "
+                          f"trace chose {txn.id}")
 
     def _waits_for_edges(self):
         # the whole graph, unlike the engine's rooted search: the replay
@@ -292,8 +303,10 @@ class _Replayer:
 
     def _on_abort(self, e):
         txn = self.txns[e.txn]
-        self._require(txn.status is TxnStatus.ACTIVE, e, "abort of non-active txn")
-        self._require(self.aborting is None, e, "overlapping aborts")
+        if txn.status is not TxnStatus.ACTIVE:
+            self._fail(e, "abort of non-active txn")
+        if self.aborting is not None:
+            self._fail(e, "overlapping aborts")
         txn.status = TxnStatus.ABORTING
         self.aborting, self.plan = txn, abort_plan(txn)
         self._release_due(e)
@@ -310,20 +323,22 @@ class _Replayer:
 
     def _on_abort_step(self, e):
         # a WITHDRAW or INVERSE line: the head of the plan, of that kind
-        self._require(self.aborting is self.txns[e.txn] and self.plan
-                      and self.plan[0][0] == e.kind, e,
-                      f"{e.kind.lower()} not due for this txn")
+        if not (self.aborting is self.txns[e.txn] and self.plan
+                and self.plan[0][0] == e.kind):
+            self._fail(e, f"{e.kind.lower()} not due for this txn")
         kind, obj, inv, call = self.plan.pop(0)
         if kind == hist.WITHDRAW:
-            self._require(inv.id == e.inv_id, e, f"expected withdrawal of {inv.id}")
+            if inv.id != e.inv_id:
+                self._fail(e, f"expected withdrawal of {inv.id}")
             self.aborting.blocked_on = None
             woken = obj.withdraw(inv)
         else:
-            self._require(obj.name == e.obj and call.op == e.op
-                          and call.ins == e.ins, e,
-                          f"expected inverse {call!r} of {inv!r}")
+            if not (obj.name == e.obj and call.op == e.op
+                    and call.ins == e.ins):
+                self._fail(e, f"expected inverse {call!r} of {inv!r}")
             outs = obj.apply_inverse(call)
-            self._require(outs == e.outs, e, f"inverse produced {outs}")
+            if outs != e.outs:
+                self._fail(e, f"inverse produced {outs}")
             woken = obj.finish(inv)
         self._wake_up(e, obj, woken)
         self._release_due(e)

@@ -16,13 +16,25 @@ tokens run out the lowest-numbered runnable transaction proceeds.
 Deadlock victims parked inside the scheduler are unwound on the spot: the
 manager reports the abort, and the victim's coroutine receives
 TransactionAborted immediately rather than occupying a schedule slot later.
+
+The READY list is kept, not rebuilt each step: it changes only where an
+activity changes state. The resumed activity leaves it when it suspends on
+a block or finishes (it stays in place across a boundary), a woken one is
+inserted at its declaration position, and a deadlock victim, always
+WAITING and so never on the list, simply becomes DONE. A count of
+unfinished activities ends the run. The list must stay in declaration
+order, exactly as a scan of all activities would give it, because the
+seeded schedule picks with `rng.choice`, which indexes it: any other order
+would pick different transactions and change the trace.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .adts import get_adt
 from .core import FrameworkError, PublicCall
@@ -54,8 +66,9 @@ class _ActState(Enum):
 
 
 class _Activity:
-    def __init__(self, decl: TxnDecl):
+    def __init__(self, decl: TxnDecl, index: int):
         self.decl = decl
+        self.index = index          # declaration position, the READY order
         self.state = _ActState.READY
         self.gen = None
         self.rec = None
@@ -95,9 +108,12 @@ class _Simulation:
                                       on_abort=self._on_abort)
         for decl in workload.objects:
             self.mgr.add_object(decl.name, get_adt(decl.adt), initial_state(decl))
-        self.activities = [_Activity(decl) for decl in workload.txns]
+        self.activities = [_Activity(decl, i)
+                           for i, decl in enumerate(workload.txns)]
         for act in self.activities:
             act.gen = self._drive(act)
+        self.ready = list(self.activities)    # READY, in declaration order
+        self.unfinished = len(self.activities)
         self._by_txn_id: dict[int, _Activity] = {}
         sched = workload.schedule
         if isinstance(sched, RandomSchedule):
@@ -113,8 +129,8 @@ class _Simulation:
 
     def run(self) -> RunResult:
         steps = 0
-        while any(a.state is not _ActState.DONE for a in self.activities):
-            ready = [a for a in self.activities if a.state is _ActState.READY]
+        ready = self.ready
+        while self.unfinished:
             if not ready:
                 stuck = [a.decl.name for a in self.activities
                          if a.state is _ActState.WAITING]
@@ -145,11 +161,14 @@ class _Simulation:
             yielded = act.gen.send(None)
         except StopIteration:
             act.state = _ActState.DONE
+            self.ready.remove(act)
+            self.unfinished -= 1
             return
         if yielded == ("boundary",):
             act.state = _ActState.READY
         elif yielded[0] == "wait":
             act.state = _ActState.WAITING
+            self.ready.remove(act)
         else:
             raise ManagerInvariantError(f"{act.decl.name} yielded {yielded!r}")
 
@@ -177,6 +196,7 @@ class _Simulation:
         act = self._by_txn_id[txn_id]
         if act.state is _ActState.WAITING:
             act.state = _ActState.READY
+            insort(self.ready, act, key=attrgetter("index"))
         # a RUNNING activity woken mid-deadlock-resolution never suspends
 
     def _on_abort(self, txn_id):
@@ -194,6 +214,7 @@ class _Simulation:
         else:
             raise ManagerInvariantError(f"{act.decl.name} kept running after abort")
         act.state = _ActState.DONE
+        self.unfinished -= 1
 
     # -- wrap-up ----------------------------------------------------------------
 

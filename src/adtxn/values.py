@@ -53,6 +53,16 @@ class Value:
                 if not isinstance(elem, Value):
                     raise TypeError("seq elements must be Values")
 
+    def __eq__(self, other):
+        # written out because the generated one builds a (tag, payload)
+        # tuple per side on every call; equal Values still hash alike, as
+        # a frozen dataclass keeps generating __hash__ beside this
+        if self is other:
+            return True
+        if not isinstance(other, Value):
+            return NotImplemented
+        return self.tag is other.tag and self.payload == other.payload
+
     def __repr__(self):
         return f"Value({render(self)})"
 

@@ -5,12 +5,34 @@ import dataclasses
 import pytest
 
 from adtxn.history import BEGIN, COMMIT, EXEC, INVOKE
-from adtxn.manager import TxnStatus
-from adtxn.simulate import SimulationError, StepLimitExceeded, run_simulated
+from adtxn.manager import TransactionManager, TxnStatus
+from adtxn.simulate import (ScheduleStuck, SimulationError, StepLimitExceeded,
+                            _ActState, _Simulation, run_simulated)
 from adtxn.values import UNIT, item, report
 from adtxn.workload import parse_workload
+from test_oracles import _mixed_workloads
 
 OK = report("Ok")
+
+
+@pytest.fixture(autouse=True)
+def picks_checked(monkeypatch):
+    """Every test here runs with the kept READY list compared, at every
+    step, against a rescan of all activities: same activities, same
+    (declaration) order, since the seeded pick indexes the list. Returns
+    a one-item list counting the steps checked."""
+    pick = _Simulation._pick
+    steps = [0]
+
+    def checked(sim, ready):
+        assert ready == [a for a in sim.activities if a.state is _ActState.READY]
+        assert sim.unfinished == sum(a.state is not _ActState.DONE
+                                     for a in sim.activities)
+        steps[0] += 1
+        return pick(sim, ready)
+
+    monkeypatch.setattr(_Simulation, "_pick", checked)
+    return steps
 
 
 def run_text(text, seed=None):
@@ -128,6 +150,31 @@ schedule steps T1 T2 T1 T2 T1 T1
     assert res.statuses == {"T1": TxnStatus.COMMITTED, "T2": TxnStatus.ABORTED}
     assert res.metrics.victims == 1
     assert res.final_states == {"A": ("a",), "B": ("x",)}
+
+
+def test_ready_list_matches_a_rescan_on_mixed_workloads(picks_checked):
+    for workload in _mixed_workloads():
+        run_simulated(workload)
+    assert picks_checked[0] > 5_000
+
+
+def test_a_deadlock_left_unresolved_is_a_stuck_schedule(monkeypatch):
+    monkeypatch.setattr(TransactionManager, "_resolve_deadlocks",
+                        lambda mgr, rec: None)
+    with pytest.raises(ScheduleStuck, match=r"waiting: \['T1', 'T2'\]"):
+        run_text("""\
+object A stack ()
+object B stack ()
+txn T1
+  op A PUSH a
+  op B PUSH x
+end commit
+txn T2
+  op B PUSH b
+  op A PUSH d
+end commit
+schedule steps T1 T2 T1 T2
+""")
 
 
 def test_same_seed_same_bytes():

@@ -1,9 +1,11 @@
 """Value model: exact payloads, rendering, token parsing."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from adtxn.adts import builtin_names, get_adt
 from adtxn.values import (
     FALSE,
     TRUE,
@@ -60,6 +62,39 @@ def test_values_hash_and_compare_by_content():
     assert item("a") == item("a")
     assert item("a") != report("a")
     assert len({rational(2), rational(2), rational(3)}) == 2
+
+
+def _probe_values():
+    # every Value the four types' probes pass in or get back, plus a few
+    # that share a payload across tags
+    values = [UNIT, TRUE, FALSE, rational(1), rational(0), item("Ok"),
+              report("Ok"), item("a"), report("a"), seq(()), seq((item("a"),))]
+    for name in builtin_names():
+        spec = get_adt(name)
+        for call in spec.probe_public_calls(2):
+            values += call.ins
+        for state in spec.enumerate_states(2):
+            for call in spec.probe_calls(2):
+                values += call.ins
+                values += spec.apply(state, call.op, call.ins)[1]
+    return list({(v.tag, v.payload): v for v in values}.values())
+
+
+def test_equality_and_hash_agree_with_tag_payload_pairs():
+    values = _probe_values()
+    assert {v.tag for v in values} == set(Tag)
+    # fresh copies, so that == cannot rest on identity
+    copies = [Value(v.tag, v.payload) for v in values]
+    for a, b in product(values, copies):
+        same = (a.tag, a.payload) == (b.tag, b.payload)
+        assert (a == b) is same and (a != b) is (not same), (a, b)
+        assert hash(a) == hash((a.tag, a.payload))
+    assert item("Ok") != report("Ok") and TRUE != rational(1)
+    assert FALSE != rational(0) and UNIT != seq(())
+    for v in values:
+        assert v == v
+        assert v != v.payload and not v == (v.tag, v.payload)
+        assert v.__eq__(v.payload) is NotImplemented
 
 
 def test_render_forms():
