@@ -6,7 +6,8 @@
     adtxn fuzz [--adts LIST] [--txns K] [--ops M] [--runs N] [--seed S]
 
 Exit codes: 0 everything passed, 1 an oracle or table check failed,
-2 the input was unusable.
+2 the input was unusable: an unreadable workload, an unknown type, or a
+flag below the floor its subcommand sets.
 """
 
 from __future__ import annotations
@@ -23,18 +24,22 @@ from .validate import validate_adt
 from .workload import RandomSchedule, WorkloadError, parse_workload
 
 
+def _unusable(message) -> int:
+    """Report unusable input on one line of stderr; returns its exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _load_workload(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise SystemExit(_unusable(exc))
     try:
         return parse_workload(text)
     except WorkloadError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise SystemExit(_unusable(f"{path}: {exc}"))
 
 
 def _cmd_run(args) -> int:
@@ -42,8 +47,7 @@ def _cmd_run(args) -> int:
     try:
         result = run_simulated(workload, seed=args.seed)
     except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _unusable(exc)
     trace = render_trace(result.history)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -71,8 +75,7 @@ def _cmd_check(args) -> int:
         try:
             stage, verdict = check_run(run_simulated(workload, seed=seed))
         except (SimulationError, SerializabilityBudgetError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _unusable(exc)
         label = "seed=-" if seed is None else f"seed={seed}"
         if stage is not None:
             failures += 1
@@ -91,8 +94,7 @@ def _cmd_verify_tables(args) -> int:
         try:
             get_adt(args.adt)
         except UnknownAdt as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _unusable(exc)
         names = [args.adt]
     failed = False
     for name in names:
@@ -114,12 +116,10 @@ def _cmd_fuzz(args) -> int:
         try:
             get_adt(name)
         except UnknownAdt as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _unusable(exc)
     if args.txns > MAX_TXNS:
-        print(f"error: --txns capped at {MAX_TXNS} "
-              f"(serializability oracle budget)", file=sys.stderr)
-        return 2
+        return _unusable(f"--txns capped at {MAX_TXNS} "
+                         f"(serializability oracle budget)")
     failures = 0
     for with_abort in ((False, True) if args.aborts else (False,)):
         report = fuzz(args.seed, args.runs, adts=adts,
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the trace to this file instead of stdout")
     p.add_argument("--metrics", action="store_true",
                    help="also print run metrics")
-    p.set_defaults(fn=_cmd_run)
+    p.set_defaults(fn=_cmd_run, floors={})
 
     p = sub.add_parser("check", help="run a workload under the oracles")
     p.add_argument("file")
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base seed (default: the workload's own)")
     p.add_argument("--runs", type=int, default=20,
                    help="number of seeds to sweep (random schedules only)")
-    p.set_defaults(fn=_cmd_check)
+    p.set_defaults(fn=_cmd_check, floors={"runs": 1})
 
     p = sub.add_parser("verify-tables",
                        help="brute-force check one type's declarative surface")
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=3,
                    help="state-space bound (stack depth, set universe, "
                         "rational grid size)")
-    p.set_defaults(fn=_cmd_verify_tables)
+    p.set_defaults(fn=_cmd_verify_tables, floors={"depth": 0})
 
     p = sub.add_parser("fuzz", help="random workloads through every oracle")
     p.add_argument("--adts", default=None,
@@ -180,12 +180,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--no-aborts", dest="aborts", action="store_false",
                    help="skip the abort-transparency mode")
-    p.set_defaults(fn=_cmd_fuzz)
+    p.set_defaults(fn=_cmd_fuzz, floors={"txns": 2, "ops": 1, "runs": 1})
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for flag, floor in args.floors.items():
+        if getattr(args, flag) < floor:
+            return _unusable(f"--{flag} must be at least {floor}")
     return args.fn(args)
 
 

@@ -20,8 +20,9 @@ Deadlock is handled at block time. The waits-for graph is derived on demand
 from the monitors' edge ledgers, and the youngest transaction on a cycle
 (the largest id, the one with the least work behind it) is aborted outright;
 this repeats until the graph is acyclic, so a blocked transaction sleeps
-only on live, cycle-free waits. A blocker's owner is read from the map
-`perform` fills when it creates each invocation, never searched for.
+only on live, cycle-free waits. A blocker is live on the waiter's own
+object, so its owner is read from that monitor's `live` map, never
+searched for.
 
 The search is rooted at the transaction that just blocked, and is exact.
 Edges are added only when a transaction blocks, and every resolution leaves
@@ -172,19 +173,18 @@ def find_cycle(adj: dict[int, set[int]]) -> list[int] | None:
     return None
 
 
-def waits_for_graph(txns, owner: dict[int, int]) -> dict[int, set[int]]:
+def waits_for_graph(txns) -> dict[int, set[int]]:
     """The whole waits-for graph of `txns`, each with `id` and `blocked_on`.
 
     A blocked transaction waits for the owners of every invocation its
-    blocked one is blocked by; `owner` maps each invocation id to the id of
-    the transaction that invoked it.
+    blocked one is blocked by, each live on the same object.
     """
     adj: dict[int, set[int]] = {}
     for txn in txns:
         if txn.blocked_on is None:
             continue
         obj, w = txn.blocked_on
-        owners = {owner[b] for b in obj.blocked_by[w.id]}
+        owners = {obj.live[b].txn for b in obj.blocked_by[w.id]}
         if txn.id in owners:
             raise ManagerInvariantError(f"self-edge on {txn.id} in waits-for graph")
         adj[txn.id] = owners
@@ -208,7 +208,6 @@ class TransactionManager:
         self.on_abort = on_abort
         self.objects: dict[str, ManagedObject] = {}
         self.txns: dict[int, TransactionRecord] = {}
-        self.owner: dict[int, int] = {}    # invocation id -> its txn's id
         self._txn_ids = count(1)
         self._inv_ids = count(1)
 
@@ -252,7 +251,6 @@ class TransactionManager:
             return tr.public_outs
         inv = PrivateInvocation(id=next(self._inv_ids), txn=rec.id,
                                 obj=obj.name, op=tr.call.op, ins=tr.call.ins)
-        self.owner[inv.id] = rec.id
         self.history.emit(hist.INVOKE, txn=rec.name, obj=obj.name,
                           op=inv.op, ins=inv.ins, inv_id=inv.id)
         outcome = obj.admit(inv)
@@ -338,21 +336,17 @@ class TransactionManager:
             if self.on_wake:
                 self.on_wake(w.txn)
 
-    def waits_for_edges(self, root: int | None = None) -> dict[int, set[int]]:
-        """Transaction-level waits-for graph, derived from the monitors.
-
-        With a root, only the subgraph induced by the transactions that can
-        reach the root, found by walking the edges backwards from it.
-        """
-        if root is None:
-            return waits_for_graph(self.txns.values(), self.owner)
+    def waits_for_edges(self, root: int) -> dict[int, set[int]]:
+        """The waits-for subgraph induced by the transactions that can reach
+        `root`, a blocked transaction, found by walking the monitors' edges
+        backwards from it."""
         adj: dict[int, set[int]] = {}
         reach, frontier = {root}, [root]
         while frontier:
             rec = self.txns[frontier.pop()]
             for obj, inv in chain(rec.invocations, (rec.blocked_on,)):
                 for wid in obj.blocks.get(inv.id, ()):
-                    waiter = obj.blocked[wid].txn
+                    waiter = obj.live[wid].txn
                     adj.setdefault(waiter, set()).add(rec.id)
                     if waiter not in reach:
                         reach.add(waiter)

@@ -20,29 +20,37 @@ build. Under the cooperative scheduler used here a quantum never splits an
 entry section, so the exclusion is the scheduler itself; the invariant
 checker still runs after every section to keep the discipline honest.
 
+Each object holds its admitted, unfinished ops in one map, `live`, from
+`admit` until `finish` or `withdraw`; an op's stage is its lifecycle and is
+recorded nowhere else. `running` counts the ops in execution for the
+`max_in_execution` metric; only `_enter_execution` and `complete` move it.
+
 In strict mode a section checks what it changed, not the whole object. The
-invariant is a conjunction of predicates on one op each (filed in exactly
-one pool, with the lifecycle, outs and execution count that pool implies;
-blocked exactly when it waits on a non-empty blocker set; holding no edges
-once dead; wait-listed by no one while in execution) and on one edge each
-(in both directions of the ledger or in neither; from a smaller id to a
-larger one; from a live op to a blocked one). A predicate turns false only
-when something it reads changes, and a section changes only its own op,
-the ops it releases or wakes, and the edges between those and its op. So
-if the invariant held before a section, `_check(op, peers)` over exactly
-those shows it holds after:
+invariant is a conjunction of predicates on one op each (live exactly while
+blocked, in execution or executed, with the outs and execution count its
+stage implies; blocked exactly when it waits on a non-empty blocker set;
+holding no edges once dead; wait-listed by no one while in execution) and
+on one edge each (in both directions of the ledger or in neither; from a
+smaller id to a larger one; from a live op to a blocked one). A predicate
+turns false only when something it reads changes, and a section changes
+only its own op, the ops it releases or wakes, and the edges between those
+and its op. So if the invariant held before a section, `_check(op, peers)`
+over exactly those shows it holds after:
 
   * `admit` passes the new op alone. When it blocks, all its edges are new
     and are read from its side (each blocker lists it, precedes it and is
-    live); nothing about the blockers' own filing moved.
+    live); nothing about the blockers' own stages moved.
   * `complete` and `finish` pass the op and its former waiters, whether
     they were woken or still wait on others.
   * `withdraw` passes the op, its former waiters and its blockers.
 
+The whole-object `_check()` also compares `running` with the ops in
+execution, a count over the object that no scoped check can see.
+
 A direct admission needs no separate safety check: admit's empty conflict
-set was computed over the same pools with the same queries, and is the
+set was computed over the same live ops with the same queries, and is the
 certificate. An op woken through `_shed_edge` enters execution at a moment
-admit never checked, so it alone is re-tested against the pools
+admit never checked, so it alone is re-tested against the live ops
 (`_admission_safety`). That no section touches more than it passes is
 tested too: tests/test_oracles.py runs the whole-object `_check()` and the
 admission re-test after every section of several hundred runs.
@@ -77,6 +85,13 @@ from .tables import commute_with_in, commute_with_in_out, try_deduce
 from .values import Value
 
 
+# The stages a live op can be in. Loops over the live ops compare against
+# these module globals: on Python 3.11 an Enum member lookup costs about six
+# times a global one, and admission compares once per live op.
+_BLOCKED, _RUNNING, _EXECUTED = (Lifecycle.BLOCKED, Lifecycle.IN_EXECUTION,
+                                 Lifecycle.EXECUTED)
+
+
 class MonitorInvariantError(AssertionError):
     """An entry section was called on an op in the wrong lifecycle, an op
     ran twice, or a strict check found the bookkeeping broken. Raised rather
@@ -98,11 +113,10 @@ class ManagedObject:
     spec: AdtSpec
     state: object
     strict: bool = True
-    blocked: dict[int, PrivateInvocation] = field(default_factory=dict)
-    in_execution: dict[int, PrivateInvocation] = field(default_factory=dict)
-    executed: dict[int, PrivateInvocation] = field(default_factory=dict)
+    live: dict[int, PrivateInvocation] = field(default_factory=dict)
     blocks: dict[int, set[int]] = field(default_factory=dict)
     blocked_by: dict[int, set[int]] = field(default_factory=dict)
+    running: int = 0
     max_in_execution: int = 0
 
     # -- step (1): deduction, then in-control ------------------------------
@@ -110,16 +124,16 @@ class ManagedObject:
     def admit(self, inv: PrivateInvocation) -> AdmitOutcome:
         if inv.lifecycle is not Lifecycle.NEW or inv.obj != self.name:
             raise MonitorInvariantError(f"{self.name}: cannot admit {inv!r}")
-        executed = [self.executed[i] for i in sorted(self.executed)]
-        pending = ([self.blocked[i] for i in sorted(self.blocked)]
-                   + [self.in_execution[i] for i in sorted(self.in_execution)])
+        live = self.live.values()
+        executed = [other for other in live if other.lifecycle is _EXECUTED]
+        pending = [other for other in live if other.lifecycle is not _EXECUTED]
         deduced = try_deduce(self.spec.tables, inv, executed, pending)
+        self.live[inv.id] = inv
         if deduced is not None:
             check_outs(self.spec, inv.op, deduced)
             inv.outs = deduced
             inv.origin = Origin.DEDUCED
             inv.lifecycle = Lifecycle.EXECUTED
-            self.executed[inv.id] = inv
             self._check(inv.id)
             return AdmitOutcome.DEDUCED
         conflicts = set()
@@ -132,14 +146,13 @@ class ManagedObject:
                 conflicts.add(other.id)
         if conflicts:
             inv.lifecycle = Lifecycle.BLOCKED
-            self.blocked[inv.id] = inv
             self.blocked_by[inv.id] = conflicts
             for b in conflicts:
                 self.blocks.setdefault(b, set()).add(inv.id)
             self._check(inv.id)
             return AdmitOutcome.BLOCKED
-        # the empty conflict set, over every pool `_admission_safety` reads,
-        # certifies this admission
+        # the empty conflict set, over every live op `_admission_safety`
+        # reads, certifies this admission
         self._enter_execution(inv)
         self._check(inv.id)
         return AdmitOutcome.ADMITTED
@@ -170,13 +183,12 @@ class ManagedObject:
         if inv.lifecycle is not Lifecycle.IN_EXECUTION:
             raise MonitorInvariantError(f"{inv!r} completed outside execution")
         inv.outs = outs
-        del self.in_execution[inv.id]
         inv.lifecycle = Lifecycle.EXECUTED
-        self.executed[inv.id] = inv
+        self.running -= 1
         woken = []
         waiters = sorted(self.blocks.get(inv.id, ()))
         for wid in waiters:
-            waiter = self.blocked[wid]
+            waiter = self.live[wid]
             if commute_with_in_out(self.spec.tables, inv, waiter):
                 self.blocks[inv.id].discard(wid)
                 woken += self._shed_edge(waiter, inv.id)
@@ -191,12 +203,12 @@ class ManagedObject:
         """Commit-or-reject for one executed op: drop every edge it holds."""
         if inv.lifecycle is not Lifecycle.EXECUTED:
             raise MonitorInvariantError(f"{inv!r} finished before it executed")
-        del self.executed[inv.id]
+        del self.live[inv.id]
         inv.lifecycle = Lifecycle.FINISHED
         woken = []
         waiters = sorted(self.blocks.pop(inv.id, ()))
         for wid in waiters:
-            woken += self._shed_edge(self.blocked[wid], inv.id)
+            woken += self._shed_edge(self.live[wid], inv.id)
         self._check(inv.id, waiters)
         return woken
 
@@ -208,11 +220,11 @@ class ManagedObject:
         """
         if inv.lifecycle is not Lifecycle.BLOCKED:
             raise MonitorInvariantError(f"{inv!r} withdrawn but not blocked")
-        del self.blocked[inv.id]
+        del self.live[inv.id]
         woken = []
         waiters = sorted(self.blocks.pop(inv.id, ()))
         for wid in waiters:
-            woken += self._shed_edge(self.blocked[wid], inv.id)
+            woken += self._shed_edge(self.live[wid], inv.id)
         # then drop the edges that pointed at the withdrawn op itself
         blockers = self.blocked_by.pop(inv.id)
         for b in blockers:
@@ -241,8 +253,8 @@ class ManagedObject:
 
     def _enter_execution(self, inv: PrivateInvocation):
         inv.lifecycle = Lifecycle.IN_EXECUTION
-        self.in_execution[inv.id] = inv
-        self.max_in_execution = max(self.max_in_execution, len(self.in_execution))
+        self.running += 1
+        self.max_in_execution = max(self.max_in_execution, self.running)
 
     def _shed_edge(self, waiter: PrivateInvocation,
                    blocker_id: int) -> list[PrivateInvocation]:
@@ -253,40 +265,34 @@ class ManagedObject:
         if blockers:
             return []
         del self.blocked_by[waiter.id]
-        del self.blocked[waiter.id]
         self._enter_execution(waiter)
         if self.strict:
             # admit never checked this moment: the waiter's edges were
-            # recorded against the pools as they stood then
+            # recorded against the live ops as they stood then
             self._admission_safety(waiter)
         return [waiter]
 
     def find_invocation(self, inv_id: int) -> PrivateInvocation:
-        for pool in (self.blocked, self.in_execution, self.executed):
-            if inv_id in pool:
-                return pool[inv_id]
-        raise KeyError(inv_id)
+        return self.live[inv_id]
 
     def _admission_safety(self, inv: PrivateInvocation):
         # Entering execution must be conflict-free right now, not just at
         # whatever moment the edges were recorded.
-        for other in self.in_execution.values():
-            if other is inv or other.txn == inv.txn:
+        for other in self.live.values():
+            if other.txn == inv.txn or other.lifecycle is _BLOCKED:
                 continue
-            if not commute_with_in(self.spec.tables, other, inv):
+            if other.lifecycle is _EXECUTED:
+                if not commute_with_in_out(self.spec.tables, other, inv):
+                    raise MonitorInvariantError(
+                        f"{inv!r} admitted against conflicting executed {other!r}")
+            elif not commute_with_in(self.spec.tables, other, inv):
                 raise MonitorInvariantError(
                     f"{inv!r} admitted against conflicting {other!r}")
-        for other in self.executed.values():
-            if other.txn == inv.txn:
-                continue
-            if not commute_with_in_out(self.spec.tables, other, inv):
-                raise MonitorInvariantError(
-                    f"{inv!r} admitted against conflicting executed {other!r}")
 
     def _check(self, inv_id: int | None = None, peers: Iterable[int] = ()):
         """Check the bookkeeping an entry section can have changed.
 
-        Given an op, that is the filing of the op and of each peer, and the
+        Given an op, that is the stage of the op and of each peer, and the
         edges between the op and each peer, read from both sides; a blocked
         op's own edges are read from its side. With no op, every live op and
         every edge. The module docstring says why the first, after every
@@ -294,50 +300,50 @@ class ManagedObject:
         """
         if not self.strict:
             return
-        blocked, running, executed = self.blocked, self.in_execution, self.executed
-        blocks, blocked_by = self.blocks, self.blocked_by
+        live, blocks, blocked_by = self.live, self.blocks, self.blocked_by
         whole = inv_id is None
         if whole:
-            ids = chain(blocked, running, executed)
+            ids = live
         else:
             ids = chain((inv_id,), peers)
             out_edges, in_edges = blocks.get(inv_id, ()), blocked_by.get(inv_id, ())
+        waiting = running = 0
         for i in ids:
-            # filing: one pool, its lifecycle, outs and executions to match;
-            # blocked iff it waits on something; no edges from a dead op
-            inv = blocked.get(i)
-            if inv is not None:
-                if (inv.id != i or inv.lifecycle is not Lifecycle.BLOCKED
-                        or i in running or i in executed):
-                    raise MonitorInvariantError(f"{inv!r} misfiled")
+            # a live op is blocked, in execution or executed, with the outs
+            # and executions its stage implies; blocked iff it waits on
+            # something; no edges from a dead op
+            inv = live.get(i)
+            stage = None if inv is None else inv.lifecycle
+            if stage is _BLOCKED:
+                waiting += 1
                 if inv.outs is not None or inv.executions:
                     raise MonitorInvariantError(f"{inv!r} blocked with outs or executions")
                 if not blocked_by.get(i):
                     raise MonitorInvariantError(f"{self.name}: {i} blocked by nothing")
             elif i in blocked_by:
                 raise MonitorInvariantError(f"{self.name}: {i} waits but is not blocked")
-            elif (inv := running.get(i)) is not None:
-                if (inv.id != i or inv.lifecycle is not Lifecycle.IN_EXECUTION
-                        or i in executed):
-                    raise MonitorInvariantError(f"{inv!r} misfiled")
+            elif stage is _RUNNING:
+                running += 1
                 if inv.outs is not None:
                     raise MonitorInvariantError(f"{inv!r} in execution with outs")
                 # it was just admitted or woken: nothing may still wait-list it
                 for waiters in blocks.values():
                     if i in waiters:
                         raise MonitorInvariantError(f"{self.name}: edge to non-blocked {i}")
-            elif (inv := executed.get(i)) is not None:
-                if inv.id != i or inv.lifecycle is not Lifecycle.EXECUTED:
-                    raise MonitorInvariantError(f"{inv!r} misfiled")
+            elif stage is _EXECUTED:
                 expect = 0 if inv.origin is Origin.DEDUCED else 1
                 if inv.outs is None or inv.executions != expect:
                     raise MonitorInvariantError(f"{inv!r} outs or execution count")
+            elif inv is not None:
+                raise MonitorInvariantError(f"{inv!r} misfiled")
             elif i in blocks:
                 raise MonitorInvariantError(f"{self.name}: edges from dead op {i}")
+            if inv is not None and inv.id != i:
+                raise MonitorInvariantError(f"{inv!r} misfiled")
             if whole:
                 continue
             # the edges between the op and this peer: in both maps or in
-            # neither, and forward; the filing above makes them run from a
+            # neither, and forward; the stages above make them run from a
             # live op to a blocked one
             there = i in out_edges
             if there != (inv_id in blocked_by.get(i, ())) or there and inv_id >= i:
@@ -346,21 +352,23 @@ class ManagedObject:
             if there != (i in in_edges) or there and i >= inv_id:
                 raise MonitorInvariantError(f"{self.name}: edge {i}->{inv_id} broken")
         if not whole:
-            if inv_id in blocked:
-                for b in in_edges:
-                    if (b >= inv_id or inv_id not in blocks.get(b, ())
-                            or not (b in blocked or b in running or b in executed)):
-                        raise MonitorInvariantError(
-                            f"{self.name}: edge {b}->{inv_id} broken")
+            # the op's own blockers, if it is blocked
+            for b in in_edges:
+                if b >= inv_id or inv_id not in blocks.get(b, ()) or b not in live:
+                    raise MonitorInvariantError(f"{self.name}: edge {b}->{inv_id} broken")
             return
-        if len(blocked_by) != len(blocked):
+        if running != self.running:
+            raise MonitorInvariantError(f"{self.name}: {self.running} counted running, "
+                                        f"{running} in execution")
+        # with each blocked op waiting, the keys of blocked_by are the blocked ops
+        if len(blocked_by) != waiting:
             raise MonitorInvariantError(f"{self.name}: blocked_by vs blocked drift")
         edges = 0
         for b, waiters in blocks.items():
-            if not (b in blocked or b in running or b in executed):
+            if b not in live:
                 raise MonitorInvariantError(f"{self.name}: edges from dead op {b}")
             for w in waiters:
-                if w not in blocked:
+                if w not in blocked_by:
                     raise MonitorInvariantError(f"{self.name}: edge to non-blocked {w}")
                 if b >= w or b not in blocked_by[w]:
                     raise MonitorInvariantError(f"{self.name}: edge {b}->{w} broken")

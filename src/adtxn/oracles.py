@@ -14,11 +14,14 @@ These deliberately share no cleverness with the machinery they judge:
   same pure table functions, and checks the run's decisions against the
   trace at every event.
 
-The replay's waits-for graph reads each blocker's owner from the trace's
-INVOKE events, which name the transaction of every invocation id; nothing
-is searched for. It derives the whole graph at every VICTIM, not the
-engine's rooted and pruned subgraph, so it does not trust the engine's
-claim that each resolution left the graph acyclic.
+The replay's waits-for graph reads each blocker's owner from the rebuilt
+monitor the blocker is live on, as the engine does; nothing is searched
+for. It derives the whole graph at every VICTIM, not the engine's rooted
+and pruned subgraph, so it does not trust the engine's claim that each
+resolution left the graph acyclic. INVOKE ids must strictly increase, as
+the engine's counter makes them: an id then names one invocation for the
+whole history, and the monitors' edges, which run from a smaller id to a
+larger one, follow arrival order.
 
 The replay's monitors are strict, so each of their entry sections (`admit`,
 `complete`, `finish`, `withdraw`) ends by checking the ops and edges it
@@ -153,7 +156,7 @@ class _Replayer:
                 state=initial_state(decl), strict=True)
         self.txns: dict[str, TransactionRecord] = {}
         self.txns_by_id: dict[int, TransactionRecord] = {}
-        self.owner: dict[int, int] = {}    # invocation id -> txn id, from INVOKE
+        self.last_inv_id = 0               # INVOKE ids strictly increase
         self.pending_admit = None          # (obj, inv, AdmitOutcome)
         self.expected_wakes = []           # invs in emission order
         self.aborting = None               # TransactionRecord mid-abort
@@ -177,7 +180,7 @@ class _Replayer:
         if self.expected_wakes:
             self._fail(None, "announced wakes never happened")
         for obj in self.objects.values():
-            if obj.blocked or obj.in_execution or obj.executed:
+            if obj.live:
                 self._fail(None, f"{obj.name} still holds invocations")
         for txn in self.txns.values():
             if txn.status not in (TxnStatus.COMMITTED, TxnStatus.ABORTED):
@@ -223,9 +226,9 @@ class _Replayer:
     def _on_invoke(self, e):
         obj = self.objects[e.obj]
         txn = self.txns[e.txn]
-        if e.inv_id in self.owner:
-            self._fail(e, "invocation id reused")
-        self.owner[e.inv_id] = txn.id
+        if e.inv_id <= self.last_inv_id:
+            self._fail(e, f"invocation id {e.inv_id} does not follow {self.last_inv_id}")
+        self.last_inv_id = e.inv_id
         inv = PrivateInvocation(id=e.inv_id, txn=txn.id, obj=e.obj,
                                 op=e.op, ins=e.ins)
         outcome = obj.admit(inv)
@@ -257,8 +260,8 @@ class _Replayer:
             obj, inv = self._take_pending(e, AdmitOutcome.ADMITTED)
         else:
             obj = self.objects[e.obj]
-            inv = obj.in_execution.get(e.inv_id)
-            if inv is None:
+            inv = obj.live.get(e.inv_id)
+            if inv is None or inv.lifecycle is not Lifecycle.IN_EXECUTION:
                 self._fail(e, "executing an op that was never admitted")
         outs = obj.execute(inv)
         if outs != e.outs:
@@ -299,7 +302,7 @@ class _Replayer:
     def _waits_for_edges(self):
         # the whole graph, unlike the engine's rooted search: the replay
         # does not assume the graph was acyclic before each block
-        return waits_for_graph(self.txns.values(), self.owner)
+        return waits_for_graph(self.txns.values())
 
     def _on_abort(self, e):
         txn = self.txns[e.txn]

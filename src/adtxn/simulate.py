@@ -220,7 +220,7 @@ class _Simulation:
 
     def _result(self):
         for obj in self.mgr.objects.values():
-            if obj.blocked or obj.in_execution or obj.executed:
+            if obj.live:
                 raise MonitorInvariantError(f"{obj.name} not drained at end of run")
         statuses = {}
         observations = {}

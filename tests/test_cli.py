@@ -171,3 +171,18 @@ def test_fuzz_no_aborts_skips_the_second_mode(capsys):
 def test_fuzz_txn_cap(capsys):
     assert main(["fuzz", "--txns", "9", "--runs", "1"]) == 2
     assert "capped" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fuzz", "--txns", "1"], "--txns must be at least 2"),
+    (["fuzz", "--ops", "0"], "--ops must be at least 1"),
+    (["fuzz", "--runs", "0"], "--runs must be at least 1"),
+    (["check", "{file}", "--runs", "0"], "--runs must be at least 1"),
+    (["verify-tables", "stack", "--depth", "-1"], "--depth must be at least 0"),
+])
+def test_unusable_flag_values_exit_2_with_one_line(wl, capsys, argv, message):
+    # each of these once crashed or passed vacuously
+    argv = [a.format(file=wl(DEDUCTION)) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""

@@ -4,6 +4,7 @@ perform() is a generator; these tests step it directly instead of going
 through the scheduler, which pins the protocol a scheduler must follow.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -143,7 +144,8 @@ def test_withdraw_on_abort_of_a_blocked_transaction():
     tail = kinds(mgr)[-2:]
     assert tail == [hist.ABORT, hist.WITHDRAW]
     assert mgr.history.count(hist.INVERSE) == 0
-    assert mgr.objects["s"].blocked == {}
+    obj = mgr.objects["s"]
+    assert got[2].id not in obj.live and obj.blocked_by == {}
     mgr.commit(t1)
 
 
@@ -316,21 +318,23 @@ def test_waits_for_edges_derive_from_the_monitors():
     run_op(mgr, t1, "s", "PUSH", item("a"))
     assert start(mgr, t2, "s", "POP")[0] == "wait"
     assert start(mgr, t3, "s", "EMPTY")[0] == "wait"
-    assert mgr.waits_for_edges() == {t2.id: {t1.id}, t3.id: {t1.id, t2.id}}
+    assert waits_for_graph(mgr.txns.values()) == {t2.id: {t1.id},
+                                                 t3.id: {t1.id, t2.id}}
+    # walking back from T2 reaches T3 alone, and keeps the edges between them
+    assert mgr.waits_for_edges(t2.id) == {t3.id: {t2.id}}
 
 
-def test_waits_for_graph_reads_each_blockers_owner_from_the_map():
+def test_waits_for_graph_reads_each_blockers_owner_from_its_monitor():
     # T3 waits on r for T1's executed ADD and for T2's ADD, which is still in
     # execution and not yet registered; T1 waits on s for T3's push
     r = ManagedObject("r", 0, get_adt("real"), Fraction(0))
     s = ManagedObject("s", 1, get_adt("stack"), ())
     t1, t2, t3 = (TransactionRecord(i, f"T{i}") for i in (1, 2, 3))
-    owner = {}
+    ids = itertools.count(1)
 
     def invoke(txn, obj, op, *ins):
-        inv = PrivateInvocation(id=len(owner) + 1, txn=txn.id, obj=obj.name,
+        inv = PrivateInvocation(id=next(ids), txn=txn.id, obj=obj.name,
                                 op=op, ins=ins)
-        owner[inv.id] = txn.id
         outcome = obj.admit(inv)
         if outcome is AdmitOutcome.BLOCKED:
             txn.blocked_on = (obj, inv)
@@ -349,8 +353,8 @@ def test_waits_for_graph_reads_each_blockers_owner_from_the_map():
     assert invoke(t3, r, "MULTIPLY", rational(2))[1] is AdmitOutcome.BLOCKED
     assert invoke(t1, s, "POP")[1] is AdmitOutcome.BLOCKED
     assert r.blocked_by[t3.blocked_on[1].id] == {1, running.id}
-    assert waits_for_graph([t1, t2, t3], owner) == {t3.id: {t1.id, t2.id},
-                                                   t1.id: {t3.id}}
+    assert waits_for_graph([t1, t2, t3]) == {t3.id: {t1.id, t2.id},
+                                            t1.id: {t3.id}}
 
 
 def test_waits_for_graph_refuses_a_self_edge_under_optimization():
@@ -362,9 +366,10 @@ def test_waits_for_graph_refuses_a_self_edge_under_optimization():
         obj.admit(push)
         obj.complete(push, obj.execute(push))
         obj.admit(pop)
+        push.txn = 2     # lie: the blocker claims its waiter's transaction
         waiter = TransactionRecord(2, "T2", blocked_on=(obj, pop))
         try:
-            waits_for_graph([waiter], {push.id: 2, pop.id: 2})
+            waits_for_graph([waiter])
         except ManagerInvariantError as exc:
             print("rejected:", exc)
         """)
@@ -488,7 +493,7 @@ def test_rooted_search_finds_the_whole_graph_cycle(monkeypatch):
 
     def compared(adj):
         mgr, before = resolving[-1]
-        whole = mgr.waits_for_edges()
+        whole = waits_for_graph(mgr.txns.values())
         nodes = set(adj).union(*adj.values())
         for t, waits in adj.items():
             # the current graph induced on the searched nodes: no stale node
@@ -507,7 +512,7 @@ def test_rooted_search_finds_the_whole_graph_cycle(monkeypatch):
         finally:
             resolving.pop()
         # what the rooted search relies on: resolution leaves no cycle
-        assert find_cycle(mgr.waits_for_edges()) is None
+        assert find_cycle(waits_for_graph(mgr.txns.values())) is None
 
     monkeypatch.setattr(manager, "find_cycle", compared)
     monkeypatch.setattr(TransactionManager, "_resolve_deadlocks", resolved)

@@ -54,7 +54,7 @@ def test_plain_admit_execute_complete_finish():
     assert inv.lifecycle is Lifecycle.EXECUTED and inv.outs == (OK,)
     obj.finish(inv)
     assert inv.lifecycle is Lifecycle.FINISHED
-    assert not obj.blocked and not obj.in_execution and not obj.executed
+    assert not obj.live and obj.running == 0
 
 
 def test_execute_twice_trips_the_counter():
@@ -82,7 +82,7 @@ def test_entry_sections_check_the_lifecycle():
         obj.finish(inv)
     obj.complete(inv, obj.execute(inv))
     obj.finish(inv)
-    assert not obj.executed and inv.lifecycle is Lifecycle.FINISHED
+    assert not obj.live and inv.lifecycle is Lifecycle.FINISHED
 
 
 def test_conflict_blocks_until_finish():
@@ -133,7 +133,7 @@ def test_deduction_from_an_executed_result():
     assert pop.origin is Origin.DEDUCED
     assert pop.outs == (UNIT, report("EmptyStack"))
     assert pop.executions == 0
-    assert pop.id in obj.executed
+    assert obj.live[pop.id] is pop and pop.lifecycle is Lifecycle.EXECUTED
 
 
 def test_deduction_reads_own_transactions_results_too():
@@ -190,9 +190,10 @@ def test_commuting_ops_overlap_in_execution():
     e1, e2 = ids.inv(1, "EMPTY"), ids.inv(2, "EMPTY")
     obj.admit(e1)
     obj.admit(e2)
-    assert len(obj.in_execution) == 2 and obj.max_in_execution == 2
+    assert obj.running == 2 and obj.max_in_execution == 2
     obj.complete(e2, obj.execute(e2))
     obj.complete(e1, obj.execute(e1))
+    assert obj.running == 0 and obj.max_in_execution == 2
 
 
 def test_apply_inverse_bypasses_admission():
@@ -240,8 +241,16 @@ def test_invariant_checker_notices_tampering():
     obj, ids = make_object(), Ids()
     inv = ids.inv(1, "PUSH", item("a"))
     obj.admit(inv)
-    inv.lifecycle = Lifecycle.EXECUTED      # lie: still filed under in_execution
+    inv.lifecycle = Lifecycle.EXECUTED      # lie: executed, yet it has no outs
+    with pytest.raises(MonitorInvariantError, match="outs or execution count"):
+        obj._check()
+    inv.lifecycle = Lifecycle.FINISHED      # lie: finished, yet still live
     with pytest.raises(MonitorInvariantError, match="misfiled"):
+        obj._check()
+    inv.lifecycle = Lifecycle.IN_EXECUTION
+    obj._check()
+    obj.running = 0                         # lie: nothing in execution
+    with pytest.raises(MonitorInvariantError, match="1 in execution"):
         obj._check()
 
 
@@ -289,13 +298,15 @@ def test_invariant_checker_notices_tampering_under_optimization():
         obj, ids = make_object(), Ids()
         inv = ids.inv(1, "PUSH", item("a"))
         obj.admit(inv)
-        inv.lifecycle = Lifecycle.EXECUTED
-        try:
-            obj._check()
-        except MonitorInvariantError as exc:
-            print("rejected:", exc)
+        for lie in (Lifecycle.EXECUTED, Lifecycle.FINISHED):
+            inv.lifecycle = lie
+            try:
+                obj._check()
+            except MonitorInvariantError as exc:
+                print("rejected:", exc)
         """)
-    assert "rejected:" in out and "misfiled" in out
+    assert out.count("rejected:") == 2
+    assert "outs or execution count" in out and "misfiled" in out
 
 
 def test_double_execution_is_refused_under_optimization():

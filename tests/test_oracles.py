@@ -3,6 +3,7 @@ doctored ones. Every rejection test here is a seam a regression could hide
 in if the oracle went soft."""
 
 import dataclasses
+import hashlib
 import os
 import random
 import subprocess
@@ -17,7 +18,7 @@ from adtxn import oracles
 from adtxn.adts import get_adt
 from adtxn.core import FrameworkError
 from adtxn.fuzz import derive_seed, flip_random_abort, generate_workload
-from adtxn.history import History
+from adtxn.history import History, render_trace
 from adtxn.manager import Observation, TxnStatus
 from adtxn.monitor import AdmitOutcome, ManagedObject
 from adtxn.oracles import (
@@ -236,7 +237,7 @@ def test_replay_rejects_a_forged_victim():
 
 
 def test_replay_rejects_a_reused_invocation_id():
-    # the waits-for graph reads owners by invocation id, so an id names one
+    # the monitors key their live ops by invocation id, so an id names one
     # invocation for the whole history
     res = run_simulated(parse_workload(CONTENTIOUS))
 
@@ -245,7 +246,21 @@ def test_replay_rejects_a_reused_invocation_id():
         ev[second] = dataclasses.replace(ev[second], inv_id=ev[first].inv_id)
         return ev
 
-    with pytest.raises(HistoryReplayError, match="invocation id reused"):
+    with pytest.raises(HistoryReplayError, match="invocation id 1 does not follow 1"):
+        replay_history(res.workload, doctored(res.history, forge))
+
+
+def test_replay_rejects_an_invocation_id_below_the_last():
+    # renumber T1's push, everywhere it appears, above T2's pop: the trace is
+    # consistent but for arrival order, which the monitors' forward edges need
+    res = run_simulated(parse_workload(CONTENTIOUS))
+    first = next(e for e in res.history if e.kind == hist.INVOKE).inv_id
+
+    def forge(ev):
+        return [dataclasses.replace(e, inv_id=99) if e.inv_id == first else e
+                for e in ev]
+
+    with pytest.raises(HistoryReplayError, match="invocation id 2 does not follow 99"):
         replay_history(res.workload, doctored(res.history, forge))
 
 
@@ -299,10 +314,9 @@ def _sets_instance(rng, txns=50, sets=3):
 
 
 def _bookkeeping(obj):
-    pools = tuple({i: (inv.lifecycle, inv.outs, inv.executions)
-                   for i, inv in pool.items()}
-                  for pool in (obj.blocked, obj.in_execution, obj.executed))
-    return (pools, {b: set(w) for b, w in obj.blocks.items()},
+    live = {i: (inv.lifecycle, inv.outs, inv.executions)
+            for i, inv in obj.live.items()}
+    return (live, obj.running, {b: set(w) for b, w in obj.blocks.items()},
             {w: set(b) for w, b in obj.blocked_by.items()})
 
 
@@ -320,12 +334,28 @@ def _mixed_workloads():
     return workloads
 
 
-def test_replay_leaves_every_monitor_as_it_was_last_checked(monkeypatch):
+@pytest.fixture(scope="module")
+def mixed_results():
+    return [run_simulated(w) for w in _mixed_workloads()]
+
+
+# sha256 over each run's trace bytes, then its rendered metrics, in
+# `_mixed_workloads()` order; any changed admission, wake or victim moves it
+MIXED_DIGEST = "9bdaed6657d2343765c1919bf2d1595436b5a40c0a0cc597b874f019ea404e10"
+
+
+def test_mixed_workloads_keep_their_golden_digest(mixed_results):
+    digest = hashlib.sha256()
+    for res in mixed_results:
+        digest.update(render_trace(res.history).encode())
+        digest.update(res.metrics.render().encode())
+    assert digest.hexdigest() == MIXED_DIGEST
+
+
+def test_replay_leaves_every_monitor_as_it_was_last_checked(monkeypatch, mixed_results):
     # The replay runs no invariant sweep of its own: it relies on each strict
     # entry section ending with _check and on nothing else changing a
     # monitor's bookkeeping. Require that after every event.
-    results = [run_simulated(w) for w in _mixed_workloads()]
-
     empty = _bookkeeping(ManagedObject("x", 0, get_adt("set"), frozenset()))
     checked = {}
     events = 0
@@ -346,7 +376,7 @@ def test_replay_leaves_every_monitor_as_it_was_last_checked(monkeypatch):
 
     monkeypatch.setattr(ManagedObject, "_check", recorded)
     monkeypatch.setattr(oracles._Replayer, "_step", compared)
-    for res in results:
+    for res in mixed_results:
         assert replay_history(res.workload, res.history) == res.final_states
     assert events > 10_000 and len(checked) > 700
 
