@@ -6,8 +6,10 @@
     adtxn fuzz [--adts LIST] [--txns K] [--ops M] [--runs N] [--seed S]
 
 Exit codes: 0 everything passed, 1 an oracle or table check failed,
-2 the input was unusable: an unreadable workload, an unknown type, or a
-flag below the floor its subcommand sets.
+2 the input was unusable: an unreadable workload, an unknown type, a
+flag below the floor its subcommand sets, or a run the serializability
+check cannot afford (its commit order failed, and more than 8 txns
+committed).
 """
 
 from __future__ import annotations

@@ -2,10 +2,15 @@
 
 These deliberately share no cleverness with the machinery they judge:
 
-* the serializability check replays committed transactions one at a time, in
-  every possible order, through the pure reference semantics, and demands
-  some order reproduce both the final states and every public answer each
-  committed transaction actually saw;
+* the serializability check replays committed transactions one at a time,
+  through the pure reference semantics, and demands some serial order
+  reproduce both the final states and every public answer each committed
+  transaction actually saw. It tries the order of the COMMIT events first:
+  strict two-phase locking promises that order is a witness, so one replay
+  settles a passing run at any size. The order is only a candidate: the
+  replay judges it like any other. Only when it fails does the check
+  search every other order, and that search is capped at
+  `MAX_PERMUTED_TXNS`;
 * the abort transparency check is the same demand on a run that aborted
   transactions: the survivors must tell a serial story in which the aborted
   ones never existed;
@@ -41,8 +46,9 @@ shared order would still show in the serial-replay checks, which share
 nothing with the engine: an inverse out of order, or an op released before
 its inverse lands, leaves states or answers no serial order explains.
 
-Factorial and exponential costs are embraced: inputs are kept small enough
-that exhaustiveness is affordable, which is the point.
+Factorial and exponential costs are embraced where a search is left: the
+fallback after a failed commit order is exhaustive, so it runs only on
+inputs small enough to afford that, which is the point.
 """
 
 from __future__ import annotations
@@ -65,7 +71,8 @@ MAX_PERMUTED_TXNS = 8
 
 
 class SerializabilityBudgetError(FrameworkError):
-    """More committed transactions than the factorial search can afford."""
+    """The commit order failed, and more transactions committed than the
+    factorial fallback search can afford."""
 
 
 @dataclass(frozen=True)
@@ -102,25 +109,46 @@ def replay_serial(workload: Workload, order) -> tuple[dict, dict]:
     return states, observations
 
 
+def _explains(result: RunResult, order, committed) -> bool:
+    states, observations = replay_serial(result.workload, order)
+    return states == result.final_states and all(
+        observations.get(t.name, []) == result.observations[t.name]
+        for t in committed)
+
+
 def check_serializable(result: RunResult) -> Verdict:
     """Is there a serial order of the committed transactions that explains
-    the run's final states and every committed transaction's answers?"""
+    the run's final states and every committed transaction's answers?
+
+    The order of the COMMIT events is tried first and is the witness when
+    it explains the run. Otherwise every other order is searched, up to
+    `MAX_PERMUTED_TXNS` committed txns; a witness found there still passes,
+    and its detail reports that the commit order failed."""
     committed = [t for t in result.workload.txns
                  if result.statuses[t.name] is TxnStatus.COMMITTED]
+    by_name = {t.name: t for t in committed}
+    commit_events = [e.txn for e in result.history if e.kind == hist.COMMIT]
+    tried = None
+    if sorted(commit_events) == sorted(by_name):
+        tried = tuple(by_name[name] for name in commit_events)
+        if _explains(result, tried, committed):
+            return Verdict(True, "serializable in commit order",
+                           tuple(commit_events))
+        failure = f"commit order {commit_events} is no witness"
+    else:
+        failure = (f"COMMIT events {commit_events} do not name each committed "
+                   f"txn {sorted(by_name)} once")
     if len(committed) > MAX_PERMUTED_TXNS:
         raise SerializabilityBudgetError(
-            f"{len(committed)} committed txns is past the factorial budget "
-            f"of {MAX_PERMUTED_TXNS}")
+            f"{failure}, and {len(committed)} committed txns is past the "
+            f"factorial budget of {MAX_PERMUTED_TXNS}")
     for order in permutations(committed):
-        states, observations = replay_serial(result.workload, order)
-        if states != result.final_states:
-            continue
-        if all(observations.get(t.name, []) == result.observations[t.name]
-               for t in committed):
-            return Verdict(True, "serializable",
-                           tuple(t.name for t in order))
+        if order != tried and _explains(result, order, committed):
+            witness = tuple(t.name for t in order)
+            return Verdict(True, f"serializable, but {failure}; "
+                                 f"witness {list(witness)}", witness)
     return Verdict(False,
-                   f"no serial order of {[t.name for t in committed]} "
+                   f"{failure}, and no serial order of {list(by_name)} "
                    f"explains final states {result.rendered_states()} "
                    f"and the committed observations")
 
@@ -367,9 +395,9 @@ def validate_run(result: RunResult) -> Verdict:
 def check_run(result: RunResult) -> tuple[str | None, Verdict]:
     """(first failing stage, its verdict), or (None, the serializability
     verdict) if all pass. Stages: replay, where a raise is a failure, then
-    serializability. Abort transparency is the serializability search on
+    serializability. Abort transparency is the serializability check on
     the same result, so a run that passed it is transparent too, and the
-    search runs once whether or not anything aborted."""
+    check runs once whether or not anything aborted."""
     try:
         verdict = validate_run(result)
     except AssertionError as exc:

@@ -18,15 +18,16 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from itertools import permutations
 
 from adtxn.adts import get_adt
 from adtxn.cli import main
 from adtxn.fuzz import derive_seed, flip_random_abort, generate_workload
-from adtxn.history import BLOCK, DEDUCE, EXEC, INVERSE, INVOKE, NULLOP, \
-    WITHDRAW, check_metric_identities
+from adtxn.history import BLOCK, COMMIT, DEDUCE, EXEC, INVERSE, INVOKE, \
+    NULLOP, WITHDRAW, check_metric_identities
 from adtxn.manager import TxnStatus
 from adtxn.oracles import check_abort_transparency, check_serializable, \
-    replay_history
+    replay_history, replay_serial
 from adtxn.simulate import run_simulated
 from adtxn.validate import validate_adt
 from adtxn.workload import parse_workload, render_workload
@@ -118,6 +119,39 @@ def test_criterion_03_thousand_aborting_workloads_transparent():
     elapsed = build_secs + (time.monotonic() - t0)
     assert not failures, "\n".join(failures[:5])
     assert elapsed < TRANSPARENCY_BUDGET_SECS, f"{elapsed:.1f}s for {CORPUS_RUNS} runs"
+
+
+# --- criteria 2 and 3 against the exhaustive search ---
+
+EXHAUSTIVE_MAX_TXNS = 6
+
+
+def exhaustively_serializable(result):
+    """The reference for the oracle's commit-order shortcut: replay every
+    order of the committed txns until one explains the run."""
+    committed = [t for t in result.workload.txns
+                 if result.statuses[t.name] is TxnStatus.COMMITTED]
+    for order in permutations(committed):
+        states, observations = replay_serial(result.workload, order)
+        if states == result.final_states and all(
+                observations.get(t.name, []) == result.observations[t.name]
+                for t in committed):
+            return True
+    return False
+
+
+def test_commit_order_witness_agrees_with_the_exhaustive_search():
+    searched = 0
+    for mode in ("commit", "abort"):
+        for i, (workload, result) in enumerate(corpus(mode)[0]):
+            verdict = check_serializable(result)
+            commits = tuple(e.txn for e in result.history if e.kind == COMMIT)
+            assert verdict.witness == commits, f"{mode} run {i}: {verdict.detail}"
+            if len(commits) <= EXHAUSTIVE_MAX_TXNS:
+                assert exhaustively_serializable(result) == verdict.ok, \
+                    f"{mode} run {i}"
+                searched += 1
+    assert searched == 2 * CORPUS_RUNS
 
 
 # --- criterion 4: exactly-once execution, straight off the traces ---

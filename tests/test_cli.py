@@ -7,6 +7,7 @@ import pytest
 from adtxn import cli
 from adtxn.cli import main
 from adtxn.history import History
+from adtxn.values import report
 
 DEDUCTION = """\
 object s stack ()
@@ -109,13 +110,34 @@ def test_check_covers_transparency_for_aborting_workloads(wl, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_check_past_the_serializability_budget_is_an_input_error(wl, capsys):
-    txns = "".join(f"txn T{i}\n  op s{i} PUSH a\nend commit\n" for i in range(1, 10))
-    objects = "".join(f"object s{i} stack ()\n" for i in range(1, 10))
-    text = objects + txns + "schedule seed 1 steps 100\n"
-    assert main(["check", wl(text), "--runs", "1"]) == 2
-    assert "error: 9 committed txns is past the factorial budget" in \
-        capsys.readouterr().err
+NINE_STACKS = "".join(f"object s{i} stack ()\n" for i in range(1, 10)) + \
+    "".join(f"txn T{i}\n  op s{i} PUSH a\nend commit\n" for i in range(1, 10)) + \
+    "schedule seed 1 steps 100\n"
+
+
+def test_check_past_the_serializability_budget_passes_in_commit_order(wl, capsys):
+    assert main(["check", wl(NINE_STACKS), "--runs", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS seed=1 serial_order=T2,T9,T5,T3,T1,T8,T6,T7,T4" in out
+
+
+def test_check_past_the_serializability_budget_is_an_input_error(wl, capsys, monkeypatch):
+    run = cli.run_simulated
+
+    def tampered(workload, seed=None):
+        # T1 saw an answer no serial order gives, which the replay does not
+        # judge, so the commit order fails and the search is past its budget
+        result = run(workload, seed=seed)
+        t1 = result.observations["T1"][0]
+        lie = dataclasses.replace(t1, outs=(report("Tampered"),))
+        return dataclasses.replace(
+            result, observations={**result.observations, "T1": [lie]})
+
+    monkeypatch.setattr(cli, "run_simulated", tampered)
+    assert main(["check", wl(NINE_STACKS), "--runs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "error: commit order ['T2', 'T9', " in err
+    assert "is no witness, and 9 committed txns is past the factorial budget" in err
 
 
 def test_check_reports_replay_drift_as_a_failed_stage(wl, capsys, monkeypatch):

@@ -254,6 +254,25 @@ def test_invariant_checker_notices_tampering():
         obj._check()
 
 
+def test_woken_op_is_re_tested_against_the_ops_in_execution():
+    # The engine never wakes an op into a conflict, so plant one: a push in
+    # execution that no admission saw. Releasing the popper's last blocker
+    # must trip the re-test of the woken op against the running ops.
+    obj, ids = make_object(), Ids()
+    pusher = ids.inv(1, "PUSH", item("a"))
+    obj.admit(pusher)
+    popper = ids.inv(2, "POP")
+    assert obj.admit(popper) is AdmitOutcome.BLOCKED
+    assert obj.complete(pusher, obj.execute(pusher)) == []
+    planted = ids.inv(3, "PUSH", item("b"))
+    planted.lifecycle = Lifecycle.IN_EXECUTION
+    obj.live[planted.id] = planted
+    obj.running += 1
+    with pytest.raises(MonitorInvariantError,
+                       match=r"admitted against conflicting (?!executed)"):
+        obj.finish(pusher)
+
+
 def test_scoped_check_reads_an_edge_from_both_sides():
     obj, ids = make_object(), Ids()
     pusher = ids.inv(1, "PUSH", item("a"))

@@ -101,6 +101,26 @@ def test_check_serializable_rejects_a_wrong_observation():
     assert not check_serializable(res).ok
 
 
+def commit_order(result):
+    return tuple(e.txn for e in result.history if e.kind == hist.COMMIT)
+
+
+def test_a_failed_commit_order_is_reported_when_another_order_passes():
+    res = run_simulated(parse_workload(CONTENTIOUS))
+    assert commit_order(res) == ("T1", "T2")
+
+    def swap(ev):
+        names = iter(reversed(commit_order(res)))
+        return [dataclasses.replace(e, txn=next(names))
+                if e.kind == hist.COMMIT else e for e in ev]
+
+    res = dataclasses.replace(res, history=doctored(res.history, swap))
+    verdict = check_serializable(res)
+    assert verdict.ok and verdict.witness == ("T1", "T2")
+    assert "commit order ['T2', 'T1'] is no witness" in verdict.detail
+    assert "witness ['T1', 'T2']" in verdict.detail
+
+
 def test_transparency_accepts_a_real_rollback():
     res = run_simulated(parse_workload(DEADLOCK))
     assert res.statuses["T2"] is TxnStatus.ABORTED
@@ -121,6 +141,9 @@ def test_transparency_rejects_visible_residue():
     res.final_states["s"] = ("a",)
     verdict = check_abort_transparency(res)
     assert not verdict.ok and "residue" in verdict.detail
+    # the history still commits T1, so the search ran in place of the
+    # commit order
+    assert "do not name each committed txn ['T2'] once" in verdict.detail
 
 
 # --------------------------------------------------------- history replay
@@ -350,6 +373,27 @@ def test_mixed_workloads_keep_their_golden_digest(mixed_results):
         digest.update(render_trace(res.history).encode())
         digest.update(res.metrics.render().encode())
     assert digest.hexdigest() == MIXED_DIGEST
+
+
+def test_mixed_workloads_are_serializable_in_commit_order(mixed_results):
+    past_budget = 0
+    for res in mixed_results:
+        verdict = check_serializable(res)
+        assert verdict.ok and verdict.witness == commit_order(res), verdict.detail
+        past_budget += len(verdict.witness) > oracles.MAX_PERMUTED_TXNS
+    # the three 50-txn set instances, which the cap used to refuse
+    assert past_budget == 3
+
+
+def test_past_the_budget_only_a_failed_commit_order_is_refused(mixed_results):
+    res = next(r for r in mixed_results
+               if len(commit_order(r)) > oracles.MAX_PERMUTED_TXNS)
+    name = next(iter(res.final_states))
+    res = dataclasses.replace(res, final_states={**res.final_states, name: "tampered"})
+    with pytest.raises(oracles.SerializabilityBudgetError,
+                       match=r"commit order \[.*\] is no witness, and \d+ "
+                             r"committed txns is past the factorial budget of 8"):
+        check_serializable(res)
 
 
 def test_replay_leaves_every_monitor_as_it_was_last_checked(monkeypatch, mixed_results):
