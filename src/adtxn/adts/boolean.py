@@ -10,7 +10,7 @@ out-param.
 from __future__ import annotations
 
 from ..core import AdtSpec, InverseRule, OpSig, PrivateCall, PublicCall, TranslationRule
-from ..tables import CommutTables, InCommutEntry, OutCommutEntry
+from ..tables import ALWAYS, CommutTables, InCommutEntry, OutCommutEntry
 from ..values import FALSE, TRUE, Tag, boolean
 
 
@@ -90,8 +90,8 @@ _INVERSES = (
 )
 
 _IN_ENTRIES = (
-    InCommutEntry("NOT", "NOT", when=lambda a, b: True),
-    InCommutEntry("READ", "READ", when=lambda a, b: True),
+    InCommutEntry("NOT", "NOT", when=ALWAYS),
+    InCommutEntry("READ", "READ", when=ALWAYS),
 )
 
 _OUT_ENTRIES = (

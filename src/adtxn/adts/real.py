@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 
 from ..core import AdtSpec, InverseRule, OpSig, PrivateCall, PublicCall, TranslationRule
-from ..tables import CommutTables, InCommutEntry, OutCommutEntry
+from ..tables import ALWAYS, CommutTables, InCommutEntry, OutCommutEntry
 from ..core import PreconditionViolated
 from ..values import Tag, rational
 
@@ -160,20 +160,16 @@ _INVERSES = (
 )
 
 
-def _always(a, b):
-    return True
-
-
 # Additions commute with additions and multiplications with multiplications,
 # unconditionally and exactly; nothing commutes across the two families.
 _IN_ENTRIES = (
-    InCommutEntry("ADD", "ADD", when=_always),
-    InCommutEntry("ADD", "SUB", when=_always),
-    InCommutEntry("SUB", "SUB", when=_always),
-    InCommutEntry("MULTIPLY", "MULTIPLY", when=_always),
-    InCommutEntry("MULTIPLY", "DIVIDE", when=_always),
-    InCommutEntry("DIVIDE", "DIVIDE", when=_always),
-    InCommutEntry("READ", "READ", when=_always),
+    InCommutEntry("ADD", "ADD", when=ALWAYS),
+    InCommutEntry("ADD", "SUB", when=ALWAYS),
+    InCommutEntry("SUB", "SUB", when=ALWAYS),
+    InCommutEntry("MULTIPLY", "MULTIPLY", when=ALWAYS),
+    InCommutEntry("MULTIPLY", "DIVIDE", when=ALWAYS),
+    InCommutEntry("DIVIDE", "DIVIDE", when=ALWAYS),
+    InCommutEntry("READ", "READ", when=ALWAYS),
 )
 
 _OUT_ENTRIES = (

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from ..core import AdtSpec, InverseRule, OpSig, PrivateCall, PublicCall, TranslationRule
-from ..tables import CommutTables, InCommutEntry, OutCommutEntry
+from ..tables import ALWAYS, CommutTables, InCommutEntry, OutCommutEntry
 from ..values import FALSE, TRUE, Tag, boolean, is_item_token, item, rational, report
 
 OK = report("Ok")
@@ -101,19 +101,15 @@ def _distinct(a, b):
     return a[0] != b[0]
 
 
-def _always(a, b):
-    return True
-
-
 _IN_ENTRIES = (
     InCommutEntry("INSERT", "INSERT", when=_distinct),
     InCommutEntry("INSERT", "DELETE", when=_distinct),
     InCommutEntry("INSERT", "IN", when=_distinct),
     InCommutEntry("DELETE", "DELETE", when=_distinct),
     InCommutEntry("DELETE", "IN", when=_distinct),
-    InCommutEntry("IN", "IN", when=_always),
-    InCommutEntry("IN", "CARD", when=_always),
-    InCommutEntry("CARD", "CARD", when=_always),
+    InCommutEntry("IN", "IN", when=ALWAYS),
+    InCommutEntry("IN", "CARD", when=ALWAYS),
+    InCommutEntry("CARD", "CARD", when=ALWAYS),
 )
 
 
@@ -149,6 +145,13 @@ _OUT_ENTRIES = (
                    deduce=lambda ei, eo, ii: (eo[0],)),
 )
 
+
+def _conflict_key(op, ins):
+    # every table entry between two membership ops on distinct items says
+    # they commute, and none deduces across items; CARD reads them all
+    return None if op == "CARD" else ins[0].payload
+
+
 _ITEM_SIG = OpSig((Tag.ITEM,), (Tag.REPORT,))
 
 SET = AdtSpec(
@@ -175,4 +178,5 @@ SET = AdtSpec(
     enumerate_states=_enumerate_states,
     probe_calls=_probe_calls,
     probe_public_calls=_probe_public_calls,
+    conflict_key=_conflict_key,
 )

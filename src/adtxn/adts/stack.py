@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import product
 
 from ..core import AdtSpec, InverseRule, OpSig, PrivateCall, PublicCall, TranslationRule
-from ..tables import CommutTables, InCommutEntry, OutCommutEntry
+from ..tables import ALWAYS, CommutTables, InCommutEntry, OutCommutEntry
 from ..values import Tag, UNIT, Value, boolean, is_item_token, item, render, report, seq
 
 OK = report("Ok")
@@ -108,7 +108,7 @@ _INVERSES = (
 # reports either way); emptiness tests never interfere with each other.
 _IN_ENTRIES = (
     InCommutEntry("PUSH", "PUSH", when=lambda a, b: a[0] == b[0]),
-    InCommutEntry("EMPTY", "EMPTY", when=lambda a, b: True),
+    InCommutEntry("EMPTY", "EMPTY", when=ALWAYS),
 )
 
 _TRUE = boolean(True)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .values import Tag, Value, render_params
 
@@ -96,9 +96,11 @@ class PrivateInvocation:
 
     The only mutable record in the package. lifecycle, outs and the execution
     counter are each written once, always inside the owning monitor's entry
-    sections; everything else is fixed at creation. ids are assigned in
-    monitor arrival order and are global across objects, which makes the
-    blocking relation acyclic by construction (later ids wait on earlier).
+    sections, as is `key`, the conflict key its type gives the op (None if
+    none), at admission; everything else is fixed at creation. ids are
+    assigned in monitor arrival order and are global across objects, which
+    makes the blocking relation acyclic by construction (later ids wait on
+    earlier).
     """
     id: int
     txn: int
@@ -109,6 +111,7 @@ class PrivateInvocation:
     origin: Origin = Origin.EXECUTED
     lifecycle: Lifecycle = Lifecycle.NEW
     executions: int = 0
+    key: Hashable | None = None
 
     def __repr__(self):
         outs = render_params(self.outs) if self.outs is not None else "?"
@@ -184,6 +187,13 @@ class AdtSpec:
     through it, so there is exactly one definition of what an op does.
     `enumerate_states` and `probe_calls` bound the domains the brute-force
     validator sweeps.
+
+    `conflict_key(op, ins)`, if declared, names what a private call touches:
+    two calls with distinct keys, neither None, commute whatever the state
+    and their results, and neither can deduce the other's answer. The
+    monitor then tests an incoming op only against live ops under its own
+    key and the unkeyed ones; `validate.check_keys` sweeps the claim. A
+    None key means the call may conflict with anything.
     """
     name: str
     public_ops: dict[str, OpSig]
@@ -198,6 +208,7 @@ class AdtSpec:
     enumerate_states: Callable[[int], Iterable[Any]]
     probe_calls: Callable[[int], Sequence[PrivateCall]]
     probe_public_calls: Callable[[int], Sequence[PublicCall]]
+    conflict_key: Callable[[str, tuple[Value, ...]], Hashable | None] | None = None
 
 
 def _check_ins(spec: AdtSpec, op: str, ins: tuple[Value, ...], table: dict[str, OpSig]):

@@ -25,6 +25,29 @@ Each object holds its admitted, unfinished ops in one map, `live`, from
 recorded nowhere else. `running` counts the ops in execution for the
 `max_in_execution` metric; only `_enter_execution` and `complete` move it.
 
+Admission is keyed. For a data type that gives its calls conflict keys (a
+set op's item), `live` is also filed by key: an op with a key sits in
+`by_key[key]`, one without (a set's CARD) in `unkeyed`, and `admit` stores
+the key on the op as `inv.key`. An incoming op with a key is tested only
+against its key's ops and the unkeyed ones; one without a key, like every
+op of a type without keys, against all of `live`. Either way an op whose op
+pairs with the incoming one through the shared `ALWAYS` in-entry is passed
+over without a query. Skipping these is exact, not a heuristic:
+
+  * two ops under distinct keys commute in both tables, for every result
+    (the data type's key claim);
+  * an `ALWAYS` pair commutes by the in-table, and the out-query falls
+    back to the in-table, so both queries answer yes without reading any
+    parameter.
+
+So every skipped query would have answered "commutes". The key claim is a
+claim about the tables, proved by `verify-tables` (`validate.check_keys`)
+for every probe pair with distinct keys in every bounded state, and
+re-tested at run time by `_admission_safety`, which still scans all of
+`live`. Deduction does not rely on it: `try_deduce` reads `live` as
+before, only lazily, and stops at the first executed op that cannot pin
+the answer.
+
 In strict mode a section checks what it changed, not the whole object. The
 invariant is a conjunction of predicates on one op each (live exactly while
 blocked, in execution or executed, with the outs and execution count its
@@ -45,7 +68,9 @@ over exactly those shows it holds after:
   * `withdraw` passes the op, its former waiters and its blockers.
 
 The whole-object `_check()` also compares `running` with the ops in
-execution, a count over the object that no scoped check can see.
+execution and checks that every live op is filed exactly once, under the
+key its type gives it, and nothing else is: facts over the object that no
+scoped check can see. A scoped check verifies the filing of its own op.
 
 A direct admission needs no separate safety check: admit's empty conflict
 set was computed over the same live ops with the same queries, and is the
@@ -77,7 +102,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Iterable
+from typing import Hashable, Iterable
 
 from .core import (AdtSpec, Lifecycle, Origin, PrivateCall, PrivateInvocation,
                    check_outs)
@@ -114,6 +139,10 @@ class ManagedObject:
     state: object
     strict: bool = True
     live: dict[int, PrivateInvocation] = field(default_factory=dict)
+    # for a type with conflict keys, the live ops again, by key or, with
+    # none, in `unkeyed`; a key is dropped when its last op goes
+    by_key: dict[Hashable, dict[int, PrivateInvocation]] = field(default_factory=dict)
+    unkeyed: dict[int, PrivateInvocation] = field(default_factory=dict)
     blocks: dict[int, set[int]] = field(default_factory=dict)
     blocked_by: dict[int, set[int]] = field(default_factory=dict)
     running: int = 0
@@ -124,38 +153,66 @@ class ManagedObject:
     def admit(self, inv: PrivateInvocation) -> AdmitOutcome:
         if inv.lifecycle is not Lifecycle.NEW or inv.obj != self.name:
             raise MonitorInvariantError(f"{self.name}: cannot admit {inv!r}")
-        live = self.live.values()
-        executed = [other for other in live if other.lifecycle is _EXECUTED]
-        pending = [other for other in live if other.lifecycle is not _EXECUTED]
-        deduced = try_deduce(self.spec.tables, inv, executed, pending)
+        conflict_key = self.spec.conflict_key
+        if conflict_key is not None:
+            inv.key = conflict_key(inv.op, inv.ins)
+        deduced, conflicts = self._screen(inv) if self.live else (None, None)
         self.live[inv.id] = inv
+        if conflict_key is not None:
+            self._file(inv)
         if deduced is not None:
             check_outs(self.spec, inv.op, deduced)
             inv.outs = deduced
             inv.origin = Origin.DEDUCED
             inv.lifecycle = Lifecycle.EXECUTED
-            self._check(inv.id)
+            self._check(inv)
             return AdmitOutcome.DEDUCED
-        conflicts = set()
-        for other in pending:
-            if other.txn != inv.txn and not commute_with_in(self.spec.tables, other, inv):
-                conflicts.add(other.id)
-        for other in executed:
-            if other.txn != inv.txn and \
-                    not commute_with_in_out(self.spec.tables, other, inv):
-                conflicts.add(other.id)
         if conflicts:
             inv.lifecycle = Lifecycle.BLOCKED
             self.blocked_by[inv.id] = conflicts
             for b in conflicts:
                 self.blocks.setdefault(b, set()).add(inv.id)
-            self._check(inv.id)
+            self._check(inv)
             return AdmitOutcome.BLOCKED
         # the empty conflict set, over every live op `_admission_safety`
-        # reads, certifies this admission
+        # reads that can conflict with inv, certifies this admission
         self._enter_execution(inv)
-        self._check(inv.id)
+        self._check(inv)
         return AdmitOutcome.ADMITTED
+
+    def _screen(self, inv: PrivateInvocation) -> tuple[tuple[Value, ...] | None, set]:
+        """(deduced outs or None, conflicts) for inv, not yet filed.
+
+        `try_deduce` reads every live op, lazily: the first executed op
+        that cannot pin the answer ends the attempt. It is not asked about
+        an op that no out-entry deduces. Conflicts are read from inv's
+        key's ops and the unkeyed ones, or from every live op when inv has
+        no key, passing over ops that pair with inv's through `ALWAYS`."""
+        live, tables = self.live, self.spec.tables
+        if inv.op in tables.deducible:
+            deduced = try_deduce(
+                tables, inv,
+                (other for other in live.values() if other.lifecycle is _EXECUTED),
+                (other for other in live.values() if other.lifecycle is not _EXECUTED))
+            if deduced is not None:
+                return deduced, None
+        if inv.key is None:
+            groups = (live,)
+        else:
+            near = self.by_key.get(inv.key)
+            groups = (self.unkeyed,) if near is None else (near, self.unkeyed)
+        always, txn = tables.always.get(inv.op), inv.txn
+        conflicts = set()
+        for group in groups:
+            for other in group.values():
+                if other.txn == txn or always and other.op in always:
+                    continue
+                if other.lifecycle is _EXECUTED:
+                    if not commute_with_in_out(tables, other, inv):
+                        conflicts.add(other.id)
+                elif not commute_with_in(tables, other, inv):
+                    conflicts.add(other.id)
+        return None, conflicts
 
     # -- step (3): the only forward mutation of object state ---------------
 
@@ -194,7 +251,7 @@ class ManagedObject:
                 woken += self._shed_edge(waiter, inv.id)
         if inv.id in self.blocks and not self.blocks[inv.id]:
             del self.blocks[inv.id]
-        self._check(inv.id, waiters)
+        self._check(inv, waiters)
         return woken
 
     # -- release: transaction outcome reached -------------------------------
@@ -204,12 +261,14 @@ class ManagedObject:
         if inv.lifecycle is not Lifecycle.EXECUTED:
             raise MonitorInvariantError(f"{inv!r} finished before it executed")
         del self.live[inv.id]
+        if self.spec.conflict_key is not None:
+            self._unfile(inv)
         inv.lifecycle = Lifecycle.FINISHED
         woken = []
         waiters = sorted(self.blocks.pop(inv.id, ()))
         for wid in waiters:
             woken += self._shed_edge(self.live[wid], inv.id)
-        self._check(inv.id, waiters)
+        self._check(inv, waiters)
         return woken
 
     def withdraw(self, inv: PrivateInvocation) -> list[PrivateInvocation]:
@@ -221,6 +280,8 @@ class ManagedObject:
         if inv.lifecycle is not Lifecycle.BLOCKED:
             raise MonitorInvariantError(f"{inv!r} withdrawn but not blocked")
         del self.live[inv.id]
+        if self.spec.conflict_key is not None:
+            self._unfile(inv)
         woken = []
         waiters = sorted(self.blocks.pop(inv.id, ()))
         for wid in waiters:
@@ -232,7 +293,7 @@ class ManagedObject:
             if not self.blocks[b]:
                 del self.blocks[b]
         inv.lifecycle = Lifecycle.FINISHED
-        self._check(inv.id, chain(waiters, blockers))
+        self._check(inv, chain(waiters, blockers))
         return woken
 
     # -- undo path -----------------------------------------------------------
@@ -250,6 +311,26 @@ class ManagedObject:
         return outs
 
     # -- internals ------------------------------------------------------------
+
+    def _file(self, inv: PrivateInvocation):
+        if inv.key is None:
+            self.unkeyed[inv.id] = inv
+            return
+        group = self.by_key.get(inv.key)
+        if group is None:
+            self.by_key[inv.key] = {inv.id: inv}
+        else:
+            group[inv.id] = inv
+
+    def _unfile(self, inv: PrivateInvocation):
+        if inv.key is None:
+            del self.unkeyed[inv.id]
+            return
+        group = self.by_key[inv.key]
+        if len(group) == 1:
+            del self.by_key[inv.key]
+        else:
+            del group[inv.id]
 
     def _enter_execution(self, inv: PrivateInvocation):
         inv.lifecycle = Lifecycle.IN_EXECUTION
@@ -277,36 +358,51 @@ class ManagedObject:
 
     def _admission_safety(self, inv: PrivateInvocation):
         # Entering execution must be conflict-free right now, not just at
-        # whatever moment the edges were recorded.
+        # whatever moment the edges were recorded. Every live op is read,
+        # whatever its key: a conflict across keys is a false key claim.
+        tables, conflict_key = self.spec.tables, self.spec.conflict_key
         for other in self.live.values():
             if other.txn == inv.txn or other.lifecycle is _BLOCKED:
                 continue
-            if other.lifecycle is _EXECUTED:
-                if not commute_with_in_out(self.spec.tables, other, inv):
+            executed = other.lifecycle is _EXECUTED
+            if (commute_with_in_out(tables, other, inv) if executed
+                    else commute_with_in(tables, other, inv)):
+                continue
+            if conflict_key is not None:
+                keys = conflict_key(other.op, other.ins), conflict_key(inv.op, inv.ins)
+                if None not in keys and keys[0] != keys[1]:
                     raise MonitorInvariantError(
-                        f"{inv!r} admitted against conflicting executed {other!r}")
-            elif not commute_with_in(self.spec.tables, other, inv):
-                raise MonitorInvariantError(
-                    f"{inv!r} admitted against conflicting {other!r}")
+                        f"{inv!r} conflicts with {other!r} under another key: "
+                        f"the key claim is false")
+            raise MonitorInvariantError(
+                f"{inv!r} admitted against conflicting "
+                f"{'executed ' if executed else ''}{other!r}")
 
-    def _check(self, inv_id: int | None = None, peers: Iterable[int] = ()):
+    def _check(self, op: PrivateInvocation | None = None, peers: Iterable[int] = ()):
         """Check the bookkeeping an entry section can have changed.
 
-        Given an op, that is the stage of the op and of each peer, and the
-        edges between the op and each peer, read from both sides; a blocked
-        op's own edges are read from its side. With no op, every live op and
-        every edge. The module docstring says why the first, after every
-        section, keeps the whole invariant.
+        Given an op, that is the stage of the op and of each peer, the
+        edges between the op and each peer, read from both sides, and the
+        op's filing; a blocked op's own edges are read from its side. With
+        no op, every live op, every edge and the whole index. The module
+        docstring says why the first, after every section, keeps the whole
+        invariant.
         """
         if not self.strict:
             return
         live, blocks, blocked_by = self.live, self.blocks, self.blocked_by
-        whole = inv_id is None
+        whole = op is None
         if whole:
             ids = live
         else:
+            inv_id = op.id
             ids = chain((inv_id,), peers)
             out_edges, in_edges = blocks.get(inv_id, ()), blocked_by.get(inv_id, ())
+            if self.spec.conflict_key is not None:
+                # filed under its key, or as unkeyed, exactly while it is live
+                group = self.unkeyed if op.key is None else self.by_key.get(op.key, ())
+                if (inv_id in group) is not (inv_id in live):
+                    raise MonitorInvariantError(f"{op!r} misfiled in the index")
         waiting = running = 0
         for i in ids:
             # a live op is blocked, in execution or executed, with the outs
@@ -376,3 +472,18 @@ class ManagedObject:
         # every blocks edge is in blocked_by, so equal totals make them mirrors
         if sum(map(len, blocked_by.values())) != edges:
             raise MonitorInvariantError(f"{self.name}: blocks and blocked_by differ")
+        # each filed op is live and filed under the key its type gives it (a
+        # dict holds it at most once there), so as many filed as live means
+        # each live op is filed once; a type without keys files nothing
+        conflict_key = self.spec.conflict_key
+        filed = 0
+        for key, group in chain(self.by_key.items(), ((None, self.unkeyed),)):
+            if key is not None and not group:
+                raise MonitorInvariantError(f"{self.name}: empty key {key!r} filed")
+            for i, inv in group.items():
+                if live.get(i) is not inv or conflict_key is None or \
+                        inv.key != key or conflict_key(inv.op, inv.ins) != key:
+                    raise MonitorInvariantError(f"{inv!r} misfiled in the index")
+            filed += len(group)
+        if conflict_key is not None and filed != len(live):
+            raise MonitorInvariantError(f"{self.name}: {len(live)} live, {filed} filed")

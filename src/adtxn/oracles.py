@@ -82,15 +82,22 @@ class Verdict:
     witness: tuple[str, ...] | None = None
 
 
-def replay_serial(workload: Workload, order) -> tuple[dict, dict]:
+def _serial_start(workload: Workload) -> tuple[dict, dict]:
+    """({object: data type}, {object: initial state}): where every serial
+    replay of `workload` starts, parsed once for all of them."""
+    return ({o.name: get_adt(o.adt) for o in workload.objects},
+            {o.name: initial_state(o) for o in workload.objects})
+
+
+def replay_serial(workload: Workload, order, start=None) -> tuple[dict, dict]:
     """Run whole transactions back to back through the reference semantics.
 
     Returns ({object: final state}, {txn: [Observation]}). No monitor, no
     blocking, no undo: this is the meaning concurrent runs are measured
-    against.
+    against. `start` is `_serial_start(workload)`, when the caller has it.
     """
-    states = {o.name: initial_state(o) for o in workload.objects}
-    specs = {o.name: get_adt(o.adt) for o in workload.objects}
+    specs, states = start if start is not None else _serial_start(workload)
+    states = dict(states)
     observations: dict[str, list] = {}
     for decl in order:
         seen = observations.setdefault(decl.name, [])
@@ -109,8 +116,8 @@ def replay_serial(workload: Workload, order) -> tuple[dict, dict]:
     return states, observations
 
 
-def _explains(result: RunResult, order, committed) -> bool:
-    states, observations = replay_serial(result.workload, order)
+def _explains(result: RunResult, order, committed, start) -> bool:
+    states, observations = replay_serial(result.workload, order, start)
     return states == result.final_states and all(
         observations.get(t.name, []) == result.observations[t.name]
         for t in committed)
@@ -128,10 +135,11 @@ def check_serializable(result: RunResult) -> Verdict:
                  if result.statuses[t.name] is TxnStatus.COMMITTED]
     by_name = {t.name: t for t in committed}
     commit_events = [e.txn for e in result.history if e.kind == hist.COMMIT]
+    start = _serial_start(result.workload)
     tried = None
     if sorted(commit_events) == sorted(by_name):
         tried = tuple(by_name[name] for name in commit_events)
-        if _explains(result, tried, committed):
+        if _explains(result, tried, committed, start):
             return Verdict(True, "serializable in commit order",
                            tuple(commit_events))
         failure = f"commit order {commit_events} is no witness"
@@ -143,7 +151,7 @@ def check_serializable(result: RunResult) -> Verdict:
             f"{failure}, and {len(committed)} committed txns is past the "
             f"factorial budget of {MAX_PERMUTED_TXNS}")
     for order in permutations(committed):
-        if order != tried and _explains(result, order, committed):
+        if order != tried and _explains(result, order, committed, start):
             witness = tuple(t.name for t in order)
             return Verdict(True, f"serializable, but {failure}; "
                                  f"witness {list(witness)}", witness)

@@ -37,6 +37,16 @@ pair once, when it is built (and rebuilt with it, as by
 Both keep table order. For the in-table that only fixes which condition
 runs first, but the *first* matching out-entry decides the deduction, so
 its order is part of the answer.
+
+Two more facts are derived at the same time, for the monitor's admission:
+
+* `always[y]` holds every op x with an in-entry on x and y whose condition
+  is the shared `ALWAYS` (and `always[x]` holds y). Those ops commute
+  whatever their parameters and results, so no query between them can say
+  otherwise. The condition is recognised by identity, so only `ALWAYS`
+  itself counts;
+* `deducible` holds every incoming op of an out-entry that carries a
+  deduction: no other op can ever be deduced.
 """
 
 from __future__ import annotations
@@ -50,6 +60,13 @@ from .values import Value
 #   in-entry   when(ins_a, ins_b) -> bool
 #   out-entry  when(executed_ins, executed_outs, incoming_ins) -> bool
 #   deduce(executed_ins, executed_outs, incoming_ins) -> incoming outs
+
+
+def ALWAYS(ins_a, ins_b) -> bool:
+    """The unconditional in-entry condition: the two ops commute whatever
+    their parameters. Every such entry uses this one function, so the
+    tables can tell it apart from a condition that merely returns True."""
+    return True
 
 
 class TableSoundnessError(AssertionError):
@@ -84,6 +101,8 @@ class CommutTables:
         init=False, repr=False, compare=False)
     out_by_pair: dict[tuple[str, str], tuple[OutCommutEntry, ...]] = field(
         init=False, repr=False, compare=False)
+    always: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    deducible: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         in_by_pair: dict[tuple[str, str], list] = {}
@@ -97,6 +116,15 @@ class CommutTables:
                            {k: tuple(v) for k, v in in_by_pair.items()})
         object.__setattr__(self, "out_by_pair",
                            {k: tuple(v) for k, v in out_by_pair.items()})
+        always: dict[str, set[str]] = {}
+        for e in self.in_entries:
+            if e.when is ALWAYS:
+                always.setdefault(e.op_a, set()).add(e.op_b)
+                always.setdefault(e.op_b, set()).add(e.op_a)
+        object.__setattr__(self, "always",
+                           {k: frozenset(v) for k, v in always.items()})
+        object.__setattr__(self, "deducible", frozenset(
+            e.incoming_op for e in self.out_entries if e.deduce is not None))
 
 
 def commute_with_in(tables: CommutTables, a, b) -> bool:
@@ -138,15 +166,19 @@ def try_deduce(tables: CommutTables, incoming, executed_ops, pending_ops
 
     All executed ops must agree on the deduced value; a disagreement is a
     table soundness bug and raises `TableSoundnessError`.
+
+    Either collection may be a lazy iterable: the executed ops are read up
+    to the first that cannot pin the answer, the pending ones only after
+    every executed op has pinned it.
     """
-    if not executed_ops:
-        return None
     deduced = []
     for ex in executed_ops:
         e = _out_entry_for(tables, ex, incoming)
         if e is None or e.deduce is None:
             return None
         deduced.append(e.deduce(ex.ins, ex.outs, incoming.ins))
+    if not deduced:
+        return None
     for p in pending_ops:
         if not commute_with_in(tables, p, incoming):
             return None

@@ -15,7 +15,11 @@ the claims by executing the reference semantics:
 * out-table: same two-sided agreement under the entry's condition, plus any
   deduction must equal, pointwise, what executing would have returned;
 * containment: in-commutativity must survive the executed-op test, since
-  claims that ignore results cannot be weaker than ones that use them.
+  claims that ignore results cannot be weaker than ones that use them;
+* keys, for a type that declares `conflict_key`: two calls under distinct
+  keys must commute by the in-query and, for every result, by the
+  out-query, no deducing out-entry may match them, and both execution
+  orders must agree. The monitor skips such pairs on this claim.
 
 Costs are exponential in the bound and that is fine; bounds stay small.
 """
@@ -221,11 +225,46 @@ def check_containment(spec: AdtSpec, bound: int) -> CheckReport:
     return CheckReport("containment", cases, tuple(violations))
 
 
+def check_keys(spec: AdtSpec, bound: int) -> CheckReport:
+    violations = []
+    cases = 0
+    tables, key = spec.tables, spec.conflict_key
+    probes = spec.probe_calls(bound)
+    for p in probes:
+        for q in probes:
+            kp, kq = key(p.op, p.ins), key(q.op, q.ins)
+            if kp is None or kq is None or kp == kq:
+                continue
+            pair = f"{p!r} (key {kp!r}) vs {q!r} (key {kq!r})"
+            if not commute_with_in(tables, p, q):
+                violations.append(Violation("keys", f"{pair}: the in-query says conflict"))
+                continue
+            entries = tables.out_by_pair.get((p.op, q.op), ())
+            for s in spec.enumerate_states(bound):
+                cases += 1
+                _, p_outs = spec.apply(s, p.op, p.ins)
+                ok, detail = _both_orders_agree(spec, s, p, q)
+                if not commute_with_in_out(tables, _Ex(p.op, p.ins, p_outs), q):
+                    ok, detail = False, "the out-query says conflict"
+                elif any(e.deduce is not None and e.when(p.ins, p_outs, q.ins)
+                         for e in entries):
+                    ok, detail = False, "a deducing entry matches"
+                if not ok:
+                    violations.append(Violation(
+                        "keys", f"{pair} after {render_params(p_outs)} "
+                                f"from {_fmt(s, spec)}: {detail}"))
+                    break
+    return CheckReport("keys", cases, tuple(violations))
+
+
 def validate_adt(spec: AdtSpec, bound: int = 3) -> list[CheckReport]:
-    return [
+    reports = [
         check_translation(spec, bound),
         check_inverses(spec, bound),
         check_in_table(spec, bound),
         check_out_table(spec, bound),
         check_containment(spec, bound),
     ]
+    if spec.conflict_key is not None:
+        reports.append(check_keys(spec, bound))
+    return reports

@@ -70,7 +70,9 @@ def test_criterion_01_tables_sound_by_brute_force(capsys):
         assert rc == 0, f"verify-tables {adt} reported violations"
     elapsed = time.monotonic() - t0
     lines = [l for l in capsys.readouterr().out.splitlines() if l]
-    assert len(lines) == 5 * len(jobs)
+    # five checks per type, and the set's conflict keys
+    assert len(lines) == 5 * len(jobs) + 1
+    assert any(l.startswith("PASS set keys ") for l in lines)
     for line in lines:
         assert line.startswith("PASS "), line
         assert line.endswith("violations=0"), line

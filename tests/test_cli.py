@@ -171,9 +171,11 @@ def test_verify_tables_single_and_unknown(capsys):
 def test_verify_tables_all(capsys):
     assert main(["verify-tables", "all", "--depth", "2"]) == 0
     out = capsys.readouterr().out
-    # 4 types x 5 checks, every line a PASS with counted cases
+    # 4 types x 5 checks, plus the key check of the one type with keys,
+    # every line a PASS with counted cases
     lines = [l for l in out.splitlines() if l]
-    assert len(lines) == 20
+    assert len(lines) == 21
+    assert any(l.startswith("PASS set keys ") for l in lines)
     assert all(l.startswith("PASS") and "cases=" in l for l in lines)
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from adtxn.adts import get_adt
 from adtxn.core import Lifecycle, Origin, PrivateCall, PrivateInvocation
 from adtxn.monitor import AdmitOutcome, ManagedObject, MonitorInvariantError
 from adtxn.tables import try_deduce as tables_try_deduce
-from adtxn.values import TRUE, UNIT, item, report
+from adtxn.values import TRUE, UNIT, item, rational, report
 
 OK = report("Ok")
 
@@ -237,6 +238,33 @@ def test_admission_and_out_control_evaluate_no_deduction(monkeypatch):
     assert len(calls) == 1
 
 
+def test_keyed_admission_queries_only_what_can_conflict(monkeypatch):
+    asked = []
+    for name in ("commute_with_in", "commute_with_in_out"):
+        query = getattr(monitor, name)
+        monkeypatch.setattr(monitor, name,
+                            lambda *args, q=query, n=name: asked.append(n) or q(*args))
+    # a set: ops on other items are never queried, only the same item's
+    sets, ids = make_object("set", state=frozenset({"a"})), Ids()
+    for txn, x in enumerate("bcdefg"):
+        run_to_executed(sets, ids.inv(txn, "INSERT", item(x)))
+    assert asked == []
+    assert sets.admit(ids.inv(10, "IN", item("a"))) is AdmitOutcome.ADMITTED
+    assert asked == []
+    assert sets.admit(ids.inv(11, "DELETE", item("a"))) is AdmitOutcome.BLOCKED
+    assert asked == ["commute_with_in"]
+    # CARD has no key: it queries every live op but the IN, an ALWAYS pair
+    asked.clear()
+    assert sets.admit(ids.inv(12, "CARD")) is AdmitOutcome.BLOCKED
+    assert asked == ["commute_with_in_out"] * 6 + ["commute_with_in"]
+    # a counter: ADDs pair through ALWAYS, so none is queried
+    counter, asked[:] = make_object("real", state=Fraction(0), name="c"), []
+    for txn in range(5):
+        inv = PrivateInvocation(100 + txn, txn, "c", "ADD", (rational(Fraction(1)),))
+        assert counter.admit(inv) is AdmitOutcome.ADMITTED
+    assert asked == []
+
+
 def test_invariant_checker_notices_tampering():
     obj, ids = make_object(), Ids()
     inv = ids.inv(1, "PUSH", item("a"))
@@ -252,6 +280,39 @@ def test_invariant_checker_notices_tampering():
     obj.running = 0                         # lie: nothing in execution
     with pytest.raises(MonitorInvariantError, match="1 in execution"):
         obj._check()
+
+
+def test_invariant_checker_notices_a_broken_index():
+    obj, ids = make_object("set", state=frozenset({"a"})), Ids()
+    first = ids.inv(1, "INSERT", item("a"))
+    card = ids.inv(1, "CARD")
+    run_to_executed(obj, first)
+    run_to_executed(obj, card)
+    assert obj.by_key == {"a": {first.id: first}} and obj.unkeyed == {card.id: card}
+    obj._check()
+    obj.by_key["b"] = obj.by_key.pop("a")           # lie: filed under another key
+    for scope in ((), (first,)):
+        with pytest.raises(MonitorInvariantError, match="misfiled in the index"):
+            obj._check(*scope)
+    del obj.by_key["b"]                             # lie: live but not filed
+    for scope in ((), (first,)):
+        with pytest.raises(MonitorInvariantError, match="misfiled in the index|1 filed"):
+            obj._check(*scope)
+    obj.by_key["a"] = {first.id: first}
+    obj._check()
+    obj.finish(card)
+    assert obj.unkeyed == {}
+    obj.unkeyed[card.id] = card                     # lie: dead, still filed
+    for scope in ((), (card,)):
+        with pytest.raises(MonitorInvariantError, match="misfiled in the index"):
+            obj._check(*scope)
+    # a type without keys files nothing
+    stack, ids = make_object(), Ids()
+    inv = ids.inv(1, "PUSH", item("a"))
+    stack.admit(inv)
+    stack.unkeyed[inv.id] = inv
+    with pytest.raises(MonitorInvariantError, match="misfiled in the index"):
+        stack._check()
 
 
 def test_woken_op_is_re_tested_against_the_ops_in_execution():
@@ -273,22 +334,38 @@ def test_woken_op_is_re_tested_against_the_ops_in_execution():
         obj.finish(pusher)
 
 
+def test_woken_op_re_test_catches_a_false_key_claim():
+    # keying pushes by item is a lie (pushes of distinct items conflict), so
+    # admission skips the conflict; the full re-test of a woken op finds it
+    liar = dataclasses.replace(
+        get_adt("stack"), conflict_key=lambda op, ins: ins[0].payload if op == "PUSH" else None)
+    obj, ids = ManagedObject("s", 0, liar, ()), Ids()
+    popper = ids.inv(1, "POP")
+    obj.admit(popper)
+    first, second = ids.inv(2, "PUSH", item("a")), ids.inv(3, "PUSH", item("b"))
+    assert obj.admit(first) is obj.admit(second) is AdmitOutcome.BLOCKED
+    assert obj.blocked_by[second.id] == {popper.id}          # not first: another key
+    obj.complete(popper, obj.execute(popper))
+    with pytest.raises(MonitorInvariantError, match="under another key: the key claim is false"):
+        obj.finish(popper)
+
+
 def test_scoped_check_reads_an_edge_from_both_sides():
     obj, ids = make_object(), Ids()
     pusher = ids.inv(1, "PUSH", item("a"))
     obj.admit(pusher)
     popper = ids.inv(2, "POP")
     obj.admit(popper)
-    obj._check(pusher.id, [popper.id])
+    obj._check(pusher, [popper.id])
     obj.blocks[pusher.id].discard(popper.id)     # lie: only blocked_by keeps it
     with pytest.raises(MonitorInvariantError, match="edge 1->2 broken"):
-        obj._check(pusher.id, [popper.id])
+        obj._check(pusher, [popper.id])
     with pytest.raises(MonitorInvariantError, match="edge 1->2 broken"):
-        obj._check(popper.id)
+        obj._check(popper)
     obj.blocks[pusher.id].add(popper.id)
     obj.blocked_by[popper.id].clear()            # lie: only blocks keeps it
     with pytest.raises(MonitorInvariantError, match="2 blocked by nothing"):
-        obj._check(pusher.id, [popper.id])
+        obj._check(pusher, [popper.id])
 
 
 def run_optimized(body):
@@ -326,6 +403,26 @@ def test_invariant_checker_notices_tampering_under_optimization():
         """)
     assert out.count("rejected:") == 2
     assert "outs or execution count" in out and "misfiled" in out
+
+
+def test_index_tampering_is_noticed_under_optimization():
+    out = run_optimized("""\
+        obj, ids = make_object("set", state=frozenset({"a"})), Ids()
+        inv = ids.inv(1, "INSERT", item("a"))
+        obj.admit(inv)
+        obj.complete(inv, obj.execute(inv))
+        def check():
+            try:
+                obj._check()
+            except MonitorInvariantError as exc:
+                print("rejected:", exc)
+        obj.by_key["b"] = obj.by_key.pop("a")
+        check()
+        del obj.by_key["b"]
+        check()
+        """)
+    assert out.count("rejected:") == 2
+    assert "misfiled in the index" in out and "1 live, 0 filed" in out
 
 
 def test_double_execution_is_refused_under_optimization():

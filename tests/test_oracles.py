@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from adtxn import history as hist
 from adtxn import oracles
 from adtxn.adts import get_adt
-from adtxn.core import FrameworkError
+from adtxn.core import FrameworkError, Lifecycle
 from adtxn.fuzz import derive_seed, flip_random_abort, generate_workload
 from adtxn.history import History, render_trace
 from adtxn.manager import Observation, TxnStatus
@@ -31,7 +32,8 @@ from adtxn.oracles import (
     validate_run,
 )
 from adtxn.simulate import run_simulated
-from adtxn.values import UNIT, item, report
+from adtxn.tables import commute_with_in, commute_with_in_out, try_deduce
+from adtxn.values import UNIT, item, rational, report
 from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
                             make_step, parse_workload)
 from test_manager import _stack_instance
@@ -450,6 +452,78 @@ def test_scoped_checks_see_what_the_whole_checks_see(monkeypatch):
     assert sections > 9_000
 
 
+def _full_scan_admission(obj, inv):
+    """The reference keyed admission must match: deduction over every live
+    op, then a conflict query against every live op of another txn.
+    Returns (outcome, conflicts, deduced outs)."""
+    live = obj.live.values()
+    executed = [o for o in live if o.lifecycle is Lifecycle.EXECUTED]
+    pending = [o for o in live if o.lifecycle is not Lifecycle.EXECUTED]
+    tables = obj.spec.tables
+    deduced = try_deduce(tables, inv, executed, pending)
+    if deduced is not None:
+        return AdmitOutcome.DEDUCED, set(), deduced
+    conflicts = {o.id for o in pending
+                 if o.txn != inv.txn and not commute_with_in(tables, o, inv)}
+    conflicts |= {o.id for o in executed
+                  if o.txn != inv.txn and not commute_with_in_out(tables, o, inv)}
+    return (AdmitOutcome.BLOCKED if conflicts else AdmitOutcome.ADMITTED,
+            conflicts, None)
+
+
+def _commuting_instance(rng, txns=120, sets=4, keys=500):
+    """Four sets over `keys` items and a counter taking ADDs: nearly every
+    pair of ops commutes, most of them only because their keys differ."""
+    sets_spec, real = get_adt("set"), get_adt("real")
+    decls, total = [], 0
+    for t in range(txns):
+        steps = []
+        for _ in range(rng.randint(2, 4)):
+            r = rng.random()
+            if r < 0.2:
+                steps.append(make_step(real, "c", "ADD",
+                                       (rational(Fraction(rng.randint(-3, 5))),)))
+                continue
+            op = "IN" if r < 0.6 else "INSERT" if r < 0.85 else "DELETE"
+            steps.append(make_step(sets_spec, f"s{rng.randint(1, sets)}", op,
+                                   (item(f"k{rng.randrange(keys)}"),)))
+        total += len(steps)
+        decls.append(TxnDecl(f"T{t + 1}", tuple(steps), "commit"))
+    objects = tuple(ObjectDecl(f"s{i + 1}", "set", "{}") for i in range(sets))
+    objects += (ObjectDecl("c", "real", "0"),)
+    return Workload(objects, tuple(decls),
+                    RandomSchedule(rng.randrange(2 ** 31), 20 * total + 20))
+
+
+def test_keyed_admission_matches_a_full_scan(monkeypatch, capsys):
+    # Keyed admission queries no op under another key and no ALWAYS pair,
+    # and try_deduce reads the live ops lazily. Each must be exact: the
+    # same outcome, conflict set and deduced outs as a query of every live
+    # op.
+    compared = keyed = 0
+    admit = ManagedObject.admit
+
+    def checked(obj, inv):
+        nonlocal compared, keyed
+        expect = _full_scan_admission(obj, inv)
+        outcome = admit(obj, inv)
+        got = (outcome, obj.blocked_by.get(inv.id, set()),
+               inv.outs if outcome is AdmitOutcome.DEDUCED else None)
+        assert got == expect, inv
+        compared += 1
+        key = obj.spec.conflict_key
+        keyed += key is not None and key(inv.op, inv.ins) is not None
+        return outcome
+
+    monkeypatch.setattr(ManagedObject, "admit", checked)
+    rng = random.Random(20260816)
+    for workload in _mixed_workloads() + [_commuting_instance(rng) for _ in range(3)]:
+        run_simulated(workload)
+    with capsys.disabled():
+        print(f"\nkeyed vs full-scan admission: {compared} compared, {keyed} keyed")
+    assert compared > 4_000 and keyed > 1_500
+
+
 # -------------------------------------------------------------- validate_run
 
 def test_validate_run_passes_and_catches_state_drift():
@@ -485,10 +559,10 @@ def test_validate_run_refuses_broken_metrics_under_optimization():
 def test_check_run_searches_serial_orders_once_per_run(monkeypatch):
     calls = 0
 
-    def counted(workload, order):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return replay_serial(workload, order)
+        return replay_serial(*args)
 
     monkeypatch.setattr(oracles, "replay_serial", counted)
     results = []

@@ -12,6 +12,7 @@ from adtxn.tables import CommutTables, InCommutEntry, OutCommutEntry
 from adtxn.validate import (
     check_in_table,
     check_inverses,
+    check_keys,
     check_out_table,
     check_translation,
     validate_adt,
@@ -26,9 +27,12 @@ BOUNDS = {"stack": 3, "set": 3, "real": 40, "boolean": 3}
 @pytest.mark.parametrize("name", ["stack", "set", "real", "boolean"])
 def test_builtin_types_sweep_clean(name):
     spec = get_adt(name)
-    for rep in validate_adt(spec, bound=BOUNDS[name]):
+    reports = validate_adt(spec, bound=BOUNDS[name])
+    for rep in reports:
         assert rep.cases > 0, f"{name} {rep.check} swept nothing"
         assert rep.ok, f"{name} {rep.check}: {[v.detail for v in rep.violations[:3]]}"
+    # only a type that declares conflict keys has a key claim to sweep
+    assert ("keys" in [rep.check for rep in reports]) == (name == "set")
 
 
 # ------------------------------------------------------- planted-lie checks
@@ -50,6 +54,26 @@ def test_in_table_sweep_catches_a_false_claim():
     rep = check_in_table(liar, bound=3)
     assert not rep.ok
     assert any("PUSH" in v.detail and "POP" in v.detail for v in rep.violations)
+
+
+def test_key_sweep_catches_a_lying_key():
+    # pushes of distinct items do not commute, so the item is no key for them
+    liar = dataclasses.replace(
+        STACK, conflict_key=lambda op, ins: ins[0].payload if op == "PUSH" else None)
+    rep = check_keys(liar, bound=3)
+    assert not rep.ok
+    assert any("PUSH[a] (key 'a') vs PUSH[b] (key 'b'): the in-query says conflict"
+               in v.detail for v in rep.violations)
+    assert not any(r.ok for r in validate_adt(liar, bound=3) if r.check == "keys")
+
+
+def test_key_sweep_catches_a_deduction_across_keys():
+    # an IN that copies another item's answer from an executed IN: the pair
+    # still commutes in both tables, but a deduction now reaches across keys
+    liar = with_out_entry(get_adt("set"), OutCommutEntry(
+        "IN", "IN", when=lambda ei, eo, ii: True, deduce=lambda ei, eo, ii: (eo[0],)))
+    rep = check_keys(liar, bound=2)
+    assert any("a deducing entry matches" in v.detail for v in rep.violations)
 
 
 def test_out_table_sweep_catches_a_false_deduction():

@@ -260,6 +260,24 @@ def test_replace_rebuilds_the_pair_index():
     assert "by_pair" not in repr(fewer)
 
 
+def test_always_pairs_and_deducible_ops_are_derived():
+    # ALWAYS is recognised by identity, in both orders; a lambda that also
+    # returns True is an ordinary condition
+    assert SET.always == {"IN": {"IN", "CARD"}, "CARD": {"IN", "CARD"}}
+    assert STACK.always == {"EMPTY": {"EMPTY"}}
+    assert "SUB" in REAL.always["ADD"] and "ADD" in REAL.always["SUB"]
+    lookalike = dataclasses.replace(STACK, in_entries=(
+        InCommutEntry("EMPTY", "EMPTY", when=lambda a, b: True),))
+    assert lookalike.always == {}
+    assert commute_with_in(lookalike, Ex("EMPTY"), Ex("EMPTY"))
+    # the incoming ops some out-entry can deduce; a push never is
+    assert STACK.deducible == {"POP", "EMPTY", "CLEAR"}
+    assert REAL.deducible == {"READ", "SETTO"}
+    no_deduce = dataclasses.replace(STACK, out_entries=tuple(
+        dataclasses.replace(e, deduce=None) for e in STACK.out_entries))
+    assert no_deduce.deducible == frozenset()
+
+
 # ------------------------------------- soundness checks that -O keeps
 
 def test_soundness_checks_hold_under_optimization():
