@@ -21,13 +21,23 @@ of the executed private operation. A rule may name an inverse call or declare
 the inverse NULL (the operation turned out not to change state). NULL-inverse
 operations are still concurrency-controlled; only NULL *direct* operations
 escape the monitor.
+
+The records built once per call (`PublicCall`, `PrivateCall`,
+`Translation`, and the manager's and history's per-call and per-event
+records) are `NamedTuple`s. They are immutable as a frozen dataclass is,
+but a frozen dataclass fills itself one field at a time through
+`object.__setattr__`, which costs two to four times what building the
+tuple does, and the engine builds several per call. `PrivateInvocation`
+stays the only mutable per-call record; it has slots, so a misspelt field
+raises rather than adding an attribute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .values import Tag, Value, render_params
 
@@ -81,8 +91,7 @@ class OpSig:
     outs: tuple[Tag, ...] = ()
 
 
-@dataclass(frozen=True)
-class PublicCall:
+class PublicCall(NamedTuple):
     op: str
     ins: tuple[Value, ...]
 
@@ -90,11 +99,11 @@ class PublicCall:
         return f"{self.op}{render_params(self.ins)}"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class PrivateInvocation:
     """One private operation instance inside an object's monitor.
 
-    The only mutable record in the package. lifecycle, outs and the execution
+    The only mutable per-call record. lifecycle, outs and the execution
     counter are each written once, always inside the owning monitor's entry
     sections, as is `key`, the conflict key its type gives the op (None if
     none), at admission; everything else is fixed at creation. ids are
@@ -119,8 +128,7 @@ class PrivateInvocation:
                 f"{render_params(self.ins)}->{outs} {self.lifecycle.value})")
 
 
-@dataclass(frozen=True)
-class PrivateCall:
+class PrivateCall(NamedTuple):
     """An (op, ins) pair naming a private operation to run; used for
     translation targets and inverses before they become invocations."""
     op: str
@@ -162,8 +170,7 @@ class InverseRule:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class Translation:
+class Translation(NamedTuple):
     """Result of translating one public call."""
     rule: TranslationRule
     call: PrivateCall | None          # None iff NULL direct
@@ -188,6 +195,9 @@ class AdtSpec:
     `enumerate_states` and `probe_calls` bound the domains the brute-force
     validator sweeps.
 
+    `translation_by_op[public_op]` and `inverses_by_op[op]` hold the rules
+    of one op, in rule order; only those can match a call of that op.
+
     `conflict_key(op, ins)`, if declared, names what a private call touches:
     two calls with distinct keys, neither None, commute whatever the state
     and their results, and neither can deduce the other's answer. The
@@ -209,6 +219,25 @@ class AdtSpec:
     probe_calls: Callable[[int], Sequence[PrivateCall]]
     probe_public_calls: Callable[[int], Sequence[PublicCall]]
     conflict_key: Callable[[str, tuple[Value, ...]], Hashable | None] | None = None
+    translation_by_op: dict[str, tuple[TranslationRule, ...]] = field(
+        init=False, repr=False, compare=False)
+    inverses_by_op: dict[str, tuple[InverseRule, ...]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # derived here, so `dataclasses.replace` rebuilds them with the rules
+        object.__setattr__(self, "translation_by_op",
+                           _by_op(self.translation, attrgetter("public_op")))
+        object.__setattr__(self, "inverses_by_op",
+                           _by_op(self.inverses, attrgetter("op")))
+
+
+def _by_op(rules, op_of) -> dict[str, tuple]:
+    """The rules grouped by op, each group in rule order."""
+    grouped: dict[str, list] = {}
+    for r in rules:
+        grouped.setdefault(op_of(r), []).append(r)
+    return {op: tuple(rs) for op, rs in grouped.items()}
 
 
 def _check_ins(spec: AdtSpec, op: str, ins: tuple[Value, ...], table: dict[str, OpSig]):
@@ -254,7 +283,8 @@ def translate_public(spec: AdtSpec, call: PublicCall) -> Translation:
     deliberately unavailable here.
     """
     check_public_ins(spec, call)
-    matches = [r for r in spec.translation if r.public_op == call.op and r.when(call.ins)]
+    matches = [r for r in spec.translation_by_op.get(call.op, ())
+               if r.when(call.ins)]
     if not matches:
         raise NoRuleMatches(f"no translation rule matches {spec.name}.{call!r}")
     if len(matches) > 1:
@@ -285,7 +315,7 @@ def determine_inverse(spec: AdtSpec, op: str, ins: tuple[Value, ...],
     Must be called only after outs are known: inverse selection is allowed to
     read results (an insert that reported AlreadyIn has nothing to undo).
     """
-    matches = [r for r in spec.inverses if r.op == op and r.when(ins, outs)]
+    matches = [r for r in spec.inverses_by_op.get(op, ()) if r.when(ins, outs)]
     if not matches:
         raise NoRuleMatches(
             f"no inverse rule matches {spec.name}.{op}{render_params(ins)}"

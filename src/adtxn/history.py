@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .values import Value, render_params
 
@@ -30,8 +31,8 @@ INVERSE = "INVERSE"
 WITHDRAW = "WITHDRAW"
 VICTIM = "VICTIM"
 
-KINDS = (BEGIN, INVOKE, BLOCK, WAKE, EXEC, DEDUCE, NULLOP, COMMIT, ABORT,
-         INVERSE, WITHDRAW, VICTIM)
+KINDS = frozenset((BEGIN, INVOKE, BLOCK, WAKE, EXEC, DEDUCE, NULLOP, COMMIT,
+                   ABORT, INVERSE, WITHDRAW, VICTIM))
 
 
 class EventKindError(AssertionError):
@@ -45,8 +46,7 @@ class MetricIdentityError(AssertionError):
     oracles count it as a failed check."""
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     index: int
     kind: str
     txn: str

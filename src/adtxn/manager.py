@@ -53,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, count
+from typing import NamedTuple
 
 from . import history as hist
 from .core import (AdtSpec, FrameworkError, Lifecycle, Origin, PrivateCall,
@@ -83,8 +84,7 @@ class TxnStatus(Enum):
     ABORTED = "aborted"
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """One public call and the answer its transaction saw."""
     obj: str
     op: str
@@ -92,14 +92,13 @@ class Observation:
     outs: tuple[Value, ...]
 
 
-@dataclass(frozen=True)
-class UndoEntry:
+class UndoEntry(NamedTuple):
     obj: ManagedObject
     inv: PrivateInvocation
     call: PrivateCall
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TransactionRecord:
     id: int
     name: str

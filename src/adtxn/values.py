@@ -12,6 +12,7 @@ conditions read it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -113,10 +114,16 @@ def render_params(params) -> str:
     return "[" + ",".join(render(v) for v in params) + "]"
 
 
+# Item names: letters, digits, "_", "." and "-". Commas and parens are
+# structural in container literals and seq renderings, so item names must
+# stay clear of them. `\w` is exactly `str.isalnum()` plus "_", so a token
+# matches iff it is non-empty and each character passes
+# `c.isalnum() or c in "_.-"`; the regex engine runs that loop in C.
+_ITEM_TOKEN = re.compile(r"[\w.-]+")
+
+
 def is_item_token(text: str) -> bool:
-    # commas and parens are structural in container literals and seq
-    # renderings, so item names must stay clear of them
-    return bool(text) and all(c.isalnum() or c in "_.-" for c in text)
+    return _ITEM_TOKEN.fullmatch(text) is not None
 
 
 def parse_token(tag: Tag, text: str) -> Value:

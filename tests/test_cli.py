@@ -129,7 +129,7 @@ def test_check_past_the_serializability_budget_is_an_input_error(wl, capsys, mon
         # judge, so the commit order fails and the search is past its budget
         result = run(workload, seed=seed)
         t1 = result.observations["T1"][0]
-        lie = dataclasses.replace(t1, outs=(report("Tampered"),))
+        lie = t1._replace(outs=(report("Tampered"),))
         return dataclasses.replace(
             result, observations={**result.observations, "T1": [lie]})
 

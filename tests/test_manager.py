@@ -13,15 +13,18 @@ import pytest
 from adtxn import history as hist
 from adtxn import manager
 from adtxn.adts import get_adt
-from adtxn.core import Lifecycle, PrivateInvocation, PublicCall
+from adtxn.core import (Lifecycle, PrivateCall, PrivateInvocation, PublicCall,
+                        Translation, translate_public)
 from adtxn.fuzz import derive_seed, flip_random_abort, generate_workload
 from adtxn.manager import (
     RELEASE,
     ManagerInvariantError,
+    Observation,
     TransactionAborted,
     TransactionManager,
     TransactionRecord,
     TxnStatus,
+    UndoEntry,
     abort_plan,
     find_cycle,
     waits_for_graph,
@@ -566,3 +569,34 @@ def test_history_refuses_an_unknown_event_kind_under_optimization():
         """)
     assert "rejected: unknown event kind 'LAUNCH'" in out
     assert "events: 0" in out
+
+
+# ---------------------------------------------------------------- records
+
+def test_per_call_records_refuse_every_write():
+    stack = get_adt("stack")
+    push = PublicCall("PUSH", (item("a"),))
+    tr = translate_public(stack, push)
+    inv = PrivateInvocation(id=1, txn=1, obj="s", op="PUSH", ins=push.ins)
+    obj = ManagedObject("s", 0, stack, ())
+    records = [hist.Event(0, hist.BEGIN, "T1"),
+               Observation("s", "PUSH", push.ins, (OK,)),
+               push, tr, PrivateCall("POP", ()),
+               UndoEntry(obj, inv, PrivateCall("POP", ()))]
+    assert isinstance(tr, Translation) and not tr.null
+    for rec in records:
+        for name in rec._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+
+
+def test_mutable_records_refuse_a_misspelt_field():
+    inv = PrivateInvocation(id=1, txn=1, obj="s", op="PUSH", ins=(item("a"),))
+    rec = TransactionRecord(1, "T1")
+    inv.lifecycle = Lifecycle.BLOCKED
+    rec.status = TxnStatus.ABORTED
+    with pytest.raises(AttributeError):
+        inv.lifecyle = Lifecycle.EXECUTED
+    with pytest.raises(AttributeError):
+        rec.stauts = TxnStatus.COMMITTED
+    assert inv.lifecycle is Lifecycle.BLOCKED and rec.status is TxnStatus.ABORTED

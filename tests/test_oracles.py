@@ -70,7 +70,7 @@ schedule steps T1 T2 T1 T2 T1 T1
 def doctored(history, mutate):
     """Copy a history, applying `mutate(events) -> events`."""
     events = mutate(list(history.events))
-    return History([dataclasses.replace(e, index=i) for i, e in enumerate(events)])
+    return History([e._replace(index=i) for i, e in enumerate(events)])
 
 
 # ---------------------------------------------------------- serial replay
@@ -113,7 +113,7 @@ def test_a_failed_commit_order_is_reported_when_another_order_passes():
 
     def swap(ev):
         names = iter(reversed(commit_order(res)))
-        return [dataclasses.replace(e, txn=next(names))
+        return [e._replace(txn=next(names))
                 if e.kind == hist.COMMIT else e for e in ev]
 
     res = dataclasses.replace(res, history=doctored(res.history, swap))
@@ -169,7 +169,7 @@ def test_replay_rejects_forged_execution_outs():
         out = []
         for e in ev:
             if e.kind == hist.EXEC and e.op == "POP":
-                e = dataclasses.replace(e, outs=(item("b"), OK))
+                e = e._replace(outs=(item("b"), OK))
             out.append(e)
         return out
 
@@ -206,7 +206,7 @@ schedule steps T1 T2 T2 T1 T2
 """))
 
     def forge(ev):
-        return [dataclasses.replace(e, kind=hist.EXEC)
+        return [e._replace(kind=hist.EXEC)
                 if e.kind == hist.DEDUCE else e for e in ev]
 
     with pytest.raises(HistoryReplayError, match="deduced"):
@@ -253,7 +253,7 @@ def test_replay_rejects_a_forged_victim():
         out = []
         for e in ev:
             if e.kind == hist.VICTIM:
-                e = dataclasses.replace(e, txn="T1")
+                e = e._replace(txn="T1")
             out.append(e)
         return out
 
@@ -268,7 +268,7 @@ def test_replay_rejects_a_reused_invocation_id():
 
     def forge(ev):
         first, second = [i for i, e in enumerate(ev) if e.kind == hist.INVOKE]
-        ev[second] = dataclasses.replace(ev[second], inv_id=ev[first].inv_id)
+        ev[second] = ev[second]._replace(inv_id=ev[first].inv_id)
         return ev
 
     with pytest.raises(HistoryReplayError, match="invocation id 1 does not follow 1"):
@@ -282,7 +282,7 @@ def test_replay_rejects_an_invocation_id_below_the_last():
     first = next(e for e in res.history if e.kind == hist.INVOKE).inv_id
 
     def forge(ev):
-        return [dataclasses.replace(e, inv_id=99) if e.inv_id == first else e
+        return [e._replace(inv_id=99) if e.inv_id == first else e
                 for e in ev]
 
     with pytest.raises(HistoryReplayError, match="invocation id 2 does not follow 99"):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from adtxn.adts import get_adt
+from adtxn.adts import builtin_names, get_adt
 from adtxn.core import (
     ArityMismatch,
     NoRuleMatches,
@@ -188,3 +188,33 @@ def test_every_inverse_restores_the_state(name, bound):
                 assert back == state, (name, call, undo)
             cases += 1
     assert cases > 0
+
+
+# ------------------------------------------------------------ rule index by op
+
+def only_match(rules, matches):
+    hits = [r for r in rules if matches(r)]
+    assert len(hits) == 1, hits
+    return hits[0]
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_rule_index_selects_what_a_scan_of_every_rule_selects(name):
+    spec = get_adt(name)
+    for call in spec.probe_public_calls(3):
+        want = only_match(spec.translation,
+                          lambda r: r.public_op == call.op and r.when(call.ins))
+        assert translate_public(spec, call).rule is want, call
+    cases = 0
+    for state in spec.enumerate_states(3):
+        for call in spec.probe_calls(3):
+            _, outs = spec.apply(state, call.op, call.ins)
+            want = only_match(spec.inverses,
+                              lambda r: r.op == call.op and r.when(call.ins, outs))
+            assert only_match(spec.inverses_by_op[call.op],
+                              lambda r: r.when(call.ins, outs)) is want
+            undo = determine_inverse(spec, call.op, call.ins, outs)
+            assert undo == (None if want.null else want.target(call.ins, outs))
+            cases += 1
+    assert cases > 0
+

@@ -13,6 +13,7 @@ from adtxn.values import (
     Tag,
     Value,
     boolean,
+    is_item_token,
     item,
     parse_token,
     rational,
@@ -130,3 +131,17 @@ def test_parse_token_rejects_garbage():
         parse_token(Tag.ITEM, "two words")
     with pytest.raises(ValueError):
         parse_token(Tag.REPORT, "Ok")
+
+
+def _is_item_token_by_chars(text):
+    # the character-by-character definition the regex replaced
+    return bool(text) and all(c.isalnum() or c in "_.-" for c in text)
+
+
+def test_item_token_regex_matches_the_character_test():
+    for cp in range(0x10000):
+        c = chr(cp)
+        assert is_item_token(c) == _is_item_token_by_chars(c), hex(cp)
+    for text in ("", "a", "item_12", "x.y-z", "Ω7", "٣٤", "a b", "a,b",
+                 "(a)", "a\n", "\na", "-", "._-", "a\u00a0b", "a\u200bb"):
+        assert is_item_token(text) == _is_item_token_by_chars(text), repr(text)
