@@ -19,14 +19,25 @@ These deliberately share no cleverness with the machinery they judge:
   same pure table functions, and checks the run's decisions against the
   trace at every event.
 
-The replay's waits-for graph reads each blocker's owner from the rebuilt
-monitor the blocker is live on, as the engine does; nothing is searched
-for. It derives the whole graph at every VICTIM, not the engine's rooted
-and pruned subgraph, so it does not trust the engine's claim that each
-resolution left the graph acyclic. INVOKE ids must strictly increase, as
-the engine's counter makes them: an id then names one invocation for the
-whole history, and the monitors' edges, which run from a smaller id to a
-larger one, follow arrival order.
+The replay keeps its own waits-for graph, edge by edge, from its rebuilt
+monitors; it reads nothing of the engine's. At each BLOCK it records the
+blocked transaction's out-edges: each blocker's owner, read from the
+monitor the blocker is live on as the engine reads it, and how many of
+that owner's ops the blocked op waits on. Around each `complete`, `finish`
+and `withdraw` it reads the op's waiters first; each waiter whose blockers
+have lost the op then waits on one op of the op's owner fewer, and an
+owner at zero is no longer waited for. Woken transactions and a withdrawn
+one leave the graph. The graph stays exact on one monitor fact, which
+tests/test_oracles.py checks after every event against the graph derived
+afresh: a waiter's blockers grow only in `admit`, before its BLOCK, and
+only those three sections shrink them. At every VICTIM, `find_cycle`
+searches this whole graph, not the engine's rooted and pruned subgraph,
+so the replay does not rely on the engine's claim that each resolution
+left the graph acyclic.
+
+INVOKE ids must strictly increase, as the engine's counter makes them: an
+id then names one invocation for the whole history, and the monitors'
+edges, which run from a smaller id to a larger one, follow arrival order.
 
 The replay's monitors are strict, so each of their entry sections (`admit`,
 `complete`, `finish`, `withdraw`) ends by checking the ops and edges it
@@ -62,7 +73,7 @@ from .core import (FrameworkError, Lifecycle, PrivateInvocation, PublicCall,
 from . import history as hist
 from .history import History, check_metric_identities
 from .manager import (RELEASE, Observation, TransactionRecord, TxnStatus,
-                      abort_plan, find_cycle, waits_for_graph)
+                      abort_plan, find_cycle)
 from .monitor import AdmitOutcome, ManagedObject
 from .simulate import RunResult
 from .workload import Workload, initial_state
@@ -197,6 +208,8 @@ class _Replayer:
         self.expected_wakes = []           # invs in emission order
         self.aborting = None               # TransactionRecord mid-abort
         self.plan = []                     # its abort steps the trace still owes
+        # {blocked txn id: {owner txn id: its ops the blocked op waits on}}
+        self.waits_for: dict[int, dict[int, int]] = {}
 
     def _fail(self, event, msg):
         # callers test their condition first, so a message is only
@@ -226,14 +239,16 @@ class _Replayer:
     # one event
 
     def _step(self, e):
+        handler = self._HANDLERS.get(e.kind)
+        if handler is None:
+            self._fail(e, f"unknown event kind {e.kind!r}")
         if self.expected_wakes and e.kind != hist.WAKE:
             self._fail(e, f"wakes {[w.id for w in self.expected_wakes]} "
                           f"were due before this event")
         if self.pending_admit is not None and e.kind not in (
                 hist.DEDUCE, hist.BLOCK, hist.EXEC):
             self._fail(e, "an admission outcome event was due here")
-        handler = getattr(self, "_on_" + e.kind.lower())
-        handler(e)
+        handler(self, e)
 
     def _wake_up(self, e, obj, woken):
         for w in woken:
@@ -241,7 +256,24 @@ class _Replayer:
             if txn.blocked_on is None or txn.blocked_on[1] is not w:
                 self._fail(e, f"woken {w!r} is not what {txn.name} was blocked on")
             txn.blocked_on = None
+            del self.waits_for[txn.id]
         self.expected_wakes.extend(woken)
+
+    def _shed_waits_for(self, obj, inv, waiters):
+        """Take the edges `inv` lost out of the kept graph: each of its
+        former `waiters` no longer blocked by it waits on one op of inv's
+        owner fewer. Callers read `waiters` before the section that sheds,
+        and call this only when there were any."""
+        waits_for, live, blocked_by = self.waits_for, obj.live, obj.blocked_by
+        inv_id, owner = inv.id, inv.txn
+        for w in waiters:
+            if inv_id in blocked_by.get(w, ()):
+                continue
+            owners = waits_for[live[w].txn]
+            if owners[owner] == 1:
+                del owners[owner]
+            else:
+                owners[owner] -= 1
 
     # handlers
 
@@ -289,7 +321,15 @@ class _Replayer:
 
     def _on_block(self, e):
         obj, inv = self._take_pending(e, AdmitOutcome.BLOCKED)
-        self.txns[e.txn].blocked_on = (obj, inv)
+        txn = self.txns[e.txn]
+        txn.blocked_on = (obj, inv)
+        live, owners = obj.live, {}
+        for b in obj.blocked_by[inv.id]:
+            owner = live[b].txn
+            owners[owner] = owners.get(owner, 0) + 1
+        if txn.id in owners:
+            self._fail(e, f"self-edge on {txn.id} in the waits-for graph")
+        self.waits_for[txn.id] = owners
 
     def _on_exec(self, e):
         if self.pending_admit is not None:
@@ -302,7 +342,15 @@ class _Replayer:
         outs = obj.execute(inv)
         if outs != e.outs:
             self._fail(e, f"execution produced {outs}")
-        self._wake_up(e, obj, obj.complete(inv, outs))
+        # the waiters are read before the call and copied, since `complete`
+        # sheds edges from this very set; with none, the graph cannot move
+        waiters = obj.blocks.get(inv.id)
+        if waiters:
+            waiters = tuple(waiters)
+        woken = obj.complete(inv, outs)
+        if waiters:
+            self._shed_waits_for(obj, inv, waiters)
+        self._wake_up(e, obj, woken)
         self.txns[e.txn].register(obj, inv)
 
     def _on_wake(self, e):
@@ -323,7 +371,11 @@ class _Replayer:
         for obj, inv in txn.release_order():
             if inv.lifecycle is not Lifecycle.EXECUTED:
                 self._fail(e, f"commit with unfinished {inv!r}")
-            self._wake_up(e, obj, obj.finish(inv))
+            waiters = obj.blocks.get(inv.id)
+            woken = obj.finish(inv)
+            if waiters:
+                self._shed_waits_for(obj, inv, waiters)
+            self._wake_up(e, obj, woken)
         txn.status = TxnStatus.COMMITTED
 
     def _on_victim(self, e):
@@ -336,9 +388,9 @@ class _Replayer:
                           f"trace chose {txn.id}")
 
     def _waits_for_edges(self):
-        # the whole graph, unlike the engine's rooted search: the replay
-        # does not assume the graph was acyclic before each block
-        return waits_for_graph(self.txns.values())
+        # the whole kept graph, unlike the engine's rooted search: the
+        # replay does not assume the graph was acyclic before each block
+        return self.waits_for
 
     def _on_abort(self, e):
         txn = self.txns[e.txn]
@@ -355,7 +407,11 @@ class _Replayer:
         # as they reach the head of the plan
         while self.plan and self.plan[0][0] == RELEASE:
             _, obj, inv, _ = self.plan.pop(0)
-            self._wake_up(e, obj, obj.finish(inv))
+            waiters = obj.blocks.get(inv.id)
+            woken = obj.finish(inv)
+            if waiters:
+                self._shed_waits_for(obj, inv, waiters)
+            self._wake_up(e, obj, woken)
         if not self.plan:
             self.aborting.status = TxnStatus.ABORTED
             self.aborting = None
@@ -366,10 +422,12 @@ class _Replayer:
                 and self.plan[0][0] == e.kind):
             self._fail(e, f"{e.kind.lower()} not due for this txn")
         kind, obj, inv, call = self.plan.pop(0)
+        waiters = obj.blocks.get(inv.id)
         if kind == hist.WITHDRAW:
             if inv.id != e.inv_id:
                 self._fail(e, f"expected withdrawal of {inv.id}")
             self.aborting.blocked_on = None
+            del self.waits_for[self.aborting.id]
             woken = obj.withdraw(inv)
         else:
             if not (obj.name == e.obj and call.op == e.op
@@ -379,10 +437,19 @@ class _Replayer:
             if outs != e.outs:
                 self._fail(e, f"inverse produced {outs}")
             woken = obj.finish(inv)
+        if waiters:
+            self._shed_waits_for(obj, inv, waiters)
         self._wake_up(e, obj, woken)
         self._release_due(e)
 
-    _on_withdraw = _on_inverse = _on_abort_step
+    # exactly one handler per event kind; a kind not here is refused
+    _HANDLERS = {
+        hist.BEGIN: _on_begin, hist.NULLOP: _on_nullop, hist.INVOKE: _on_invoke,
+        hist.DEDUCE: _on_deduce, hist.BLOCK: _on_block, hist.EXEC: _on_exec,
+        hist.WAKE: _on_wake, hist.COMMIT: _on_commit, hist.VICTIM: _on_victim,
+        hist.ABORT: _on_abort, hist.WITHDRAW: _on_abort_step,
+        hist.INVERSE: _on_abort_step,
+    }
 
 
 def replay_history(workload: Workload, history: History) -> dict[str, object]:

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from adtxn.adts import get_adt
 from adtxn.core import FrameworkError, Lifecycle
 from adtxn.fuzz import derive_seed, flip_random_abort, generate_workload
 from adtxn.history import History, render_trace
-from adtxn.manager import Observation, TxnStatus
+from adtxn.manager import Observation, TxnStatus, waits_for_graph
 from adtxn.monitor import AdmitOutcome, ManagedObject
 from adtxn.oracles import (
     HistoryReplayError,
@@ -64,6 +65,14 @@ txn T2
   op A PUSH d
 end commit
 schedule steps T1 T2 T1 T2 T1 T1
+"""
+
+NULL_OP = """\
+object r real 5
+txn T1
+  op r MULTIPLY 1
+end commit
+schedule steps T1 T1
 """
 
 
@@ -261,6 +270,50 @@ def test_replay_rejects_a_forged_victim():
         replay_history(res.workload, doctored(res.history, forge))
 
 
+def _insert_after(history, index, event):
+    return doctored(history, lambda ev: ev[:index + 1] + [event] + ev[index + 1:])
+
+
+def test_replay_rejects_a_victim_where_the_graph_is_acyclic():
+    # T2 waits for T1, and T1 waits for nobody
+    res = run_simulated(parse_workload(CONTENTIOUS))
+    block = next(e for e in res.history if e.kind == hist.BLOCK)
+    bad = _insert_after(res.history, block.index,
+                        block._replace(kind=hist.VICTIM, obj=None, op=None, ins=()))
+    with pytest.raises(HistoryReplayError, match="victim without a waits-for cycle"):
+        replay_history(res.workload, bad)
+
+
+@pytest.mark.parametrize("after", [hist.WITHDRAW, hist.WAKE])
+def test_replay_rejects_a_second_victim_once_the_cycle_is_resolved(after):
+    # after the withdrawal only T1 -> T2 is left; after the wake, nothing
+    res = run_simulated(parse_workload(DEADLOCK))
+    victim = next(e for e in res.history if e.kind == hist.VICTIM)
+    index = next(e.index for e in res.history if e.kind == after)
+    with pytest.raises(HistoryReplayError, match="victim without a waits-for cycle"):
+        replay_history(res.workload, _insert_after(res.history, index, victim))
+
+
+@pytest.mark.parametrize("make,kind,forged", [
+    (lambda: generate_workload(random.Random(derive_seed(20260816, 0))),
+     hist.COMMIT, "BOGUS"),
+    (lambda: parse_workload(NULL_OP), hist.NULLOP, "nullop"),
+], ids=["BOGUS", "nullop"])
+def test_check_run_refuses_an_unknown_event_kind_at_replay(make, kind, forged):
+    # the first acceptance-corpus instance, and a run with a NULLOP line
+    res = run_simulated(make())
+    assert check_run(res)[0] is None
+    res.history = doctored(res.history, lambda ev: [
+        e._replace(kind=forged) if e.kind == kind else e for e in ev])
+    stage, verdict = check_run(res)
+    assert stage == "replay" and not verdict.ok
+    assert f"unknown event kind {forged!r}" in verdict.detail
+
+
+def test_replay_has_one_handler_per_event_kind():
+    assert oracles._Replayer._HANDLERS.keys() == hist.KINDS
+
+
 def test_replay_rejects_a_reused_invocation_id():
     # the monitors key their live ops by invocation id, so an id names one
     # invocation for the whole history
@@ -425,6 +478,44 @@ def test_replay_leaves_every_monitor_as_it_was_last_checked(monkeypatch, mixed_r
     for res in mixed_results:
         assert replay_history(res.workload, res.history) == res.final_states
     assert events > 10_000 and len(checked) > 700
+
+
+def _graph_from_monitors(txns):
+    """{blocked txn id: {owner: its ops the blocked op waits on}}, read
+    afresh from the monitors."""
+    graph = {}
+    for txn in txns:
+        if txn.blocked_on is not None:
+            obj, inv = txn.blocked_on
+            graph[txn.id] = dict(Counter(obj.live[b].txn
+                                         for b in obj.blocked_by[inv.id]))
+    return graph
+
+
+def test_replay_keeps_the_whole_waits_for_graph(monkeypatch, mixed_results):
+    # the graph the replay keeps edge by edge is, after every event, the
+    # one derived afresh: same owners as `waits_for_graph`, and each owner
+    # counted once per op of its that the blocked op waits on
+    rng = random.Random(13)
+    results = mixed_results + [run_simulated(_stack_instance(rng)) for _ in range(5)]
+    events = victims = 0
+    step = oracles._Replayer._step
+
+    def compared(replayer, event):
+        nonlocal events, victims
+        step(replayer, event)
+        events += 1
+        victims += event.kind == hist.VICTIM
+        kept = replayer._waits_for_edges()
+        assert {t: set(o) for t, o in kept.items()} == \
+            waits_for_graph(replayer.txns.values()), f"event {event.index}"
+        assert kept == _graph_from_monitors(replayer.txns.values()), \
+            f"event {event.index}"
+
+    monkeypatch.setattr(oracles._Replayer, "_step", compared)
+    for res in results:
+        assert replay_history(res.workload, res.history) == res.final_states
+    assert events > 15_000 and victims > 800
 
 
 def test_scoped_checks_see_what_the_whole_checks_see(monkeypatch):
