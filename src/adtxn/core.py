@@ -16,6 +16,16 @@ so it bypasses the object entirely. That decision must therefore never look
 at object state, which is why TranslationRule conditions receive only the
 public in-parameters.
 
+That purity is what lets each spec memoize its translations. The answer
+reads only the spec's frozen rules and the call, and two equal calls have
+the same op and equal in-parameters (same tag, equal payload), so every
+check and every rule condition answers them alike. `translate_public`
+therefore keeps each answer in `AdtSpec.translated`, keyed by the call,
+and the engine, the history replay and the serial replays each translate
+a distinct call once per spec. `dataclasses.replace` starts the copy with
+an empty memo, so a spec rebuilt with other rules never sees an answer of
+the old ones.
+
 Inverses are resolved *after* execution from the pair (in-params, out-params)
 of the executed private operation. A rule may name an inverse call or declare
 the inverse NULL (the operation turned out not to change state). NULL-inverse
@@ -197,6 +207,8 @@ class AdtSpec:
 
     `translation_by_op[public_op]` and `inverses_by_op[op]` hold the rules
     of one op, in rule order; only those can match a call of that op.
+    `translated` is `translate_public`'s memo: each call translated so
+    far, mapped to its `Translation`.
 
     `conflict_key(op, ins)`, if declared, names what a private call touches:
     two calls with distinct keys, neither None, commute whatever the state
@@ -223,13 +235,17 @@ class AdtSpec:
         init=False, repr=False, compare=False)
     inverses_by_op: dict[str, tuple[InverseRule, ...]] = field(
         init=False, repr=False, compare=False)
+    translated: dict[PublicCall, Translation] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # derived here, so `dataclasses.replace` rebuilds them with the rules
+        # and starts an empty memo
         object.__setattr__(self, "translation_by_op",
                            _by_op(self.translation, attrgetter("public_op")))
         object.__setattr__(self, "inverses_by_op",
                            _by_op(self.inverses, attrgetter("op")))
+        object.__setattr__(self, "translated", {})
 
 
 def _by_op(rules, op_of) -> dict[str, tuple]:
@@ -281,7 +297,16 @@ def translate_public(spec: AdtSpec, call: PublicCall) -> Translation:
     Exactly one rule may match any well-formed call; rule conditions must
     partition the in-parameter space (the validator sweeps this). State is
     deliberately unavailable here.
+
+    The answer is a function of the spec's rules and the call alone, so it
+    is kept in `spec.translated` under the call and computed once per
+    distinct call. A call that raises is not kept, and raises every time.
+    The call is a dict key, so its `ins` must be a tuple, as `PublicCall`
+    declares; every caller in the package builds one.
     """
+    tr = spec.translated.get(call)
+    if tr is not None:
+        return tr
     check_public_ins(spec, call)
     matches = [r for r in spec.translation_by_op.get(call.op, ())
                if r.when(call.ins)]
@@ -294,10 +319,13 @@ def translate_public(spec: AdtSpec, call: PublicCall) -> Translation:
     rule = matches[0]
     if rule.null:
         outs = rule.outs(call.ins) if rule.outs else ()
-        return Translation(rule, None, outs)
-    target = rule.target(call.ins)
-    check_private_ins(spec, target)
-    return Translation(rule, target, None)
+        tr = Translation(rule, None, outs)
+    else:
+        target = rule.target(call.ins)
+        check_private_ins(spec, target)
+        tr = Translation(rule, target, None)
+    spec.translated[call] = tr
+    return tr
 
 
 def public_outs_from_private(rule: TranslationRule, ins: tuple[Value, ...],

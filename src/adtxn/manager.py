@@ -46,6 +46,8 @@ set. What is left is the current graph induced on the walked set. That set
 still contains every cycle, since any cycle now was one at the BLOCK, and
 no edge enters it from outside, since every edge now was an edge then; by
 the argument above the next search meets the whole graph's first cycle.
+The prune edits the walked sets in place, and is skipped once the blocker
+no longer waits: then no cycle runs through it and the resolution is over.
 """
 
 from __future__ import annotations
@@ -357,13 +359,18 @@ class TransactionManager:
         blocked. One backward walk, pruned after each victim; see the module
         docstring for why that finds every cycle, and the same ones."""
         adj = self.waits_for_edges(rec.id)
-        while rec.blocked_on is not None:
+        while True:
             cycle = find_cycle(adj)
             if cycle is None:
                 return
             victim = self.txns[max(cycle)]
             self.history.emit(hist.VICTIM, txn=victim.name)
             self.abort(victim)
-            # prune rather than walk again (the victim is unblocked too)
-            adj = {t: waits - {victim.id} for t, waits in adj.items()
-                   if self.txns[t].blocked_on is not None}
+            if rec.blocked_on is None:
+                return
+            # prune in place rather than walk again (the victim is unblocked
+            # too); the walk built these sets and nothing else holds them
+            for t in [t for t in adj if self.txns[t].blocked_on is None]:
+                del adj[t]
+            for waits in adj.values():
+                waits.discard(victim.id)

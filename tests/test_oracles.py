@@ -17,7 +17,7 @@ import pytest
 
 from adtxn import history as hist
 from adtxn import oracles
-from adtxn.adts import get_adt
+from adtxn.adts import builtin_names, get_adt
 from adtxn.core import FrameworkError, Lifecycle
 from adtxn.fuzz import derive_seed, flip_random_abort, generate_workload
 from adtxn.history import History, render_trace
@@ -37,6 +37,10 @@ from adtxn.tables import commute_with_in, commute_with_in_out, try_deduce
 from adtxn.values import UNIT, item, rational, report
 from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
                             make_step, parse_workload)
+from test_acceptance import (CARD_BLOCK_TRACE, CARD_BLOCK_WORKLOAD,
+                             CROSSED_TRACE, CROSSED_WORKLOAD, DEDUCTION_TRACE,
+                             DEDUCTION_WORKLOAD, INSERT_HINT_TRACE,
+                             INSERT_HINT_WORKLOAD)
 from test_manager import _stack_instance
 from test_monitor import run_optimized
 
@@ -422,12 +426,39 @@ def mixed_results():
 MIXED_DIGEST = "9bdaed6657d2343765c1919bf2d1595436b5a40c0a0cc597b874f019ea404e10"
 
 
-def test_mixed_workloads_keep_their_golden_digest(mixed_results):
+def _mixed_digest(results):
     digest = hashlib.sha256()
-    for res in mixed_results:
+    for res in results:
         digest.update(render_trace(res.history).encode())
         digest.update(res.metrics.render().encode())
-    assert digest.hexdigest() == MIXED_DIGEST
+    return digest.hexdigest()
+
+
+def test_mixed_workloads_keep_their_golden_digest(mixed_results):
+    assert _mixed_digest(mixed_results) == MIXED_DIGEST
+
+
+def test_golden_traces_hold_with_the_translation_memo_cold_and_warm():
+    goldens = [(DEDUCTION_WORKLOAD, DEDUCTION_TRACE),
+               (INSERT_HINT_WORKLOAD, INSERT_HINT_TRACE),
+               (CARD_BLOCK_WORKLOAD, CARD_BLOCK_TRACE),
+               (CROSSED_WORKLOAD, CROSSED_TRACE)]
+    specs = [get_adt(name) for name in builtin_names()]
+
+    def clear():
+        for spec in specs:
+            spec.translated.clear()
+
+    for warm in (False, True):
+        if not warm:
+            clear()
+        results = [run_simulated(w) for w in _mixed_workloads()]
+        assert _mixed_digest(results) == MIXED_DIGEST, f"warm={warm}"
+        for text, trace in goldens:
+            if not warm:
+                clear()
+            assert run_simulated(parse_workload(text)).trace == trace, f"warm={warm}"
+    assert all(spec.translated for spec in specs)
 
 
 def test_mixed_workloads_are_serializable_in_commit_order(mixed_results):

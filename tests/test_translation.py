@@ -5,6 +5,7 @@ being compared against the implementation; treat edits that weaken them with
 suspicion.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -12,17 +13,19 @@ import pytest
 from adtxn.adts import builtin_names, get_adt
 from adtxn.core import (
     ArityMismatch,
+    FrameworkError,
     NoRuleMatches,
     PreconditionViolated,
     PrivateCall,
     PublicCall,
     TagMismatch,
+    TranslationRule,
     UnknownOp,
     determine_inverse,
     public_outs_from_private,
     translate_public,
 )
-from adtxn.values import FALSE, TRUE, UNIT, boolean, item, rational, report, seq
+from adtxn.values import FALSE, TRUE, UNIT, Value, boolean, item, rational, report, seq
 
 STACK = get_adt("stack")
 SET = get_adt("set")
@@ -218,3 +221,80 @@ def test_rule_index_selects_what_a_scan_of_every_rule_selects(name):
             cases += 1
     assert cases > 0
 
+
+
+# ------------------------------------------------------- translation memo
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_memo_answers_as_a_cold_translation(name):
+    spec = dataclasses.replace(get_adt(name))   # same rules, empty memo
+    assert spec.translated == {}
+    calls = spec.probe_public_calls(3)
+    for call in calls:
+        cold = translate_public(spec, call)
+        assert spec.translated[call] is cold
+        # an equal call built from new Value objects reads the kept answer
+        equal = PublicCall(call.op, tuple(Value(v.tag, v.payload) for v in call.ins))
+        warm = translate_public(spec, equal)
+        fresh = translate_public(dataclasses.replace(spec), call)
+        for got in (warm, fresh, translate_public(get_adt(name), call)):
+            assert got.rule is cold.rule, call
+            assert got.call == cold.call and got.public_outs == cold.public_outs, call
+    assert len(spec.translated) == len(set(calls))
+
+
+def test_a_refused_call_is_never_kept():
+    stack = dataclasses.replace(STACK)
+    translate_public(stack, PublicCall("POP", ()))
+    overlapping = dataclasses.replace(REAL, translation=REAL.translation + (
+        TranslationRule("ADD", when=lambda ins: True, null=True, note="dup"),))
+    uncovered = dataclasses.replace(REAL, translation=tuple(
+        r for r in REAL.translation if not (r.public_op == "ADD" and r.null)))
+    cases = [(stack, PublicCall("PUSH", (rational(1),)), TagMismatch, None),
+             (stack, PublicCall("SHOVE", (item("a"),)), UnknownOp, None),
+             (overlapping, PublicCall("ADD", (rational(5),)), FrameworkError, "overlap"),
+             (uncovered, PublicCall("ADD", (rational(0),)), NoRuleMatches, None)]
+    for spec, call, error, match in cases:
+        before = dict(spec.translated)
+        for _ in range(3):
+            with pytest.raises(error, match=match):
+                translate_public(spec, call)
+            assert spec.translated == before, call
+    assert list(stack.translated) == [PublicCall("POP", ())]
+
+
+def test_a_rebuilt_spec_never_answers_from_the_old_memo():
+    old = dataclasses.replace(REAL)
+    calls = old.probe_public_calls(3)
+    for call in calls:
+        translate_public(old, call)
+    kept = dict(old.translated)
+    every_add = TranslationRule("ADD", when=lambda ins: True,
+                                target=lambda ins: PrivateCall("ADD", ins))
+    new = dataclasses.replace(old, translation=tuple(
+        r for r in old.translation if r.public_op != "ADD") + (every_add,))
+    assert new.translated == {}
+    for call in calls:
+        got = translate_public(new, call)
+        assert got is not kept[call]
+        assert any(got.rule is r for r in new.translation), call
+        if call.op == "ADD":
+            assert got.rule is every_add and got.call == PrivateCall("ADD", call.ins)
+    assert old.translated == kept
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_replace_rebuilds_every_derived_dict(name):
+    # a derived index or memo shared by a copy would leak into an ablated or
+    # fault-planted spec built with `dataclasses.replace`
+    spec = get_adt(name)
+    translate_public(spec, spec.probe_public_calls(3)[0])
+    for obj in (spec, spec.tables):
+        derived = [f.name for f in dataclasses.fields(obj)
+                   if not f.init and isinstance(getattr(obj, f.name), dict)]
+        assert derived, type(obj)
+        copy = dataclasses.replace(obj)
+        for field_name in derived:
+            assert getattr(copy, field_name) is not getattr(obj, field_name), \
+                (name, field_name)
+    assert spec.translated and dataclasses.replace(spec).translated == {}
