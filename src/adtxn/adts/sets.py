@@ -13,7 +13,7 @@ from itertools import combinations
 
 from ..core import AdtSpec, InverseRule, OpSig, PrivateCall, PublicCall, TranslationRule
 from ..tables import ALWAYS, CommutTables, InCommutEntry, OutCommutEntry
-from ..values import FALSE, TRUE, Tag, boolean, is_item_token, item, rational, report
+from ..values import FALSE, TRUE, Tag, boolean, is_item_list, item, rational, report
 
 OK = report("Ok")
 ALREADY_IN = report("AlreadyIn")
@@ -43,12 +43,13 @@ def _apply(state, op, ins):
 def _parse_state(text):
     if text == "{}":
         return frozenset()
-    parts = text.split(",")
-    if not all(is_item_token(p) for p in parts):
+    if not is_item_list(text):
         raise ValueError(f"bad set literal {text!r}")
-    if len(set(parts)) != len(parts):
+    parts = text.split(",")
+    state = frozenset(parts)
+    if len(state) != len(parts):
         raise ValueError(f"duplicate items in set literal {text!r}")
-    return frozenset(parts)
+    return state
 
 
 def _render_state(state):

@@ -13,7 +13,7 @@ from itertools import product
 
 from ..core import AdtSpec, InverseRule, OpSig, PrivateCall, PublicCall, TranslationRule
 from ..tables import ALWAYS, CommutTables, InCommutEntry, OutCommutEntry
-from ..values import Tag, UNIT, Value, boolean, is_item_token, item, render, report, seq
+from ..values import Tag, UNIT, Value, boolean, is_item_list, item, render, report, seq
 
 OK = report("Ok")
 EMPTY_STACK = report("EmptyStack")
@@ -44,10 +44,9 @@ def _apply(state, op, ins):
 def _parse_state(text):
     if text == "()":
         return ()
-    parts = text.split(",")
-    if not all(is_item_token(p) for p in parts):
+    if not is_item_list(text):
         raise ValueError(f"bad stack literal {text!r}")
-    return tuple(parts)
+    return tuple(text.split(","))
 
 
 def _render_state(state):

@@ -64,8 +64,34 @@ over exactly those shows it holds after:
     and are read from its side (each blocker lists it, precedes it and is
     live); nothing about the blockers' own stages moved.
   * `complete` and `finish` pass the op and its former waiters, whether
-    they were woken or still wait on others.
-  * `withdraw` passes the op, its former waiters and its blockers.
+    they were woken or still wait on others; with no waiters, the op alone.
+  * `withdraw` passes the op, then one list of its former waiters and its
+    blockers.
+
+The scoped check reads the op's own entries in `live`, `blocks` and
+`blocked_by` once and branches on the stage the section left it in:
+
+  * dead: it waits on nothing and blocks nothing;
+  * executed: it waits on nothing, holds outs, and ran once (never, if it
+    was deduced);
+  * in execution: it waits on nothing, holds no outs, and no `blocks` set
+    lists it, which a scan of every set shows (skipped when there is none);
+  * blocked: no outs, no execution, a non-empty blocker set, and each
+    blocker live, earlier and listing it.
+
+A live op must also be filed under its own id and hold no edge to itself.
+That is the conjunction one loop trying every predicate on the op checks,
+less the predicates its stage already settles: "blocked by nothing" and
+the blocker checks can fail only for an op with blockers, which only a
+blocked op may have, and an op in execution that no set lists has no edge
+into it, from itself or from a peer. The peers go through the per-op stage
+predicates the whole check uses (`_check_stages`), and then the edges
+between op and peer are read from both maps; when the op holds no edge at
+all (after `finish`, `withdraw`, or a `complete` that kept no waiter),
+that leaves only "no peer holds an edge to or from it".
+tests/test_strict_faults.py keeps the single loop as a reference and
+requires the two to agree at every section of several hundred runs, with
+and without a planted fault in a section.
 
 The whole-object `_check()` also compares `running` with the ops in
 execution and checks that every live op is filed exactly once, under the
@@ -102,7 +128,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Sequence
 
 from .core import (AdtSpec, Lifecycle, Origin, PrivateCall, PrivateInvocation,
                    check_outs)
@@ -110,11 +136,13 @@ from .tables import commute_with_in, commute_with_in_out, try_deduce
 from .values import Value
 
 
-# The stages a live op can be in. Loops over the live ops compare against
-# these module globals: on Python 3.11 an Enum member lookup costs about six
-# times a global one, and admission compares once per live op.
+# The stages a live op can be in, and the origin of a deduced one. Loops
+# over the live ops and the strict checks compare against these module
+# globals: on Python 3.11 an Enum member lookup costs about six times a
+# global one, and admission compares once per live op.
 _BLOCKED, _RUNNING, _EXECUTED = (Lifecycle.BLOCKED, Lifecycle.IN_EXECUTION,
                                  Lifecycle.EXECUTED)
+_DEDUCED = Origin.DEDUCED
 
 
 class MonitorInvariantError(AssertionError):
@@ -242,14 +270,18 @@ class ManagedObject:
         inv.outs = outs
         inv.lifecycle = Lifecycle.EXECUTED
         self.running -= 1
+        waiting = self.blocks.get(inv.id)
+        if waiting is None:
+            self._check(inv)
+            return []
         woken = []
-        waiters = sorted(self.blocks.get(inv.id, ()))
+        waiters = sorted(waiting)
         for wid in waiters:
             waiter = self.live[wid]
             if commute_with_in_out(self.spec.tables, inv, waiter):
-                self.blocks[inv.id].discard(wid)
+                waiting.discard(wid)
                 woken += self._shed_edge(waiter, inv.id)
-        if inv.id in self.blocks and not self.blocks[inv.id]:
+        if not waiting:
             del self.blocks[inv.id]
         self._check(inv, waiters)
         return woken
@@ -264,8 +296,12 @@ class ManagedObject:
         if self.spec.conflict_key is not None:
             self._unfile(inv)
         inv.lifecycle = Lifecycle.FINISHED
+        waiting = self.blocks.pop(inv.id, None)
+        if not waiting:
+            self._check(inv)
+            return []
         woken = []
-        waiters = sorted(self.blocks.pop(inv.id, ()))
+        waiters = sorted(waiting)
         for wid in waiters:
             woken += self._shed_edge(self.live[wid], inv.id)
         self._check(inv, waiters)
@@ -293,7 +329,8 @@ class ManagedObject:
             if not self.blocks[b]:
                 del self.blocks[b]
         inv.lifecycle = Lifecycle.FINISHED
-        self._check(inv, chain(waiters, blockers))
+        waiters.extend(blockers)        # the peers: former waiters, then blockers
+        self._check(inv, waiters)
         return woken
 
     # -- undo path -----------------------------------------------------------
@@ -378,36 +415,101 @@ class ManagedObject:
                 f"{inv!r} admitted against conflicting "
                 f"{'executed ' if executed else ''}{other!r}")
 
-    def _check(self, op: PrivateInvocation | None = None, peers: Iterable[int] = ()):
+    def _check(self, op: PrivateInvocation | None = None, peers: Sequence[int] = ()):
         """Check the bookkeeping an entry section can have changed.
 
-        Given an op, that is the stage of the op and of each peer, the
-        edges between the op and each peer, read from both sides, and the
-        op's filing; a blocked op's own edges are read from its side. With
-        no op, every live op, every edge and the whole index. The module
-        docstring says why the first, after every section, keeps the whole
-        invariant.
+        Given an op, that is the op's filing and stage, read from its own
+        entries once; the stage of each peer; and the edges between the op
+        and each peer, read from both sides. A blocked op's own edges are
+        read from its side. With no op, every live op, every edge and the
+        whole index. The module docstring says what each stage checks, and
+        why the first, after every section, keeps the whole invariant.
         """
         if not self.strict:
             return
+        if op is None:
+            self._check_whole()
+            return
         live, blocks, blocked_by = self.live, self.blocks, self.blocked_by
-        whole = op is None
-        if whole:
-            ids = live
+        inv_id = op.id
+        if self.spec.conflict_key is not None:
+            # filed under its key, or as unkeyed, exactly while it is live
+            group = self.unkeyed if op.key is None else self.by_key.get(op.key, ())
+            if (inv_id in group) is not (inv_id in live):
+                raise MonitorInvariantError(f"{op!r} misfiled in the index")
+        inv = live.get(inv_id)
+        out_edges, in_edges = blocks.get(inv_id), blocked_by.get(inv_id)
+        if inv is None:
+            if in_edges is not None:
+                raise MonitorInvariantError(f"{self.name}: {inv_id} waits but is not blocked")
+            if out_edges is not None:
+                raise MonitorInvariantError(f"{self.name}: edges from dead op {inv_id}")
         else:
-            inv_id = op.id
-            ids = chain((inv_id,), peers)
-            out_edges, in_edges = blocks.get(inv_id, ()), blocked_by.get(inv_id, ())
-            if self.spec.conflict_key is not None:
-                # filed under its key, or as unkeyed, exactly while it is live
-                group = self.unkeyed if op.key is None else self.by_key.get(op.key, ())
-                if (inv_id in group) is not (inv_id in live):
-                    raise MonitorInvariantError(f"{op!r} misfiled in the index")
+            stage = inv.lifecycle
+            if stage is _BLOCKED:
+                if inv.outs is not None or inv.executions:
+                    raise MonitorInvariantError(f"{inv!r} blocked with outs or executions")
+                if not in_edges:
+                    raise MonitorInvariantError(f"{self.name}: {inv_id} blocked by nothing")
+            elif in_edges is not None:
+                raise MonitorInvariantError(f"{self.name}: {inv_id} waits but is not blocked")
+            elif stage is _EXECUTED:
+                expect = 0 if inv.origin is _DEDUCED else 1
+                if inv.outs is None or inv.executions != expect:
+                    raise MonitorInvariantError(f"{inv!r} outs or execution count")
+            elif stage is _RUNNING:
+                if inv.outs is not None:
+                    raise MonitorInvariantError(f"{inv!r} in execution with outs")
+                # it was just admitted or woken: nothing may still wait-list
+                # it, itself included, so no edge runs into it
+                if blocks:
+                    for waiters in blocks.values():
+                        if inv_id in waiters:
+                            raise MonitorInvariantError(
+                                f"{self.name}: edge to non-blocked {inv_id}")
+            else:
+                raise MonitorInvariantError(f"{inv!r} misfiled")
+            if inv.id != inv_id:
+                raise MonitorInvariantError(f"{inv!r} misfiled")
+            # no edge from the op to itself; one into it from itself is
+            # caught with its other blockers below
+            if out_edges and inv_id in out_edges:
+                raise MonitorInvariantError(f"{self.name}: edge {inv_id}->{inv_id} broken")
+        if peers:
+            self._check_stages(peers)
+            # the edges between the op and each peer: in both maps or in
+            # neither, and forward; the stages make them run from a live op
+            # to a blocked one
+            if out_edges or in_edges:
+                out_edges, in_edges = out_edges or (), in_edges or ()
+                for i in peers:
+                    there = i in out_edges
+                    if there != (inv_id in blocked_by.get(i, ())) or there and inv_id >= i:
+                        raise MonitorInvariantError(f"{self.name}: edge {inv_id}->{i} broken")
+                    there = inv_id in blocks.get(i, ())
+                    if there != (i in in_edges) or there and i >= inv_id:
+                        raise MonitorInvariantError(f"{self.name}: edge {i}->{inv_id} broken")
+            else:
+                # the op holds no edge, so no peer may hold one to or from it
+                for i in peers:
+                    if inv_id in blocked_by.get(i, ()):
+                        raise MonitorInvariantError(f"{self.name}: edge {inv_id}->{i} broken")
+                    if inv_id in blocks.get(i, ()):
+                        raise MonitorInvariantError(f"{self.name}: edge {i}->{inv_id} broken")
+        if in_edges:
+            # the op's own blockers: the op is blocked, as checked above
+            for b in in_edges:
+                if b >= inv_id or inv_id not in blocks.get(b, ()) or b not in live:
+                    raise MonitorInvariantError(f"{self.name}: edge {b}->{inv_id} broken")
+
+    def _check_stages(self, ids: Iterable[int]) -> tuple[int, int]:
+        """Check each op's stage, and return how many of them are blocked
+        and how many in execution: a live op is blocked, in execution or
+        executed, with the outs and executions its stage implies; blocked
+        iff it waits on something; no edges from a dead op."""
+        live, blocks, blocked_by = self.live, self.blocks, self.blocked_by
         waiting = running = 0
         for i in ids:
-            # a live op is blocked, in execution or executed, with the outs
-            # and executions its stage implies; blocked iff it waits on
-            # something; no edges from a dead op
             inv = live.get(i)
             stage = None if inv is None else inv.lifecycle
             if stage is _BLOCKED:
@@ -423,11 +525,13 @@ class ManagedObject:
                 if inv.outs is not None:
                     raise MonitorInvariantError(f"{inv!r} in execution with outs")
                 # it was just admitted or woken: nothing may still wait-list it
-                for waiters in blocks.values():
-                    if i in waiters:
-                        raise MonitorInvariantError(f"{self.name}: edge to non-blocked {i}")
+                if blocks:
+                    for waiters in blocks.values():
+                        if i in waiters:
+                            raise MonitorInvariantError(
+                                f"{self.name}: edge to non-blocked {i}")
             elif stage is _EXECUTED:
-                expect = 0 if inv.origin is Origin.DEDUCED else 1
+                expect = 0 if inv.origin is _DEDUCED else 1
                 if inv.outs is None or inv.executions != expect:
                     raise MonitorInvariantError(f"{inv!r} outs or execution count")
             elif inv is not None:
@@ -436,23 +540,11 @@ class ManagedObject:
                 raise MonitorInvariantError(f"{self.name}: edges from dead op {i}")
             if inv is not None and inv.id != i:
                 raise MonitorInvariantError(f"{inv!r} misfiled")
-            if whole:
-                continue
-            # the edges between the op and this peer: in both maps or in
-            # neither, and forward; the stages above make them run from a
-            # live op to a blocked one
-            there = i in out_edges
-            if there != (inv_id in blocked_by.get(i, ())) or there and inv_id >= i:
-                raise MonitorInvariantError(f"{self.name}: edge {inv_id}->{i} broken")
-            there = inv_id in blocks.get(i, ())
-            if there != (i in in_edges) or there and i >= inv_id:
-                raise MonitorInvariantError(f"{self.name}: edge {i}->{inv_id} broken")
-        if not whole:
-            # the op's own blockers, if it is blocked
-            for b in in_edges:
-                if b >= inv_id or inv_id not in blocks.get(b, ()) or b not in live:
-                    raise MonitorInvariantError(f"{self.name}: edge {b}->{inv_id} broken")
-            return
+        return waiting, running
+
+    def _check_whole(self):
+        live, blocks, blocked_by = self.live, self.blocks, self.blocked_by
+        waiting, running = self._check_stages(live)
         if running != self.running:
             raise MonitorInvariantError(f"{self.name}: {self.running} counted running, "
                                         f"{running} in execution")

@@ -38,6 +38,8 @@ left the graph acyclic.
 INVOKE ids must strictly increase, as the engine's counter makes them: an
 id then names one invocation for the whole history, and the monitors'
 edges, which run from a smaller id to a larger one, follow arrival order.
+An event that names a txn with no BEGIN before it, or an object the
+workload does not declare, fails the replay like any other drift.
 
 The replay's monitors are strict, so each of their entry sections (`admit`,
 `complete`, `finish`, `withdraw`) ends by checking the ops and edges it
@@ -284,7 +286,9 @@ class _Replayer:
         self.txns[e.txn] = self.txns_by_id[txn.id] = txn
 
     def _on_nullop(self, e):
-        obj = self.objects[e.obj]
+        obj = self.objects.get(e.obj)
+        if obj is None:
+            self._fail(e, f"unknown object {e.obj!r}")
         tr = translate_public(obj.spec, PublicCall(e.op, e.ins))
         if not tr.null:
             self._fail(e, "op reached a monitor yet claimed NULL")
@@ -292,8 +296,12 @@ class _Replayer:
             self._fail(e, f"NULL outs should be {tr.public_outs}")
 
     def _on_invoke(self, e):
-        obj = self.objects[e.obj]
-        txn = self.txns[e.txn]
+        obj = self.objects.get(e.obj)
+        if obj is None:
+            self._fail(e, f"unknown object {e.obj!r}")
+        txn = self.txns.get(e.txn)
+        if txn is None:
+            self._fail(e, f"{e.txn} has not begun")
         if e.inv_id <= self.last_inv_id:
             self._fail(e, f"invocation id {e.inv_id} does not follow {self.last_inv_id}")
         self.last_inv_id = e.inv_id
@@ -317,11 +325,16 @@ class _Replayer:
         obj, inv = self._take_pending(e, AdmitOutcome.DEDUCED)
         if inv.outs != e.outs:
             self._fail(e, f"deduction produced {inv.outs}, trace says {e.outs}")
-        self.txns[e.txn].register(obj, inv)
+        txn = self.txns.get(e.txn)
+        if txn is None:
+            self._fail(e, f"{e.txn} has not begun")
+        txn.register(obj, inv)
 
     def _on_block(self, e):
         obj, inv = self._take_pending(e, AdmitOutcome.BLOCKED)
-        txn = self.txns[e.txn]
+        txn = self.txns.get(e.txn)
+        if txn is None:
+            self._fail(e, f"{e.txn} has not begun")
         txn.blocked_on = (obj, inv)
         live, owners = obj.live, {}
         for b in obj.blocked_by[inv.id]:
@@ -335,7 +348,9 @@ class _Replayer:
         if self.pending_admit is not None:
             obj, inv = self._take_pending(e, AdmitOutcome.ADMITTED)
         else:
-            obj = self.objects[e.obj]
+            obj = self.objects.get(e.obj)
+            if obj is None:
+                self._fail(e, f"unknown object {e.obj!r}")
             inv = obj.live.get(e.inv_id)
             if inv is None or inv.lifecycle is not Lifecycle.IN_EXECUTION:
                 self._fail(e, "executing an op that was never admitted")
@@ -351,7 +366,10 @@ class _Replayer:
         if waiters:
             self._shed_waits_for(obj, inv, waiters)
         self._wake_up(e, obj, woken)
-        self.txns[e.txn].register(obj, inv)
+        txn = self.txns.get(e.txn)
+        if txn is None:
+            self._fail(e, f"{e.txn} has not begun")
+        txn.register(obj, inv)
 
     def _on_wake(self, e):
         if not self.expected_wakes:
@@ -363,7 +381,9 @@ class _Replayer:
             self._fail(e, "woken op is not in execution")
 
     def _on_commit(self, e):
-        txn = self.txns[e.txn]
+        txn = self.txns.get(e.txn)
+        if txn is None:
+            self._fail(e, f"{e.txn} has not begun")
         if txn.status is not TxnStatus.ACTIVE:
             self._fail(e, "commit of non-active txn")
         if txn.blocked_on is not None:
@@ -379,7 +399,9 @@ class _Replayer:
         txn.status = TxnStatus.COMMITTED
 
     def _on_victim(self, e):
-        txn = self.txns[e.txn]
+        txn = self.txns.get(e.txn)
+        if txn is None:
+            self._fail(e, f"{e.txn} has not begun")
         cycle = find_cycle(self._waits_for_edges())
         if cycle is None:
             self._fail(e, "victim without a waits-for cycle")
@@ -393,7 +415,9 @@ class _Replayer:
         return self.waits_for
 
     def _on_abort(self, e):
-        txn = self.txns[e.txn]
+        txn = self.txns.get(e.txn)
+        if txn is None:
+            self._fail(e, f"{e.txn} has not begun")
         if txn.status is not TxnStatus.ACTIVE:
             self._fail(e, "abort of non-active txn")
         if self.aborting is not None:
@@ -418,7 +442,7 @@ class _Replayer:
 
     def _on_abort_step(self, e):
         # a WITHDRAW or INVERSE line: the head of the plan, of that kind
-        if not (self.aborting is self.txns[e.txn] and self.plan
+        if not (self.aborting is self.txns.get(e.txn) and self.plan
                 and self.plan[0][0] == e.kind):
             self._fail(e, f"{e.kind.lower()} not due for this txn")
         kind, obj, inv, call = self.plan.pop(0)

@@ -126,6 +126,15 @@ def is_item_token(text: str) -> bool:
     return _ITEM_TOKEN.fullmatch(text) is not None
 
 
+# Item tokens joined by single commas, as a set or stack literal holds them:
+# one match tests every item, where a test per item would cost a call each.
+_ITEM_LIST = re.compile(r"[\w.-]+(?:,[\w.-]+)*")
+
+
+def is_item_list(text: str) -> bool:
+    return _ITEM_LIST.fullmatch(text) is not None
+
+
 def parse_token(tag: Tag, text: str) -> Value:
     """Inverse of render for the literal tags a workload file may contain."""
     if tag is Tag.RATIONAL:

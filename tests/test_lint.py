@@ -17,3 +17,39 @@ def test_no_assert_statements_in_the_package():
         found += [f"{path.relative_to(SRC)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _is_self_check(stmt):
+    return (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+            and isinstance(stmt.value.func, ast.Attribute)
+            and stmt.value.func.attr == "_check"
+            and isinstance(stmt.value.func.value, ast.Name)
+            and stmt.value.func.value.id == "self")
+
+
+def test_every_entry_section_checks_right_before_it_returns():
+    # the history replay trusts each monitor to have been checked since its
+    # last change, so every way out of an entry section is `self._check(...)`
+    # then `return`; a section also may not fall off its end unchecked
+    tree = ast.parse((SRC / "monitor.py").read_text(encoding="utf-8"))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "ManagedObject")
+    sections = {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)
+                and node.name in ("admit", "complete", "finish", "withdraw")}
+    assert len(sections) == 4
+    bad, returns = [], 0
+    for name, func in sections.items():
+        if not isinstance(func.body[-1], ast.Return):
+            bad.append(f"{name} ends without a return")
+        for node in ast.walk(func):
+            for field in ("body", "orelse", "finalbody"):
+                body = getattr(node, field, None)
+                if not isinstance(body, list):
+                    continue
+                for i, stmt in enumerate(body):
+                    if isinstance(stmt, ast.Return):
+                        returns += 1
+                        if i == 0 or not _is_self_check(body[i - 1]):
+                            bad.append(f"{name}:{stmt.lineno} returns unchecked")
+    assert bad == []
+    assert returns >= 6          # admit returns three ways, each other section at least once

@@ -439,3 +439,43 @@ def test_double_execution_is_refused_under_optimization():
         """)
     assert "rejected:" in out and "executed more than once" in out
     assert "state: ('a',)" in out
+
+
+def test_each_stage_of_the_scoped_check_holds_under_optimization():
+    # the scoped check branches on the op's stage after the section: in
+    # execution, blocked, executed or dead; each branch must reject a
+    # planted lie with asserts stripped
+    out = run_optimized("""\
+        def check(obj, op):
+            try:
+                obj._check(op)
+            except MonitorInvariantError as exc:
+                print("rejected:", exc)
+        obj, ids = make_object(), Ids()
+        pusher = ids.inv(1, "PUSH", item("a"))
+        obj.admit(pusher)
+        popper = ids.inv(2, "POP")
+        obj.admit(popper)                    # blocked on the pusher
+        pusher.outs = ()                     # lie: in execution with outs
+        check(obj, pusher)
+        pusher.outs = None
+        obj.blocks[popper.id] = {pusher.id}  # lie: in execution, yet wait-listed
+        check(obj, pusher)
+        del obj.blocks[popper.id]
+        popper.executions = 1                # lie: blocked, yet it ran
+        check(obj, popper)
+        popper.executions = 0
+        obj.complete(pusher, obj.execute(pusher))
+        pusher.executions = 2                # lie: executed twice
+        check(obj, pusher)
+        pusher.executions = 1
+        woken = obj.finish(pusher)           # wakes the popper
+        print("woken:", [w.id for w in woken])
+        obj.blocks[pusher.id] = {popper.id}  # lie: a dead op still blocks
+        check(obj, pusher)
+        """)
+    assert out.count("rejected:") == 5 and "woken: [2]" in out
+    for message in ("in execution with outs", "s: edge to non-blocked 1",
+                    "blocked with outs or executions",
+                    "outs or execution count", "s: edges from dead op 1"):
+        assert message in out

@@ -314,6 +314,31 @@ def test_check_run_refuses_an_unknown_event_kind_at_replay(make, kind, forged):
     assert f"unknown event kind {forged!r}" in verdict.detail
 
 
+def test_a_history_naming_an_unbegun_txn_fails_the_replay(mixed_results):
+    # delete each BEGIN in turn: the txn's next event names a txn the
+    # replay has not seen begin, and check_run reports it, raising nothing
+    deleted = 0
+    for res in mixed_results:
+        for begin in [e.index for e in res.history if e.kind == hist.BEGIN]:
+            history = doctored(res.history, lambda ev: ev[:begin] + ev[begin + 1:])
+            stage, verdict = check_run(dataclasses.replace(res, history=history))
+            assert stage == "replay" and "has not begun" in verdict.detail, verdict
+            deleted += 1
+    assert deleted == 1_502
+
+
+@pytest.mark.parametrize("kind,text", [(hist.INVOKE, CONTENTIOUS),
+                                       (hist.NULLOP, NULL_OP)],
+                         ids=["INVOKE", "NULLOP"])
+def test_a_history_naming_an_unknown_object_fails_the_replay(kind, text):
+    res = run_simulated(parse_workload(text))
+    first = next(e.index for e in res.history if e.kind == kind)
+    res.history = doctored(res.history, lambda ev: [
+        e._replace(obj="nowhere") if e.index == first else e for e in ev])
+    stage, verdict = check_run(res)
+    assert stage == "replay" and "unknown object 'nowhere'" in verdict.detail
+
+
 def test_replay_has_one_handler_per_event_kind():
     assert oracles._Replayer._HANDLERS.keys() == hist.KINDS
 

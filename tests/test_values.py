@@ -1,7 +1,10 @@
 """Value model: exact payloads, rendering, token parsing."""
 
+import importlib.util
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -145,3 +148,54 @@ def test_item_token_regex_matches_the_character_test():
     for text in ("", "a", "item_12", "x.y-z", "Ω7", "٣٤", "a b", "a,b",
                  "(a)", "a\n", "\na", "-", "._-", "a\u00a0b", "a\u200bb"):
         assert is_item_token(text) == _is_item_token_by_chars(text), repr(text)
+
+
+def _parse_by_item(adt, text):
+    # the set and stack literal parsers as they tested one item at a time
+    empty, kind = ("{}", "set") if adt == "set" else ("()", "stack")
+    if text == empty:
+        return frozenset() if adt == "set" else ()
+    parts = text.split(",")
+    if not all(is_item_token(p) for p in parts):
+        raise ValueError(f"bad {kind} literal {text!r}")
+    if adt == "stack":
+        return tuple(parts)
+    if len(set(parts)) != len(parts):
+        raise ValueError(f"duplicate items in set literal {text!r}")
+    return frozenset(parts)
+
+
+def _bench_workloads(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the body runs
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_container_literals_parse_as_item_by_item(monkeypatch):
+    # every set and stack literal of the bench instances at both seeds (the
+    # corpus at 20260816 is the two acceptance corpora), then bad ones
+    bench = _bench_workloads(monkeypatch)
+    literals = set()
+    for seed in (20260816, 4242):
+        for kind in bench.WORKLOADS.values():
+            for workload in kind.generate(seed):
+                literals.update((o.adt, o.literal) for o in workload.objects
+                                if o.adt in ("set", "stack"))
+    assert {adt for adt, _ in literals} == {"set", "stack"}
+    assert max(len(text) for _, text in literals) > 1000
+    for adt, text in sorted(literals):
+        assert get_adt(adt).parse_state(text) == _parse_by_item(adt, text), text
+    for adt in ("set", "stack"):
+        for text in ("", "a,,b", "a,b,a", "a b", "{a}", ",a", "a,", "a,b", "()", "{}"):
+            try:
+                expect = _parse_by_item(adt, text)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    get_adt(adt).parse_state(text)
+                assert str(got.value) == str(exc)
+            else:
+                assert get_adt(adt).parse_state(text) == expect
