@@ -22,15 +22,29 @@ the same op and equal in-parameters (same tag, equal payload), so every
 check and every rule condition answers them alike. `translate_public`
 therefore keeps each answer in `AdtSpec.translated`, keyed by the call,
 and the engine, the history replay and the serial replays each translate
-a distinct call once per spec. `dataclasses.replace` starts the copy with
-an empty memo, so a spec rebuilt with other rules never sees an answer of
-the old ones.
+a distinct call once per spec.
 
 Inverses are resolved *after* execution from the pair (in-params, out-params)
 of the executed private operation. A rule may name an inverse call or declare
 the inverse NULL (the operation turned out not to change state). NULL-inverse
 operations are still concurrency-controlled; only NULL *direct* operations
 escape the monitor.
+
+Inverse selection is as pure: it reads the spec's frozen rules and the
+executed call's op, in-parameters and out-parameters, and nothing else. So
+`determine_inverse` keeps each answer in `AdtSpec.inverted`, keyed by
+`(op, ins, outs)`, and the engine and the history replay each select the
+inverse of a distinct executed call once per spec. A NULL inverse is kept
+too, as None. A call that raises (no rule matches, rules overlap, or the
+inverse call is malformed) is not kept, and raises every time. What the
+manager checks about the answer, that a deduced op needs no undo, reads the
+op as well as the call, so it stays outside the memo and runs on every
+call. A memo lookup hashes the call's Values, which is why each `Value`
+keeps its hash (see `values`).
+
+Both memos are derived in `AdtSpec.__post_init__`, so `dataclasses.replace`
+starts the copy with empty ones, and a spec rebuilt with other rules never
+sees an answer of the old ones.
 
 The records built once per call (`PublicCall`, `PrivateCall`,
 `Translation`, and the manager's and history's per-call and per-event
@@ -208,7 +222,9 @@ class AdtSpec:
     `translation_by_op[public_op]` and `inverses_by_op[op]` hold the rules
     of one op, in rule order; only those can match a call of that op.
     `translated` is `translate_public`'s memo: each call translated so
-    far, mapped to its `Translation`.
+    far, mapped to its `Translation`. `inverted` is `determine_inverse`'s:
+    each executed call's `(op, ins, outs)` so far, mapped to its inverse
+    call, or to None for a NULL inverse.
 
     `conflict_key(op, ins)`, if declared, names what a private call touches:
     two calls with distinct keys, neither None, commute whatever the state
@@ -237,15 +253,18 @@ class AdtSpec:
         init=False, repr=False, compare=False)
     translated: dict[PublicCall, Translation] = field(
         init=False, repr=False, compare=False)
+    inverted: dict[tuple, PrivateCall | None] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # derived here, so `dataclasses.replace` rebuilds them with the rules
-        # and starts an empty memo
+        # and starts empty memos
         object.__setattr__(self, "translation_by_op",
                            _by_op(self.translation, attrgetter("public_op")))
         object.__setattr__(self, "inverses_by_op",
                            _by_op(self.inverses, attrgetter("op")))
         object.__setattr__(self, "translated", {})
+        object.__setattr__(self, "inverted", {})
 
 
 def _by_op(rules, op_of) -> dict[str, tuple]:
@@ -336,13 +355,25 @@ def public_outs_from_private(rule: TranslationRule, ins: tuple[Value, ...],
     return rule.outs(ins, private_outs)
 
 
+# what `inverted.get` returns for a call not yet kept; None is an answer
+_MISS = object()
+
+
 def determine_inverse(spec: AdtSpec, op: str, ins: tuple[Value, ...],
                       outs: tuple[Value, ...]) -> PrivateCall | None:
     """Pick the inverse of an executed private op; None means NULL inverse.
 
     Must be called only after outs are known: inverse selection is allowed to
     read results (an insert that reported AlreadyIn has nothing to undo).
+
+    The answer is a function of the spec's rules and `(op, ins, outs)`
+    alone, so it is kept in `spec.inverted` under that triple and selected
+    once per distinct executed call. A call that raises is not kept.
     """
+    key = (op, ins, outs)
+    inverse = spec.inverted.get(key, _MISS)
+    if inverse is not _MISS:
+        return inverse
     matches = [r for r in spec.inverses_by_op.get(op, ()) if r.when(ins, outs)]
     if not matches:
         raise NoRuleMatches(
@@ -353,7 +384,9 @@ def determine_inverse(spec: AdtSpec, op: str, ins: tuple[Value, ...],
         raise FrameworkError(f"inverse rules overlap for {spec.name}.{op}: {notes}")
     rule = matches[0]
     if rule.null:
-        return None
-    target = rule.target(ins, outs)
-    check_private_ins(spec, target)
-    return target
+        inverse = None
+    else:
+        inverse = rule.target(ins, outs)
+        check_private_ins(spec, inverse)
+    spec.inverted[key] = inverse
+    return inverse

@@ -62,6 +62,9 @@ class Event(NamedTuple):
                 f"out={render_params(self.outs)}")
 
 
+_new_tuple = tuple.__new__
+
+
 @dataclass
 class History:
     events: list[Event] = field(default_factory=list)
@@ -69,7 +72,11 @@ class History:
     def emit(self, kind, txn, obj=None, op=None, ins=(), outs=(), inv_id=None) -> Event:
         if kind not in KINDS:
             raise EventKindError(f"unknown event kind {kind!r}")
-        ev = Event(len(self.events), kind, txn, obj, op, tuple(ins), tuple(outs), inv_id)
+        # every field in order, through tuple.__new__: the NamedTuple
+        # constructor is a Python function, and this is the only place the
+        # package builds an Event
+        ev = _new_tuple(Event, (len(self.events), kind, txn, obj, op,
+                                tuple(ins), tuple(outs), inv_id))
         self.events.append(ev)
         return ev
 

@@ -24,6 +24,9 @@ Each object holds its admitted, unfinished ops in one map, `live`, from
 `admit` until `finish` or `withdraw`; an op's stage is its lifecycle and is
 recorded nowhere else. `running` counts the ops in execution for the
 `max_in_execution` metric; only `_enter_execution` and `complete` move it.
+`executed` counts the executed ops, for keyed deduction (below); only
+`admit` (when it deduces), `complete` and `finish` move it. The
+whole-object check compares both counts with the stages in `live`.
 
 Admission is keyed. For a data type that gives its calls conflict keys (a
 set op's item), `live` is also filed by key: an op with a key sits in
@@ -44,9 +47,22 @@ So every skipped query would have answered "commutes". The key claim is a
 claim about the tables, proved by `verify-tables` (`validate.check_keys`)
 for every probe pair with distinct keys in every bounded state, and
 re-tested at run time by `_admission_safety`, which still scans all of
-`live`. Deduction does not rely on it: `try_deduce` reads `live` as
-before, only lazily, and stops at the first executed op that cannot pin
-the answer.
+`live`.
+
+Deduction is keyed too. A deduction needs every executed op to pin the
+answer, and the key claim says an op under another key cannot pin it. So
+for an incoming op with a key, `_screen` gathers the executed ops of its
+key's group and the unkeyed group, and asks `try_deduce` only if there are
+`executed` of them, that is, if no executed op sits under another key.
+Then `try_deduce` reads the same executed ops a scan of `live` would, in
+another order; every deduction must agree, so the answer is the same.
+When the counts differ, an executed op sits under another key, and the
+scan of `live` would have stopped there with no deduction
+(`validate.check_keys` sweeps "a deducing entry matches" across keys). The
+pending ops are still read from all of `live`. So a false key claim could
+only cost a deduction, never make one. An op without a key, and every op
+of a type without keys, has `try_deduce` read all of `live`, lazily, up to
+the first executed op that cannot pin the answer.
 
 In strict mode a section checks what it changed, not the whole object. The
 invariant is a conjunction of predicates on one op each (live exactly while
@@ -174,6 +190,7 @@ class ManagedObject:
     blocks: dict[int, set[int]] = field(default_factory=dict)
     blocked_by: dict[int, set[int]] = field(default_factory=dict)
     running: int = 0
+    executed: int = 0
     max_in_execution: int = 0
 
     # -- step (1): deduction, then in-control ------------------------------
@@ -193,6 +210,7 @@ class ManagedObject:
             inv.outs = deduced
             inv.origin = Origin.DEDUCED
             inv.lifecycle = Lifecycle.EXECUTED
+            self.executed += 1
             self._check(inv)
             return AdmitOutcome.DEDUCED
         if conflicts:
@@ -211,24 +229,33 @@ class ManagedObject:
     def _screen(self, inv: PrivateInvocation) -> tuple[tuple[Value, ...] | None, set]:
         """(deduced outs or None, conflicts) for inv, not yet filed.
 
-        `try_deduce` reads every live op, lazily: the first executed op
-        that cannot pin the answer ends the attempt. It is not asked about
-        an op that no out-entry deduces. Conflicts are read from inv's
-        key's ops and the unkeyed ones, or from every live op when inv has
-        no key, passing over ops that pair with inv's through `ALWAYS`."""
+        Both read `groups`: inv's key's ops and the unkeyed ones, or every
+        live op when inv has no key. `try_deduce` is asked only when the
+        groups hold every executed op, and reads the pending ops of all of
+        `live`; it is not asked about an op that no out-entry deduces.
+        Conflicts pass over ops that pair with inv's through `ALWAYS`."""
         live, tables = self.live, self.spec.tables
-        if inv.op in tables.deducible:
-            deduced = try_deduce(
-                tables, inv,
-                (other for other in live.values() if other.lifecycle is _EXECUTED),
-                (other for other in live.values() if other.lifecycle is not _EXECUTED))
-            if deduced is not None:
-                return deduced, None
         if inv.key is None:
             groups = (live,)
         else:
             near = self.by_key.get(inv.key)
             groups = (self.unkeyed,) if near is None else (near, self.unkeyed)
+        if inv.op in tables.deducible:
+            if inv.key is None:
+                executed = (other for other in live.values()
+                            if other.lifecycle is _EXECUTED)
+            else:
+                executed = [other for group in groups for other in group.values()
+                            if other.lifecycle is _EXECUTED]
+                if len(executed) != self.executed:
+                    # one sits under another key, so it cannot pin the answer
+                    executed = None
+            if executed is not None:
+                deduced = try_deduce(
+                    tables, inv, executed,
+                    (other for other in live.values() if other.lifecycle is not _EXECUTED))
+                if deduced is not None:
+                    return deduced, None
         always, txn = tables.always.get(inv.op), inv.txn
         conflicts = set()
         for group in groups:
@@ -270,6 +297,7 @@ class ManagedObject:
         inv.outs = outs
         inv.lifecycle = Lifecycle.EXECUTED
         self.running -= 1
+        self.executed += 1
         waiting = self.blocks.get(inv.id)
         if waiting is None:
             self._check(inv)
@@ -296,6 +324,7 @@ class ManagedObject:
         if self.spec.conflict_key is not None:
             self._unfile(inv)
         inv.lifecycle = Lifecycle.FINISHED
+        self.executed -= 1
         waiting = self.blocks.pop(inv.id, None)
         if not waiting:
             self._check(inv)
@@ -548,6 +577,10 @@ class ManagedObject:
         if running != self.running:
             raise MonitorInvariantError(f"{self.name}: {self.running} counted running, "
                                         f"{running} in execution")
+        # the stages leave every other live op executed
+        if len(live) - waiting - running != self.executed:
+            raise MonitorInvariantError(f"{self.name}: {self.executed} counted executed, "
+                                        f"{len(live) - waiting - running} executed")
         # with each blocked op waiting, the keys of blocked_by are the blocked ops
         if len(blocked_by) != waiting:
             raise MonitorInvariantError(f"{self.name}: blocked_by vs blocked drift")

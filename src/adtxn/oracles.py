@@ -39,7 +39,9 @@ INVOKE ids must strictly increase, as the engine's counter makes them: an
 id then names one invocation for the whole history, and the monitors'
 edges, which run from a smaller id to a larger one, follow arrival order.
 An event that names a txn with no BEGIN before it, or an object the
-workload does not declare, fails the replay like any other drift.
+workload does not declare, fails the replay like any other drift. So does
+a DEDUCE, BLOCK, EXEC or WAKE that names another txn than the one whose
+INVOKE the op came from.
 
 The replay's monitors are strict, so each of their entry sections (`admit`,
 `complete`, `finish`, `withdraw`) ends by checking the ops and edges it
@@ -310,7 +312,19 @@ class _Replayer:
         outcome = obj.admit(inv)
         self.pending_admit = (obj, inv, outcome)
 
+    def _owner(self, e, inv):
+        """The txn `e` names, which must be the one that invoked `inv`."""
+        txn = self.txns.get(e.txn)
+        if txn is None:
+            self._fail(e, f"{e.txn} has not begun")
+        if inv.txn != txn.id:
+            self._fail(e, f"invocation {inv.id} belongs to txn id {inv.txn}, "
+                          f"not {e.txn}")
+        return txn
+
     def _take_pending(self, e, *allowed):
+        """(obj, inv, owner) of the admission in flight, whose outcome `e`
+        reports."""
         if self.pending_admit is None:
             self._fail(e, "no admission was in flight")
         obj, inv, outcome = self.pending_admit
@@ -319,22 +333,16 @@ class _Replayer:
             self._fail(e, f"expected invocation {inv.id}")
         if outcome not in allowed:
             self._fail(e, f"admission decided {outcome.value}, trace disagrees")
-        return obj, inv
+        return obj, inv, self._owner(e, inv)
 
     def _on_deduce(self, e):
-        obj, inv = self._take_pending(e, AdmitOutcome.DEDUCED)
+        obj, inv, txn = self._take_pending(e, AdmitOutcome.DEDUCED)
         if inv.outs != e.outs:
             self._fail(e, f"deduction produced {inv.outs}, trace says {e.outs}")
-        txn = self.txns.get(e.txn)
-        if txn is None:
-            self._fail(e, f"{e.txn} has not begun")
         txn.register(obj, inv)
 
     def _on_block(self, e):
-        obj, inv = self._take_pending(e, AdmitOutcome.BLOCKED)
-        txn = self.txns.get(e.txn)
-        if txn is None:
-            self._fail(e, f"{e.txn} has not begun")
+        obj, inv, txn = self._take_pending(e, AdmitOutcome.BLOCKED)
         txn.blocked_on = (obj, inv)
         live, owners = obj.live, {}
         for b in obj.blocked_by[inv.id]:
@@ -346,7 +354,7 @@ class _Replayer:
 
     def _on_exec(self, e):
         if self.pending_admit is not None:
-            obj, inv = self._take_pending(e, AdmitOutcome.ADMITTED)
+            obj, inv, txn = self._take_pending(e, AdmitOutcome.ADMITTED)
         else:
             obj = self.objects.get(e.obj)
             if obj is None:
@@ -354,6 +362,7 @@ class _Replayer:
             inv = obj.live.get(e.inv_id)
             if inv is None or inv.lifecycle is not Lifecycle.IN_EXECUTION:
                 self._fail(e, "executing an op that was never admitted")
+            txn = self._owner(e, inv)
         outs = obj.execute(inv)
         if outs != e.outs:
             self._fail(e, f"execution produced {outs}")
@@ -366,9 +375,6 @@ class _Replayer:
         if waiters:
             self._shed_waits_for(obj, inv, waiters)
         self._wake_up(e, obj, woken)
-        txn = self.txns.get(e.txn)
-        if txn is None:
-            self._fail(e, f"{e.txn} has not begun")
         txn.register(obj, inv)
 
     def _on_wake(self, e):
@@ -377,6 +383,7 @@ class _Replayer:
         inv = self.expected_wakes.pop(0)
         if inv.id != e.inv_id:
             self._fail(e, f"expected wake of {inv.id}")
+        self._owner(e, inv)
         if inv.lifecycle is not Lifecycle.IN_EXECUTION:
             self._fail(e, "woken op is not in execution")
 

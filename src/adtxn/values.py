@@ -8,12 +8,24 @@ Report values carry a symbolic outcome name (Ok, EmptyStack, AlreadyIn, ...)
 rather than an error channel: operations always return normally and the
 outcome is data, which is what lets inverse selection and commutativity
 conditions read it.
+
+Values are dict keys wherever a call is memoized (`core.translate_public`
+and `core.determine_inverse` key their memos by calls), so a Value hashes
+once. A frozen dataclass would hash `(tag, payload)` on every call, and on
+Python 3.11 both that tuple and `Enum.__hash__` run in Python, about
+0.4 us per hash. `Value` keeps the hash in a slot that `__init__` never
+sets: the first `__hash__` fills it, and each later one reads it. The
+number is still `hash((tag, payload))`, so equal Values hash alike. The
+class has slots and no `__dict__`, and stays frozen: assigning any
+attribute raises `FrozenInstanceError`. For the same reason the payload
+check reads each tag's payload type off the member, where a dict keyed by
+tag would hash the member on every construction.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -27,37 +39,49 @@ class Tag(Enum):
     SEQ = "seq"
 
 
-_PAYLOAD_TYPE = {
-    Tag.ITEM: str,
-    Tag.RATIONAL: Fraction,
-    Tag.BOOLEAN: bool,
-    Tag.REPORT: str,
-    Tag.UNIT: type(None),
-    Tag.SEQ: tuple,
-}
+# each tag's payload type, kept on the member itself (`tag.payload_type`)
+for _tag, _type in ((Tag.ITEM, str), (Tag.RATIONAL, Fraction), (Tag.BOOLEAN, bool),
+                    (Tag.REPORT, str), (Tag.UNIT, type(None)), (Tag.SEQ, tuple)):
+    _tag.payload_type = _type
+del _tag, _type
+_SEQ = Tag.SEQ
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
     tag: Tag
     payload: object
+    # hash((tag, payload)), filled by the first __hash__
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        want = _PAYLOAD_TYPE[self.tag]
+        want = self.tag.payload_type
         if type(self.payload) is not want:
             raise TypeError(
                 f"{self.tag.value} payload must be {want.__name__}, "
                 f"got {type(self.payload).__name__}"
             )
-        if self.tag is Tag.SEQ:
+        if self.tag is _SEQ:
             for elem in self.payload:
                 if not isinstance(elem, Value):
                     raise TypeError("seq elements must be Values")
 
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.tag, self.payload))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # copied and pickled as the pair: the generated state would read
+        # the hash slot, which may be unset
+        return Value, (self.tag, self.payload)
+
     def __eq__(self, other):
         # written out because the generated one builds a (tag, payload)
-        # tuple per side on every call; equal Values still hash alike, as
-        # a frozen dataclass keeps generating __hash__ beside this
+        # tuple per side on every call
         if self is other:
             return True
         if not isinstance(other, Value):
@@ -66,6 +90,16 @@ class Value:
 
     def __repr__(self):
         return f"Value({render(self)})"
+
+
+def _frozen(self, name, *value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+# The generated pair refuses the fields, but on Python 3.11 a frozen
+# dataclass with slots answers any other name with a TypeError from
+# `super()`, as it still names the class the slots replaced.
+Value.__setattr__ = Value.__delattr__ = _frozen
 
 
 UNIT = Value(Tag.UNIT, None)

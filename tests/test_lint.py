@@ -53,3 +53,35 @@ def test_every_entry_section_checks_right_before_it_returns():
                             bad.append(f"{name}:{stmt.lineno} returns unchecked")
     assert bad == []
     assert returns >= 6          # admit returns three ways, each other section at least once
+
+
+def _assigned_attributes(func):
+    """The `self.<name>` targets `func` assigns, augments or deletes."""
+    names = set()
+    for node in ast.walk(func):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"):
+                    names.add(sub.attr)
+    return names
+
+
+def test_the_monitor_counts_move_only_where_their_ops_change_stage():
+    # keyed deduction trusts `executed` and the metric trusts `running`;
+    # only the whole-object check compares them with the stages, so each
+    # may move only in the sections that move an op into or out of its stage
+    tree = ast.parse((SRC / "monitor.py").read_text(encoding="utf-8"))
+    movers = {"executed": set(), "running": set()}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for name in _assigned_attributes(node) & movers.keys():
+                movers[name].add(node.name)
+    assert movers == {"executed": {"admit", "complete", "finish"},
+                      "running": {"_enter_execution", "complete"}}

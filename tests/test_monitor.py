@@ -265,6 +265,40 @@ def test_keyed_admission_queries_only_what_can_conflict(monkeypatch):
     assert asked == []
 
 
+def test_keyed_deduction_asks_only_when_its_groups_hold_every_executed_op(monkeypatch):
+    asked = []
+
+    def recorded(tables, inv, executed, pending):
+        executed, pending = list(executed), list(pending)
+        asked.append(([o.id for o in executed], [o.id for o in pending]))
+        return tables_try_deduce(tables, inv, executed, pending)
+
+    monkeypatch.setattr(monitor, "try_deduce", recorded)
+    sets, ids = make_object("set", state=frozenset({"a"})), Ids()
+    insert_a, insert_b = ids.inv(1, "INSERT", item("a")), ids.inv(2, "INSERT", item("b"))
+    run_to_executed(sets, insert_a)
+    asked.clear()
+    run_to_executed(sets, insert_b)
+    assert insert_a.outs == (report("AlreadyIn"),) and sets.executed == 2
+    # INSERT b cannot pin IN a, so nothing is asked; IN a runs
+    reader = ids.inv(3, "IN", item("a"))
+    assert sets.admit(reader) is AdmitOutcome.ADMITTED and asked == []
+    # once INSERT b is gone, INSERT a pins the answer; the running IN a
+    # and INSERT c are read as pending, whatever their keys
+    sets.finish(insert_b)
+    writer = ids.inv(4, "INSERT", item("c"))
+    assert sets.admit(writer) is AdmitOutcome.ADMITTED and asked == []
+    probe = ids.inv(5, "IN", item("a"))
+    assert sets.admit(probe) is AdmitOutcome.DEDUCED and probe.outs == (TRUE,)
+    assert asked == [([insert_a.id], [reader.id, writer.id])]
+    assert sets.executed == 2
+    # an unkeyed op reads every live op, lazily, as before
+    asked.clear()
+    assert sets.admit(ids.inv(6, "CARD")) is AdmitOutcome.BLOCKED
+    assert asked == [([insert_a.id, probe.id], [reader.id, writer.id])]
+    sets._check()
+
+
 def test_invariant_checker_notices_tampering():
     obj, ids = make_object(), Ids()
     inv = ids.inv(1, "PUSH", item("a"))

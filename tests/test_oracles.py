@@ -10,7 +10,6 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -34,7 +33,7 @@ from adtxn.oracles import (
 )
 from adtxn.simulate import run_simulated
 from adtxn.tables import commute_with_in, commute_with_in_out, try_deduce
-from adtxn.values import UNIT, item, rational, report
+from adtxn.values import UNIT, item, report
 from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
                             make_step, parse_workload)
 from test_acceptance import (CARD_BLOCK_TRACE, CARD_BLOCK_WORKLOAD,
@@ -43,6 +42,7 @@ from test_acceptance import (CARD_BLOCK_TRACE, CARD_BLOCK_WORKLOAD,
                              INSERT_HINT_WORKLOAD)
 from test_manager import _stack_instance
 from test_monitor import run_optimized
+from test_values import _bench_workloads
 
 OK = report("Ok")
 
@@ -325,6 +325,50 @@ def test_a_history_naming_an_unbegun_txn_fails_the_replay(mixed_results):
             assert stage == "replay" and "has not begun" in verdict.detail, verdict
             deleted += 1
     assert deleted == 1_502
+
+
+def _first_woken_exec(events, i):
+    # an EXEC that does not answer the INVOKE right before it ran a woken op
+    return events[i].kind == hist.EXEC and events[i - 1].kind != hist.INVOKE
+
+
+# {name: (the test for the event that is relabelled, the runs where a txn
+# other than the event's had begun before it)}; each names an invocation
+RELABELS = {
+    "DEDUCE": (lambda ev, i: ev[i].kind == hist.DEDUCE, 94),
+    "EXEC": (lambda ev, i: ev[i].kind == hist.EXEC, 10),
+    "woken EXEC": (_first_woken_exec, 334),
+    "WAKE": (lambda ev, i: ev[i].kind == hist.WAKE, 334),
+    "BLOCK": (lambda ev, i: ev[i].kind == hist.BLOCK, 334),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELABELS))
+def test_an_event_naming_another_txn_than_its_invocations_fails_the_replay(
+        mixed_results, name):
+    # relabel the run's first such event with the txn begun first before it,
+    # other than its own: the invocation it names belongs to another txn
+    matches, runs = RELABELS[name]
+    relabelled = 0
+    for res in mixed_results:
+        events, begun = res.history.events, []
+        for i, event in enumerate(events):
+            if event.kind == hist.BEGIN:
+                begun.append(event.txn)
+            elif matches(events, i):
+                break
+        else:
+            continue
+        other = next((t for t in begun if t != event.txn), None)
+        if other is None:
+            continue
+        history = doctored(res.history, lambda ev: [
+            e._replace(txn=other) if e.index == i else e for e in ev])
+        stage, verdict = check_run(dataclasses.replace(res, history=history))
+        assert stage == "replay", (name, verdict)
+        assert "belongs to txn id" in verdict.detail, verdict
+        relabelled += 1
+    assert relabelled == runs
 
 
 @pytest.mark.parametrize("kind,text", [(hist.INVOKE, CONTENTIOUS),
@@ -618,57 +662,48 @@ def _full_scan_admission(obj, inv):
             conflicts, None)
 
 
-def _commuting_instance(rng, txns=120, sets=4, keys=500):
-    """Four sets over `keys` items and a counter taking ADDs: nearly every
-    pair of ops commutes, most of them only because their keys differ."""
-    sets_spec, real = get_adt("set"), get_adt("real")
-    decls, total = [], 0
-    for t in range(txns):
-        steps = []
-        for _ in range(rng.randint(2, 4)):
-            r = rng.random()
-            if r < 0.2:
-                steps.append(make_step(real, "c", "ADD",
-                                       (rational(Fraction(rng.randint(-3, 5))),)))
-                continue
-            op = "IN" if r < 0.6 else "INSERT" if r < 0.85 else "DELETE"
-            steps.append(make_step(sets_spec, f"s{rng.randint(1, sets)}", op,
-                                   (item(f"k{rng.randrange(keys)}"),)))
-        total += len(steps)
-        decls.append(TxnDecl(f"T{t + 1}", tuple(steps), "commit"))
-    objects = tuple(ObjectDecl(f"s{i + 1}", "set", "{}") for i in range(sets))
-    objects += (ObjectDecl("c", "real", "0"),)
-    return Workload(objects, tuple(decls),
-                    RandomSchedule(rng.randrange(2 ** 31), 20 * total + 20))
-
-
 def test_keyed_admission_matches_a_full_scan(monkeypatch, capsys):
     # Keyed admission queries no op under another key and no ALWAYS pair,
-    # and try_deduce reads the live ops lazily. Each must be exact: the
-    # same outcome, conflict set and deduced outs as a query of every live
-    # op.
-    compared = keyed = 0
+    # and asks try_deduce about an op with a key only when its key's and
+    # the unkeyed ops hold every executed op. Each must be exact: the same
+    # outcome, conflict set and deduced outs as a query of every live op.
+    # The batch: the mixed workloads, and the bench instances at both seeds
+    # (the corpus at 20260816 is the two acceptance corpora).
+    tally = Counter()
     admit = ManagedObject.admit
 
     def checked(obj, inv):
-        nonlocal compared, keyed
         expect = _full_scan_admission(obj, inv)
+        conflict_key = obj.spec.conflict_key
+        key = None if conflict_key is None else conflict_key(inv.op, inv.ins)
         outcome = admit(obj, inv)
         got = (outcome, obj.blocked_by.get(inv.id, set()),
                inv.outs if outcome is AdmitOutcome.DEDUCED else None)
         assert got == expect, inv
-        compared += 1
-        key = obj.spec.conflict_key
-        keyed += key is not None and key(inv.op, inv.ins) is not None
+        if key is None:
+            tally["unkeyed"] += 1
+        elif outcome is AdmitOutcome.DEDUCED:
+            tally["keyed, deduced"] += 1
+        elif any(o.key not in (None, key) for o in obj.live.values()
+                 if o.lifecycle is Lifecycle.EXECUTED and o is not inv):
+            tally["keyed, another key executed"] += 1
+        else:
+            tally["keyed, not deduced"] += 1
         return outcome
 
     monkeypatch.setattr(ManagedObject, "admit", checked)
-    rng = random.Random(20260816)
-    for workload in _mixed_workloads() + [_commuting_instance(rng) for _ in range(3)]:
+    bench = _bench_workloads(monkeypatch)
+    batch = _mixed_workloads()
+    for seed in (20260816, 4242):
+        for kind in bench.WORKLOADS.values():
+            batch += kind.generate(seed)
+    for workload in batch:
         run_simulated(workload)
     with capsys.disabled():
-        print(f"\nkeyed vs full-scan admission: {compared} compared, {keyed} keyed")
-    assert compared > 4_000 and keyed > 1_500
+        print(f"\nkeyed vs full-scan admission: {len(batch)} runs, {dict(tally)}")
+    assert len(batch) == 406 + 2 * (2_000 + 64 + 16)
+    assert tally["keyed, deduced"] > 200 and tally["keyed, not deduced"] > 1_000
+    assert tally["keyed, another key executed"] > 10_000 and tally["unkeyed"] > 10_000
 
 
 # -------------------------------------------------------------- validate_run

@@ -8,6 +8,10 @@ fault the test counts the runs that raise, and with what, and it runs the
 scoped `_check` next to `reference_check`, the scoped check as it was
 written before it branched on the op's stage: at every section of every run
 both must pass, or both must raise.
+
+One fault only the whole-object check can see: a `finish` that leaves the
+op in the `executed` count, which no scoped check reads. Its test runs the
+whole check after every finish, also under `python -O`.
 """
 
 import random
@@ -20,6 +24,7 @@ from adtxn.monitor import ManagedObject, MonitorInvariantError
 from adtxn.simulate import run_simulated
 from adtxn.tables import TableSoundnessError, commute_with_in_out
 from test_manager import _stack_instance
+from test_monitor import run_optimized
 from test_oracles import _mixed_workloads
 
 
@@ -92,6 +97,7 @@ def _complete(discard=True, cut_early=False):
         inv.outs = outs
         inv.lifecycle = Lifecycle.EXECUTED
         self.running -= 1
+        self.executed += 1
         waiting = self.blocks.get(inv.id)
         if waiting is None:
             self._check(inv)
@@ -115,23 +121,30 @@ def _complete(discard=True, cut_early=False):
     return complete
 
 
-def finish_keeps_live(self, inv):
-    if inv.lifecycle is not Lifecycle.EXECUTED:
-        raise MonitorInvariantError(f"{inv!r} finished before it executed")
-    # planted: no `del self.live[inv.id]`
-    if self.spec.conflict_key is not None:
-        self._unfile(inv)
-    inv.lifecycle = Lifecycle.FINISHED
-    waiting = self.blocks.pop(inv.id, None)
-    if not waiting:
-        self._check(inv)
-        return []
-    woken = []
-    waiters = sorted(waiting)
-    for wid in waiters:
-        woken += self._shed_edge(self.live[wid], inv.id)
-    self._check(inv, waiters)
-    return woken
+def _finish(keep_live=False, count_down=True):
+    def finish(self, inv):
+        if inv.lifecycle is not Lifecycle.EXECUTED:
+            raise MonitorInvariantError(f"{inv!r} finished before it executed")
+        if not keep_live:
+            del self.live[inv.id]
+        # else planted: the op stays in `live`
+        if self.spec.conflict_key is not None:
+            self._unfile(inv)
+        inv.lifecycle = Lifecycle.FINISHED
+        if count_down:
+            self.executed -= 1
+        # else planted: `executed` still counts the finished op
+        waiting = self.blocks.pop(inv.id, None)
+        if not waiting:
+            self._check(inv)
+            return []
+        woken = []
+        waiters = sorted(waiting)
+        for wid in waiters:
+            woken += self._shed_edge(self.live[wid], inv.id)
+        self._check(inv, waiters)
+        return woken
+    return finish
 
 
 def withdraw_keeps_inbound_edges(self, inv):
@@ -171,7 +184,7 @@ FAULTS = {
                                MonitorInvariantError),
     "withdraw_keeps_inbound_edges": ("withdraw", withdraw_keeps_inbound_edges, 261,
                                      MonitorInvariantError),
-    "finish_keeps_live": ("finish", finish_keeps_live, 411, MonitorInvariantError),
+    "finish_keeps_live": ("finish", _finish(keep_live=True), 411, MonitorInvariantError),
     "complete_cuts_blockers_early": ("complete", _complete(cut_early=True), 9,
                                      MonitorInvariantError),
     # a conflict admit missed shows as executed ops that pin different answers
@@ -239,3 +252,47 @@ def test_each_planted_fault_fails_the_same_runs(monkeypatch, capsys, batch, faul
               f"first: {type(first).__name__}: {first}")
     assert disagreed == []
     assert raised == Counter({error: runs})
+
+
+def test_a_finish_that_keeps_counting_the_op_fails_the_whole_check(monkeypatch, capsys, batch):
+    # no scoped check reads `executed`; the whole-object check compares it
+    # with the stages in `live`, so run it after every finish
+    finish = _finish(count_down=False)
+
+    def checked(self, inv):
+        woken = finish(self, inv)
+        self._check()
+        return woken
+
+    monkeypatch.setattr(ManagedObject, "finish", checked)
+    raised, first = Counter(), None
+    for workload in batch:
+        try:
+            run_simulated(workload)
+        except Exception as exc:          # counted and reported, by type
+            raised[type(exc)] += 1
+            first = first or exc
+    with capsys.disabled():
+        print(f"\nfinish_keeps_counting: {sum(raised.values())} of {len(batch)} runs "
+              f"raise; first: {type(first).__name__}: {first}")
+    assert raised == Counter({MonitorInvariantError: 411})
+    assert "counted executed" in str(first)
+
+
+def test_a_finish_that_keeps_counting_the_op_fails_under_optimization():
+    out = run_optimized("""\
+        from adtxn.monitor import ManagedObject
+        from test_strict_faults import _finish
+        ManagedObject.finish = _finish(count_down=False)
+        obj, ids = make_object(), Ids()
+        inv = ids.inv(1, "PUSH", item("a"))
+        obj.admit(inv)
+        obj.complete(inv, obj.execute(inv))
+        obj._check()
+        obj.finish(inv)
+        try:
+            obj._check()
+        except MonitorInvariantError as exc:
+            print("rejected:", exc)
+        """)
+    assert "rejected: s: 1 counted executed, 0 executed" in out

@@ -14,6 +14,7 @@ from adtxn.adts import builtin_names, get_adt
 from adtxn.core import (
     ArityMismatch,
     FrameworkError,
+    InverseRule,
     NoRuleMatches,
     PreconditionViolated,
     PrivateCall,
@@ -298,3 +299,60 @@ def test_replace_rebuilds_every_derived_dict(name):
             assert getattr(copy, field_name) is not getattr(obj, field_name), \
                 (name, field_name)
     assert spec.translated and dataclasses.replace(spec).translated == {}
+    call = spec.probe_calls(3)[0]
+    determine_inverse(spec, call.op, call.ins,
+                      spec.apply(spec.initial_state, call.op, call.ins)[1])
+    assert spec.inverted and dataclasses.replace(spec).inverted == {}
+
+
+# ---------------------------------------------------------- inverse memo
+
+def _cold_inverse(spec, op, ins, outs):
+    # what determine_inverse answers with nothing kept
+    return determine_inverse(dataclasses.replace(spec), op, ins, outs)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_warm_inverses_answer_as_cold_ones(name):
+    spec = dataclasses.replace(get_adt(name))   # same rules, empty memo
+    assert spec.inverted == {}
+    keys = set()
+    for state in spec.enumerate_states(2):
+        for call in spec.probe_calls(2):
+            _, outs = spec.apply(state, call.op, call.ins)
+            cold = _cold_inverse(spec, call.op, call.ins, outs)
+            first = determine_inverse(spec, call.op, call.ins, outs)
+            # an equal call built from new Value objects reads the kept answer
+            copy = lambda vs: tuple(Value(v.tag, v.payload) for v in vs)
+            warm = determine_inverse(spec, call.op, copy(call.ins), copy(outs))
+            assert first == cold and warm is first, (call, outs)
+            assert spec.inverted[(call.op, call.ins, outs)] is first
+            keys.add((call.op, call.ins, outs))
+    assert len(spec.inverted) == len(keys)
+    # NULL inverses are kept too, as None
+    assert None in spec.inverted.values()
+    assert any(v is not None for v in spec.inverted.values())
+
+
+def test_a_raising_inverse_is_never_kept():
+    stack = dataclasses.replace(STACK)
+    determine_inverse(stack, "PUSH", (item("a"),), (OK,))
+    overlapping = dataclasses.replace(SET, inverses=SET.inverses + (
+        InverseRule("IN", when=lambda i, o: True, null=True, note="dup"),))
+    uncovered = dataclasses.replace(SET, inverses=tuple(
+        r for r in SET.inverses if r.op != "CARD"))
+    malformed = dataclasses.replace(SET, inverses=tuple(
+        r for r in SET.inverses if r.op != "DELETE") + (
+        InverseRule("DELETE", when=lambda i, o: True,
+                    target=lambda i, o: PrivateCall("INSERT", (rational(1),))),))
+    cases = [(stack, "POP", (), (UNIT, report("Lost")), NoRuleMatches, None),
+             (overlapping, "IN", (item("a"),), (TRUE,), FrameworkError, "overlap"),
+             (uncovered, "CARD", (), (rational(0),), NoRuleMatches, None),
+             (malformed, "DELETE", (item("a"),), (OK,), TagMismatch, None)]
+    for spec, op, ins, outs, error, match in cases:
+        before = dict(spec.inverted)
+        for _ in range(3):
+            with pytest.raises(error, match=match):
+                determine_inverse(spec, op, ins, outs)
+            assert spec.inverted == before, op
+    assert list(stack.inverted) == [("PUSH", (item("a"),), (OK,))]

@@ -1,6 +1,9 @@
 """Value model: exact payloads, rendering, token parsing."""
 
+import copy
+import dataclasses
 import importlib.util
+import pickle
 import sys
 from fractions import Fraction
 from itertools import product
@@ -99,6 +102,39 @@ def test_equality_and_hash_agree_with_tag_payload_pairs():
         assert v == v
         assert v != v.payload and not v == (v.tag, v.payload)
         assert v.__eq__(v.payload) is NotImplemented
+
+
+def test_a_value_hashes_as_its_pair_before_and_after_the_first_hash():
+    # the hash is kept from the first call on, and is the pair's either way
+    for v in _probe_values():
+        fresh = Value(v.tag, v.payload)
+        assert hash(fresh) == hash((v.tag, v.payload))
+        assert hash(fresh) == hash((v.tag, v.payload))
+        assert {fresh: 1}[Value(v.tag, v.payload)] == 1
+
+
+def test_a_value_is_frozen_and_has_no_dict():
+    v, hashed = item("a"), item("b")
+    hash(hashed)
+    for value in (v, hashed):
+        assert not hasattr(value, "__dict__")
+        for name in ("tag", "payload", "_hash", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+    assert v == item("a") and hash(hashed) == hash((Tag.ITEM, "b"))
+
+
+def test_a_value_copies_and_pickles_before_and_after_the_first_hash():
+    for v in _probe_values():
+        fresh, hashed = Value(v.tag, v.payload), Value(v.tag, v.payload)
+        hash(hashed)
+        for value in (fresh, hashed):
+            copies = (copy.copy(value), copy.deepcopy(value),
+                      pickle.loads(pickle.dumps(value)))
+            for copied in copies:
+                assert copied == value and hash(copied) == hash((v.tag, v.payload))
 
 
 def test_render_forms():
