@@ -7,9 +7,8 @@
 
 Exit codes: 0 everything passed, 1 an oracle or table check failed,
 2 the input was unusable: an unreadable workload, an unknown type, a
-flag below the floor its subcommand sets, or a run the serializability
-check cannot afford (its commit order failed, and more than 8 txns
-committed).
+flag below the floor its subcommand sets, or a workload the simulator
+cannot run.
 """
 
 from __future__ import annotations
@@ -18,9 +17,9 @@ import argparse
 import sys
 
 from .adts import UnknownAdt, builtin_names, get_adt
-from .fuzz import MAX_TXNS, fuzz
+from .fuzz import fuzz
 from .history import render_trace
-from .oracles import SerializabilityBudgetError, check_run
+from .oracles import check_run
 from .simulate import SimulationError, run_simulated
 from .validate import validate_adt
 from .workload import RandomSchedule, WorkloadError, parse_workload
@@ -76,7 +75,7 @@ def _cmd_check(args) -> int:
     for seed in seeds:
         try:
             stage, verdict = check_run(run_simulated(workload, seed=seed))
-        except (SimulationError, SerializabilityBudgetError) as exc:
+        except SimulationError as exc:
             return _unusable(exc)
         label = "seed=-" if seed is None else f"seed={seed}"
         if stage is not None:
@@ -119,9 +118,6 @@ def _cmd_fuzz(args) -> int:
             get_adt(name)
         except UnknownAdt as exc:
             return _unusable(exc)
-    if args.txns > MAX_TXNS:
-        return _unusable(f"--txns capped at {MAX_TXNS} "
-                         f"(serializability oracle budget)")
     failures = 0
     for with_abort in ((False, True) if args.aborts else (False,)):
         report = fuzz(args.seed, args.runs, adts=adts,
@@ -176,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adts", default=None,
                    help="comma-separated type names (default: all)")
     p.add_argument("--txns", type=int, default=4,
-                   help=f"max transactions per workload (cap {MAX_TXNS})")
+                   help="max transactions per workload")
     p.add_argument("--ops", type=int, default=5, help="max ops per transaction")
     p.add_argument("--runs", type=int, default=50, help="workloads per mode")
     p.add_argument("--seed", type=int, default=0, help="master seed")

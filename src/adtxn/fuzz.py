@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .adts import builtin_names, get_adt
-from .core import FrameworkError
 from .simulate import run_simulated
 from .oracles import check_run
 from .values import Tag, Value, boolean, item, rational
@@ -21,7 +20,6 @@ from .workload import (ObjectDecl, OpStep, RandomSchedule, TxnDecl, Workload,
                        make_step, render_workload)
 
 ITEMS = ("a", "b", "c")
-MAX_TXNS = 5   # the serializability oracle's factorial budget
 
 
 class ShrinkError(AssertionError):
@@ -170,9 +168,6 @@ def derive_seed(master: int, index: int) -> int:
 def fuzz(master_seed: int, runs: int, adts=None, txns_range=(2, 4),
          ops_range=(1, 5), with_abort: bool = False,
          shrink: bool = True) -> FuzzReport:
-    if txns_range[1] > MAX_TXNS:
-        raise FrameworkError(f"{txns_range[1]} txns is past the serializability "
-                             f"oracle budget of {MAX_TXNS}")
     report = FuzzReport(runs=runs, with_abort=with_abort)
     for i in range(runs):
         seed = derive_seed(master_seed, i)

@@ -2,15 +2,15 @@
 
 These deliberately share no cleverness with the machinery they judge:
 
-* the serializability check replays committed transactions one at a time,
-  through the pure reference semantics, and demands some serial order
-  reproduce both the final states and every public answer each committed
-  transaction actually saw. It tries the order of the COMMIT events first:
-  strict two-phase locking promises that order is a witness, so one replay
-  settles a passing run at any size. The order is only a candidate: the
-  replay judges it like any other. Only when it fails does the check
-  search every other order, and that search is capped at
-  `MAX_PERMUTED_TXNS`;
+* the serializability check replays the committed transactions one at a
+  time, in the order of their COMMIT events, through the pure reference
+  semantics, and demands that replay reproduce both the final states and
+  every public answer each committed transaction actually saw. Strict
+  two-phase locking promises that the commit order is a serial witness, so
+  that order is the contract: one replay settles a run at any size, and a
+  run it does not explain fails, naming the first divergence. No other
+  order is searched: a witness found elsewhere would hide a broken
+  promise, and searching for one is NP-complete in general;
 * the abort transparency check is the same demand on a run that aborted
   transactions: the survivors must tell a serial story in which the aborted
   ones never existed;
@@ -40,7 +40,8 @@ id then names one invocation for the whole history, and the monitors'
 edges, which run from a smaller id to a larger one, follow arrival order.
 An event that names a txn with no BEGIN before it, or an object the
 workload does not declare, fails the replay like any other drift. So does
-a DEDUCE, BLOCK, EXEC or WAKE that names another txn than the one whose
+a NULLOP, INVOKE or COMMIT whose txn is not ACTIVE or is blocked, and a
+DEDUCE, BLOCK, EXEC or WAKE that names another txn than the one whose
 INVOKE the op came from.
 
 The replay's monitors are strict, so each of their entry sections (`admit`,
@@ -60,16 +61,11 @@ result and victim is still re-decided by fresh `ManagedObject`s. A wrong
 shared order would still show in the serial-replay checks, which share
 nothing with the engine: an inverse out of order, or an op released before
 its inverse lands, leaves states or answers no serial order explains.
-
-Factorial and exponential costs are embraced where a search is left: the
-fallback after a failed commit order is exhaustive, so it runs only on
-inputs small enough to afford that, which is the point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .adts import get_adt
 from .core import (FrameworkError, Lifecycle, PrivateInvocation, PublicCall,
@@ -80,14 +76,8 @@ from .manager import (RELEASE, Observation, TransactionRecord, TxnStatus,
                       abort_plan, find_cycle)
 from .monitor import AdmitOutcome, ManagedObject
 from .simulate import RunResult
+from .values import render_params
 from .workload import Workload, initial_state
-
-MAX_PERMUTED_TXNS = 8
-
-
-class SerializabilityBudgetError(FrameworkError):
-    """The commit order failed, and more transactions committed than the
-    factorial fallback search can afford."""
 
 
 @dataclass(frozen=True)
@@ -97,22 +87,15 @@ class Verdict:
     witness: tuple[str, ...] | None = None
 
 
-def _serial_start(workload: Workload) -> tuple[dict, dict]:
-    """({object: data type}, {object: initial state}): where every serial
-    replay of `workload` starts, parsed once for all of them."""
-    return ({o.name: get_adt(o.adt) for o in workload.objects},
-            {o.name: initial_state(o) for o in workload.objects})
-
-
-def replay_serial(workload: Workload, order, start=None) -> tuple[dict, dict]:
+def replay_serial(workload: Workload, order) -> tuple[dict, dict]:
     """Run whole transactions back to back through the reference semantics.
 
     Returns ({object: final state}, {txn: [Observation]}). No monitor, no
     blocking, no undo: this is the meaning concurrent runs are measured
-    against. `start` is `_serial_start(workload)`, when the caller has it.
+    against.
     """
-    specs, states = start if start is not None else _serial_start(workload)
-    states = dict(states)
+    specs = {o.name: get_adt(o.adt) for o in workload.objects}
+    states = {o.name: initial_state(o) for o in workload.objects}
     observations: dict[str, list] = {}
     for decl in order:
         seen = observations.setdefault(decl.name, [])
@@ -131,49 +114,47 @@ def replay_serial(workload: Workload, order, start=None) -> tuple[dict, dict]:
     return states, observations
 
 
-def _explains(result: RunResult, order, committed, start) -> bool:
-    states, observations = replay_serial(result.workload, order, start)
-    return states == result.final_states and all(
-        observations.get(t.name, []) == result.observations[t.name]
-        for t in committed)
+def _rendered_step(observations, step) -> str:
+    """One observation as a failure detail shows it."""
+    if step >= len(observations):
+        return "no step"
+    obj, op, ins, outs = observations[step]
+    return f"{obj} {op} {render_params(ins)} -> {render_params(outs)}"
 
 
 def check_serializable(result: RunResult) -> Verdict:
-    """Is there a serial order of the committed transactions that explains
-    the run's final states and every committed transaction's answers?
+    """Does the order of the COMMIT events explain the run's final states
+    and every committed transaction's answers?
 
-    The order of the COMMIT events is tried first and is the witness when
-    it explains the run. Otherwise every other order is searched, up to
-    `MAX_PERMUTED_TXNS` committed txns; a witness found there still passes,
-    and its detail reports that the commit order failed."""
-    committed = [t for t in result.workload.txns
-                 if result.statuses[t.name] is TxnStatus.COMMITTED]
-    by_name = {t.name: t for t in committed}
-    commit_events = [e.txn for e in result.history if e.kind == hist.COMMIT]
-    start = _serial_start(result.workload)
-    tried = None
-    if sorted(commit_events) == sorted(by_name):
-        tried = tuple(by_name[name] for name in commit_events)
-        if _explains(result, tried, committed, start):
-            return Verdict(True, "serializable in commit order",
-                           tuple(commit_events))
-        failure = f"commit order {commit_events} is no witness"
-    else:
-        failure = (f"COMMIT events {commit_events} do not name each committed "
-                   f"txn {sorted(by_name)} once")
-    if len(committed) > MAX_PERMUTED_TXNS:
-        raise SerializabilityBudgetError(
-            f"{failure}, and {len(committed)} committed txns is past the "
-            f"factorial budget of {MAX_PERMUTED_TXNS}")
-    for order in permutations(committed):
-        if order != tried and _explains(result, order, committed, start):
-            witness = tuple(t.name for t in order)
-            return Verdict(True, f"serializable, but {failure}; "
-                                 f"witness {list(witness)}", witness)
-    return Verdict(False,
-                   f"{failure}, and no serial order of {list(by_name)} "
-                   f"explains final states {result.rendered_states()} "
-                   f"and the committed observations")
+    It passes, with that order as its witness, exactly when the COMMIT
+    events name each committed txn once and one serial replay in their
+    order reproduces every committed observation and every final state.
+    Otherwise the detail names the first divergence: the txn and step whose
+    answer differs from the serial replay's, or else the object whose final
+    state does."""
+    committed = {t.name: t for t in result.workload.txns
+                 if result.statuses[t.name] is TxnStatus.COMMITTED}
+    order = tuple(e.txn for e in result.history if e.kind == hist.COMMIT)
+    if sorted(order) != sorted(committed):
+        return Verdict(False, f"COMMIT events {list(order)} do not name each "
+                              f"committed txn {sorted(committed)} once")
+    states, observations = replay_serial(
+        result.workload, [committed[name] for name in order])
+    failure = f"commit order {list(order)} is no witness"
+    for name in order:
+        seen, serial = result.observations[name], observations[name]
+        if seen != serial:
+            step = next((i for i, (a, b) in enumerate(zip(seen, serial))
+                         if a != b), min(len(seen), len(serial)))
+            return Verdict(False, f"{failure}: {name} step {step} saw "
+                                  f"{_rendered_step(seen, step)}, the serial "
+                                  f"replay gives {_rendered_step(serial, step)}")
+    if states != result.final_states:
+        obj = next(o for o in {**states, **result.final_states}
+                   if states.get(o) != result.final_states.get(o))
+        return Verdict(False, f"{failure}: the run's final state of {obj} "
+                              f"is not the serial replay's")
+    return Verdict(True, "serializable in commit order", order)
 
 
 def check_abort_transparency(result: RunResult) -> Verdict:
@@ -287,10 +268,28 @@ class _Replayer:
         txn = TransactionRecord(len(self.txns) + 1, e.txn)
         self.txns[e.txn] = self.txns_by_id[txn.id] = txn
 
+    def _begun(self, e):
+        """The txn `e` names, which must have begun."""
+        txn = self.txns.get(e.txn)
+        if txn is None:
+            self._fail(e, f"{e.txn} has not begun")
+        return txn
+
+    def _stepping(self, e):
+        """The txn `e` names, which must have begun and be free to take its
+        next step or commit: ACTIVE and not blocked."""
+        txn = self._begun(e)
+        if txn.status is not TxnStatus.ACTIVE:
+            self._fail(e, f"{e.txn} is {txn.status.value}, not active")
+        if txn.blocked_on is not None:
+            self._fail(e, f"{e.txn} is blocked")
+        return txn
+
     def _on_nullop(self, e):
         obj = self.objects.get(e.obj)
         if obj is None:
             self._fail(e, f"unknown object {e.obj!r}")
+        self._stepping(e)
         tr = translate_public(obj.spec, PublicCall(e.op, e.ins))
         if not tr.null:
             self._fail(e, "op reached a monitor yet claimed NULL")
@@ -301,9 +300,7 @@ class _Replayer:
         obj = self.objects.get(e.obj)
         if obj is None:
             self._fail(e, f"unknown object {e.obj!r}")
-        txn = self.txns.get(e.txn)
-        if txn is None:
-            self._fail(e, f"{e.txn} has not begun")
+        txn = self._stepping(e)
         if e.inv_id <= self.last_inv_id:
             self._fail(e, f"invocation id {e.inv_id} does not follow {self.last_inv_id}")
         self.last_inv_id = e.inv_id
@@ -314,9 +311,7 @@ class _Replayer:
 
     def _owner(self, e, inv):
         """The txn `e` names, which must be the one that invoked `inv`."""
-        txn = self.txns.get(e.txn)
-        if txn is None:
-            self._fail(e, f"{e.txn} has not begun")
+        txn = self._begun(e)
         if inv.txn != txn.id:
             self._fail(e, f"invocation {inv.id} belongs to txn id {inv.txn}, "
                           f"not {e.txn}")
@@ -388,13 +383,7 @@ class _Replayer:
             self._fail(e, "woken op is not in execution")
 
     def _on_commit(self, e):
-        txn = self.txns.get(e.txn)
-        if txn is None:
-            self._fail(e, f"{e.txn} has not begun")
-        if txn.status is not TxnStatus.ACTIVE:
-            self._fail(e, "commit of non-active txn")
-        if txn.blocked_on is not None:
-            self._fail(e, "committing while blocked")
+        txn = self._stepping(e)
         for obj, inv in txn.release_order():
             if inv.lifecycle is not Lifecycle.EXECUTED:
                 self._fail(e, f"commit with unfinished {inv!r}")
@@ -406,9 +395,7 @@ class _Replayer:
         txn.status = TxnStatus.COMMITTED
 
     def _on_victim(self, e):
-        txn = self.txns.get(e.txn)
-        if txn is None:
-            self._fail(e, f"{e.txn} has not begun")
+        txn = self._begun(e)
         cycle = find_cycle(self._waits_for_edges())
         if cycle is None:
             self._fail(e, "victim without a waits-for cycle")
@@ -422,9 +409,7 @@ class _Replayer:
         return self.waits_for
 
     def _on_abort(self, e):
-        txn = self.txns.get(e.txn)
-        if txn is None:
-            self._fail(e, f"{e.txn} has not begun")
+        txn = self._begun(e)
         if txn.status is not TxnStatus.ACTIVE:
             self._fail(e, "abort of non-active txn")
         if self.aborting is not None:

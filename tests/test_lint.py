@@ -19,6 +19,21 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_module_in_the_package_searches_permutations():
+    # the serializability contract is the commit order; the exhaustive
+    # search over every order is a test-only cross-check
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module == "itertools"
+                    and any(a.name == "permutations" for a in node.names)
+                    or isinstance(node, ast.Attribute) and node.attr == "permutations"
+                    and isinstance(node.value, ast.Name) and node.value.id == "itertools"):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
+
+
 def _is_self_check(stmt):
     return (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
             and isinstance(stmt.value.func, ast.Attribute)

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,10 +16,11 @@ from pathlib import Path
 import pytest
 
 from adtxn import history as hist
-from adtxn import oracles
+from adtxn import monitor, oracles
 from adtxn.adts import builtin_names, get_adt
 from adtxn.core import FrameworkError, Lifecycle
-from adtxn.fuzz import derive_seed, flip_random_abort, generate_workload
+from adtxn.fuzz import (derive_seed, flip_random_abort, generate_workload,
+                        run_pipeline)
 from adtxn.history import History, render_trace
 from adtxn.manager import Observation, TxnStatus, waits_for_graph
 from adtxn.monitor import AdmitOutcome, ManagedObject
@@ -130,10 +132,12 @@ def test_a_failed_commit_order_is_reported_when_another_order_passes():
                 if e.kind == hist.COMMIT else e for e in ev]
 
     res = dataclasses.replace(res, history=doctored(res.history, swap))
+    # T1 then T2 still explains the run, but the commit order is the contract
     verdict = check_serializable(res)
-    assert verdict.ok and verdict.witness == ("T1", "T2")
-    assert "commit order ['T2', 'T1'] is no witness" in verdict.detail
-    assert "witness ['T1', 'T2']" in verdict.detail
+    assert not verdict.ok and verdict.witness is None
+    assert verdict.detail == ("commit order ['T2', 'T1'] is no witness: T2 step 0 "
+                              "saw s POP [] -> [a,Ok], the serial replay gives "
+                              "s POP [] -> [_,EmptyStack]")
 
 
 def test_transparency_accepts_a_real_rollback():
@@ -156,8 +160,8 @@ def test_transparency_rejects_visible_residue():
     res.final_states["s"] = ("a",)
     verdict = check_abort_transparency(res)
     assert not verdict.ok and "residue" in verdict.detail
-    # the history still commits T1, so the search ran in place of the
-    # commit order
+    # the history still commits T1, so its COMMIT events name a txn the
+    # statuses do not count as committed
     assert "do not name each committed txn ['T2'] once" in verdict.detail
 
 
@@ -325,6 +329,46 @@ def test_a_history_naming_an_unbegun_txn_fails_the_replay(mixed_results):
             assert stage == "replay" and "has not begun" in verdict.detail, verdict
             deleted += 1
     assert deleted == 1_502
+
+
+BLOCKED_THEN_NULL = """\
+object s stack ()
+object r real 5
+txn T1
+  op s PUSH a
+end commit
+txn T2
+  op s POP
+  op r MULTIPLY 1
+end commit
+schedule steps T1 T2 T2 T1 T1 T2 T2 T2
+"""
+
+
+def _move_nullop(kind, txn):
+    """Move the history's one NULLOP to just after `txn`'s event of `kind`."""
+    def mutate(ev):
+        null = next(e for e in ev if e.kind == hist.NULLOP)
+        ev = [e for e in ev if e is not null]
+        i = next(i for i, e in enumerate(ev) if e.kind == kind and e.txn == txn)
+        return ev[:i + 1] + [null] + ev[i + 1:]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda ev: [e._replace(txn="T99") if e.kind == hist.NULLOP else e
+                 for e in ev], "T99 has not begun"),
+    (_move_nullop(hist.BLOCK, "T2"), "T2 is blocked"),
+    (_move_nullop(hist.COMMIT, "T2"), "T2 is committed, not active"),
+], ids=["unknown txn", "blocked txn", "after its COMMIT"])
+def test_a_nullop_must_name_a_txn_free_to_step(mutate, message):
+    # T2's NULLOP follows its wake; the replay must judge the txn it names
+    # as it judges an INVOKE's
+    res = run_simulated(parse_workload(BLOCKED_THEN_NULL))
+    assert check_run(res)[0] is None
+    history = doctored(res.history, mutate)
+    stage, verdict = check_run(dataclasses.replace(res, history=history))
+    assert stage == "replay" and message in verdict.detail, verdict
 
 
 def _first_woken_exec(events, i):
@@ -531,24 +575,25 @@ def test_golden_traces_hold_with_the_translation_memo_cold_and_warm():
 
 
 def test_mixed_workloads_are_serializable_in_commit_order(mixed_results):
-    past_budget = 0
+    committed = []
     for res in mixed_results:
         verdict = check_serializable(res)
         assert verdict.ok and verdict.witness == commit_order(res), verdict.detail
-        past_budget += len(verdict.witness) > oracles.MAX_PERMUTED_TXNS
-    # the three 50-txn set instances, which the cap used to refuse
-    assert past_budget == 3
+        if len(res.workload.txns) == 50:
+            committed.append(len(verdict.witness))
+    # of the six 50-txn instances, the three set ones commit more txns than
+    # a search over every order could afford
+    assert len(committed) == 6 and sum(n > 8 for n in committed) == 3
 
 
-def test_past_the_budget_only_a_failed_commit_order_is_refused(mixed_results):
-    res = next(r for r in mixed_results
-               if len(commit_order(r)) > oracles.MAX_PERMUTED_TXNS)
+def test_a_tampered_final_state_fails_naming_its_object(mixed_results):
+    res = next(r for r in mixed_results if len(commit_order(r)) > 8)
     name = next(iter(res.final_states))
     res = dataclasses.replace(res, final_states={**res.final_states, name: "tampered"})
-    with pytest.raises(oracles.SerializabilityBudgetError,
-                       match=r"commit order \[.*\] is no witness, and \d+ "
-                             r"committed txns is past the factorial budget of 8"):
-        check_serializable(res)
+    verdict = check_serializable(res)
+    assert not verdict.ok
+    assert verdict.detail.endswith(f"is no witness: the run's final state of {name} "
+                                   f"is not the serial replay's")
 
 
 def test_replay_leaves_every_monitor_as_it_was_last_checked(monkeypatch, mixed_results):
@@ -737,6 +782,28 @@ def test_validate_run_refuses_broken_metrics_under_optimization():
 
 
 # ------------------------------------------------------------------ check_run
+
+def test_a_planted_table_lie_fails_serializability_and_raises_nothing(monkeypatch):
+    # set INSERT/IN pairs always commute, in admission, wakes and the
+    # replay's rebuilt monitors alike, so only the serial replay can see the
+    # lie; each run it shows in must fail there, naming the txn and step,
+    # however many txns committed
+    def lie(query):
+        return lambda tables, a, b: (
+            {a.op, b.op} == {"INSERT", "IN"} or query(tables, a, b))
+
+    monkeypatch.setattr(monitor, "commute_with_in", lie(commute_with_in))
+    monkeypatch.setattr(monitor, "commute_with_in_out", lie(commute_with_in_out))
+    failed = []
+    for i in range(40):
+        rng = random.Random(derive_seed(7, i))
+        ok, stage, detail = run_pipeline(generate_workload(rng, ["set"], (6, 12)))
+        if not ok:
+            assert stage == "serializability", detail
+            assert re.search(r"is no witness: T\d+ step \d+ saw ", detail), detail
+            failed.append(i)
+    assert failed[0] == 10 and len(failed) == 5
+
 
 def test_check_run_searches_serial_orders_once_per_run(monkeypatch):
     calls = 0
