@@ -63,7 +63,6 @@ from .core import (AdtSpec, FrameworkError, Lifecycle, Origin, PrivateCall,
                    public_outs_from_private, translate_public)
 from .history import History
 from .monitor import AdmitOutcome, ManagedObject
-from .values import Value
 
 
 class TransactionAborted(FrameworkError):
@@ -86,14 +85,6 @@ class TxnStatus(Enum):
     ABORTED = "aborted"
 
 
-class Observation(NamedTuple):
-    """One public call and the answer its transaction saw."""
-    obj: str
-    op: str
-    ins: tuple[Value, ...]
-    outs: tuple[Value, ...]
-
-
 class UndoEntry(NamedTuple):
     obj: ManagedObject
     inv: PrivateInvocation
@@ -108,7 +99,6 @@ class TransactionRecord:
     invocations: list = field(default_factory=list)   # (ManagedObject, inv)
     undo: list = field(default_factory=list)          # UndoEntry, execution order
     blocked_on: tuple | None = None                   # (ManagedObject, inv)
-    observations: list = field(default_factory=list)
 
     def register(self, obj: ManagedObject, inv: PrivateInvocation):
         """Hold `inv`'s edges until release; log its inverse unless NULL."""
@@ -196,17 +186,17 @@ class TransactionManager:
     """Owns the objects, the transactions and the event stream.
 
     `on_wake(txn_id)` fires when a blocked transaction's operation is
-    admitted; `on_abort(txn_id)` fires after a transaction finishes
-    aborting. A scheduler uses them to mark coroutines runnable or dead;
-    both are optional for direct use in tests.
+    admitted. A scheduler uses it to mark the coroutine runnable; it is
+    optional for direct use in tests. An aborted transaction needs no
+    notice: its record says ABORTED, and a scheduler never resumes a
+    victim's parked coroutine.
     """
 
     def __init__(self, history: History | None = None, strict: bool = True,
-                 on_wake=None, on_abort=None):
+                 on_wake=None):
         self.history = history if history is not None else History()
         self.strict = strict
         self.on_wake = on_wake
-        self.on_abort = on_abort
         self.objects: dict[str, ManagedObject] = {}
         self.txns: dict[int, TransactionRecord] = {}
         self._txn_ids = count(1)
@@ -247,8 +237,6 @@ class TransactionManager:
             # result decided by in-params alone: no invocation, no monitor
             self.history.emit(hist.NULLOP, txn=rec.name, obj=obj.name,
                               op=call.op, ins=call.ins, outs=tr.public_outs)
-            rec.observations.append(
-                Observation(obj.name, call.op, call.ins, tr.public_outs))
             return tr.public_outs
         inv = PrivateInvocation(id=next(self._inv_ids), txn=rec.id,
                                 obj=obj.name, op=tr.call.op, ins=tr.call.ins)
@@ -259,7 +247,7 @@ class TransactionManager:
             self.history.emit(hist.DEDUCE, txn=rec.name, obj=obj.name,
                               op=inv.op, ins=inv.ins, outs=inv.outs,
                               inv_id=inv.id)
-            return self._observe(rec, obj, inv, tr, call)
+            return self._answer(rec, obj, inv, tr, call)
         if outcome is AdmitOutcome.BLOCKED:
             self.history.emit(hist.BLOCK, txn=rec.name, obj=obj.name,
                               op=inv.op, ins=inv.ins, inv_id=inv.id)
@@ -276,7 +264,7 @@ class TransactionManager:
         self.history.emit(hist.EXEC, txn=rec.name, obj=obj.name, op=inv.op,
                           ins=inv.ins, outs=outs, inv_id=inv.id)
         self._fire_wakes(obj, obj.complete(inv, outs))
-        return self._observe(rec, obj, inv, tr, call)
+        return self._answer(rec, obj, inv, tr, call)
 
     def commit(self, rec: TransactionRecord):
         if rec.status is not TxnStatus.ACTIVE:
@@ -313,17 +301,13 @@ class TransactionManager:
                                   ins=call.ins, outs=outs, inv_id=inv.id)
             self._fire_wakes(obj, obj.finish(inv))
         rec.status = TxnStatus.ABORTED
-        if self.on_abort:
-            self.on_abort(rec.id)
 
     # -- internals --------------------------------------------------------------
 
-    def _observe(self, rec, obj, inv, tr, call):
-        """Register `inv`, then record and return the public answer."""
+    def _answer(self, rec, obj, inv, tr, call):
+        """Register `inv`, then return its call's public outs."""
         rec.register(obj, inv)
-        pub = public_outs_from_private(tr.rule, call.ins, inv.outs)
-        rec.observations.append(Observation(obj.name, call.op, call.ins, pub))
-        return pub
+        return public_outs_from_private(tr.rule, call.ins, inv.outs)
 
     def _fire_wakes(self, obj, woken):
         for w in woken:

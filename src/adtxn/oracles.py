@@ -5,7 +5,12 @@ These deliberately share no cleverness with the machinery they judge:
 * the serializability check replays the committed transactions one at a
   time, in the order of their COMMIT events, through the pure reference
   semantics, and demands that replay reproduce both the final states and
-  every public answer each committed transaction actually saw. Strict
+  every answer each committed transaction saw. Those answers are read from
+  the history, the events the history replay has judged, and nowhere else:
+  a NULLOP's public outs, and each DEDUCE's or EXEC's private outs. The
+  private outs decide the public ones, through the step's translation
+  rule, and they are what `verify-tables` proves the tables on, hidden
+  before-images included; so comparing them is the stricter test. Strict
   two-phase locking promises that the commit order is a serial witness, so
   that order is the contract: one replay settles a run at any size, and a
   run it does not explain fails, naming the first divergence. No other
@@ -66,17 +71,18 @@ its inverse lands, leaves states or answers no serial order explains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .adts import get_adt
 from .core import (FrameworkError, Lifecycle, PrivateInvocation, PublicCall,
-                   public_outs_from_private, translate_public)
+                   translate_public)
 from . import history as hist
 from .history import History, check_metric_identities
-from .manager import (RELEASE, Observation, TransactionRecord, TxnStatus,
-                      abort_plan, find_cycle)
+from .manager import (RELEASE, TransactionRecord, TxnStatus, abort_plan,
+                      find_cycle)
 from .monitor import AdmitOutcome, ManagedObject
 from .simulate import RunResult
-from .values import render_params
+from .values import Value, render_params
 from .workload import Workload, initial_state
 
 
@@ -85,6 +91,20 @@ class Verdict:
     ok: bool
     detail: str
     witness: tuple[str, ...] | None = None
+
+
+class Observation(NamedTuple):
+    """One step of a transaction and the answer it got, as the history
+    records it: the public call and outs of a NULL step, the private call
+    and outs of any other."""
+    obj: str
+    op: str
+    ins: tuple[Value, ...]
+    outs: tuple[Value, ...]
+
+
+# the events that record a step's answer
+_ANSWERS = frozenset((hist.NULLOP, hist.DEDUCE, hist.EXEC))
 
 
 def replay_serial(workload: Workload, order) -> tuple[dict, dict]:
@@ -101,17 +121,25 @@ def replay_serial(workload: Workload, order) -> tuple[dict, dict]:
         seen = observations.setdefault(decl.name, [])
         for step in decl.steps:
             spec = specs[step.obj]
-            call = PublicCall(step.op, step.ins)
-            tr = translate_public(spec, call)
+            tr = translate_public(spec, PublicCall(step.op, step.ins))
             if tr.null:
-                outs = tr.public_outs
-            else:
-                new_state, pouts = spec.apply(states[step.obj], tr.call.op,
-                                              tr.call.ins)
-                states[step.obj] = new_state
-                outs = public_outs_from_private(tr.rule, call.ins, pouts)
-            seen.append(Observation(step.obj, step.op, step.ins, outs))
+                seen.append(Observation(step.obj, step.op, step.ins,
+                                        tr.public_outs))
+                continue
+            op, ins = tr.call
+            states[step.obj], outs = spec.apply(states[step.obj], op, ins)
+            seen.append(Observation(step.obj, op, ins, outs))
     return states, observations
+
+
+def _observed(history: History) -> dict[str, list]:
+    """{txn: [Observation]}: every answer each txn got, in history order."""
+    seen: dict[str, list] = {}
+    for e in history:
+        if e.kind in _ANSWERS:
+            seen.setdefault(e.txn, []).append(
+                Observation(e.obj, e.op, e.ins, e.outs))
+    return seen
 
 
 def _rendered_step(observations, step) -> str:
@@ -128,7 +156,8 @@ def check_serializable(result: RunResult) -> Verdict:
 
     It passes, with that order as its witness, exactly when the COMMIT
     events name each committed txn once and one serial replay in their
-    order reproduces every committed observation and every final state.
+    order reproduces every answer a committed txn got, as its NULLOP,
+    DEDUCE and EXEC events record it, and every final state.
     Otherwise the detail names the first divergence: the txn and step whose
     answer differs from the serial replay's, or else the object whose final
     state does."""
@@ -140,9 +169,10 @@ def check_serializable(result: RunResult) -> Verdict:
                               f"committed txn {sorted(committed)} once")
     states, observations = replay_serial(
         result.workload, [committed[name] for name in order])
+    answers = _observed(result.history)
     failure = f"commit order {list(order)} is no witness"
     for name in order:
-        seen, serial = result.observations[name], observations[name]
+        seen, serial = answers.get(name, []), observations[name]
         if seen != serial:
             step = next((i for i, (a, b) in enumerate(zip(seen, serial))
                          if a != b), min(len(seen), len(serial)))
@@ -236,6 +266,8 @@ class _Replayer:
         handler(self, e)
 
     def _wake_up(self, e, obj, woken):
+        """Unblock the `woken` ops' txns and expect a WAKE for each.
+        Callers call this only when a section woke any."""
         for w in woken:
             txn = self.txns_by_id[w.txn]
             if txn.blocked_on is None or txn.blocked_on[1] is not w:
@@ -369,7 +401,8 @@ class _Replayer:
         woken = obj.complete(inv, outs)
         if waiters:
             self._shed_waits_for(obj, inv, waiters)
-        self._wake_up(e, obj, woken)
+        if woken:
+            self._wake_up(e, obj, woken)
         txn.register(obj, inv)
 
     def _on_wake(self, e):
@@ -391,7 +424,8 @@ class _Replayer:
             woken = obj.finish(inv)
             if waiters:
                 self._shed_waits_for(obj, inv, waiters)
-            self._wake_up(e, obj, woken)
+            if woken:
+                self._wake_up(e, obj, woken)
         txn.status = TxnStatus.COMMITTED
 
     def _on_victim(self, e):
@@ -408,7 +442,7 @@ class _Replayer:
         # replay does not assume the graph was acyclic before each block
         return self.waits_for
 
-    def _on_abort(self, e):
+    def _on_rollback(self, e):
         txn = self._begun(e)
         if txn.status is not TxnStatus.ACTIVE:
             self._fail(e, "abort of non-active txn")
@@ -427,12 +461,13 @@ class _Replayer:
             woken = obj.finish(inv)
             if waiters:
                 self._shed_waits_for(obj, inv, waiters)
-            self._wake_up(e, obj, woken)
+            if woken:
+                self._wake_up(e, obj, woken)
         if not self.plan:
             self.aborting.status = TxnStatus.ABORTED
             self.aborting = None
 
-    def _on_abort_step(self, e):
+    def _on_undo_step(self, e):
         # a WITHDRAW or INVERSE line: the head of the plan, of that kind
         if not (self.aborting is self.txns.get(e.txn) and self.plan
                 and self.plan[0][0] == e.kind):
@@ -455,7 +490,8 @@ class _Replayer:
             woken = obj.finish(inv)
         if waiters:
             self._shed_waits_for(obj, inv, waiters)
-        self._wake_up(e, obj, woken)
+        if woken:
+            self._wake_up(e, obj, woken)
         self._release_due(e)
 
     # exactly one handler per event kind; a kind not here is refused
@@ -463,8 +499,8 @@ class _Replayer:
         hist.BEGIN: _on_begin, hist.NULLOP: _on_nullop, hist.INVOKE: _on_invoke,
         hist.DEDUCE: _on_deduce, hist.BLOCK: _on_block, hist.EXEC: _on_exec,
         hist.WAKE: _on_wake, hist.COMMIT: _on_commit, hist.VICTIM: _on_victim,
-        hist.ABORT: _on_abort, hist.WITHDRAW: _on_abort_step,
-        hist.INVERSE: _on_abort_step,
+        hist.ABORT: _on_rollback, hist.WITHDRAW: _on_undo_step,
+        hist.INVERSE: _on_undo_step,
     }
 
 

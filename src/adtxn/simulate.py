@@ -13,19 +13,20 @@ progress) or an explicit token list naming which transaction advances next;
 tokens for transactions that are waiting or finished are skipped, and when
 tokens run out the lowest-numbered runnable transaction proceeds.
 
-Deadlock victims parked inside the scheduler are unwound on the spot: the
-manager reports the abort, and the victim's coroutine receives
-TransactionAborted immediately rather than occupying a schedule slot later.
+A deadlock victim other than the caller is parked on a block, so it is not
+on the READY list, and its coroutine is simply never resumed: its record
+says ABORTED, and nothing else needs to know. A victim that is the caller
+itself receives TransactionAborted from the manager and finishes.
 
 The READY list is kept, not rebuilt each step: it changes only where an
 activity changes state. The resumed activity leaves it when it suspends on
-a block or finishes (it stays in place across a boundary), a woken one is
-inserted at its declaration position, and a deadlock victim, always
-WAITING and so never on the list, simply becomes DONE. A count of
-unfinished activities ends the run. The list must stay in declaration
-order, exactly as a scan of all activities would give it, because the
-seeded schedule picks with `rng.choice`, which indexes it: any other order
-would pick different transactions and change the trace.
+a block or finishes (it stays in place across a boundary), and a woken one
+is inserted at its declaration position. The run ends when the list is
+empty; a record still ACTIVE then means the schedule is stuck. The list
+must stay in declaration order, exactly as a scan of all activities would
+give it, because the seeded schedule picks with `rng.choice`, which indexes
+it: any other order would pick different transactions and change the
+trace.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass
-from enum import Enum
 from operator import attrgetter
 
 from .adts import get_adt
@@ -58,18 +58,10 @@ class StepLimitExceeded(SimulationError):
     """The run did not finish within the schedule's step cap."""
 
 
-class _ActState(Enum):
-    READY = "ready"
-    RUNNING = "running"
-    WAITING = "waiting"
-    DONE = "done"
-
-
 class _Activity:
     def __init__(self, decl: TxnDecl, index: int):
         self.decl = decl
         self.index = index          # declaration position, the READY order
-        self.state = _ActState.READY
         self.gen = None
         self.rec = None
 
@@ -81,7 +73,6 @@ class RunResult:
     metrics: Metrics
     final_states: dict[str, object]
     statuses: dict[str, TxnStatus]
-    observations: dict[str, list]
 
     @property
     def trace(self) -> str:
@@ -104,8 +95,7 @@ class _Simulation:
         self.workload = workload
         self.history = History()
         self.mgr = TransactionManager(self.history, strict=strict,
-                                      on_wake=self._on_wake,
-                                      on_abort=self._on_abort)
+                                      on_wake=self._on_wake)
         for decl in workload.objects:
             self.mgr.add_object(decl.name, get_adt(decl.adt), initial_state(decl))
         self.activities = [_Activity(decl, i)
@@ -113,7 +103,7 @@ class _Simulation:
         for act in self.activities:
             act.gen = self._drive(act)
         self.ready = list(self.activities)    # READY, in declaration order
-        self.unfinished = len(self.activities)
+        self.resumed = None
         self._by_txn_id: dict[int, _Activity] = {}
         sched = workload.schedule
         if isinstance(sched, RandomSchedule):
@@ -130,16 +120,16 @@ class _Simulation:
     def run(self) -> RunResult:
         steps = 0
         ready = self.ready
-        while self.unfinished:
-            if not ready:
-                stuck = [a.decl.name for a in self.activities
-                         if a.state is _ActState.WAITING]
-                raise ScheduleStuck(f"nothing runnable; waiting: {stuck}")
+        while ready:
             steps += 1
             if self.max_steps is not None and steps > self.max_steps:
                 raise StepLimitExceeded(
                     f"needed more than {self.max_steps} scheduler steps")
             self._resume(self._pick(ready))
+        stuck = [a.decl.name for a in self.activities
+                 if a.rec.status is TxnStatus.ACTIVE]
+        if stuck:
+            raise ScheduleStuck(f"nothing runnable; waiting: {stuck}")
         return self._result()
 
     # -- scheduling -----------------------------------------------------------
@@ -149,28 +139,24 @@ class _Simulation:
             return self.rng.choice(ready)
         while self.tokens:
             name = self.tokens.pop(0)
-            for act in self.activities:
-                if act.decl.name == name and act.state is _ActState.READY:
+            for act in ready:
+                if act.decl.name == name:
                     return act
             # tokens naming waiting or finished txns are skipped
         return ready[0]
 
     def _resume(self, act):
-        act.state = _ActState.RUNNING
+        self.resumed = act
         try:
             yielded = act.gen.send(None)
         except StopIteration:
-            act.state = _ActState.DONE
             self.ready.remove(act)
-            self.unfinished -= 1
             return
         if yielded == ("boundary",):
-            act.state = _ActState.READY
-        elif yielded[0] == "wait":
-            act.state = _ActState.WAITING
-            self.ready.remove(act)
-        else:
+            return
+        if yielded[0] != "wait":
             raise ManagerInvariantError(f"{act.decl.name} yielded {yielded!r}")
+        self.ready.remove(act)
 
     # -- transaction program ----------------------------------------------------
 
@@ -194,27 +180,10 @@ class _Simulation:
 
     def _on_wake(self, txn_id):
         act = self._by_txn_id[txn_id]
-        if act.state is _ActState.WAITING:
-            act.state = _ActState.READY
+        # the resumed activity, woken mid-deadlock-resolution, never
+        # suspends and is still on the list; any other was parked
+        if act is not self.resumed:
             insort(self.ready, act, key=attrgetter("index"))
-        # a RUNNING activity woken mid-deadlock-resolution never suspends
-
-    def _on_abort(self, txn_id):
-        act = self._by_txn_id[txn_id]
-        if act.state is _ActState.RUNNING:
-            # the victim is the caller itself; perform raises on return
-            return
-        if act.state is not _ActState.WAITING:
-            raise ManagerInvariantError(
-                f"victim {act.decl.name} was {act.state.value}")
-        try:
-            act.gen.throw(TransactionAborted(act.decl.name))
-        except StopIteration:
-            pass
-        else:
-            raise ManagerInvariantError(f"{act.decl.name} kept running after abort")
-        act.state = _ActState.DONE
-        self.unfinished -= 1
 
     # -- wrap-up ----------------------------------------------------------------
 
@@ -223,13 +192,11 @@ class _Simulation:
             if obj.live:
                 raise MonitorInvariantError(f"{obj.name} not drained at end of run")
         statuses = {}
-        observations = {}
         for act in self.activities:
             if act.rec is None or act.rec.status not in (TxnStatus.COMMITTED,
                                                          TxnStatus.ABORTED):
                 raise ManagerInvariantError(f"{act.decl.name} unfinished at end of run")
             statuses[act.decl.name] = act.rec.status
-            observations[act.decl.name] = list(act.rec.observations)
         high = {name: obj.max_in_execution
                 for name, obj in self.mgr.objects.items()}
         return RunResult(
@@ -238,5 +205,4 @@ class _Simulation:
             metrics=compute_metrics(self.history, high),
             final_states={n: o.state for n, o in self.mgr.objects.items()},
             statuses=statuses,
-            observations=observations,
         )

@@ -133,10 +133,14 @@ def exhaustively_serializable(result):
     order of the committed txns until one explains the run."""
     committed = [t for t in result.workload.txns
                  if result.statuses[t.name] is TxnStatus.COMMITTED]
+    seen = {}                           # the history's answers, per txn
+    for e in result.history:
+        if e.kind in (NULLOP, DEDUCE, EXEC):
+            seen.setdefault(e.txn, []).append((e.obj, e.op, e.ins, e.outs))
     for order in permutations(committed):
         states, observations = replay_serial(result.workload, order)
         if states == result.final_states and all(
-                observations.get(t.name, []) == result.observations[t.name]
+                observations.get(t.name, []) == seen.get(t.name, [])
                 for t in committed):
             return True
     return False

@@ -19,7 +19,6 @@ from adtxn.fuzz import derive_seed, flip_random_abort, generate_workload
 from adtxn.manager import (
     RELEASE,
     ManagerInvariantError,
-    Observation,
     TransactionAborted,
     TransactionManager,
     TransactionRecord,
@@ -30,6 +29,7 @@ from adtxn.manager import (
     waits_for_graph,
 )
 from adtxn.monitor import AdmitOutcome, ManagedObject
+from adtxn.oracles import Observation
 from adtxn.simulate import run_simulated
 from adtxn.values import item, rational, report
 from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
@@ -84,7 +84,8 @@ def test_two_phase_visibility():
     assert t2.blocked_on is None
     assert finish_wait(got[1]) == (item("a"), OK)
     mgr.commit(t2)
-    assert [o.outs for o in t2.observations] == [(item("a"), OK)]
+    assert [e.outs for e in mgr.history
+            if e.kind == hist.EXEC and e.txn == "T2"] == [(item("a"), OK)]
 
 
 def test_null_direct_op_has_no_footprint():
@@ -94,7 +95,8 @@ def test_null_direct_op_has_no_footprint():
     assert run_op(mgr, t1, "r", "MULTIPLY", rational(1)) == ()
     assert t1.invocations == [] and t1.undo == []
     assert kinds(mgr) == [hist.BEGIN, hist.NULLOP]
-    assert t1.observations[0].op == "MULTIPLY"
+    null = mgr.history.events[-1]
+    assert (null.op, null.ins, null.outs) == ("MULTIPLY", (rational(1),), ())
     mgr.commit(t1)
 
 
@@ -533,6 +535,41 @@ def test_rooted_search_finds_the_whole_graph_cycle(monkeypatch):
     assert found > 100 and len(searches) > found
     # searches after a victim, some of which find a further cycle
     assert len(pruned) > 50 and any(pruned)
+
+
+WAITING_ON_A_DEADLOCK = """\
+object A stack ()
+object B stack ()
+object C stack ()
+txn T1
+  op A PUSH a
+  op B PUSH x
+end commit
+txn T2
+  op B PUSH b
+  op A PUSH d
+end commit
+txn T3
+  op C PUSH c
+end commit
+schedule steps T3 T1 T2 T1 T2
+"""
+
+
+def test_a_victim_chosen_off_the_cycle_is_refused(monkeypatch):
+    # a planted resolution that aborts T3, free to run, for T1 and T2's
+    # cycle: nothing unwinds T3, so the scheduler resumes it, and the
+    # manager refuses the aborted txn's next call
+    def off_the_cycle(mgr, rec):
+        if find_cycle(mgr.waits_for_edges(rec.id)) is not None:
+            victim = next(t for t in mgr.txns.values() if t.name == "T3")
+            assert victim.status is TxnStatus.ACTIVE and victim.blocked_on is None
+            mgr.history.emit(hist.VICTIM, txn=victim.name)
+            mgr.abort(victim)
+
+    monkeypatch.setattr(TransactionManager, "_resolve_deadlocks", off_the_cycle)
+    with pytest.raises(ManagerInvariantError, match="T3 is aborted"):
+        run_simulated(parse_workload(WAITING_ON_A_DEADLOCK))
 
 
 def test_transaction_status_checks_hold_under_optimization():

@@ -22,10 +22,11 @@ from adtxn.core import FrameworkError, Lifecycle
 from adtxn.fuzz import (derive_seed, flip_random_abort, generate_workload,
                         run_pipeline)
 from adtxn.history import History, render_trace
-from adtxn.manager import Observation, TxnStatus, waits_for_graph
+from adtxn.manager import TxnStatus, waits_for_graph
 from adtxn.monitor import AdmitOutcome, ManagedObject
 from adtxn.oracles import (
     HistoryReplayError,
+    Observation,
     check_abort_transparency,
     check_run,
     check_serializable,
@@ -100,6 +101,26 @@ def test_replay_serial_is_order_sensitive():
     assert obs["T2"] == [Observation("s", "POP", (), (UNIT, report("EmptyStack")))]
 
 
+def test_replay_serial_records_each_step_as_the_history_does():
+    # a NULL step by its public call and outs, any other by its private
+    # call and private outs, hidden before-image included
+    w = parse_workload("""\
+object r real 5
+txn T1
+  op r MULTIPLY 0
+  op r MULTIPLY 1
+  op r ADD -2
+end commit
+schedule steps T1 T1 T1 T1
+""")
+    res = run_simulated(w)
+    _, obs = replay_serial(w, [w.txn_decl("T1")])
+    assert obs["T1"] == [(e.obj, e.op, e.ins, e.outs) for e in res.history
+                         if e.kind in (hist.NULLOP, hist.DEDUCE, hist.EXEC)]
+    assert [o.op for o in obs["T1"]] == ["SETTO", "MULTIPLY", "SUB"]
+    assert obs["T1"][0].outs != ()
+
+
 def test_check_serializable_accepts_and_names_a_witness():
     res = run_simulated(parse_workload(CONTENTIOUS))
     verdict = check_serializable(res)
@@ -113,9 +134,15 @@ def test_check_serializable_rejects_a_wrong_final_state():
 
 
 def test_check_serializable_rejects_a_wrong_observation():
+    # the answers are the history's: T2's EXEC now says its POP got b
     res = run_simulated(parse_workload(CONTENTIOUS))
-    res.observations["T2"] = [Observation("s", "POP", (), (item("b"), OK))]
-    assert not check_serializable(res).ok
+    history = doctored(res.history, lambda ev: [
+        e._replace(outs=(item("b"), OK))
+        if e.kind == hist.EXEC and e.txn == "T2" else e for e in ev])
+    verdict = check_serializable(dataclasses.replace(res, history=history))
+    assert not verdict.ok
+    assert verdict.detail.endswith("T2 step 0 saw s POP [] -> [b,Ok], the serial "
+                                   "replay gives s POP [] -> [a,Ok]")
 
 
 def commit_order(result):
@@ -586,6 +613,26 @@ def test_mixed_workloads_are_serializable_in_commit_order(mixed_results):
     assert len(committed) == 6 and sum(n > 8 for n in committed) == 3
 
 
+def test_a_duplicated_nullop_of_a_committed_txn_fails_serializability(mixed_results):
+    # the history replay lets a txn free to step take a NULL step twice,
+    # but the serial replay gives each committed txn its declared steps
+    # once; a duplicate in an aborted txn is left to a per-txn steps check
+    committed = aborted = 0
+    for res in mixed_results:
+        for null in [e for e in res.history if e.kind == hist.NULLOP]:
+            at = null.index
+            history = doctored(res.history, lambda ev: ev[:at + 1] + ev[at:])
+            stage, verdict = check_run(dataclasses.replace(res, history=history))
+            if res.statuses[null.txn] is TxnStatus.COMMITTED:
+                assert stage == "serializability", verdict
+                assert re.search(rf"is no witness: {null.txn} step \d+ saw ",
+                                 verdict.detail), verdict
+                committed += 1
+            else:
+                aborted += 1
+    assert (committed, aborted) == (145, 53)
+
+
 def test_a_tampered_final_state_fails_naming_its_object(mixed_results):
     res = next(r for r in mixed_results if len(commit_order(r)) > 8)
     name = next(iter(res.final_states))
@@ -805,7 +852,7 @@ def test_a_planted_table_lie_fails_serializability_and_raises_nothing(monkeypatc
     assert failed[0] == 10 and len(failed) == 5
 
 
-def test_check_run_searches_serial_orders_once_per_run(monkeypatch):
+def test_check_run_replays_serially_once_per_run(monkeypatch):
     calls = 0
 
     def counted(*args):

@@ -4,10 +4,10 @@ import dataclasses
 
 import pytest
 
-from adtxn.history import BEGIN, COMMIT, EXEC, INVOKE
+from adtxn.history import BEGIN, COMMIT, DEDUCE, EXEC, INVOKE
 from adtxn.manager import TransactionManager, TxnStatus
 from adtxn.simulate import (ScheduleStuck, SimulationError, StepLimitExceeded,
-                            _ActState, _Simulation, run_simulated)
+                            _Simulation, run_simulated)
 from adtxn.values import UNIT, item, report
 from adtxn.workload import parse_workload
 from test_oracles import _mixed_workloads
@@ -18,16 +18,17 @@ OK = report("Ok")
 @pytest.fixture(autouse=True)
 def picks_checked(monkeypatch):
     """Every test here runs with the kept READY list compared, at every
-    step, against a rescan of all activities: same activities, same
-    (declaration) order, since the seeded pick indexes the list. Returns
-    a one-item list counting the steps checked."""
+    step, against a rescan of all activities' records: same activities,
+    same (declaration) order, since the seeded pick indexes the list. An
+    activity is ready when it has not begun, or its txn is active and not
+    blocked. Returns a one-item list counting the steps checked."""
     pick = _Simulation._pick
     steps = [0]
 
     def checked(sim, ready):
-        assert ready == [a for a in sim.activities if a.state is _ActState.READY]
-        assert sim.unfinished == sum(a.state is not _ActState.DONE
-                                     for a in sim.activities)
+        assert ready == [a for a in sim.activities
+                         if a.rec is None or a.rec.status is TxnStatus.ACTIVE
+                         and a.rec.blocked_on is None]
         steps[0] += 1
         return pick(sim, ready)
 
@@ -37,6 +38,11 @@ def picks_checked(monkeypatch):
 
 def run_text(text, seed=None):
     return run_simulated(parse_workload(text), seed=seed)
+
+
+def answers(res, txn, kind):
+    """The outs of `txn`'s events of `kind`, in history order."""
+    return [e.outs for e in res.history if e.txn == txn and e.kind == kind]
 
 
 DEDUCTION = """\
@@ -69,7 +75,7 @@ def test_token_schedule_replays_exactly():
     assert res.metrics.executions == 1
     assert res.metrics.deductions == 1
     assert res.metrics.blocks == 0
-    assert res.observations["T2"][0].outs == (UNIT, report("EmptyStack"))
+    assert answers(res, "T2", DEDUCE) == [(UNIT, report("EmptyStack"))]
 
 
 def test_tokens_for_waiting_txns_are_skipped():
@@ -89,7 +95,7 @@ schedule steps T1 T2 T2 T1 T1
             ("BEGIN", "T2"), ("INVOKE", "T2"), ("BLOCK", "T2"),
             ("COMMIT", "T1"), ("WAKE", "T2"), ("EXEC", "T2"), ("COMMIT", "T2")]
     assert [(e.kind, e.txn) for e in res.history] == want
-    assert res.observations["T2"][0].outs == (item("a"), OK)
+    assert answers(res, "T2", EXEC) == [(item("a"), OK)]
     assert res.final_states["s"] == ()
 
 
