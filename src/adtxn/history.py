@@ -94,6 +94,15 @@ def render_trace(history: History) -> str:
     return "".join(e.render() + "\n" for e in history)
 
 
+# (Metrics field, the event kind it counts), in the order `render` lists them
+METRIC_COUNTS = (
+    ("invocations", INVOKE), ("null_ops", NULLOP), ("executions", EXEC),
+    ("deductions", DEDUCE), ("blocks", BLOCK), ("wakeups", WAKE),
+    ("withdrawals", WITHDRAW), ("inverses", INVERSE), ("commits", COMMIT),
+    ("aborts", ABORT), ("victims", VICTIM),
+)
+
+
 @dataclass(frozen=True)
 class Metrics:
     invocations: int
@@ -110,17 +119,7 @@ class Metrics:
     max_in_execution: dict[str, int]
 
     def render(self) -> str:
-        lines = [f"invocations {self.invocations}",
-                 f"null_ops {self.null_ops}",
-                 f"executions {self.executions}",
-                 f"deductions {self.deductions}",
-                 f"blocks {self.blocks}",
-                 f"wakeups {self.wakeups}",
-                 f"withdrawals {self.withdrawals}",
-                 f"inverses {self.inverses}",
-                 f"commits {self.commits}",
-                 f"aborts {self.aborts}",
-                 f"victims {self.victims}"]
+        lines = [f"{name} {getattr(self, name)}" for name, _ in METRIC_COUNTS]
         for name in sorted(self.max_in_execution):
             lines.append(f"max_in_execution {name} {self.max_in_execution[name]}")
         return "".join(line + "\n" for line in lines)
@@ -128,20 +127,8 @@ class Metrics:
 
 def compute_metrics(history: History, high_water: dict[str, int] | None = None) -> Metrics:
     counts = Counter(e.kind for e in history.events)
-    m = Metrics(
-        invocations=counts[INVOKE],
-        null_ops=counts[NULLOP],
-        executions=counts[EXEC],
-        deductions=counts[DEDUCE],
-        blocks=counts[BLOCK],
-        wakeups=counts[WAKE],
-        withdrawals=counts[WITHDRAW],
-        inverses=counts[INVERSE],
-        commits=counts[COMMIT],
-        aborts=counts[ABORT],
-        victims=counts[VICTIM],
-        max_in_execution=dict(high_water or {}),
-    )
+    m = Metrics(**{name: counts[kind] for name, kind in METRIC_COUNTS},
+                max_in_execution=dict(high_water or {}))
     check_metric_identities(m)
     return m
 

@@ -164,24 +164,6 @@ def find_cycle(adj: dict[int, set[int]]) -> list[int] | None:
     return None
 
 
-def waits_for_graph(txns) -> dict[int, set[int]]:
-    """The whole waits-for graph of `txns`, each with `id` and `blocked_on`.
-
-    A blocked transaction waits for the owners of every invocation its
-    blocked one is blocked by, each live on the same object.
-    """
-    adj: dict[int, set[int]] = {}
-    for txn in txns:
-        if txn.blocked_on is None:
-            continue
-        obj, w = txn.blocked_on
-        owners = {obj.live[b].txn for b in obj.blocked_by[w.id]}
-        if txn.id in owners:
-            raise ManagerInvariantError(f"self-edge on {txn.id} in waits-for graph")
-        adj[txn.id] = owners
-    return adj
-
-
 class TransactionManager:
     """Owns the objects, the transactions and the event stream.
 

@@ -28,11 +28,13 @@ The replay keeps its own waits-for graph, edge by edge, from its rebuilt
 monitors; it reads nothing of the engine's. At each BLOCK it records the
 blocked transaction's out-edges: each blocker's owner, read from the
 monitor the blocker is live on as the engine reads it, and how many of
-that owner's ops the blocked op waits on. Around each `complete`, `finish`
-and `withdraw` it reads the op's waiters first; each waiter whose blockers
-have lost the op then waits on one op of the op's owner fewer, and an
-owner at zero is no longer waited for. Woken transactions and a withdrawn
-one leave the graph. The graph stays exact on one monitor fact, which
+that owner's ops the blocked op waits on. The release sections `complete`,
+`finish` and `withdraw` run only through `_Replayer._section`, which
+mirrors each in the graph: it reads the op's waiters first; each waiter
+whose blockers have lost the op then waits on one op of the op's owner
+fewer, and an owner at zero is no longer waited for. Each woken
+transaction leaves the graph, and its WAKE is due next; a withdrawn one
+leaves it just before. The graph stays exact on one monitor fact, which
 tests/test_oracles.py checks after every event against the graph derived
 afresh: a waiter's blockers grow only in `admit`, before its BLOCK, and
 only those three sections shrink them. At every VICTIM, `find_cycle`
@@ -43,11 +45,15 @@ left the graph acyclic.
 INVOKE ids must strictly increase, as the engine's counter makes them: an
 id then names one invocation for the whole history, and the monitors'
 edges, which run from a smaller id to a larger one, follow arrival order.
-An event that names a txn with no BEGIN before it, or an object the
-workload does not declare, fails the replay like any other drift. So does
-a NULLOP, INVOKE or COMMIT whose txn is not ACTIVE or is blocked, and a
-DEDUCE, BLOCK, EXEC or WAKE that names another txn than the one whose
-INVOKE the op came from.
+An INVOKE's call must fit its type's private signature. An event that
+names a txn with no BEGIN before it, or an object the workload does not
+declare, fails the replay like any other drift. So does a NULLOP, INVOKE
+or COMMIT whose txn is not ACTIVE or is blocked, and a DEDUCE, BLOCK,
+EXEC, WAKE or WITHDRAW that names another txn, object, op or in-params
+than the INVOKE the op came from. A malformed call that the reference
+semantics refuse (a `FrameworkError`) fails the replay too, rather than
+escaping `check_run`. Last, the run's metrics must be the event counts of
+the history the replay judged.
 
 The replay's monitors are strict, so each of their entry sections (`admit`,
 `complete`, `finish`, `withdraw`) ends by checking the ops and edges it
@@ -75,9 +81,9 @@ from typing import NamedTuple
 
 from .adts import get_adt
 from .core import (FrameworkError, Lifecycle, PrivateInvocation, PublicCall,
-                   translate_public)
+                   check_private_ins, translate_public)
 from . import history as hist
-from .history import History, check_metric_identities
+from .history import History, compute_metrics
 from .manager import (RELEASE, TransactionRecord, TxnStatus, abort_plan,
                       find_cycle)
 from .monitor import AdmitOutcome, ManagedObject
@@ -265,9 +271,29 @@ class _Replayer:
             self._fail(e, "an admission outcome event was due here")
         handler(self, e)
 
-    def _wake_up(self, e, obj, woken):
-        """Unblock the `woken` ops' txns and expect a WAKE for each.
-        Callers call this only when a section woke any."""
+    def _section(self, e, obj, inv, section, *args):
+        """Run `section`, one of obj's release sections (`complete`,
+        `finish`, `withdraw`), on `inv`, and mirror what it changed in the
+        kept graph. The op's waiters are read first, and copied, since
+        `complete` sheds edges from that very set; each waiter the section
+        left no longer blocked by the op waits on one op of inv's owner
+        fewer. Each txn the section woke leaves the graph, and its WAKE is
+        due."""
+        waiters = obj.blocks.get(inv.id)
+        if waiters:
+            waiters = tuple(waiters)
+        woken = section(inv, *args)
+        if waiters:
+            waits_for, live, blocked_by = self.waits_for, obj.live, obj.blocked_by
+            inv_id, owner = inv.id, inv.txn
+            for w in waiters:
+                if inv_id in blocked_by.get(w, ()):
+                    continue
+                owners = waits_for[live[w].txn]
+                if owners[owner] == 1:
+                    del owners[owner]
+                else:
+                    owners[owner] -= 1
         for w in woken:
             txn = self.txns_by_id[w.txn]
             if txn.blocked_on is None or txn.blocked_on[1] is not w:
@@ -275,22 +301,6 @@ class _Replayer:
             txn.blocked_on = None
             del self.waits_for[txn.id]
         self.expected_wakes.extend(woken)
-
-    def _shed_waits_for(self, obj, inv, waiters):
-        """Take the edges `inv` lost out of the kept graph: each of its
-        former `waiters` no longer blocked by it waits on one op of inv's
-        owner fewer. Callers read `waiters` before the section that sheds,
-        and call this only when there were any."""
-        waits_for, live, blocked_by = self.waits_for, obj.live, obj.blocked_by
-        inv_id, owner = inv.id, inv.txn
-        for w in waiters:
-            if inv_id in blocked_by.get(w, ()):
-                continue
-            owners = waits_for[live[w].txn]
-            if owners[owner] == 1:
-                del owners[owner]
-            else:
-                owners[owner] -= 1
 
     # handlers
 
@@ -338,15 +348,20 @@ class _Replayer:
         self.last_inv_id = e.inv_id
         inv = PrivateInvocation(id=e.inv_id, txn=txn.id, obj=e.obj,
                                 op=e.op, ins=e.ins)
+        check_private_ins(obj.spec, inv)
         outcome = obj.admit(inv)
         self.pending_admit = (obj, inv, outcome)
 
     def _owner(self, e, inv):
-        """The txn `e` names, which must be the one that invoked `inv`."""
+        """The txn `e` names, which must be the one that invoked `inv`; `e`
+        must also name inv's object, op and in-params."""
         txn = self._begun(e)
         if inv.txn != txn.id:
             self._fail(e, f"invocation {inv.id} belongs to txn id {inv.txn}, "
                           f"not {e.txn}")
+        if e.op != inv.op or e.ins != inv.ins or e.obj != inv.obj:
+            self._fail(e, f"invocation {inv.id} is {inv.obj} {inv.op} "
+                          f"{render_params(inv.ins)}")
         return txn
 
     def _take_pending(self, e, *allowed):
@@ -393,16 +408,7 @@ class _Replayer:
         outs = obj.execute(inv)
         if outs != e.outs:
             self._fail(e, f"execution produced {outs}")
-        # the waiters are read before the call and copied, since `complete`
-        # sheds edges from this very set; with none, the graph cannot move
-        waiters = obj.blocks.get(inv.id)
-        if waiters:
-            waiters = tuple(waiters)
-        woken = obj.complete(inv, outs)
-        if waiters:
-            self._shed_waits_for(obj, inv, waiters)
-        if woken:
-            self._wake_up(e, obj, woken)
+        self._section(e, obj, inv, obj.complete, outs)
         txn.register(obj, inv)
 
     def _on_wake(self, e):
@@ -420,12 +426,7 @@ class _Replayer:
         for obj, inv in txn.release_order():
             if inv.lifecycle is not Lifecycle.EXECUTED:
                 self._fail(e, f"commit with unfinished {inv!r}")
-            waiters = obj.blocks.get(inv.id)
-            woken = obj.finish(inv)
-            if waiters:
-                self._shed_waits_for(obj, inv, waiters)
-            if woken:
-                self._wake_up(e, obj, woken)
+            self._section(e, obj, inv, obj.finish)
         txn.status = TxnStatus.COMMITTED
 
     def _on_victim(self, e):
@@ -457,12 +458,7 @@ class _Replayer:
         # as they reach the head of the plan
         while self.plan and self.plan[0][0] == RELEASE:
             _, obj, inv, _ = self.plan.pop(0)
-            waiters = obj.blocks.get(inv.id)
-            woken = obj.finish(inv)
-            if waiters:
-                self._shed_waits_for(obj, inv, waiters)
-            if woken:
-                self._wake_up(e, obj, woken)
+            self._section(e, obj, inv, obj.finish)
         if not self.plan:
             self.aborting.status = TxnStatus.ABORTED
             self.aborting = None
@@ -473,13 +469,13 @@ class _Replayer:
                 and self.plan[0][0] == e.kind):
             self._fail(e, f"{e.kind.lower()} not due for this txn")
         kind, obj, inv, call = self.plan.pop(0)
-        waiters = obj.blocks.get(inv.id)
         if kind == hist.WITHDRAW:
             if inv.id != e.inv_id:
                 self._fail(e, f"expected withdrawal of {inv.id}")
+            self._owner(e, inv)
             self.aborting.blocked_on = None
             del self.waits_for[self.aborting.id]
-            woken = obj.withdraw(inv)
+            self._section(e, obj, inv, obj.withdraw)
         else:
             if not (obj.name == e.obj and call.op == e.op
                     and call.ins == e.ins):
@@ -487,11 +483,7 @@ class _Replayer:
             outs = obj.apply_inverse(call)
             if outs != e.outs:
                 self._fail(e, f"inverse produced {outs}")
-            woken = obj.finish(inv)
-        if waiters:
-            self._shed_waits_for(obj, inv, waiters)
-        if woken:
-            self._wake_up(e, obj, woken)
+            self._section(e, obj, inv, obj.finish)
         self._release_due(e)
 
     # exactly one handler per event kind; a kind not here is refused
@@ -510,24 +502,32 @@ def replay_history(workload: Workload, history: History) -> dict[str, object]:
 
 
 def validate_run(result: RunResult) -> Verdict:
-    """Everything short of serializability: accounting, replay, state match."""
-    check_metric_identities(result.metrics)
+    """Everything short of serializability: the history replays, and its
+    final states and event counts are the run's."""
     final = replay_history(result.workload, result.history)
     if final != result.final_states:
         return Verdict(False, f"replayed states {final} != run states "
                               f"{result.final_states}")
+    metrics = result.metrics
+    counted = compute_metrics(result.history, metrics.max_in_execution)
+    if counted != metrics:
+        name = next(f for f, _ in hist.METRIC_COUNTS
+                    if getattr(counted, f) != getattr(metrics, f))
+        return Verdict(False, f"the run counts {getattr(metrics, name)} {name}, "
+                              f"its history {getattr(counted, name)}")
     return Verdict(True, "history replays cleanly")
 
 
 def check_run(result: RunResult) -> tuple[str | None, Verdict]:
     """(first failing stage, its verdict), or (None, the serializability
-    verdict) if all pass. Stages: replay, where a raise is a failure, then
-    serializability. Abort transparency is the serializability check on
-    the same result, so a run that passed it is transparent too, and the
-    check runs once whether or not anything aborted."""
+    verdict) if all pass. Stages: replay, where a raise of a failed check or
+    of a malformed call is a failure, then serializability. Abort
+    transparency is the serializability check on the same result, so a run
+    that passed it is transparent too, and the check runs once whether or
+    not anything aborted."""
     try:
         verdict = validate_run(result)
-    except AssertionError as exc:
+    except (AssertionError, FrameworkError) as exc:
         return "replay", Verdict(False, str(exc))
     if not verdict.ok:
         return "replay", verdict

@@ -71,18 +71,6 @@ class Workload:
     txns: tuple[TxnDecl, ...]
     schedule: RandomSchedule | ExplicitSchedule
 
-    def object_decl(self, name: str) -> ObjectDecl:
-        for o in self.objects:
-            if o.name == name:
-                return o
-        raise KeyError(name)
-
-    def txn_decl(self, name: str) -> TxnDecl:
-        for t in self.txns:
-            if t.name == name:
-                return t
-        raise KeyError(name)
-
 
 def make_step(spec, obj_name: str, op: str, ins: tuple[Value, ...]) -> OpStep:
     """Build a step programmatically; tokens round-trip through the parser."""

@@ -100,3 +100,29 @@ def test_the_monitor_counts_move_only_where_their_ops_change_stage():
                 movers[name].add(node.name)
     assert movers == {"executed": {"admit", "complete", "finish"},
                       "running": {"_enter_execution", "complete"}}
+
+
+def test_the_replay_reaches_the_release_sections_only_through_section():
+    # `_Replayer._section` mirrors what `complete`, `finish` and `withdraw`
+    # change in the replay's waits-for graph; anywhere else in the module a
+    # release section may only be named as the section that method runs
+    tree = ast.parse((SRC / "oracles.py").read_text(encoding="utf-8"))
+    releases = ("complete", "finish", "withdraw")
+    replayer = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "_Replayer")
+    section = next(node for node in replayer.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_section")
+    allowed = {id(node) for node in ast.walk(section)}
+    passed = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_section" and len(node.args) > 3
+                and isinstance(node.args[3], ast.Attribute)
+                and node.args[3].attr in releases):
+            allowed.add(id(node.args[3]))
+            passed.add(node.args[3].attr)
+    found = [f"oracles.py:{node.lineno} {node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in releases
+             and id(node) not in allowed]
+    assert found == []
+    assert passed == set(releases)      # the replay runs each of them

@@ -26,7 +26,6 @@ from adtxn.manager import (
     UndoEntry,
     abort_plan,
     find_cycle,
-    waits_for_graph,
 )
 from adtxn.monitor import AdmitOutcome, ManagedObject
 from adtxn.oracles import Observation
@@ -34,6 +33,7 @@ from adtxn.simulate import run_simulated
 from adtxn.values import item, rational, report
 from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
                             make_step, parse_workload)
+from helpers import waits_for_graph
 from test_monitor import run_optimized
 
 OK = report("Ok")
@@ -364,8 +364,8 @@ def test_waits_for_graph_reads_each_blockers_owner_from_its_monitor():
 
 def test_waits_for_graph_refuses_a_self_edge_under_optimization():
     out = run_optimized("""\
-        from adtxn.manager import (ManagerInvariantError, TransactionRecord,
-                                   waits_for_graph)
+        from adtxn.manager import ManagerInvariantError, TransactionRecord
+        from helpers import waits_for_graph
         obj, ids = make_object(), Ids()
         push, pop = ids.inv(1, "PUSH", item("a")), ids.inv(2, "POP")
         obj.admit(push)

@@ -21,8 +21,8 @@ from adtxn.adts import builtin_names, get_adt
 from adtxn.core import FrameworkError, Lifecycle
 from adtxn.fuzz import (derive_seed, flip_random_abort, generate_workload,
                         run_pipeline)
-from adtxn.history import History, render_trace
-from adtxn.manager import TxnStatus, waits_for_graph
+from adtxn.history import History, compute_metrics, render_trace
+from adtxn.manager import TxnStatus
 from adtxn.monitor import AdmitOutcome, ManagedObject
 from adtxn.oracles import (
     HistoryReplayError,
@@ -39,6 +39,7 @@ from adtxn.tables import commute_with_in, commute_with_in_out, try_deduce
 from adtxn.values import UNIT, item, report
 from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
                             make_step, parse_workload)
+from helpers import txn_decl, waits_for_graph
 from test_acceptance import (CARD_BLOCK_TRACE, CARD_BLOCK_WORKLOAD,
                              CROSSED_TRACE, CROSSED_WORKLOAD, DEDUCTION_TRACE,
                              DEDUCTION_WORKLOAD, INSERT_HINT_TRACE,
@@ -93,10 +94,10 @@ def doctored(history, mutate):
 
 def test_replay_serial_is_order_sensitive():
     w = parse_workload(CONTENTIOUS)
-    states, obs = replay_serial(w, [w.txn_decl("T1"), w.txn_decl("T2")])
+    states, obs = replay_serial(w, [txn_decl(w, "T1"), txn_decl(w, "T2")])
     assert states == {"s": ()}
     assert obs["T2"] == [Observation("s", "POP", (), (item("a"), OK))]
-    states, obs = replay_serial(w, [w.txn_decl("T2"), w.txn_decl("T1")])
+    states, obs = replay_serial(w, [txn_decl(w, "T2"), txn_decl(w, "T1")])
     assert states == {"s": ("a",)}
     assert obs["T2"] == [Observation("s", "POP", (), (UNIT, report("EmptyStack")))]
 
@@ -114,7 +115,7 @@ end commit
 schedule steps T1 T1 T1 T1
 """)
     res = run_simulated(w)
-    _, obs = replay_serial(w, [w.txn_decl("T1")])
+    _, obs = replay_serial(w, [txn_decl(w, "T1")])
     assert obs["T1"] == [(e.obj, e.op, e.ins, e.outs) for e in res.history
                          if e.kind in (hist.NULLOP, hist.DEDUCE, hist.EXEC)]
     assert [o.op for o in obs["T1"]] == ["SETTO", "MULTIPLY", "SUB"]
@@ -614,15 +615,18 @@ def test_mixed_workloads_are_serializable_in_commit_order(mixed_results):
 
 
 def test_a_duplicated_nullop_of_a_committed_txn_fails_serializability(mixed_results):
-    # the history replay lets a txn free to step take a NULL step twice,
-    # but the serial replay gives each committed txn its declared steps
-    # once; a duplicate in an aborted txn is left to a per-txn steps check
+    # the history replay lets a txn free to step take a NULL step twice, and
+    # the forged run counts what its history holds; but the serial replay
+    # gives each committed txn its declared steps once; a duplicate in an
+    # aborted txn is left to a per-txn steps check
     committed = aborted = 0
     for res in mixed_results:
         for null in [e for e in res.history if e.kind == hist.NULLOP]:
             at = null.index
             history = doctored(res.history, lambda ev: ev[:at + 1] + ev[at:])
-            stage, verdict = check_run(dataclasses.replace(res, history=history))
+            metrics = compute_metrics(history, res.metrics.max_in_execution)
+            stage, verdict = check_run(
+                dataclasses.replace(res, history=history, metrics=metrics))
             if res.statuses[null.txn] is TxnStatus.COMMITTED:
                 assert stage == "serializability", verdict
                 assert re.search(rf"is no witness: {null.txn} step \d+ saw ",
@@ -808,23 +812,28 @@ def test_validate_run_passes_and_catches_state_drift():
 
 
 def test_validate_run_refuses_broken_metrics_under_optimization():
-    # python -O strips asserts; the accounting identities must not go with them
+    # python -O strips asserts; the accounting identities must not go with
+    # them. They run where the counts are taken from a history, and a run's
+    # metrics must be its history's counts.
     out = run_optimized("""\
         import dataclasses
         from test_oracles import DEADLOCK
-        from adtxn.history import MetricIdentityError
+        from adtxn.history import History, MetricIdentityError, compute_metrics
         from adtxn.oracles import check_run, validate_run
         from adtxn.simulate import run_simulated
         from adtxn.workload import parse_workload
         res = run_simulated(parse_workload(DEADLOCK))
-        res.metrics = dataclasses.replace(res.metrics, wakeups=res.metrics.blocks + 1)
+        wake = next(e for e in res.history if e.kind == "WAKE")
         try:
-            validate_run(res)
+            compute_metrics(History([wake]))
         except MetricIdentityError as exc:
             print("rejected:", exc)
+        res.metrics = dataclasses.replace(res.metrics, wakeups=res.metrics.blocks + 1)
+        print("verdict:", validate_run(res).detail)
         print("stage:", check_run(res)[0])
         """)
     assert "rejected: more wakeups than blocks" in out
+    assert "verdict: the run counts 3 wakeups, its history 1" in out
     assert "stage: replay" in out
 
 
@@ -872,3 +881,65 @@ def test_check_run_replays_serially_once_per_run(monkeypatch):
     for res in results:
         assert check_run(res)[0] is None
     assert calls == alone
+
+
+def _substitutes(res):
+    """(event, forgery) for each op event of `res`: the event naming
+    another op of its object's type, and another object where the workload
+    declares one, each picked in turn by the event's index. A NULLOP names
+    a public op, every other op event a private one."""
+    specs = {o.name: get_adt(o.adt) for o in res.workload.objects}
+    for e in res.history:
+        if e.op is None:
+            continue
+        spec = specs[e.obj]
+        ops = sorted(spec.public_ops if e.kind == hist.NULLOP else spec.private_ops)
+        ops.remove(e.op)
+        yield e, e._replace(op=ops[e.index % len(ops)])
+        others = [name for name in specs if name != e.obj]
+        if others:
+            yield e, e._replace(obj=others[e.index % len(others)])
+
+
+def test_an_op_event_naming_another_op_or_object_fails_and_raises_nothing(
+        mixed_results):
+    # every op event must name its invocation's object, op and in-params,
+    # and a malformed call fails the replay rather than escaping as a raise;
+    # a NULLOP that translates to the same NULL answer replays, and the
+    # serial replay sees it only in a committed txn. Every op event of the
+    # 400 small runs is forged; of the six 50-txn runs, every fifth.
+    tally = Counter()
+    for n, res in enumerate(mixed_results):
+        events = res.history.events
+        for e, forged in _substitutes(res):
+            if n >= 400 and e.index % 5:
+                continue
+            history = History(events[:e.index] + [forged] + events[e.index + 1:])
+            stage, _ = check_run(dataclasses.replace(res, history=history))
+            if stage is None:
+                assert e.kind == hist.NULLOP, forged
+                assert res.statuses[e.txn] is TxnStatus.ABORTED, forged
+            tally[e.kind, stage] += 1
+    assert tally == {
+        (hist.INVOKE, "replay"): 5_205, (hist.DEDUCE, "replay"): 306,
+        (hist.BLOCK, "replay"): 1_633, (hist.EXEC, "replay"): 4_280,
+        (hist.WAKE, "replay"): 965, (hist.WITHDRAW, "replay"): 658,
+        (hist.INVERSE, "replay"): 521, (hist.NULLOP, "replay"): 257,
+        (hist.NULLOP, "serializability"): 58, (hist.NULLOP, None): 21,
+    }
+
+
+def test_a_deleted_or_duplicated_victim_fails_the_replay(mixed_results):
+    # the replay neither demands a VICTIM before a deadlock's ABORT nor
+    # refuses a second one while the cycle still stands; the run's counts,
+    # which must be its history's, catch both
+    mutated = 0
+    for res in mixed_results:
+        for at in [e.index for e in res.history if e.kind == hist.VICTIM]:
+            for mutate in (lambda ev: ev[:at] + ev[at + 1:],
+                           lambda ev: ev[:at + 1] + ev[at:]):
+                history = doctored(res.history, mutate)
+                stage, verdict = check_run(dataclasses.replace(res, history=history))
+                assert stage == "replay" and "victims" in verdict.detail, verdict
+                mutated += 1
+    assert mutated == 1_206

@@ -15,6 +15,7 @@ from adtxn.workload import (
     render_workload,
 )
 from adtxn.values import item, rational
+from helpers import object_decl, txn_decl
 
 GOOD = """\
 # two writers, one probe
@@ -37,22 +38,22 @@ schedule seed 7 steps 40
 def test_parse_good_workload():
     w = parse_workload(GOOD)
     assert [o.name for o in w.objects] == ["s", "r"]
-    assert w.object_decl("r").literal == "3/2"
-    assert initial_state(w.object_decl("s")) == ("a", "b")
-    assert initial_state(w.object_decl("r")) == Fraction(3, 2)
-    t1 = w.txn_decl("T1")
+    assert object_decl(w, "r").literal == "3/2"
+    assert initial_state(object_decl(w, "s")) == ("a", "b")
+    assert initial_state(object_decl(w, "r")) == Fraction(3, 2)
+    t1 = txn_decl(w, "T1")
     assert t1.terminal == "commit"
     assert t1.steps[0].ins == (item("c"),)
     assert t1.steps[1].ins == (rational(-5),)
-    assert w.txn_decl("T2").terminal == "abort"
+    assert txn_decl(w, "T2").terminal == "abort"
     assert w.schedule == RandomSchedule(7, 40)
 
 
 def test_default_initial_state_when_literal_omitted():
     w = parse_workload("object s stack\ntxn T\n op s POP\nend commit\n"
                        "schedule steps T\n")
-    assert w.object_decl("s").literal is None
-    assert initial_state(w.object_decl("s")) == ()
+    assert object_decl(w, "s").literal is None
+    assert initial_state(object_decl(w, "s")) == ()
 
 
 def test_explicit_schedule():
