@@ -2,10 +2,11 @@
 
 These deliberately share no cleverness with the machinery they judge:
 
-* the serializability check replays the committed transactions one at a
-  time, in the order of their COMMIT events, through the pure reference
-  semantics, and demands that replay reproduce both the final states and
-  every answer each committed transaction saw. Those answers are read from
+* the serializability check replays the committed transactions, those
+  the COMMIT events name (each a declared txn, once), one at a time in the
+  order of those events, through the pure reference semantics, and demands
+  that replay reproduce both the final states and every answer each
+  committed transaction saw. Those answers are read from
   the history, the events the history replay has judged, and nowhere else:
   a NULLOP's public outs, and each DEDUCE's or EXEC's private outs. The
   private outs decide the public ones, through the step's translation
@@ -17,43 +18,60 @@ These deliberately share no cleverness with the machinery they judge:
   order is searched: a witness found elsewhere would hide a broken
   promise, and searching for one is NP-complete in general;
 * the abort transparency check is the same demand on a run that aborted
-  transactions: the survivors must tell a serial story in which the aborted
-  ones never existed;
+  transactions, those the ABORT events name: the survivors must tell a
+  serial story in which the aborted ones never existed;
 * the history replay rebuilds every monitor from the event stream alone,
   re-deciding each admission, deduction, wake, inverse and victim with the
   same pure table functions, and checks the run's decisions against the
   trace at every event.
 
-The replay keeps its own waits-for graph, edge by edge, from its rebuilt
-monitors; it reads nothing of the engine's. At each BLOCK it records the
-blocked transaction's out-edges: each blocker's owner, read from the
-monitor the blocker is live on as the engine reads it, and how many of
-that owner's ops the blocked op waits on. The release sections `complete`,
-`finish` and `withdraw` run only through `_Replayer._section`, which
-mirrors each in the graph: it reads the op's waiters first; each waiter
-whose blockers have lost the op then waits on one op of the op's owner
-fewer, and an owner at zero is no longer waited for. Each woken
-transaction leaves the graph, and its WAKE is due next; a withdrawn one
-leaves it just before. The graph stays exact on one monitor fact, which
-tests/test_oracles.py checks after every event against the graph derived
-afresh: a waiter's blockers grow only in `admit`, before its BLOCK, and
-only those three sections shrink them. At every VICTIM, `find_cycle`
-searches this whole graph, not the engine's rooted and pruned subgraph,
-so the replay does not rely on the engine's claim that each resolution
-left the graph acyclic.
+The replay splits the event kinds in two. The chosen ones are those the
+txn or the scheduler decides: BEGIN, NULLOP, INVOKE, the EXEC of an op a
+wake admitted, COMMIT, an ABORT the txn asked for, and VICTIM. Only these
+have a handler, which judges whether the choice was allowed and then runs
+the sections it causes. The monitors determine every other event
+completely: the DEDUCE, BLOCK or EXEC that answers an INVOKE, each WAKE,
+the ABORT a VICTIM forces, and each WITHDRAW and INVERSE of an abort, which
+runs its whole `abort_plan` at once, as the engine does. The replay
+computes each caused event when it runs the section that causes it and
+appends it to one queue, `due`; while anything is due, the next event must
+equal the head of the queue in every field but its index. So a caused
+event cannot go missing, come twice, come out of order or differ in any
+field, and no chosen event can come while one is owed. The replay also
+numbers invocations itself: each INVOKE's id must be the last one plus
+one, as the engine's counter makes them. So an id names one invocation
+for the whole history, and the monitors' edges, which run from a smaller
+id to a larger one, follow arrival order. INVOKE is the only event whose
+id the replay reads; every later one is compared as part of its event.
 
-INVOKE ids must strictly increase, as the engine's counter makes them: an
-id then names one invocation for the whole history, and the monitors'
-edges, which run from a smaller id to a larger one, follow arrival order.
-An INVOKE's call must fit its type's private signature. An event that
+A VICTIM must sit on a cycle, and be its largest txn id. An event that
 names a txn with no BEGIN before it, or an object the workload does not
-declare, fails the replay like any other drift. So does a NULLOP, INVOKE
-or COMMIT whose txn is not ACTIVE or is blocked, and a DEDUCE, BLOCK,
-EXEC, WAKE or WITHDRAW that names another txn, object, op or in-params
-than the INVOKE the op came from. A malformed call that the reference
-semantics refuse (a `FrameworkError`) fails the replay too, rather than
-escaping `check_run`. Last, the run's metrics must be the event counts of
-the history the replay judged.
+declare, fails the replay like any other drift, and so does a NULLOP,
+INVOKE, COMMIT or asked-for ABORT whose txn is not ACTIVE, is blocked, or
+still owes its woken op's EXEC. An INVOKE's call must fit its type's private
+signature; a malformed call that the reference semantics refuse (a
+`FrameworkError`) fails the replay too, rather than escaping `check_run`.
+Last, the run's txn statuses and metrics must be those of the history the
+replay judged: each txn's status as the replay left it, and the event
+counts.
+
+The replay keeps its own waits-for graph, edge by edge, from its rebuilt
+monitors; it reads nothing of the engine's. When an INVOKE blocks, it
+records the blocked transaction's out-edges: each blocker's owner, read
+from the monitor the blocker is live on as the engine reads it, and how
+many of that owner's ops the blocked op waits on. The release sections
+`complete`, `finish` and `withdraw` run only through `_Replayer._section`,
+which mirrors each in the graph: it reads the op's waiters first; each
+waiter whose blockers have lost the op then waits on one op of the op's
+owner fewer, and an owner at zero is no longer waited for. Each woken
+transaction leaves the graph and owes its WAKE; a withdrawn one leaves it
+just before. The graph stays exact on one monitor fact, which
+tests/test_oracles.py checks after every event against the graph derived
+afresh: a waiter's blockers grow only in `admit`, when it blocks, and only
+those three sections shrink them. At every VICTIM, `find_cycle` searches
+this whole graph, not the engine's rooted and pruned subgraph, so the
+replay does not rely on the engine's claim that each resolution left the
+graph acyclic.
 
 The replay's monitors are strict, so each of their entry sections (`admit`,
 `complete`, `finish`, `withdraw`) ends by checking the ops and edges it
@@ -68,24 +86,25 @@ again after every event would only re-read bookkeeping that has not moved.
 The history replay shares the engine's transaction bookkeeping only:
 `TransactionRecord` with its `register` and `release_order`, and
 `abort_plan`. Those fix orders, not outcomes; every admission, wake, inverse
-result and victim is still re-decided by fresh `ManagedObject`s. A wrong
-shared order would still show in the serial-replay checks, which share
-nothing with the engine: an inverse out of order, or an op released before
+result and victim is still re-decided by fresh `ManagedObject`s, and every
+event the replay owes is built from those, not copied from the engine's.
+A wrong shared order would still show in the serial-replay checks, which
+share nothing with the engine: an inverse out of order, or an op released before
 its inverse lands, leaves states or answers no serial order explains.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .adts import get_adt
-from .core import (FrameworkError, Lifecycle, PrivateInvocation, PublicCall,
+from .core import (FrameworkError, PrivateInvocation, PublicCall,
                    check_private_ins, translate_public)
 from . import history as hist
 from .history import History, compute_metrics
-from .manager import (RELEASE, TransactionRecord, TxnStatus, abort_plan,
-                      find_cycle)
+from .manager import TransactionRecord, TxnStatus, abort_plan, find_cycle
 from .monitor import AdmitOutcome, ManagedObject
 from .simulate import RunResult
 from .values import Value, render_params
@@ -161,20 +180,19 @@ def check_serializable(result: RunResult) -> Verdict:
     and every committed transaction's answers?
 
     It passes, with that order as its witness, exactly when the COMMIT
-    events name each committed txn once and one serial replay in their
+    events name declared txns, each once, and one serial replay in their
     order reproduces every answer a committed txn got, as its NULLOP,
     DEDUCE and EXEC events record it, and every final state.
     Otherwise the detail names the first divergence: the txn and step whose
     answer differs from the serial replay's, or else the object whose final
     state does."""
-    committed = {t.name: t for t in result.workload.txns
-                 if result.statuses[t.name] is TxnStatus.COMMITTED}
+    declared = {t.name: t for t in result.workload.txns}
     order = tuple(e.txn for e in result.history if e.kind == hist.COMMIT)
-    if sorted(order) != sorted(committed):
-        return Verdict(False, f"COMMIT events {list(order)} do not name each "
-                              f"committed txn {sorted(committed)} once")
+    if len(set(order)) != len(order) or not declared.keys() >= set(order):
+        return Verdict(False, f"COMMIT events {list(order)} do not each name "
+                              f"a declared txn once")
     states, observations = replay_serial(
-        result.workload, [committed[name] for name in order])
+        result.workload, [declared[name] for name in order])
     answers = _observed(result.history)
     failure = f"commit order {list(order)} is no witness"
     for name in order:
@@ -195,8 +213,9 @@ def check_serializable(result: RunResult) -> Verdict:
 
 def check_abort_transparency(result: RunResult) -> Verdict:
     """Aborted transactions must be invisible: the committed remainder alone
-    must explain everything observable."""
-    aborted = [n for n, s in result.statuses.items() if s is TxnStatus.ABORTED]
+    must explain everything observable. The aborted ones are those the
+    ABORT events name."""
+    aborted = [e.txn for e in result.history if e.kind == hist.ABORT]
     if not aborted:
         raise FrameworkError("transparency check needs at least one aborted txn")
     verdict = check_serializable(result)
@@ -224,11 +243,13 @@ class _Replayer:
                 state=initial_state(decl), strict=True)
         self.txns: dict[str, TransactionRecord] = {}
         self.txns_by_id: dict[int, TransactionRecord] = {}
-        self.last_inv_id = 0               # INVOKE ids strictly increase
-        self.pending_admit = None          # (obj, inv, AdmitOutcome)
-        self.expected_wakes = []           # invs in emission order
-        self.aborting = None               # TransactionRecord mid-abort
-        self.plan = []                     # its abort steps the trace still owes
+        self.last_inv_id = 0
+        # the caused events the history owes next, each an Event's fields
+        # but its index
+        self.due: deque[tuple] = deque()
+        # {txn id: (obj, inv)}: the op a wake admitted, whose EXEC is the
+        # txn's next event
+        self.woken: dict[int, tuple] = {}
         # {blocked txn id: {owner txn id: its ops the blocked op waits on}}
         self.waits_for: dict[int, dict[int, int]] = {}
 
@@ -243,12 +264,8 @@ class _Replayer:
         # monitors ends with its own check (see the module docstring)
         for event in history:
             self._step(event)
-        if self.pending_admit is not None:
-            self._fail(None, "history ended mid-admission")
-        if self.aborting is not None:
-            self._fail(None, "history ended mid-abort")
-        if self.expected_wakes:
-            self._fail(None, "announced wakes never happened")
+        if self.due:
+            self._fail(None, f"owed {_owed_line(self.due[0])}")
         for obj in self.objects.values():
             if obj.live:
                 self._fail(None, f"{obj.name} still holds invocations")
@@ -260,25 +277,28 @@ class _Replayer:
     # one event
 
     def _step(self, e):
+        if self.due:
+            self._match(e, self.due.popleft())
+            return
         handler = self._HANDLERS.get(e.kind)
         if handler is None:
-            self._fail(e, f"unknown event kind {e.kind!r}")
-        if self.expected_wakes and e.kind != hist.WAKE:
-            self._fail(e, f"wakes {[w.id for w in self.expected_wakes]} "
-                          f"were due before this event")
-        if self.pending_admit is not None and e.kind not in (
-                hist.DEDUCE, hist.BLOCK, hist.EXEC):
-            self._fail(e, "an admission outcome event was due here")
+            self._fail(e, f"no {e.kind} is owed here" if e.kind in hist.KINDS
+                       else f"unknown event kind {e.kind!r}")
         handler(self, e)
 
-    def _section(self, e, obj, inv, section, *args):
+    def _match(self, e, owed):
+        """`e` must be the caused event `owed` in every field but its index."""
+        if e[1:] != owed:
+            self._fail(e, f"owed {_owed_line(owed)}")
+
+    def _section(self, obj, inv, section, *args):
         """Run `section`, one of obj's release sections (`complete`,
         `finish`, `withdraw`), on `inv`, and mirror what it changed in the
         kept graph. The op's waiters are read first, and copied, since
         `complete` sheds edges from that very set; each waiter the section
         left no longer blocked by the op waits on one op of inv's owner
-        fewer. Each txn the section woke leaves the graph, and its WAKE is
-        due."""
+        fewer. Each txn the section woke leaves the graph and owes its
+        WAKE; its own next event must then be its woken op's EXEC."""
         waiters = obj.blocks.get(inv.id)
         if waiters:
             waiters = tuple(waiters)
@@ -296,13 +316,35 @@ class _Replayer:
                     owners[owner] -= 1
         for w in woken:
             txn = self.txns_by_id[w.txn]
-            if txn.blocked_on is None or txn.blocked_on[1] is not w:
-                self._fail(e, f"woken {w!r} is not what {txn.name} was blocked on")
             txn.blocked_on = None
             del self.waits_for[txn.id]
-        self.expected_wakes.extend(woken)
+            self.woken[txn.id] = (obj, w)
+            self.due.append((hist.WAKE, txn.name, obj.name, w.op, w.ins, (), w.id))
 
-    # handlers
+    def _execute(self, txn, obj, inv):
+        """Run an admitted op, owe its EXEC, and complete it."""
+        outs = obj.execute(inv)
+        self.due.append((hist.EXEC, txn.name, obj.name, inv.op, inv.ins, outs, inv.id))
+        self._section(obj, inv, obj.complete, outs)
+        txn.register(obj, inv)
+
+    def _abort(self, txn):
+        """Erase `txn` by its whole `abort_plan`, as the engine's `abort`
+        does, owing each WITHDRAW and INVERSE the plan emits."""
+        for kind, obj, inv, call in abort_plan(txn):
+            if kind == hist.WITHDRAW:
+                self.due.append((kind, txn.name, obj.name, inv.op, inv.ins, (), inv.id))
+                txn.blocked_on = None
+                del self.waits_for[txn.id]
+                self._section(obj, inv, obj.withdraw)
+                continue
+            if kind == hist.INVERSE:
+                outs = obj.apply_inverse(call)
+                self.due.append((kind, txn.name, obj.name, call.op, call.ins, outs, inv.id))
+            self._section(obj, inv, obj.finish)
+        txn.status = TxnStatus.ABORTED
+
+    # the handlers of the chosen events
 
     def _on_begin(self, e):
         if e.txn in self.txns:
@@ -319,18 +361,24 @@ class _Replayer:
 
     def _stepping(self, e):
         """The txn `e` names, which must have begun and be free to take its
-        next step or commit: ACTIVE and not blocked."""
+        next step or end: ACTIVE, not blocked, and owing no woken op's EXEC."""
         txn = self._begun(e)
         if txn.status is not TxnStatus.ACTIVE:
             self._fail(e, f"{e.txn} is {txn.status.value}, not active")
         if txn.blocked_on is not None:
             self._fail(e, f"{e.txn} is blocked")
+        if txn.id in self.woken:
+            self._fail(e, f"{e.txn} owes the EXEC of its woken op")
         return txn
 
-    def _on_nullop(self, e):
+    def _object(self, e):
         obj = self.objects.get(e.obj)
         if obj is None:
             self._fail(e, f"unknown object {e.obj!r}")
+        return obj
+
+    def _on_nullop(self, e):
+        obj = self._object(e)
         self._stepping(e)
         tr = translate_public(obj.spec, PublicCall(e.op, e.ins))
         if not tr.null:
@@ -339,55 +387,28 @@ class _Replayer:
             self._fail(e, f"NULL outs should be {tr.public_outs}")
 
     def _on_invoke(self, e):
-        obj = self.objects.get(e.obj)
-        if obj is None:
-            self._fail(e, f"unknown object {e.obj!r}")
+        obj = self._object(e)
         txn = self._stepping(e)
-        if e.inv_id <= self.last_inv_id:
-            self._fail(e, f"invocation id {e.inv_id} does not follow {self.last_inv_id}")
-        self.last_inv_id = e.inv_id
-        inv = PrivateInvocation(id=e.inv_id, txn=txn.id, obj=e.obj,
+        inv_id = self.last_inv_id + 1
+        if e.inv_id != inv_id:
+            self._fail(e, f"invocation id {e.inv_id} is not {inv_id}")
+        self.last_inv_id = inv_id
+        inv = PrivateInvocation(id=inv_id, txn=txn.id, obj=obj.name,
                                 op=e.op, ins=e.ins)
         check_private_ins(obj.spec, inv)
         outcome = obj.admit(inv)
-        self.pending_admit = (obj, inv, outcome)
-
-    def _owner(self, e, inv):
-        """The txn `e` names, which must be the one that invoked `inv`; `e`
-        must also name inv's object, op and in-params."""
-        txn = self._begun(e)
-        if inv.txn != txn.id:
-            self._fail(e, f"invocation {inv.id} belongs to txn id {inv.txn}, "
-                          f"not {e.txn}")
-        if e.op != inv.op or e.ins != inv.ins or e.obj != inv.obj:
-            self._fail(e, f"invocation {inv.id} is {inv.obj} {inv.op} "
-                          f"{render_params(inv.ins)}")
-        return txn
-
-    def _take_pending(self, e, *allowed):
-        """(obj, inv, owner) of the admission in flight, whose outcome `e`
-        reports."""
-        if self.pending_admit is None:
-            self._fail(e, "no admission was in flight")
-        obj, inv, outcome = self.pending_admit
-        self.pending_admit = None
-        if inv.id != e.inv_id:
-            self._fail(e, f"expected invocation {inv.id}")
-        if outcome not in allowed:
-            self._fail(e, f"admission decided {outcome.value}, trace disagrees")
-        return obj, inv, self._owner(e, inv)
-
-    def _on_deduce(self, e):
-        obj, inv, txn = self._take_pending(e, AdmitOutcome.DEDUCED)
-        if inv.outs != e.outs:
-            self._fail(e, f"deduction produced {inv.outs}, trace says {e.outs}")
-        txn.register(obj, inv)
-
-    def _on_block(self, e):
-        obj, inv, txn = self._take_pending(e, AdmitOutcome.BLOCKED)
+        if outcome is AdmitOutcome.ADMITTED:
+            self._execute(txn, obj, inv)
+            return
+        if outcome is AdmitOutcome.DEDUCED:
+            self.due.append((hist.DEDUCE, txn.name, obj.name, inv.op, inv.ins,
+                             inv.outs, inv_id))
+            txn.register(obj, inv)
+            return
+        self.due.append((hist.BLOCK, txn.name, obj.name, inv.op, inv.ins, (), inv_id))
         txn.blocked_on = (obj, inv)
         live, owners = obj.live, {}
-        for b in obj.blocked_by[inv.id]:
+        for b in obj.blocked_by[inv_id]:
             owner = live[b].txn
             owners[owner] = owners.get(owner, 0) + 1
         if txn.id in owners:
@@ -395,39 +416,23 @@ class _Replayer:
         self.waits_for[txn.id] = owners
 
     def _on_exec(self, e):
-        if self.pending_admit is not None:
-            obj, inv, txn = self._take_pending(e, AdmitOutcome.ADMITTED)
-        else:
-            obj = self.objects.get(e.obj)
-            if obj is None:
-                self._fail(e, f"unknown object {e.obj!r}")
-            inv = obj.live.get(e.inv_id)
-            if inv is None or inv.lifecycle is not Lifecycle.IN_EXECUTION:
-                self._fail(e, "executing an op that was never admitted")
-            txn = self._owner(e, inv)
-        outs = obj.execute(inv)
-        if outs != e.outs:
-            self._fail(e, f"execution produced {outs}")
-        self._section(e, obj, inv, obj.complete, outs)
-        txn.register(obj, inv)
-
-    def _on_wake(self, e):
-        if not self.expected_wakes:
-            self._fail(e, "wake out of thin air")
-        inv = self.expected_wakes.pop(0)
-        if inv.id != e.inv_id:
-            self._fail(e, f"expected wake of {inv.id}")
-        self._owner(e, inv)
-        if inv.lifecycle is not Lifecycle.IN_EXECUTION:
-            self._fail(e, "woken op is not in execution")
+        # the EXEC of an op a wake admitted: its txn chose when to run it
+        txn = self._begun(e)
+        woken = self.woken.pop(txn.id, None)
+        if woken is None:
+            self._fail(e, f"{e.txn} has no woken op to execute")
+        self._execute(txn, *woken)
+        self._match(e, self.due.popleft())
 
     def _on_commit(self, e):
         txn = self._stepping(e)
         for obj, inv in txn.release_order():
-            if inv.lifecycle is not Lifecycle.EXECUTED:
-                self._fail(e, f"commit with unfinished {inv!r}")
-            self._section(e, obj, inv, obj.finish)
+            self._section(obj, inv, obj.finish)
         txn.status = TxnStatus.COMMITTED
+
+    def _on_abort(self, e):
+        # an abort the txn asked for; a victim's is owed by its VICTIM
+        self._abort(self._stepping(e))
 
     def _on_victim(self, e):
         txn = self._begun(e)
@@ -437,63 +442,28 @@ class _Replayer:
         if max(cycle) != txn.id:
             self._fail(e, f"victim should be txn id {max(cycle)}, "
                           f"trace chose {txn.id}")
+        self.due.append((hist.ABORT, txn.name, None, None, (), (), None))
+        self._abort(txn)
 
     def _waits_for_edges(self):
         # the whole kept graph, unlike the engine's rooted search: the
         # replay does not assume the graph was acyclic before each block
         return self.waits_for
 
-    def _on_rollback(self, e):
-        txn = self._begun(e)
-        if txn.status is not TxnStatus.ACTIVE:
-            self._fail(e, "abort of non-active txn")
-        if self.aborting is not None:
-            self._fail(e, "overlapping aborts")
-        txn.status = TxnStatus.ABORTING
-        self.aborting, self.plan = txn, abort_plan(txn)
-        self._release_due(e)
-
-    def _release_due(self, e):
-        # releases emit no event of their own, only wakes; run them as soon
-        # as they reach the head of the plan
-        while self.plan and self.plan[0][0] == RELEASE:
-            _, obj, inv, _ = self.plan.pop(0)
-            self._section(e, obj, inv, obj.finish)
-        if not self.plan:
-            self.aborting.status = TxnStatus.ABORTED
-            self.aborting = None
-
-    def _on_undo_step(self, e):
-        # a WITHDRAW or INVERSE line: the head of the plan, of that kind
-        if not (self.aborting is self.txns.get(e.txn) and self.plan
-                and self.plan[0][0] == e.kind):
-            self._fail(e, f"{e.kind.lower()} not due for this txn")
-        kind, obj, inv, call = self.plan.pop(0)
-        if kind == hist.WITHDRAW:
-            if inv.id != e.inv_id:
-                self._fail(e, f"expected withdrawal of {inv.id}")
-            self._owner(e, inv)
-            self.aborting.blocked_on = None
-            del self.waits_for[self.aborting.id]
-            self._section(e, obj, inv, obj.withdraw)
-        else:
-            if not (obj.name == e.obj and call.op == e.op
-                    and call.ins == e.ins):
-                self._fail(e, f"expected inverse {call!r} of {inv!r}")
-            outs = obj.apply_inverse(call)
-            if outs != e.outs:
-                self._fail(e, f"inverse produced {outs}")
-            self._section(e, obj, inv, obj.finish)
-        self._release_due(e)
-
-    # exactly one handler per event kind; a kind not here is refused
+    # the chosen kinds; every other kind is only ever owed
     _HANDLERS = {
         hist.BEGIN: _on_begin, hist.NULLOP: _on_nullop, hist.INVOKE: _on_invoke,
-        hist.DEDUCE: _on_deduce, hist.BLOCK: _on_block, hist.EXEC: _on_exec,
-        hist.WAKE: _on_wake, hist.COMMIT: _on_commit, hist.VICTIM: _on_victim,
-        hist.ABORT: _on_rollback, hist.WITHDRAW: _on_undo_step,
-        hist.INVERSE: _on_undo_step,
+        hist.EXEC: _on_exec, hist.COMMIT: _on_commit, hist.ABORT: _on_abort,
+        hist.VICTIM: _on_victim,
     }
+
+
+def _owed_line(owed) -> str:
+    """A caused event the replay owes, as a failure detail shows it: its
+    trace line less the index, then its invocation id."""
+    *fields, inv = owed
+    line = hist.Event(0, *fields).render().partition(" ")[2]
+    return line if inv is None else f"{line}, invocation {inv}"
 
 
 def replay_history(workload: Workload, history: History) -> dict[str, object]:
@@ -503,11 +473,21 @@ def replay_history(workload: Workload, history: History) -> dict[str, object]:
 
 def validate_run(result: RunResult) -> Verdict:
     """Everything short of serializability: the history replays, and its
-    final states and event counts are the run's."""
-    final = replay_history(result.workload, result.history)
+    final states, txn statuses and event counts are the run's."""
+    replayer = _Replayer(result.workload)
+    final = replayer.replay(result.history)
     if final != result.final_states:
         return Verdict(False, f"replayed states {final} != run states "
                               f"{result.final_states}")
+    statuses = {name: txn.status for name, txn in replayer.txns.items()}
+    if statuses != result.statuses:
+        # the engine's statuses name the declared txns only
+        name = next(n for n in {**result.statuses, **statuses}
+                    if result.statuses.get(n) is not statuses.get(n))
+        said, replayed = (getattr(s.get(name), "value", "absent")
+                          for s in (result.statuses, statuses))
+        return Verdict(False, f"the run says {name} is {said}, "
+                              f"its history {replayed}")
     metrics = result.metrics
     counted = compute_metrics(result.history, metrics.max_in_execution)
     if counted != metrics:

@@ -116,13 +116,30 @@ def test_the_replay_reaches_the_release_sections_only_through_section():
     passed = set()
     for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_section" and len(node.args) > 3
-                and isinstance(node.args[3], ast.Attribute)
-                and node.args[3].attr in releases):
-            allowed.add(id(node.args[3]))
-            passed.add(node.args[3].attr)
+                and node.func.attr == "_section" and len(node.args) > 2
+                and isinstance(node.args[2], ast.Attribute)
+                and node.args[2].attr in releases):
+            allowed.add(id(node.args[2]))
+            passed.add(node.args[2].attr)
     found = [f"oracles.py:{node.lineno} {node.attr}" for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in releases
              and id(node) not in allowed]
     assert found == []
     assert passed == set(releases)      # the replay runs each of them
+
+
+def test_the_replay_reads_an_events_invocation_id_only_at_invoke():
+    # the replay numbers invocations itself and checks each INVOKE's id;
+    # every later event's id is compared as part of the whole event, so
+    # the id the v1 trace line leaves out is read in one place only
+    tree = ast.parse((SRC / "oracles.py").read_text(encoding="utf-8"))
+    replayer = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "_Replayer")
+    invoke = next(node for node in replayer.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_on_invoke")
+    allowed = {id(node) for node in ast.walk(invoke)}
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "inv_id"]
+    found = [f"oracles.py:{node.lineno}" for node in reads if id(node) not in allowed]
+    assert found == []
+    assert reads                        # _on_invoke reads it

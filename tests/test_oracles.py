@@ -182,15 +182,23 @@ def test_transparency_requires_an_aborted_txn():
 
 
 def test_transparency_rejects_visible_residue():
-    # claim T1 aborted even though its push committed and is visible
+    # claim T1 aborted even though its push committed and is visible: the
+    # statuses must be the history's, which commits T1
     res = run_simulated(parse_workload(CONTENTIOUS))
     res.statuses["T1"] = TxnStatus.ABORTED
+    stage, verdict = check_run(res)
+    assert stage == "replay" and not verdict.ok
+    assert verdict.detail == "the run says T1 is aborted, its history committed"
     res.final_states["s"] = ("a",)
+    assert check_run(res)[0] == "replay"
+    # the aborted txns are those the ABORT events name: plant T2's undone
+    # push back on B
+    res = run_simulated(parse_workload(DEADLOCK))
+    res.final_states["B"] = ("b",) + res.final_states["B"]
     verdict = check_abort_transparency(res)
-    assert not verdict.ok and "residue" in verdict.detail
-    # the history still commits T1, so its COMMIT events name a txn the
-    # statuses do not count as committed
-    assert "do not name each committed txn ['T2'] once" in verdict.detail
+    assert not verdict.ok
+    assert verdict.detail.startswith("aborted ['T2'] left a visible residue: ")
+    assert verdict.detail.endswith("the run's final state of B is not the serial replay's")
 
 
 # --------------------------------------------------------- history replay
@@ -203,7 +211,7 @@ def test_replay_returns_the_final_states():
 def test_replay_rejects_a_missing_block_line():
     res = run_simulated(parse_workload(CONTENTIOUS))
     bad = doctored(res.history, lambda ev: [e for e in ev if e.kind != hist.BLOCK])
-    with pytest.raises(HistoryReplayError, match="admission outcome"):
+    with pytest.raises(HistoryReplayError, match="owed BLOCK txn=T2 "):
         replay_history(res.workload, bad)
 
 
@@ -218,7 +226,7 @@ def test_replay_rejects_forged_execution_outs():
             out.append(e)
         return out
 
-    with pytest.raises(HistoryReplayError, match="execution produced"):
+    with pytest.raises(HistoryReplayError, match=r"owed EXEC .* out=\[a,Ok\]"):
         replay_history(res.workload, doctored(res.history, forge))
 
 
@@ -226,14 +234,14 @@ def test_replay_rejects_a_phantom_wake():
     res = run_simulated(parse_workload(CONTENTIOUS))
     wake = next(e for e in res.history if e.kind == hist.WAKE)
     bad = doctored(res.history, lambda ev: ev + [wake])
-    with pytest.raises(HistoryReplayError, match="thin air"):
+    with pytest.raises(HistoryReplayError, match="no WAKE is owed here"):
         replay_history(res.workload, bad)
 
 
 def test_replay_rejects_a_suppressed_wake():
     res = run_simulated(parse_workload(CONTENTIOUS))
     bad = doctored(res.history, lambda ev: [e for e in ev if e.kind != hist.WAKE])
-    with pytest.raises(HistoryReplayError, match="due before"):
+    with pytest.raises(HistoryReplayError, match="EXEC .* owed WAKE txn=T2 "):
         replay_history(res.workload, bad)
 
 
@@ -254,7 +262,7 @@ schedule steps T1 T2 T2 T1 T2
         return [e._replace(kind=hist.EXEC)
                 if e.kind == hist.DEDUCE else e for e in ev]
 
-    with pytest.raises(HistoryReplayError, match="deduced"):
+    with pytest.raises(HistoryReplayError, match="owed DEDUCE txn=T2 "):
         replay_history(res.workload, doctored(res.history, forge))
 
 
@@ -274,14 +282,14 @@ schedule steps T1 T1 T1
         ev[idx[0]], ev[idx[1]] = ev[idx[1]], ev[idx[0]]
         return ev
 
-    with pytest.raises(HistoryReplayError, match="expected inverse"):
+    with pytest.raises(HistoryReplayError, match=r"owed INVERSE txn=T1 obj=s op=PUSH in=\[b\]"):
         replay_history(res.workload, doctored(res.history, swap))
 
 
 @pytest.mark.parametrize("kind,message", [
-    (hist.WITHDRAW, "inverse not due"),
-    (hist.INVERSE, "wake out of thin air"),
-])
+    (hist.WITHDRAW, "INVERSE .* owed WITHDRAW txn=T2 "),
+    (hist.INVERSE, "WAKE .* owed INVERSE txn=T2 "),
+], ids=["WITHDRAW-inverse not due", "INVERSE-wake out of thin air"])
 def test_replay_rejects_a_dropped_abort_step(kind, message):
     # the victim T2 withdraws its blocked push, then undoes its executed one
     res = run_simulated(parse_workload(DEADLOCK))
@@ -320,13 +328,17 @@ def test_replay_rejects_a_victim_where_the_graph_is_acyclic():
         replay_history(res.workload, bad)
 
 
-@pytest.mark.parametrize("after", [hist.WITHDRAW, hist.WAKE])
-def test_replay_rejects_a_second_victim_once_the_cycle_is_resolved(after):
-    # after the withdrawal only T1 -> T2 is left; after the wake, nothing
+@pytest.mark.parametrize("after,message", [
+    (hist.WITHDRAW, "owed INVERSE txn=T2 "),
+    (hist.WAKE, "victim without a waits-for cycle"),
+], ids=[hist.WITHDRAW, hist.WAKE])
+def test_replay_rejects_a_second_victim_once_the_cycle_is_resolved(after, message):
+    # after the withdrawal the victim's inverse is still owed; after the
+    # wake no cycle is left
     res = run_simulated(parse_workload(DEADLOCK))
     victim = next(e for e in res.history if e.kind == hist.VICTIM)
     index = next(e.index for e in res.history if e.kind == after)
-    with pytest.raises(HistoryReplayError, match="victim without a waits-for cycle"):
+    with pytest.raises(HistoryReplayError, match=message):
         replay_history(res.workload, _insert_after(res.history, index, victim))
 
 
@@ -387,8 +399,9 @@ def _move_nullop(kind, txn):
     (lambda ev: [e._replace(txn="T99") if e.kind == hist.NULLOP else e
                  for e in ev], "T99 has not begun"),
     (_move_nullop(hist.BLOCK, "T2"), "T2 is blocked"),
+    (_move_nullop(hist.WAKE, "T2"), "T2 owes the EXEC of its woken op"),
     (_move_nullop(hist.COMMIT, "T2"), "T2 is committed, not active"),
-], ids=["unknown txn", "blocked txn", "after its COMMIT"])
+], ids=["unknown txn", "blocked txn", "woken txn", "after its COMMIT"])
 def test_a_nullop_must_name_a_txn_free_to_step(mutate, message):
     # T2's NULLOP follows its wake; the replay must judge the txn it names
     # as it judges an INVOKE's
@@ -438,7 +451,7 @@ def test_an_event_naming_another_txn_than_its_invocations_fails_the_replay(
             e._replace(txn=other) if e.index == i else e for e in ev])
         stage, verdict = check_run(dataclasses.replace(res, history=history))
         assert stage == "replay", (name, verdict)
-        assert "belongs to txn id" in verdict.detail, verdict
+        assert verdict.detail.startswith(f"event {i} ("), verdict
         relabelled += 1
     assert relabelled == runs
 
@@ -455,13 +468,41 @@ def test_a_history_naming_an_unknown_object_fails_the_replay(kind, text):
     assert stage == "replay" and "unknown object 'nowhere'" in verdict.detail
 
 
-def test_replay_has_one_handler_per_event_kind():
-    assert oracles._Replayer._HANDLERS.keys() == hist.KINDS
+def test_the_statuses_and_the_commits_are_the_historys():
+    # T2 renamed T9 in every event: the history replays, but T9 is not
+    # declared, and the run's declared T2 never began in it
+    res = run_simulated(parse_workload(CONTENTIOUS))
+    renamed = dataclasses.replace(res, history=doctored(res.history, lambda ev: [
+        e._replace(txn="T9") if e.txn == "T2" else e for e in ev]))
+    assert replay_history(res.workload, renamed.history) == res.final_states
+    stage, verdict = check_run(renamed)
+    assert stage == "replay"
+    assert verdict.detail == "the run says T2 is committed, its history absent"
+    # the committed txns are those the COMMIT events name, each declared
+    # and named once
+    assert check_serializable(renamed).detail == (
+        "COMMIT events ['T1', 'T9'] do not each name a declared txn once")
+    twice = dataclasses.replace(res, history=doctored(res.history, lambda ev: [
+        e._replace(txn="T1") if e.kind == hist.COMMIT else e for e in ev]))
+    assert check_serializable(twice).detail == (
+        "COMMIT events ['T1', 'T1'] do not each name a declared txn once")
+
+
+# the kinds only the monitors cause: the replay computes each and owes it
+CAUSED = {hist.DEDUCE, hist.BLOCK, hist.WAKE, hist.WITHDRAW, hist.INVERSE}
+
+
+def test_replay_has_a_handler_for_each_chosen_event_kind_only():
+    # the handler kinds and the caused kinds partition the kinds
+    handled = oracles._Replayer._HANDLERS.keys()
+    assert handled == {hist.BEGIN, hist.NULLOP, hist.INVOKE, hist.EXEC,
+                       hist.COMMIT, hist.ABORT, hist.VICTIM}
+    assert handled.isdisjoint(CAUSED) and handled | CAUSED == hist.KINDS
 
 
 def test_replay_rejects_a_reused_invocation_id():
     # the monitors key their live ops by invocation id, so an id names one
-    # invocation for the whole history
+    # invocation for the whole history; the replay numbers them 1, 2, 3
     res = run_simulated(parse_workload(CONTENTIOUS))
 
     def forge(ev):
@@ -469,13 +510,14 @@ def test_replay_rejects_a_reused_invocation_id():
         ev[second] = ev[second]._replace(inv_id=ev[first].inv_id)
         return ev
 
-    with pytest.raises(HistoryReplayError, match="invocation id 1 does not follow 1"):
+    with pytest.raises(HistoryReplayError, match="invocation id 1 is not 2"):
         replay_history(res.workload, doctored(res.history, forge))
 
 
 def test_replay_rejects_an_invocation_id_below_the_last():
     # renumber T1's push, everywhere it appears, above T2's pop: the trace is
-    # consistent but for arrival order, which the monitors' forward edges need
+    # consistent but for arrival order, which the monitors' forward edges
+    # need; the first id must already be 1
     res = run_simulated(parse_workload(CONTENTIOUS))
     first = next(e for e in res.history if e.kind == hist.INVOKE).inv_id
 
@@ -483,8 +525,28 @@ def test_replay_rejects_an_invocation_id_below_the_last():
         return [e._replace(inv_id=99) if e.inv_id == first else e
                 for e in ev]
 
-    with pytest.raises(HistoryReplayError, match="invocation id 2 does not follow 99"):
+    with pytest.raises(HistoryReplayError, match="invocation id 99 is not 1"):
         replay_history(res.workload, doctored(res.history, forge))
+
+
+def test_an_event_naming_another_invocation_fails_at_that_event(mixed_results):
+    # the replay reads the id of an INVOKE only, and owes every later event
+    # whole, its invocation id included: renumber each other event that
+    # names an invocation, in the 400 small runs
+    tally = Counter()
+    for res in mixed_results[:400]:
+        events = res.history.events
+        for e in events:
+            if e.inv_id is None or e.kind == hist.INVOKE:
+                continue
+            forged = History(events[:e.index] + [e._replace(inv_id=e.inv_id + 1)]
+                             + events[e.index + 1:])
+            stage, verdict = check_run(dataclasses.replace(res, history=forged))
+            assert stage == "replay", verdict
+            assert verdict.detail.startswith(f"event {e.index} ("), verdict
+            tally[e.kind] += 1
+    assert tally == {hist.DEDUCE: 164, hist.BLOCK: 918, hist.EXEC: 2_405,
+                     hist.WAKE: 551, hist.WITHDRAW: 367, hist.INVERSE: 294}
 
 
 def test_replay_rejects_a_truncated_history():
@@ -930,16 +992,35 @@ def test_an_op_event_naming_another_op_or_object_fails_and_raises_nothing(
 
 
 def test_a_deleted_or_duplicated_victim_fails_the_replay(mixed_results):
-    # the replay neither demands a VICTIM before a deadlock's ABORT nor
-    # refuses a second one while the cycle still stands; the run's counts,
-    # which must be its history's, catch both
+    # a VICTIM owes its txn's ABORT, which a blocked txn cannot ask for
+    # itself; so a deleted VICTIM leaves an ABORT of a blocked txn, and a
+    # duplicated one stands where the ABORT is owed. The replay refuses
+    # both by itself, before the run's counts are compared.
     mutated = 0
     for res in mixed_results:
         for at in [e.index for e in res.history if e.kind == hist.VICTIM]:
-            for mutate in (lambda ev: ev[:at] + ev[at + 1:],
-                           lambda ev: ev[:at + 1] + ev[at:]):
+            for mutate, message in ((lambda ev: ev[:at] + ev[at + 1:], " is blocked"),
+                                    (lambda ev: ev[:at + 1] + ev[at:], "owed ABORT ")):
                 history = doctored(res.history, mutate)
+                with pytest.raises(HistoryReplayError, match=message):
+                    replay_history(res.workload, history)
                 stage, verdict = check_run(dataclasses.replace(res, history=history))
-                assert stage == "replay" and "victims" in verdict.detail, verdict
+                assert stage == "replay" and message in verdict.detail, verdict
                 mutated += 1
     assert mutated == 1_206
+
+
+def test_every_deleted_or_duplicated_event_fails_and_raises_nothing(mixed_results):
+    # each event of the 400 small runs deleted, and duplicated in place; of
+    # the six 50-txn runs, every tenth event. Every one must fail at a named
+    # stage, and none may escape check_run as a raise. The events keep
+    # their indices, which no oracle reads but to name a failing event.
+    mutated = 0
+    for n, res in enumerate(mixed_results):
+        events = res.history.events
+        for at in range(0, len(events), 1 if n < 400 else 10):
+            for cut in (events[:at] + events[at + 1:], events[:at + 1] + events[at:]):
+                stage, verdict = check_run(dataclasses.replace(res, history=History(cut)))
+                assert stage is not None, (n, at, verdict)
+                mutated += 1
+    assert mutated == 21_208 + 530
