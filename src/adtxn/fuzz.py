@@ -20,6 +20,7 @@ from .workload import (ObjectDecl, OpStep, RandomSchedule, TxnDecl, Workload,
                        make_step, render_workload)
 
 ITEMS = ("a", "b", "c")
+_ITEM, _RATIONAL, _BOOLEAN = Tag.ITEM, Tag.RATIONAL, Tag.BOOLEAN
 
 
 class ShrinkError(AssertionError):
@@ -41,12 +42,12 @@ def _random_state(rng: random.Random, adt: str):
 
 
 def _random_arg(rng: random.Random, tag: Tag) -> Value:
-    if tag is Tag.ITEM:
+    if tag is _ITEM:
         return item(rng.choice(ITEMS))
-    if tag is Tag.RATIONAL:
+    if tag is _RATIONAL:
         # includes 0 and 1 so NULL translations come up regularly
         return rational(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-    if tag is Tag.BOOLEAN:
+    if tag is _BOOLEAN:
         return boolean(rng.random() < 0.5)
     raise AssertionError(tag)
 

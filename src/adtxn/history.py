@@ -12,8 +12,8 @@ to the invocation they concern.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .values import Value, render_params
@@ -125,10 +125,24 @@ class Metrics:
         return "".join(line + "\n" for line in lines)
 
 
+_COUNTED_FIELDS = tuple(name for name, _ in METRIC_COUNTS)
+_COUNTED_KINDS = tuple(kind for _, kind in METRIC_COUNTS)
+_kind_of = itemgetter(1)        # Event.kind
+
+
 def compute_metrics(history: History, high_water: dict[str, int] | None = None) -> Metrics:
-    counts = Counter(e.kind for e in history.events)
-    m = Metrics(**{name: counts[kind] for name, kind in METRIC_COUNTS},
-                max_in_execution=dict(high_water or {}))
+    """The history's event counts, and `high_water` as `max_in_execution`.
+
+    It runs twice per run, for the simulator's result and in `validate_run`,
+    so it counts in one loop where `Counter` costs a microsecond to set up,
+    and fills the fields straight into the instance dict, where the frozen
+    dataclass's `__init__` would set each through `object.__setattr__`."""
+    counts: dict[str, int] = {}
+    for kind in map(_kind_of, history.events):
+        counts[kind] = counts.get(kind, 0) + 1
+    m = object.__new__(Metrics)
+    m.__dict__.update(zip(_COUNTED_FIELDS, [counts.get(k, 0) for k in _COUNTED_KINDS]),
+                      max_in_execution=dict(high_water or {}))
     check_metric_identities(m)
     return m
 

@@ -64,6 +64,11 @@ from .core import (AdtSpec, FrameworkError, Lifecycle, Origin, PrivateCall,
 from .history import History
 from .monitor import AdmitOutcome, ManagedObject
 
+# enum members as globals (see the `core` docstring)
+_BLOCKED, _RUNNING = Lifecycle.BLOCKED, Lifecycle.IN_EXECUTION
+_DEDUCED = Origin.DEDUCED
+_OUTCOME_DEDUCED, _OUTCOME_BLOCKED = AdmitOutcome.DEDUCED, AdmitOutcome.BLOCKED
+
 
 class TransactionAborted(FrameworkError):
     """Raised inside a transaction's own control flow when it loses a
@@ -85,10 +90,18 @@ class TxnStatus(Enum):
     ABORTED = "aborted"
 
 
+_ACTIVE, _COMMITTING, _COMMITTED, _ABORTING, _ABORTED = (
+    TxnStatus.ACTIVE, TxnStatus.COMMITTING, TxnStatus.COMMITTED, TxnStatus.ABORTING,
+    TxnStatus.ABORTED)
+
+
 class UndoEntry(NamedTuple):
     obj: ManagedObject
     inv: PrivateInvocation
     call: PrivateCall
+
+
+_new_tuple = tuple.__new__
 
 
 @dataclass(eq=False, slots=True)
@@ -105,10 +118,10 @@ class TransactionRecord:
         self.invocations.append((obj, inv))
         inverse = determine_inverse(obj.spec, inv.op, inv.ins, inv.outs)
         if inverse is not None:
-            if inv.origin is Origin.DEDUCED:
+            if inv.origin is _DEDUCED:
                 # a deduced result means the state never moved for this op
                 raise ManagerInvariantError(f"deduced {inv!r} demands an undo")
-            self.undo.append(UndoEntry(obj, inv, inverse))
+            self.undo.append(_new_tuple(UndoEntry, (obj, inv, inverse)))
 
     def release_order(self) -> list:
         """The invocations by object, then by id."""
@@ -211,36 +224,36 @@ class TransactionManager:
         out-params. Raises TransactionAborted if issuing this call closed a
         waits-for cycle that this transaction lost.
         """
-        if rec.status is not TxnStatus.ACTIVE:
+        if rec.status is not _ACTIVE:
             raise ManagerInvariantError(f"{rec.name} is {rec.status.value}")
         obj = self.objects[obj_name]
         tr = translate_public(obj.spec, call)
-        if tr.null:
+        if tr.call is None:
             # result decided by in-params alone: no invocation, no monitor
             self.history.emit(hist.NULLOP, txn=rec.name, obj=obj.name,
                               op=call.op, ins=call.ins, outs=tr.public_outs)
             return tr.public_outs
-        inv = PrivateInvocation(id=next(self._inv_ids), txn=rec.id,
-                                obj=obj.name, op=tr.call.op, ins=tr.call.ins)
+        op, ins = tr.call
+        inv = PrivateInvocation(next(self._inv_ids), rec.id, obj.name, op, ins)
         self.history.emit(hist.INVOKE, txn=rec.name, obj=obj.name,
                           op=inv.op, ins=inv.ins, inv_id=inv.id)
         outcome = obj.admit(inv)
-        if outcome is AdmitOutcome.DEDUCED:
+        if outcome is _OUTCOME_DEDUCED:
             self.history.emit(hist.DEDUCE, txn=rec.name, obj=obj.name,
                               op=inv.op, ins=inv.ins, outs=inv.outs,
                               inv_id=inv.id)
             return self._answer(rec, obj, inv, tr, call)
-        if outcome is AdmitOutcome.BLOCKED:
+        if outcome is _OUTCOME_BLOCKED:
             self.history.emit(hist.BLOCK, txn=rec.name, obj=obj.name,
                               op=inv.op, ins=inv.ins, inv_id=inv.id)
             rec.blocked_on = (obj, inv)
             self._resolve_deadlocks(rec)
-            if rec.status is not TxnStatus.ACTIVE:
+            if rec.status is not _ACTIVE:
                 raise TransactionAborted(rec.name)
-            if inv.lifecycle is Lifecycle.BLOCKED:
+            if inv.lifecycle is _BLOCKED:
                 yield ("wait", inv)
             # resolving a deadlock elsewhere may have admitted us already
-            if inv.lifecycle is not Lifecycle.IN_EXECUTION or rec.blocked_on is not None:
+            if inv.lifecycle is not _RUNNING or rec.blocked_on is not None:
                 raise ManagerInvariantError(f"{rec.name} resumed with {inv!r} not admitted")
         outs = obj.execute(inv)
         self.history.emit(hist.EXEC, txn=rec.name, obj=obj.name, op=inv.op,
@@ -249,16 +262,16 @@ class TransactionManager:
         return self._answer(rec, obj, inv, tr, call)
 
     def commit(self, rec: TransactionRecord):
-        if rec.status is not TxnStatus.ACTIVE:
+        if rec.status is not _ACTIVE:
             raise ManagerInvariantError(f"{rec.name} is {rec.status.value}")
         if rec.blocked_on is not None:
             raise ManagerInvariantError(f"{rec.name} commits while blocked")
-        rec.status = TxnStatus.COMMITTING
+        rec.status = _COMMITTING
         self.history.emit(hist.COMMIT, txn=rec.name)
         for obj, inv in rec.release_order():
             # finish refuses an op that has not executed
             self._fire_wakes(obj, obj.finish(inv))
-        rec.status = TxnStatus.COMMITTED
+        rec.status = _COMMITTED
 
     def abort(self, rec: TransactionRecord):
         """Erase a transaction by running its `abort_plan`.
@@ -266,9 +279,9 @@ class TransactionManager:
         Never fails and never blocks; that is what makes two-phase locking
         with inverse undo livable.
         """
-        if rec.status is not TxnStatus.ACTIVE:
+        if rec.status is not _ACTIVE:
             raise ManagerInvariantError(f"{rec.name} is {rec.status.value}")
-        rec.status = TxnStatus.ABORTING
+        rec.status = _ABORTING
         self.history.emit(hist.ABORT, txn=rec.name)
         for kind, obj, inv, call in abort_plan(rec):
             if kind == hist.WITHDRAW:
@@ -282,7 +295,7 @@ class TransactionManager:
                 self.history.emit(kind, txn=rec.name, obj=obj.name, op=call.op,
                                   ins=call.ins, outs=outs, inv_id=inv.id)
             self._fire_wakes(obj, obj.finish(inv))
-        rec.status = TxnStatus.ABORTED
+        rec.status = _ABORTED
 
     # -- internals --------------------------------------------------------------
 
@@ -314,7 +327,11 @@ class TransactionManager:
             for obj, inv in chain(rec.invocations, (rec.blocked_on,)):
                 for wid in obj.blocks.get(inv.id, ()):
                     waiter = obj.live[wid].txn
-                    adj.setdefault(waiter, set()).add(rec.id)
+                    waits = adj.get(waiter)
+                    if waits is None:
+                        adj[waiter] = {rec.id}
+                    else:
+                        waits.add(rec.id)
                     if waiter not in reach:
                         reach.add(waiter)
                         frontier.append(waiter)

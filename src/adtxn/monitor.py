@@ -152,12 +152,10 @@ from .tables import commute_with_in, commute_with_in_out, try_deduce
 from .values import Value
 
 
-# The stages a live op can be in, and the origin of a deduced one. Loops
-# over the live ops and the strict checks compare against these module
-# globals: on Python 3.11 an Enum member lookup costs about six times a
-# global one, and admission compares once per live op.
-_BLOCKED, _RUNNING, _EXECUTED = (Lifecycle.BLOCKED, Lifecycle.IN_EXECUTION,
-                                 Lifecycle.EXECUTED)
+# enum members as globals (see the `core` docstring)
+_NEW, _BLOCKED, _RUNNING, _EXECUTED, _FINISHED = (
+    Lifecycle.NEW, Lifecycle.BLOCKED, Lifecycle.IN_EXECUTION, Lifecycle.EXECUTED,
+    Lifecycle.FINISHED)
 _DEDUCED = Origin.DEDUCED
 
 
@@ -172,6 +170,10 @@ class AdmitOutcome(Enum):
     ADMITTED = "admitted"    # runs now
     DEDUCED = "deduced"      # answered without running
     BLOCKED = "blocked"      # parked on conflicts
+
+
+_OUTCOME_ADMITTED, _OUTCOME_DEDUCED, _OUTCOME_BLOCKED = (
+    AdmitOutcome.ADMITTED, AdmitOutcome.DEDUCED, AdmitOutcome.BLOCKED)
 
 
 @dataclass(eq=False)
@@ -196,7 +198,7 @@ class ManagedObject:
     # -- step (1): deduction, then in-control ------------------------------
 
     def admit(self, inv: PrivateInvocation) -> AdmitOutcome:
-        if inv.lifecycle is not Lifecycle.NEW or inv.obj != self.name:
+        if inv.lifecycle is not _NEW or inv.obj != self.name:
             raise MonitorInvariantError(f"{self.name}: cannot admit {inv!r}")
         conflict_key = self.spec.conflict_key
         if conflict_key is not None:
@@ -208,23 +210,28 @@ class ManagedObject:
         if deduced is not None:
             check_outs(self.spec, inv.op, deduced)
             inv.outs = deduced
-            inv.origin = Origin.DEDUCED
-            inv.lifecycle = Lifecycle.EXECUTED
+            inv.origin = _DEDUCED
+            inv.lifecycle = _EXECUTED
             self.executed += 1
             self._check(inv)
-            return AdmitOutcome.DEDUCED
+            return _OUTCOME_DEDUCED
         if conflicts:
-            inv.lifecycle = Lifecycle.BLOCKED
-            self.blocked_by[inv.id] = conflicts
+            inv.lifecycle = _BLOCKED
+            inv_id, blocks = inv.id, self.blocks
+            self.blocked_by[inv_id] = conflicts
             for b in conflicts:
-                self.blocks.setdefault(b, set()).add(inv.id)
+                waiters = blocks.get(b)
+                if waiters is None:
+                    blocks[b] = {inv_id}
+                else:
+                    waiters.add(inv_id)
             self._check(inv)
-            return AdmitOutcome.BLOCKED
+            return _OUTCOME_BLOCKED
         # the empty conflict set, over every live op `_admission_safety`
         # reads that can conflict with inv, certifies this admission
         self._enter_execution(inv)
         self._check(inv)
-        return AdmitOutcome.ADMITTED
+        return _OUTCOME_ADMITTED
 
     def _screen(self, inv: PrivateInvocation) -> tuple[tuple[Value, ...] | None, set]:
         """(deduced outs or None, conflicts) for inv, not yet filed.
@@ -272,7 +279,7 @@ class ManagedObject:
     # -- step (3): the only forward mutation of object state ---------------
 
     def execute(self, inv: PrivateInvocation) -> tuple[Value, ...]:
-        if inv.lifecycle is not Lifecycle.IN_EXECUTION:
+        if inv.lifecycle is not _RUNNING:
             raise MonitorInvariantError(f"{inv!r} is not in execution")
         inv.executions += 1
         if inv.executions != 1:
@@ -292,10 +299,10 @@ class ManagedObject:
         though the in-params did not promise it) sheds that edge now.
         Returns the ops this admitted, in id order.
         """
-        if inv.lifecycle is not Lifecycle.IN_EXECUTION:
+        if inv.lifecycle is not _RUNNING:
             raise MonitorInvariantError(f"{inv!r} completed outside execution")
         inv.outs = outs
-        inv.lifecycle = Lifecycle.EXECUTED
+        inv.lifecycle = _EXECUTED
         self.running -= 1
         self.executed += 1
         waiting = self.blocks.get(inv.id)
@@ -318,12 +325,12 @@ class ManagedObject:
 
     def finish(self, inv: PrivateInvocation) -> list[PrivateInvocation]:
         """Commit-or-reject for one executed op: drop every edge it holds."""
-        if inv.lifecycle is not Lifecycle.EXECUTED:
+        if inv.lifecycle is not _EXECUTED:
             raise MonitorInvariantError(f"{inv!r} finished before it executed")
         del self.live[inv.id]
         if self.spec.conflict_key is not None:
             self._unfile(inv)
-        inv.lifecycle = Lifecycle.FINISHED
+        inv.lifecycle = _FINISHED
         self.executed -= 1
         waiting = self.blocks.pop(inv.id, None)
         if not waiting:
@@ -342,7 +349,7 @@ class ManagedObject:
         Only Blocked ops can be withdrawn: once admitted, an op's effects
         exist and must be undone through its inverse instead.
         """
-        if inv.lifecycle is not Lifecycle.BLOCKED:
+        if inv.lifecycle is not _BLOCKED:
             raise MonitorInvariantError(f"{inv!r} withdrawn but not blocked")
         del self.live[inv.id]
         if self.spec.conflict_key is not None:
@@ -357,7 +364,7 @@ class ManagedObject:
             self.blocks[b].remove(inv.id)
             if not self.blocks[b]:
                 del self.blocks[b]
-        inv.lifecycle = Lifecycle.FINISHED
+        inv.lifecycle = _FINISHED
         waiters.extend(blockers)        # the peers: former waiters, then blockers
         self._check(inv, waiters)
         return woken
@@ -399,7 +406,7 @@ class ManagedObject:
             del group[inv.id]
 
     def _enter_execution(self, inv: PrivateInvocation):
-        inv.lifecycle = Lifecycle.IN_EXECUTION
+        inv.lifecycle = _RUNNING
         self.running += 1
         self.max_in_execution = max(self.max_in_execution, self.running)
 

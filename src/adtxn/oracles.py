@@ -110,6 +110,11 @@ from .simulate import RunResult
 from .values import Value, render_params
 from .workload import Workload, initial_state
 
+# enum members as globals (see the `core` docstring)
+_ACTIVE, _COMMITTED, _ABORTED = TxnStatus.ACTIVE, TxnStatus.COMMITTED, TxnStatus.ABORTED
+_OUTCOME_ADMITTED, _OUTCOME_DEDUCED = AdmitOutcome.ADMITTED, AdmitOutcome.DEDUCED
+_new_tuple = tuple.__new__
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -143,17 +148,19 @@ def replay_serial(workload: Workload, order) -> tuple[dict, dict]:
     states = {o.name: initial_state(o) for o in workload.objects}
     observations: dict[str, list] = {}
     for decl in order:
-        seen = observations.setdefault(decl.name, [])
+        seen = observations.get(decl.name)
+        if seen is None:
+            seen = observations[decl.name] = []
         for step in decl.steps:
             spec = specs[step.obj]
-            tr = translate_public(spec, PublicCall(step.op, step.ins))
-            if tr.null:
-                seen.append(Observation(step.obj, step.op, step.ins,
-                                        tr.public_outs))
+            tr = translate_public(spec, _new_tuple(PublicCall, (step.op, step.ins)))
+            if tr.call is None:
+                seen.append(_new_tuple(Observation, (step.obj, step.op, step.ins,
+                                                     tr.public_outs)))
                 continue
             op, ins = tr.call
             states[step.obj], outs = spec.apply(states[step.obj], op, ins)
-            seen.append(Observation(step.obj, op, ins, outs))
+            seen.append(_new_tuple(Observation, (step.obj, op, ins, outs)))
     return states, observations
 
 
@@ -162,8 +169,12 @@ def _observed(history: History) -> dict[str, list]:
     seen: dict[str, list] = {}
     for e in history:
         if e.kind in _ANSWERS:
-            seen.setdefault(e.txn, []).append(
-                Observation(e.obj, e.op, e.ins, e.outs))
+            answer = _new_tuple(Observation, (e.obj, e.op, e.ins, e.outs))
+            answers = seen.get(e.txn)
+            if answers is None:
+                seen[e.txn] = [answer]
+            else:
+                answers.append(answer)
     return seen
 
 
@@ -270,7 +281,7 @@ class _Replayer:
             if obj.live:
                 self._fail(None, f"{obj.name} still holds invocations")
         for txn in self.txns.values():
-            if txn.status not in (TxnStatus.COMMITTED, TxnStatus.ABORTED):
+            if txn.status not in (_COMMITTED, _ABORTED):
                 self._fail(None, f"{txn.name} ended {txn.status.value}")
         return {name: obj.state for name, obj in self.objects.items()}
 
@@ -342,7 +353,7 @@ class _Replayer:
                 outs = obj.apply_inverse(call)
                 self.due.append((kind, txn.name, obj.name, call.op, call.ins, outs, inv.id))
             self._section(obj, inv, obj.finish)
-        txn.status = TxnStatus.ABORTED
+        txn.status = _ABORTED
 
     # the handlers of the chosen events
 
@@ -363,7 +374,7 @@ class _Replayer:
         """The txn `e` names, which must have begun and be free to take its
         next step or end: ACTIVE, not blocked, and owing no woken op's EXEC."""
         txn = self._begun(e)
-        if txn.status is not TxnStatus.ACTIVE:
+        if txn.status is not _ACTIVE:
             self._fail(e, f"{e.txn} is {txn.status.value}, not active")
         if txn.blocked_on is not None:
             self._fail(e, f"{e.txn} is blocked")
@@ -380,8 +391,8 @@ class _Replayer:
     def _on_nullop(self, e):
         obj = self._object(e)
         self._stepping(e)
-        tr = translate_public(obj.spec, PublicCall(e.op, e.ins))
-        if not tr.null:
+        tr = translate_public(obj.spec, _new_tuple(PublicCall, (e.op, e.ins)))
+        if tr.call is not None:
             self._fail(e, "op reached a monitor yet claimed NULL")
         if tr.public_outs != e.outs:
             self._fail(e, f"NULL outs should be {tr.public_outs}")
@@ -393,14 +404,13 @@ class _Replayer:
         if e.inv_id != inv_id:
             self._fail(e, f"invocation id {e.inv_id} is not {inv_id}")
         self.last_inv_id = inv_id
-        inv = PrivateInvocation(id=inv_id, txn=txn.id, obj=obj.name,
-                                op=e.op, ins=e.ins)
+        inv = PrivateInvocation(inv_id, txn.id, obj.name, e.op, e.ins)
         check_private_ins(obj.spec, inv)
         outcome = obj.admit(inv)
-        if outcome is AdmitOutcome.ADMITTED:
+        if outcome is _OUTCOME_ADMITTED:
             self._execute(txn, obj, inv)
             return
-        if outcome is AdmitOutcome.DEDUCED:
+        if outcome is _OUTCOME_DEDUCED:
             self.due.append((hist.DEDUCE, txn.name, obj.name, inv.op, inv.ins,
                              inv.outs, inv_id))
             txn.register(obj, inv)
@@ -428,7 +438,7 @@ class _Replayer:
         txn = self._stepping(e)
         for obj, inv in txn.release_order():
             self._section(obj, inv, obj.finish)
-        txn.status = TxnStatus.COMMITTED
+        txn.status = _COMMITTED
 
     def _on_abort(self, e):
         # an abort the txn asked for; a victim's is owed by its VICTIM

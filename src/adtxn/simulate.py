@@ -45,6 +45,10 @@ from .monitor import MonitorInvariantError
 from .workload import (ExplicitSchedule, RandomSchedule, TxnDecl, Workload,
                        initial_state)
 
+# enum members as globals (see the `core` docstring)
+_ACTIVE, _COMMITTED, _ABORTED = TxnStatus.ACTIVE, TxnStatus.COMMITTED, TxnStatus.ABORTED
+_new_tuple = tuple.__new__
+
 
 class SimulationError(FrameworkError):
     pass
@@ -127,7 +131,7 @@ class _Simulation:
                     f"needed more than {self.max_steps} scheduler steps")
             self._resume(self._pick(ready))
         stuck = [a.decl.name for a in self.activities
-                 if a.rec.status is TxnStatus.ACTIVE]
+                 if a.rec.status is _ACTIVE]
         if stuck:
             raise ScheduleStuck(f"nothing runnable; waiting: {stuck}")
         return self._result()
@@ -167,7 +171,7 @@ class _Simulation:
         try:
             for step in act.decl.steps:
                 yield from self.mgr.perform(
-                    rec, step.obj, PublicCall(step.op, step.ins))
+                    rec, step.obj, _new_tuple(PublicCall, (step.op, step.ins)))
                 yield ("boundary",)
             if act.decl.terminal == "commit":
                 self.mgr.commit(rec)
@@ -193,8 +197,7 @@ class _Simulation:
                 raise MonitorInvariantError(f"{obj.name} not drained at end of run")
         statuses = {}
         for act in self.activities:
-            if act.rec is None or act.rec.status not in (TxnStatus.COMMITTED,
-                                                         TxnStatus.ABORTED):
+            if act.rec is None or act.rec.status not in (_COMMITTED, _ABORTED):
                 raise ManagerInvariantError(f"{act.decl.name} unfinished at end of run")
             statuses[act.decl.name] = act.rec.status
         high = {name: obj.max_in_execution

@@ -34,6 +34,8 @@ from .core import (AdtSpec, FrameworkError, determine_inverse,
 from .tables import commute_with_in, commute_with_in_out
 from .values import Tag, render_params
 
+_UNIT = Tag.UNIT
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -63,7 +65,7 @@ class _Ex:
 def _shape_ok(sig, outs) -> bool:
     if len(outs) != len(sig.outs):
         return False
-    return all(v.tag is t or v.tag is Tag.UNIT for v, t in zip(outs, sig.outs))
+    return all(v.tag is t or v.tag is _UNIT for v, t in zip(outs, sig.outs))
 
 
 def _fmt(state, spec):

@@ -39,12 +39,14 @@ class Tag(Enum):
     SEQ = "seq"
 
 
+_ITEM, _RATIONAL, _BOOLEAN, _REPORT, _UNIT, _SEQ = (
+    Tag.ITEM, Tag.RATIONAL, Tag.BOOLEAN, Tag.REPORT, Tag.UNIT, Tag.SEQ)
+
 # each tag's payload type, kept on the member itself (`tag.payload_type`)
-for _tag, _type in ((Tag.ITEM, str), (Tag.RATIONAL, Fraction), (Tag.BOOLEAN, bool),
-                    (Tag.REPORT, str), (Tag.UNIT, type(None)), (Tag.SEQ, tuple)):
+for _tag, _type in ((_ITEM, str), (_RATIONAL, Fraction), (_BOOLEAN, bool),
+                    (_REPORT, str), (_UNIT, type(None)), (_SEQ, tuple)):
     _tag.payload_type = _type
 del _tag, _type
-_SEQ = Tag.SEQ
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,20 +104,20 @@ def _frozen(self, name, *value):
 Value.__setattr__ = Value.__delattr__ = _frozen
 
 
-UNIT = Value(Tag.UNIT, None)
-TRUE = Value(Tag.BOOLEAN, True)
-FALSE = Value(Tag.BOOLEAN, False)
+UNIT = Value(_UNIT, None)
+TRUE = Value(_BOOLEAN, True)
+FALSE = Value(_BOOLEAN, False)
 
 
 def item(token: str) -> Value:
-    return Value(Tag.ITEM, token)
+    return Value(_ITEM, token)
 
 
 def rational(x) -> Value:
     # Accepts int, Fraction, or a "p/q" string; never float.
     if isinstance(x, float):
         raise TypeError("rational values must be exact, not float")
-    return Value(Tag.RATIONAL, Fraction(x))
+    return Value(_RATIONAL, Fraction(x))
 
 
 def boolean(b: bool) -> Value:
@@ -123,23 +125,24 @@ def boolean(b: bool) -> Value:
 
 
 def report(name: str) -> Value:
-    return Value(Tag.REPORT, name)
+    return Value(_REPORT, name)
 
 
 def seq(values) -> Value:
-    return Value(Tag.SEQ, tuple(values))
+    return Value(_SEQ, tuple(values))
 
 
 def render(v: Value) -> str:
     """Canonical single-token text form, used in traces and workload files."""
-    if v.tag is Tag.UNIT:
+    tag = v.tag
+    if tag is _UNIT:
         return "_"
-    if v.tag is Tag.BOOLEAN:
+    if tag is _BOOLEAN:
         return "true" if v.payload else "false"
-    if v.tag is Tag.RATIONAL:
+    if tag is _RATIONAL:
         f: Fraction = v.payload
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    if v.tag is Tag.SEQ:
+    if tag is _SEQ:
         return "(" + ",".join(render(e) for e in v.payload) + ")"
     return str(v.payload)
 
@@ -171,18 +174,18 @@ def is_item_list(text: str) -> bool:
 
 def parse_token(tag: Tag, text: str) -> Value:
     """Inverse of render for the literal tags a workload file may contain."""
-    if tag is Tag.RATIONAL:
+    if tag is _RATIONAL:
         try:
             return rational(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational literal {text!r}") from exc
-    if tag is Tag.BOOLEAN:
+    if tag is _BOOLEAN:
         if text == "true":
             return TRUE
         if text == "false":
             return FALSE
         raise ValueError(f"bad boolean literal {text!r}")
-    if tag is Tag.ITEM:
+    if tag is _ITEM:
         if not is_item_token(text):
             raise ValueError(f"bad item literal {text!r}")
         return item(text)

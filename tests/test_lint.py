@@ -143,3 +143,25 @@ def test_the_replay_reads_an_events_invocation_id_only_at_invoke():
     found = [f"oracles.py:{node.lineno}" for node in reads if id(node) not in allowed]
     assert found == []
     assert reads                        # _on_invoke reads it
+
+
+def test_function_bodies_read_enum_members_through_module_globals():
+    # on Python 3.11 `Lifecycle.BLOCKED` goes through the enum metaclass's
+    # __getattr__, ten times the cost of a global, so the engine and the
+    # oracles bind each member they read once at module level (see the
+    # `core` docstring); class-level defaults and module-level code may
+    # still read the class
+    enums = {"Lifecycle", "Origin", "AdmitOutcome", "TxnStatus", "Tag"}
+    found, functions = [], 0
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            functions += 1
+            found += [f"{path.relative_to(SRC)}:{node.lineno} {node.value.id}.{node.attr}"
+                      for node in ast.walk(func)
+                      if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in enums]
+    assert functions > 100      # the walk found the package's functions
+    assert found == []

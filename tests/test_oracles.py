@@ -21,7 +21,7 @@ from adtxn.adts import builtin_names, get_adt
 from adtxn.core import FrameworkError, Lifecycle
 from adtxn.fuzz import (derive_seed, flip_random_abort, generate_workload,
                         run_pipeline)
-from adtxn.history import History, compute_metrics, render_trace
+from adtxn.history import History, Metrics, compute_metrics, render_trace
 from adtxn.manager import TxnStatus
 from adtxn.monitor import AdmitOutcome, ManagedObject
 from adtxn.oracles import (
@@ -897,6 +897,21 @@ def test_validate_run_refuses_broken_metrics_under_optimization():
     assert "rejected: more wakeups than blocks" in out
     assert "verdict: the run counts 3 wakeups, its history 1" in out
     assert "stage: replay" in out
+
+
+def test_metrics_are_the_history_counted_kind_by_kind(mixed_results):
+    # compute_metrics fills the frozen Metrics without its __init__; it must
+    # build what the constructor builds from a count of each kind
+    for res in mixed_results:
+        kinds = [e.kind for e in res.history]
+        want = Metrics(**{name: kinds.count(kind) for name, kind in hist.METRIC_COUNTS},
+                       max_in_execution=dict(res.metrics.max_in_execution))
+        got = compute_metrics(res.history, res.metrics.max_in_execution)
+        assert got == want == res.metrics
+        assert repr(got) == repr(want) and got.render() == want.render()
+        assert got.max_in_execution is not res.metrics.max_in_execution
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.wakeups = 0
 
 
 # ------------------------------------------------------------------ check_run

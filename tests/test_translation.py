@@ -18,6 +18,7 @@ from adtxn.core import (
     NoRuleMatches,
     PreconditionViolated,
     PrivateCall,
+    PrivateInvocation,
     PublicCall,
     TagMismatch,
     TranslationRule,
@@ -26,6 +27,9 @@ from adtxn.core import (
     public_outs_from_private,
     translate_public,
 )
+from adtxn.manager import UndoEntry
+from adtxn.monitor import ManagedObject
+from adtxn.oracles import Observation
 from adtxn.values import FALSE, TRUE, UNIT, Value, boolean, item, rational, report, seq
 
 STACK = get_adt("stack")
@@ -242,6 +246,35 @@ def test_memo_answers_as_a_cold_translation(name):
             assert got.rule is cold.rule, call
             assert got.call == cold.call and got.public_outs == cold.public_outs, call
     assert len(spec.translated) == len(set(calls))
+
+
+# ------------------------------------------------------- per-call records
+
+def test_a_record_built_through_tuple_new_is_its_constructed_twin():
+    # the per-operation paths build these through tuple.__new__ (see the
+    # `core` docstring); each must be the record the constructor builds
+    obj = ManagedObject("s", 0, STACK, STACK.initial_state)
+    inv = PrivateInvocation(1, 1, "s", "PUSH", (item("a"),))
+    cases = [(PublicCall, ("PUSH", (item("a"),))),
+             (UndoEntry, (obj, inv, PrivateCall("POP", ()))),
+             (Observation, ("s", "PUSH", (item("a"),), (OK,)))]
+    for cls, fields in cases:
+        fast, built = tuple.__new__(cls, fields), cls(*fields)
+        assert type(fast) is cls
+        assert fast == built and hash(fast) == hash(built)
+        assert fast._asdict() == built._asdict()
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_a_public_call_built_through_tuple_new_hits_the_kept_translation(name):
+    spec = dataclasses.replace(get_adt(name))   # same rules, empty memo
+    for call in spec.probe_public_calls(3):
+        cold = translate_public(spec, PublicCall(call.op, call.ins))
+        kept = len(spec.translated)
+        fast = tuple.__new__(PublicCall, (call.op, tuple(Value(v.tag, v.payload)
+                                                         for v in call.ins)))
+        assert translate_public(spec, fast) is cold, call
+        assert spec.translated[fast] is cold and len(spec.translated) == kept, call
 
 
 def test_a_refused_call_is_never_kept():
