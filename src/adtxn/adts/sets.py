@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ..core import AdtSpec, InverseRule, OpSig, PrivateCall, PublicCall, TranslationRule
+from ..core import AdtSpec, InverseRule, OpSig, PrivateCall, PublicCall, identity_rule
 from ..tables import ALWAYS, CommutTables, InCommutEntry, OutCommutEntry
 from ..values import FALSE, TRUE, Tag, boolean, is_item_list, item, rational, report
 
@@ -78,13 +78,7 @@ def _probe_public_calls(bound):
     return [PublicCall(c.op, c.ins) for c in _probe_calls(bound)]
 
 
-def _identity(op):
-    return TranslationRule(op, when=lambda ins: True,
-                           target=lambda ins, op=op: PrivateCall(op, ins),
-                           outs=lambda ins, pouts: pouts)
-
-
-_TRANSLATION = tuple(_identity(op) for op in ("INSERT", "DELETE", "IN", "CARD"))
+_TRANSLATION = tuple(identity_rule(op) for op in ("INSERT", "DELETE", "IN", "CARD"))
 
 _INVERSES = (
     InverseRule("INSERT", when=lambda i, o: o[0] == OK,

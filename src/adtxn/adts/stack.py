@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from ..core import AdtSpec, InverseRule, OpSig, PrivateCall, PublicCall, TranslationRule
+from ..core import (AdtSpec, InverseRule, OpSig, PrivateCall, PublicCall,
+                    TranslationRule, identity_rule)
 from ..tables import ALWAYS, CommutTables, InCommutEntry, OutCommutEntry
 from ..values import Tag, UNIT, Value, boolean, is_item_list, item, render, report, seq
 
@@ -73,16 +74,10 @@ def _probe_public_calls(bound):
             + [PublicCall("POP", ()), PublicCall("EMPTY", ()), PublicCall("CLEAR", ())])
 
 
-def _identity(op):
-    return TranslationRule(op, when=lambda ins: True,
-                           target=lambda ins, op=op: PrivateCall(op, ins),
-                           outs=lambda ins, pouts: pouts)
-
-
 _TRANSLATION = (
-    _identity("PUSH"),
-    _identity("POP"),
-    _identity("EMPTY"),
+    identity_rule("PUSH"),
+    identity_rule("POP"),
+    identity_rule("EMPTY"),
     TranslationRule("CLEAR", when=lambda ins: True,
                     target=lambda ins: PrivateCall("CLEAR", ins),
                     outs=lambda ins, pouts: (pouts[0],),

@@ -3,7 +3,11 @@
     adtxn run <file> [--seed N] [--trace PATH] [--metrics]
     adtxn check <file> [--seed N] [--runs K]
     adtxn verify-tables <adt> [--depth D]
-    adtxn fuzz [--adts LIST] [--txns K] [--ops M] [--runs N] [--seed S]
+    adtxn fuzz [--adts LIST] [--txns K] [--ops M] [--runs N] [--seed S] [--no-aborts]
+
+`fuzz` checks a batch of N random workloads that end in commit, then their
+abort twins: the same N workloads, each with one transaction's commit
+turned into an abort. `--no-aborts` checks the commit batch alone.
 
 Exit codes: 0 everything passed, 1 an oracle or table check failed,
 2 the input was unusable: an unreadable workload, an unknown type, a

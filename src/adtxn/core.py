@@ -202,6 +202,14 @@ class TranslationRule:
     note: str = ""
 
 
+def identity_rule(op: str) -> TranslationRule:
+    """The rule of a public op that is its own private op: the same call,
+    answered with its private outs."""
+    return TranslationRule(op, when=lambda ins: True,
+                           target=lambda ins, op=op: PrivateCall(op, ins),
+                           outs=lambda ins, pouts: pouts)
+
+
 @dataclass(frozen=True)
 class InverseRule:
     """Selects the undo for one executed private operation.

@@ -6,8 +6,9 @@ The trace file format is one line per event,
 
 and is the exchange format the oracles and the determinism checks compare
 byte for byte. Events additionally carry the invocation id in memory (not in
-the file) so the monitor reconstructor can tie WAKE and INVERSE lines back
-to the invocation they concern.
+the file). The history replay reads it only at INVOKE, where it checks the
+engine's numbering, and compares it as one field of every later event it
+owes; `bench/run.py` reads it at BLOCK and WAKE to time waits.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ class History:
         if kind not in KINDS:
             raise EventKindError(f"unknown event kind {kind!r}")
         # every field in order, through tuple.__new__: the NamedTuple
-        # constructor is a Python function, and this is the only place the
-        # package builds an Event
+        # constructor is a Python function, and every event of a run is
+        # built here (the replay builds one more only to render a failure)
         ev = _new_tuple(Event, (len(self.events), kind, txn, obj, op,
                                 tuple(ins), tuple(outs), inv_id))
         self.events.append(ev)

@@ -144,6 +144,64 @@ def abort_plan(rec: TransactionRecord) -> list[tuple]:
     return plan
 
 
+# The transaction steps the engine and the history replay share. Each emits
+# its events through `emit`, called in `History.emit`'s positional field
+# order, and runs a monitor's release section as `release(obj, inv,
+# section, *args)`, which also wakes every op the section admits: the
+# engine emits what the sink gets, and the replay owes it.
+
+
+def admit(rec: TransactionRecord, obj: ManagedObject, inv: PrivateInvocation,
+          emit, release) -> AdmitOutcome:
+    """Admit `rec`'s `inv` at `obj`: execute it at once, register it with
+    its DEDUCE, or emit its BLOCK and park `rec` on it."""
+    outcome = obj.admit(inv)
+    if outcome is _OUTCOME_DEDUCED:
+        emit(hist.DEDUCE, rec.name, obj.name, inv.op, inv.ins, inv.outs, inv.id)
+        rec.register(obj, inv)
+    elif outcome is _OUTCOME_BLOCKED:
+        emit(hist.BLOCK, rec.name, obj.name, inv.op, inv.ins, (), inv.id)
+        rec.blocked_on = (obj, inv)
+    else:
+        execute(rec, obj, inv, emit, release)
+    return outcome
+
+
+def execute(rec: TransactionRecord, obj: ManagedObject, inv: PrivateInvocation,
+            emit, release):
+    """Run an admitted op, emit its EXEC, complete it and register it."""
+    outs = obj.execute(inv)
+    emit(hist.EXEC, rec.name, obj.name, inv.op, inv.ins, outs, inv.id)
+    release(obj, inv, obj.complete, outs)
+    rec.register(obj, inv)
+
+
+def wake(rec: TransactionRecord, obj: ManagedObject, inv: PrivateInvocation, emit):
+    """Unpark `rec`, whose blocked `inv` a release section admitted, and
+    emit its WAKE."""
+    if rec.blocked_on is None or rec.blocked_on[1] is not inv:
+        raise ManagerInvariantError(f"{rec.name} woken for {inv!r}, "
+                                    "which it was not waiting on")
+    rec.blocked_on = None
+    emit(hist.WAKE, rec.name, obj.name, inv.op, inv.ins, (), inv.id)
+
+
+def erase(rec: TransactionRecord, emit, release):
+    """Run `rec`'s whole `abort_plan`, emitting each WITHDRAW and INVERSE,
+    and leave it ABORTED."""
+    for kind, obj, inv, call in abort_plan(rec):
+        if kind == hist.WITHDRAW:
+            emit(hist.WITHDRAW, rec.name, obj.name, inv.op, inv.ins, (), inv.id)
+            rec.blocked_on = None
+            release(obj, inv, obj.withdraw)
+            continue
+        if kind == hist.INVERSE:
+            outs = obj.apply_inverse(call)
+            emit(hist.INVERSE, rec.name, obj.name, call.op, call.ins, outs, inv.id)
+        release(obj, inv, obj.finish)
+    rec.status = _ABORTED
+
+
 def find_cycle(adj: dict[int, set[int]]) -> list[int] | None:
     """First cycle under deterministic DFS order, as a node list.
 
@@ -235,18 +293,9 @@ class TransactionManager:
             return tr.public_outs
         op, ins = tr.call
         inv = PrivateInvocation(next(self._inv_ids), rec.id, obj.name, op, ins)
-        self.history.emit(hist.INVOKE, txn=rec.name, obj=obj.name,
-                          op=inv.op, ins=inv.ins, inv_id=inv.id)
-        outcome = obj.admit(inv)
-        if outcome is _OUTCOME_DEDUCED:
-            self.history.emit(hist.DEDUCE, txn=rec.name, obj=obj.name,
-                              op=inv.op, ins=inv.ins, outs=inv.outs,
-                              inv_id=inv.id)
-            return self._answer(rec, obj, inv, tr, call)
-        if outcome is _OUTCOME_BLOCKED:
-            self.history.emit(hist.BLOCK, txn=rec.name, obj=obj.name,
-                              op=inv.op, ins=inv.ins, inv_id=inv.id)
-            rec.blocked_on = (obj, inv)
+        emit = self.history.emit
+        emit(hist.INVOKE, rec.name, obj.name, inv.op, inv.ins, (), inv.id)
+        if admit(rec, obj, inv, emit, self._release) is _OUTCOME_BLOCKED:
             self._resolve_deadlocks(rec)
             if rec.status is not _ACTIVE:
                 raise TransactionAborted(rec.name)
@@ -255,11 +304,8 @@ class TransactionManager:
             # resolving a deadlock elsewhere may have admitted us already
             if inv.lifecycle is not _RUNNING or rec.blocked_on is not None:
                 raise ManagerInvariantError(f"{rec.name} resumed with {inv!r} not admitted")
-        outs = obj.execute(inv)
-        self.history.emit(hist.EXEC, txn=rec.name, obj=obj.name, op=inv.op,
-                          ins=inv.ins, outs=outs, inv_id=inv.id)
-        self._fire_wakes(obj, obj.complete(inv, outs))
-        return self._answer(rec, obj, inv, tr, call)
+            execute(rec, obj, inv, emit, self._release)
+        return public_outs_from_private(tr.rule, call.ins, inv.outs)
 
     def commit(self, rec: TransactionRecord):
         if rec.status is not _ACTIVE:
@@ -270,7 +316,7 @@ class TransactionManager:
         self.history.emit(hist.COMMIT, txn=rec.name)
         for obj, inv in rec.release_order():
             # finish refuses an op that has not executed
-            self._fire_wakes(obj, obj.finish(inv))
+            self._release(obj, inv, obj.finish)
         rec.status = _COMMITTED
 
     def abort(self, rec: TransactionRecord):
@@ -283,36 +329,15 @@ class TransactionManager:
             raise ManagerInvariantError(f"{rec.name} is {rec.status.value}")
         rec.status = _ABORTING
         self.history.emit(hist.ABORT, txn=rec.name)
-        for kind, obj, inv, call in abort_plan(rec):
-            if kind == hist.WITHDRAW:
-                self.history.emit(kind, txn=rec.name, obj=obj.name, op=inv.op,
-                                  ins=inv.ins, inv_id=inv.id)
-                rec.blocked_on = None
-                self._fire_wakes(obj, obj.withdraw(inv))
-                continue
-            if kind == hist.INVERSE:
-                outs = obj.apply_inverse(call)
-                self.history.emit(kind, txn=rec.name, obj=obj.name, op=call.op,
-                                  ins=call.ins, outs=outs, inv_id=inv.id)
-            self._fire_wakes(obj, obj.finish(inv))
-        rec.status = _ABORTED
+        erase(rec, self.history.emit, self._release)
 
     # -- internals --------------------------------------------------------------
 
-    def _answer(self, rec, obj, inv, tr, call):
-        """Register `inv`, then return its call's public outs."""
-        rec.register(obj, inv)
-        return public_outs_from_private(tr.rule, call.ins, inv.outs)
-
-    def _fire_wakes(self, obj, woken):
-        for w in woken:
-            wrec = self.txns[w.txn]
-            if wrec.blocked_on is None or wrec.blocked_on[1] is not w:
-                raise ManagerInvariantError(f"{wrec.name} woken for {w!r}, "
-                                            "which it was not waiting on")
-            wrec.blocked_on = None
-            self.history.emit(hist.WAKE, txn=wrec.name, obj=obj.name, op=w.op,
-                              ins=w.ins, inv_id=w.id)
+    def _release(self, obj, inv, section, *args):
+        """Run `section`, one of obj's release sections, on `inv`, and wake
+        each op it admits."""
+        for w in section(inv, *args):
+            wake(self.txns[w.txn], obj, w, self.history.emit)
             if self.on_wake:
                 self.on_wake(w.txn)
 

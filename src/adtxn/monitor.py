@@ -84,27 +84,29 @@ over exactly those shows it holds after:
   * `withdraw` passes the op, then one list of its former waiters and its
     blockers.
 
-The scoped check reads the op's own entries in `live`, `blocks` and
-`blocked_by` once and branches on the stage the section left it in:
+The scoped check sends the op through the per-op stage predicates that
+its peers and the whole-object check go through (`_check_stages`). They
+read the op's entries in `live`, `blocks` and `blocked_by` and branch on
+the stage the section left it in:
 
   * dead: it waits on nothing and blocks nothing;
   * executed: it waits on nothing, holds outs, and ran once (never, if it
     was deduced);
   * in execution: it waits on nothing, holds no outs, and no `blocks` set
     lists it, which a scan of every set shows (skipped when there is none);
-  * blocked: no outs, no execution, a non-empty blocker set, and each
-    blocker live, earlier and listing it.
+  * blocked: no outs, no execution, and a non-empty blocker set;
 
-A live op must also be filed under its own id and hold no edge to itself.
-That is the conjunction one loop trying every predicate on the op checks,
-less the predicates its stage already settles: "blocked by nothing" and
-the blocker checks can fail only for an op with blockers, which only a
-blocked op may have, and an op in execution that no set lists has no edge
-into it, from itself or from a peer. The peers go through the per-op stage
-predicates the whole check uses (`_check_stages`), and then the edges
-between op and peer are read from both maps; when the op holds no edge at
-all (after `finish`, `withdraw`, or a `complete` that kept no waiter),
-that leaves only "no peer holds an edge to or from it".
+and a live op must be filed under its own id. That is the conjunction one
+loop trying every predicate on the op checks, less the predicates its
+stage already settles: "blocked by nothing" and the blocker checks can
+fail only for an op with blockers, which only a blocked op may have, and
+an op in execution that no set lists has no edge into it, from itself or
+from a peer. What `_check` adds is its own: the op's filing under its
+key, no edge from the op to itself, each blocker of a blocked op live,
+earlier and listing it, and the edges between op and peer, read from both
+maps; when the op holds no edge at all (after `finish`, `withdraw`, or a
+`complete` that kept no waiter), that leaves only "no peer holds an edge
+to or from it".
 tests/test_strict_faults.py keeps the single loop as a reference and
 requires the two to agree at every section of several hundred runs, with
 and without a planted fault in a section.
@@ -454,12 +456,13 @@ class ManagedObject:
     def _check(self, op: PrivateInvocation | None = None, peers: Sequence[int] = ()):
         """Check the bookkeeping an entry section can have changed.
 
-        Given an op, that is the op's filing and stage, read from its own
-        entries once; the stage of each peer; and the edges between the op
-        and each peer, read from both sides. A blocked op's own edges are
-        read from its side. With no op, every live op, every edge and the
-        whole index. The module docstring says what each stage checks, and
-        why the first, after every section, keeps the whole invariant.
+        Given an op, that is the op's filing; the stage of the op and of
+        each peer, through `_check_stages`; no edge from the op to itself;
+        and the edges between the op and each peer, read from both sides.
+        A blocked op's own edges are read from its side. With no op, every
+        live op, every edge and the whole index. The module docstring says
+        what each stage checks, and why the first, after every section,
+        keeps the whole invariant.
         """
         if not self.strict:
             return
@@ -473,44 +476,12 @@ class ManagedObject:
             group = self.unkeyed if op.key is None else self.by_key.get(op.key, ())
             if (inv_id in group) is not (inv_id in live):
                 raise MonitorInvariantError(f"{op!r} misfiled in the index")
-        inv = live.get(inv_id)
+        self._check_stages((inv_id,))
         out_edges, in_edges = blocks.get(inv_id), blocked_by.get(inv_id)
-        if inv is None:
-            if in_edges is not None:
-                raise MonitorInvariantError(f"{self.name}: {inv_id} waits but is not blocked")
-            if out_edges is not None:
-                raise MonitorInvariantError(f"{self.name}: edges from dead op {inv_id}")
-        else:
-            stage = inv.lifecycle
-            if stage is _BLOCKED:
-                if inv.outs is not None or inv.executions:
-                    raise MonitorInvariantError(f"{inv!r} blocked with outs or executions")
-                if not in_edges:
-                    raise MonitorInvariantError(f"{self.name}: {inv_id} blocked by nothing")
-            elif in_edges is not None:
-                raise MonitorInvariantError(f"{self.name}: {inv_id} waits but is not blocked")
-            elif stage is _EXECUTED:
-                expect = 0 if inv.origin is _DEDUCED else 1
-                if inv.outs is None or inv.executions != expect:
-                    raise MonitorInvariantError(f"{inv!r} outs or execution count")
-            elif stage is _RUNNING:
-                if inv.outs is not None:
-                    raise MonitorInvariantError(f"{inv!r} in execution with outs")
-                # it was just admitted or woken: nothing may still wait-list
-                # it, itself included, so no edge runs into it
-                if blocks:
-                    for waiters in blocks.values():
-                        if inv_id in waiters:
-                            raise MonitorInvariantError(
-                                f"{self.name}: edge to non-blocked {inv_id}")
-            else:
-                raise MonitorInvariantError(f"{inv!r} misfiled")
-            if inv.id != inv_id:
-                raise MonitorInvariantError(f"{inv!r} misfiled")
-            # no edge from the op to itself; one into it from itself is
-            # caught with its other blockers below
-            if out_edges and inv_id in out_edges:
-                raise MonitorInvariantError(f"{self.name}: edge {inv_id}->{inv_id} broken")
+        # no edge from the op to itself; one into it from itself is caught
+        # with its other blockers below
+        if out_edges and inv_id in out_edges:
+            raise MonitorInvariantError(f"{self.name}: edge {inv_id}->{inv_id} broken")
         if peers:
             self._check_stages(peers)
             # the edges between the op and each peer: in both maps or in

@@ -33,16 +33,18 @@ the sections it causes. The monitors determine every other event
 completely: the DEDUCE, BLOCK or EXEC that answers an INVOKE, each WAKE,
 the ABORT a VICTIM forces, and each WITHDRAW and INVERSE of an abort, which
 runs its whole `abort_plan` at once, as the engine does. The replay
-computes each caused event when it runs the section that causes it and
-appends it to one queue, `due`; while anything is due, the next event must
-equal the head of the queue in every field but its index. So a caused
-event cannot go missing, come twice, come out of order or differ in any
-field, and no chosen event can come while one is owed. The replay also
-numbers invocations itself: each INVOKE's id must be the last one plus
-one, as the engine's counter makes them. So an id names one invocation
-for the whole history, and the monitors' edges, which run from a smaller
-id to a larger one, follow arrival order. INVOKE is the only event whose
-id the replay reads; every later one is compared as part of its event.
+computes each caused event when it runs the step that causes it, a
+VICTIM's ABORT in its handler and every other one in the shared steps
+(below), and appends it to one queue, `due`; while anything is due, the
+next event must equal the head of the queue in every field but its
+index. So a caused event cannot go missing, come twice, come out of order
+or differ in any field, and no chosen event can come while one is owed.
+The replay also numbers invocations itself: each INVOKE's id must be the
+last one plus one, as the engine's counter makes them. So an id names one
+invocation for the whole history, and the monitors' edges, which run from
+a smaller id to a larger one, follow arrival order. INVOKE is the only
+event whose id the replay reads; every later one is compared as part of
+its event.
 
 A VICTIM must sit on a cycle, and be its largest txn id. An event that
 names a txn with no BEGIN before it, or an object the workload does not
@@ -61,17 +63,17 @@ records the blocked transaction's out-edges: each blocker's owner, read
 from the monitor the blocker is live on as the engine reads it, and how
 many of that owner's ops the blocked op waits on. The release sections
 `complete`, `finish` and `withdraw` run only through `_Replayer._section`,
-which mirrors each in the graph: it reads the op's waiters first; each
-waiter whose blockers have lost the op then waits on one op of the op's
-owner fewer, and an owner at zero is no longer waited for. Each woken
-transaction leaves the graph and owes its WAKE; a withdrawn one leaves it
-just before. The graph stays exact on one monitor fact, which
-tests/test_oracles.py checks after every event against the graph derived
-afresh: a waiter's blockers grow only in `admit`, when it blocks, and only
-those three sections shrink them. At every VICTIM, `find_cycle` searches
-this whole graph, not the engine's rooted and pruned subgraph, so the
-replay does not rely on the engine's claim that each resolution left the
-graph acyclic.
+the release hook the replay hands the shared steps, which mirrors each in
+the graph: it reads the op's waiters first; each waiter whose blockers
+have lost the op then waits on one op of the op's owner fewer, and an
+owner at zero is no longer waited for. Each woken transaction leaves the
+graph and owes its WAKE; a withdrawn one leaves it just before. The
+graph stays exact on one monitor fact, which tests/test_oracles.py checks
+after every event against the graph derived afresh: a waiter's blockers
+grow only in `admit`, when it blocks, and only those three sections
+shrink them. At every VICTIM, `find_cycle` searches this whole graph, not
+the engine's rooted and pruned subgraph, so the replay does not rely on
+the engine's claim that each resolution left the graph acyclic.
 
 The replay's monitors are strict, so each of their entry sections (`admit`,
 `complete`, `finish`, `withdraw`) ends by checking the ops and edges it
@@ -83,14 +85,23 @@ counter, and the same event always follows them with `complete` or
 change, which is every state the run passes through; checking every monitor
 again after every event would only re-read bookkeeping that has not moved.
 
-The history replay shares the engine's transaction bookkeeping only:
-`TransactionRecord` with its `register` and `release_order`, and
-`abort_plan`. Those fix orders, not outcomes; every admission, wake, inverse
+The history replay shares the engine's transaction steps, and nothing
+else: `TransactionRecord` with its `register` and `release_order`,
+`abort_plan`, and the four steps `manager` defines next to it, `admit`,
+`execute`, `wake` and `erase`. The engine hands those steps its history's
+`emit` and its `_release`; the replay hands them `_owe`, which queues each
+event in `due`, and `_section`. So the engine and the replay run each
+step, and build each caused event, through one definition. The steps fix
+orders and event shapes, not outcomes: every admission, wake, inverse
 result and victim is still re-decided by fresh `ManagedObject`s, and every
 event the replay owes is built from those, not copied from the engine's.
-A wrong shared order would still show in the serial-replay checks, which
-share nothing with the engine: an inverse out of order, or an op released before
-its inverse lands, leaves states or answers no serial order explains.
+A fault in a shared step moves the engine and the replay alike, so the
+history replay cannot see it; only the serial-replay checks, which share
+nothing with the engine, the golden traces and the bench digests can. An
+inverse out of order, or an op released before its inverse lands, leaves
+states or answers no serial order explains: an `abort_plan` that undoes
+oldest first fails 30 of the 406 mixed runs of tests/test_oracles.py, all
+at serializability.
 """
 
 from __future__ import annotations
@@ -104,7 +115,8 @@ from .core import (FrameworkError, PrivateInvocation, PublicCall,
                    check_private_ins, translate_public)
 from . import history as hist
 from .history import History, compute_metrics
-from .manager import TransactionRecord, TxnStatus, abort_plan, find_cycle
+from .manager import (TransactionRecord, TxnStatus, admit, erase, execute,
+                      find_cycle, wake)
 from .monitor import AdmitOutcome, ManagedObject
 from .simulate import RunResult
 from .values import Value, render_params
@@ -112,7 +124,7 @@ from .workload import Workload, initial_state
 
 # enum members as globals (see the `core` docstring)
 _ACTIVE, _COMMITTED, _ABORTED = TxnStatus.ACTIVE, TxnStatus.COMMITTED, TxnStatus.ABORTED
-_OUTCOME_ADMITTED, _OUTCOME_DEDUCED = AdmitOutcome.ADMITTED, AdmitOutcome.DEDUCED
+_OUTCOME_BLOCKED = AdmitOutcome.BLOCKED
 _new_tuple = tuple.__new__
 
 
@@ -302,6 +314,11 @@ class _Replayer:
         if e[1:] != owed:
             self._fail(e, f"owed {_owed_line(owed)}")
 
+    def _owe(self, *event):
+        """The event sink of the shared steps: owe the event, each field
+        but its index."""
+        self.due.append(event)
+
     def _section(self, obj, inv, section, *args):
         """Run `section`, one of obj's release sections (`complete`,
         `finish`, `withdraw`), on `inv`, and mirror what it changed in the
@@ -327,33 +344,17 @@ class _Replayer:
                     owners[owner] -= 1
         for w in woken:
             txn = self.txns_by_id[w.txn]
-            txn.blocked_on = None
+            wake(txn, obj, w, self._owe)
             del self.waits_for[txn.id]
             self.woken[txn.id] = (obj, w)
-            self.due.append((hist.WAKE, txn.name, obj.name, w.op, w.ins, (), w.id))
-
-    def _execute(self, txn, obj, inv):
-        """Run an admitted op, owe its EXEC, and complete it."""
-        outs = obj.execute(inv)
-        self.due.append((hist.EXEC, txn.name, obj.name, inv.op, inv.ins, outs, inv.id))
-        self._section(obj, inv, obj.complete, outs)
-        txn.register(obj, inv)
 
     def _abort(self, txn):
         """Erase `txn` by its whole `abort_plan`, as the engine's `abort`
-        does, owing each WITHDRAW and INVERSE the plan emits."""
-        for kind, obj, inv, call in abort_plan(txn):
-            if kind == hist.WITHDRAW:
-                self.due.append((kind, txn.name, obj.name, inv.op, inv.ins, (), inv.id))
-                txn.blocked_on = None
-                del self.waits_for[txn.id]
-                self._section(obj, inv, obj.withdraw)
-                continue
-            if kind == hist.INVERSE:
-                outs = obj.apply_inverse(call)
-                self.due.append((kind, txn.name, obj.name, call.op, call.ins, outs, inv.id))
-            self._section(obj, inv, obj.finish)
-        txn.status = _ABORTED
+        does; a blocked txn leaves the kept graph just before its
+        WITHDRAW."""
+        if txn.blocked_on is not None:
+            del self.waits_for[txn.id]
+        erase(txn, self._owe, self._section)
 
     # the handlers of the chosen events
 
@@ -406,17 +407,8 @@ class _Replayer:
         self.last_inv_id = inv_id
         inv = PrivateInvocation(inv_id, txn.id, obj.name, e.op, e.ins)
         check_private_ins(obj.spec, inv)
-        outcome = obj.admit(inv)
-        if outcome is _OUTCOME_ADMITTED:
-            self._execute(txn, obj, inv)
+        if admit(txn, obj, inv, self._owe, self._section) is not _OUTCOME_BLOCKED:
             return
-        if outcome is _OUTCOME_DEDUCED:
-            self.due.append((hist.DEDUCE, txn.name, obj.name, inv.op, inv.ins,
-                             inv.outs, inv_id))
-            txn.register(obj, inv)
-            return
-        self.due.append((hist.BLOCK, txn.name, obj.name, inv.op, inv.ins, (), inv_id))
-        txn.blocked_on = (obj, inv)
         live, owners = obj.live, {}
         for b in obj.blocked_by[inv_id]:
             owner = live[b].txn
@@ -431,7 +423,7 @@ class _Replayer:
         woken = self.woken.pop(txn.id, None)
         if woken is None:
             self._fail(e, f"{e.txn} has no woken op to execute")
-        self._execute(txn, *woken)
+        execute(txn, *woken, self._owe, self._section)
         self._match(e, self.due.popleft())
 
     def _on_commit(self, e):
@@ -452,7 +444,7 @@ class _Replayer:
         if max(cycle) != txn.id:
             self._fail(e, f"victim should be txn id {max(cycle)}, "
                           f"trace chose {txn.id}")
-        self.due.append((hist.ABORT, txn.name, None, None, (), (), None))
+        self._owe(hist.ABORT, txn.name, None, None, (), (), None)
         self._abort(txn)
 
     def _waits_for_edges(self):

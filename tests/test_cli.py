@@ -216,3 +216,16 @@ def test_unusable_flag_values_exit_2_with_one_line(wl, capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_the_usage_text_names_every_flag_of_each_subcommand():
+    # the module docstring is the command line's usage text; one line per
+    # subcommand, which must name each of its flags
+    usage = {line.split()[1]: line for line in cli.__doc__.splitlines()
+             if line.startswith("    adtxn ")}
+    subcommands = next(a for a in cli.build_parser()._actions if a.choices)
+    assert usage.keys() == subcommands.choices.keys()
+    missing = [f"{name} {flag}" for name, parser in subcommands.choices.items()
+               for action in parser._actions for flag in action.option_strings
+               if flag.startswith("--") and flag != "--help" and flag not in usage[name]]
+    assert missing == []

@@ -102,30 +102,81 @@ def test_the_monitor_counts_move_only_where_their_ops_change_stage():
                       "running": {"_enter_execution", "complete"}}
 
 
+def _module(name):
+    return ast.parse((SRC / name).read_text(encoding="utf-8"))
+
+
+def _function(body, name):
+    return next(node for node in body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
 def test_the_replay_reaches_the_release_sections_only_through_section():
     # `_Replayer._section` mirrors what `complete`, `finish` and `withdraw`
-    # change in the replay's waits-for graph; anywhere else in the module a
-    # release section may only be named as the section that method runs
-    tree = ast.parse((SRC / "oracles.py").read_text(encoding="utf-8"))
+    # change in the replay's waits-for graph, and the engine's `_release`
+    # wakes what they admit. The shared steps in `manager` run a release
+    # section only through the `release` hook they are handed, which is
+    # `_section` in the replay; so in `oracles` a release section may only
+    # be named inside `_section` or as the section `_section` runs, and in
+    # `manager` only as the section a `release` or `self._release` call runs
     releases = ("complete", "finish", "withdraw")
-    replayer = next(node for node in tree.body
-                    if isinstance(node, ast.ClassDef) and node.name == "_Replayer")
-    section = next(node for node in replayer.body
-                   if isinstance(node, ast.FunctionDef) and node.name == "_section")
-    allowed = {id(node) for node in ast.walk(section)}
-    passed = set()
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_section" and len(node.args) > 2
-                and isinstance(node.args[2], ast.Attribute)
-                and node.args[2].attr in releases):
-            allowed.add(id(node.args[2]))
-            passed.add(node.args[2].attr)
-    found = [f"oracles.py:{node.lineno} {node.attr}" for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr in releases
-             and id(node) not in allowed]
+    found, passed = [], set()
+    for name, hooks in (("oracles.py", {"self._section"}),
+                        ("manager.py", {"release", "self._release"})):
+        tree = _module(name)
+        allowed = set()
+        if name == "oracles.py":
+            replayer = next(node for node in tree.body
+                            if isinstance(node, ast.ClassDef) and node.name == "_Replayer")
+            allowed = {id(node) for node in ast.walk(_function(replayer.body, "_section"))}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) in hooks
+                    and len(node.args) > 2 and isinstance(node.args[2], ast.Attribute)
+                    and node.args[2].attr in releases):
+                allowed.add(id(node.args[2]))
+                passed.add(node.args[2].attr)
+        found += [f"{name}:{node.lineno} {node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in releases
+                  and id(node) not in allowed]
     assert found == []
-    assert passed == set(releases)      # the replay runs each of them
+    assert passed == set(releases)      # the two modules run each of them
+
+
+# the events a monitor decision causes, and the steps `manager` shares with
+# the replay that emit or owe them; `abort_plan` names its steps' kinds
+CAUSED = {"DEDUCE", "BLOCK", "EXEC", "WAKE", "WITHDRAW", "INVERSE"}
+SHARED_STEPS = {"admit", "execute", "wake", "erase"}
+
+
+def _caused_kind(node):
+    return (isinstance(node, ast.Attribute) and node.attr in CAUSED
+            and isinstance(node.value, ast.Name) and node.value.id == "hist")
+
+
+def test_caused_events_are_built_only_in_the_shared_steps():
+    # the engine emits and the replay owes each caused event through one
+    # of the shared steps, so both build it the same way: no call with a
+    # caused kind first, and no tuple starting with one, anywhere else in
+    # `manager` or `oracles`
+    found, inside = [], set()
+    for name in ("manager.py", "oracles.py"):
+        tree = _module(name)
+        allowed = set()
+        if name == "manager.py":
+            for step in SHARED_STEPS | {"abort_plan"}:
+                allowed |= {id(node) for node in ast.walk(_function(tree.body, step))}
+        for node in ast.walk(tree):
+            first = (node.args[0] if isinstance(node, ast.Call) and node.args
+                     else node.elts[0] if isinstance(node, ast.Tuple) and node.elts
+                     else None)
+            if first is None or not _caused_kind(first):
+                continue
+            if id(node) in allowed:
+                inside.add(first.attr)
+            else:
+                found.append(f"{name}:{node.lineno} {first.attr}")
+    assert found == []
+    assert inside == CAUSED             # the shared steps build every one
 
 
 def test_the_replay_reads_an_events_invocation_id_only_at_invoke():

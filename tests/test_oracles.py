@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from adtxn import history as hist
-from adtxn import monitor, oracles
+from adtxn import manager, monitor, oracles
 from adtxn.adts import builtin_names, get_adt
 from adtxn.core import FrameworkError, Lifecycle
 from adtxn.fuzz import (derive_seed, flip_random_abort, generate_workload,
@@ -936,6 +936,30 @@ def test_a_planted_table_lie_fails_serializability_and_raises_nothing(monkeypatc
             assert re.search(r"is no witness: T\d+ step \d+ saw ", detail), detail
             failed.append(i)
     assert failed[0] == 10 and len(failed) == 5
+
+
+def test_a_fault_in_a_shared_step_is_caught_only_by_the_serial_replay(monkeypatch):
+    # the engine and the history replay erase a txn through the same
+    # `abort_plan`, so a plan that undoes oldest first moves both alike and
+    # the history replay passes every run; only the serial replay, which
+    # shares nothing with the engine, sees the states or answers it leaves
+    def oldest_first(rec):
+        # `abort_plan` without the `reversed`
+        plan = [(hist.WITHDRAW, *rec.blocked_on, None)] if rec.blocked_on else []
+        plan += [(hist.INVERSE, u.obj, u.inv, u.call) for u in rec.undo]
+        undone = {u.inv.id for u in rec.undo}
+        plan += [(manager.RELEASE, obj, inv, None) for obj, inv in rec.release_order()
+                 if inv.id not in undone]
+        return plan
+
+    monkeypatch.setattr(manager, "abort_plan", oldest_first)
+    stages = Counter()
+    for workload in _mixed_workloads():
+        stage, verdict = check_run(run_simulated(workload))
+        stages[stage] += 1
+        if stage is not None:
+            assert "is no witness" in verdict.detail, verdict.detail
+    assert stages == Counter({None: 376, "serializability": 30})
 
 
 def test_check_run_replays_serially_once_per_run(monkeypatch):
