@@ -146,9 +146,11 @@ def abort_plan(rec: TransactionRecord) -> list[tuple]:
 
 # The transaction steps the engine and the history replay share. Each emits
 # its events through `emit`, called in `History.emit`'s positional field
-# order, and runs a monitor's release section as `release(obj, inv,
-# section, *args)`, which also wakes every op the section admits: the
-# engine emits what the sink gets, and the replay owes it.
+# order, and calls a monitor's release section directly. A section returns
+# (woken, shed): the ops it admitted and the ids of the waiters that shed
+# their edge to the op. Only when something was shed does the step call
+# `release(obj, inv, woken, shed)`, which wakes each woken op: the engine
+# emits what the sink gets, and the replay owes it.
 
 
 def admit(rec: TransactionRecord, obj: ManagedObject, inv: PrivateInvocation,
@@ -172,7 +174,9 @@ def execute(rec: TransactionRecord, obj: ManagedObject, inv: PrivateInvocation,
     """Run an admitted op, emit its EXEC, complete it and register it."""
     outs = obj.execute(inv)
     emit(hist.EXEC, rec.name, obj.name, inv.op, inv.ins, outs, inv.id)
-    release(obj, inv, obj.complete, outs)
+    woken, shed = obj.complete(inv, outs)
+    if shed:
+        release(obj, inv, woken, shed)
     rec.register(obj, inv)
 
 
@@ -193,13 +197,25 @@ def erase(rec: TransactionRecord, emit, release):
         if kind == hist.WITHDRAW:
             emit(hist.WITHDRAW, rec.name, obj.name, inv.op, inv.ins, (), inv.id)
             rec.blocked_on = None
-            release(obj, inv, obj.withdraw)
-            continue
-        if kind == hist.INVERSE:
-            outs = obj.apply_inverse(call)
-            emit(hist.INVERSE, rec.name, obj.name, call.op, call.ins, outs, inv.id)
-        release(obj, inv, obj.finish)
+            woken, shed = obj.withdraw(inv)
+        else:
+            if kind == hist.INVERSE:
+                outs = obj.apply_inverse(call)
+                emit(hist.INVERSE, rec.name, obj.name, call.op, call.ins, outs, inv.id)
+            woken, shed = obj.finish(inv)
+        if shed:
+            release(obj, inv, woken, shed)
     rec.status = _ABORTED
+
+
+def commit(rec: TransactionRecord, release):
+    """Finish each of `rec`'s ops in release order, and leave it COMMITTED.
+    `finish` refuses an op that has not executed."""
+    for obj, inv in rec.release_order():
+        woken, shed = obj.finish(inv)
+        if shed:
+            release(obj, inv, woken, shed)
+    rec.status = _COMMITTED
 
 
 def find_cycle(adj: dict[int, set[int]]) -> list[int] | None:
@@ -314,10 +330,7 @@ class TransactionManager:
             raise ManagerInvariantError(f"{rec.name} commits while blocked")
         rec.status = _COMMITTING
         self.history.emit(hist.COMMIT, txn=rec.name)
-        for obj, inv in rec.release_order():
-            # finish refuses an op that has not executed
-            self._release(obj, inv, obj.finish)
-        rec.status = _COMMITTED
+        commit(rec, self._release)
 
     def abort(self, rec: TransactionRecord):
         """Erase a transaction by running its `abort_plan`.
@@ -333,10 +346,10 @@ class TransactionManager:
 
     # -- internals --------------------------------------------------------------
 
-    def _release(self, obj, inv, section, *args):
-        """Run `section`, one of obj's release sections, on `inv`, and wake
-        each op it admits."""
-        for w in section(inv, *args):
+    def _release(self, obj, inv, woken, shed):
+        """The release hook of the shared steps: wake each op in `woken`,
+        which a release section of obj's admitted when it shed `shed`."""
+        for w in woken:
             wake(self.txns[w.txn], obj, w, self.history.emit)
             if self.on_wake:
                 self.on_wake(w.txn)

@@ -73,21 +73,27 @@ on one edge each (in both directions of the ledger or in neither; from a
 smaller id to a larger one; from a live op to a blocked one). A predicate
 turns false only when something it reads changes, and a section changes
 only its own op, the ops it releases or wakes, and the edges between those
-and its op. So if the invariant held before a section, `_check(op, peers)`
-over exactly those shows it holds after:
+and its op. So if the invariant held before a section, `_check(op,
+waiters, shed, blockers)` over exactly those shows it holds after:
 
   * `admit` passes the new op alone. When it blocks, all its edges are new
     and are read from its side (each blocker lists it, precedes it and is
     live); nothing about the blockers' own stages moved.
   * `complete` and `finish` pass the op and its former waiters, whether
     they were woken or still wait on others; with no waiters, the op alone.
-  * `withdraw` passes the op, then one list of its former waiters and its
-    blockers.
+  * `withdraw` passes the op, its former waiters and its blockers.
 
-The scoped check sends the op through the per-op stage predicates that
-its peers and the whole-object check go through (`_check_stages`). They
-read the op's entries in `live`, `blocks` and `blocked_by` and branch on
-the stage the section left it in:
+Each passes its report too (below), `shed`: the former waiters that shed
+their edge to the op. `_check` demands that it name, in order, exactly
+the waiters whose edge is gone from both maps. The engine and the replay
+act on the report alone, so a section that sheds an edge it does not
+report, or reports one it kept, fails here rather than in their
+bookkeeping.
+
+The scoped check sends the op and each peer through one per-op stage
+predicate, `_check_stage`, which the whole-object check loops over too
+(`_check_stages`). It reads the op's entries in `live`, `blocks` and
+`blocked_by` and branches on the stage the section left it in:
 
   * dead: it waits on nothing and blocks nothing;
   * executed: it waits on nothing, holds outs, and ran once (never, if it
@@ -103,11 +109,9 @@ fail only for an op with blockers, which only a blocked op may have, and
 an op in execution that no set lists has no edge into it, from itself or
 from a peer. What `_check` adds is its own: the op's filing under its
 key, no edge from the op to itself, each blocker of a blocked op live,
-earlier and listing it, and the edges between op and peer, read from both
-maps; when the op holds no edge at all (after `finish`, `withdraw`, or a
-`complete` that kept no waiter), that leaves only "no peer holds an edge
-to or from it".
-tests/test_strict_faults.py keeps the single loop as a reference and
+earlier and listing it, and, in one pass over the peers with each one's
+stage, the edges between op and peer, read from both maps, and the
+report. tests/test_strict_faults.py keeps the single loop as a reference and
 requires the two to agree at every section of several hundred runs, with
 and without a planted fault in a section.
 
@@ -118,7 +122,7 @@ scoped check can see. A scoped check verifies the filing of its own op.
 
 A direct admission needs no separate safety check: admit's empty conflict
 set was computed over the same live ops with the same queries, and is the
-certificate. An op woken through `_shed_edge` enters execution at a moment
+certificate. An op woken through `_shed_edges` enters execution at a moment
 admit never checked, so it alone is re-tested against the live ops
 (`_admission_safety`). That no section touches more than it passes is
 tested too: tests/test_oracles.py runs the whole-object `_check()` and the
@@ -130,8 +134,12 @@ Each edge is in both or in neither, so a blocker's waiters and a waiter's
 blockers are each one lookup. When a waiter's last blocker goes, the op
 moves to in-execution immediately, inside the same entry section that
 removed the edge, so "blocked iff it has a blocker" is never observably
-false. The caller is handed the list of newly admitted ops and owns waking
-their transactions.
+false. Each release section (`complete`, `finish`, `withdraw`) returns
+its report, (woken, shed): the ops it admitted and the ids of the waiters
+whose edge to the op it removed, each in id order, so woken is a subset
+of shed; a section that shed nothing returns one shared empty pair.
+The caller owns waking the woken ops' transactions, and the history
+replay takes one waited-for op off each shed waiter's count.
 
 Conflicts are never recorded between operations of the same transaction:
 transactions are sequential, so their own ops are already ordered and
@@ -176,6 +184,9 @@ class AdmitOutcome(Enum):
 
 _OUTCOME_ADMITTED, _OUTCOME_DEDUCED, _OUTCOME_BLOCKED = (
     AdmitOutcome.ADMITTED, AdmitOutcome.DEDUCED, AdmitOutcome.BLOCKED)
+
+# what a release section returns when it shed no edge: nothing woken, none shed
+_NOTHING = ((), ())
 
 
 @dataclass(eq=False)
@@ -293,13 +304,13 @@ class ManagedObject:
 
     # -- step (4): out-control ----------------------------------------------
 
-    def complete(self, inv: PrivateInvocation,
-                 outs: tuple[Value, ...]) -> list[PrivateInvocation]:
+    def complete(self, inv: PrivateInvocation, outs: tuple[Value, ...]) -> tuple:
         """Record results, move to executed, re-test this op's waiters.
 
         A waiter whose conflict was only pseudo (the results commute even
         though the in-params did not promise it) sheds that edge now.
-        Returns the ops this admitted, in id order.
+        Returns (woken, shed): the ops this admitted and the ids of the
+        waiters that shed their edge to `inv`, each in id order.
         """
         if inv.lifecycle is not _RUNNING:
             raise MonitorInvariantError(f"{inv!r} completed outside execution")
@@ -307,69 +318,71 @@ class ManagedObject:
         inv.lifecycle = _EXECUTED
         self.running -= 1
         self.executed += 1
-        waiting = self.blocks.get(inv.id)
+        inv_id = inv.id
+        waiting = self.blocks.get(inv_id)
         if waiting is None:
             self._check(inv)
-            return []
-        woken = []
+            return _NOTHING
+        live, tables = self.live, self.spec.tables
         waiters = sorted(waiting)
-        for wid in waiters:
-            waiter = self.live[wid]
-            if commute_with_in_out(self.spec.tables, inv, waiter):
-                waiting.discard(wid)
-                woken += self._shed_edge(waiter, inv.id)
+        shed = [wid for wid in waiters if commute_with_in_out(tables, inv, live[wid])]
+        if not shed:
+            self._check(inv, waiters, shed)
+            return _NOTHING
+        waiting.difference_update(shed)
         if not waiting:
-            del self.blocks[inv.id]
-        self._check(inv, waiters)
-        return woken
+            del self.blocks[inv_id]
+        woken = self._shed_edges(shed, inv_id)
+        self._check(inv, waiters, shed)
+        return woken, shed
 
     # -- release: transaction outcome reached -------------------------------
 
-    def finish(self, inv: PrivateInvocation) -> list[PrivateInvocation]:
-        """Commit-or-reject for one executed op: drop every edge it holds."""
+    def finish(self, inv: PrivateInvocation) -> tuple:
+        """Commit-or-reject for one executed op: drop every edge it holds.
+        Returns (woken, shed), as `complete` does; every waiter sheds."""
         if inv.lifecycle is not _EXECUTED:
             raise MonitorInvariantError(f"{inv!r} finished before it executed")
-        del self.live[inv.id]
+        inv_id = inv.id
+        del self.live[inv_id]
         if self.spec.conflict_key is not None:
             self._unfile(inv)
         inv.lifecycle = _FINISHED
         self.executed -= 1
-        waiting = self.blocks.pop(inv.id, None)
+        waiting = self.blocks.pop(inv_id, None)
         if not waiting:
             self._check(inv)
-            return []
-        woken = []
-        waiters = sorted(waiting)
-        for wid in waiters:
-            woken += self._shed_edge(self.live[wid], inv.id)
-        self._check(inv, waiters)
-        return woken
+            return _NOTHING
+        shed = sorted(waiting)
+        woken = self._shed_edges(shed, inv_id)
+        self._check(inv, shed, shed)
+        return woken, shed
 
-    def withdraw(self, inv: PrivateInvocation) -> list[PrivateInvocation]:
+    def withdraw(self, inv: PrivateInvocation) -> tuple:
         """Remove a still-blocked op entirely (its transaction is aborting).
+        Returns (woken, shed), as `finish` does.
 
         Only Blocked ops can be withdrawn: once admitted, an op's effects
         exist and must be undone through its inverse instead.
         """
         if inv.lifecycle is not _BLOCKED:
             raise MonitorInvariantError(f"{inv!r} withdrawn but not blocked")
-        del self.live[inv.id]
+        inv_id = inv.id
+        del self.live[inv_id]
         if self.spec.conflict_key is not None:
             self._unfile(inv)
-        woken = []
-        waiters = sorted(self.blocks.pop(inv.id, ()))
-        for wid in waiters:
-            woken += self._shed_edge(self.live[wid], inv.id)
+        waiting = self.blocks.pop(inv_id, None)
+        shed = sorted(waiting) if waiting else []
+        woken = self._shed_edges(shed, inv_id)
         # then drop the edges that pointed at the withdrawn op itself
-        blockers = self.blocked_by.pop(inv.id)
+        blockers = self.blocked_by.pop(inv_id)
         for b in blockers:
-            self.blocks[b].remove(inv.id)
+            self.blocks[b].remove(inv_id)
             if not self.blocks[b]:
                 del self.blocks[b]
         inv.lifecycle = _FINISHED
-        waiters.extend(blockers)        # the peers: former waiters, then blockers
-        self._check(inv, waiters)
-        return woken
+        self._check(inv, shed, shed, blockers)
+        return (woken, shed) if shed else _NOTHING
 
     # -- undo path -----------------------------------------------------------
 
@@ -410,23 +423,29 @@ class ManagedObject:
     def _enter_execution(self, inv: PrivateInvocation):
         inv.lifecycle = _RUNNING
         self.running += 1
-        self.max_in_execution = max(self.max_in_execution, self.running)
+        if self.running > self.max_in_execution:
+            self.max_in_execution = self.running
 
-    def _shed_edge(self, waiter: PrivateInvocation,
-                   blocker_id: int) -> list[PrivateInvocation]:
-        """Drop the edge blocker -> waiter from `blocked_by`; the caller has
-        already dropped it from `blocks`. Admits the waiter if it was the last."""
-        blockers = self.blocked_by[waiter.id]
-        blockers.remove(blocker_id)
-        if blockers:
-            return []
-        del self.blocked_by[waiter.id]
-        self._enter_execution(waiter)
-        if self.strict:
-            # admit never checked this moment: the waiter's edges were
-            # recorded against the live ops as they stood then
-            self._admission_safety(waiter)
-        return [waiter]
+    def _shed_edges(self, waiters: list[int], blocker_id: int) -> list[PrivateInvocation]:
+        """Drop the edge blocker -> w from `blocked_by` for each w in
+        `waiters`, in order; the caller has already dropped them from
+        `blocks`. Admits each waiter whose last edge that was, and returns
+        those, in order."""
+        live, blocked_by, strict, woken = self.live, self.blocked_by, self.strict, []
+        for wid in waiters:
+            blockers = blocked_by[wid]
+            blockers.remove(blocker_id)
+            if blockers:
+                continue
+            del blocked_by[wid]
+            waiter = live[wid]
+            self._enter_execution(waiter)
+            if strict:
+                # admit never checked this moment: the waiter's edges were
+                # recorded against the live ops as they stood then
+                self._admission_safety(waiter)
+            woken.append(waiter)
+        return woken
 
     def find_invocation(self, inv_id: int) -> PrivateInvocation:
         return self.live[inv_id]
@@ -453,16 +472,19 @@ class ManagedObject:
                 f"{inv!r} admitted against conflicting "
                 f"{'executed ' if executed else ''}{other!r}")
 
-    def _check(self, op: PrivateInvocation | None = None, peers: Sequence[int] = ()):
+    def _check(self, op: PrivateInvocation | None = None, waiters: Sequence[int] = (),
+               shed: Sequence[int] = (), blockers: Sequence[int] = ()):
         """Check the bookkeeping an entry section can have changed.
 
         Given an op, that is the op's filing; the stage of the op and of
-        each peer, through `_check_stages`; no edge from the op to itself;
-        and the edges between the op and each peer, read from both sides.
-        A blocked op's own edges are read from its side. With no op, every
-        live op, every edge and the whole index. The module docstring says
-        what each stage checks, and why the first, after every section,
-        keeps the whole invariant.
+        each peer, its former `waiters` and its former `blockers`, through
+        `_check_stage`; no edge from the op to itself; the edges between the
+        op and each peer, read from both sides; and the section's report:
+        `shed` lists, in order, exactly the waiters whose edge to the op is
+        gone. A blocked op's own edges are read from its side. With no op,
+        every live op, every edge and the whole index. The module docstring
+        says what each stage checks, and why the first, after every
+        section, keeps the whole invariant.
         """
         if not self.strict:
             return
@@ -476,77 +498,105 @@ class ManagedObject:
             group = self.unkeyed if op.key is None else self.by_key.get(op.key, ())
             if (inv_id in group) is not (inv_id in live):
                 raise MonitorInvariantError(f"{op!r} misfiled in the index")
-        self._check_stages((inv_id,))
-        out_edges, in_edges = blocks.get(inv_id), blocked_by.get(inv_id)
+        check_stage = self._check_stage
+        stage = check_stage(inv_id)
+        # the stage leaves edges into the op only to a blocked op, and none
+        # from a dead one
+        in_edges = blocked_by.get(inv_id) if stage is _BLOCKED else None
+        out_edges = None if stage is None else blocks.get(inv_id)
         # no edge from the op to itself; one into it from itself is caught
         # with its other blockers below
         if out_edges and inv_id in out_edges:
             raise MonitorInvariantError(f"{self.name}: edge {inv_id}->{inv_id} broken")
-        if peers:
-            self._check_stages(peers)
-            # the edges between the op and each peer: in both maps or in
-            # neither, and forward; the stages make them run from a live op
-            # to a blocked one
-            if out_edges or in_edges:
-                out_edges, in_edges = out_edges or (), in_edges or ()
-                for i in peers:
-                    there = i in out_edges
-                    if there != (inv_id in blocked_by.get(i, ())) or there and inv_id >= i:
-                        raise MonitorInvariantError(f"{self.name}: edge {inv_id}->{i} broken")
-                    there = inv_id in blocks.get(i, ())
-                    if there != (i in in_edges) or there and i >= inv_id:
-                        raise MonitorInvariantError(f"{self.name}: edge {i}->{inv_id} broken")
-            else:
-                # the op holds no edge, so no peer may hold one to or from it
-                for i in peers:
-                    if inv_id in blocked_by.get(i, ()):
-                        raise MonitorInvariantError(f"{self.name}: edge {inv_id}->{i} broken")
-                    if inv_id in blocks.get(i, ()):
-                        raise MonitorInvariantError(f"{self.name}: edge {i}->{inv_id} broken")
+        if not (waiters or blockers):
+            if shed:
+                raise MonitorInvariantError(f"{self.name}: shed {list(shed)} with no waiter")
+        elif out_edges or in_edges:
+            # per peer, its stage and the edges between it and the op: in
+            # both maps or in neither, and forward; the stages make them
+            # run from a live op to a blocked one
+            out_edges, in_edges = out_edges or (), in_edges or ()
+            for i in chain(waiters, blockers):
+                check_stage(i)
+                there = i in out_edges
+                if there != (inv_id in blocked_by.get(i, ())) or there and inv_id >= i:
+                    raise MonitorInvariantError(f"{self.name}: edge {inv_id}->{i} broken")
+                there = inv_id in blocks.get(i, ())
+                if there != (i in in_edges) or there and i >= inv_id:
+                    raise MonitorInvariantError(f"{self.name}: edge {i}->{inv_id} broken")
+            if list(shed) != [i for i in waiters if i not in out_edges]:
+                raise MonitorInvariantError(
+                    f"{self.name}: {inv_id} shed {list(shed)} of waiters {list(waiters)}, "
+                    f"kept {sorted(out_edges)}")
+        else:
+            # the op holds no edge, so no peer may hold one to or from it,
+            # and every waiter shed its edge
+            for i in chain(waiters, blockers):
+                check_stage(i)
+                if inv_id in blocked_by.get(i, ()):
+                    raise MonitorInvariantError(f"{self.name}: edge {inv_id}->{i} broken")
+                if inv_id in blocks.get(i, ()):
+                    raise MonitorInvariantError(f"{self.name}: edge {i}->{inv_id} broken")
+            if list(shed) != list(waiters):
+                raise MonitorInvariantError(
+                    f"{self.name}: {inv_id} shed {list(shed)} of waiters {list(waiters)}, "
+                    f"kept none")
         if in_edges:
             # the op's own blockers: the op is blocked, as checked above
             for b in in_edges:
                 if b >= inv_id or inv_id not in blocks.get(b, ()) or b not in live:
                     raise MonitorInvariantError(f"{self.name}: edge {b}->{inv_id} broken")
 
+    def _check_stage(self, i: int):
+        """Check op i's stage, and return it (None for a dead op): a live
+        op is blocked, in execution or executed, with the outs and
+        executions its stage implies; blocked iff it waits on something; no
+        edges from a dead op."""
+        inv = self.live.get(i)
+        if inv is None:
+            if i in self.blocked_by:
+                raise MonitorInvariantError(f"{self.name}: {i} waits but is not blocked")
+            if i in self.blocks:
+                raise MonitorInvariantError(f"{self.name}: edges from dead op {i}")
+            return None
+        stage = inv.lifecycle
+        if stage is _BLOCKED:
+            if inv.outs is not None or inv.executions:
+                raise MonitorInvariantError(f"{inv!r} blocked with outs or executions")
+            if not self.blocked_by.get(i):
+                raise MonitorInvariantError(f"{self.name}: {i} blocked by nothing")
+        elif i in self.blocked_by:
+            raise MonitorInvariantError(f"{self.name}: {i} waits but is not blocked")
+        elif stage is _EXECUTED:
+            expect = 0 if inv.origin is _DEDUCED else 1
+            if inv.outs is None or inv.executions != expect:
+                raise MonitorInvariantError(f"{inv!r} outs or execution count")
+        elif stage is _RUNNING:
+            if inv.outs is not None:
+                raise MonitorInvariantError(f"{inv!r} in execution with outs")
+            # it was just admitted or woken: nothing may still wait-list it
+            blocks = self.blocks
+            if blocks:
+                for waiters in blocks.values():
+                    if i in waiters:
+                        raise MonitorInvariantError(f"{self.name}: edge to non-blocked {i}")
+        else:
+            raise MonitorInvariantError(f"{inv!r} misfiled")
+        if inv.id != i:
+            raise MonitorInvariantError(f"{inv!r} misfiled")
+        return stage
+
     def _check_stages(self, ids: Iterable[int]) -> tuple[int, int]:
-        """Check each op's stage, and return how many of them are blocked
-        and how many in execution: a live op is blocked, in execution or
-        executed, with the outs and executions its stage implies; blocked
-        iff it waits on something; no edges from a dead op."""
-        live, blocks, blocked_by = self.live, self.blocks, self.blocked_by
+        """Check each op's stage through `_check_stage`, and return how many
+        of them are blocked and how many in execution."""
+        check_stage = self._check_stage
         waiting = running = 0
         for i in ids:
-            inv = live.get(i)
-            stage = None if inv is None else inv.lifecycle
+            stage = check_stage(i)
             if stage is _BLOCKED:
                 waiting += 1
-                if inv.outs is not None or inv.executions:
-                    raise MonitorInvariantError(f"{inv!r} blocked with outs or executions")
-                if not blocked_by.get(i):
-                    raise MonitorInvariantError(f"{self.name}: {i} blocked by nothing")
-            elif i in blocked_by:
-                raise MonitorInvariantError(f"{self.name}: {i} waits but is not blocked")
             elif stage is _RUNNING:
                 running += 1
-                if inv.outs is not None:
-                    raise MonitorInvariantError(f"{inv!r} in execution with outs")
-                # it was just admitted or woken: nothing may still wait-list it
-                if blocks:
-                    for waiters in blocks.values():
-                        if i in waiters:
-                            raise MonitorInvariantError(
-                                f"{self.name}: edge to non-blocked {i}")
-            elif stage is _EXECUTED:
-                expect = 0 if inv.origin is _DEDUCED else 1
-                if inv.outs is None or inv.executions != expect:
-                    raise MonitorInvariantError(f"{inv!r} outs or execution count")
-            elif inv is not None:
-                raise MonitorInvariantError(f"{inv!r} misfiled")
-            elif i in blocks:
-                raise MonitorInvariantError(f"{self.name}: edges from dead op {i}")
-            if inv is not None and inv.id != i:
-                raise MonitorInvariantError(f"{inv!r} misfiled")
         return waiting, running
 
     def _check_whole(self):

@@ -62,12 +62,14 @@ monitors; it reads nothing of the engine's. When an INVOKE blocks, it
 records the blocked transaction's out-edges: each blocker's owner, read
 from the monitor the blocker is live on as the engine reads it, and how
 many of that owner's ops the blocked op waits on. The release sections
-`complete`, `finish` and `withdraw` run only through `_Replayer._section`,
-the release hook the replay hands the shared steps, which mirrors each in
-the graph: it reads the op's waiters first; each waiter whose blockers
-have lost the op then waits on one op of the op's owner fewer, and an
-owner at zero is no longer waited for. Each woken transaction leaves the
-graph and owes its WAKE; a withdrawn one leaves it just before. The
+`complete`, `finish` and `withdraw` run only in the shared steps, which
+hand each section's report, (woken, shed), to `_Replayer._section`, the
+release hook the replay gives them, whenever the section shed an edge.
+`_section` mirrors the report in the graph: each waiter in `shed` waits
+on one op of the op's owner fewer, and an owner at zero is no longer
+waited for. Each woken transaction leaves the graph and owes its WAKE; a
+withdrawn one leaves it just before. The strict monitors check that the
+report names exactly the waiters whose edge to the op is gone. The
 graph stays exact on one monitor fact, which tests/test_oracles.py checks
 after every event against the graph derived afresh: a waiter's blockers
 grow only in `admit`, when it blocks, and only those three sections
@@ -87,10 +89,10 @@ again after every event would only re-read bookkeeping that has not moved.
 
 The history replay shares the engine's transaction steps, and nothing
 else: `TransactionRecord` with its `register` and `release_order`,
-`abort_plan`, and the four steps `manager` defines next to it, `admit`,
-`execute`, `wake` and `erase`. The engine hands those steps its history's
-`emit` and its `_release`; the replay hands them `_owe`, which queues each
-event in `due`, and `_section`. So the engine and the replay run each
+`abort_plan`, and the five steps `manager` defines next to it, `admit`,
+`execute`, `wake`, `erase` and `commit`. The engine hands those steps its
+history's `emit` and its `_release`; the replay hands them `_owe`, which
+queues each event in `due`, and `_section`. So the engine and the replay run each
 step, and build each caused event, through one definition. The steps fix
 orders and event shapes, not outcomes: every admission, wake, inverse
 result and victim is still re-decided by fresh `ManagedObject`s, and every
@@ -115,8 +117,8 @@ from .core import (FrameworkError, PrivateInvocation, PublicCall,
                    check_private_ins, translate_public)
 from . import history as hist
 from .history import History, compute_metrics
-from .manager import (TransactionRecord, TxnStatus, admit, erase, execute,
-                      find_cycle, wake)
+from .manager import (TransactionRecord, TxnStatus, admit, commit, erase,
+                      execute, find_cycle, wake)
 from .monitor import AdmitOutcome, ManagedObject
 from .simulate import RunResult
 from .values import Value, render_params
@@ -319,29 +321,19 @@ class _Replayer:
         but its index."""
         self.due.append(event)
 
-    def _section(self, obj, inv, section, *args):
-        """Run `section`, one of obj's release sections (`complete`,
-        `finish`, `withdraw`), on `inv`, and mirror what it changed in the
-        kept graph. The op's waiters are read first, and copied, since
-        `complete` sheds edges from that very set; each waiter the section
-        left no longer blocked by the op waits on one op of inv's owner
-        fewer. Each txn the section woke leaves the graph and owes its
-        WAKE; its own next event must then be its woken op's EXEC."""
-        waiters = obj.blocks.get(inv.id)
-        if waiters:
-            waiters = tuple(waiters)
-        woken = section(inv, *args)
-        if waiters:
-            waits_for, live, blocked_by = self.waits_for, obj.live, obj.blocked_by
-            inv_id, owner = inv.id, inv.txn
-            for w in waiters:
-                if inv_id in blocked_by.get(w, ()):
-                    continue
-                owners = waits_for[live[w].txn]
-                if owners[owner] == 1:
-                    del owners[owner]
-                else:
-                    owners[owner] -= 1
+    def _section(self, obj, inv, woken, shed):
+        """The release hook of the shared steps: mirror in the kept graph
+        what a release section of obj's did to `inv`'s waiters. Each waiter
+        in `shed` waits on one op of inv's owner fewer, and an owner at zero
+        is no longer waited for. Each txn in `woken` leaves the graph and
+        owes its WAKE; its own next event must then be its woken op's EXEC."""
+        waits_for, live, owner = self.waits_for, obj.live, inv.txn
+        for w in shed:
+            owners = waits_for[live[w].txn]
+            if owners[owner] == 1:
+                del owners[owner]
+            else:
+                owners[owner] -= 1
         for w in woken:
             txn = self.txns_by_id[w.txn]
             wake(txn, obj, w, self._owe)
@@ -427,10 +419,7 @@ class _Replayer:
         self._match(e, self.due.popleft())
 
     def _on_commit(self, e):
-        txn = self._stepping(e)
-        for obj, inv in txn.release_order():
-            self._section(obj, inv, obj.finish)
-        txn.status = _COMMITTED
+        commit(self._stepping(e), self._section)
 
     def _on_abort(self, e):
         # an abort the txn asked for; a victim's is owed by its VICTIM

@@ -111,41 +111,90 @@ def _function(body, name):
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
-def test_the_replay_reaches_the_release_sections_only_through_section():
-    # `_Replayer._section` mirrors what `complete`, `finish` and `withdraw`
-    # change in the replay's waits-for graph, and the engine's `_release`
-    # wakes what they admit. The shared steps in `manager` run a release
-    # section only through the `release` hook they are handed, which is
-    # `_section` in the replay; so in `oracles` a release section may only
-    # be named inside `_section` or as the section `_section` runs, and in
-    # `manager` only as the section a `release` or `self._release` call runs
-    releases = ("complete", "finish", "withdraw")
-    found, passed = [], set()
-    for name, hooks in (("oracles.py", {"self._section"}),
-                        ("manager.py", {"release", "self._release"})):
-        tree = _module(name)
-        allowed = set()
-        if name == "oracles.py":
-            replayer = next(node for node in tree.body
-                            if isinstance(node, ast.ClassDef) and node.name == "_Replayer")
-            allowed = {id(node) for node in ast.walk(_function(replayer.body, "_section"))}
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and ast.unparse(node.func) in hooks
-                    and len(node.args) > 2 and isinstance(node.args[2], ast.Attribute)
-                    and node.args[2].attr in releases):
-                allowed.add(id(node.args[2]))
-                passed.add(node.args[2].attr)
-        found += [f"{name}:{node.lineno} {node.attr}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr in releases
-                  and id(node) not in allowed]
-    assert found == []
-    assert passed == set(releases)      # the two modules run each of them
-
-
 # the events a monitor decision causes, and the steps `manager` shares with
 # the replay that emit or owe them; `abort_plan` names its steps' kinds
 CAUSED = {"DEDUCE", "BLOCK", "EXEC", "WAKE", "WITHDRAW", "INVERSE"}
-SHARED_STEPS = {"admit", "execute", "wake", "erase"}
+SHARED_STEPS = {"admit", "execute", "wake", "erase", "commit"}
+RELEASES = ("complete", "finish", "withdraw")
+
+
+def _hands_on(stmt):
+    """Is `stmt` `if shed: release(<obj>, <inv>, woken, shed)`?"""
+    if not (isinstance(stmt, ast.If) and not stmt.orelse and len(stmt.body) == 1
+            and ast.unparse(stmt.test) == "shed" and isinstance(stmt.body[0], ast.Expr)):
+        return False
+    call = stmt.body[0].value
+    return (isinstance(call, ast.Call) and ast.unparse(call.func) == "release"
+            and not call.keywords and len(call.args) == 4
+            and [ast.unparse(a) for a in call.args[2:]] == ["woken", "shed"])
+
+
+def _reaches_release(parents, assign):
+    """Does every path on from `assign` reach `_hands_on` before leaving the
+    loop body or the function, with nothing between that jumps away or
+    touches `woken` or `shed`?"""
+    node = assign
+    while True:
+        parent = parents[node]
+        body = next(b for b in (getattr(parent, f, None) for f in ("body", "orelse"))
+                    if isinstance(b, list) and node in b)
+        for stmt in body[body.index(node) + 1:]:
+            if _hands_on(stmt):
+                return True
+            if any(isinstance(sub, (ast.Continue, ast.Break, ast.Return))
+                   or isinstance(sub, ast.Name) and sub.id in ("woken", "shed")
+                   for sub in ast.walk(stmt)):
+                return False
+        if isinstance(parent, (ast.FunctionDef, ast.For, ast.While)):
+            return False
+        node = parent
+
+
+def test_the_release_sections_run_only_in_the_shared_steps_and_report_to_the_hook():
+    # `_Replayer._section` mirrors what `complete`, `finish` and `withdraw`
+    # change in the replay's waits-for graph, and the engine's `_release`
+    # wakes what they admit. Both learn it only from the (woken, shed) a
+    # section returns, so a release section may be named only in a shared
+    # step of `manager`, nowhere in `oracles`, and each call's report is
+    # unpacked and handed on by `if shed: release(obj, inv, woken, shed)`
+    # before anything else can read, rebind or jump past it
+    found = [f"oracles.py:{node.lineno} {node.attr}" for node in ast.walk(_module("oracles.py"))
+             if isinstance(node, ast.Attribute) and node.attr in RELEASES]
+    tree = _module("manager.py")
+    steps = {id(node) for step in SHARED_STEPS for node in ast.walk(_function(tree.body, step))}
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    called = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr in RELEASES):
+            continue
+        call, assign = parents[node], parents.get(parents[node])
+        if not (id(node) in steps and isinstance(call, ast.Call) and call.func is node
+                and isinstance(assign, ast.Assign) and len(assign.targets) == 1
+                and isinstance(assign.targets[0], ast.Tuple)
+                and [ast.unparse(t) for t in assign.targets[0].elts] == ["woken", "shed"]
+                and _reaches_release(parents, assign)):
+            found.append(f"manager.py:{node.lineno} {node.attr}")
+        called.add(node.attr)
+    assert found == []
+    assert called == set(RELEASES)      # the shared steps run each of them
+
+
+def test_the_release_hooks_take_the_report_and_nothing_more():
+    # the hooks take (obj, inv, woken, shed) and run no section themselves,
+    # and the shared steps call them only with those four
+    for name, cls, hook in (("manager.py", "TransactionManager", "_release"),
+                            ("oracles.py", "_Replayer", "_section")):
+        tree = _module(name)
+        body = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == cls).body
+        args = _function(body, hook).args
+        assert [a.arg for a in args.args] == ["self", "obj", "inv", "woken", "shed"]
+        assert args.vararg is None and args.kwarg is None and not args.kwonlyargs
+    calls = [node for node in ast.walk(_module("manager.py"))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "release"]
+    assert len(calls) == 3
+    assert all(len(c.args) == 4 and not c.keywords
+               and not any(isinstance(a, ast.Starred) for a in c.args) for c in calls)
 
 
 def _caused_kind(node):

@@ -95,10 +95,10 @@ def test_conflict_blocks_until_finish():
     assert obj.blocked_by == {popper.id: {pusher.id}}
     assert obj.blocks == {pusher.id: {popper.id}}
     # results do not help here: a successful push still conflicts with POP
-    assert obj.complete(pusher, obj.execute(pusher)) == []
+    assert obj.complete(pusher, obj.execute(pusher)) == ((), ())
     assert popper.lifecycle is Lifecycle.BLOCKED
-    woken = obj.finish(pusher)
-    assert woken == [popper]
+    woken, shed = obj.finish(pusher)
+    assert woken == [popper] and shed == [popper.id]
     assert popper.lifecycle is Lifecycle.IN_EXECUTION
     assert obj.execute(popper) == (item("a"), OK)
 
@@ -113,7 +113,7 @@ def test_pseudo_conflict_sheds_at_completion():
     assert obj.admit(reader) is AdmitOutcome.BLOCKED
     outs = obj.execute(ins)
     assert outs == (report("AlreadyIn"),)
-    assert obj.complete(ins, outs) == [reader]
+    assert obj.complete(ins, outs) == ([reader], [reader.id])
     assert reader.lifecycle is Lifecycle.IN_EXECUTION
 
 
@@ -168,14 +168,14 @@ def test_withdraw_scrubs_both_edge_directions():
     probe = ids.inv(3, "EMPTY")
     assert obj.admit(probe) is AdmitOutcome.BLOCKED
     assert obj.blocked_by[probe.id] == {pusher.id, popper.id}
-    woken = obj.withdraw(popper)
-    assert woken == []                      # probe still waits on the push
+    woken, shed = obj.withdraw(popper)
+    assert woken == [] and shed == [probe.id]   # probe still waits on the push
     assert obj.blocked_by[probe.id] == {pusher.id}
     assert obj.blocks == {pusher.id: {probe.id}}
     assert popper.lifecycle is Lifecycle.FINISHED
     # withdrawing the last blocker admits the waiter
     obj.complete(pusher, obj.execute(pusher))
-    assert obj.finish(pusher) == [probe]
+    assert obj.finish(pusher) == ([probe], [probe.id])
 
 
 def test_withdraw_requires_blocked():
@@ -231,7 +231,7 @@ def test_admission_and_out_control_evaluate_no_deduction(monkeypatch):
     assert obj.admit(reader) is AdmitOutcome.ADMITTED     # INSERT/IN out-entry
     writer = ids.inv(3, "INSERT", item("a"))
     assert obj.admit(writer) is AdmitOutcome.BLOCKED      # on the running reader
-    assert obj.complete(reader, obj.execute(reader)) == [writer]   # IN/INSERT
+    assert obj.complete(reader, obj.execute(reader))[0] == [writer]   # IN/INSERT
     assert calls == []
     # the entries do deduce, when asked
     assert tables_try_deduce(tables, ids.inv(4, "IN", item("a")), [first], []) == (TRUE,)
@@ -358,7 +358,7 @@ def test_woken_op_is_re_tested_against_the_ops_in_execution():
     obj.admit(pusher)
     popper = ids.inv(2, "POP")
     assert obj.admit(popper) is AdmitOutcome.BLOCKED
-    assert obj.complete(pusher, obj.execute(pusher)) == []
+    assert obj.complete(pusher, obj.execute(pusher)) == ((), ())
     planted = ids.inv(3, "PUSH", item("b"))
     planted.lifecycle = Lifecycle.IN_EXECUTION
     obj.live[planted.id] = planted
@@ -503,7 +503,7 @@ def test_each_stage_of_the_scoped_check_holds_under_optimization():
         pusher.executions = 2                # lie: executed twice
         check(obj, pusher)
         pusher.executions = 1
-        woken = obj.finish(pusher)           # wakes the popper
+        woken, shed = obj.finish(pusher)     # wakes the popper
         print("woken:", [w.id for w in woken])
         obj.blocks[pusher.id] = {popper.id}  # lie: a dead op still blocks
         check(obj, pusher)

@@ -801,6 +801,48 @@ def test_scoped_checks_see_what_the_whole_checks_see(monkeypatch):
     assert sections > 9_000
 
 
+def test_the_release_hook_runs_once_per_section_that_shed(monkeypatch):
+    # the shared steps call `complete`, `finish` and `withdraw` directly and
+    # hand a report to the release hook only when it names a shed edge:
+    # right after that section, once, with the section's own (woken, shed),
+    # in the engine and in the history replay alike
+    sections, hooks, pending = Counter(), Counter(), []
+
+    def reported(section):
+        def run(obj, inv, *args):
+            assert not pending, "a shed report never reached the hook"
+            report = section(obj, inv, *args)
+            sections[bool(report[1])] += 1
+            if report[1]:
+                pending.append((obj, inv, *report))
+            return report
+        return run
+
+    def handed(where, hook):
+        def run(owner, obj, inv, woken, shed):
+            assert len(pending) == 1, "a hook call without a shed report"
+            assert all(a is b for a, b in zip(pending.pop(), (obj, inv, woken, shed)))
+            hooks[where] += 1
+            return hook(owner, obj, inv, woken, shed)
+        return run
+
+    for name in ("complete", "finish", "withdraw"):
+        monkeypatch.setattr(ManagedObject, name, reported(getattr(ManagedObject, name)))
+    monkeypatch.setattr(manager.TransactionManager, "_release",
+                        handed("engine", manager.TransactionManager._release))
+    monkeypatch.setattr(oracles._Replayer, "_section",
+                        handed("replay", oracles._Replayer._section))
+    for workload in _mixed_workloads():
+        result = run_simulated(workload)
+        assert not pending
+        assert replay_history(workload, result.history) == result.final_states
+        assert not pending
+    # the replay runs every section the engine ran, so each side hooks half
+    # of the sections that shed; most sections shed nothing and hook nothing
+    assert sections == Counter({True: 2 * 1_091, False: 2 * 5_104})
+    assert hooks == Counter({"engine": 1_091, "replay": 1_091})
+
+
 def _full_scan_admission(obj, inv):
     """The reference keyed admission must match: deduction over every live
     op, then a conflict query against every live op of another txn.

@@ -28,10 +28,12 @@ from test_monitor import run_optimized
 from test_oracles import _mixed_workloads
 
 
-def reference_check(obj, op, peers):
+def reference_check(obj, op, waiters, shed, blockers):
     """The scoped strict check as one generic loop over the op and its
-    peers: each one's stage, then the edges between it and the op from both
-    maps, then a blocked op's own blockers."""
+    peers, its former waiters and blockers: each one's stage, then the
+    edges between it and the op from both maps, then a blocked op's own
+    blockers, then the section's report: the waiters that lost their edge,
+    in order."""
     live, blocks, blocked_by = obj.live, obj.blocks, obj.blocked_by
     inv_id = op.id
     out_edges, in_edges = blocks.get(inv_id, ()), blocked_by.get(inv_id, ())
@@ -39,7 +41,7 @@ def reference_check(obj, op, peers):
         group = obj.unkeyed if op.key is None else obj.by_key.get(op.key, ())
         if (inv_id in group) is not (inv_id in live):
             raise MonitorInvariantError(f"{op!r} misfiled in the index")
-    for i in (inv_id, *peers):
+    for i in (inv_id, *waiters, *blockers):
         inv = live.get(i)
         stage = None if inv is None else inv.lifecycle
         if stage is Lifecycle.BLOCKED:
@@ -52,8 +54,8 @@ def reference_check(obj, op, peers):
         elif stage is Lifecycle.IN_EXECUTION:
             if inv.outs is not None:
                 raise MonitorInvariantError(f"{inv!r} in execution with outs")
-            for waiters in blocks.values():
-                if i in waiters:
+            for listed in blocks.values():
+                if i in listed:
                     raise MonitorInvariantError(f"{obj.name}: edge to non-blocked {i}")
         elif stage is Lifecycle.EXECUTED:
             expect = 0 if inv.origin is Origin.DEDUCED else 1
@@ -74,23 +76,29 @@ def reference_check(obj, op, peers):
     for b in in_edges:
         if b >= inv_id or inv_id not in blocks.get(b, ()) or b not in live:
             raise MonitorInvariantError(f"{obj.name}: edge {b}->{inv_id} broken")
+    if list(shed) != [i for i in waiters if i not in out_edges]:
+        raise MonitorInvariantError(f"{obj.name}: shed {list(shed)} misreported")
 
 
 # -- the planted faults: each a section with one step left out or bent --------
 
-def shed_keeps_blocked_by(self, waiter, blocker_id):
-    blockers = self.blocked_by[waiter.id]
-    blockers.remove(blocker_id)
-    if blockers:
-        return []
-    # planted: the emptied blocker set stays in blocked_by
-    self._enter_execution(waiter)
-    if self.strict:
-        self._admission_safety(waiter)
-    return [waiter]
+def shed_keeps_blocked_by(self, waiters, blocker_id):
+    woken = []
+    for wid in waiters:
+        blockers = self.blocked_by[wid]
+        blockers.remove(blocker_id)
+        if blockers:
+            continue
+        # planted: the emptied blocker set stays in blocked_by
+        waiter = self.live[wid]
+        self._enter_execution(waiter)
+        if self.strict:
+            self._admission_safety(waiter)
+        woken.append(waiter)
+    return woken
 
 
-def _complete(discard=True, cut_early=False):
+def _complete(discard=True, cut_early=False, report_shed=True, report_kept=False):
     def complete(self, inv, outs):
         if inv.lifecycle is not Lifecycle.IN_EXECUTION:
             raise MonitorInvariantError(f"{inv!r} completed outside execution")
@@ -101,23 +109,34 @@ def _complete(discard=True, cut_early=False):
         waiting = self.blocks.get(inv.id)
         if waiting is None:
             self._check(inv)
-            return []
-        woken = []
+            return (), ()
         waiters = sorted(waiting)
-        for wid in waiters:
-            waiter = self.live[wid]
-            if commute_with_in_out(self.spec.tables, inv, waiter):
-                if discard:
-                    waiting.discard(wid)
-                if cut_early:
-                    # planted: the waiter forgets its other blockers, which
-                    # still list it
-                    self.blocked_by[wid].intersection_update((inv.id,))
-                woken += self._shed_edge(waiter, inv.id)
+        shed = [wid for wid in waiters
+                if commute_with_in_out(self.spec.tables, inv, self.live[wid])]
+        if not shed:
+            # planted, with report_kept: a waiter that keeps its edge is
+            # reported shed
+            reported = waiters[:1] if report_kept else []
+            self._check(inv, waiters, reported)
+            return (), reported
+        if discard:
+            waiting.difference_update(shed)
+        # else planted: `blocks` keeps the shed edges
         if not waiting:
             del self.blocks[inv.id]
-        self._check(inv, waiters)
-        return woken
+        if cut_early:
+            # planted: the waiters forget their other blockers, which still
+            # list them
+            for wid in shed:
+                self.blocked_by[wid].intersection_update((inv.id,))
+        woken = self._shed_edges(shed, inv.id)
+        reported = shed
+        if not report_shed:
+            reported = shed[1:]     # planted: a shed edge goes unreported
+        elif report_kept:
+            reported = waiters      # planted: the kept edges are reported shed
+        self._check(inv, waiters, reported)
+        return woken, reported
     return complete
 
 
@@ -137,13 +156,11 @@ def _finish(keep_live=False, count_down=True):
         waiting = self.blocks.pop(inv.id, None)
         if not waiting:
             self._check(inv)
-            return []
-        woken = []
-        waiters = sorted(waiting)
-        for wid in waiters:
-            woken += self._shed_edge(self.live[wid], inv.id)
-        self._check(inv, waiters)
-        return woken
+            return (), ()
+        shed = sorted(waiting)
+        woken = self._shed_edges(shed, inv.id)
+        self._check(inv, shed, shed)
+        return woken, shed
     return finish
 
 
@@ -153,16 +170,13 @@ def withdraw_keeps_inbound_edges(self, inv):
     del self.live[inv.id]
     if self.spec.conflict_key is not None:
         self._unfile(inv)
-    woken = []
-    waiters = sorted(self.blocks.pop(inv.id, ()))
-    for wid in waiters:
-        woken += self._shed_edge(self.live[wid], inv.id)
+    shed = sorted(self.blocks.pop(inv.id, ()))
+    woken = self._shed_edges(shed, inv.id)
     # planted: the blockers' `blocks` sets keep the withdrawn op
     blockers = self.blocked_by.pop(inv.id)
     inv.lifecycle = Lifecycle.FINISHED
-    waiters.extend(blockers)
-    self._check(inv, waiters)
-    return woken
+    self._check(inv, shed, shed, blockers)
+    return woken, shed
 
 
 def screen_skips_executed(self, inv):
@@ -178,7 +192,7 @@ _screen = ManagedObject._screen
 
 # (method, variant, runs that raise, the error they raise) at 411 runs
 FAULTS = {
-    "shed_keeps_blocked_by": ("_shed_edge", shed_keeps_blocked_by, 339,
+    "shed_keeps_blocked_by": ("_shed_edges", shed_keeps_blocked_by, 339,
                               MonitorInvariantError),
     "complete_skips_discard": ("complete", _complete(discard=False), 14,
                                MonitorInvariantError),
@@ -186,6 +200,10 @@ FAULTS = {
                                      MonitorInvariantError),
     "finish_keeps_live": ("finish", _finish(keep_live=True), 411, MonitorInvariantError),
     "complete_cuts_blockers_early": ("complete", _complete(cut_early=True), 9,
+                                     MonitorInvariantError),
+    "complete_hides_a_shed_edge": ("complete", _complete(report_shed=False), 14,
+                                   MonitorInvariantError),
+    "complete_reports_a_kept_edge": ("complete", _complete(report_kept=True), 59,
                                      MonitorInvariantError),
     # a conflict admit missed shows as executed ops that pin different answers
     "admit_skips_executed": ("_screen", screen_skips_executed, 2, TableSoundnessError),
@@ -206,13 +224,13 @@ def _run_batch(monkeypatch, batch):
     check = ManagedObject._check
     disagreed, compared = [], [0]
 
-    def both(obj, op=None, peers=()):
+    def both(obj, op=None, waiters=(), shed=(), blockers=()):
         if op is None or not obj.strict:
-            return check(obj, op, peers)
-        peers, outcome = list(peers), []
+            return check(obj, op, waiters, shed, blockers)
+        blockers, outcome = list(blockers), []
         for run in (reference_check, check):
             try:
-                run(obj, op, peers)
+                run(obj, op, waiters, shed, blockers)
                 outcome.append(None)
             except MonitorInvariantError as exc:
                 outcome.append(exc)
@@ -260,9 +278,9 @@ def test_a_finish_that_keeps_counting_the_op_fails_the_whole_check(monkeypatch, 
     finish = _finish(count_down=False)
 
     def checked(self, inv):
-        woken = finish(self, inv)
+        report = finish(self, inv)
         self._check()
-        return woken
+        return report
 
     monkeypatch.setattr(ManagedObject, "finish", checked)
     raised, first = Counter(), None
