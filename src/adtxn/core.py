@@ -261,8 +261,8 @@ class AdtSpec:
     two calls with distinct keys, neither None, commute whatever the state
     and their results, and neither can deduce the other's answer. The
     monitor then tests an incoming op only against live ops under its own
-    key and the unkeyed ones; `validate.check_keys` sweeps the claim. A
-    None key means the call may conflict with anything.
+    key and under None; `validate.check_keys` sweeps the claim. A None key
+    means the call may conflict with anything.
     """
     name: str
     public_ops: dict[str, OpSig]

@@ -154,7 +154,6 @@ class FuzzFailure:
 @dataclass
 class FuzzReport:
     runs: int
-    with_abort: bool
     failures: list[FuzzFailure] = field(default_factory=list)
 
     @property
@@ -167,9 +166,8 @@ def derive_seed(master: int, index: int) -> int:
 
 
 def fuzz(master_seed: int, runs: int, adts=None, txns_range=(2, 4),
-         ops_range=(1, 5), with_abort: bool = False,
-         shrink: bool = True) -> FuzzReport:
-    report = FuzzReport(runs=runs, with_abort=with_abort)
+         ops_range=(1, 5), with_abort: bool = False) -> FuzzReport:
+    report = FuzzReport(runs=runs)
     for i in range(runs):
         seed = derive_seed(master_seed, i)
         rng = random.Random(seed)
@@ -179,12 +177,10 @@ def fuzz(master_seed: int, runs: int, adts=None, txns_range=(2, 4),
         ok, stage, detail = run_pipeline(workload)
         if ok:
             continue
-        if shrink:
-            workload = minimize(
-                workload, lambda w: not run_pipeline(w)[0])
-            ok, stage, detail = run_pipeline(workload)
-            if ok:
-                raise ShrinkError(f"run {i} (seed {seed}) passed once shrunk")
+        workload = minimize(workload, lambda w: not run_pipeline(w)[0])
+        ok, stage, detail = run_pipeline(workload)
+        if ok:
+            raise ShrinkError(f"run {i} (seed {seed}) passed once shrunk")
         report.failures.append(FuzzFailure(
             i, seed, stage, detail, render_workload(workload)))
     return report

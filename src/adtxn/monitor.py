@@ -29,10 +29,11 @@ recorded nowhere else. `running` counts the ops in execution for the
 whole-object check compares both counts with the stages in `live`.
 
 Admission is keyed. For a data type that gives its calls conflict keys (a
-set op's item), `live` is also filed by key: an op with a key sits in
-`by_key[key]`, one without (a set's CARD) in `unkeyed`, and `admit` stores
-the key on the op as `inv.key`. An incoming op with a key is tested only
-against its key's ops and the unkeyed ones; one without a key, like every
+set op's item), `admit` stores the op's key as `inv.key` and `live` is also
+filed by key: every op sits in `by_key[inv.key]`, and an op without a key
+(a set's CARD) under `None`, a key like any other. Each group is dropped
+when its last op goes, `None`'s too. An incoming op with a key is tested
+only against its key's group and `None`'s; one without a key, like every
 op of a type without keys, against all of `live`. Either way an op whose op
 pairs with the incoming one through the shared `ALWAYS` in-entry is passed
 over without a query. Skipping these is exact, not a heuristic:
@@ -52,7 +53,7 @@ re-tested at run time by `_admission_safety`, which still scans all of
 Deduction is keyed too. A deduction needs every executed op to pin the
 answer, and the key claim says an op under another key cannot pin it. So
 for an incoming op with a key, `_screen` gathers the executed ops of its
-key's group and the unkeyed group, and asks `try_deduce` only if there are
+key's group and `None`'s, and asks `try_deduce` only if there are
 `executed` of them, that is, if no executed op sits under another key.
 Then `try_deduce` reads the same executed ops a scan of `live` would, in
 another order; every deduction must agree, so the answer is the same.
@@ -91,9 +92,9 @@ report, or reports one it kept, fails here rather than in their
 bookkeeping.
 
 The scoped check sends the op and each peer through one per-op stage
-predicate, `_check_stage`, which the whole-object check loops over too
-(`_check_stages`). It reads the op's entries in `live`, `blocks` and
-`blocked_by` and branches on the stage the section left it in:
+predicate, `_check_stage`, which the whole-object check loops over too. It
+reads the op's entries in `live`, `blocks` and `blocked_by` and branches on
+the stage the section left it in:
 
   * dead: it waits on nothing and blocks nothing;
   * executed: it waits on nothing, holds outs, and ran once (never, if it
@@ -117,8 +118,9 @@ and without a planted fault in a section.
 
 The whole-object `_check()` also compares `running` with the ops in
 execution and checks that every live op is filed exactly once, under the
-key its type gives it, and nothing else is: facts over the object that no
-scoped check can see. A scoped check verifies the filing of its own op.
+key its type gives it, that no group is empty, `None`'s included, and that
+nothing else is filed: facts over the object that no scoped check can see.
+A scoped check verifies the filing of its own op.
 
 A direct admission needs no separate safety check: admit's empty conflict
 set was computed over the same live ops with the same queries, and is the
@@ -134,10 +136,12 @@ Each edge is in both or in neither, so a blocker's waiters and a waiter's
 blockers are each one lookup. When a waiter's last blocker goes, the op
 moves to in-execution immediately, inside the same entry section that
 removed the edge, so "blocked iff it has a blocker" is never observably
-false. Each release section (`complete`, `finish`, `withdraw`) returns
-its report, (woken, shed): the ops it admitted and the ids of the waiters
-whose edge to the op it removed, each in id order, so woken is a subset
-of shed; a section that shed nothing returns one shared empty pair.
+false. `finish` and `withdraw` leave through one drop, `_drop`: the op
+leaves `live` and the index, and every waiter sheds its edge to it. Each
+release section (`complete`, `finish`, `withdraw`) returns its report,
+(woken, shed): the ops it admitted and the ids of the waiters whose edge
+to the op it removed, each in id order, so woken is a subset of shed; a
+section that shed nothing returns one shared empty pair.
 The caller owns waking the woken ops' transactions, and the history
 replay takes one waited-for op off each shed waiter's count.
 
@@ -154,7 +158,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Hashable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Hashable, Sequence
 
 from .core import (AdtSpec, Lifecycle, Origin, PrivateCall, PrivateInvocation,
                    check_outs)
@@ -187,6 +192,8 @@ _OUTCOME_ADMITTED, _OUTCOME_DEDUCED, _OUTCOME_BLOCKED = (
 
 # what a release section returns when it shed no edge: nothing woken, none shed
 _NOTHING = ((), ())
+# the group of a key no live op is filed under
+_NO_OPS = MappingProxyType({})
 
 
 @dataclass(eq=False)
@@ -198,10 +205,9 @@ class ManagedObject:
     state: object
     strict: bool = True
     live: dict[int, PrivateInvocation] = field(default_factory=dict)
-    # for a type with conflict keys, the live ops again, by key or, with
-    # none, in `unkeyed`; a key is dropped when its last op goes
+    # for a type with conflict keys, the live ops again, by key (`None` for
+    # an op without one); a key is dropped when its last op goes
     by_key: dict[Hashable, dict[int, PrivateInvocation]] = field(default_factory=dict)
-    unkeyed: dict[int, PrivateInvocation] = field(default_factory=dict)
     blocks: dict[int, set[int]] = field(default_factory=dict)
     blocked_by: dict[int, set[int]] = field(default_factory=dict)
     running: int = 0
@@ -249,7 +255,7 @@ class ManagedObject:
     def _screen(self, inv: PrivateInvocation) -> tuple[tuple[Value, ...] | None, set]:
         """(deduced outs or None, conflicts) for inv, not yet filed.
 
-        Both read `groups`: inv's key's ops and the unkeyed ones, or every
+        Both read `groups`: the groups of inv's key and of `None`, or every
         live op when inv has no key. `try_deduce` is asked only when the
         groups hold every executed op, and reads the pending ops of all of
         `live`; it is not asked about an op that no out-entry deduces.
@@ -258,8 +264,9 @@ class ManagedObject:
         if inv.key is None:
             groups = (live,)
         else:
-            near = self.by_key.get(inv.key)
-            groups = (self.unkeyed,) if near is None else (near, self.unkeyed)
+            by_key = self.by_key
+            near, keyless = by_key.get(inv.key, _NO_OPS), by_key.get(None)
+            groups = (near, keyless) if keyless else (near,)
         if inv.op in tables.deducible:
             if inv.key is None:
                 executed = (other for other in live.values()
@@ -343,20 +350,10 @@ class ManagedObject:
         Returns (woken, shed), as `complete` does; every waiter sheds."""
         if inv.lifecycle is not _EXECUTED:
             raise MonitorInvariantError(f"{inv!r} finished before it executed")
-        inv_id = inv.id
-        del self.live[inv_id]
-        if self.spec.conflict_key is not None:
-            self._unfile(inv)
-        inv.lifecycle = _FINISHED
         self.executed -= 1
-        waiting = self.blocks.pop(inv_id, None)
-        if not waiting:
-            self._check(inv)
-            return _NOTHING
-        shed = sorted(waiting)
-        woken = self._shed_edges(shed, inv_id)
-        self._check(inv, shed, shed)
-        return woken, shed
+        report = self._drop(inv)
+        self._check(inv, report[1], report[1])
+        return report
 
     def withdraw(self, inv: PrivateInvocation) -> tuple:
         """Remove a still-blocked op entirely (its transaction is aborting).
@@ -367,22 +364,16 @@ class ManagedObject:
         """
         if inv.lifecycle is not _BLOCKED:
             raise MonitorInvariantError(f"{inv!r} withdrawn but not blocked")
-        inv_id = inv.id
-        del self.live[inv_id]
-        if self.spec.conflict_key is not None:
-            self._unfile(inv)
-        waiting = self.blocks.pop(inv_id, None)
-        shed = sorted(waiting) if waiting else []
-        woken = self._shed_edges(shed, inv_id)
+        report = self._drop(inv)
         # then drop the edges that pointed at the withdrawn op itself
+        inv_id, blocks = inv.id, self.blocks
         blockers = self.blocked_by.pop(inv_id)
         for b in blockers:
-            self.blocks[b].remove(inv_id)
-            if not self.blocks[b]:
-                del self.blocks[b]
-        inv.lifecycle = _FINISHED
-        self._check(inv, shed, shed, blockers)
-        return (woken, shed) if shed else _NOTHING
+            blocks[b].remove(inv_id)
+            if not blocks[b]:
+                del blocks[b]
+        self._check(inv, report[1], report[1], blockers)
+        return report
 
     # -- undo path -----------------------------------------------------------
 
@@ -401,9 +392,6 @@ class ManagedObject:
     # -- internals ------------------------------------------------------------
 
     def _file(self, inv: PrivateInvocation):
-        if inv.key is None:
-            self.unkeyed[inv.id] = inv
-            return
         group = self.by_key.get(inv.key)
         if group is None:
             self.by_key[inv.key] = {inv.id: inv}
@@ -411,14 +399,24 @@ class ManagedObject:
             group[inv.id] = inv
 
     def _unfile(self, inv: PrivateInvocation):
-        if inv.key is None:
-            del self.unkeyed[inv.id]
-            return
         group = self.by_key[inv.key]
-        if len(group) == 1:
+        del group[inv.id]
+        if not group:
             del self.by_key[inv.key]
-        else:
-            del group[inv.id]
+
+    def _drop(self, inv: PrivateInvocation) -> tuple:
+        """Take inv out of `live` and the index, and shed every edge from it
+        to its waiters (`_shed_edges`). Returns (woken, shed)."""
+        inv_id = inv.id
+        del self.live[inv_id]
+        if self.spec.conflict_key is not None:
+            self._unfile(inv)
+        inv.lifecycle = _FINISHED
+        waiting = self.blocks.pop(inv_id, None)
+        if not waiting:
+            return _NOTHING
+        shed = sorted(waiting)
+        return self._shed_edges(shed, inv_id), shed
 
     def _enter_execution(self, inv: PrivateInvocation):
         inv.lifecycle = _RUNNING
@@ -447,6 +445,7 @@ class ManagedObject:
             woken.append(waiter)
         return woken
 
+    # no caller: kept because bench/tracer.py patches it by name (ROADMAP item 8)
     def find_invocation(self, inv_id: int) -> PrivateInvocation:
         return self.live[inv_id]
 
@@ -494,9 +493,8 @@ class ManagedObject:
         live, blocks, blocked_by = self.live, self.blocks, self.blocked_by
         inv_id = op.id
         if self.spec.conflict_key is not None:
-            # filed under its key, or as unkeyed, exactly while it is live
-            group = self.unkeyed if op.key is None else self.by_key.get(op.key, ())
-            if (inv_id in group) is not (inv_id in live):
+            # filed under its key exactly while it is live
+            if (inv_id in self.by_key.get(op.key, ())) is not (inv_id in live):
                 raise MonitorInvariantError(f"{op!r} misfiled in the index")
         check_stage = self._check_stage
         stage = check_stage(inv_id)
@@ -586,22 +584,10 @@ class ManagedObject:
             raise MonitorInvariantError(f"{inv!r} misfiled")
         return stage
 
-    def _check_stages(self, ids: Iterable[int]) -> tuple[int, int]:
-        """Check each op's stage through `_check_stage`, and return how many
-        of them are blocked and how many in execution."""
-        check_stage = self._check_stage
-        waiting = running = 0
-        for i in ids:
-            stage = check_stage(i)
-            if stage is _BLOCKED:
-                waiting += 1
-            elif stage is _RUNNING:
-                running += 1
-        return waiting, running
-
     def _check_whole(self):
         live, blocks, blocked_by = self.live, self.blocks, self.blocked_by
-        waiting, running = self._check_stages(live)
+        stages = [self._check_stage(i) for i in live]
+        waiting, running = stages.count(_BLOCKED), stages.count(_RUNNING)
         if running != self.running:
             raise MonitorInvariantError(f"{self.name}: {self.running} counted running, "
                                         f"{running} in execution")
@@ -630,8 +616,8 @@ class ManagedObject:
         # each live op is filed once; a type without keys files nothing
         conflict_key = self.spec.conflict_key
         filed = 0
-        for key, group in chain(self.by_key.items(), ((None, self.unkeyed),)):
-            if key is not None and not group:
+        for key, group in self.by_key.items():
+            if not group:
                 raise MonitorInvariantError(f"{self.name}: empty key {key!r} filed")
             for i, inv in group.items():
                 if live.get(i) is not inv or conflict_key is None or \

@@ -102,6 +102,100 @@ def test_the_monitor_counts_move_only_where_their_ops_change_stage():
                       "running": {"_enter_execution", "complete"}}
 
 
+# the calls that change a dict in place
+MUTATORS = {"pop", "popitem", "clear", "update", "setdefault", "__setitem__", "__delitem__"}
+
+
+def _map_writes(func, attrs):
+    """The names in `attrs` whose map `func` writes: an attribute of that
+    name rebound, or an entry of it or of a group it holds set, deleted or
+    changed by a mutating call. The map may be reached directly or through
+    a local name bound to it, to an entry of it (a subscript, `get` or
+    `pop`), to a tuple holding one, or to a loop over its `values()` or
+    `items()`."""
+    aliases = {}
+
+    def roots(expr):
+        if isinstance(expr, ast.Attribute) and expr.attr in attrs:
+            return {expr.attr}
+        if isinstance(expr, ast.Name):
+            return aliases.get(expr.id, set())
+        if isinstance(expr, ast.Subscript):
+            return roots(expr.value)
+        if isinstance(expr, (ast.Tuple, ast.List)):
+            return set().union(*map(roots, expr.elts))
+        if (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute)
+                and expr.func.attr in ("get", "pop", "setdefault", "values", "items")):
+            return roots(expr.func.value)
+        return set()
+
+    def bind(target, value):
+        if (isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                and len(target.elts) == len(value.elts)):
+            for t, v in zip(target.elts, value.elts):
+                bind(t, v)
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            for elt in target.elts:
+                bind(elt, value)
+        elif isinstance(target, ast.Name) and roots(value):
+            aliases.setdefault(target.id, set()).update(roots(value))
+
+    def target_writes(target):
+        if isinstance(target, ast.Attribute):
+            return {target.attr} & attrs
+        if isinstance(target, ast.Subscript):
+            return roots(target.value)
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return set().union(*map(target_writes, target.elts))
+        return set()
+
+    before = None
+    while before != aliases:     # until a name bound from another stops growing
+        before = {name: set(found) for name, found in aliases.items()}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    bind(target, node.value)
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                bind(node.target, node.iter)
+    written = set()
+    for node in ast.walk(func):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS):
+            written |= roots(node.func.value)
+            continue
+        else:
+            continue
+        for target in targets:
+            written |= target_writes(target)
+    return written
+
+
+def test_the_live_ops_and_their_index_each_have_one_writer_per_change():
+    # `live` changes only when an op is admitted or dropped, and the key
+    # index only when an op is filed or unfiled; no module outside the
+    # monitor writes either, and the index has one map, an op without a
+    # key filed under None
+    writers = {"live": set(), "by_key": set()}
+    stale = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for name in _map_writes(node, set(writers)):
+                    writers[name].add(f"{path.name}:{node.name}")
+            if (isinstance(node, ast.Attribute) and node.attr == "unkeyed"
+                    or isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == "unkeyed"):
+                stale.append(f"{path.name}:{node.lineno}")
+    assert writers == {"live": {"monitor.py:admit", "monitor.py:_drop"},
+                       "by_key": {"monitor.py:_file", "monitor.py:_unfile"}}
+    assert stale == []
+
+
 def _module(name):
     return ast.parse((SRC / name).read_text(encoding="utf-8"))
 

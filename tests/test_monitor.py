@@ -322,7 +322,7 @@ def test_invariant_checker_notices_a_broken_index():
     card = ids.inv(1, "CARD")
     run_to_executed(obj, first)
     run_to_executed(obj, card)
-    assert obj.by_key == {"a": {first.id: first}} and obj.unkeyed == {card.id: card}
+    assert obj.by_key == {"a": {first.id: first}, None: {card.id: card}}
     obj._check()
     obj.by_key["b"] = obj.by_key.pop("a")           # lie: filed under another key
     for scope in ((), (first,)):
@@ -335,8 +335,8 @@ def test_invariant_checker_notices_a_broken_index():
     obj.by_key["a"] = {first.id: first}
     obj._check()
     obj.finish(card)
-    assert obj.unkeyed == {}
-    obj.unkeyed[card.id] = card                     # lie: dead, still filed
+    assert None not in obj.by_key
+    obj.by_key[None] = {card.id: card}              # lie: dead, still filed
     for scope in ((), (card,)):
         with pytest.raises(MonitorInvariantError, match="misfiled in the index"):
             obj._check(*scope)
@@ -344,9 +344,29 @@ def test_invariant_checker_notices_a_broken_index():
     stack, ids = make_object(), Ids()
     inv = ids.inv(1, "PUSH", item("a"))
     stack.admit(inv)
-    stack.unkeyed[inv.id] = inv
+    stack.by_key[None] = {inv.id: inv}
     with pytest.raises(MonitorInvariantError, match="misfiled in the index"):
         stack._check()
+
+
+def test_an_empty_group_fails_the_whole_check_under_none_as_under_any_key():
+    # an op without a key is filed under None, a key like any other: its
+    # group goes with its last op, and one left filed but empty is refused
+    obj, ids = make_object("set", state=frozenset({"a"})), Ids()
+    first = ids.inv(1, "INSERT", item("a"))
+    card = ids.inv(1, "CARD")
+    run_to_executed(obj, first)
+    run_to_executed(obj, card)
+    assert set(obj.by_key) == {"a", None}
+    obj.finish(card)
+    assert set(obj.by_key) == {"a"}
+    obj._check()
+    for key in (None, "b"):
+        obj.by_key[key] = {}                        # lie: a group left filed but empty
+        with pytest.raises(MonitorInvariantError, match=rf"empty key {key!r} filed"):
+            obj._check()
+        del obj.by_key[key]
+    obj._check()
 
 
 def test_woken_op_is_re_tested_against_the_ops_in_execution():

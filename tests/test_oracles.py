@@ -941,6 +941,21 @@ def test_validate_run_refuses_broken_metrics_under_optimization():
     assert "stage: replay" in out
 
 
+def test_a_forged_high_water_mark_fails_the_replay_naming_its_object():
+    # each object's max_in_execution is compared with what the replay's own
+    # monitors counted, not copied from the run
+    res = run_simulated(parse_workload(DEADLOCK))
+    assert res.metrics.max_in_execution == {"A": 1, "B": 1}
+    for forged, detail in (({"A": 6, "B": 1}, "6 on A, its replay 1"),
+                           ({"A": 1, "B": 0}, "0 on B, its replay 1"),
+                           ({"A": 1}, "absent on B, its replay 1"),
+                           ({"A": 1, "B": 1, "C": 2}, "2 on C, its replay absent")):
+        metrics = dataclasses.replace(res.metrics, max_in_execution=forged)
+        stage, verdict = check_run(dataclasses.replace(res, metrics=metrics))
+        assert (stage, verdict.detail) == ("replay",
+                                           f"the run counts max_in_execution {detail}")
+
+
 def test_metrics_are_the_history_counted_kind_by_kind(mixed_results):
     # compute_metrics fills the frozen Metrics without its __init__; it must
     # build what the constructor builds from a count of each kind

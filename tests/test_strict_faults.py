@@ -38,7 +38,7 @@ def reference_check(obj, op, waiters, shed, blockers):
     inv_id = op.id
     out_edges, in_edges = blocks.get(inv_id, ()), blocked_by.get(inv_id, ())
     if obj.spec.conflict_key is not None:
-        group = obj.unkeyed if op.key is None else obj.by_key.get(op.key, ())
+        group = obj.by_key.get(op.key, ())
         if (inv_id in group) is not (inv_id in live):
             raise MonitorInvariantError(f"{op!r} misfiled in the index")
     for i in (inv_id, *waiters, *blockers):
