@@ -9,8 +9,12 @@ strictly more than one, keeping both exactly invertible without growing
 denominators on undo. Additions are split into strictly positive ADD and SUB
 for the same reason: each private op's inverse is syntactically in-domain.
 
-All arithmetic is Fraction arithmetic. No floats exist anywhere, so undo
-restores states bit-exactly and the oracles can compare with ==.
+Every state and every answer is a rational in its one form (see
+`values.canonical`): an int when integral, else a Fraction. The arithmetic
+is exact either way, so undo restores states bit-exactly and the oracles
+can compare with ==; an integral counter runs on ints, in C. No float
+exists anywhere: `int / int` would make one, so the one division takes a
+Fraction operand.
 """
 
 from __future__ import annotations
@@ -21,33 +25,30 @@ from fractions import Fraction
 from ..core import AdtSpec, InverseRule, OpSig, PrivateCall, PublicCall, TranslationRule
 from ..tables import ALWAYS, CommutTables, InCommutEntry, OutCommutEntry
 from ..core import PreconditionViolated
-from ..values import Tag, rational
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from ..values import Tag, canonical, parse_rational, rational
 
 
 def _apply(state, op, ins):
     if op == "MULTIPLY":
         m = ins[0].payload
-        if abs(m) < _ONE:
+        if abs(m) < 1:
             raise PreconditionViolated(f"MULTIPLY factor magnitude below one: {m}")
-        return state * m, ()
+        return canonical(state * m), ()
     if op == "DIVIDE":
         d = ins[0].payload
-        if abs(d) <= _ONE:
+        if abs(d) <= 1:
             raise PreconditionViolated(f"DIVIDE divisor magnitude not above one: {d}")
-        return state / d, ()
+        return canonical(Fraction(state) / d), ()
     if op == "ADD":
         a = ins[0].payload
-        if a <= _ZERO:
+        if a <= 0:
             raise PreconditionViolated(f"ADD amount not positive: {a}")
-        return state + a, ()
+        return canonical(state + a), ()
     if op == "SUB":
         a = ins[0].payload
-        if a <= _ZERO:
+        if a <= 0:
             raise PreconditionViolated(f"SUB amount not positive: {a}")
-        return state - a, ()
+        return canonical(state - a), ()
     if op == "SETTO":
         return ins[0].payload, (rational(state),)
     if op == "READ":
@@ -55,17 +56,7 @@ def _apply(state, op, ins):
     raise AssertionError(op)
 
 
-def _parse_state(text):
-    return Fraction(text)
-
-
-def _render_state(state):
-    return str(state.numerator) if state.denominator == 1 else \
-        f"{state.numerator}/{state.denominator}"
-
-
-_BOUNDARY = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
-             Fraction(-1, 2), Fraction(2), Fraction(-2))
+_BOUNDARY = (0, 1, -1, Fraction(1, 2), Fraction(-1, 2), 2, -2)
 
 
 def _enumerate_states(bound):
@@ -73,17 +64,17 @@ def _enumerate_states(bound):
     have = set(seen)
     rng = random.Random(90210)
     while len(seen) < bound:
-        f = Fraction(rng.randint(-999, 999), rng.randint(1, 99))
+        f = canonical(Fraction(rng.randint(-999, 999), rng.randint(1, 99)))
         if f not in have:
             have.add(f)
             seen.append(f)
     return seen
 
 
-_MUL_ARGS = (Fraction(-1), Fraction(2), Fraction(-3, 2), Fraction(5))
-_DIV_ARGS = (Fraction(2), Fraction(-3, 2), Fraction(7, 2))
-_POS_ARGS = (Fraction(1), Fraction(1, 2), Fraction(7, 3))
-_SET_ARGS = (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3))
+_MUL_ARGS = (-1, 2, Fraction(-3, 2), 5)
+_DIV_ARGS = (2, Fraction(-3, 2), Fraction(7, 2))
+_POS_ARGS = (1, Fraction(1, 2), Fraction(7, 3))
+_SET_ARGS = (0, 1, Fraction(-1, 2), 3)
 
 
 def _probe_calls(bound):
@@ -97,9 +88,8 @@ def _probe_calls(bound):
 
 
 def _probe_public_calls(bound):
-    muls = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
-            Fraction(-2, 3), Fraction(-5))
-    adds = (Fraction(0), Fraction(3), Fraction(-7, 2))
+    muls = (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), -5)
+    adds = (0, 3, Fraction(-7, 2))
     calls = [PublicCall("MULTIPLY", (rational(m),)) for m in muls]
     calls += [PublicCall("ADD", (rational(a),)) for a in adds]
     calls += [PublicCall("SETTO", (rational(v),)) for v in _SET_ARGS]
@@ -116,12 +106,13 @@ _TRANSLATION = (
                     null=True, note="unit factor changes nothing"),
     TranslationRule("MULTIPLY",
                     when=lambda ins: abs(ins[0].payload) >= 1
-                    and ins[0].payload not in (_ZERO, _ONE),
+                    and ins[0].payload not in (0, 1),
                     target=lambda ins: PrivateCall("MULTIPLY", ins),
                     outs=lambda ins, pouts: ()),
     TranslationRule("MULTIPLY",
                     when=lambda ins: 0 < abs(ins[0].payload) < 1,
-                    target=lambda ins: PrivateCall("DIVIDE", (rational(1 / ins[0].payload),)),
+                    target=lambda ins: PrivateCall(
+                        "DIVIDE", (rational(Fraction(1) / ins[0].payload),)),
                     outs=lambda ins, pouts: (),
                     note="small factor becomes a large divisor"),
     TranslationRule("ADD", when=lambda ins: ins[0].payload > 0,
@@ -210,9 +201,9 @@ REAL = AdtSpec(
     inverses=_INVERSES,
     tables=CommutTables(_IN_ENTRIES, _OUT_ENTRIES),
     apply=_apply,
-    initial_state=Fraction(0),
-    parse_state=_parse_state,
-    render_state=_render_state,
+    initial_state=0,
+    parse_state=parse_rational,
+    render_state=str,
     enumerate_states=_enumerate_states,
     probe_calls=_probe_calls,
     probe_public_calls=_probe_public_calls,

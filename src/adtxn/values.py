@@ -1,8 +1,11 @@
 """Tagged immutable values.
 
 Every parameter that crosses an operation boundary is a Value: a tag plus a
-payload. Rationals are exact (fractions.Fraction); floats are rejected
-outright so that replaying a history can compare states with ==.
+payload. Rationals are exact, and each has one form: an int when it is
+integral, otherwise a fractions.Fraction whose denominator is not 1. An
+int and a Fraction of one number compare equal and hash alike, but int
+arithmetic and comparison run in C where Fraction's run in Python. Floats
+are rejected outright so that replaying a history can compare states with ==.
 
 Report values carry a symbolic outcome name (Ok, EmptyStack, AlreadyIn, ...)
 rather than an error channel: operations always return normally and the
@@ -19,7 +22,8 @@ number is still `hash((tag, payload))`, so equal Values hash alike. The
 class has slots and no `__dict__`, and stays frozen: assigning any
 attribute raises `FrozenInstanceError`. For the same reason the payload
 check reads each tag's payload type off the member, where a dict keyed by
-tag would hash the member on every construction.
+tag would hash the member on every construction. A rational's payload type
+is int; the check lets a non-integral Fraction through as well.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ _ITEM, _RATIONAL, _BOOLEAN, _REPORT, _UNIT, _SEQ = (
     Tag.ITEM, Tag.RATIONAL, Tag.BOOLEAN, Tag.REPORT, Tag.UNIT, Tag.SEQ)
 
 # each tag's payload type, kept on the member itself (`tag.payload_type`)
-for _tag, _type in ((_ITEM, str), (_RATIONAL, Fraction), (_BOOLEAN, bool),
+for _tag, _type in ((_ITEM, str), (_RATIONAL, int), (_BOOLEAN, bool),
                     (_REPORT, str), (_UNIT, type(None)), (_SEQ, tuple)):
     _tag.payload_type = _type
 del _tag, _type
@@ -57,12 +61,12 @@ class Value:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        want = self.tag.payload_type
-        if type(self.payload) is not want:
-            raise TypeError(
-                f"{self.tag.value} payload must be {want.__name__}, "
-                f"got {type(self.payload).__name__}"
-            )
+        payload, want = self.payload, self.tag.payload_type
+        if type(payload) is not want and not (
+                want is int and type(payload) is Fraction and payload.denominator != 1):
+            what = "an int or a non-integral Fraction" if want is int else want.__name__
+            raise TypeError(f"{self.tag.value} payload must be {what}, "
+                            f"got {type(payload).__name__}")
         if self.tag is _SEQ:
             for elem in self.payload:
                 if not isinstance(elem, Value):
@@ -113,11 +117,17 @@ def item(token: str) -> Value:
     return Value(_ITEM, token)
 
 
+def canonical(x):
+    """The one form of the exact number `x` (an int or a Fraction): an int
+    when it is integral, else the Fraction."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
 def rational(x) -> Value:
-    # Accepts int, Fraction, or a "p/q" string; never float.
-    if isinstance(x, float):
-        raise TypeError("rational values must be exact, not float")
-    return Value(_RATIONAL, Fraction(x))
+    # an int or a Fraction; never a float, and never a bool
+    if type(x) is not int and type(x) is not Fraction:
+        raise TypeError(f"rational values are ints or Fractions, not {type(x).__name__}")
+    return Value(_RATIONAL, canonical(x))
 
 
 def boolean(b: bool) -> Value:
@@ -139,9 +149,6 @@ def render(v: Value) -> str:
         return "_"
     if tag is _BOOLEAN:
         return "true" if v.payload else "false"
-    if tag is _RATIONAL:
-        f: Fraction = v.payload
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
     if tag is _SEQ:
         return "(" + ",".join(render(e) for e in v.payload) + ")"
     return str(v.payload)
@@ -172,13 +179,25 @@ def is_item_list(text: str) -> bool:
     return _ITEM_LIST.fullmatch(text) is not None
 
 
+# A rational as render writes it, "-7" or "-7/2", though a denominator of 1
+# or a fraction not in lowest terms is read too. Fraction() would also take
+# "0.5", "1e3", "+4" and "1_000", which render never writes back.
+_RATIONAL_TOKEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text: str):
+    """The number a rational literal writes, in its one form."""
+    m = _RATIONAL_TOKEN.fullmatch(text)
+    if m is None or m[2] is not None and int(m[2]) == 0:
+        raise ValueError(f"bad rational literal {text!r}")
+    num, den = m.groups()
+    return int(num) if den is None else canonical(Fraction(int(num), int(den)))
+
+
 def parse_token(tag: Tag, text: str) -> Value:
     """Inverse of render for the literal tags a workload file may contain."""
     if tag is _RATIONAL:
-        try:
-            return rational(Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad rational literal {text!r}") from exc
+        return Value(_RATIONAL, parse_rational(text))
     if tag is _BOOLEAN:
         if text == "true":
             return TRUE

@@ -151,7 +151,7 @@ def parse_workload(text: str) -> Workload:
             if literal is not None:
                 try:
                     spec.parse_state(literal)
-                except (ValueError, ZeroDivisionError) as exc:
+                except ValueError as exc:
                     fail(n, str(exc))
             objects.append(ObjectDecl(name, adt, literal))
             adts_by_obj[name] = spec

@@ -34,6 +34,31 @@ def test_no_module_in_the_package_searches_permutations():
     assert found == []
 
 
+def _is_fraction_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction")
+
+
+def test_every_true_division_has_a_fraction_operand():
+    # an integral rational is an int, and int / int is a float, which would
+    # make undo inexact; a direct Fraction(...) operand keeps the quotient exact
+    found, divisions = [], 0
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                operands = (node.left, node.right)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+                operands = (node.value,)
+            else:
+                continue
+            divisions += 1
+            if not any(map(_is_fraction_call, operands)):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
+    assert divisions >= 2        # the real type's DIVIDE and its small-factor translation
+
+
 def _is_self_check(stmt):
     return (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
             and isinstance(stmt.value.func, ast.Attribute)

@@ -175,6 +175,32 @@ def test_private_domains_are_enforced():
         REAL.apply(Fraction(4), "SUB", (rational(-1),))
 
 
+# ------------------------------------------------------- one form per rational
+
+def _one_form(x):
+    return type(x) is int or type(x) is Fraction and x.denominator != 1
+
+
+def test_every_real_state_and_param_takes_its_one_form():
+    # an int when integral, else a non-integral Fraction, never a float:
+    # every state the sweep reaches, every in- and out-param, and every
+    # translation and inverse target
+    swept = []
+    for state in REAL.enumerate_states(60):
+        for call in REAL.probe_calls(3):
+            new_state, outs = REAL.apply(state, call.op, call.ins)
+            undo = determine_inverse(REAL, call.op, call.ins, outs)
+            swept += [state, new_state]
+            swept += [v.payload for v in (*call.ins, *outs, *(undo.ins if undo else ()))]
+    for call in REAL.probe_public_calls(3):
+        target = tr(REAL, call.op, *call.ins).call
+        swept += [v.payload for v in (*call.ins, *(target.ins if target else ()))]
+    bad = [x for x in swept if not _one_form(x)]
+    assert bad == [] and len(swept) > 1000
+    assert {type(x) for x in swept} == {int, Fraction}
+    assert {x for x in swept if type(x) is int} >= {-2, -1, 0, 1, 2}
+
+
 # --------------------------------------------------------- roundtrip property
 
 @pytest.mark.parametrize("name,bound", [("stack", 3), ("set", 3), ("real", 60), ("boolean", 2)])

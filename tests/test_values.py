@@ -32,7 +32,7 @@ from adtxn.values import (
 
 def test_tag_payload_types_are_enforced():
     assert item("a").payload == "a"
-    assert rational(3).payload == Fraction(3)
+    assert rational(3).payload == 3
     assert boolean(True).payload is True
     assert report("Ok").payload == "Ok"
     assert UNIT.payload is None
@@ -52,6 +52,9 @@ def test_bool_is_not_a_rational():
         Value(Tag.RATIONAL, True)
     with pytest.raises(TypeError):
         Value(Tag.BOOLEAN, 1)
+    for b in (True, False):
+        with pytest.raises(TypeError):
+            rational(b)
 
 
 def test_seq_elements_must_be_values():
@@ -59,10 +62,20 @@ def test_seq_elements_must_be_values():
         seq(("a", "b"))
 
 
-def test_ints_normalize_to_fraction():
-    v = rational(7)
-    assert isinstance(v.payload, Fraction)
-    assert v == rational(Fraction(7, 1))
+def test_integral_rationals_are_ints():
+    # one form per number: an int when integral, else a Fraction whose
+    # denominator is not 1; the two compare equal and hash alike
+    for x in (7, Fraction(7), Fraction(14, 2)):
+        v = rational(x)
+        assert type(v.payload) is int and v.payload == 7
+        assert v == Value(Tag.RATIONAL, 7) and hash(v) == hash((Tag.RATIONAL, Fraction(7)))
+    half = rational(Fraction(2, 4))
+    assert type(half.payload) is Fraction and half.payload == Fraction(1, 2)
+    assert half == Value(Tag.RATIONAL, Fraction(1, 2))
+    with pytest.raises(TypeError):
+        Value(Tag.RATIONAL, Fraction(7))
+    with pytest.raises(TypeError):
+        rational("7")
 
 
 def test_values_hash_and_compare_by_content():
@@ -157,13 +170,20 @@ def test_render_params():
 def test_parse_token_round_trips():
     assert parse_token(Tag.ITEM, "a") == item("a")
     assert parse_token(Tag.RATIONAL, "-7/2") == rational(Fraction(-7, 2))
+    for text, number in (("-3/2", Fraction(-3, 2)), ("4/2", 2), ("0", 0), ("-0", 0),
+                         ("12/1", 12), ("-6/4", Fraction(-3, 2))):
+        payload = parse_token(Tag.RATIONAL, text).payload
+        assert payload == number and type(payload) is type(number), text
     assert parse_token(Tag.BOOLEAN, "true") == TRUE
     assert parse_token(Tag.BOOLEAN, "false") == FALSE
 
 
 def test_parse_token_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_token(Tag.RATIONAL, "abc")
+    # Fraction() reads most of these; render writes none of them
+    for text in ("abc", "", "0.5", "1e3", "+4", "1_000", "1/0", "-3/-2", "3/+2",
+                 " 3", "3/", "/2", "\u0663", "1/2/3"):
+        with pytest.raises(ValueError, match="bad rational literal"):
+            parse_token(Tag.RATIONAL, text)
     with pytest.raises(ValueError):
         parse_token(Tag.BOOLEAN, "yes")
     with pytest.raises(ValueError):

@@ -100,6 +100,28 @@ def test_errors_carry_line_numbers(bad, line, hint):
     assert hint in str(exc.value)
 
 
+COUNTER = "object c real {literal}\ntxn T\n op c ADD {arg}\nend commit\nschedule seed 1 steps 9\n"
+
+
+@pytest.mark.parametrize("token", ["0.5", "1e3", "+4", "1_000"])
+def test_rational_literals_follow_the_rendered_syntax(token):
+    # Fraction() reads each of these, but render would never write it back
+    for text, line in ((COUNTER.format(literal=token, arg="1"), 1),
+                       (COUNTER.format(literal="1", arg=token), 3)):
+        with pytest.raises(WorkloadError) as exc:
+            parse_workload(text)
+        assert exc.value.line_no == line
+        assert f"bad rational literal {token!r}" in str(exc.value)
+
+
+def test_rational_literals_in_the_rendered_syntax_parse():
+    for token, number in (("-3/2", Fraction(-3, 2)), ("4/2", 2), ("0", 0)):
+        w = parse_workload(COUNTER.format(literal=token, arg=token))
+        state = initial_state(object_decl(w, "c"))
+        assert state == number and type(state) is type(number)
+        assert txn_decl(w, "T").steps[0].ins == (rational(number),)
+
+
 def test_unterminated_txn_block():
     with pytest.raises(WorkloadError):
         parse_workload("object s stack\ntxn T\n op s POP\n")
