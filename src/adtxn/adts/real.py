@@ -25,7 +25,7 @@ from fractions import Fraction
 from ..core import AdtSpec, InverseRule, OpSig, PrivateCall, PublicCall, TranslationRule
 from ..tables import ALWAYS, CommutTables, InCommutEntry, OutCommutEntry
 from ..core import PreconditionViolated
-from ..values import Tag, canonical, parse_rational, rational
+from ..values import Tag, canonical, parse_rational, rational, render_rational
 
 
 def _apply(state, op, ins):
@@ -203,7 +203,7 @@ REAL = AdtSpec(
     apply=_apply,
     initial_state=0,
     parse_state=parse_rational,
-    render_state=str,
+    render_state=render_rational,
     enumerate_states=_enumerate_states,
     probe_calls=_probe_calls,
     probe_public_calls=_probe_public_calls,

@@ -39,8 +39,9 @@ too, as None. A call that raises (no rule matches, rules overlap, or the
 inverse call is malformed) is not kept, and raises every time. What the
 manager checks about the answer, that a deduced op needs no undo, reads the
 op as well as the call, so it stays outside the memo and runs on every
-call. A memo lookup hashes the call's Values, which is why each `Value`
-keeps its hash (see `values`).
+call. A memo lookup hashes and compares the call's Values, which is why
+each value has one live `Value` object, so that both are identity and run
+in C (see `values`).
 
 Both memos are derived in `AdtSpec.__post_init__`, so `dataclasses.replace`
 starts the copy with empty ones, and a spec rebuilt with other rules never

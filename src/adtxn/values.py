@@ -13,23 +13,34 @@ outcome is data, which is what lets inverse selection and commutativity
 conditions read it.
 
 Values are dict keys wherever a call is memoized (`core.translate_public`
-and `core.determine_inverse` key their memos by calls), so a Value hashes
-once. A frozen dataclass would hash `(tag, payload)` on every call, and on
-Python 3.11 both that tuple and `Enum.__hash__` run in Python, about
-0.4 us per hash. `Value` keeps the hash in a slot that `__init__` never
-sets: the first `__hash__` fills it, and each later one reads it. The
-number is still `hash((tag, payload))`, so equal Values hash alike. The
-class has slots and no `__dict__`, and stays frozen: assigning any
-attribute raises `FrozenInstanceError`. For the same reason the payload
-check reads each tag's payload type off the member, where a dict keyed by
-tag would hash the member on every construction. A rational's payload type
-is int; the check lets a non-integral Fraction through as well.
+and `core.determine_inverse` key their memos by calls), and every table
+condition and oracle comparison tests them with ==. So each value has one
+live object: constructing a Value returns the object already filed for its
+`(tag, payload)`, and == and hash are object identity, which runs in C. A
+Python `__eq__` and `__hash__` on Python 3.11 cost several times that. Each
+tag member keeps its own table, `tag.interned`, keyed by payload, beside its
+payload type, `tag.payload_type`: a dict keyed by tag would hash the member
+on every construction. A table hit counts only if the payloads have the same
+type, since `True == 1` and `Fraction(2) == 2`; a miss checks the payload,
+then files the new object. A rational's payload type is int; the check lets
+a non-integral Fraction through as well. The tables never evict: dropping a
+Value that is still alive would leave two equal values that compare
+unequal. The class has slots, no `__dict__` and no `__init__` (which would
+run again on every hit), and stays frozen: assigning or deleting any
+attribute raises `FrozenInstanceError`. A copy or a pickle is rebuilt
+through the constructor, so it is the same object.
+
+Python refuses to convert an int of more than `sys.get_int_max_str_digits()`
+digits to or from text. A rational that large still renders and parses,
+through `decimal.Decimal`, which that limit does not cover; the limit itself
+is left alone, since it is the whole process's.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
@@ -46,66 +57,53 @@ class Tag(Enum):
 _ITEM, _RATIONAL, _BOOLEAN, _REPORT, _UNIT, _SEQ = (
     Tag.ITEM, Tag.RATIONAL, Tag.BOOLEAN, Tag.REPORT, Tag.UNIT, Tag.SEQ)
 
-# each tag's payload type, kept on the member itself (`tag.payload_type`)
+# each tag's payload type and table of Values, kept on the member itself
+# (`tag.payload_type`, `tag.interned`)
 for _tag, _type in ((_ITEM, str), (_RATIONAL, int), (_BOOLEAN, bool),
                     (_REPORT, str), (_UNIT, type(None)), (_SEQ, tuple)):
     _tag.payload_type = _type
+    _tag.interned = {}
 del _tag, _type
 
 
-@dataclass(frozen=True, slots=True)
 class Value:
-    tag: Tag
-    payload: object
-    # hash((tag, payload)), filled by the first __hash__
-    _hash: int = field(init=False, repr=False, compare=False)
+    """A tag and a payload; one live object per pair (see above)."""
 
-    def __post_init__(self):
-        payload, want = self.payload, self.tag.payload_type
+    __slots__ = ("tag", "payload")
+
+    def __new__(cls, tag: Tag, payload):
+        interned = tag.interned
+        v = interned.get(payload)
+        if v is not None and type(v.payload) is type(payload):
+            return v
+        want = tag.payload_type
         if type(payload) is not want and not (
                 want is int and type(payload) is Fraction and payload.denominator != 1):
             what = "an int or a non-integral Fraction" if want is int else want.__name__
-            raise TypeError(f"{self.tag.value} payload must be {what}, "
+            raise TypeError(f"{tag.value} payload must be {what}, "
                             f"got {type(payload).__name__}")
-        if self.tag is _SEQ:
-            for elem in self.payload:
+        if tag is _SEQ:
+            for elem in payload:
                 if not isinstance(elem, Value):
                     raise TypeError("seq elements must be Values")
+        v = object.__new__(cls)
+        object.__setattr__(v, "tag", tag)
+        object.__setattr__(v, "payload", payload)
+        interned[payload] = v
+        return v
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.tag, self.payload))
-            object.__setattr__(self, "_hash", h)
-            return h
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # copied and pickled as the pair: the generated state would read
-        # the hash slot, which may be unset
+        # rebuilt through the constructor, so a copy is the interned object
         return Value, (self.tag, self.payload)
-
-    def __eq__(self, other):
-        # written out because the generated one builds a (tag, payload)
-        # tuple per side on every call
-        if self is other:
-            return True
-        if not isinstance(other, Value):
-            return NotImplemented
-        return self.tag is other.tag and self.payload == other.payload
 
     def __repr__(self):
         return f"Value({render(self)})"
-
-
-def _frozen(self, name, *value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-# The generated pair refuses the fields, but on Python 3.11 a frozen
-# dataclass with slots answers any other name with a TypeError from
-# `super()`, as it still names the class the slots replaced.
-Value.__setattr__ = Value.__delattr__ = _frozen
 
 
 UNIT = Value(_UNIT, None)
@@ -151,7 +149,19 @@ def render(v: Value) -> str:
         return "true" if v.payload else "false"
     if tag is _SEQ:
         return "(" + ",".join(render(e) for e in v.payload) + ")"
+    if tag is _RATIONAL:
+        return render_rational(v.payload)
     return str(v.payload)
+
+
+def render_rational(x) -> str:
+    """`str(x)` of a rational in its one form, however many digits it has."""
+    try:
+        return str(x)
+    except ValueError:          # past sys.get_int_max_str_digits()
+        if type(x) is int:
+            return str(Decimal(x))
+        return f"{render_rational(x.numerator)}/{render_rational(x.denominator)}"
 
 
 def render_params(params) -> str:
@@ -188,10 +198,17 @@ _RATIONAL_TOKEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 def parse_rational(text: str):
     """The number a rational literal writes, in its one form."""
     m = _RATIONAL_TOKEN.fullmatch(text)
-    if m is None or m[2] is not None and int(m[2]) == 0:
+    if m is None or m[2] is not None and _int(m[2]) == 0:
         raise ValueError(f"bad rational literal {text!r}")
     num, den = m.groups()
-    return int(num) if den is None else canonical(Fraction(int(num), int(den)))
+    return _int(num) if den is None else canonical(Fraction(_int(num), _int(den)))
+
+
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:          # past sys.get_int_max_str_digits()
+        return int(Decimal(digits))
 
 
 def parse_token(tag: Tag, text: str) -> Value:

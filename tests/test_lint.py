@@ -3,7 +3,10 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "adtxn"
+from adtxn.values import UNIT, Value
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "adtxn"
 
 
 def test_no_assert_statements_in_the_package():
@@ -384,3 +387,39 @@ def test_function_bodies_read_enum_members_through_module_globals():
                       and node.value.id in enums]
     assert functions > 100      # the walk found the package's functions
     assert found == []
+
+
+def _names_value(node):
+    return (isinstance(node, ast.Name) and node.id == "Value"
+            or isinstance(node, ast.Attribute) and node.attr == "Value")
+
+
+def test_values_are_identity_compared_and_built_only_through_their_constructor():
+    # each (tag, payload) has one live Value (see the `values` docstring), so
+    # == and hash are object identity; there is no __init__ to run again on a
+    # table hit, and nothing outside values.py makes a Value through
+    # object.__new__ or Value.__new__, which would skip the table
+    assert Value.__eq__ is object.__eq__ and Value.__hash__ is object.__hash__
+    assert "__init__" not in vars(Value) and Value.__init__ is object.__init__
+    assert Value.__bases__ == (object,) and not hasattr(UNIT, "__dict__")
+    paths = [path for root in (SRC, ROOT / "tests", ROOT / "bench", ROOT / "demos")
+             for path in sorted(root.rglob("*.py")) if path != SRC / "values.py"]
+    found, new_calls = [], 0
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        # `_new = object.__new__` and the like
+        aliases = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                   and isinstance(node.value, ast.Attribute) and node.value.attr == "__new__"
+                   for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                    and _names_value(node.value)):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+            elif isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Attribute) and node.func.attr == "__new__"
+                    or isinstance(node.func, ast.Name) and node.func.id in aliases):
+                new_calls += 1
+                if any(map(_names_value, node.args)):
+                    found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == []
+    assert new_calls >= 5       # the per-op records' tuple.__new__ and Metrics' object.__new__

@@ -21,6 +21,7 @@ from adtxn.values import (
     boolean,
     is_item_token,
     item,
+    parse_rational,
     parse_token,
     rational,
     render,
@@ -64,13 +65,14 @@ def test_seq_elements_must_be_values():
 
 def test_integral_rationals_are_ints():
     # one form per number: an int when integral, else a Fraction whose
-    # denominator is not 1; the two compare equal and hash alike
+    # denominator is not 1; either way one Value per number
     for x in (7, Fraction(7), Fraction(14, 2)):
         v = rational(x)
         assert type(v.payload) is int and v.payload == 7
-        assert v == Value(Tag.RATIONAL, 7) and hash(v) == hash((Tag.RATIONAL, Fraction(7)))
+        assert v is Value(Tag.RATIONAL, 7) and v == Value(Tag.RATIONAL, 7)
     half = rational(Fraction(2, 4))
     assert type(half.payload) is Fraction and half.payload == Fraction(1, 2)
+    assert half is Value(Tag.RATIONAL, Fraction(1, 2))
     assert half == Value(Tag.RATIONAL, Fraction(1, 2))
     with pytest.raises(TypeError):
         Value(Tag.RATIONAL, Fraction(7))
@@ -103,12 +105,14 @@ def _probe_values():
 def test_equality_and_hash_agree_with_tag_payload_pairs():
     values = _probe_values()
     assert {v.tag for v in values} == set(Tag)
-    # fresh copies, so that == cannot rest on identity
-    copies = [Value(v.tag, v.payload) for v in values]
-    for a, b in product(values, copies):
+    # built again from the pair: equal pairs give back the same object, so
+    # == and hash, which are identity, agree with the pairs
+    rebuilt = [Value(v.tag, v.payload) for v in values]
+    for a, b in product(values, rebuilt):
         same = (a.tag, a.payload) == (b.tag, b.payload)
+        assert (a is b) is same, (a, b)
         assert (a == b) is same and (a != b) is (not same), (a, b)
-        assert hash(a) == hash((a.tag, a.payload))
+        assert (hash(a) == hash(b)) is same, (a, b)
     assert item("Ok") != report("Ok") and TRUE != rational(1)
     assert FALSE != rational(0) and UNIT != seq(())
     for v in values:
@@ -117,37 +121,48 @@ def test_equality_and_hash_agree_with_tag_payload_pairs():
         assert v.__eq__(v.payload) is NotImplemented
 
 
-def test_a_value_hashes_as_its_pair_before_and_after_the_first_hash():
-    # the hash is kept from the first call on, and is the pair's either way
+def test_every_value_is_its_one_interned_object():
+    # built again, copied, deep-copied or pickled, a value comes back as
+    # the object its tag's table holds
     for v in _probe_values():
-        fresh = Value(v.tag, v.payload)
-        assert hash(fresh) == hash((v.tag, v.payload))
-        assert hash(fresh) == hash((v.tag, v.payload))
-        assert {fresh: 1}[Value(v.tag, v.payload)] == 1
+        assert v.tag.interned[v.payload] is v
+        copies = (Value(v.tag, v.payload), copy.copy(v), copy.deepcopy(v),
+                  pickle.loads(pickle.dumps(v)))
+        for copied in copies:
+            assert copied is v and copied == v and hash(copied) == hash(v)
+        assert {v: 1}[Value(v.tag, v.payload)] == 1
+
+
+def test_an_equal_payload_of_another_type_is_refused_once_its_value_is_interned():
+    # True == 1 and Fraction(2) == 2, so a table hit must match the type too
+    one, two = rational(1), rational(2)
+    assert Value(Tag.BOOLEAN, True) is TRUE
+    for tag, payload in ((Tag.BOOLEAN, 1), (Tag.RATIONAL, True), (Tag.RATIONAL, Fraction(2))):
+        with pytest.raises(TypeError):
+            Value(tag, payload)
+    with pytest.raises(TypeError):
+        seq(("a",))
+    # nothing refused was filed
+    assert Tag.BOOLEAN.interned[1] is TRUE and Tag.RATIONAL.interned[True] is one
+    assert Tag.RATIONAL.interned[Fraction(2)] is two and rational(Fraction(4, 2)) is two
+
+
+def test_the_module_constants_are_the_interned_objects():
+    assert Value(Tag.UNIT, None) is UNIT and Tag.UNIT.interned[None] is UNIT
+    assert Value(Tag.BOOLEAN, True) is TRUE and Tag.BOOLEAN.interned[True] is TRUE
+    assert Value(Tag.BOOLEAN, False) is FALSE and Tag.BOOLEAN.interned[False] is FALSE
+    assert boolean(True) is TRUE and boolean(False) is FALSE
 
 
 def test_a_value_is_frozen_and_has_no_dict():
-    v, hashed = item("a"), item("b")
-    hash(hashed)
-    for value in (v, hashed):
-        assert not hasattr(value, "__dict__")
-        for name in ("tag", "payload", "_hash", "other"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(value, name, None)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(value, name)
-    assert v == item("a") and hash(hashed) == hash((Tag.ITEM, "b"))
-
-
-def test_a_value_copies_and_pickles_before_and_after_the_first_hash():
-    for v in _probe_values():
-        fresh, hashed = Value(v.tag, v.payload), Value(v.tag, v.payload)
-        hash(hashed)
-        for value in (fresh, hashed):
-            copies = (copy.copy(value), copy.deepcopy(value),
-                      pickle.loads(pickle.dumps(value)))
-            for copied in copies:
-                assert copied == value and hash(copied) == hash((v.tag, v.payload))
+    v = item("a")
+    assert not hasattr(v, "__dict__")
+    for name in ("tag", "payload", "_hash", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(v, name)
+    assert v is item("a") and v == item("a") and (v.tag, v.payload) == (Tag.ITEM, "a")
 
 
 def test_render_forms():
@@ -176,6 +191,23 @@ def test_parse_token_round_trips():
         assert payload == number and type(payload) is type(number), text
     assert parse_token(Tag.BOOLEAN, "true") == TRUE
     assert parse_token(Tag.BOOLEAN, "false") == FALSE
+
+
+def test_rationals_past_the_int_digit_limit_render_and_parse():
+    # str(int) refuses more than 4,300 digits; render and parse_rational do not
+    big = 10**5000 + 7
+    text = "1" + "0" * 4999 + "7"
+    assert render(rational(big)) == text and render(rational(-big)) == "-" + text
+    third = Fraction(10**5000 + 1, 3)
+    assert render(rational(third)) == "1" + "0" * 4999 + "1/3"
+    tiny = Fraction(3, 10**5000 + 1)
+    assert render(rational(tiny)) == "3/1" + "0" * 4999 + "1"
+    for number in (big, -big, third, -third, tiny):
+        v = rational(number)
+        back = parse_rational(render(v))
+        assert back == number and type(back) is type(number)
+        assert parse_token(Tag.RATIONAL, render(v)) is v
+    assert get_adt("real").render_state(third) == render(rational(third))
 
 
 def test_parse_token_rejects_garbage():

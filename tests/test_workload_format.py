@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from adtxn.fuzz import generate_workload
+from adtxn.simulate import run_simulated
 from adtxn.workload import (
     ExplicitSchedule,
     RandomSchedule,
@@ -146,3 +147,25 @@ def test_generated_workloads_round_trip():
         w = generate_workload(rng, ["stack", "set", "real", "boolean"])
         text = render_workload(w)
         assert parse_workload(text) == w
+
+
+def test_a_rational_past_the_int_digit_limit_renders_in_the_trace_and_states():
+    # 44 multiplications by 10**100 make a 4,401-digit state, past the
+    # 4,300 digits str(int) converts
+    text = ("object c real 1\ntxn T\n" + f"  op c MULTIPLY 1{'0' * 100}\n" * 44
+            + "  op c READ\nend commit\nschedule steps T\n")
+    result = run_simulated(parse_workload(text))
+    state = result.rendered_states()["c"]
+    assert len(state) == 4401 and state == "1" + "0" * 4400
+    assert f"[{state}]" in result.trace
+
+
+def test_an_object_literal_past_the_int_digit_limit_parses():
+    digits, sevens = "7" * 5000, 7 * (10**5000 - 1) // 9
+    for literal, number in ((digits, sevens), ("-" + digits, -sevens),
+                            (digits + "/3", Fraction(sevens, 3))):
+        text = f"object c real {literal}\nschedule seed 1 steps 1\n"
+        w = parse_workload(text)
+        assert initial_state(object_decl(w, "c")) == number
+        assert render_workload(w) == text
+        assert run_simulated(w).rendered_states()["c"] == literal
