@@ -122,15 +122,43 @@ def test_equality_and_hash_agree_with_tag_payload_pairs():
 
 
 def test_every_value_is_its_one_interned_object():
-    # built again, copied, deep-copied or pickled, a value comes back as
-    # the object its tag's table holds
+    # built again from its pair, a value comes back as the object its
+    # tag's table holds
     for v in _probe_values():
         assert v.tag.interned[v.payload] is v
-        copies = (Value(v.tag, v.payload), copy.copy(v), copy.deepcopy(v),
-                  pickle.loads(pickle.dumps(v)))
-        for copied in copies:
-            assert copied is v and copied == v and hash(copied) == hash(v)
-        assert {v: 1}[Value(v.tag, v.payload)] == 1
+        assert Value(v.tag, v.payload) is v
+
+
+def _fresh_values():
+    # values of every tag whose payloads nothing else builds, so that none
+    # of them has been hashed before the test that makes them
+    a, b = item("fresh-a"), report("fresh-b")
+    return [a, b, rational(10**30 + 1), rational(Fraction(1, 10**30 + 3)),
+            seq((a, item("fresh-c"))), seq((b,)), UNIT, TRUE, FALSE]
+
+
+def test_a_value_hashes_as_its_pair_before_and_after_the_first_hash():
+    # the hash is the same from the first call on, and a value rebuilt
+    # from the pair finds the first in a dict, whichever was hashed first
+    for v in _probe_values() + _fresh_values():
+        fresh = Value(v.tag, v.payload)
+        assert hash(fresh) == hash(Value(v.tag, v.payload))
+        assert hash(fresh) == hash(v)
+        assert {fresh: 1}[Value(v.tag, v.payload)] == 1
+        assert {Value(v.tag, v.payload): 1}[fresh] == 1
+
+
+def test_a_value_copies_and_pickles_before_and_after_the_first_hash():
+    # copies and pickles go back through the constructor, so they give
+    # back the interned object whether or not it has been hashed
+    for v in _fresh_values() + _probe_values():
+        for hashed in (False, True):
+            if hashed:
+                hash(v)
+            copies = (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v)))
+            for copied in copies:
+                assert copied is v and copied == v
+                assert hash(copied) == hash(Value(v.tag, v.payload))
 
 
 def test_an_equal_payload_of_another_type_is_refused_once_its_value_is_interned():
