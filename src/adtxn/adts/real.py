@@ -32,22 +32,24 @@ def _apply(state, op, ins):
     if op == "MULTIPLY":
         m = ins[0].payload
         if abs(m) < 1:
-            raise PreconditionViolated(f"MULTIPLY factor magnitude below one: {m}")
+            raise PreconditionViolated(
+                f"MULTIPLY factor magnitude below one: {render_rational(m)}")
         return canonical(state * m), ()
     if op == "DIVIDE":
         d = ins[0].payload
         if abs(d) <= 1:
-            raise PreconditionViolated(f"DIVIDE divisor magnitude not above one: {d}")
+            raise PreconditionViolated(
+                f"DIVIDE divisor magnitude not above one: {render_rational(d)}")
         return canonical(Fraction(state) / d), ()
     if op == "ADD":
         a = ins[0].payload
         if a <= 0:
-            raise PreconditionViolated(f"ADD amount not positive: {a}")
+            raise PreconditionViolated(f"ADD amount not positive: {render_rational(a)}")
         return canonical(state + a), ()
     if op == "SUB":
         a = ins[0].payload
         if a <= 0:
-            raise PreconditionViolated(f"SUB amount not positive: {a}")
+            raise PreconditionViolated(f"SUB amount not positive: {render_rational(a)}")
         return canonical(state - a), ()
     if op == "SETTO":
         return ins[0].payload, (rational(state),)

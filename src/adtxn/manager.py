@@ -16,26 +16,31 @@ admission: the aborter still owns every conflict its direct ops created, so
 admission could only be vacuous or, worse, self-blocking. Each direct op is
 released immediately after its inverse lands, never before.
 
-Deadlock is handled at block time. The waits-for graph is derived on demand
-from the monitors' edge ledgers, and the youngest transaction on a cycle
-(the largest id, the one with the least work behind it) is aborted outright;
-this repeats until the graph is acyclic, so a blocked transaction sleeps
-only on live, cycle-free waits. A blocker is live on the waiter's own
-object, so its owner is read from that monitor's `live` map, never
-searched for.
+Deadlock is handled at block time, by `resolve`, the step the history
+replay shares. The waits-for graph is derived on demand from the
+monitors' edge ledgers, and the youngest transaction on a cycle (the
+largest id, the one with the least work behind it) is aborted outright;
+this repeats until no cycle runs through the blocked transaction, so it
+sleeps only on live, cycle-free waits. A blocker is live on the waiter's
+own object, so its owner is read from that monitor's `live` map, never
+searched for. An edge from a transaction to itself is refused, not made
+into a cycle of one.
 
 The search is rooted at the transaction that just blocked, and is exact.
 Edges are added only when a transaction blocks, and every resolution leaves
 the graph acyclic, so any cycle passes through the blocker and all its
 nodes can reach the blocker. The search therefore looks only at those
-transactions, gathered by walking waits-for edges backwards from the
-blocker. A transaction outside that set has no edge into it, so the
-depth-first search of `find_cycle`, visiting nodes and neighbours in sorted
-order, meets the same cycle first on that subgraph as on the whole graph:
-from a root outside the set it never enters the set, and from inside it
-any excursion out of the set finishes without coming back. Victims, and
-hence traces, are those of a whole-graph search. The same holds for any
-set that contains every cycle and that no outside edge enters.
+transactions, gathered by `waits_for_edges`, which walks waits-for edges
+backwards from the blocker. A transaction outside that set has no edge
+into it, so the depth-first search of `find_cycle`, visiting nodes and
+neighbours in sorted order, meets the same cycle first on that subgraph as
+on the whole graph: from a root outside the set it never enters the set,
+and from inside it any excursion out of the set finishes without coming
+back. Victims, and hence traces, are those of a whole-graph search. The
+same holds for any set that contains every cycle and that no outside edge
+enters. The history replay runs the same resolution after each BLOCK it
+owes, so the graph it rebuilds is acyclic before each BLOCK too, by the
+same induction, and its rooted search is exact on the same argument.
 
 The backward walk runs once per BLOCK. An abort only deletes edges: it
 takes out the victim's own edges and the out-edges of the transactions it
@@ -84,15 +89,11 @@ class ManagerInvariantError(AssertionError):
 
 class TxnStatus(Enum):
     ACTIVE = "active"
-    COMMITTING = "committing"
     COMMITTED = "committed"
-    ABORTING = "aborting"
     ABORTED = "aborted"
 
 
-_ACTIVE, _COMMITTING, _COMMITTED, _ABORTING, _ABORTED = (
-    TxnStatus.ACTIVE, TxnStatus.COMMITTING, TxnStatus.COMMITTED, TxnStatus.ABORTING,
-    TxnStatus.ABORTED)
+_ACTIVE, _COMMITTED, _ABORTED = TxnStatus.ACTIVE, TxnStatus.COMMITTED, TxnStatus.ABORTED
 
 
 class UndoEntry(NamedTuple):
@@ -150,7 +151,8 @@ def abort_plan(rec: TransactionRecord) -> list[tuple]:
 # (woken, shed): the ops it admitted and the ids of the waiters that shed
 # their edge to the op. Only when something was shed does the step call
 # `release(obj, inv, woken, shed)`, which wakes each woken op: the engine
-# emits what the sink gets, and the replay owes it.
+# emits what the sink gets, and the replay owes it. The sixth step,
+# `resolve`, follows the waits-for walk and `find_cycle` it runs on.
 
 
 def admit(rec: TransactionRecord, obj: ManagedObject, inv: PrivateInvocation,
@@ -251,6 +253,59 @@ def find_cycle(adj: dict[int, set[int]]) -> list[int] | None:
     return None
 
 
+def waits_for_edges(txns: dict[int, TransactionRecord], root: int) -> dict[int, set[int]]:
+    """The waits-for subgraph induced by the transactions that can reach
+    `root`, a blocked transaction, found by walking the monitors' edges
+    backwards from it. `txns` maps each id to its record. An edge from a
+    transaction to itself is refused."""
+    adj: dict[int, set[int]] = {}
+    reach, frontier = {root}, [root]
+    while frontier:
+        rec = txns[frontier.pop()]
+        for obj, inv in chain(rec.invocations, (rec.blocked_on,)):
+            for wid in obj.blocks.get(inv.id, ()):
+                waiter = obj.live[wid].txn
+                if waiter == rec.id:
+                    raise ManagerInvariantError(
+                        f"self-edge on {waiter} in the waits-for graph")
+                waits = adj.get(waiter)
+                if waits is None:
+                    adj[waiter] = {rec.id}
+                else:
+                    waits.add(rec.id)
+                if waiter not in reach:
+                    reach.add(waiter)
+                    frontier.append(waiter)
+    return adj
+
+
+def resolve(rec: TransactionRecord, txns: dict[int, TransactionRecord],
+            adj: dict[int, set[int]], emit, release):
+    """Abort victims until no cycle runs through `rec`, which just blocked,
+    emitting each victim's VICTIM and ABORT before its `erase`. `adj` is
+    `waits_for_edges` from `rec`, searched and then pruned in place after
+    each victim; see the module docstring for why that finds every cycle,
+    and the same ones."""
+    while True:
+        cycle = find_cycle(adj)
+        if cycle is None:
+            return
+        victim = txns[max(cycle)]
+        if victim.status is not _ACTIVE:
+            raise ManagerInvariantError(f"{victim.name} is {victim.status.value}")
+        emit(hist.VICTIM, victim.name, None, None, (), (), None)
+        emit(hist.ABORT, victim.name, None, None, (), (), None)
+        erase(victim, emit, release)
+        if rec.blocked_on is None:
+            return
+        # prune in place rather than walk again (the victim is unblocked
+        # too); the walk built these sets and nothing else holds them
+        for t in [t for t in adj if txns[t].blocked_on is None]:
+            del adj[t]
+        for waits in adj.values():
+            waits.discard(victim.id)
+
+
 class TransactionManager:
     """Owns the objects, the transactions and the event stream.
 
@@ -312,7 +367,7 @@ class TransactionManager:
         emit = self.history.emit
         emit(hist.INVOKE, rec.name, obj.name, inv.op, inv.ins, (), inv.id)
         if admit(rec, obj, inv, emit, self._release) is _OUTCOME_BLOCKED:
-            self._resolve_deadlocks(rec)
+            resolve(rec, self.txns, self.waits_for_edges(rec.id), emit, self._release)
             if rec.status is not _ACTIVE:
                 raise TransactionAborted(rec.name)
             if inv.lifecycle is _BLOCKED:
@@ -328,7 +383,6 @@ class TransactionManager:
             raise ManagerInvariantError(f"{rec.name} is {rec.status.value}")
         if rec.blocked_on is not None:
             raise ManagerInvariantError(f"{rec.name} commits while blocked")
-        rec.status = _COMMITTING
         self.history.emit(hist.COMMIT, txn=rec.name)
         commit(rec, self._release)
 
@@ -340,7 +394,6 @@ class TransactionManager:
         """
         if rec.status is not _ACTIVE:
             raise ManagerInvariantError(f"{rec.name} is {rec.status.value}")
-        rec.status = _ABORTING
         self.history.emit(hist.ABORT, txn=rec.name)
         erase(rec, self.history.emit, self._release)
 
@@ -354,44 +407,6 @@ class TransactionManager:
             if self.on_wake:
                 self.on_wake(w.txn)
 
+    # kept as a method because bench/tracer.py patches it by name (ROADMAP item 8)
     def waits_for_edges(self, root: int) -> dict[int, set[int]]:
-        """The waits-for subgraph induced by the transactions that can reach
-        `root`, a blocked transaction, found by walking the monitors' edges
-        backwards from it."""
-        adj: dict[int, set[int]] = {}
-        reach, frontier = {root}, [root]
-        while frontier:
-            rec = self.txns[frontier.pop()]
-            for obj, inv in chain(rec.invocations, (rec.blocked_on,)):
-                for wid in obj.blocks.get(inv.id, ()):
-                    waiter = obj.live[wid].txn
-                    waits = adj.get(waiter)
-                    if waits is None:
-                        adj[waiter] = {rec.id}
-                    else:
-                        waits.add(rec.id)
-                    if waiter not in reach:
-                        reach.add(waiter)
-                        frontier.append(waiter)
-        return adj
-
-    def _resolve_deadlocks(self, rec: TransactionRecord):
-        """Abort victims until no cycle runs through `rec`, which just
-        blocked. One backward walk, pruned after each victim; see the module
-        docstring for why that finds every cycle, and the same ones."""
-        adj = self.waits_for_edges(rec.id)
-        while True:
-            cycle = find_cycle(adj)
-            if cycle is None:
-                return
-            victim = self.txns[max(cycle)]
-            self.history.emit(hist.VICTIM, txn=victim.name)
-            self.abort(victim)
-            if rec.blocked_on is None:
-                return
-            # prune in place rather than walk again (the victim is unblocked
-            # too); the walk built these sets and nothing else holds them
-            for t in [t for t in adj if self.txns[t].blocked_on is None]:
-                del adj[t]
-            for waits in adj.values():
-                waits.discard(victim.id)
+        return waits_for_edges(self.txns, root)

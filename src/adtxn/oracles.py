@@ -22,23 +22,23 @@ These deliberately share no cleverness with the machinery they judge:
   serial story in which the aborted ones never existed;
 * the history replay rebuilds every monitor from the event stream alone,
   re-deciding each admission, deduction, wake, inverse and victim with the
-  same pure table functions, and checks the run's decisions against the
-  trace at every event.
+  same pure table functions and the engine's own deadlock resolution, and
+  checks the run's decisions against the trace at every event.
 
 The replay splits the event kinds in two. The chosen ones are those the
 txn or the scheduler decides: BEGIN, NULLOP, INVOKE, the EXEC of an op a
-wake admitted, COMMIT, an ABORT the txn asked for, and VICTIM. Only these
-have a handler, which judges whether the choice was allowed and then runs
-the sections it causes. The monitors determine every other event
-completely: the DEDUCE, BLOCK or EXEC that answers an INVOKE, each WAKE,
-the ABORT a VICTIM forces, and each WITHDRAW and INVERSE of an abort, which
-runs its whole `abort_plan` at once, as the engine does. The replay
-computes each caused event when it runs the step that causes it, a
-VICTIM's ABORT in its handler and every other one in the shared steps
-(below), and appends it to one queue, `due`; while anything is due, the
-next event must equal the head of the queue in every field but its
-index. So a caused event cannot go missing, come twice, come out of order
-or differ in any field, and no chosen event can come while one is owed.
+wake admitted, COMMIT and an ABORT the txn asked for. Only these have a
+handler, which judges whether the choice was allowed and then runs the
+sections it causes. The monitors determine every other event completely:
+the DEDUCE, BLOCK or EXEC that answers an INVOKE, each WAKE, the VICTIMs
+that resolve a BLOCK's deadlocks and each victim's ABORT, and each WITHDRAW
+and INVERSE of an abort, which runs its whole `abort_plan` at once, as the
+engine does. The replay computes each caused event when it runs the shared
+step (below) that causes it, and appends it to one queue, `due`; while
+anything is due, the next event must equal the head of the queue in every
+field but its index. So a caused event cannot go missing, come twice, come
+out of order or differ in any field, and no chosen event can come while
+one is owed: a missing, extra or wrong VICTIM fails at the event itself.
 The replay also numbers invocations itself: each INVOKE's id must be the
 last one plus one, as the engine's counter makes them. So an id names one
 invocation for the whole history, and the monitors' edges, which run from
@@ -46,36 +46,31 @@ a smaller id to a larger one, follow arrival order. INVOKE is the only
 event whose id the replay reads; every later one is compared as part of
 its event.
 
-A VICTIM must sit on a cycle, and be its largest txn id. An event that
-names a txn with no BEGIN before it, or an object the workload does not
-declare, fails the replay like any other drift, and so does a NULLOP,
-INVOKE, COMMIT or asked-for ABORT whose txn is not ACTIVE, is blocked, or
-still owes its woken op's EXEC. An INVOKE's call must fit its type's private
-signature; a malformed call that the reference semantics refuse (a
-`FrameworkError`) fails the replay too, rather than escaping `check_run`.
-Last, the run's txn statuses and metrics must be those of the history the
-replay judged: each txn's status as the replay left it, the event counts,
-and each object's `max_in_execution` as the replay's monitors counted it.
+An event that names a txn with no BEGIN before it, or an object the
+workload does not declare, fails the replay like any other drift, and so
+does a NULLOP, INVOKE, COMMIT or asked-for ABORT whose txn is not ACTIVE,
+is blocked, or still owes its woken op's EXEC. An INVOKE's call must fit
+its type's private signature; a malformed call that the reference
+semantics refuse (a `FrameworkError`) fails the replay too, rather than
+escaping `check_run`. Last, the run's txn statuses and metrics must be
+those of the history the replay judged: each txn's status as the replay
+left it, the event counts, and each object's `max_in_execution` as the
+replay's monitors counted it.
 
-The replay keeps its own waits-for graph, edge by edge, from its rebuilt
-monitors; it reads nothing of the engine's. When an INVOKE blocks, it
-records the blocked transaction's out-edges: each blocker's owner, read
-from the monitor the blocker is live on as the engine reads it, and how
-many of that owner's ops the blocked op waits on. The release sections
-`complete`, `finish` and `withdraw` run only in the shared steps, which
-hand each section's report, (woken, shed), to `_Replayer._section`, the
-release hook the replay gives them, whenever the section shed an edge.
-`_section` mirrors the report in the graph: each waiter in `shed` waits
-on one op of the op's owner fewer, and an owner at zero is no longer
-waited for. Each woken transaction leaves the graph and owes its WAKE; a
-withdrawn one leaves it just before. The strict monitors check that the
-report names exactly the waiters whose edge to the op is gone. The
-graph stays exact on one monitor fact, which tests/test_oracles.py checks
-after every event against the graph derived afresh: a waiter's blockers
-grow only in `admit`, when it blocks, and only those three sections
-shrink them. At every VICTIM, `find_cycle` searches this whole graph, not
-the engine's rooted and pruned subgraph, so the replay does not rely on
-the engine's claim that each resolution left the graph acyclic.
+The replay keeps no waits-for graph of its own. When an INVOKE's admission
+blocks, the replay runs `resolve` at once, as the engine does, on the
+graph `waits_for_edges` walks back from the blocked txn over the rebuilt
+monitors; it reads nothing of the engine's. The search is rooted, which
+is exact only while the graph is acyclic before each BLOCK. That holds by
+induction on the replay's own monitors: only `admit` adds edges, and every
+resolution the replay runs ends with no cycle through the blocked txn,
+the only place a new cycle can run. The release sections `complete`,
+`finish` and `withdraw` run only in the shared steps, which hand each
+section's report, (woken, shed), to `_Replayer._section`, the release hook
+the replay gives them, whenever the section shed an edge. Each woken txn
+owes its WAKE, and its own next event must then be its woken op's EXEC.
+The strict monitors check that the report names exactly the waiters whose
+edge to the op is gone.
 
 The replay's monitors are strict, so each of their entry sections (`admit`,
 `complete`, `finish`, `withdraw`) ends by checking the ops and edges it
@@ -89,18 +84,21 @@ again after every event would only re-read bookkeeping that has not moved.
 
 The history replay shares the engine's transaction steps, and nothing
 else: `TransactionRecord` with its `register` and `release_order`,
-`abort_plan`, and the five steps `manager` defines next to it, `admit`,
-`execute`, `wake`, `erase` and `commit`. The engine hands those steps its
-history's `emit` and its `_release`; the replay hands them `_owe`, which
-queues each event in `due`, and `_section`. So the engine and the replay run each
-step, and build each caused event, through one definition. The steps fix
-orders and event shapes, not outcomes: every admission, wake, inverse
-result and victim is still re-decided by fresh `ManagedObject`s, and every
-event the replay owes is built from those, not copied from the engine's.
-A fault in a shared step moves the engine and the replay alike, so the
-history replay cannot see it; only the serial-replay checks, which share
-nothing with the engine, the golden traces and the bench digests can. An
-inverse out of order, or an op released before its inverse lands, leaves
+`abort_plan`, the six steps `manager` defines next to it, `admit`,
+`execute`, `wake`, `erase`, `commit` and `resolve`, and the walk
+`waits_for_edges` and the search `find_cycle` that `resolve` runs on. The
+engine hands those steps its history's `emit` and its `_release`; the
+replay hands them `_owe`, which queues each event in `due`, and
+`_section`. So the engine and the replay run each step, and build each
+caused event, through one definition. The steps fix orders, event shapes
+and the victim rule, not outcomes: every admission, wake, inverse result
+and waits-for edge is still re-decided by fresh `ManagedObject`s, and
+every event the replay owes is built from those, not copied from the
+engine's. A fault in a shared step moves the engine and the replay alike,
+so the history replay cannot see it; only the serial-replay checks, which
+share nothing with the engine, the golden traces and the bench digests
+can, and for `resolve` the test that checks each of its searches against
+the whole graph derived afresh. An inverse out of order, or an op released before its inverse lands, leaves
 states or answers no serial order explains: an `abort_plan` that undoes
 oldest first fails 30 of the 406 mixed runs of tests/test_oracles.py, all
 at serializability.
@@ -118,7 +116,10 @@ from .core import (FrameworkError, PrivateInvocation, PublicCall,
 from . import history as hist
 from .history import History, compute_metrics
 from .manager import (TransactionRecord, TxnStatus, admit, commit, erase,
-                      execute, find_cycle, wake)
+                      execute, resolve, waits_for_edges, wake)
+# kept for bench/tracer.py, which times this binding apart from manager's
+# (ROADMAP item 8); `resolve` searches through manager's
+from .manager import find_cycle  # noqa: F401
 from .monitor import AdmitOutcome, ManagedObject
 from .simulate import RunResult
 from .values import Value, render_params
@@ -275,8 +276,6 @@ class _Replayer:
         # {txn id: (obj, inv)}: the op a wake admitted, whose EXEC is the
         # txn's next event
         self.woken: dict[int, tuple] = {}
-        # {blocked txn id: {owner txn id: its ops the blocked op waits on}}
-        self.waits_for: dict[int, dict[int, int]] = {}
 
     def _fail(self, event, msg):
         # callers test their condition first, so a message is only
@@ -322,31 +321,13 @@ class _Replayer:
         self.due.append(event)
 
     def _section(self, obj, inv, woken, shed):
-        """The release hook of the shared steps: mirror in the kept graph
-        what a release section of obj's did to `inv`'s waiters. Each waiter
-        in `shed` waits on one op of inv's owner fewer, and an owner at zero
-        is no longer waited for. Each txn in `woken` leaves the graph and
-        owes its WAKE; its own next event must then be its woken op's EXEC."""
-        waits_for, live, owner = self.waits_for, obj.live, inv.txn
-        for w in shed:
-            owners = waits_for[live[w].txn]
-            if owners[owner] == 1:
-                del owners[owner]
-            else:
-                owners[owner] -= 1
+        """The release hook of the shared steps: each txn in `woken`, which
+        a release section of obj's admitted, owes its WAKE; its own next
+        event must then be its woken op's EXEC."""
         for w in woken:
             txn = self.txns_by_id[w.txn]
             wake(txn, obj, w, self._owe)
-            del self.waits_for[txn.id]
             self.woken[txn.id] = (obj, w)
-
-    def _abort(self, txn):
-        """Erase `txn` by its whole `abort_plan`, as the engine's `abort`
-        does; a blocked txn leaves the kept graph just before its
-        WITHDRAW."""
-        if txn.blocked_on is not None:
-            del self.waits_for[txn.id]
-        erase(txn, self._owe, self._section)
 
     # the handlers of the chosen events
 
@@ -399,15 +380,9 @@ class _Replayer:
         self.last_inv_id = inv_id
         inv = PrivateInvocation(inv_id, txn.id, obj.name, e.op, e.ins)
         check_private_ins(obj.spec, inv)
-        if admit(txn, obj, inv, self._owe, self._section) is not _OUTCOME_BLOCKED:
-            return
-        live, owners = obj.live, {}
-        for b in obj.blocked_by[inv_id]:
-            owner = live[b].txn
-            owners[owner] = owners.get(owner, 0) + 1
-        if txn.id in owners:
-            self._fail(e, f"self-edge on {txn.id} in the waits-for graph")
-        self.waits_for[txn.id] = owners
+        if admit(txn, obj, inv, self._owe, self._section) is _OUTCOME_BLOCKED:
+            resolve(txn, self.txns_by_id, self._waits_for_edges(txn.id),
+                    self._owe, self._section)
 
     def _on_exec(self, e):
         # the EXEC of an op a wake admitted: its txn chose when to run it
@@ -422,31 +397,17 @@ class _Replayer:
         commit(self._stepping(e), self._section)
 
     def _on_abort(self, e):
-        # an abort the txn asked for; a victim's is owed by its VICTIM
-        self._abort(self._stepping(e))
-
-    def _on_victim(self, e):
-        txn = self._begun(e)
-        cycle = find_cycle(self._waits_for_edges())
-        if cycle is None:
-            self._fail(e, "victim without a waits-for cycle")
-        if max(cycle) != txn.id:
-            self._fail(e, f"victim should be txn id {max(cycle)}, "
-                          f"trace chose {txn.id}")
-        self._owe(hist.ABORT, txn.name, None, None, (), (), None)
-        self._abort(txn)
+        # an abort the txn asked for; a victim's is owed with its VICTIM
+        erase(self._stepping(e), self._owe, self._section)
 
     # kept as a method because bench/tracer.py patches it by name (ROADMAP item 8)
-    def _waits_for_edges(self):
-        # the whole kept graph, unlike the engine's rooted search: the
-        # replay does not assume the graph was acyclic before each block
-        return self.waits_for
+    def _waits_for_edges(self, root):
+        return waits_for_edges(self.txns_by_id, root)
 
     # the chosen kinds; every other kind is only ever owed
     _HANDLERS = {
         hist.BEGIN: _on_begin, hist.NULLOP: _on_nullop, hist.INVOKE: _on_invoke,
         hist.EXEC: _on_exec, hist.COMMIT: _on_commit, hist.ABORT: _on_abort,
-        hist.VICTIM: _on_victim,
     }
 
 

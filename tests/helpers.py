@@ -6,8 +6,8 @@ from adtxn.workload import ObjectDecl, TxnDecl, Workload
 
 def waits_for_graph(txns) -> dict[int, set[int]]:
     """The whole waits-for graph of `txns`, each with `id` and `blocked_on`,
-    derived afresh: the reference for the engine's rooted walk and for the
-    graph the history replay keeps.
+    derived afresh: the reference for the rooted walk, `waits_for_edges`,
+    that the engine and the history replay share.
 
     A blocked transaction waits for the owners of every invocation its
     blocked one is blocked by, each live on the same object.

@@ -235,8 +235,8 @@ def _function(body, name):
 
 # the events a monitor decision causes, and the steps `manager` shares with
 # the replay that emit or owe them; `abort_plan` names its steps' kinds
-CAUSED = {"DEDUCE", "BLOCK", "EXEC", "WAKE", "WITHDRAW", "INVERSE"}
-SHARED_STEPS = {"admit", "execute", "wake", "erase", "commit"}
+CAUSED = {"DEDUCE", "BLOCK", "EXEC", "WAKE", "WITHDRAW", "INVERSE", "VICTIM"}
+SHARED_STEPS = {"admit", "execute", "wake", "erase", "commit", "resolve"}
 RELEASES = ("complete", "finish", "withdraw")
 
 
@@ -273,13 +273,13 @@ def _reaches_release(parents, assign):
 
 
 def test_the_release_sections_run_only_in_the_shared_steps_and_report_to_the_hook():
-    # `_Replayer._section` mirrors what `complete`, `finish` and `withdraw`
-    # change in the replay's waits-for graph, and the engine's `_release`
-    # wakes what they admit. Both learn it only from the (woken, shed) a
-    # section returns, so a release section may be named only in a shared
-    # step of `manager`, nowhere in `oracles`, and each call's report is
-    # unpacked and handed on by `if shed: release(obj, inv, woken, shed)`
-    # before anything else can read, rebind or jump past it
+    # `_Replayer._section` owes the wakes of what `complete`, `finish` and
+    # `withdraw` admit, and the engine's `_release` emits them. Both learn
+    # it only from the (woken, shed) a section returns, so a release section
+    # may be named only in a shared step of `manager`, nowhere in `oracles`,
+    # and each call's report is unpacked and handed on by
+    # `if shed: release(obj, inv, woken, shed)` before anything else can
+    # read, rebind or jump past it
     found = [f"oracles.py:{node.lineno} {node.attr}" for node in ast.walk(_module("oracles.py"))
              if isinstance(node, ast.Attribute) and node.attr in RELEASES]
     tree = _module("manager.py")

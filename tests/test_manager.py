@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from adtxn import history as hist
-from adtxn import manager
+from adtxn import manager, oracles
 from adtxn.adts import get_adt
 from adtxn.core import (Lifecycle, PrivateCall, PrivateInvocation, PublicCall,
                         Translation, translate_public)
@@ -28,7 +28,7 @@ from adtxn.manager import (
     find_cycle,
 )
 from adtxn.monitor import AdmitOutcome, ManagedObject
-from adtxn.oracles import Observation
+from adtxn.oracles import Observation, replay_history
 from adtxn.simulate import run_simulated
 from adtxn.values import item, rational, report
 from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
@@ -363,22 +363,25 @@ def test_waits_for_graph_reads_each_blockers_owner_from_its_monitor():
 
 
 def test_waits_for_graph_refuses_a_self_edge_under_optimization():
+    # the walk the engine and the replay share refuses the edge, rather
+    # than make the txn a cycle of one and its own victim
     out = run_optimized("""\
-        from adtxn.manager import ManagerInvariantError, TransactionRecord
-        from helpers import waits_for_graph
+        from adtxn.manager import (ManagerInvariantError, TransactionRecord,
+                                   waits_for_edges)
         obj, ids = make_object(), Ids()
         push, pop = ids.inv(1, "PUSH", item("a")), ids.inv(2, "POP")
         obj.admit(push)
         obj.complete(push, obj.execute(push))
         obj.admit(pop)
         push.txn = 2     # lie: the blocker claims its waiter's transaction
-        waiter = TransactionRecord(2, "T2", blocked_on=(obj, pop))
+        waiter = TransactionRecord(2, "T2", invocations=[(obj, push)],
+                                   blocked_on=(obj, pop))
         try:
-            waits_for_graph([waiter])
+            waits_for_edges({2: waiter}, 2)
         except ManagerInvariantError as exc:
             print("rejected:", exc)
         """)
-    assert "rejected: self-edge on 2" in out
+    assert "rejected: self-edge on 2 in the waits-for graph" in out
 
 
 def test_find_cycle():
@@ -491,14 +494,17 @@ def _stack_instance(rng, txns=50):
 def test_rooted_search_finds_the_whole_graph_cycle(monkeypatch):
     # every search of a resolution, on the walked graph or on one pruned
     # after a victim, must meet the cycle a search of the whole graph,
-    # derived afresh, meets first
-    searches = []          # (found a cycle, searches before it in its resolution)
-    resolving = []         # [manager, searches so far] per open resolution
-    resolve = TransactionManager._resolve_deadlocks
+    # derived afresh, meets first; in the engine, and in the history replay
+    # on its own monitors, which must search exactly as the engine did
+    # per side: (found a cycle, searches before it in its resolution)
+    by_side = {"engine": [], "replay": []}
+    resolving = []         # [txns, searches so far] per open resolution
+    side = "engine"
+    resolve = manager.resolve
 
     def compared(adj):
-        mgr, before = resolving[-1]
-        whole = waits_for_graph(mgr.txns.values())
+        txns, before = resolving[-1]
+        whole = waits_for_graph(txns.values())
         nodes = set(adj).union(*adj.values())
         for t, waits in adj.items():
             # the current graph induced on the searched nodes: no stale node
@@ -506,21 +512,22 @@ def test_rooted_search_finds_the_whole_graph_cycle(monkeypatch):
             assert t in whole and whole[t] & nodes <= waits <= whole[t]
         cycle = find_cycle(adj)
         assert cycle == find_cycle(whole)
-        searches.append((cycle is not None, before))
+        by_side[side].append((cycle is not None, before))
         resolving[-1][1] += 1
         return cycle
 
-    def resolved(mgr, rec):
-        resolving.append([mgr, 0])
+    def resolved(rec, txns, adj, emit, release):
+        resolving.append([txns, 0])
         try:
-            resolve(mgr, rec)
+            resolve(rec, txns, adj, emit, release)
         finally:
             resolving.pop()
         # what the rooted search relies on: resolution leaves no cycle
-        assert find_cycle(waits_for_graph(mgr.txns.values())) is None
+        assert find_cycle(waits_for_graph(txns.values())) is None
 
     monkeypatch.setattr(manager, "find_cycle", compared)
-    monkeypatch.setattr(TransactionManager, "_resolve_deadlocks", resolved)
+    monkeypatch.setattr(manager, "resolve", resolved)
+    monkeypatch.setattr(oracles, "resolve", resolved)
     workloads = []
     for i in range(200):
         rng = random.Random(derive_seed(20260816, i))
@@ -529,7 +536,12 @@ def test_rooted_search_finds_the_whole_graph_cycle(monkeypatch):
     rng = random.Random(11)
     workloads += [_stack_instance(rng) for _ in range(4)]
     for workload in workloads:
-        run_simulated(workload)
+        side = "engine"
+        res = run_simulated(workload)
+        side = "replay"
+        assert replay_history(res.workload, res.history) == res.final_states
+    searches = by_side["engine"]
+    assert by_side["replay"] == searches
     found = sum(cycle for cycle, _ in searches)
     pruned = [cycle for cycle, before in searches if before]
     assert found > 100 and len(searches) > found
@@ -560,14 +572,15 @@ def test_a_victim_chosen_off_the_cycle_is_refused(monkeypatch):
     # a planted resolution that aborts T3, free to run, for T1 and T2's
     # cycle: nothing unwinds T3, so the scheduler resumes it, and the
     # manager refuses the aborted txn's next call
-    def off_the_cycle(mgr, rec):
-        if find_cycle(mgr.waits_for_edges(rec.id)) is not None:
-            victim = next(t for t in mgr.txns.values() if t.name == "T3")
+    def off_the_cycle(rec, txns, adj, emit, release):
+        if find_cycle(adj) is not None:
+            victim = next(t for t in txns.values() if t.name == "T3")
             assert victim.status is TxnStatus.ACTIVE and victim.blocked_on is None
-            mgr.history.emit(hist.VICTIM, txn=victim.name)
-            mgr.abort(victim)
+            emit(hist.VICTIM, victim.name, None, None, (), (), None)
+            emit(hist.ABORT, victim.name, None, None, (), (), None)
+            manager.erase(victim, emit, release)
 
-    monkeypatch.setattr(TransactionManager, "_resolve_deadlocks", off_the_cycle)
+    monkeypatch.setattr(manager, "resolve", off_the_cycle)
     with pytest.raises(ManagerInvariantError, match="T3 is aborted"):
         run_simulated(parse_workload(WAITING_ON_A_DEADLOCK))
 

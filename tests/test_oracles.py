@@ -39,7 +39,7 @@ from adtxn.tables import commute_with_in, commute_with_in_out, try_deduce
 from adtxn.values import UNIT, item, report
 from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
                             make_step, parse_workload)
-from helpers import txn_decl, waits_for_graph
+from helpers import txn_decl
 from test_acceptance import (CARD_BLOCK_TRACE, CARD_BLOCK_WORKLOAD,
                              CROSSED_TRACE, CROSSED_WORKLOAD, DEDUCTION_TRACE,
                              DEDUCTION_WORKLOAD, INSERT_HINT_TRACE,
@@ -310,7 +310,7 @@ def test_replay_rejects_a_forged_victim():
             out.append(e)
         return out
 
-    with pytest.raises(HistoryReplayError, match="victim"):
+    with pytest.raises(HistoryReplayError, match="VICTIM .* owed VICTIM txn=T2 "):
         replay_history(res.workload, doctored(res.history, forge))
 
 
@@ -324,17 +324,17 @@ def test_replay_rejects_a_victim_where_the_graph_is_acyclic():
     block = next(e for e in res.history if e.kind == hist.BLOCK)
     bad = _insert_after(res.history, block.index,
                         block._replace(kind=hist.VICTIM, obj=None, op=None, ins=()))
-    with pytest.raises(HistoryReplayError, match="victim without a waits-for cycle"):
+    with pytest.raises(HistoryReplayError, match="no VICTIM is owed here"):
         replay_history(res.workload, bad)
 
 
 @pytest.mark.parametrize("after,message", [
     (hist.WITHDRAW, "owed INVERSE txn=T2 "),
-    (hist.WAKE, "victim without a waits-for cycle"),
+    (hist.WAKE, "no VICTIM is owed here"),
 ], ids=[hist.WITHDRAW, hist.WAKE])
 def test_replay_rejects_a_second_victim_once_the_cycle_is_resolved(after, message):
     # after the withdrawal the victim's inverse is still owed; after the
-    # wake no cycle is left
+    # wake the resolution is over and nothing is owed
     res = run_simulated(parse_workload(DEADLOCK))
     victim = next(e for e in res.history if e.kind == hist.VICTIM)
     index = next(e.index for e in res.history if e.kind == after)
@@ -489,14 +489,14 @@ def test_the_statuses_and_the_commits_are_the_historys():
 
 
 # the kinds only the monitors cause: the replay computes each and owes it
-CAUSED = {hist.DEDUCE, hist.BLOCK, hist.WAKE, hist.WITHDRAW, hist.INVERSE}
+CAUSED = {hist.DEDUCE, hist.BLOCK, hist.WAKE, hist.WITHDRAW, hist.INVERSE, hist.VICTIM}
 
 
 def test_replay_has_a_handler_for_each_chosen_event_kind_only():
     # the handler kinds and the caused kinds partition the kinds
     handled = oracles._Replayer._HANDLERS.keys()
     assert handled == {hist.BEGIN, hist.NULLOP, hist.INVOKE, hist.EXEC,
-                       hist.COMMIT, hist.ABORT, hist.VICTIM}
+                       hist.COMMIT, hist.ABORT}
     assert handled.isdisjoint(CAUSED) and handled | CAUSED == hist.KINDS
 
 
@@ -736,44 +736,6 @@ def test_replay_leaves_every_monitor_as_it_was_last_checked(monkeypatch, mixed_r
     for res in mixed_results:
         assert replay_history(res.workload, res.history) == res.final_states
     assert events > 10_000 and len(checked) > 700
-
-
-def _graph_from_monitors(txns):
-    """{blocked txn id: {owner: its ops the blocked op waits on}}, read
-    afresh from the monitors."""
-    graph = {}
-    for txn in txns:
-        if txn.blocked_on is not None:
-            obj, inv = txn.blocked_on
-            graph[txn.id] = dict(Counter(obj.live[b].txn
-                                         for b in obj.blocked_by[inv.id]))
-    return graph
-
-
-def test_replay_keeps_the_whole_waits_for_graph(monkeypatch, mixed_results):
-    # the graph the replay keeps edge by edge is, after every event, the
-    # one derived afresh: same owners as `waits_for_graph`, and each owner
-    # counted once per op of its that the blocked op waits on
-    rng = random.Random(13)
-    results = mixed_results + [run_simulated(_stack_instance(rng)) for _ in range(5)]
-    events = victims = 0
-    step = oracles._Replayer._step
-
-    def compared(replayer, event):
-        nonlocal events, victims
-        step(replayer, event)
-        events += 1
-        victims += event.kind == hist.VICTIM
-        kept = replayer._waits_for_edges()
-        assert {t: set(o) for t, o in kept.items()} == \
-            waits_for_graph(replayer.txns.values()), f"event {event.index}"
-        assert kept == _graph_from_monitors(replayer.txns.values()), \
-            f"event {event.index}"
-
-    monkeypatch.setattr(oracles._Replayer, "_step", compared)
-    for res in results:
-        assert replay_history(res.workload, res.history) == res.final_states
-    assert events > 15_000 and victims > 800
 
 
 def test_scoped_checks_see_what_the_whole_checks_see(monkeypatch):
@@ -1088,14 +1050,14 @@ def test_an_op_event_naming_another_op_or_object_fails_and_raises_nothing(
 
 
 def test_a_deleted_or_duplicated_victim_fails_the_replay(mixed_results):
-    # a VICTIM owes its txn's ABORT, which a blocked txn cannot ask for
-    # itself; so a deleted VICTIM leaves an ABORT of a blocked txn, and a
-    # duplicated one stands where the ABORT is owed. The replay refuses
-    # both by itself, before the run's counts are compared.
+    # the BLOCK that closes a cycle owes its VICTIM, and the VICTIM its
+    # txn's ABORT; so a deleted VICTIM leaves the ABORT where the VICTIM is
+    # owed, and a duplicated one stands where the ABORT is owed. The replay
+    # refuses both at the event, before the run's counts are compared.
     mutated = 0
     for res in mixed_results:
         for at in [e.index for e in res.history if e.kind == hist.VICTIM]:
-            for mutate, message in ((lambda ev: ev[:at] + ev[at + 1:], " is blocked"),
+            for mutate, message in ((lambda ev: ev[:at] + ev[at + 1:], "owed VICTIM txn="),
                                     (lambda ev: ev[:at + 1] + ev[at:], "owed ABORT ")):
                 history = doctored(res.history, mutate)
                 with pytest.raises(HistoryReplayError, match=message):

@@ -4,8 +4,9 @@ import dataclasses
 
 import pytest
 
+from adtxn import manager
 from adtxn.history import BEGIN, COMMIT, DEDUCE, EXEC, INVOKE
-from adtxn.manager import TransactionManager, TxnStatus
+from adtxn.manager import TxnStatus
 from adtxn.simulate import (ScheduleStuck, SimulationError, StepLimitExceeded,
                             _Simulation, run_simulated)
 from adtxn.values import UNIT, item, report
@@ -165,8 +166,7 @@ def test_ready_list_matches_a_rescan_on_mixed_workloads(picks_checked):
 
 
 def test_a_deadlock_left_unresolved_is_a_stuck_schedule(monkeypatch):
-    monkeypatch.setattr(TransactionManager, "_resolve_deadlocks",
-                        lambda mgr, rec: None)
+    monkeypatch.setattr(manager, "resolve", lambda *args: None)
     with pytest.raises(ScheduleStuck, match=r"waiting: \['T1', 'T2'\]"):
         run_text("""\
 object A stack ()

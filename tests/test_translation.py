@@ -30,7 +30,8 @@ from adtxn.core import (
 from adtxn.manager import UndoEntry
 from adtxn.monitor import ManagedObject
 from adtxn.oracles import Observation
-from adtxn.values import FALSE, TRUE, UNIT, Value, boolean, item, rational, report, seq
+from adtxn.values import (FALSE, TRUE, UNIT, Value, boolean, item, rational,
+                          render_rational, report, seq)
 
 STACK = get_adt("stack")
 SET = get_adt("set")
@@ -173,6 +174,20 @@ def test_private_domains_are_enforced():
         REAL.apply(Fraction(4), "ADD", (rational(0),))
     with pytest.raises(PreconditionViolated):
         REAL.apply(Fraction(4), "SUB", (rational(-1),))
+
+
+@pytest.mark.parametrize("op,bad", [
+    ("ADD", -10**5000), ("SUB", -10**5000 - 1),
+    ("MULTIPLY", Fraction(1, 10**5000)), ("DIVIDE", Fraction(-7, 10**5000 + 1)),
+], ids=["ADD", "SUB", "MULTIPLY", "DIVIDE"])
+def test_a_precondition_names_its_number_at_any_length(op, bad):
+    # `str` of an int past 4,300 digits raises ValueError, which must not
+    # stand in for the refusal
+    with pytest.raises(PreconditionViolated) as refused:
+        REAL.apply(0, op, (rational(bad),))
+    assert str(refused.value).startswith(op)
+    assert str(refused.value).endswith(": " + render_rational(bad))
+    assert len(str(refused.value)) > 5000
 
 
 # ------------------------------------------------------- one form per rational
