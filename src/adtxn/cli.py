@@ -55,8 +55,11 @@ def _cmd_run(args) -> int:
         return _unusable(exc)
     trace = render_trace(result.history)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace)
+        try:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                fh.write(trace)
+        except OSError as exc:
+            return _unusable(exc)
         for name, status in result.statuses.items():
             print(f"txn {name} {status.value}")
         for name, rendered in result.rendered_states().items():

@@ -100,46 +100,33 @@ def run_pipeline(workload: Workload, seed: int | None = None) -> tuple[bool, str
 
 
 def minimize(workload: Workload, still_fails) -> Workload:
-    """Greedy shrink: drop whole transactions, then single ops, while the
-    failure predicate holds."""
+    """Greedy shrink: take the first of `_shrinks` for which the failure
+    predicate holds, and start over from it, until none does or the
+    predicate has been asked 200 times."""
     budget = 200
-
-    def attempt(candidate):
-        nonlocal budget
-        if budget <= 0:
-            return False
-        budget -= 1
-        return still_fails(candidate)
-
-    changed = True
-    while changed and budget > 0:
-        changed = False
-        if len(workload.txns) > 1:
-            for i in range(len(workload.txns)):
-                txns = workload.txns[:i] + workload.txns[i + 1:]
-                candidate = Workload(workload.objects, txns, workload.schedule)
-                if attempt(candidate):
-                    workload = candidate
-                    changed = True
-                    break
-            if changed:
-                continue
-        for ti, txn in enumerate(workload.txns):
-            if not txn.steps:
-                continue
-            for si in range(len(txn.steps)):
-                steps = txn.steps[:si] + txn.steps[si + 1:]
-                txns = (workload.txns[:ti]
-                        + (TxnDecl(txn.name, steps, txn.terminal),)
-                        + workload.txns[ti + 1:])
-                candidate = Workload(workload.objects, txns, workload.schedule)
-                if attempt(candidate):
-                    workload = candidate
-                    changed = True
-                    break
-            if changed:
+    while True:
+        for candidate in _shrinks(workload):
+            if budget == 0:
+                return workload
+            budget -= 1
+            if still_fails(candidate):
+                workload = candidate
                 break
-    return workload
+        else:
+            return workload
+
+
+def _shrinks(w: Workload):
+    """`w` less one whole transaction, each in turn while more than one is
+    left, then less one op, each in turn."""
+    if len(w.txns) > 1:
+        for i in range(len(w.txns)):
+            yield Workload(w.objects, w.txns[:i] + w.txns[i + 1:], w.schedule)
+    for ti, txn in enumerate(w.txns):
+        for si in range(len(txn.steps)):
+            shrunk = TxnDecl(txn.name, txn.steps[:si] + txn.steps[si + 1:], txn.terminal)
+            yield Workload(w.objects, w.txns[:ti] + (shrunk,) + w.txns[ti + 1:],
+                           w.schedule)
 
 
 @dataclass

@@ -6,9 +6,9 @@ The trace file format is one line per event,
 
 and is the exchange format the oracles and the determinism checks compare
 byte for byte. Events additionally carry the invocation id in memory (not in
-the file). The history replay reads it only at INVOKE, where it checks the
-engine's numbering, and compares it as one field of every later event it
-owes; `bench/run.py` reads it at BLOCK and WAKE to time waits.
+the file). The history replay's own engine numbers invocations as the
+run's did, and the replay compares the id as one field of every event;
+`bench/run.py` reads it at BLOCK and WAKE to time waits.
 """
 
 from __future__ import annotations

@@ -16,12 +16,18 @@ admission: the aborter still owns every conflict its direct ops created, so
 admission could only be vacuous or, worse, self-blocking. Each direct op is
 released immediately after its inverse lands, never before.
 
-Deadlock is handled at block time, by `resolve`, the step the history
-replay shares. The waits-for graph is derived on demand from the
-monitors' edge ledgers, and the youngest transaction on a cycle (the
-largest id, the one with the least work behind it) is aborted outright;
-this repeats until no cycle runs through the blocked transaction, so it
-sleeps only on live, cycle-free waits. A blocker is live on the waiter's
+One `TransactionManager` is the whole engine: the records, the id
+counters, the objects and every transaction step. The simulator drives one
+that emits into a `History`. The history replay drives another, on fresh
+strict monitors, whose sink owes each event to the history it judges; so
+the run and its replay take each step through one definition, and any
+engine state has one place to live.
+
+Deadlock is handled at block time, by `_resolve`. The waits-for graph
+is derived on demand from the monitors' edge ledgers, and the youngest
+transaction on a cycle (the largest id, the one with the least work
+behind it) is aborted outright; this repeats until no cycle runs through
+the blocked transaction, so it sleeps only on live, cycle-free waits. A blocker is live on the waiter's
 own object, so its owner is read from that monitor's `live` map, never
 searched for. An edge from a transaction to itself is refused, not made
 into a cycle of one.
@@ -38,9 +44,9 @@ on the whole graph: from a root outside the set it never enters the set,
 and from inside it any excursion out of the set finishes without coming
 back. Victims, and hence traces, are those of a whole-graph search. The
 same holds for any set that contains every cycle and that no outside edge
-enters. The history replay runs the same resolution after each BLOCK it
-owes, so the graph it rebuilds is acyclic before each BLOCK too, by the
-same induction, and its rooted search is exact on the same argument.
+enters. The history replay's manager resolves after each BLOCK as well,
+so the graph it rebuilds is acyclic before each BLOCK too, by the same
+induction, and its rooted search is exact on the same argument.
 
 The backward walk runs once per BLOCK. An abort only deletes edges: it
 takes out the victim's own edges and the out-edges of the transactions it
@@ -70,7 +76,8 @@ from .history import History
 from .monitor import AdmitOutcome, ManagedObject
 
 # enum members as globals (see the `core` docstring)
-_BLOCKED, _RUNNING = Lifecycle.BLOCKED, Lifecycle.IN_EXECUTION
+_BLOCKED, _RUNNING, _EXECUTED = (Lifecycle.BLOCKED, Lifecycle.IN_EXECUTION,
+                                 Lifecycle.EXECUTED)
 _DEDUCED = Origin.DEDUCED
 _OUTCOME_DEDUCED, _OUTCOME_BLOCKED = AdmitOutcome.DEDUCED, AdmitOutcome.BLOCKED
 
@@ -145,81 +152,6 @@ def abort_plan(rec: TransactionRecord) -> list[tuple]:
     return plan
 
 
-# The transaction steps the engine and the history replay share. Each emits
-# its events through `emit`, called in `History.emit`'s positional field
-# order, and calls a monitor's release section directly. A section returns
-# (woken, shed): the ops it admitted and the ids of the waiters that shed
-# their edge to the op. Only when something was shed does the step call
-# `release(obj, inv, woken, shed)`, which wakes each woken op: the engine
-# emits what the sink gets, and the replay owes it. The sixth step,
-# `resolve`, follows the waits-for walk and `find_cycle` it runs on.
-
-
-def admit(rec: TransactionRecord, obj: ManagedObject, inv: PrivateInvocation,
-          emit, release) -> AdmitOutcome:
-    """Admit `rec`'s `inv` at `obj`: execute it at once, register it with
-    its DEDUCE, or emit its BLOCK and park `rec` on it."""
-    outcome = obj.admit(inv)
-    if outcome is _OUTCOME_DEDUCED:
-        emit(hist.DEDUCE, rec.name, obj.name, inv.op, inv.ins, inv.outs, inv.id)
-        rec.register(obj, inv)
-    elif outcome is _OUTCOME_BLOCKED:
-        emit(hist.BLOCK, rec.name, obj.name, inv.op, inv.ins, (), inv.id)
-        rec.blocked_on = (obj, inv)
-    else:
-        execute(rec, obj, inv, emit, release)
-    return outcome
-
-
-def execute(rec: TransactionRecord, obj: ManagedObject, inv: PrivateInvocation,
-            emit, release):
-    """Run an admitted op, emit its EXEC, complete it and register it."""
-    outs = obj.execute(inv)
-    emit(hist.EXEC, rec.name, obj.name, inv.op, inv.ins, outs, inv.id)
-    woken, shed = obj.complete(inv, outs)
-    if shed:
-        release(obj, inv, woken, shed)
-    rec.register(obj, inv)
-
-
-def wake(rec: TransactionRecord, obj: ManagedObject, inv: PrivateInvocation, emit):
-    """Unpark `rec`, whose blocked `inv` a release section admitted, and
-    emit its WAKE."""
-    if rec.blocked_on is None or rec.blocked_on[1] is not inv:
-        raise ManagerInvariantError(f"{rec.name} woken for {inv!r}, "
-                                    "which it was not waiting on")
-    rec.blocked_on = None
-    emit(hist.WAKE, rec.name, obj.name, inv.op, inv.ins, (), inv.id)
-
-
-def erase(rec: TransactionRecord, emit, release):
-    """Run `rec`'s whole `abort_plan`, emitting each WITHDRAW and INVERSE,
-    and leave it ABORTED."""
-    for kind, obj, inv, call in abort_plan(rec):
-        if kind == hist.WITHDRAW:
-            emit(hist.WITHDRAW, rec.name, obj.name, inv.op, inv.ins, (), inv.id)
-            rec.blocked_on = None
-            woken, shed = obj.withdraw(inv)
-        else:
-            if kind == hist.INVERSE:
-                outs = obj.apply_inverse(call)
-                emit(hist.INVERSE, rec.name, obj.name, call.op, call.ins, outs, inv.id)
-            woken, shed = obj.finish(inv)
-        if shed:
-            release(obj, inv, woken, shed)
-    rec.status = _ABORTED
-
-
-def commit(rec: TransactionRecord, release):
-    """Finish each of `rec`'s ops in release order, and leave it COMMITTED.
-    `finish` refuses an op that has not executed."""
-    for obj, inv in rec.release_order():
-        woken, shed = obj.finish(inv)
-        if shed:
-            release(obj, inv, woken, shed)
-    rec.status = _COMMITTED
-
-
 def find_cycle(adj: dict[int, set[int]]) -> list[int] | None:
     """First cycle under deterministic DFS order, as a node list.
 
@@ -279,35 +211,14 @@ def waits_for_edges(txns: dict[int, TransactionRecord], root: int) -> dict[int, 
     return adj
 
 
-def resolve(rec: TransactionRecord, txns: dict[int, TransactionRecord],
-            adj: dict[int, set[int]], emit, release):
-    """Abort victims until no cycle runs through `rec`, which just blocked,
-    emitting each victim's VICTIM and ABORT before its `erase`. `adj` is
-    `waits_for_edges` from `rec`, searched and then pruned in place after
-    each victim; see the module docstring for why that finds every cycle,
-    and the same ones."""
-    while True:
-        cycle = find_cycle(adj)
-        if cycle is None:
-            return
-        victim = txns[max(cycle)]
-        if victim.status is not _ACTIVE:
-            raise ManagerInvariantError(f"{victim.name} is {victim.status.value}")
-        emit(hist.VICTIM, victim.name, None, None, (), (), None)
-        emit(hist.ABORT, victim.name, None, None, (), (), None)
-        erase(victim, emit, release)
-        if rec.blocked_on is None:
-            return
-        # prune in place rather than walk again (the victim is unblocked
-        # too); the walk built these sets and nothing else holds them
-        for t in [t for t in adj if txns[t].blocked_on is None]:
-            del adj[t]
-        for waits in adj.values():
-            waits.discard(victim.id)
-
-
 class TransactionManager:
     """Owns the objects, the transactions and the event stream.
+
+    The simulator and the history replay each drive one. `history` is the
+    event sink: anything whose `emit` takes `History.emit`'s fields, which
+    the manager always passes in order, all seven. A run's manager emits
+    into its `History`; the replay's owes each event to the history it
+    judges.
 
     `on_wake(txn_id)` fires when a blocked transaction's operation is
     admitted. A scheduler uses it to mark the coroutine runnable; it is
@@ -342,7 +253,7 @@ class TransactionManager:
     def begin(self, name: str) -> TransactionRecord:
         rec = TransactionRecord(id=next(self._txn_ids), name=name)
         self.txns[rec.id] = rec
-        self.history.emit(hist.BEGIN, txn=rec.name)
+        self.history.emit(hist.BEGIN, rec.name, None, None, (), (), None)
         return rec
 
     def perform(self, rec: TransactionRecord, obj_name: str, call: PublicCall):
@@ -359,32 +270,59 @@ class TransactionManager:
         tr = translate_public(obj.spec, call)
         if tr.call is None:
             # result decided by in-params alone: no invocation, no monitor
-            self.history.emit(hist.NULLOP, txn=rec.name, obj=obj.name,
-                              op=call.op, ins=call.ins, outs=tr.public_outs)
+            self.history.emit(hist.NULLOP, rec.name, obj.name, call.op, call.ins,
+                              tr.public_outs, None)
             return tr.public_outs
-        op, ins = tr.call
-        inv = PrivateInvocation(next(self._inv_ids), rec.id, obj.name, op, ins)
-        emit = self.history.emit
-        emit(hist.INVOKE, rec.name, obj.name, inv.op, inv.ins, (), inv.id)
-        if admit(rec, obj, inv, emit, self._release) is _OUTCOME_BLOCKED:
-            resolve(rec, self.txns, self.waits_for_edges(rec.id), emit, self._release)
+        inv = self.invoke(rec, obj, *tr.call)
+        if inv.lifecycle is not _EXECUTED:       # it blocked
             if rec.status is not _ACTIVE:
                 raise TransactionAborted(rec.name)
             if inv.lifecycle is _BLOCKED:
                 yield ("wait", inv)
             # resolving a deadlock elsewhere may have admitted us already
-            if inv.lifecycle is not _RUNNING or rec.blocked_on is not None:
-                raise ManagerInvariantError(f"{rec.name} resumed with {inv!r} not admitted")
-            execute(rec, obj, inv, emit, self._release)
+            self.resume(rec, obj, inv)
         return public_outs_from_private(tr.rule, call.ins, inv.outs)
 
+    def invoke(self, rec: TransactionRecord, obj: ManagedObject, op: str,
+               ins: tuple) -> PrivateInvocation:
+        """Issue `rec`'s private call as the next invocation and emit its
+        INVOKE. Admission executes it at once, registers it with its
+        DEDUCE, or emits its BLOCK and parks `rec` on it; a BLOCK is then
+        followed by the deadlock resolution. Returns the invocation."""
+        inv = PrivateInvocation(next(self._inv_ids), rec.id, obj.name, op, ins)
+        emit = self.history.emit
+        emit(hist.INVOKE, rec.name, obj.name, op, ins, (), inv.id)
+        outcome = obj.admit(inv)
+        if outcome is _OUTCOME_DEDUCED:
+            emit(hist.DEDUCE, rec.name, obj.name, op, ins, inv.outs, inv.id)
+            rec.register(obj, inv)
+        elif outcome is _OUTCOME_BLOCKED:
+            emit(hist.BLOCK, rec.name, obj.name, op, ins, (), inv.id)
+            rec.blocked_on = (obj, inv)
+            self._resolve(rec)
+        else:
+            self._execute(rec, obj, inv)
+        return inv
+
+    def resume(self, rec: TransactionRecord, obj: ManagedObject, inv: PrivateInvocation):
+        """Execute `rec`'s blocked `inv`, which a wake must have admitted."""
+        if inv.lifecycle is not _RUNNING or rec.blocked_on is not None:
+            raise ManagerInvariantError(f"{rec.name} resumed with {inv!r} not admitted")
+        self._execute(rec, obj, inv)
+
     def commit(self, rec: TransactionRecord):
+        """Finish each of `rec`'s ops in release order, and leave it
+        COMMITTED. `finish` refuses an op that has not executed."""
         if rec.status is not _ACTIVE:
             raise ManagerInvariantError(f"{rec.name} is {rec.status.value}")
         if rec.blocked_on is not None:
             raise ManagerInvariantError(f"{rec.name} commits while blocked")
-        self.history.emit(hist.COMMIT, txn=rec.name)
-        commit(rec, self._release)
+        self.history.emit(hist.COMMIT, rec.name, None, None, (), (), None)
+        for obj, inv in rec.release_order():
+            woken, shed = obj.finish(inv)
+            if shed:
+                self._release(obj, inv, woken, shed)
+        rec.status = _COMMITTED
 
     def abort(self, rec: TransactionRecord):
         """Erase a transaction by running its `abort_plan`.
@@ -394,18 +332,80 @@ class TransactionManager:
         """
         if rec.status is not _ACTIVE:
             raise ManagerInvariantError(f"{rec.name} is {rec.status.value}")
-        self.history.emit(hist.ABORT, txn=rec.name)
-        erase(rec, self.history.emit, self._release)
+        self.history.emit(hist.ABORT, rec.name, None, None, (), (), None)
+        self._erase(rec)
 
-    # -- internals --------------------------------------------------------------
+    # -- steps --------------------------------------------------------------------
+    # Each release section a step runs returns (woken, shed): the ops it
+    # admitted and the ids of the waiters that shed their edge to the op.
+    # Only when something was shed does the step hand that report to
+    # `_release`.
+
+    def _execute(self, rec: TransactionRecord, obj: ManagedObject, inv: PrivateInvocation):
+        """Run an admitted op, emit its EXEC, complete it and register it."""
+        outs = obj.execute(inv)
+        self.history.emit(hist.EXEC, rec.name, obj.name, inv.op, inv.ins, outs, inv.id)
+        woken, shed = obj.complete(inv, outs)
+        if shed:
+            self._release(obj, inv, woken, shed)
+        rec.register(obj, inv)
 
     def _release(self, obj, inv, woken, shed):
-        """The release hook of the shared steps: wake each op in `woken`,
-        which a release section of obj's admitted when it shed `shed`."""
+        """Wake each op in `woken`, which a release section of obj's
+        admitted when it shed `shed`: unpark its txn and emit its WAKE."""
         for w in woken:
-            wake(self.txns[w.txn], obj, w, self.history.emit)
+            rec = self.txns[w.txn]
+            if rec.blocked_on is None or rec.blocked_on[1] is not w:
+                raise ManagerInvariantError(f"{rec.name} woken for {w!r}, "
+                                            "which it was not waiting on")
+            rec.blocked_on = None
+            self.history.emit(hist.WAKE, rec.name, obj.name, w.op, w.ins, (), w.id)
             if self.on_wake:
                 self.on_wake(w.txn)
+
+    def _erase(self, rec: TransactionRecord):
+        """Run `rec`'s whole `abort_plan`, emitting each WITHDRAW and
+        INVERSE, and leave it ABORTED."""
+        emit = self.history.emit
+        for kind, obj, inv, call in abort_plan(rec):
+            if kind == hist.WITHDRAW:
+                emit(hist.WITHDRAW, rec.name, obj.name, inv.op, inv.ins, (), inv.id)
+                rec.blocked_on = None
+                woken, shed = obj.withdraw(inv)
+            else:
+                if kind == hist.INVERSE:
+                    outs = obj.apply_inverse(call)
+                    emit(hist.INVERSE, rec.name, obj.name, call.op, call.ins, outs, inv.id)
+                woken, shed = obj.finish(inv)
+            if shed:
+                self._release(obj, inv, woken, shed)
+        rec.status = _ABORTED
+
+    def _resolve(self, rec: TransactionRecord):
+        """Abort victims until no cycle runs through `rec`, which just
+        blocked, emitting each victim's VICTIM and ABORT before its
+        `_erase`. The search runs on `waits_for_edges` from `rec`, pruned
+        in place after each victim; see the module docstring for why that
+        finds every cycle, and the same ones."""
+        txns, adj = self.txns, self.waits_for_edges(rec.id)
+        while True:
+            cycle = find_cycle(adj)
+            if cycle is None:
+                return
+            victim = txns[max(cycle)]
+            if victim.status is not _ACTIVE:
+                raise ManagerInvariantError(f"{victim.name} is {victim.status.value}")
+            self.history.emit(hist.VICTIM, victim.name, None, None, (), (), None)
+            self.history.emit(hist.ABORT, victim.name, None, None, (), (), None)
+            self._erase(victim)
+            if rec.blocked_on is None:
+                return
+            # prune in place rather than walk again (the victim is unblocked
+            # too); the walk built these sets and nothing else holds them
+            for t in [t for t in adj if txns[t].blocked_on is None]:
+                del adj[t]
+            for waits in adj.values():
+                waits.discard(victim.id)
 
     # kept as a method because bench/tracer.py patches it by name (ROADMAP item 8)
     def waits_for_edges(self, root: int) -> dict[int, set[int]]:

@@ -25,51 +25,55 @@ These deliberately share no cleverness with the machinery they judge:
   same pure table functions and the engine's own deadlock resolution, and
   checks the run's decisions against the trace at every event.
 
-The replay splits the event kinds in two. The chosen ones are those the
-txn or the scheduler decides: BEGIN, NULLOP, INVOKE, the EXEC of an op a
-wake admitted, COMMIT and an ABORT the txn asked for. Only these have a
-handler, which judges whether the choice was allowed and then runs the
-sections it causes. The monitors determine every other event completely:
-the DEDUCE, BLOCK or EXEC that answers an INVOKE, each WAKE, the VICTIMs
-that resolve a BLOCK's deadlocks and each victim's ABORT, and each WITHDRAW
-and INVERSE of an abort, which runs its whole `abort_plan` at once, as the
-engine does. The replay computes each caused event when it runs the shared
-step (below) that causes it, and appends it to one queue, `due`; while
-anything is due, the next event must equal the head of the queue in every
-field but its index. So a caused event cannot go missing, come twice, come
+The replay drives its own `TransactionManager`, built from the workload's
+objects on fresh strict monitors, with a sink in place of a `History`: the
+sink appends each event that engine emits to one queue, `due`, as an
+Event's fields but its index, and the history owes it. The replay splits
+the event kinds in two. The chosen ones are those the txn or the
+scheduler decides: BEGIN, NULLOP, INVOKE, the EXEC of an op a wake
+admitted, COMMIT and an ABORT the txn asked for. Only these have a
+handler, and a handler runs only when nothing is owed: it judges whether
+the choice was allowed, then asks the engine to take the step, which emits
+the chosen event and then every event it causes. The monitors determine
+every other event completely: the DEDUCE, BLOCK or EXEC that answers an
+INVOKE, each WAKE, the VICTIMs that resolve a BLOCK's deadlocks and each
+victim's ABORT, and each WITHDRAW and INVERSE of an abort, which runs its
+whole `abort_plan` at once. Each event must equal the head of `due` in
+every field but its index. So no event can go missing, come twice, come
 out of order or differ in any field, and no chosen event can come while
 one is owed: a missing, extra or wrong VICTIM fails at the event itself.
-The replay also numbers invocations itself: each INVOKE's id must be the
-last one plus one, as the engine's counter makes them. So an id names one
-invocation for the whole history, and the monitors' edges, which run from
-a smaller id to a larger one, follow arrival order. INVOKE is the only
-event whose id the replay reads; every later one is compared as part of
-its event.
+The invocation ids are the engine's counter's, compared as one field of
+each event, so an id names one invocation for the whole history, and the
+monitors' edges, which run from a smaller id to a larger one, follow
+arrival order. The replay reads an event's id only to render a failure.
 
 An event that names a txn with no BEGIN before it, or an object the
 workload does not declare, fails the replay like any other drift, and so
 does a NULLOP, INVOKE, COMMIT or asked-for ABORT whose txn is not ACTIVE,
-is blocked, or still owes its woken op's EXEC. An INVOKE's call must fit
-its type's private signature; a malformed call that the reference
-semantics refuse (a `FrameworkError`) fails the replay too, rather than
-escaping `check_run`. Last, the run's txn statuses and metrics must be
-those of the history the replay judged: each txn's status as the replay
-left it, the event counts, and each object's `max_in_execution` as the
-replay's monitors counted it.
+is blocked, or still owes its woken op's EXEC, and an EXEC of a woken op
+that its txn does not have. An INVOKE's call must fit its type's private
+signature; a malformed call that the reference semantics refuse (a
+`FrameworkError`) fails the replay too, rather than escaping `check_run`.
+A NULLOP's call must translate to NULL with the event's outs as its
+answer, which the replay checks itself before its engine emits the NULLOP.
+Last, the run's txn statuses and metrics must be those of the history the
+replay judged: each txn's status as the replay left it, the event counts,
+and each object's `max_in_execution` as the replay's monitors counted it.
 
 The replay keeps no waits-for graph of its own. When an INVOKE's admission
-blocks, the replay runs `resolve` at once, as the engine does, on the
+blocks, its manager runs `_resolve` at once, as the engine does, on the
 graph `waits_for_edges` walks back from the blocked txn over the rebuilt
-monitors; it reads nothing of the engine's. The search is rooted, which
-is exact only while the graph is acyclic before each BLOCK. That holds by
+monitors; it reads nothing of the run's. The search is rooted, which is
+exact only while the graph is acyclic before each BLOCK. That holds by
 induction on the replay's own monitors: only `admit` adds edges, and every
-resolution the replay runs ends with no cycle through the blocked txn,
-the only place a new cycle can run. The release sections `complete`,
-`finish` and `withdraw` run only in the shared steps, which hand each
-section's report, (woken, shed), to `_Replayer._section`, the release hook
-the replay gives them, whenever the section shed an edge. Each woken txn
-owes its WAKE, and its own next event must then be its woken op's EXEC.
-The strict monitors check that the report names exactly the waiters whose
+resolution ends with no cycle through the blocked txn, the only place a
+new cycle can run. The release sections `complete`, `finish` and
+`withdraw` run only in the manager's steps, which hand each section's
+report, (woken, shed), to `_release` whenever the section shed an edge.
+Each woken txn owes its WAKE, and its own next event must then be its
+woken op's EXEC: the replay keeps the op each INVOKE left unexecuted, and
+between events the only op in execution is one a wake admitted. The
+strict monitors check that the report names exactly the waiters whose
 edge to the op is gone.
 
 The replay's monitors are strict, so each of their entry sections (`admit`,
@@ -82,26 +86,22 @@ counter, and the same event always follows them with `complete` or
 change, which is every state the run passes through; checking every monitor
 again after every event would only re-read bookkeeping that has not moved.
 
-The history replay shares the engine's transaction steps, and nothing
-else: `TransactionRecord` with its `register` and `release_order`,
-`abort_plan`, the six steps `manager` defines next to it, `admit`,
-`execute`, `wake`, `erase`, `commit` and `resolve`, and the walk
-`waits_for_edges` and the search `find_cycle` that `resolve` runs on. The
-engine hands those steps its history's `emit` and its `_release`; the
-replay hands them `_owe`, which queues each event in `due`, and
-`_section`. So the engine and the replay run each step, and build each
-caused event, through one definition. The steps fix orders, event shapes
-and the victim rule, not outcomes: every admission, wake, inverse result
-and waits-for edge is still re-decided by fresh `ManagedObject`s, and
-every event the replay owes is built from those, not copied from the
-engine's. A fault in a shared step moves the engine and the replay alike,
-so the history replay cannot see it; only the serial-replay checks, which
-share nothing with the engine, the golden traces and the bench digests
-can, and for `resolve` the test that checks each of its searches against
-the whole graph derived afresh. An inverse out of order, or an op released before its inverse lands, leaves
-states or answers no serial order explains: an `abort_plan` that undoes
-oldest first fails 30 of the 406 mixed runs of tests/test_oracles.py, all
-at serializability.
+The history replay shares the engine itself, and nothing else: the
+`TransactionManager` class, with `TransactionRecord`, `abort_plan`, the
+walk `waits_for_edges` and the search `find_cycle`. So the run and the
+replay take each step, and build each event, through one definition. The
+steps fix orders, event shapes and the victim rule, not outcomes: the
+replay's manager starts empty and sees only the history, so every
+admission, wake, inverse result and waits-for edge is re-decided by fresh
+`ManagedObject`s, and every event the replay owes is built from those,
+not copied from the run's. A fault in the manager moves the run and the
+replay alike, so the history replay cannot see it; only the serial-replay
+checks, which share nothing with the engine, the golden traces and the
+bench digests can, and for `_resolve` the test that checks each of its
+searches against the whole graph derived afresh. An inverse out of order,
+or an op released before its inverse lands, leaves states or answers no
+serial order explains: an `abort_plan` that undoes oldest first fails 30
+of the 406 mixed runs of tests/test_oracles.py, all at serializability.
 """
 
 from __future__ import annotations
@@ -111,23 +111,21 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .adts import get_adt
-from .core import (FrameworkError, PrivateInvocation, PublicCall,
-                   check_private_ins, translate_public)
+from .core import (FrameworkError, Lifecycle, PublicCall, check_private_ins,
+                   translate_public)
 from . import history as hist
 from .history import History, compute_metrics
-from .manager import (TransactionRecord, TxnStatus, admit, commit, erase,
-                      execute, resolve, waits_for_edges, wake)
+from .manager import TransactionManager, TxnStatus
 # kept for bench/tracer.py, which times this binding apart from manager's
-# (ROADMAP item 8); `resolve` searches through manager's
+# (ROADMAP item 8); `_resolve` searches through manager's
 from .manager import find_cycle  # noqa: F401
-from .monitor import AdmitOutcome, ManagedObject
 from .simulate import RunResult
 from .values import Value, render_params
 from .workload import Workload, initial_state
 
 # enum members as globals (see the `core` docstring)
 _ACTIVE, _COMMITTED, _ABORTED = TxnStatus.ACTIVE, TxnStatus.COMMITTED, TxnStatus.ABORTED
-_OUTCOME_BLOCKED = AdmitOutcome.BLOCKED
+_RUNNING, _EXECUTED = Lifecycle.IN_EXECUTION, Lifecycle.EXECUTED
 _new_tuple = tuple.__new__
 
 
@@ -149,7 +147,7 @@ class Observation(NamedTuple):
 
 
 # the events that record a step's answer
-_ANSWERS = frozenset((hist.NULLOP, hist.DEDUCE, hist.EXEC))
+_ANSWERS = frozenset({hist.NULLOP, hist.DEDUCE, hist.EXEC})
 
 
 def replay_serial(workload: Workload, order) -> tuple[dict, dict]:
@@ -258,24 +256,26 @@ class HistoryReplayError(AssertionError):
     pass
 
 
+class _Due(deque):
+    """The replay's event sink: the events its engine has emitted that the
+    history still owes, each an Event's fields but its index."""
+
+    def emit(self, *event):
+        self.append(event)
+
+
 class _Replayer:
     """Second, independent run of every monitor decision in a history."""
 
     def __init__(self, workload: Workload):
-        self.objects: dict[str, ManagedObject] = {}
-        for i, decl in enumerate(workload.objects):
-            self.objects[decl.name] = ManagedObject(
-                name=decl.name, index=i, spec=get_adt(decl.adt),
-                state=initial_state(decl), strict=True)
-        self.txns: dict[str, TransactionRecord] = {}
-        self.txns_by_id: dict[int, TransactionRecord] = {}
-        self.last_inv_id = 0
-        # the caused events the history owes next, each an Event's fields
-        # but its index
-        self.due: deque[tuple] = deque()
-        # {txn id: (obj, inv)}: the op a wake admitted, whose EXEC is the
-        # txn's next event
-        self.woken: dict[int, tuple] = {}
+        self.due = _Due()
+        self.manager = TransactionManager(self.due, strict=True)
+        for decl in workload.objects:
+            self.manager.add_object(decl.name, get_adt(decl.adt), initial_state(decl))
+        self.txns = {}        # {name: TransactionRecord}
+        # {txn id: (obj, inv)}: the op an INVOKE left unexecuted; once a
+        # wake admits it, its EXEC is the txn's next event
+        self.unexecuted: dict[int, tuple] = {}
 
     def _fail(self, event, msg):
         # callers test their condition first, so a message is only
@@ -290,52 +290,38 @@ class _Replayer:
             self._step(event)
         if self.due:
             self._fail(None, f"owed {_owed_line(self.due[0])}")
-        for obj in self.objects.values():
+        objects = self.manager.objects
+        for obj in objects.values():
             if obj.live:
                 self._fail(None, f"{obj.name} still holds invocations")
         for txn in self.txns.values():
             if txn.status not in (_COMMITTED, _ABORTED):
                 self._fail(None, f"{txn.name} ended {txn.status.value}")
-        return {name: obj.state for name, obj in self.objects.items()}
+        return {name: obj.state for name, obj in objects.items()}
 
     # one event
 
     def _step(self, e):
-        if self.due:
-            self._match(e, self.due.popleft())
-            return
-        handler = self._HANDLERS.get(e.kind)
-        if handler is None:
-            self._fail(e, f"no {e.kind} is owed here" if e.kind in hist.KINDS
-                       else f"unknown event kind {e.kind!r}")
-        handler(self, e)
-
-    def _match(self, e, owed):
-        """`e` must be the caused event `owed` in every field but its index."""
+        """Judge a chosen event and have the engine take it, unless an
+        event is owed; then `e` must be the head of `due` in every field
+        but its index."""
+        due = self.due
+        if not due:
+            handler = self._HANDLERS.get(e.kind)
+            if handler is None:
+                self._fail(e, f"no {e.kind} is owed here" if e.kind in hist.KINDS
+                           else f"unknown event kind {e.kind!r}")
+            handler(self, e)
+        owed = due.popleft()
         if e[1:] != owed:
             self._fail(e, f"owed {_owed_line(owed)}")
-
-    def _owe(self, *event):
-        """The event sink of the shared steps: owe the event, each field
-        but its index."""
-        self.due.append(event)
-
-    def _section(self, obj, inv, woken, shed):
-        """The release hook of the shared steps: each txn in `woken`, which
-        a release section of obj's admitted, owes its WAKE; its own next
-        event must then be its woken op's EXEC."""
-        for w in woken:
-            txn = self.txns_by_id[w.txn]
-            wake(txn, obj, w, self._owe)
-            self.woken[txn.id] = (obj, w)
 
     # the handlers of the chosen events
 
     def _on_begin(self, e):
         if e.txn in self.txns:
             self._fail(e, "txn began twice")
-        txn = TransactionRecord(len(self.txns) + 1, e.txn)
-        self.txns[e.txn] = self.txns_by_id[txn.id] = txn
+        self.txns[e.txn] = self.manager.begin(e.txn)
 
     def _begun(self, e):
         """The txn `e` names, which must have begun."""
@@ -352,57 +338,56 @@ class _Replayer:
             self._fail(e, f"{e.txn} is {txn.status.value}, not active")
         if txn.blocked_on is not None:
             self._fail(e, f"{e.txn} is blocked")
-        if txn.id in self.woken:
+        if txn.id in self.unexecuted:
             self._fail(e, f"{e.txn} owes the EXEC of its woken op")
         return txn
 
     def _object(self, e):
-        obj = self.objects.get(e.obj)
+        obj = self.manager.objects.get(e.obj)
         if obj is None:
             self._fail(e, f"unknown object {e.obj!r}")
         return obj
 
     def _on_nullop(self, e):
         obj = self._object(e)
-        self._stepping(e)
-        tr = translate_public(obj.spec, _new_tuple(PublicCall, (e.op, e.ins)))
+        txn = self._stepping(e)
+        call = _new_tuple(PublicCall, (e.op, e.ins))
+        tr = translate_public(obj.spec, call)
         if tr.call is not None:
             self._fail(e, "op reached a monitor yet claimed NULL")
         if tr.public_outs != e.outs:
             self._fail(e, f"NULL outs should be {tr.public_outs}")
+        # a NULL call returns without yielding
+        next(self.manager.perform(txn, obj.name, call), None)
 
     def _on_invoke(self, e):
         obj = self._object(e)
         txn = self._stepping(e)
-        inv_id = self.last_inv_id + 1
-        if e.inv_id != inv_id:
-            self._fail(e, f"invocation id {e.inv_id} is not {inv_id}")
-        self.last_inv_id = inv_id
-        inv = PrivateInvocation(inv_id, txn.id, obj.name, e.op, e.ins)
-        check_private_ins(obj.spec, inv)
-        if admit(txn, obj, inv, self._owe, self._section) is _OUTCOME_BLOCKED:
-            resolve(txn, self.txns_by_id, self._waits_for_edges(txn.id),
-                    self._owe, self._section)
+        check_private_ins(obj.spec, e)
+        inv = self.manager.invoke(txn, obj, e.op, e.ins)
+        if inv.lifecycle is not _EXECUTED:
+            self.unexecuted[txn.id] = (obj, inv)
 
     def _on_exec(self, e):
-        # the EXEC of an op a wake admitted: its txn chose when to run it
+        # the EXEC of an op a wake admitted: its txn chose when to run it.
+        # A blocked op, or a victim's withdrawn one, is no woken op.
         txn = self._begun(e)
-        woken = self.woken.pop(txn.id, None)
-        if woken is None:
+        woken = self.unexecuted.pop(txn.id, None)
+        if woken is None or woken[1].lifecycle is not _RUNNING:
             self._fail(e, f"{e.txn} has no woken op to execute")
-        execute(txn, *woken, self._owe, self._section)
-        self._match(e, self.due.popleft())
+        self.manager.resume(txn, *woken)
 
     def _on_commit(self, e):
-        commit(self._stepping(e), self._section)
+        self.manager.commit(self._stepping(e))
 
     def _on_abort(self, e):
         # an abort the txn asked for; a victim's is owed with its VICTIM
-        erase(self._stepping(e), self._owe, self._section)
+        self.manager.abort(self._stepping(e))
 
-    # kept as a method because bench/tracer.py patches it by name (ROADMAP item 8)
+    # kept because bench/tracer.py patches it by name (ROADMAP item 8); since
+    # the replay's manager resolves deadlocks, nothing calls it
     def _waits_for_edges(self, root):
-        return waits_for_edges(self.txns_by_id, root)
+        return self.manager.waits_for_edges(root)
 
     # the chosen kinds; every other kind is only ever owed
     _HANDLERS = {
@@ -444,8 +429,8 @@ def validate_run(result: RunResult) -> Verdict:
         return Verdict(False, f"the run says {name} is {said}, "
                               f"its history {replayed}")
     metrics = result.metrics
-    counted = compute_metrics(result.history, {name: obj.max_in_execution
-                                               for name, obj in replayer.objects.items()})
+    counted = compute_metrics(result.history, {
+        name: obj.max_in_execution for name, obj in replayer.manager.objects.items()})
     if counted != metrics:
         name = next((f for f, _ in hist.METRIC_COUNTS
                      if getattr(counted, f) != getattr(metrics, f)), None)

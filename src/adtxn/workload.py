@@ -87,6 +87,7 @@ def initial_state(decl: ObjectDecl):
 def parse_workload(text: str) -> Workload:
     objects: list[ObjectDecl] = []
     txns: list[TxnDecl] = []
+    names: set[str] = set()       # the txns declared so far
     schedule = None
     adts_by_obj = {}
     cur_name = None
@@ -160,8 +161,9 @@ def parse_workload(text: str) -> Workload:
         if head == "txn":
             if len(tok) != 2:
                 fail(n, "txn takes exactly a name")
-            if any(t.name == tok[1] for t in txns):
+            if tok[1] in names:
                 fail(n, f"txn {tok[1]!r} declared twice")
+            names.add(tok[1])
             cur_name, cur_steps, cur_line = tok[1], [], n
             continue
 
@@ -194,9 +196,8 @@ def parse_workload(text: str) -> Workload:
     if schedule is None:
         raise WorkloadError(len(text.splitlines()) + 1, "missing schedule line")
     if isinstance(schedule, ExplicitSchedule):
-        known = {t.name for t in txns}
         for name in schedule.tokens:
-            if name not in known:
+            if name not in names:
                 raise WorkloadError(len(text.splitlines()) + 1,
                                     f"schedule names unknown txn {name!r}")
     return Workload(tuple(objects), tuple(txns), schedule)

@@ -53,6 +53,16 @@ def test_run_trace_file_and_summary(wl, tmp_path, capsys):
     assert trace_path.read_text().splitlines()[-1].startswith("7 COMMIT")
 
 
+def test_run_refuses_an_unwritable_trace_path(wl, tmp_path, capsys):
+    # a missing directory is unusable input, exit 2, not a failed oracle
+    trace_path = tmp_path / "missing" / "out.trace"
+    assert main(["run", wl(DEDUCTION), "--trace", str(trace_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "missing" in err and err.count("\n") == 1
+    assert not trace_path.parent.exists()
+
+
 def test_run_metrics_flag(wl, capsys):
     assert main(["run", wl(DEDUCTION), "--metrics"]) == 0
     out = capsys.readouterr().out

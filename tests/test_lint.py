@@ -3,6 +3,7 @@
 import ast
 from pathlib import Path
 
+from adtxn.history import KINDS
 from adtxn.values import UNIT, Value
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -233,20 +234,26 @@ def _function(body, name):
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
-# the events a monitor decision causes, and the steps `manager` shares with
-# the replay that emit or owe them; `abort_plan` names its steps' kinds
+# the events a monitor decision causes, and the `TransactionManager` steps
+# that emit them, for the run and for the replay's own manager alike;
+# `abort_plan` names its steps' kinds
 CAUSED = {"DEDUCE", "BLOCK", "EXEC", "WAKE", "WITHDRAW", "INVERSE", "VICTIM"}
-SHARED_STEPS = {"admit", "execute", "wake", "erase", "commit", "resolve"}
+SHARED_STEPS = {"invoke", "_execute", "_release", "_erase", "commit", "_resolve"}
 RELEASES = ("complete", "finish", "withdraw")
 
 
+def _manager_methods(tree):
+    return next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                and node.name == "TransactionManager").body
+
+
 def _hands_on(stmt):
-    """Is `stmt` `if shed: release(<obj>, <inv>, woken, shed)`?"""
+    """Is `stmt` `if shed: self._release(<obj>, <inv>, woken, shed)`?"""
     if not (isinstance(stmt, ast.If) and not stmt.orelse and len(stmt.body) == 1
             and ast.unparse(stmt.test) == "shed" and isinstance(stmt.body[0], ast.Expr)):
         return False
     call = stmt.body[0].value
-    return (isinstance(call, ast.Call) and ast.unparse(call.func) == "release"
+    return (isinstance(call, ast.Call) and ast.unparse(call.func) == "self._release"
             and not call.keywords and len(call.args) == 4
             and [ast.unparse(a) for a in call.args[2:]] == ["woken", "shed"])
 
@@ -273,17 +280,18 @@ def _reaches_release(parents, assign):
 
 
 def test_the_release_sections_run_only_in_the_shared_steps_and_report_to_the_hook():
-    # `_Replayer._section` owes the wakes of what `complete`, `finish` and
-    # `withdraw` admit, and the engine's `_release` emits them. Both learn
-    # it only from the (woken, shed) a section returns, so a release section
-    # may be named only in a shared step of `manager`, nowhere in `oracles`,
-    # and each call's report is unpacked and handed on by
-    # `if shed: release(obj, inv, woken, shed)` before anything else can
-    # read, rebind or jump past it
+    # `TransactionManager._release` wakes what `complete`, `finish` and
+    # `withdraw` admit, for the run and for the replay's own manager. It
+    # learns it only from the (woken, shed) a section returns, so a release
+    # section may be named only in a step of the manager, nowhere in
+    # `oracles`, and each call's report is unpacked and handed on by
+    # `if shed: self._release(obj, inv, woken, shed)` before anything else
+    # can read, rebind or jump past it
     found = [f"oracles.py:{node.lineno} {node.attr}" for node in ast.walk(_module("oracles.py"))
              if isinstance(node, ast.Attribute) and node.attr in RELEASES]
     tree = _module("manager.py")
-    steps = {id(node) for step in SHARED_STEPS for node in ast.walk(_function(tree.body, step))}
+    methods = _manager_methods(tree)
+    steps = {id(node) for step in SHARED_STEPS for node in ast.walk(_function(methods, step))}
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     called = set()
     for node in ast.walk(tree):
@@ -298,73 +306,85 @@ def test_the_release_sections_run_only_in_the_shared_steps_and_report_to_the_hoo
             found.append(f"manager.py:{node.lineno} {node.attr}")
         called.add(node.attr)
     assert found == []
-    assert called == set(RELEASES)      # the shared steps run each of them
+    assert called == set(RELEASES)      # the steps run each of them
 
 
 def test_the_release_hooks_take_the_report_and_nothing_more():
-    # the hooks take (obj, inv, woken, shed) and run no section themselves,
-    # and the shared steps call them only with those four
-    for name, cls, hook in (("manager.py", "TransactionManager", "_release"),
-                            ("oracles.py", "_Replayer", "_section")):
-        tree = _module(name)
-        body = next(node for node in tree.body
-                    if isinstance(node, ast.ClassDef) and node.name == cls).body
-        args = _function(body, hook).args
-        assert [a.arg for a in args.args] == ["self", "obj", "inv", "woken", "shed"]
-        assert args.vararg is None and args.kwarg is None and not args.kwonlyargs
-    calls = [node for node in ast.walk(_module("manager.py"))
-             if isinstance(node, ast.Call) and ast.unparse(node.func) == "release"]
+    # the one hook, `_release`, takes (obj, inv, woken, shed) and runs no
+    # section itself, and the steps call it only with those four; no
+    # function of `manager` takes a sink or a hook as a parameter
+    tree = _module("manager.py")
+    args = _function(_manager_methods(tree), "_release").args
+    assert [a.arg for a in args.args] == ["self", "obj", "inv", "woken", "shed"]
+    assert args.vararg is None and args.kwarg is None and not args.kwonlyargs
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "self._release"]
     assert len(calls) == 3
     assert all(len(c.args) == 4 and not c.keywords
                and not any(isinstance(a, ast.Starred) for a in c.args) for c in calls)
+    params = [f"manager.py:{func.name}({a.arg})" for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef)
+              for a in func.args.args + func.args.kwonlyargs if a.arg in ("emit", "release")]
+    assert params == []
 
 
-def _caused_kind(node):
-    return (isinstance(node, ast.Attribute) and node.attr in CAUSED
+def _kind(node, kinds):
+    return (isinstance(node, ast.Attribute) and node.attr in kinds
             and isinstance(node.value, ast.Name) and node.value.id == "hist")
 
 
 def test_caused_events_are_built_only_in_the_shared_steps():
-    # the engine emits and the replay owes each caused event through one
-    # of the shared steps, so both build it the same way: no call with a
+    # the run and the replay emit each caused event through one step of
+    # `TransactionManager`, so both build it the same way: no call with a
     # caused kind first, and no tuple starting with one, anywhere else in
-    # `manager` or `oracles`
+    # `manager`. `oracles` builds no event at all, of any kind, and imports
+    # no step or record of the engine: its own manager emits every event
+    # the history owes, and the replay renders one only to name a failure
     found, inside = [], set()
-    for name in ("manager.py", "oracles.py"):
-        tree = _module(name)
-        allowed = set()
-        if name == "manager.py":
-            for step in SHARED_STEPS | {"abort_plan"}:
-                allowed |= {id(node) for node in ast.walk(_function(tree.body, step))}
+    tree = _module("manager.py")
+    allowed = {id(node) for step in SHARED_STEPS
+               for node in ast.walk(_function(_manager_methods(tree), step))}
+    allowed |= {id(node) for node in ast.walk(_function(tree.body, "abort_plan"))}
+    for name, tree, forbidden in (("manager.py", tree, CAUSED),
+                                  ("oracles.py", _module("oracles.py"), KINDS)):
         for node in ast.walk(tree):
             first = (node.args[0] if isinstance(node, ast.Call) and node.args
                      else node.elts[0] if isinstance(node, ast.Tuple) and node.elts
                      else None)
-            if first is None or not _caused_kind(first):
+            if first is None or not _kind(first, forbidden):
                 continue
             if id(node) in allowed:
                 inside.add(first.attr)
             else:
                 found.append(f"{name}:{node.lineno} {first.attr}")
+    oracles = _module("oracles.py")
+    renders = {id(node) for node in ast.walk(_function(oracles.body, "_owed_line"))}
+    found += [f"oracles.py:{node.lineno} {ast.unparse(node.func)}" for node in ast.walk(oracles)
+              if isinstance(node, ast.Call) and (
+                  ast.unparse(node.func).split(".")[-1] == "emit"
+                  or ast.unparse(node.func) in ("Event", "hist.Event") and id(node) not in renders)]
+    engine = SHARED_STEPS | {"admit", "execute", "wake", "erase", "resolve", "TransactionRecord",
+                             "ManagedObject", "AdmitOutcome", "PrivateInvocation"}
+    found += [f"oracles.py:{node.lineno} imports {alias.name}" for node in ast.walk(oracles)
+              if isinstance(node, ast.ImportFrom)
+              for alias in node.names if alias.name in engine]
     assert found == []
-    assert inside == CAUSED             # the shared steps build every one
+    assert inside == CAUSED             # the steps build every one
 
 
-def test_the_replay_reads_an_events_invocation_id_only_at_invoke():
-    # the replay numbers invocations itself and checks each INVOKE's id;
-    # every later event's id is compared as part of the whole event, so
-    # the id the v1 trace line leaves out is read in one place only
-    tree = ast.parse((SRC / "oracles.py").read_text(encoding="utf-8"))
+def test_oracles_reads_an_events_invocation_id_only_to_render_a_failure():
+    # the replay's engine numbers the invocations, and every event's id is
+    # compared as one field of the whole event, so no check reads the id the
+    # v1 trace line leaves out; only the failure messages may show it
+    tree = _module("oracles.py")
+    allowed = {id(node) for node in ast.walk(_function(tree.body, "_owed_line"))}
     replayer = next(node for node in tree.body
                     if isinstance(node, ast.ClassDef) and node.name == "_Replayer")
-    invoke = next(node for node in replayer.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "_on_invoke")
-    allowed = {id(node) for node in ast.walk(invoke)}
-    reads = [node for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr == "inv_id"]
-    found = [f"oracles.py:{node.lineno}" for node in reads if id(node) not in allowed]
+    allowed |= {id(node) for node in ast.walk(_function(replayer.body, "_fail"))}
+    found = [f"oracles.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "inv_id"
+             and id(node) not in allowed]
     assert found == []
-    assert reads                        # _on_invoke reads it
 
 
 def test_function_bodies_read_enum_members_through_module_globals():

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from adtxn import history as hist
-from adtxn import manager, oracles
+from adtxn import manager
 from adtxn.adts import get_adt
 from adtxn.core import (Lifecycle, PrivateCall, PrivateInvocation, PublicCall,
                         Translation, translate_public)
@@ -500,7 +500,7 @@ def test_rooted_search_finds_the_whole_graph_cycle(monkeypatch):
     by_side = {"engine": [], "replay": []}
     resolving = []         # [txns, searches so far] per open resolution
     side = "engine"
-    resolve = manager.resolve
+    resolve = TransactionManager._resolve
 
     def compared(adj):
         txns, before = resolving[-1]
@@ -516,18 +516,18 @@ def test_rooted_search_finds_the_whole_graph_cycle(monkeypatch):
         resolving[-1][1] += 1
         return cycle
 
-    def resolved(rec, txns, adj, emit, release):
-        resolving.append([txns, 0])
+    def resolved(mgr, rec):
+        resolving.append([mgr.txns, 0])
         try:
-            resolve(rec, txns, adj, emit, release)
+            resolve(mgr, rec)
         finally:
             resolving.pop()
         # what the rooted search relies on: resolution leaves no cycle
-        assert find_cycle(waits_for_graph(txns.values())) is None
+        assert find_cycle(waits_for_graph(mgr.txns.values())) is None
 
     monkeypatch.setattr(manager, "find_cycle", compared)
-    monkeypatch.setattr(manager, "resolve", resolved)
-    monkeypatch.setattr(oracles, "resolve", resolved)
+    # once for both sides: the replay drives a manager of its own
+    monkeypatch.setattr(TransactionManager, "_resolve", resolved)
     workloads = []
     for i in range(200):
         rng = random.Random(derive_seed(20260816, i))
@@ -572,15 +572,15 @@ def test_a_victim_chosen_off_the_cycle_is_refused(monkeypatch):
     # a planted resolution that aborts T3, free to run, for T1 and T2's
     # cycle: nothing unwinds T3, so the scheduler resumes it, and the
     # manager refuses the aborted txn's next call
-    def off_the_cycle(rec, txns, adj, emit, release):
-        if find_cycle(adj) is not None:
-            victim = next(t for t in txns.values() if t.name == "T3")
+    def off_the_cycle(mgr, rec):
+        if find_cycle(mgr.waits_for_edges(rec.id)) is not None:
+            victim = next(t for t in mgr.txns.values() if t.name == "T3")
             assert victim.status is TxnStatus.ACTIVE and victim.blocked_on is None
-            emit(hist.VICTIM, victim.name, None, None, (), (), None)
-            emit(hist.ABORT, victim.name, None, None, (), (), None)
-            manager.erase(victim, emit, release)
+            mgr.history.emit(hist.VICTIM, victim.name)
+            mgr.history.emit(hist.ABORT, victim.name)
+            mgr._erase(victim)
 
-    monkeypatch.setattr(manager, "resolve", off_the_cycle)
+    monkeypatch.setattr(TransactionManager, "_resolve", off_the_cycle)
     with pytest.raises(ManagerInvariantError, match="T3 is aborted"):
         run_simulated(parse_workload(WAITING_ON_A_DEADLOCK))
 

@@ -502,7 +502,8 @@ def test_replay_has_a_handler_for_each_chosen_event_kind_only():
 
 def test_replay_rejects_a_reused_invocation_id():
     # the monitors key their live ops by invocation id, so an id names one
-    # invocation for the whole history; the replay numbers them 1, 2, 3
+    # invocation for the whole history; the replay's engine numbers them
+    # 1, 2, 3, and each INVOKE owes its id as one of its fields
     res = run_simulated(parse_workload(CONTENTIOUS))
 
     def forge(ev):
@@ -510,7 +511,7 @@ def test_replay_rejects_a_reused_invocation_id():
         ev[second] = ev[second]._replace(inv_id=ev[first].inv_id)
         return ev
 
-    with pytest.raises(HistoryReplayError, match="invocation id 1 is not 2"):
+    with pytest.raises(HistoryReplayError, match=r"owed INVOKE txn=T2 .*, invocation 2$"):
         replay_history(res.workload, doctored(res.history, forge))
 
 
@@ -525,14 +526,14 @@ def test_replay_rejects_an_invocation_id_below_the_last():
         return [e._replace(inv_id=99) if e.inv_id == first else e
                 for e in ev]
 
-    with pytest.raises(HistoryReplayError, match="invocation id 99 is not 1"):
+    with pytest.raises(HistoryReplayError, match=r"owed INVOKE txn=T1 .*, invocation 1$"):
         replay_history(res.workload, doctored(res.history, forge))
 
 
 def test_an_event_naming_another_invocation_fails_at_that_event(mixed_results):
-    # the replay reads the id of an INVOKE only, and owes every later event
-    # whole, its invocation id included: renumber each other event that
-    # names an invocation, in the 400 small runs
+    # the replay owes every event whole, its invocation id included:
+    # renumber each event but an INVOKE that names an invocation, in the
+    # 400 small runs
     tally = Counter()
     for res in mixed_results[:400]:
         events = res.history.events
@@ -726,7 +727,7 @@ def test_replay_leaves_every_monitor_as_it_was_last_checked(monkeypatch, mixed_r
         nonlocal events
         step(replayer, event)
         events += 1
-        for obj in replayer.objects.values():
+        for obj in replayer.manager.objects.values():
             assert obj.strict
             assert _bookkeeping(obj) == checked.get(obj, empty), \
                 f"event {event.index}: {obj.name} changed since its last check"
@@ -764,10 +765,10 @@ def test_scoped_checks_see_what_the_whole_checks_see(monkeypatch):
 
 
 def test_the_release_hook_runs_once_per_section_that_shed(monkeypatch):
-    # the shared steps call `complete`, `finish` and `withdraw` directly and
-    # hand a report to the release hook only when it names a shed edge:
-    # right after that section, once, with the section's own (woken, shed),
-    # in the engine and in the history replay alike
+    # the manager's steps call `complete`, `finish` and `withdraw` directly
+    # and hand a report to `_release` only when it names a shed edge: right
+    # after that section, once, with the section's own (woken, shed), in
+    # the run's manager and in the history replay's alike
     sections, hooks, pending = Counter(), Counter(), []
 
     def reported(section):
@@ -780,20 +781,19 @@ def test_the_release_hook_runs_once_per_section_that_shed(monkeypatch):
             return report
         return run
 
-    def handed(where, hook):
-        def run(owner, obj, inv, woken, shed):
+    def handed(hook):
+        def run(mgr, obj, inv, woken, shed):
             assert len(pending) == 1, "a hook call without a shed report"
             assert all(a is b for a, b in zip(pending.pop(), (obj, inv, woken, shed)))
-            hooks[where] += 1
-            return hook(owner, obj, inv, woken, shed)
+            # the run's manager emits into a History, the replay's owes
+            hooks["engine" if isinstance(mgr.history, History) else "replay"] += 1
+            return hook(mgr, obj, inv, woken, shed)
         return run
 
     for name in ("complete", "finish", "withdraw"):
         monkeypatch.setattr(ManagedObject, name, reported(getattr(ManagedObject, name)))
     monkeypatch.setattr(manager.TransactionManager, "_release",
-                        handed("engine", manager.TransactionManager._release))
-    monkeypatch.setattr(oracles._Replayer, "_section",
-                        handed("replay", oracles._Replayer._section))
+                        handed(manager.TransactionManager._release))
     for workload in _mixed_workloads():
         result = run_simulated(workload)
         assert not pending

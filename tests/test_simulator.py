@@ -166,7 +166,7 @@ def test_ready_list_matches_a_rescan_on_mixed_workloads(picks_checked):
 
 
 def test_a_deadlock_left_unresolved_is_a_stuck_schedule(monkeypatch):
-    monkeypatch.setattr(manager, "resolve", lambda *args: None)
+    monkeypatch.setattr(manager.TransactionManager, "_resolve", lambda *args: None)
     with pytest.raises(ScheduleStuck, match=r"waiting: \['T1', 'T2'\]"):
         run_text("""\
 object A stack ()

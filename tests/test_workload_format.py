@@ -101,6 +101,17 @@ def test_errors_carry_line_numbers(bad, line, hint):
     assert hint in str(exc.value)
 
 
+def test_a_duplicate_txn_after_many_is_refused_at_its_line():
+    # names are kept in a set, so this parse is linear in the txns
+    block = "txn T{}\n op s EMPTY\nend commit\n"
+    text = ("object s stack\n" + "".join(block.format(i) for i in range(20_000))
+            + block.format(7) + "schedule seed 1 steps 1\n")
+    with pytest.raises(WorkloadError) as exc:
+        parse_workload(text)
+    assert exc.value.line_no == 2 + 3 * 20_000
+    assert "txn 'T7' declared twice" in str(exc.value)
+
+
 COUNTER = "object c real {literal}\ntxn T\n op c ADD {arg}\nend commit\nschedule seed 1 steps 9\n"
 
 
