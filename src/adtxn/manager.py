@@ -221,10 +221,11 @@ class TransactionManager:
     judges.
 
     `on_wake(txn_id)` fires when a blocked transaction's operation is
-    admitted. A scheduler uses it to mark the coroutine runnable; it is
+    admitted. The simulator passes a list's `append` and moves the woken
+    transactions back onto its READY list after each quantum; it is
     optional for direct use in tests. An aborted transaction needs no
     notice: its record says ABORTED, and a scheduler never resumes a
-    victim's parked coroutine.
+    victim's parked call.
     """
 
     def __init__(self, history: History | None = None, strict: bool = True,
@@ -256,13 +257,15 @@ class TransactionManager:
         self.history.emit(hist.BEGIN, rec.name, None, None, (), (), None)
         return rec
 
-    def perform(self, rec: TransactionRecord, obj_name: str, call: PublicCall):
-        """Issue one public call; a generator so the caller can park.
+    def issue(self, rec: TransactionRecord, obj_name: str, call: PublicCall):
+        """Issue one public call up to any wait: translate it, then emit
+        its NULLOP, or `invoke` its private call. Returns (translation,
+        inv), with inv None for a NULL call.
 
-        Yields ("wait", inv) at most once, when the translated invocation
-        blocked; resume it after the wake notification. Returns the public
-        out-params. Raises TransactionAborted if issuing this call closed a
-        waits-for cycle that this transaction lost.
+        When inv has not executed, it blocked: it is BLOCKED until a wake
+        admits it, or already admitted by a deadlock's resolution; either
+        way `resume` executes it. If `rec` is no longer ACTIVE, it lost
+        the deadlock its call closed.
         """
         if rec.status is not _ACTIVE:
             raise ManagerInvariantError(f"{rec.name} is {rec.status.value}")
@@ -272,15 +275,27 @@ class TransactionManager:
             # result decided by in-params alone: no invocation, no monitor
             self.history.emit(hist.NULLOP, rec.name, obj.name, call.op, call.ins,
                               tr.public_outs, None)
+            return tr, None
+        return tr, self.invoke(rec, obj, *tr.call)
+
+    def perform(self, rec: TransactionRecord, obj_name: str, call: PublicCall):
+        """Issue one public call; a generator so the caller can park.
+
+        Yields ("wait", inv) at most once, when the translated invocation
+        blocked; resume it after the wake notification. Returns the public
+        out-params. Raises TransactionAborted if issuing this call closed a
+        waits-for cycle that this transaction lost.
+        """
+        tr, inv = self.issue(rec, obj_name, call)
+        if inv is None:
             return tr.public_outs
-        inv = self.invoke(rec, obj, *tr.call)
         if inv.lifecycle is not _EXECUTED:       # it blocked
             if rec.status is not _ACTIVE:
                 raise TransactionAborted(rec.name)
             if inv.lifecycle is _BLOCKED:
                 yield ("wait", inv)
             # resolving a deadlock elsewhere may have admitted us already
-            self.resume(rec, obj, inv)
+            self.resume(rec, self.objects[obj_name], inv)
         return public_outs_from_private(tr.rule, call.ins, inv.outs)
 
     def invoke(self, rec: TransactionRecord, obj: ManagedObject, op: str,

@@ -54,8 +54,9 @@ is blocked, or still owes its woken op's EXEC, and an EXEC of a woken op
 that its txn does not have. An INVOKE's call must fit its type's private
 signature; a malformed call that the reference semantics refuse (a
 `FrameworkError`) fails the replay too, rather than escaping `check_run`.
-A NULLOP's call must translate to NULL with the event's outs as its
-answer, which the replay checks itself before its engine emits the NULLOP.
+A NULLOP's call goes to the engine's `issue`, as the run's did: it owes
+its NULLOP, whose outs are the translation's answer, only if it translates
+to NULL, and otherwise its INVOKE.
 Last, the run's txn statuses and metrics must be those of the history the
 replay judged: each txn's status as the replay left it, the event counts,
 and each object's `max_in_execution` as the replay's monitors counted it.
@@ -349,16 +350,11 @@ class _Replayer:
         return obj
 
     def _on_nullop(self, e):
+        # the engine translates the call: a NULL one owes its NULLOP, outs
+        # and all, and any other owes its INVOKE
         obj = self._object(e)
-        txn = self._stepping(e)
-        call = _new_tuple(PublicCall, (e.op, e.ins))
-        tr = translate_public(obj.spec, call)
-        if tr.call is not None:
-            self._fail(e, "op reached a monitor yet claimed NULL")
-        if tr.public_outs != e.outs:
-            self._fail(e, f"NULL outs should be {tr.public_outs}")
-        # a NULL call returns without yielding
-        next(self.manager.perform(txn, obj.name, call), None)
+        self.manager.issue(self._stepping(e), obj.name,
+                           _new_tuple(PublicCall, (e.op, e.ins)))
 
     def _on_invoke(self, e):
         obj = self._object(e)

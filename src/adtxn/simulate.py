@@ -1,11 +1,22 @@
 """Deterministic cooperative simulation of concurrent transactions.
 
-Each transaction runs as a generator coroutine. The scheduling quantum is
-one public operation: a resumed transaction runs until its current call
-completes (yielding a boundary), suspends on a block, or terminates. The
-commit/abort statement is its own quantum. Given the same workload and seed
-the interleaving, the event stream and therefore the rendered trace are
-byte-identical on every run; there is no wall clock and no thread anywhere.
+Each transaction is a cursor over its declared steps: the index of its
+next step and, while it is blocked, the `(obj, inv)` it is parked on. The
+scheduling quantum is one public operation, and `_resume` runs exactly one:
+a transaction's first quantum is its BEGIN and its first step (or, with no
+steps, its commit or abort); each later one issues its next step, which
+completes, parks the transaction on a block, or loses the deadlock it
+closed; the EXEC of an op a wake admitted is a quantum of its own; and
+after the last step, the commit or abort is a quantum of its own. Given
+the same workload and seed the interleaving, the event stream and
+therefore the rendered trace are byte-identical on every run; there is no
+wall clock and no thread anywhere.
+
+The simulation drives the manager's plain steps, `begin`, `issue`,
+`resume`, `commit` and `abort`, never the `perform` generator, and the
+manager's wake notice is a list's `append`. So nothing in a run points
+back at the simulation, no generator is made per call, and a finished run
+is freed by reference counting alone.
 
 A schedule is either seeded-random (uniform choice among runnable
 transactions, with a step cap as a safety net against bugs that stall
@@ -14,14 +25,16 @@ tokens for transactions that are waiting or finished are skipped, and when
 tokens run out the lowest-numbered runnable transaction proceeds.
 
 A deadlock victim other than the caller is parked on a block, so it is not
-on the READY list, and its coroutine is simply never resumed: its record
-says ABORTED, and nothing else needs to know. A victim that is the caller
-itself receives TransactionAborted from the manager and finishes.
+on the READY list, and it is simply never resumed: its record says
+ABORTED, and nothing else needs to know. A victim that is the caller
+itself sees its record ABORTED once its call returns, and leaves READY.
 
 The READY list is kept, not rebuilt each step: it changes only where an
-activity changes state. The resumed activity leaves it when it suspends on
-a block or finishes (it stays in place across a boundary), and a woken one
-is inserted at its declaration position. The run ends when the list is
+activity changes state. The resumed activity leaves it when it parks on a
+block or finishes (it stays in place when its step completes), and each
+activity woken during the quantum is inserted afterwards at its
+declaration position; the resumed one, if its own call was admitted while
+it resolved a deadlock, is still on the list. The run ends when the list is
 empty; a record still ACTIVE then means the schedule is stuck. The list
 must stay in declaration order, exactly as a scan of all activities would
 give it, because the seeded schedule picks with `rng.choice`, which indexes
@@ -37,17 +50,18 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .adts import get_adt
-from .core import FrameworkError, PublicCall
+from .core import FrameworkError, Lifecycle, PublicCall
 from .history import History, Metrics, compute_metrics, render_trace
-from .manager import (ManagerInvariantError, TransactionAborted,
-                      TransactionManager, TxnStatus)
+from .manager import ManagerInvariantError, TransactionManager, TxnStatus
 from .monitor import MonitorInvariantError
 from .workload import (ExplicitSchedule, RandomSchedule, TxnDecl, Workload,
                        initial_state)
 
 # enum members as globals (see the `core` docstring)
 _ACTIVE, _COMMITTED, _ABORTED = TxnStatus.ACTIVE, TxnStatus.COMMITTED, TxnStatus.ABORTED
+_BLOCKED, _EXECUTED = Lifecycle.BLOCKED, Lifecycle.EXECUTED
 _new_tuple = tuple.__new__
+_by_index = attrgetter("index")
 
 
 class SimulationError(FrameworkError):
@@ -63,11 +77,17 @@ class StepLimitExceeded(SimulationError):
 
 
 class _Activity:
+    """A transaction's cursor: its record once begun, the index of its next
+    step, and the `(obj, inv)` it is parked on while blocked."""
+
+    __slots__ = ("decl", "index", "rec", "next_step", "parked")
+
     def __init__(self, decl: TxnDecl, index: int):
         self.decl = decl
         self.index = index          # declaration position, the READY order
-        self.gen = None
         self.rec = None
+        self.next_step = 0
+        self.parked = None
 
 
 @dataclass
@@ -98,16 +118,15 @@ class _Simulation:
     def __init__(self, workload, seed, strict):
         self.workload = workload
         self.history = History()
+        # txn ids woken in the current quantum; `run` moves them to READY
+        self.woken = []
         self.mgr = TransactionManager(self.history, strict=strict,
-                                      on_wake=self._on_wake)
+                                      on_wake=self.woken.append)
         for decl in workload.objects:
             self.mgr.add_object(decl.name, get_adt(decl.adt), initial_state(decl))
         self.activities = [_Activity(decl, i)
                            for i, decl in enumerate(workload.txns)]
-        for act in self.activities:
-            act.gen = self._drive(act)
         self.ready = list(self.activities)    # READY, in declaration order
-        self.resumed = None
         self._by_txn_id: dict[int, _Activity] = {}
         sched = workload.schedule
         if isinstance(sched, RandomSchedule):
@@ -123,13 +142,23 @@ class _Simulation:
 
     def run(self) -> RunResult:
         steps = 0
-        ready = self.ready
+        ready, woken, by_txn_id = self.ready, self.woken, self._by_txn_id
         while ready:
             steps += 1
             if self.max_steps is not None and steps > self.max_steps:
                 raise StepLimitExceeded(
                     f"needed more than {self.max_steps} scheduler steps")
-            self._resume(self._pick(ready))
+            act = self._pick(ready)
+            if self._resume(act):
+                ready.remove(act)
+            if woken:
+                for txn_id in woken:
+                    woke = by_txn_id[txn_id]
+                    # the resumed activity, woken mid-deadlock-resolution,
+                    # never parked and is still on the list
+                    if woke is not act:
+                        insort(ready, woke, key=_by_index)
+                woken.clear()
         stuck = [a.decl.name for a in self.activities
                  if a.rec.status is _ACTIVE]
         if stuck:
@@ -149,45 +178,38 @@ class _Simulation:
             # tokens naming waiting or finished txns are skipped
         return ready[0]
 
-    def _resume(self, act):
-        self.resumed = act
-        try:
-            yielded = act.gen.send(None)
-        except StopIteration:
-            self.ready.remove(act)
-            return
-        if yielded == ("boundary",):
-            return
-        if yielded[0] != "wait":
-            raise ManagerInvariantError(f"{act.decl.name} yielded {yielded!r}")
-        self.ready.remove(act)
-
-    # -- transaction program ----------------------------------------------------
-
-    def _drive(self, act):
-        rec = self.mgr.begin(act.decl.name)
-        act.rec = rec
-        self._by_txn_id[rec.id] = act
-        try:
-            for step in act.decl.steps:
-                yield from self.mgr.perform(
-                    rec, step.obj, _new_tuple(PublicCall, (step.op, step.ins)))
-                yield ("boundary",)
+    def _resume(self, act) -> bool:
+        """Run one quantum of `act`; True when it leaves READY, parked on a
+        block or finished."""
+        mgr, rec = self.mgr, act.rec
+        if rec is None:
+            rec = act.rec = mgr.begin(act.decl.name)
+            self._by_txn_id[rec.id] = act
+        elif act.parked is not None:
+            # the EXEC of a woken op is a quantum of its own
+            mgr.resume(rec, *act.parked)
+            act.parked = None
+            return False
+        steps, i = act.decl.steps, act.next_step
+        if i == len(steps):
             if act.decl.terminal == "commit":
-                self.mgr.commit(rec)
+                mgr.commit(rec)
             else:
-                self.mgr.abort(rec)
-        except TransactionAborted:
-            pass
-
-    # -- manager callbacks ---------------------------------------------------------
-
-    def _on_wake(self, txn_id):
-        act = self._by_txn_id[txn_id]
-        # the resumed activity, woken mid-deadlock-resolution, never
-        # suspends and is still on the list; any other was parked
-        if act is not self.resumed:
-            insort(self.ready, act, key=attrgetter("index"))
+                mgr.abort(rec)
+            return True
+        step = steps[i]
+        act.next_step = i + 1
+        _, inv = mgr.issue(rec, step.obj, _new_tuple(PublicCall, (step.op, step.ins)))
+        if inv is None or inv.lifecycle is _EXECUTED:
+            return False
+        if rec.status is not _ACTIVE:       # it lost the deadlock it closed
+            return True
+        if inv.lifecycle is _BLOCKED:
+            act.parked = rec.blocked_on
+            return True
+        # resolving the deadlock it closed admitted it already
+        mgr.resume(rec, mgr.objects[step.obj], inv)
+        return False
 
     # -- wrap-up ----------------------------------------------------------------
 

@@ -328,6 +328,41 @@ def test_the_release_hooks_take_the_report_and_nothing_more():
     assert params == []
 
 
+def _enclosing_function(parents, node):
+    while not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        node = parents[node]
+    return node
+
+
+def test_the_simulator_steps_plain_calls_and_perform_is_written_over_issue():
+    # the simulator steps each txn through a cursor over the manager's
+    # plain steps, so no generator is made on its path: `simulate` neither
+    # yields, nor builds a generator, nor names `perform`. In `manager`,
+    # `perform` is the one generator, kept for coroutine callers; it takes
+    # its call through `issue`, and only `issue` translates, so a call has
+    # one definition
+    sim = _module("simulate.py")
+    found = [f"simulate.py:{node.lineno} {type(node).__name__}" for node in ast.walk(sim)
+             if isinstance(node, (ast.Yield, ast.YieldFrom, ast.GeneratorExp))]
+    found += [f"simulate.py:{node.lineno} perform" for node in ast.walk(sim)
+              if isinstance(node, ast.Attribute) and node.attr == "perform"
+              or isinstance(node, ast.Name) and node.id == "perform"]
+    tree = _module("manager.py")
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    generators = {_enclosing_function(parents, node).name for node in ast.walk(tree)
+                  if isinstance(node, (ast.Yield, ast.YieldFrom))}
+    found += [f"manager.py: {name} is a generator" for name in generators - {"perform"}]
+    found += [f"manager.py:{node.lineno} translate_public in "
+              f"{_enclosing_function(parents, node).name}" for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and node.id == "translate_public"
+              and _enclosing_function(parents, node).name != "issue"]
+    perform = _function(_manager_methods(tree), "perform")
+    issues = [node for node in ast.walk(perform)
+              if isinstance(node, ast.Call) and ast.unparse(node.func) == "self.issue"]
+    assert found == []
+    assert generators == {"perform"} and len(issues) == 1
+
+
 def _kind(node, kinds):
     return (isinstance(node, ast.Attribute) and node.attr in kinds
             and isinstance(node.value, ast.Name) and node.value.id == "hist")

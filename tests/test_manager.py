@@ -1,7 +1,8 @@
 """Transaction manager driven by hand: strictness, undo, wakes, deadlocks.
 
-perform() is a generator; these tests step it directly instead of going
-through the scheduler, which pins the protocol a scheduler must follow.
+perform() is a generator over issue(); these tests step it directly instead
+of going through the scheduler, which pins the protocol a coroutine caller
+must follow.
 """
 
 import itertools

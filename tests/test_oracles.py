@@ -36,7 +36,7 @@ from adtxn.oracles import (
 )
 from adtxn.simulate import run_simulated
 from adtxn.tables import commute_with_in, commute_with_in_out, try_deduce
-from adtxn.values import UNIT, item, report
+from adtxn.values import UNIT, item, rational, report
 from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
                             make_step, parse_workload)
 from helpers import txn_decl
@@ -466,6 +466,25 @@ def test_a_history_naming_an_unknown_object_fails_the_replay(kind, text):
         e._replace(obj="nowhere") if e.index == first else e for e in ev])
     stage, verdict = check_run(res)
     assert stage == "replay" and "unknown object 'nowhere'" in verdict.detail
+
+
+@pytest.mark.parametrize("forge,owed", [
+    (lambda e: e._replace(ins=(rational(2),)),
+     "owed INVOKE txn=T1 obj=r op=MULTIPLY in=[2] out=[], invocation 1"),
+    (lambda e: e._replace(outs=(rational(1),)),
+     "owed NULLOP txn=T1 obj=r op=MULTIPLY in=[1] out=[]"),
+], ids=["not-null", "wrong-outs"])
+def test_a_forged_nullop_fails_the_replay_naming_the_owed_event(forge, owed):
+    # the replay's engine takes a NULLOP's call through `issue` as the run
+    # did: MULTIPLY 2 is no NULL call and owes its INVOKE, and MULTIPLY 1
+    # answers nothing, so a NULLOP with outs differs from the one it owes
+    res = run_simulated(parse_workload(NULL_OP))
+    history = doctored(res.history, lambda ev: [
+        forge(e) if e.kind == hist.NULLOP else e for e in ev])
+    stage, verdict = check_run(dataclasses.replace(res, history=history))
+    assert stage == "replay"
+    assert verdict.detail.startswith("event 1 (1 NULLOP txn=T1 obj=r op=MULTIPLY ")
+    assert verdict.detail.endswith(f": {owed}"), verdict
 
 
 def test_the_statuses_and_the_commits_are_the_historys():

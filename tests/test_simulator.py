@@ -1,16 +1,20 @@
 """Cooperative simulator: quantum semantics, token schedules, determinism."""
 
 import dataclasses
+import gc
+import random
 
 import pytest
 
 from adtxn import manager
 from adtxn.history import BEGIN, COMMIT, DEDUCE, EXEC, INVOKE
 from adtxn.manager import TxnStatus
+from adtxn.oracles import check_run
 from adtxn.simulate import (ScheduleStuck, SimulationError, StepLimitExceeded,
                             _Simulation, run_simulated)
 from adtxn.values import UNIT, item, report
 from adtxn.workload import parse_workload
+from test_manager import _stack_instance
 from test_oracles import _mixed_workloads
 
 OK = report("Ok")
@@ -244,3 +248,22 @@ def test_an_unknown_schedule_is_refused():
     workload = dataclasses.replace(parse_workload(DEDUCTION), schedule=("T1", "T2"))
     with pytest.raises(SimulationError, match="unknown schedule"):
         run_simulated(workload)
+
+
+def test_a_run_and_its_replay_leave_no_cyclic_garbage():
+    # nothing in a run points back at the simulation, and the replay holds
+    # no cycle either, so each result is freed by reference counting alone
+    # and the cyclic collector finds nothing; the contended instance loses
+    # deadlocks, in the run and in its replay
+    contended = _stack_instance(random.Random(5))
+    gc.collect()
+    gc.disable()
+    try:
+        for workload in _mixed_workloads() + [contended]:
+            res = run_simulated(workload)
+            assert check_run(res)[0] is None
+        assert res.metrics.victims > 0      # the contended run, last
+        del res
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
