@@ -22,7 +22,7 @@ from .manager import (TransactionAborted, TransactionManager, TransactionRecord,
                       TxnStatus)
 from .monitor import AdmitOutcome, ManagedObject
 from .oracles import (check_abort_transparency, check_serializable,
-                      replay_history, replay_serial, validate_run)
+                      replay_serial, validate_run)
 from .simulate import RunResult, ScheduleStuck, SimulationError, run_simulated
 from .tables import (CommutTables, InCommutEntry, OutCommutEntry,
                      commute_with_in, commute_with_in_out, try_deduce)

@@ -21,7 +21,12 @@ counters, the objects and every transaction step. The simulator drives one
 that emits into a `History`. The history replay drives another, on fresh
 strict monitors, whose sink owes each event to the history it judges; so
 the run and its replay take each step through one definition, and any
-engine state has one place to live.
+engine state has one place to live. A transaction's record holds the op it
+is blocked on and, once a wake admits it, that op as its woken op until
+its EXEC; each step reads from the record whether the transaction is free
+to take it, and refuses it if not. The two fields are kept apart, rather
+than one field whose op's lifecycle says "blocked", because the waits-for
+walk, the abort plan and the resolution's prune read only the blocked op.
 
 Deadlock is handled at block time, by `_resolve`. The waits-for graph
 is derived on demand from the monitors' edge ledgers, and the youngest
@@ -76,8 +81,7 @@ from .history import History
 from .monitor import AdmitOutcome, ManagedObject
 
 # enum members as globals (see the `core` docstring)
-_BLOCKED, _RUNNING, _EXECUTED = (Lifecycle.BLOCKED, Lifecycle.IN_EXECUTION,
-                                 Lifecycle.EXECUTED)
+_EXECUTED = Lifecycle.EXECUTED
 _DEDUCED = Origin.DEDUCED
 _OUTCOME_DEDUCED, _OUTCOME_BLOCKED = AdmitOutcome.DEDUCED, AdmitOutcome.BLOCKED
 
@@ -120,6 +124,7 @@ class TransactionRecord:
     invocations: list = field(default_factory=list)   # (ManagedObject, inv)
     undo: list = field(default_factory=list)          # UndoEntry, execution order
     blocked_on: tuple | None = None                   # (ManagedObject, inv)
+    woken: tuple | None = None                        # (ManagedObject, inv)
 
     def register(self, obj: ManagedObject, inv: PrivateInvocation):
         """Hold `inv`'s edges until release; log its inverse unless NULL."""
@@ -134,6 +139,16 @@ class TransactionRecord:
     def release_order(self) -> list:
         """The invocations by object, then by id."""
         return sorted(self.invocations, key=lambda p: (p[0].index, p[1].id))
+
+
+def _refuse(rec: TransactionRecord):
+    """Raise for `rec`, a transaction not free to take a step: not ACTIVE,
+    owing its woken op's EXEC, or blocked."""
+    if rec.status is not _ACTIVE:
+        raise ManagerInvariantError(f"{rec.name} is {rec.status.value}, not active")
+    if rec.woken is not None:
+        raise ManagerInvariantError(f"{rec.name} owes the EXEC of its woken op")
+    raise ManagerInvariantError(f"{rec.name} is blocked")
 
 
 # An abort step that emits no event of its own, only the wakes it causes.
@@ -214,6 +229,12 @@ def waits_for_edges(txns: dict[int, TransactionRecord], root: int) -> dict[int, 
 class TransactionManager:
     """Owns the objects, the transactions and the event stream.
 
+    A record's `blocked_on` holds its op from BLOCK to WAKE, and its
+    `woken` from WAKE to EXEC. `issue`, `invoke` and `commit` take only a
+    transaction free to step: ACTIVE, not blocked, and owing no woken op's
+    EXEC. `abort` also takes a blocked one, whose op it withdraws, and
+    `resume` takes only one with a woken op.
+
     The simulator and the history replay each drive one. `history` is the
     event sink: anything whose `emit` takes `History.emit`'s fields, which
     the manager always passes in order, all seven. A run's manager emits
@@ -262,17 +283,16 @@ class TransactionManager:
         its NULLOP, or `invoke` its private call. Returns (translation,
         inv), with inv None for a NULL call.
 
-        When inv has not executed, it blocked: it is BLOCKED until a wake
-        admits it, or already admitted by a deadlock's resolution; either
-        way `resume` executes it. If `rec` is no longer ACTIVE, it lost
-        the deadlock its call closed.
+        When inv has not executed, it blocked: `resume` executes it once a
+        wake admits it. If `rec` is no longer ACTIVE, it lost the deadlock
+        its call closed.
         """
-        if rec.status is not _ACTIVE:
-            raise ManagerInvariantError(f"{rec.name} is {rec.status.value}")
         obj = self.objects[obj_name]
         tr = translate_public(obj.spec, call)
         if tr.call is None:
             # result decided by in-params alone: no invocation, no monitor
+            if rec.status is not _ACTIVE or rec.blocked_on or rec.woken:
+                _refuse(rec)
             self.history.emit(hist.NULLOP, rec.name, obj.name, call.op, call.ins,
                               tr.public_outs, None)
             return tr, None
@@ -292,10 +312,8 @@ class TransactionManager:
         if inv.lifecycle is not _EXECUTED:       # it blocked
             if rec.status is not _ACTIVE:
                 raise TransactionAborted(rec.name)
-            if inv.lifecycle is _BLOCKED:
-                yield ("wait", inv)
-            # resolving a deadlock elsewhere may have admitted us already
-            self.resume(rec, self.objects[obj_name], inv)
+            yield ("wait", inv)
+            self.resume(rec)
         return public_outs_from_private(tr.rule, call.ins, inv.outs)
 
     def invoke(self, rec: TransactionRecord, obj: ManagedObject, op: str,
@@ -303,7 +321,10 @@ class TransactionManager:
         """Issue `rec`'s private call as the next invocation and emit its
         INVOKE. Admission executes it at once, registers it with its
         DEDUCE, or emits its BLOCK and parks `rec` on it; a BLOCK is then
-        followed by the deadlock resolution. Returns the invocation."""
+        followed by the deadlock resolution, and if that admitted the op,
+        by its EXEC. Returns the invocation."""
+        if rec.status is not _ACTIVE or rec.blocked_on or rec.woken:
+            _refuse(rec)
         inv = PrivateInvocation(next(self._inv_ids), rec.id, obj.name, op, ins)
         emit = self.history.emit
         emit(hist.INVOKE, rec.name, obj.name, op, ins, (), inv.id)
@@ -315,23 +336,26 @@ class TransactionManager:
             emit(hist.BLOCK, rec.name, obj.name, op, ins, (), inv.id)
             rec.blocked_on = (obj, inv)
             self._resolve(rec)
+            if rec.woken:
+                # a victim's abort admitted it: it runs now, in this step
+                self.resume(rec)
         else:
             self._execute(rec, obj, inv)
         return inv
 
-    def resume(self, rec: TransactionRecord, obj: ManagedObject, inv: PrivateInvocation):
-        """Execute `rec`'s blocked `inv`, which a wake must have admitted."""
-        if inv.lifecycle is not _RUNNING or rec.blocked_on is not None:
-            raise ManagerInvariantError(f"{rec.name} resumed with {inv!r} not admitted")
-        self._execute(rec, obj, inv)
+    def resume(self, rec: TransactionRecord):
+        """Execute the op a wake admitted for `rec`."""
+        woken = rec.woken
+        if woken is None:
+            raise ManagerInvariantError(f"{rec.name} has no woken op to execute")
+        rec.woken = None
+        self._execute(rec, *woken)
 
     def commit(self, rec: TransactionRecord):
         """Finish each of `rec`'s ops in release order, and leave it
         COMMITTED. `finish` refuses an op that has not executed."""
-        if rec.status is not _ACTIVE:
-            raise ManagerInvariantError(f"{rec.name} is {rec.status.value}")
-        if rec.blocked_on is not None:
-            raise ManagerInvariantError(f"{rec.name} commits while blocked")
+        if rec.status is not _ACTIVE or rec.blocked_on or rec.woken:
+            _refuse(rec)
         self.history.emit(hist.COMMIT, rec.name, None, None, (), (), None)
         for obj, inv in rec.release_order():
             woken, shed = obj.finish(inv)
@@ -343,10 +367,11 @@ class TransactionManager:
         """Erase a transaction by running its `abort_plan`.
 
         Never fails and never blocks; that is what makes two-phase locking
-        with inverse undo livable.
+        with inverse undo livable. Unlike the other steps it takes a
+        blocked transaction, and withdraws its op.
         """
-        if rec.status is not _ACTIVE:
-            raise ManagerInvariantError(f"{rec.name} is {rec.status.value}")
+        if rec.status is not _ACTIVE or rec.woken:
+            _refuse(rec)
         self.history.emit(hist.ABORT, rec.name, None, None, (), (), None)
         self._erase(rec)
 
@@ -367,13 +392,15 @@ class TransactionManager:
 
     def _release(self, obj, inv, woken, shed):
         """Wake each op in `woken`, which a release section of obj's
-        admitted when it shed `shed`: unpark its txn and emit its WAKE."""
+        admitted when it shed `shed`: move it from its txn's `blocked_on`
+        to its `woken`, and emit its WAKE."""
         for w in woken:
             rec = self.txns[w.txn]
-            if rec.blocked_on is None or rec.blocked_on[1] is not w:
+            blocked = rec.blocked_on
+            if blocked is None or blocked[1] is not w:
                 raise ManagerInvariantError(f"{rec.name} woken for {w!r}, "
                                             "which it was not waiting on")
-            rec.blocked_on = None
+            rec.blocked_on, rec.woken = None, blocked
             self.history.emit(hist.WAKE, rec.name, obj.name, w.op, w.ins, (), w.id)
             if self.on_wake:
                 self.on_wake(w.txn)

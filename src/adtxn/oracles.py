@@ -30,16 +30,17 @@ objects on fresh strict monitors, with a sink in place of a `History`: the
 sink appends each event that engine emits to one queue, `due`, as an
 Event's fields but its index, and the history owes it. The replay splits
 the event kinds in two. The chosen ones are those the txn or the
-scheduler decides: BEGIN, NULLOP, INVOKE, the EXEC of an op a wake
-admitted, COMMIT and an ABORT the txn asked for. Only these have a
-handler, and a handler runs only when nothing is owed: it judges whether
-the choice was allowed, then asks the engine to take the step, which emits
-the chosen event and then every event it causes. The monitors determine
+scheduler decides: BEGIN, NULLOP, INVOKE, the EXEC of an op a later
+event's wake admitted, COMMIT and an ABORT the txn asked for. Only these
+have a handler, and a handler runs only when nothing is owed: it judges
+whether the choice was allowed, then asks the engine to take the step,
+which emits the chosen event and then every event it causes. The monitors determine
 every other event completely: the DEDUCE, BLOCK or EXEC that answers an
 INVOKE, each WAKE, the VICTIMs that resolve a BLOCK's deadlocks and each
-victim's ABORT, and each WITHDRAW and INVERSE of an abort, which runs its
-whole `abort_plan` at once. Each event must equal the head of `due` in
-every field but its index. So no event can go missing, come twice, come
+victim's ABORT, the EXEC of the blocked op when that resolution admitted
+it, and each WITHDRAW and INVERSE of an abort, which runs its whole
+`abort_plan` at once. Each event must equal the head of `due` in every
+field but its index. So no event can go missing, come twice, come
 out of order or differ in any field, and no chosen event can come while
 one is owed: a missing, extra or wrong VICTIM fails at the event itself.
 The invocation ids are the engine's counter's, compared as one field of
@@ -51,8 +52,10 @@ An event that names a txn with no BEGIN before it, or an object the
 workload does not declare, fails the replay like any other drift, and so
 does a NULLOP, INVOKE, COMMIT or asked-for ABORT whose txn is not ACTIVE,
 is blocked, or still owes its woken op's EXEC, and an EXEC of a woken op
-that its txn does not have. An INVOKE's call must fit its type's private
-signature; a malformed call that the reference semantics refuse (a
+that its txn does not have. The manager's steps refuse each of these; the
+replay names the event whose step refused, and refuses an asked-for ABORT
+of a blocked txn itself, which the manager's `abort` accepts. An INVOKE's
+call must fit its type's private signature; a malformed call that the reference semantics refuse (a
 `FrameworkError`) fails the replay too, rather than escaping `check_run`.
 A NULLOP's call goes to the engine's `issue`, as the run's did: it owes
 its NULLOP, whose outs are the translation's answer, only if it translates
@@ -72,10 +75,10 @@ new cycle can run. The release sections `complete`, `finish` and
 `withdraw` run only in the manager's steps, which hand each section's
 report, (woken, shed), to `_release` whenever the section shed an edge.
 Each woken txn owes its WAKE, and its own next event must then be its
-woken op's EXEC: the replay keeps the op each INVOKE left unexecuted, and
-between events the only op in execution is one a wake admitted. The
-strict monitors check that the report names exactly the waiters whose
-edge to the op is gone.
+woken op's EXEC, which the manager's record holds until then; between
+events the only op in execution is one a wake admitted. The strict
+monitors check that the report names exactly the waiters whose edge to
+the op is gone.
 
 The replay's monitors are strict, so each of their entry sections (`admit`,
 `complete`, `finish`, `withdraw`) ends by checking the ops and edges it
@@ -90,7 +93,9 @@ again after every event would only re-read bookkeeping that has not moved.
 The history replay shares the engine itself, and nothing else: the
 `TransactionManager` class, with `TransactionRecord`, `abort_plan`, the
 walk `waits_for_edges` and the search `find_cycle`. So the run and the
-replay take each step, and build each event, through one definition. The
+replay take each step, build each event and judge whether a txn is free
+to take it through one definition, and keep no state of their own about
+a txn's ops. The
 steps fix orders, event shapes and the victim rule, not outcomes: the
 replay's manager starts empty and sees only the history, so every
 admission, wake, inverse result and waits-for edge is re-decided by fresh
@@ -112,11 +117,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .adts import get_adt
-from .core import (FrameworkError, Lifecycle, PublicCall, check_private_ins,
+from .core import (FrameworkError, PublicCall, check_private_ins,
                    translate_public)
 from . import history as hist
 from .history import History, compute_metrics
-from .manager import TransactionManager, TxnStatus
+from .manager import ManagerInvariantError, TransactionManager, TxnStatus
 # kept for bench/tracer.py, which times this binding apart from manager's
 # (ROADMAP item 8); `_resolve` searches through manager's
 from .manager import find_cycle  # noqa: F401
@@ -125,8 +130,7 @@ from .values import Value, render_params
 from .workload import Workload, initial_state
 
 # enum members as globals (see the `core` docstring)
-_ACTIVE, _COMMITTED, _ABORTED = TxnStatus.ACTIVE, TxnStatus.COMMITTED, TxnStatus.ABORTED
-_RUNNING, _EXECUTED = Lifecycle.IN_EXECUTION, Lifecycle.EXECUTED
+_COMMITTED, _ABORTED = TxnStatus.COMMITTED, TxnStatus.ABORTED
 _new_tuple = tuple.__new__
 
 
@@ -274,9 +278,6 @@ class _Replayer:
         for decl in workload.objects:
             self.manager.add_object(decl.name, get_adt(decl.adt), initial_state(decl))
         self.txns = {}        # {name: TransactionRecord}
-        # {txn id: (obj, inv)}: the op an INVOKE left unexecuted; once a
-        # wake admits it, its EXEC is the txn's next event
-        self.unexecuted: dict[int, tuple] = {}
 
     def _fail(self, event, msg):
         # callers test their condition first, so a message is only
@@ -305,14 +306,17 @@ class _Replayer:
     def _step(self, e):
         """Judge a chosen event and have the engine take it, unless an
         event is owed; then `e` must be the head of `due` in every field
-        but its index."""
+        but its index. A step the manager refuses fails at `e`."""
         due = self.due
         if not due:
             handler = self._HANDLERS.get(e.kind)
             if handler is None:
                 self._fail(e, f"no {e.kind} is owed here" if e.kind in hist.KINDS
                            else f"unknown event kind {e.kind!r}")
-            handler(self, e)
+            try:
+                handler(self, e)
+            except ManagerInvariantError as exc:
+                self._fail(e, str(exc))
         owed = due.popleft()
         if e[1:] != owed:
             self._fail(e, f"owed {_owed_line(owed)}")
@@ -331,18 +335,6 @@ class _Replayer:
             self._fail(e, f"{e.txn} has not begun")
         return txn
 
-    def _stepping(self, e):
-        """The txn `e` names, which must have begun and be free to take its
-        next step or end: ACTIVE, not blocked, and owing no woken op's EXEC."""
-        txn = self._begun(e)
-        if txn.status is not _ACTIVE:
-            self._fail(e, f"{e.txn} is {txn.status.value}, not active")
-        if txn.blocked_on is not None:
-            self._fail(e, f"{e.txn} is blocked")
-        if txn.id in self.unexecuted:
-            self._fail(e, f"{e.txn} owes the EXEC of its woken op")
-        return txn
-
     def _object(self, e):
         obj = self.manager.objects.get(e.obj)
         if obj is None:
@@ -353,32 +345,29 @@ class _Replayer:
         # the engine translates the call: a NULL one owes its NULLOP, outs
         # and all, and any other owes its INVOKE
         obj = self._object(e)
-        self.manager.issue(self._stepping(e), obj.name,
+        self.manager.issue(self._begun(e), obj.name,
                            _new_tuple(PublicCall, (e.op, e.ins)))
 
     def _on_invoke(self, e):
         obj = self._object(e)
-        txn = self._stepping(e)
+        txn = self._begun(e)
         check_private_ins(obj.spec, e)
-        inv = self.manager.invoke(txn, obj, e.op, e.ins)
-        if inv.lifecycle is not _EXECUTED:
-            self.unexecuted[txn.id] = (obj, inv)
+        self.manager.invoke(txn, obj, e.op, e.ins)
 
     def _on_exec(self, e):
-        # the EXEC of an op a wake admitted: its txn chose when to run it.
-        # A blocked op, or a victim's withdrawn one, is no woken op.
-        txn = self._begun(e)
-        woken = self.unexecuted.pop(txn.id, None)
-        if woken is None or woken[1].lifecycle is not _RUNNING:
-            self._fail(e, f"{e.txn} has no woken op to execute")
-        self.manager.resume(txn, *woken)
+        # the EXEC of an op a wake admitted: its txn chose when to run it
+        self.manager.resume(self._begun(e))
 
     def _on_commit(self, e):
-        self.manager.commit(self._stepping(e))
+        self.manager.commit(self._begun(e))
 
     def _on_abort(self, e):
-        # an abort the txn asked for; a victim's is owed with its VICTIM
-        self.manager.abort(self._stepping(e))
+        # an abort the txn asked for; a victim's is owed with its VICTIM.
+        # The manager aborts a blocked txn, but a txn never asks while blocked
+        txn = self._begun(e)
+        if txn.blocked_on:
+            self._fail(e, f"{e.txn} is blocked")
+        self.manager.abort(txn)
 
     # kept because bench/tracer.py patches it by name (ROADMAP item 8); since
     # the replay's manager resolves deadlocks, nothing calls it
@@ -398,11 +387,6 @@ def _owed_line(owed) -> str:
     *fields, inv = owed
     line = hist.Event(0, *fields).render().partition(" ")[2]
     return line if inv is None else f"{line}, invocation {inv}"
-
-
-def replay_history(workload: Workload, history: History) -> dict[str, object]:
-    """Reconstruct all monitors from the event stream; raises on any drift."""
-    return _Replayer(workload).replay(history)
 
 
 def validate_run(result: RunResult) -> Verdict:

@@ -1,16 +1,17 @@
 """Deterministic cooperative simulation of concurrent transactions.
 
 Each transaction is a cursor over its declared steps: the index of its
-next step and, while it is blocked, the `(obj, inv)` it is parked on. The
-scheduling quantum is one public operation, and `_resume` runs exactly one:
-a transaction's first quantum is its BEGIN and its first step (or, with no
-steps, its commit or abort); each later one issues its next step, which
-completes, parks the transaction on a block, or loses the deadlock it
-closed; the EXEC of an op a wake admitted is a quantum of its own; and
-after the last step, the commit or abort is a quantum of its own. Given
-the same workload and seed the interleaving, the event stream and
-therefore the rendered trace are byte-identical on every run; there is no
-wall clock and no thread anywhere.
+next step. The op it is blocked on, and the op a wake admitted for it, live
+in its manager record. The scheduling quantum is one public operation, and
+`_resume` runs exactly one: a transaction's first quantum is its BEGIN and
+its first step (or, with no steps, its commit or abort); each later one
+issues its next step, which completes (the manager executes an op that
+its own deadlock resolution admitted), parks the transaction on a block,
+or loses the deadlock it closed; the EXEC of an op a wake admitted is a
+quantum of its own; and after the last step, the commit or abort is a
+quantum of its own. Given the same workload and seed the interleaving,
+the event stream and therefore the rendered trace are byte-identical on
+every run; there is no wall clock and no thread anywhere.
 
 The simulation drives the manager's plain steps, `begin`, `issue`,
 `resume`, `commit` and `abort`, never the `perform` generator, and the
@@ -30,16 +31,16 @@ ABORTED, and nothing else needs to know. A victim that is the caller
 itself sees its record ABORTED once its call returns, and leaves READY.
 
 The READY list is kept, not rebuilt each step: it changes only where an
-activity changes state. The resumed activity leaves it when it parks on a
-block or finishes (it stays in place when its step completes), and each
-activity woken during the quantum is inserted afterwards at its
-declaration position; the resumed one, if its own call was admitted while
-it resolved a deadlock, is still on the list. The run ends when the list is
-empty; a record still ACTIVE then means the schedule is stuck. The list
-must stay in declaration order, exactly as a scan of all activities would
-give it, because the seeded schedule picks with `rng.choice`, which indexes
-it: any other order would pick different transactions and change the
-trace.
+activity changes state. The resumed activity leaves it when its op did
+not execute, parked on a block or lost, or when it finishes; it stays in
+place when its step completes. Each activity woken during the quantum is
+inserted afterwards at its declaration position; the resumed one, if its
+own call was admitted while it resolved a deadlock, is still on the list.
+The run ends when the list is empty; a record still ACTIVE then means the
+schedule is stuck. The list must stay in declaration order, exactly as a
+scan of all activities would give it, because the seeded schedule picks
+with `rng.choice`, which indexes it: any other order would pick different
+transactions and change the trace.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .workload import (ExplicitSchedule, RandomSchedule, TxnDecl, Workload,
 
 # enum members as globals (see the `core` docstring)
 _ACTIVE, _COMMITTED, _ABORTED = TxnStatus.ACTIVE, TxnStatus.COMMITTED, TxnStatus.ABORTED
-_BLOCKED, _EXECUTED = Lifecycle.BLOCKED, Lifecycle.EXECUTED
+_EXECUTED = Lifecycle.EXECUTED
 _new_tuple = tuple.__new__
 _by_index = attrgetter("index")
 
@@ -77,17 +78,16 @@ class StepLimitExceeded(SimulationError):
 
 
 class _Activity:
-    """A transaction's cursor: its record once begun, the index of its next
-    step, and the `(obj, inv)` it is parked on while blocked."""
+    """A transaction's cursor: its record once begun, and the index of its
+    next step."""
 
-    __slots__ = ("decl", "index", "rec", "next_step", "parked")
+    __slots__ = ("decl", "index", "rec", "next_step")
 
     def __init__(self, decl: TxnDecl, index: int):
         self.decl = decl
         self.index = index          # declaration position, the READY order
         self.rec = None
         self.next_step = 0
-        self.parked = None
 
 
 @dataclass
@@ -119,9 +119,9 @@ class _Simulation:
         self.workload = workload
         self.history = History()
         # txn ids woken in the current quantum; `run` moves them to READY
-        self.woken = []
+        self.wakes = []
         self.mgr = TransactionManager(self.history, strict=strict,
-                                      on_wake=self.woken.append)
+                                      on_wake=self.wakes.append)
         for decl in workload.objects:
             self.mgr.add_object(decl.name, get_adt(decl.adt), initial_state(decl))
         self.activities = [_Activity(decl, i)
@@ -142,7 +142,7 @@ class _Simulation:
 
     def run(self) -> RunResult:
         steps = 0
-        ready, woken, by_txn_id = self.ready, self.woken, self._by_txn_id
+        ready, woken, by_txn_id = self.ready, self.wakes, self._by_txn_id
         while ready:
             steps += 1
             if self.max_steps is not None and steps > self.max_steps:
@@ -180,15 +180,14 @@ class _Simulation:
 
     def _resume(self, act) -> bool:
         """Run one quantum of `act`; True when it leaves READY, parked on a
-        block or finished."""
+        block, lost a deadlock or finished."""
         mgr, rec = self.mgr, act.rec
         if rec is None:
             rec = act.rec = mgr.begin(act.decl.name)
             self._by_txn_id[rec.id] = act
-        elif act.parked is not None:
+        elif rec.woken:
             # the EXEC of a woken op is a quantum of its own
-            mgr.resume(rec, *act.parked)
-            act.parked = None
+            mgr.resume(rec)
             return False
         steps, i = act.decl.steps, act.next_step
         if i == len(steps):
@@ -200,16 +199,8 @@ class _Simulation:
         step = steps[i]
         act.next_step = i + 1
         _, inv = mgr.issue(rec, step.obj, _new_tuple(PublicCall, (step.op, step.ins)))
-        if inv is None or inv.lifecycle is _EXECUTED:
-            return False
-        if rec.status is not _ACTIVE:       # it lost the deadlock it closed
-            return True
-        if inv.lifecycle is _BLOCKED:
-            act.parked = rec.blocked_on
-            return True
-        # resolving the deadlock it closed admitted it already
-        mgr.resume(rec, mgr.objects[step.obj], inv)
-        return False
+        # an op that did not execute is blocked, or its txn lost the deadlock
+        return inv is not None and inv.lifecycle is not _EXECUTED
 
     # -- wrap-up ----------------------------------------------------------------
 

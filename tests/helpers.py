@@ -1,7 +1,15 @@
 """Test-only references and lookups the package itself does not need."""
 
+from adtxn.history import History
 from adtxn.manager import ManagerInvariantError
+from adtxn.oracles import _Replayer
 from adtxn.workload import ObjectDecl, TxnDecl, Workload
+
+
+def replay_history(workload: Workload, history: History) -> dict[str, object]:
+    """Reconstruct all monitors from the event stream; raises on any drift.
+    Returns the final states."""
+    return _Replayer(workload).replay(history)
 
 
 def waits_for_graph(txns) -> dict[int, set[int]]:

@@ -27,10 +27,11 @@ from adtxn.history import BLOCK, COMMIT, DEDUCE, EXEC, INVERSE, INVOKE, \
     NULLOP, WITHDRAW, check_metric_identities
 from adtxn.manager import TxnStatus
 from adtxn.oracles import check_abort_transparency, check_serializable, \
-    replay_history, replay_serial
+    replay_serial
 from adtxn.simulate import run_simulated
 from adtxn.validate import validate_adt
 from adtxn.workload import parse_workload, render_workload
+from helpers import replay_history
 
 MASTER_SEED = 20260816
 CORPUS_RUNS = 1000

@@ -363,6 +363,30 @@ def test_the_simulator_steps_plain_calls_and_perform_is_written_over_issue():
     assert generators == {"perform"} and len(issues) == 1
 
 
+def test_only_the_manager_writes_the_op_a_record_waits_on():
+    # a record's `blocked_on` and `woken` decide whether its txn is free to
+    # step, and the manager's steps move them: no other module writes
+    # either, by assignment, `del`, `setattr` or a constructor keyword
+    fields = {"blocked_on", "woken"}
+    found, writes = [], 0
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr in fields
+                    and isinstance(node.ctx, (ast.Store, ast.Del))
+                    or isinstance(node, ast.keyword) and node.arg in fields
+                    or isinstance(node, ast.Call) and ast.unparse(node.func) == "setattr"
+                    and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value in fields):
+                continue
+            if path == SRC / "manager.py":
+                writes += 1
+            else:
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
+    assert writes >= 4          # the BLOCK, the WAKE, the EXEC and the WITHDRAW
+
+
 def _kind(node, kinds):
     return (isinstance(node, ast.Attribute) and node.attr in kinds
             and isinstance(node.value, ast.Name) and node.value.id == "hist")

@@ -29,12 +29,12 @@ from adtxn.manager import (
     find_cycle,
 )
 from adtxn.monitor import AdmitOutcome, ManagedObject
-from adtxn.oracles import Observation, replay_history
+from adtxn.oracles import Observation
 from adtxn.simulate import run_simulated
 from adtxn.values import item, rational, report
 from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
                             make_step, parse_workload)
-from helpers import waits_for_graph
+from helpers import replay_history, waits_for_graph
 from test_monitor import run_optimized
 
 OK = report("Ok")
@@ -253,7 +253,7 @@ def test_commit_refused_while_blocked_or_settled():
     run_op(mgr, t1, "s", "PUSH", item("a"))
     got = start(mgr, t2, "s", "POP")
     assert got[0] == "wait"
-    with pytest.raises(ManagerInvariantError, match="T2 commits while blocked"):
+    with pytest.raises(ManagerInvariantError, match="T2 is blocked"):
         mgr.commit(t2)                      # still parked
     mgr.abort(t2)
     with pytest.raises(ManagerInvariantError, match="T2 is aborted"):
@@ -303,6 +303,52 @@ def test_deadlock_closed_by_the_survivor_never_parks_it():
     assert got[2].lifecycle is Lifecycle.FINISHED   # withdrawn, not admitted
     got[1].close()     # the scheduler would throw into it; see the next test
     mgr.commit(t1)
+
+
+def test_issue_executes_a_call_its_own_resolution_admitted():
+    # T1's call closes the cycle and T2's abort admits it: `issue` returns
+    # it executed, its EXEC right after the resolution, and T1 owes nothing
+    mgr = TransactionManager()
+    t1, t2 = cross_push(mgr)
+    _, blocked = mgr.issue(t2, "A", PublicCall("PUSH", (item("d"),)))
+    assert blocked.lifecycle is Lifecycle.BLOCKED
+    _, inv = mgr.issue(t1, "B", PublicCall("PUSH", (item("c"),)))
+    assert inv.lifecycle is Lifecycle.EXECUTED and inv.outs == (OK,)
+    assert t2.status is TxnStatus.ABORTED
+    assert t1.blocked_on is None and t1.woken is None
+    assert [(e.kind, e.txn) for e in mgr.history][-6:] == [
+        (hist.VICTIM, "T2"), (hist.ABORT, "T2"), (hist.WITHDRAW, "T2"),
+        (hist.INVERSE, "T2"), (hist.WAKE, "T1"), (hist.EXEC, "T1")]
+    mgr.commit(t1)
+
+
+def test_a_woken_op_is_owed_before_any_other_step():
+    # the record holds the op from its BLOCK to its WAKE, then as the woken
+    # op until `resume` runs it; no other step may come in between
+    mgr = TransactionManager()
+    mgr.add_object("s", get_adt("stack"))
+    t1, t2 = mgr.begin("T1"), mgr.begin("T2")
+    run_op(mgr, t1, "s", "PUSH", item("a"))
+    _, pop = mgr.issue(t2, "s", PublicCall("POP", ()))
+    assert t2.blocked_on == (mgr.objects["s"], pop) and t2.woken is None
+    with pytest.raises(ManagerInvariantError, match="T2 has no woken op to execute"):
+        mgr.resume(t2)                      # blocked, not woken
+    with pytest.raises(ManagerInvariantError, match="T2 is blocked"):
+        mgr.issue(t2, "s", PublicCall("EMPTY", ()))
+    mgr.commit(t1)
+    assert t2.blocked_on is None and t2.woken == (mgr.objects["s"], pop)
+    for step in (lambda: mgr.issue(t2, "s", PublicCall("EMPTY", ())),
+                 lambda: mgr.commit(t2), lambda: mgr.abort(t2)):
+        with pytest.raises(ManagerInvariantError,
+                           match="T2 owes the EXEC of its woken op"):
+            step()
+    invokes = mgr.history.count(hist.INVOKE)
+    mgr.resume(t2)
+    assert pop.lifecycle is Lifecycle.EXECUTED and t2.woken is None
+    assert mgr.history.count(hist.INVOKE) == invokes   # the refusals emitted nothing
+    with pytest.raises(ManagerInvariantError, match="T2 has no woken op to execute"):
+        mgr.resume(t2)
+    mgr.commit(t2)
 
 
 def test_victims_generator_sees_the_abort_when_resumed():

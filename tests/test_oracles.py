@@ -30,7 +30,6 @@ from adtxn.oracles import (
     check_abort_transparency,
     check_run,
     check_serializable,
-    replay_history,
     replay_serial,
     validate_run,
 )
@@ -39,7 +38,7 @@ from adtxn.tables import commute_with_in, commute_with_in_out, try_deduce
 from adtxn.values import UNIT, item, rational, report
 from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
                             make_step, parse_workload)
-from helpers import txn_decl
+from helpers import replay_history, txn_decl
 from test_acceptance import (CARD_BLOCK_TRACE, CARD_BLOCK_WORKLOAD,
                              CROSSED_TRACE, CROSSED_WORKLOAD, DEDUCTION_TRACE,
                              DEDUCTION_WORKLOAD, INSERT_HINT_TRACE,
@@ -456,6 +455,62 @@ def test_an_event_naming_another_txn_than_its_invocations_fails_the_replay(
     assert relabelled == runs
 
 
+# the events a deadlock resolution emits: each VICTIM, its ABORT, the
+# WITHDRAW and INVERSE of the erase, and the WAKEs they cause
+RESOLUTION = {hist.VICTIM, hist.ABORT, hist.WITHDRAW, hist.INVERSE, hist.WAKE}
+
+
+def _self_admitted_exec(events, i):
+    """Is events[i] the EXEC of an op its own BLOCK's resolution admitted:
+    the txn's BLOCK, then one resolution, with no asked-for ABORT, then it?"""
+    if events[i].kind != hist.EXEC:
+        return False
+    j = i - 1
+    while events[j].kind in RESOLUTION:
+        if events[j].kind == hist.ABORT and events[j - 1].kind != hist.VICTIM:
+            return False
+        j -= 1
+    return (j < i - 1 and events[j].kind == hist.BLOCK and events[j].txn == events[i].txn
+            and events[j + 1].kind == hist.VICTIM)
+
+
+def _chosen(events, i):
+    """Is events[i] an event its txn or the scheduler chose?"""
+    kind = events[i].kind
+    if kind == hist.ABORT:
+        return events[i - 1].kind != hist.VICTIM
+    if kind == hist.EXEC:
+        return _first_woken_exec(events, i) and not _self_admitted_exec(events, i)
+    return kind in (hist.BEGIN, hist.NULLOP, hist.INVOKE, hist.COMMIT)
+
+
+def test_an_exec_its_own_resolution_admitted_is_owed_at_once(mixed_results):
+    # a call that closes a deadlock and is admitted by its resolution runs
+    # in the same step: its EXEC is owed right after the resolution. Swap
+    # that EXEC, with the wakes it caused, and the next chosen event of
+    # another txn, with the events it caused: the replay must refuse the
+    # history at that event, naming the EXEC it owes
+    swapped = 0
+    for res in mixed_results:
+        events = res.history.events
+        for i in range(len(events)):
+            if not _self_admitted_exec(events, i):
+                continue
+            nxt = next((j for j in range(i + 1, len(events)) if _chosen(events, j)), None)
+            if nxt is None or events[nxt].txn == events[i].txn:
+                continue
+            end = next((j for j in range(nxt + 1, len(events)) if _chosen(events, j)),
+                       len(events))
+            history = doctored(res.history, lambda ev: (
+                ev[:i] + ev[nxt:end] + ev[i:nxt] + ev[end:]))
+            stage, verdict = check_run(dataclasses.replace(res, history=history))
+            assert stage == "replay", verdict
+            assert verdict.detail.startswith(f"event {i} ("), verdict
+            assert f"owed EXEC txn={events[i].txn} " in verdict.detail, verdict
+            swapped += 1
+    assert swapped == 57
+
+
 @pytest.mark.parametrize("kind,text", [(hist.INVOKE, CONTENTIOUS),
                                        (hist.NULLOP, NULL_OP)],
                          ids=["INVOKE", "NULLOP"])
@@ -582,7 +637,8 @@ def test_replay_rejects_a_truncated_history_under_optimization():
         import sys
         sys.path.insert(0, "tests")
         from test_oracles import CONTENTIOUS, doctored
-        from adtxn.oracles import HistoryReplayError, replay_history
+        from adtxn.oracles import HistoryReplayError
+        from helpers import replay_history
         from adtxn.simulate import run_simulated
         from adtxn.workload import parse_workload
         assert False, "asserts are live: not running under -O"
