@@ -28,38 +28,41 @@ These deliberately share no cleverness with the machinery they judge:
 The replay drives its own `TransactionManager`, built from the workload's
 objects on fresh strict monitors, with a sink in place of a `History`: the
 sink appends each event that engine emits to one queue, `due`, as an
-Event's fields but its index, and the history owes it. The replay splits
-the event kinds in two. The chosen ones are those the txn or the
-scheduler decides: BEGIN, NULLOP, INVOKE, the EXEC of an op a later
-event's wake admitted, COMMIT and an ABORT the txn asked for. Only these
-have a handler, and a handler runs only when nothing is owed: it judges
-whether the choice was allowed, then asks the engine to take the step,
-which emits the chosen event and then every event it causes. The monitors determine
-every other event completely: the DEDUCE, BLOCK or EXEC that answers an
+Event's fields but its index, and the history owes it. The history
+supplies the picks, the declared steps supply the calls. The replay keeps
+the simulator's cursor, an `_Activity`, over each declared txn's steps,
+and takes each of a txn's quanta through the simulator's own `quantum`:
+its BEGIN and first step, its next step, the EXEC of an op a wake
+admitted, or the commit or abort its declaration ends with. An event that
+comes while nothing is owed opens a quantum: it names the txn the
+schedule picked, and the replay runs that txn's quantum, which emits the
+quantum's own event and then every event it causes. The monitors
+determine those completely: the DEDUCE, BLOCK or EXEC that answers an
 INVOKE, each WAKE, the VICTIMs that resolve a BLOCK's deadlocks and each
 victim's ABORT, the EXEC of the blocked op when that resolution admitted
 it, and each WITHDRAW and INVERSE of an abort, which runs its whole
 `abort_plan` at once. Each event must equal the head of `due` in every
-field but its index. So no event can go missing, come twice, come
-out of order or differ in any field, and no chosen event can come while
-one is owed: a missing, extra or wrong VICTIM fails at the event itself.
-The invocation ids are the engine's counter's, compared as one field of
-each event, so an id names one invocation for the whole history, and the
-monitors' edges, which run from a smaller id to a larger one, follow
-arrival order. The replay reads an event's id only to render a failure.
+field but its index. So no event can go missing, come twice, come out of
+order or differ in any field; each txn's NULLOP and INVOKE events follow
+its declared steps in order, object, op and ins; its COMMIT or ABORT
+comes after its last step, as declared, or as the owed ABORT of its
+VICTIM; and no quantum opens while an event is owed: a missing, extra or
+wrong VICTIM fails at the event itself. The invocation ids are the
+engine's counter's, compared as one field of each event, so an id names
+one invocation for the whole history, and the monitors' edges, which run
+from a smaller id to a larger one, follow arrival order. The replay reads
+an event's id only to render a failure.
 
-An event that names a txn with no BEGIN before it, or an object the
-workload does not declare, fails the replay like any other drift, and so
-does a NULLOP, INVOKE, COMMIT or asked-for ABORT whose txn is not ACTIVE,
-is blocked, or still owes its woken op's EXEC, and an EXEC of a woken op
-that its txn does not have. The manager's steps refuse each of these; the
-replay names the event whose step refused, and refuses an asked-for ABORT
-of a blocked txn itself, which the manager's `abort` accepts. An INVOKE's
-call must fit its type's private signature; a malformed call that the reference semantics refuse (a
-`FrameworkError`) fails the replay too, rather than escaping `check_run`.
-A NULLOP's call goes to the engine's `issue`, as the run's did: it owes
-its NULLOP, whose outs are the translation's answer, only if it translates
-to NULL, and otherwise its INVOKE.
+An event that opens a quantum of a txn the workload does not declare
+fails the replay, and so does one whose quantum is refused: a blocked
+txn takes none, which `quantum` checks, because `abort` would take it,
+and the manager's steps refuse a txn that is not ACTIVE. An event that
+names an object or an op other than the declared step's differs from the
+event owed, as does one naming a txn that has not begun, whose quantum
+owes its BEGIN, or a woken txn, whose quantum owes its woken op's EXEC.
+The calls the replay's engine makes are the declared steps, which the
+workload's parser typed, so none is malformed; a `FrameworkError` would
+still fail the replay, rather than escape `check_run`.
 Last, the run's txn statuses and metrics must be those of the history the
 replay judged: each txn's status as the replay left it, the event counts,
 and each object's `max_in_execution` as the replay's monitors counted it.
@@ -74,8 +77,8 @@ resolution ends with no cycle through the blocked txn, the only place a
 new cycle can run. The release sections `complete`, `finish` and
 `withdraw` run only in the manager's steps, which hand each section's
 report, (woken, shed), to `_release` whenever the section shed an edge.
-Each woken txn owes its WAKE, and its own next event must then be its
-woken op's EXEC, which the manager's record holds until then; between
+Each woken txn owes its WAKE, and its next quantum is then its woken
+op's EXEC, which the manager's record holds until then; between
 events the only op in execution is one a wake admitted. The strict
 monitors check that the report names exactly the waiters whose edge to
 the op is gone.
@@ -92,15 +95,15 @@ again after every event would only re-read bookkeeping that has not moved.
 
 The history replay shares the engine itself, and nothing else: the
 `TransactionManager` class, with `TransactionRecord`, `abort_plan`, the
-walk `waits_for_edges` and the search `find_cycle`. So the run and the
-replay take each step, build each event and judge whether a txn is free
-to take it through one definition, and keep no state of their own about
-a txn's ops. The
-steps fix orders, event shapes and the victim rule, not outcomes: the
-replay's manager starts empty and sees only the history, so every
-admission, wake, inverse result and waits-for edge is re-decided by fresh
-`ManagedObject`s, and every event the replay owes is built from those,
-not copied from the run's. A fault in the manager moves the run and the
+walk `waits_for_edges` and the search `find_cycle`, and the simulator's
+`quantum` over its cursor. So the run and the replay take each quantum and
+each step, build each event and judge whether a txn is free to take it
+through one definition, and keep no state about a txn's ops but the
+cursor they share. The steps fix orders, event shapes and the victim
+rule, not outcomes: the replay's manager starts empty and sees only the
+history, so every admission, wake, inverse result and waits-for edge is
+re-decided by fresh `ManagedObject`s, and every event the replay owes is
+built from those, not copied from the run's. A fault in the manager moves the run and the
 replay alike, so the history replay cannot see it; only the serial-replay
 checks, which share nothing with the engine, the golden traces and the
 bench digests can, and for `_resolve` the test that checks each of its
@@ -117,15 +120,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .adts import get_adt
-from .core import (FrameworkError, PublicCall, check_private_ins,
-                   translate_public)
+from .core import FrameworkError, PublicCall, translate_public
 from . import history as hist
 from .history import History, compute_metrics
 from .manager import ManagerInvariantError, TransactionManager, TxnStatus
 # kept for bench/tracer.py, which times this binding apart from manager's
 # (ROADMAP item 8); `_resolve` searches through manager's
 from .manager import find_cycle  # noqa: F401
-from .simulate import RunResult
+from .simulate import RunResult, _Activity, quantum
 from .values import Value, render_params
 from .workload import Workload, initial_state
 
@@ -277,7 +279,9 @@ class _Replayer:
         self.manager = TransactionManager(self.due, strict=True)
         for decl in workload.objects:
             self.manager.add_object(decl.name, get_adt(decl.adt), initial_state(decl))
-        self.txns = {}        # {name: TransactionRecord}
+        # {name: cursor over its declared steps}
+        self.cursors = {decl.name: _Activity(decl, i)
+                        for i, decl in enumerate(workload.txns)}
 
     def _fail(self, event, msg):
         # callers test their condition first, so a message is only
@@ -296,89 +300,33 @@ class _Replayer:
         for obj in objects.values():
             if obj.live:
                 self._fail(None, f"{obj.name} still holds invocations")
-        for txn in self.txns.values():
+        for txn in self.manager.txns.values():
             if txn.status not in (_COMMITTED, _ABORTED):
                 self._fail(None, f"{txn.name} ended {txn.status.value}")
         return {name: obj.state for name, obj in objects.items()}
 
-    # one event
-
     def _step(self, e):
-        """Judge a chosen event and have the engine take it, unless an
-        event is owed; then `e` must be the head of `due` in every field
-        but its index. A step the manager refuses fails at `e`."""
+        """When nothing is owed, `e` opens a quantum: run one quantum of
+        the txn it names, as the simulator would have. Then `e` must be
+        the head of `due` in every field but its index. A quantum the
+        manager refuses fails at `e`."""
         due = self.due
         if not due:
-            handler = self._HANDLERS.get(e.kind)
-            if handler is None:
-                self._fail(e, f"no {e.kind} is owed here" if e.kind in hist.KINDS
-                           else f"unknown event kind {e.kind!r}")
+            cursor = self.cursors.get(e.txn)
+            if cursor is None:
+                self._fail(e, f"{e.txn} is not a declared txn")
             try:
-                handler(self, e)
+                quantum(self.manager, cursor)
             except ManagerInvariantError as exc:
                 self._fail(e, str(exc))
         owed = due.popleft()
         if e[1:] != owed:
             self._fail(e, f"owed {_owed_line(owed)}")
 
-    # the handlers of the chosen events
-
-    def _on_begin(self, e):
-        if e.txn in self.txns:
-            self._fail(e, "txn began twice")
-        self.txns[e.txn] = self.manager.begin(e.txn)
-
-    def _begun(self, e):
-        """The txn `e` names, which must have begun."""
-        txn = self.txns.get(e.txn)
-        if txn is None:
-            self._fail(e, f"{e.txn} has not begun")
-        return txn
-
-    def _object(self, e):
-        obj = self.manager.objects.get(e.obj)
-        if obj is None:
-            self._fail(e, f"unknown object {e.obj!r}")
-        return obj
-
-    def _on_nullop(self, e):
-        # the engine translates the call: a NULL one owes its NULLOP, outs
-        # and all, and any other owes its INVOKE
-        obj = self._object(e)
-        self.manager.issue(self._begun(e), obj.name,
-                           _new_tuple(PublicCall, (e.op, e.ins)))
-
-    def _on_invoke(self, e):
-        obj = self._object(e)
-        txn = self._begun(e)
-        check_private_ins(obj.spec, e)
-        self.manager.invoke(txn, obj, e.op, e.ins)
-
-    def _on_exec(self, e):
-        # the EXEC of an op a wake admitted: its txn chose when to run it
-        self.manager.resume(self._begun(e))
-
-    def _on_commit(self, e):
-        self.manager.commit(self._begun(e))
-
-    def _on_abort(self, e):
-        # an abort the txn asked for; a victim's is owed with its VICTIM.
-        # The manager aborts a blocked txn, but a txn never asks while blocked
-        txn = self._begun(e)
-        if txn.blocked_on:
-            self._fail(e, f"{e.txn} is blocked")
-        self.manager.abort(txn)
-
     # kept because bench/tracer.py patches it by name (ROADMAP item 8); since
     # the replay's manager resolves deadlocks, nothing calls it
     def _waits_for_edges(self, root):
         return self.manager.waits_for_edges(root)
-
-    # the chosen kinds; every other kind is only ever owed
-    _HANDLERS = {
-        hist.BEGIN: _on_begin, hist.NULLOP: _on_nullop, hist.INVOKE: _on_invoke,
-        hist.EXEC: _on_exec, hist.COMMIT: _on_commit, hist.ABORT: _on_abort,
-    }
 
 
 def _owed_line(owed) -> str:
@@ -399,7 +347,7 @@ def validate_run(result: RunResult) -> Verdict:
     if final != result.final_states:
         return Verdict(False, f"replayed states {final} != run states "
                               f"{result.final_states}")
-    statuses = {name: txn.status for name, txn in replayer.txns.items()}
+    statuses = {txn.name: txn.status for txn in replayer.manager.txns.values()}
     if statuses != result.statuses:
         # the engine's statuses name the declared txns only
         name = next(n for n in {**result.statuses, **statuses}

@@ -3,21 +3,28 @@
 Each transaction is a cursor over its declared steps: the index of its
 next step. The op it is blocked on, and the op a wake admitted for it, live
 in its manager record. The scheduling quantum is one public operation, and
-`_resume` runs exactly one: a transaction's first quantum is its BEGIN and
+`quantum` runs exactly one: a transaction's first quantum is its BEGIN and
 its first step (or, with no steps, its commit or abort); each later one
 issues its next step, which completes (the manager executes an op that
 its own deadlock resolution admitted), parks the transaction on a block,
 or loses the deadlock it closed; the EXEC of an op a wake admitted is a
 quantum of its own; and after the last step, the commit or abort is a
-quantum of its own. Given the same workload and seed the interleaving,
-the event stream and therefore the rendered trace are byte-identical on
-every run; there is no wall clock and no thread anywhere.
+quantum of its own. A blocked transaction takes no quantum. Given the
+same workload and seed the interleaving, the event stream and therefore
+the rendered trace are byte-identical on every run; there is no wall clock
+and no thread anywhere.
 
-The simulation drives the manager's plain steps, `begin`, `issue`,
-`resume`, `commit` and `abort`, never the `perform` generator, and the
-manager's wake notice is a list's `append`. So nothing in a run points
-back at the simulation, no generator is made per call, and a finished run
-is freed by reference counting alone.
+`quantum` is the one definition of what a transaction does when it next
+moves. The simulation calls it for the transaction its schedule picks;
+the history replay in `oracles` calls it on its own manager for the
+transaction each quantum-opening event names. So the schedule, or the
+history, supplies only the picks, and the declared steps supply the calls.
+
+`quantum` drives the manager's plain steps, `begin`, `issue`, `resume`,
+`commit` and `abort`, never the `perform` generator, and the manager's
+wake notice is a list's `append`. So nothing in a run points back at the
+simulation, no generator is made per call, and a finished run is freed by
+reference counting alone.
 
 A schedule is either seeded-random (uniform choice among runnable
 transactions, with a step cap as a safety net against bugs that stall
@@ -90,6 +97,35 @@ class _Activity:
         self.next_step = 0
 
 
+def quantum(mgr: TransactionManager, act: _Activity) -> bool:
+    """Run one quantum of `act`'s txn on `mgr`; True when it leaves READY,
+    parked on a block, lost a deadlock or finished. A blocked txn takes no
+    quantum: that is the READY rule, checked here because `abort`, the
+    only step that would take one, withdraws its op. The manager's steps
+    refuse every other txn that is not free to step."""
+    rec = act.rec
+    if rec is None:
+        rec = act.rec = mgr.begin(act.decl.name)
+    elif rec.blocked_on:
+        raise ManagerInvariantError(f"{rec.name} is blocked")
+    elif rec.woken:
+        # the EXEC of a woken op is a quantum of its own
+        mgr.resume(rec)
+        return False
+    steps, i = act.decl.steps, act.next_step
+    if i == len(steps):
+        if act.decl.terminal == "commit":
+            mgr.commit(rec)
+        else:
+            mgr.abort(rec)
+        return True
+    step = steps[i]
+    act.next_step = i + 1
+    _, inv = mgr.issue(rec, step.obj, _new_tuple(PublicCall, (step.op, step.ins)))
+    # an op that did not execute is blocked, or its txn lost the deadlock
+    return inv is not None and inv.lifecycle is not _EXECUTED
+
+
 @dataclass
 class RunResult:
     workload: Workload
@@ -127,7 +163,6 @@ class _Simulation:
         self.activities = [_Activity(decl, i)
                            for i, decl in enumerate(workload.txns)]
         self.ready = list(self.activities)    # READY, in declaration order
-        self._by_txn_id: dict[int, _Activity] = {}
         sched = workload.schedule
         if isinstance(sched, RandomSchedule):
             self.rng = random.Random(sched.seed if seed is None else seed)
@@ -142,18 +177,19 @@ class _Simulation:
 
     def run(self) -> RunResult:
         steps = 0
-        ready, woken, by_txn_id = self.ready, self.wakes, self._by_txn_id
+        mgr, ready, woken = self.mgr, self.ready, self.wakes
+        txns, by_name = mgr.txns, {act.decl.name: act for act in self.activities}
         while ready:
             steps += 1
             if self.max_steps is not None and steps > self.max_steps:
                 raise StepLimitExceeded(
                     f"needed more than {self.max_steps} scheduler steps")
             act = self._pick(ready)
-            if self._resume(act):
+            if quantum(mgr, act):
                 ready.remove(act)
             if woken:
                 for txn_id in woken:
-                    woke = by_txn_id[txn_id]
+                    woke = by_name[txns[txn_id].name]
                     # the resumed activity, woken mid-deadlock-resolution,
                     # never parked and is still on the list
                     if woke is not act:
@@ -177,30 +213,6 @@ class _Simulation:
                     return act
             # tokens naming waiting or finished txns are skipped
         return ready[0]
-
-    def _resume(self, act) -> bool:
-        """Run one quantum of `act`; True when it leaves READY, parked on a
-        block, lost a deadlock or finished."""
-        mgr, rec = self.mgr, act.rec
-        if rec is None:
-            rec = act.rec = mgr.begin(act.decl.name)
-            self._by_txn_id[rec.id] = act
-        elif rec.woken:
-            # the EXEC of a woken op is a quantum of its own
-            mgr.resume(rec)
-            return False
-        steps, i = act.decl.steps, act.next_step
-        if i == len(steps):
-            if act.decl.terminal == "commit":
-                mgr.commit(rec)
-            else:
-                mgr.abort(rec)
-            return True
-        step = steps[i]
-        act.next_step = i + 1
-        _, inv = mgr.issue(rec, step.obj, _new_tuple(PublicCall, (step.op, step.ins)))
-        # an op that did not execute is blocked, or its txn lost the deadlock
-        return inv is not None and inv.lifecycle is not _EXECUTED
 
     # -- wrap-up ----------------------------------------------------------------
 

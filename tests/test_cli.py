@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from adtxn import cli
+from adtxn import cli, monitor, tables
 from adtxn.cli import main
 from adtxn.history import History
 
@@ -135,9 +135,8 @@ def test_check_fails_a_run_its_commit_order_does_not_explain(wl, capsys, monkeyp
 
     def tampered(workload, seed=None):
         # T1 and T2 trade names throughout the history, so T1 pushed on s2:
-        # a step the serial replay does not give, and one the history
-        # replay, which does not read the declared steps, lets through;
-        # nine committed txns are no excuse
+        # a step the history replay, which issues T1's declared steps, does
+        # not owe; nine committed txns are no excuse
         result = run(workload, seed=seed)
         swap = {"T1": "T2", "T2": "T1"}
         return dataclasses.replace(result, history=History(
@@ -147,11 +146,43 @@ def test_check_fails_a_run_its_commit_order_does_not_explain(wl, capsys, monkeyp
     assert main(["check", wl(NINE_STACKS), "--runs", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert ("FAIL seed=1 serializability: commit order ['T1', 'T9', "
-            in captured.out)
-    assert ("is no witness: T1 step 0 saw s2 PUSH [a] -> [Ok], the serial "
-            "replay gives s1 PUSH [a] -> [Ok]\n" in captured.out)
+    assert ("FAIL seed=1 replay: event 4 (4 INVOKE txn=T1 obj=s2 op=PUSH in=[a] "
+            "out=[]): owed INVOKE txn=T1 obj=s1 op=PUSH in=[a] out=[], "
+            "invocation 2\n" in captured.out)
     assert "checked 1 run(s), 1 failure(s)" in captured.out
+
+
+DIRTY_READ = """\
+object s set {}
+txn T1
+  op s INSERT a
+end abort
+txn T2
+  op s IN a
+end commit
+schedule seed 4 steps 100
+"""
+
+
+def test_check_fails_a_table_lie_at_serializability(wl, capsys, monkeypatch):
+    # set INSERT and IN always commute, in the run's monitors and the
+    # history replay's alike: T2 reads T1's insert, commits, and T1 aborts.
+    # The history replays, and only the serial replay sees the dirty read
+    assert main(["check", wl(DIRTY_READ), "--runs", "1"]) == 0
+    capsys.readouterr()
+
+    def lie(query):
+        return lambda tables, a, b: {a.op, b.op} == {"INSERT", "IN"} or query(tables, a, b)
+
+    monkeypatch.setattr(monitor, "commute_with_in", lie(tables.commute_with_in))
+    monkeypatch.setattr(monitor, "commute_with_in_out", lie(tables.commute_with_in_out))
+    assert main(["check", wl(DIRTY_READ), "--runs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "FAIL seed=4 serializability: commit order ['T2'] is no witness: T2 step 0 "
+        "saw s IN [a] -> [true], the serial replay gives s IN [a] -> [false]\n"
+        "checked 1 run(s), 1 failure(s)\n")
 
 
 def test_check_reports_replay_drift_as_a_failed_stage(wl, capsys, monkeypatch):

@@ -387,6 +387,37 @@ def test_only_the_manager_writes_the_op_a_record_waits_on():
     assert writes >= 4          # the BLOCK, the WAKE, the EXEC and the WITHDRAW
 
 
+# the manager's steps a quantum takes; `issue` invokes a non-NULL call
+QUANTUM_STEPS = {"begin", "issue", "invoke", "resume", "commit", "abort"}
+
+
+def test_oracles_reaches_the_steps_only_through_the_shared_quantum():
+    # a txn's quantum has one definition, `simulate.quantum`, over its
+    # declared steps: the run's scheduler and the history replay each call
+    # it once, and the history supplies only which txn moves next. So
+    # `oracles` names no step a quantum takes and keeps no handler per
+    # event kind, and in `simulate` only `quantum` names a step
+    oracles, sim = _module("oracles.py"), _module("simulate.py")
+    found = [f"oracles.py:{node.lineno} {node.attr}" for node in ast.walk(oracles)
+             if isinstance(node, ast.Attribute) and node.attr in QUANTUM_STEPS]
+    found += [f"oracles.py:{node.lineno} {node.name}" for node in ast.walk(oracles)
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("_on_")]
+    found += [f"oracles.py:{node.lineno} {node.id}" for node in ast.walk(oracles)
+              if isinstance(node, ast.Name) and node.id == "_HANDLERS"]
+    parents = {child: node for node in ast.walk(sim) for child in ast.iter_child_nodes(node)}
+    named = {node.attr for node in ast.walk(_function(sim.body, "quantum"))
+             if isinstance(node, ast.Attribute) and node.attr in QUANTUM_STEPS}
+    found += [f"simulate.py:{node.lineno} {node.attr}" for node in ast.walk(sim)
+              if isinstance(node, ast.Attribute) and node.attr in QUANTUM_STEPS
+              and _enclosing_function(parents, node).name != "quantum"]
+    calls = sorted(f"{path}:{func.name}" for path, tree in (("oracles", oracles), ("simulate", sim))
+                   for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                   for node in ast.walk(func)
+                   if isinstance(node, ast.Call) and ast.unparse(node.func) == "quantum")
+    assert found == []
+    assert named == QUANTUM_STEPS - {"invoke"}
+    assert calls == ["oracles:_step", "simulate:run"]
+
 def _kind(node, kinds):
     return (isinstance(node, ast.Attribute) and node.attr in kinds
             and isinstance(node.value, ast.Name) and node.value.id == "hist")

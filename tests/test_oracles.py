@@ -233,7 +233,8 @@ def test_replay_rejects_a_phantom_wake():
     res = run_simulated(parse_workload(CONTENTIOUS))
     wake = next(e for e in res.history if e.kind == hist.WAKE)
     bad = doctored(res.history, lambda ev: ev + [wake])
-    with pytest.raises(HistoryReplayError, match="no WAKE is owed here"):
+    # nothing is owed, so the WAKE opens a quantum of T2, which has committed
+    with pytest.raises(HistoryReplayError, match="WAKE .*: T2 is committed, not active$"):
         replay_history(res.workload, bad)
 
 
@@ -323,17 +324,19 @@ def test_replay_rejects_a_victim_where_the_graph_is_acyclic():
     block = next(e for e in res.history if e.kind == hist.BLOCK)
     bad = _insert_after(res.history, block.index,
                         block._replace(kind=hist.VICTIM, obj=None, op=None, ins=()))
-    with pytest.raises(HistoryReplayError, match="no VICTIM is owed here"):
+    # nothing is owed, so the VICTIM opens a quantum of T2, which is blocked
+    with pytest.raises(HistoryReplayError, match="VICTIM .*: T2 is blocked$"):
         replay_history(res.workload, bad)
 
 
 @pytest.mark.parametrize("after,message", [
     (hist.WITHDRAW, "owed INVERSE txn=T2 "),
-    (hist.WAKE, "no VICTIM is owed here"),
+    (hist.WAKE, "T2 is aborted, not active"),
 ], ids=[hist.WITHDRAW, hist.WAKE])
 def test_replay_rejects_a_second_victim_once_the_cycle_is_resolved(after, message):
     # after the withdrawal the victim's inverse is still owed; after the
-    # wake the resolution is over and nothing is owed
+    # wake the resolution is over, nothing is owed, and the VICTIM opens a
+    # quantum of the aborted T2
     res = run_simulated(parse_workload(DEADLOCK))
     victim = next(e for e in res.history if e.kind == hist.VICTIM)
     index = next(e.index for e in res.history if e.kind == after)
@@ -341,31 +344,37 @@ def test_replay_rejects_a_second_victim_once_the_cycle_is_resolved(after, messag
         replay_history(res.workload, _insert_after(res.history, index, victim))
 
 
-@pytest.mark.parametrize("make,kind,forged", [
+@pytest.mark.parametrize("make,kind,forged,owed", [
     (lambda: generate_workload(random.Random(derive_seed(20260816, 0))),
-     hist.COMMIT, "BOGUS"),
-    (lambda: parse_workload(NULL_OP), hist.NULLOP, "nullop"),
+     hist.COMMIT, "BOGUS", "COMMIT txn=T1 obj=- op=- in=[] out=[]"),
+    (lambda: parse_workload(NULL_OP), hist.NULLOP, "nullop",
+     "NULLOP txn=T1 obj=r op=MULTIPLY in=[1] out=[]"),
 ], ids=["BOGUS", "nullop"])
-def test_check_run_refuses_an_unknown_event_kind_at_replay(make, kind, forged):
-    # the first acceptance-corpus instance, and a run with a NULLOP line
+def test_check_run_refuses_an_unknown_event_kind_at_replay(make, kind, forged, owed):
+    # the first acceptance-corpus instance, and a run with a NULLOP line:
+    # the forged line opens its txn's quantum, whose event it is not
     res = run_simulated(make())
     assert check_run(res)[0] is None
     res.history = doctored(res.history, lambda ev: [
         e._replace(kind=forged) if e.kind == kind else e for e in ev])
     stage, verdict = check_run(res)
     assert stage == "replay" and not verdict.ok
-    assert f"unknown event kind {forged!r}" in verdict.detail
+    assert f" {forged} txn=T1 " in verdict.detail
+    assert verdict.detail.endswith(f"): owed {owed}"), verdict
 
 
 def test_a_history_naming_an_unbegun_txn_fails_the_replay(mixed_results):
-    # delete each BEGIN in turn: the txn's next event names a txn the
-    # replay has not seen begin, and check_run reports it, raising nothing
+    # delete each BEGIN in turn: the txn's next event opens its first
+    # quantum, which owes the BEGIN, and check_run reports it, raising nothing
     deleted = 0
     for res in mixed_results:
-        for begin in [e.index for e in res.history if e.kind == hist.BEGIN]:
-            history = doctored(res.history, lambda ev: ev[:begin] + ev[begin + 1:])
+        for begin in [e for e in res.history if e.kind == hist.BEGIN]:
+            at = begin.index
+            history = doctored(res.history, lambda ev: ev[:at] + ev[at + 1:])
             stage, verdict = check_run(dataclasses.replace(res, history=history))
-            assert stage == "replay" and "has not begun" in verdict.detail, verdict
+            assert stage == "replay" and verdict.detail.startswith(f"event {at} ("), verdict
+            assert verdict.detail.endswith(f"owed BEGIN txn={begin.txn} obj=- op=- "
+                                           "in=[] out=[]"), verdict
             deleted += 1
     assert deleted == 1_502
 
@@ -396,14 +405,20 @@ def _move_nullop(kind, txn):
 
 @pytest.mark.parametrize("mutate,message", [
     (lambda ev: [e._replace(txn="T99") if e.kind == hist.NULLOP else e
-                 for e in ev], "T99 has not begun"),
-    (_move_nullop(hist.BLOCK, "T2"), "T2 is blocked"),
-    (_move_nullop(hist.WAKE, "T2"), "T2 owes the EXEC of its woken op"),
-    (_move_nullop(hist.COMMIT, "T2"), "T2 is committed, not active"),
+                 for e in ev], "NULLOP txn=T99 obj=r op=MULTIPLY in=[1] out=[]): "
+                               "T99 is not a declared txn"),
+    (_move_nullop(hist.BLOCK, "T2"), "NULLOP txn=T2 obj=r op=MULTIPLY in=[1] out=[]): "
+                                     "T2 is blocked"),
+    (_move_nullop(hist.WAKE, "T2"), "NULLOP txn=T2 obj=r op=MULTIPLY in=[1] out=[]): "
+                                    "owed EXEC txn=T2 obj=s op=POP in=[] out=[a,Ok], "
+                                    "invocation 2"),
+    (_move_nullop(hist.COMMIT, "T2"), "COMMIT txn=T2 obj=- op=- in=[] out=[]): "
+                                      "owed NULLOP txn=T2 obj=r op=MULTIPLY in=[1] out=[]"),
 ], ids=["unknown txn", "blocked txn", "woken txn", "after its COMMIT"])
 def test_a_nullop_must_name_a_txn_free_to_step(mutate, message):
-    # T2's NULLOP follows its wake; the replay must judge the txn it names
-    # as it judges an INVOKE's
+    # T2's NULLOP follows its wake. The txn an event names takes the next
+    # quantum: an undeclared or blocked one takes none, a woken one runs its
+    # woken op, and one whose NULL step is still to come cannot commit
     res = run_simulated(parse_workload(BLOCKED_THEN_NULL))
     assert check_run(res)[0] is None
     history = doctored(res.history, mutate)
@@ -453,6 +468,34 @@ def test_an_event_naming_another_txn_than_its_invocations_fails_the_replay(
         assert verdict.detail.startswith(f"event {i} ("), verdict
         relabelled += 1
     assert relabelled == runs
+
+
+# the kinds a quantum opens with, and the ABORT a VICTIM owes
+QUANTUM_KINDS = (hist.BEGIN, hist.NULLOP, hist.INVOKE, hist.EXEC, hist.COMMIT, hist.ABORT)
+
+
+def test_every_quantum_event_relabelled_to_another_txn_fails_the_replay(mixed_results):
+    # the history names which txn moves next, and the txn's declared steps
+    # say what it does; so each such event of the 400 small runs, relabelled
+    # to each other declared txn, must fail at replay, and none may raise
+    tally = Counter()
+    for res in mixed_results[:400]:
+        names = [decl.name for decl in res.workload.txns]
+        events = res.history.events
+        for e in events:
+            if e.kind not in QUANTUM_KINDS:
+                continue
+            for other in names:
+                if other != e.txn:
+                    forged = History(events[:e.index] + [e._replace(txn=other)]
+                                     + events[e.index + 1:])
+                    stage, _ = check_run(dataclasses.replace(res, history=forged))
+                    tally[e.kind, stage] += 1
+    assert tally == {
+        (hist.BEGIN, "replay"): 2_676, (hist.NULLOP, "replay"): 454,
+        (hist.INVOKE, "replay"): 6_406, (hist.EXEC, "replay"): 5_190,
+        (hist.COMMIT, "replay"): 1_526, (hist.ABORT, "replay"): 1_150,
+    }
 
 
 # the events a deadlock resolution emits: each VICTIM, its ABORT, the
@@ -511,28 +554,30 @@ def test_an_exec_its_own_resolution_admitted_is_owed_at_once(mixed_results):
     assert swapped == 57
 
 
-@pytest.mark.parametrize("kind,text", [(hist.INVOKE, CONTENTIOUS),
-                                       (hist.NULLOP, NULL_OP)],
-                         ids=["INVOKE", "NULLOP"])
-def test_a_history_naming_an_unknown_object_fails_the_replay(kind, text):
+@pytest.mark.parametrize("kind,text,owed", [
+    (hist.INVOKE, CONTENTIOUS, "INVOKE txn=T1 obj=s op=PUSH in=[a] out=[], invocation 1"),
+    (hist.NULLOP, NULL_OP, "NULLOP txn=T1 obj=r op=MULTIPLY in=[1] out=[]"),
+], ids=["INVOKE", "NULLOP"])
+def test_a_history_naming_an_unknown_object_fails_the_replay(kind, text, owed):
+    # the replay issues the declared step, on its declared object
     res = run_simulated(parse_workload(text))
     first = next(e.index for e in res.history if e.kind == kind)
     res.history = doctored(res.history, lambda ev: [
         e._replace(obj="nowhere") if e.index == first else e for e in ev])
     stage, verdict = check_run(res)
-    assert stage == "replay" and "unknown object 'nowhere'" in verdict.detail
+    assert stage == "replay" and f"{kind} txn=T1 obj=nowhere " in verdict.detail
+    assert verdict.detail.endswith(f"): owed {owed}"), verdict
 
 
-@pytest.mark.parametrize("forge,owed", [
-    (lambda e: e._replace(ins=(rational(2),)),
-     "owed INVOKE txn=T1 obj=r op=MULTIPLY in=[2] out=[], invocation 1"),
-    (lambda e: e._replace(outs=(rational(1),)),
-     "owed NULLOP txn=T1 obj=r op=MULTIPLY in=[1] out=[]"),
+@pytest.mark.parametrize("forge", [
+    lambda e: e._replace(ins=(rational(2),)),
+    lambda e: e._replace(outs=(rational(1),)),
 ], ids=["not-null", "wrong-outs"])
-def test_a_forged_nullop_fails_the_replay_naming_the_owed_event(forge, owed):
-    # the replay's engine takes a NULLOP's call through `issue` as the run
-    # did: MULTIPLY 2 is no NULL call and owes its INVOKE, and MULTIPLY 1
-    # answers nothing, so a NULLOP with outs differs from the one it owes
+def test_a_forged_nullop_fails_the_replay_naming_the_owed_event(forge):
+    # the replay's engine issues the declared step, MULTIPLY 1, through
+    # `issue` as the run did; it answers nothing, so a NULLOP with other
+    # ins or with outs differs from the one it owes
+    owed = "owed NULLOP txn=T1 obj=r op=MULTIPLY in=[1] out=[]"
     res = run_simulated(parse_workload(NULL_OP))
     history = doctored(res.history, lambda ev: [
         forge(e) if e.kind == hist.NULLOP else e for e in ev])
@@ -543,15 +588,19 @@ def test_a_forged_nullop_fails_the_replay_naming_the_owed_event(forge, owed):
 
 
 def test_the_statuses_and_the_commits_are_the_historys():
-    # T2 renamed T9 in every event: the history replays, but T9 is not
-    # declared, and the run's declared T2 never began in it
+    # T2 renamed T9 in every event: T9 is not declared, so it takes no
+    # quantum; and a run's status for a txn its history never began fails
     res = run_simulated(parse_workload(CONTENTIOUS))
     renamed = dataclasses.replace(res, history=doctored(res.history, lambda ev: [
         e._replace(txn="T9") if e.txn == "T2" else e for e in ev]))
-    assert replay_history(res.workload, renamed.history) == res.final_states
     stage, verdict = check_run(renamed)
-    assert stage == "replay"
-    assert verdict.detail == "the run says T2 is committed, its history absent"
+    assert (stage, verdict.detail) == (
+        "replay", "event 3 (3 BEGIN txn=T9 obj=- op=- in=[] out=[]): "
+                  "T9 is not a declared txn")
+    extra = dataclasses.replace(res, statuses={**res.statuses, "T9": TxnStatus.COMMITTED})
+    stage, verdict = check_run(extra)
+    assert (stage, verdict.detail) == (
+        "replay", "the run says T9 is committed, its history absent")
     # the committed txns are those the COMMIT events name, each declared
     # and named once
     assert check_serializable(renamed).detail == (
@@ -560,18 +609,6 @@ def test_the_statuses_and_the_commits_are_the_historys():
         e._replace(txn="T1") if e.kind == hist.COMMIT else e for e in ev]))
     assert check_serializable(twice).detail == (
         "COMMIT events ['T1', 'T1'] do not each name a declared txn once")
-
-
-# the kinds only the monitors cause: the replay computes each and owes it
-CAUSED = {hist.DEDUCE, hist.BLOCK, hist.WAKE, hist.WITHDRAW, hist.INVERSE, hist.VICTIM}
-
-
-def test_replay_has_a_handler_for_each_chosen_event_kind_only():
-    # the handler kinds and the caused kinds partition the kinds
-    handled = oracles._Replayer._HANDLERS.keys()
-    assert handled == {hist.BEGIN, hist.NULLOP, hist.INVOKE, hist.EXEC,
-                       hist.COMMIT, hist.ABORT}
-    assert handled.isdisjoint(CAUSED) and handled | CAUSED == hist.KINDS
 
 
 def test_replay_rejects_a_reused_invocation_id():
@@ -717,6 +754,25 @@ def test_mixed_workloads_keep_their_golden_digest(mixed_results):
     assert _mixed_digest(mixed_results) == MIXED_DIGEST
 
 
+def test_the_mixed_digest_holds_under_other_hash_seeds():
+    # string hashing differs between processes, so set and dict orders can
+    # too; the traces and metrics must not move with them
+    script = textwrap.dedent("""\
+        import sys
+        sys.path.insert(0, "tests")
+        from test_oracles import _mixed_digest, _mixed_workloads
+        from adtxn.simulate import run_simulated
+        print(_mixed_digest([run_simulated(w) for w in _mixed_workloads()]))
+        """)
+    root = Path(__file__).resolve().parent.parent
+    for hashseed in ("0", "12345"):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED=hashseed)
+        proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{MIXED_DIGEST}\n", f"PYTHONHASHSEED={hashseed}"
+
+
 def test_golden_traces_hold_with_the_translation_memo_cold_and_warm():
     goldens = [(DEDUCTION_WORKLOAD, DEDUCTION_TRACE),
                (INSERT_HINT_WORKLOAD, INSERT_HINT_TRACE),
@@ -752,12 +808,13 @@ def test_mixed_workloads_are_serializable_in_commit_order(mixed_results):
     assert len(committed) == 6 and sum(n > 8 for n in committed) == 3
 
 
-def test_a_duplicated_nullop_of_a_committed_txn_fails_serializability(mixed_results):
-    # the history replay lets a txn free to step take a NULL step twice, and
-    # the forged run counts what its history holds; but the serial replay
-    # gives each committed txn its declared steps once; a duplicate in an
-    # aborted txn is left to a per-txn steps check
-    committed = aborted = 0
+def test_a_duplicated_nullop_fails_the_replay(mixed_results):
+    # the forged run counts what its history holds, but the replay issues
+    # each txn's declared steps once and in order, in committed and aborted
+    # txns alike: the copy opens a quantum that owes the txn's next step.
+    # Where that step is the same NULL call again, the copy matches it and
+    # the history fails one step later
+    at_the_copy = later = 0
     for res in mixed_results:
         for null in [e for e in res.history if e.kind == hist.NULLOP]:
             at = null.index
@@ -765,14 +822,14 @@ def test_a_duplicated_nullop_of_a_committed_txn_fails_serializability(mixed_resu
             metrics = compute_metrics(history, res.metrics.max_in_execution)
             stage, verdict = check_run(
                 dataclasses.replace(res, history=history, metrics=metrics))
-            if res.statuses[null.txn] is TxnStatus.COMMITTED:
-                assert stage == "serializability", verdict
-                assert re.search(rf"is no witness: {null.txn} step \d+ saw ",
-                                 verdict.detail), verdict
-                committed += 1
+            assert stage == "replay", verdict
+            where = int(re.match(r"event (\d+) ", verdict.detail)[1])
+            assert where > at, verdict
+            if where == at + 1:
+                at_the_copy += 1
             else:
-                aborted += 1
-    assert (committed, aborted) == (145, 53)
+                later += 1
+    assert (at_the_copy, later) == (194, 4)
 
 
 def test_a_tampered_final_state_fails_naming_its_object(mixed_results):
@@ -1099,10 +1156,9 @@ def _substitutes(res):
 def test_an_op_event_naming_another_op_or_object_fails_and_raises_nothing(
         mixed_results):
     # every op event must name its invocation's object, op and in-params,
-    # and a malformed call fails the replay rather than escaping as a raise;
-    # a NULLOP that translates to the same NULL answer replays, and the
-    # serial replay sees it only in a committed txn. Every op event of the
-    # 400 small runs is forged; of the six 50-txn runs, every fifth.
+    # and a NULLOP its declared step's, and none escapes as a raise. Every
+    # op event of the 400 small runs is forged; of the six 50-txn runs,
+    # every fifth.
     tally = Counter()
     for n, res in enumerate(mixed_results):
         events = res.history.events
@@ -1111,16 +1167,12 @@ def test_an_op_event_naming_another_op_or_object_fails_and_raises_nothing(
                 continue
             history = History(events[:e.index] + [forged] + events[e.index + 1:])
             stage, _ = check_run(dataclasses.replace(res, history=history))
-            if stage is None:
-                assert e.kind == hist.NULLOP, forged
-                assert res.statuses[e.txn] is TxnStatus.ABORTED, forged
             tally[e.kind, stage] += 1
     assert tally == {
         (hist.INVOKE, "replay"): 5_205, (hist.DEDUCE, "replay"): 306,
         (hist.BLOCK, "replay"): 1_633, (hist.EXEC, "replay"): 4_280,
         (hist.WAKE, "replay"): 965, (hist.WITHDRAW, "replay"): 658,
-        (hist.INVERSE, "replay"): 521, (hist.NULLOP, "replay"): 257,
-        (hist.NULLOP, "serializability"): 58, (hist.NULLOP, None): 21,
+        (hist.INVERSE, "replay"): 521, (hist.NULLOP, "replay"): 336,
     }
 
 
