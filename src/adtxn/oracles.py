@@ -25,15 +25,15 @@ These deliberately share no cleverness with the machinery they judge:
   same pure table functions and the engine's own deadlock resolution, and
   checks the run's decisions against the trace at every event.
 
-The replay drives its own `TransactionManager`, built from the workload's
-objects on fresh strict monitors, with a sink in place of a `History`: the
-sink appends each event that engine emits to one queue, `due`, as an
-Event's fields but its index, and the history owes it. The history
-supplies the picks, the declared steps supply the calls. The replay keeps
-the simulator's cursor, an `_Activity`, over each declared txn's steps,
-and takes each of a txn's quanta through the simulator's own `quantum`:
-its BEGIN and first step, its next step, the EXEC of an op a wake
-admitted, or the commit or abort its declaration ends with. An event that
+The replay drives its own `TransactionManager`, with each declared object
+on a fresh strict monitor and a cursor per declared txn, built by the
+simulator's own `engine` with a sink in place of a `History`: the sink
+appends each event that engine emits to one queue, `due`, as an Event's
+fields but its index, and the history owes it. The history supplies the
+picks, the declared steps supply the calls. The replay takes each of a
+txn's quanta on its cursor through the simulator's own `quantum`: its
+BEGIN and first step, its next step, the EXEC of an op a wake admitted,
+or the commit or abort its declaration ends with. An event that
 comes while nothing is owed opens a quantum: it names the txn the
 schedule picked, and the replay runs that txn's quantum, which emits the
 quantum's own event and then every event it causes. The monitors
@@ -63,9 +63,16 @@ owes its BEGIN, or a woken txn, whose quantum owes its woken op's EXEC.
 The calls the replay's engine makes are the declared steps, which the
 workload's parser typed, so none is malformed; a `FrameworkError` would
 still fail the replay, rather than escape `check_run`.
-Last, the run's txn statuses and metrics must be those of the history the
-replay judged: each txn's status as the replay left it, the event counts,
-and each object's `max_in_execution` as the replay's monitors counted it.
+
+At the end of the history nothing may still be owed. Then the replay
+closes the history through the simulator's own `account`, which says what
+a finished run is: every object drained and every declared txn committed
+or aborted, so a history that never begins a declared txn fails there,
+with no run to compare against. Its result is the replay's account of the
+run: final states, txn statuses, and metrics, the event counts and each
+object's `max_in_execution` as the replay's monitors counted it.
+`validate_run` compares that account with the run's as one value, and
+only when they differ names the first fact that does.
 
 The replay keeps no waits-for graph of its own. When an INVOKE's admission
 blocks, its manager runs `_resolve` at once, as the engine does, on the
@@ -96,10 +103,11 @@ again after every event would only re-read bookkeeping that has not moved.
 The history replay shares the engine itself, and nothing else: the
 `TransactionManager` class, with `TransactionRecord`, `abort_plan`, the
 walk `waits_for_edges` and the search `find_cycle`, and the simulator's
-`quantum` over its cursor. So the run and the replay take each quantum and
-each step, build each event and judge whether a txn is free to take it
-through one definition, and keep no state about a txn's ops but the
-cursor they share. The steps fix orders, event shapes and the victim
+`engine`, `quantum` over its cursor, and `account`. So the run and the
+replay set up, take each quantum and each step, build each event, judge
+whether a txn is free to take it and say what a finished run is through
+one definition, and keep no state about a txn's ops but the cursor they
+share. The steps fix orders, event shapes and the victim
 rule, not outcomes: the replay's manager starts empty and sees only the
 history, so every admission, wake, inverse result and waits-for edge is
 re-decided by fresh `ManagedObject`s, and every event the replay owes is
@@ -122,17 +130,15 @@ from typing import NamedTuple
 from .adts import get_adt
 from .core import FrameworkError, PublicCall, translate_public
 from . import history as hist
-from .history import History, compute_metrics
-from .manager import ManagerInvariantError, TransactionManager, TxnStatus
+from .history import History
+from .manager import ManagerInvariantError
 # kept for bench/tracer.py, which times this binding apart from manager's
 # (ROADMAP item 8); `_resolve` searches through manager's
 from .manager import find_cycle  # noqa: F401
-from .simulate import RunResult, _Activity, quantum
+from .simulate import RunResult, account, engine, quantum
 from .values import Value, render_params
 from .workload import Workload, initial_state
 
-# enum members as globals (see the `core` docstring)
-_COMMITTED, _ABORTED = TxnStatus.COMMITTED, TxnStatus.ABORTED
 _new_tuple = tuple.__new__
 
 
@@ -275,13 +281,11 @@ class _Replayer:
     """Second, independent run of every monitor decision in a history."""
 
     def __init__(self, workload: Workload):
+        self.workload = workload
         self.due = _Due()
-        self.manager = TransactionManager(self.due, strict=True)
-        for decl in workload.objects:
-            self.manager.add_object(decl.name, get_adt(decl.adt), initial_state(decl))
-        # {name: cursor over its declared steps}
-        self.cursors = {decl.name: _Activity(decl, i)
-                        for i, decl in enumerate(workload.txns)}
+        self.manager, cursors = engine(workload, self.due)
+        # {name: cursor over its declared steps}, in declaration order
+        self.cursors = {act.decl.name: act for act in cursors}
 
     def _fail(self, event, msg):
         # callers test their condition first, so a message is only
@@ -289,21 +293,20 @@ class _Replayer:
         where = f"event {event.index} ({event.render()})" if event else "end of history"
         raise HistoryReplayError(f"{where}: {msg}")
 
-    def replay(self, history: History) -> dict[str, object]:
+    def replay(self, history: History) -> RunResult:
+        """The run this history records, by the simulator's own account,
+        or a `HistoryReplayError` naming the first event, or the end of
+        the history, where it strays."""
         # no invariant sweep here: every entry section of the strict
         # monitors ends with its own check (see the module docstring)
         for event in history:
             self._step(event)
         if self.due:
             self._fail(None, f"owed {_owed_line(self.due[0])}")
-        objects = self.manager.objects
-        for obj in objects.values():
-            if obj.live:
-                self._fail(None, f"{obj.name} still holds invocations")
-        for txn in self.manager.txns.values():
-            if txn.status not in (_COMMITTED, _ABORTED):
-                self._fail(None, f"{txn.name} ended {txn.status.value}")
-        return {name: obj.state for name, obj in objects.items()}
+        try:
+            return account(self.workload, history, self.manager, self.cursors.values())
+        except AssertionError as exc:
+            self._fail(None, str(exc))
 
     def _step(self, e):
         """When nothing is owed, `e` opens a quantum: run one quantum of
@@ -338,39 +341,33 @@ def _owed_line(owed) -> str:
 
 
 def validate_run(result: RunResult) -> Verdict:
-    """Everything short of serializability: the history replays, and its
-    final states, txn statuses and event counts are the run's, as is each
-    object's most ops in execution at once, which the replay's own
-    monitors count."""
-    replayer = _Replayer(result.workload)
-    final = replayer.replay(result.history)
-    if final != result.final_states:
-        return Verdict(False, f"replayed states {final} != run states "
-                              f"{result.final_states}")
-    statuses = {txn.name: txn.status for txn in replayer.manager.txns.values()}
-    if statuses != result.statuses:
-        # the engine's statuses name the declared txns only
-        name = next(n for n in {**result.statuses, **statuses}
-                    if result.statuses.get(n) is not statuses.get(n))
-        said, replayed = (getattr(s.get(name), "value", "absent")
-                          for s in (result.statuses, statuses))
-        return Verdict(False, f"the run says {name} is {said}, "
-                              f"its history {replayed}")
+    """Everything short of serializability: the history replays, and the
+    replay's account of it, its final states, txn statuses and metrics,
+    is the run's. The metrics include each object's most ops in execution
+    at once, which the replay's own monitors count."""
+    replayed = _Replayer(result.workload).replay(result.history)
+    if (result.final_states, result.statuses, result.metrics) == (
+            replayed.final_states, replayed.statuses, replayed.metrics):
+        return Verdict(True, "history replays cleanly")
+    said, seen = _facts(result), _facts(replayed)
+    fact = next(f for f in {**said, **seen} if said.get(f) != seen.get(f))
+    return Verdict(False, f"the run says {fact} is {said.get(fact, 'absent')}, "
+                          f"its replay {seen.get(fact, 'absent')}")
+
+
+def _facts(result: RunResult) -> dict[str, object]:
+    """A run's account fact by fact, under the names a failed
+    `validate_run` shows. A status is named by its txn alone, which holds
+    no space, and every other name holds one, so no two collide."""
     metrics = result.metrics
-    counted = compute_metrics(result.history, {
-        name: obj.max_in_execution for name, obj in replayer.manager.objects.items()})
-    if counted != metrics:
-        name = next((f for f, _ in hist.METRIC_COUNTS
-                     if getattr(counted, f) != getattr(metrics, f)), None)
-        if name is not None:
-            return Verdict(False, f"the run counts {getattr(metrics, name)} {name}, "
-                                  f"its history {getattr(counted, name)}")
-        ran, replayed = metrics.max_in_execution, counted.max_in_execution
-        name = next(n for n in sorted({*ran, *replayed}) if ran.get(n) != replayed.get(n))
-        said, seen = (m.get(name, "absent") for m in (ran, replayed))
-        return Verdict(False, f"the run counts max_in_execution {said} on {name}, "
-                              f"its replay {seen}")
-    return Verdict(True, "history replays cleanly")
+    facts = {f"the final state of {name}": state
+             for name, state in result.final_states.items()}
+    facts.update((name, status.value) for name, status in result.statuses.items())
+    facts.update((f"the count of {name}", getattr(metrics, name))
+                 for name, _ in hist.METRIC_COUNTS)
+    facts.update((f"max_in_execution on {name}", high)
+                 for name, high in metrics.max_in_execution.items())
+    return facts
 
 
 def check_run(result: RunResult) -> tuple[str | None, Verdict]:

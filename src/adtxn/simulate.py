@@ -19,6 +19,13 @@ moves. The simulation calls it for the transaction its schedule picks;
 the history replay in `oracles` calls it on its own manager for the
 transaction each quantum-opening event names. So the schedule, or the
 history, supplies only the picks, and the declared steps supply the calls.
+In the same way `engine` is the one setup of a run, the manager on its
+sink with each declared object at its initial state and a cursor per
+declared txn, and `account` the one account of a finished one: every
+object drained, every declared txn committed or aborted, and the final
+states, statuses and metrics that follow. The simulation and the history
+replay each call both, so a replay's result is a `RunResult` like the
+run's, and the two are compared whole.
 
 `quantum` drives the manager's plain steps, `begin`, `issue`, `resume`,
 `commit` and `abort`, never the `perform` generator, and the manager's
@@ -30,7 +37,9 @@ A schedule is either seeded-random (uniform choice among runnable
 transactions, with a step cap as a safety net against bugs that stall
 progress) or an explicit token list naming which transaction advances next;
 tokens for transactions that are waiting or finished are skipped, and when
-tokens run out the lowest-numbered runnable transaction proceeds.
+tokens run out the lowest-numbered runnable transaction proceeds. The
+tokens are read once, front to back, so a schedule costs time linear in
+its length, skipped tokens included.
 
 A deadlock victim other than the caller is parked on a block, so it is not
 on the READY list, and it is simply never resumed: its record says
@@ -145,6 +154,42 @@ class RunResult:
         return out
 
 
+def engine(workload: Workload, sink, strict: bool = True, on_wake=None):
+    """(manager, cursors): a `TransactionManager` that emits into `sink`,
+    with each declared object at its initial state, and a cursor per
+    declared txn, in declaration order. The one setup of a run and of its
+    history replay."""
+    mgr = TransactionManager(sink, strict=strict, on_wake=on_wake)
+    for decl in workload.objects:
+        mgr.add_object(decl.name, get_adt(decl.adt), initial_state(decl))
+    return mgr, [_Activity(decl, i) for i, decl in enumerate(workload.txns)]
+
+
+def account(workload: Workload, history: History, mgr: TransactionManager,
+            activities) -> RunResult:
+    """What a finished run is, the one account of a run and of its history
+    replay: every object drained and every declared txn committed or
+    aborted, or this raises; then the final states, the statuses and the
+    metrics that follow, each object's `max_in_execution` as its monitor
+    counted it."""
+    for obj in mgr.objects.values():
+        if obj.live:
+            raise MonitorInvariantError(f"{obj.name} still holds invocations")
+    statuses = {}
+    for act in activities:
+        if act.rec is None or act.rec.status not in (_COMMITTED, _ABORTED):
+            raise ManagerInvariantError(f"{act.decl.name} did not commit or abort")
+        statuses[act.decl.name] = act.rec.status
+    high = {name: obj.max_in_execution for name, obj in mgr.objects.items()}
+    return RunResult(
+        workload=workload,
+        history=history,
+        metrics=compute_metrics(history, high),
+        final_states={n: o.state for n, o in mgr.objects.items()},
+        statuses=statuses,
+    )
+
+
 def run_simulated(workload: Workload, seed: int | None = None,
                   strict: bool = True) -> RunResult:
     return _Simulation(workload, seed, strict).run()
@@ -156,12 +201,8 @@ class _Simulation:
         self.history = History()
         # txn ids woken in the current quantum; `run` moves them to READY
         self.wakes = []
-        self.mgr = TransactionManager(self.history, strict=strict,
-                                      on_wake=self.wakes.append)
-        for decl in workload.objects:
-            self.mgr.add_object(decl.name, get_adt(decl.adt), initial_state(decl))
-        self.activities = [_Activity(decl, i)
-                           for i, decl in enumerate(workload.txns)]
+        self.mgr, self.activities = engine(workload, self.history, strict,
+                                           self.wakes.append)
         self.ready = list(self.activities)    # READY, in declaration order
         sched = workload.schedule
         if isinstance(sched, RandomSchedule):
@@ -171,7 +212,7 @@ class _Simulation:
         elif isinstance(sched, ExplicitSchedule):
             self.rng = None
             self.max_steps = None
-            self.tokens = list(sched.tokens)
+            self.tokens = iter(sched.tokens)
         else:
             raise SimulationError(f"unknown schedule {sched!r}")
 
@@ -199,38 +240,18 @@ class _Simulation:
                  if a.rec.status is _ACTIVE]
         if stuck:
             raise ScheduleStuck(f"nothing runnable; waiting: {stuck}")
-        return self._result()
+        return account(self.workload, self.history, mgr, self.activities)
 
     # -- scheduling -----------------------------------------------------------
 
     def _pick(self, ready):
         if self.rng is not None:
             return self.rng.choice(ready)
-        while self.tokens:
-            name = self.tokens.pop(0)
+        # one pass over the tokens for the whole run, so a schedule of n
+        # tokens costs O(n), skipped ones included
+        for name in self.tokens:
             for act in ready:
                 if act.decl.name == name:
                     return act
             # tokens naming waiting or finished txns are skipped
         return ready[0]
-
-    # -- wrap-up ----------------------------------------------------------------
-
-    def _result(self):
-        for obj in self.mgr.objects.values():
-            if obj.live:
-                raise MonitorInvariantError(f"{obj.name} not drained at end of run")
-        statuses = {}
-        for act in self.activities:
-            if act.rec is None or act.rec.status not in (_COMMITTED, _ABORTED):
-                raise ManagerInvariantError(f"{act.decl.name} unfinished at end of run")
-            statuses[act.decl.name] = act.rec.status
-        high = {name: obj.max_in_execution
-                for name, obj in self.mgr.objects.items()}
-        return RunResult(
-            workload=self.workload,
-            history=self.history,
-            metrics=compute_metrics(self.history, high),
-            final_states={n: o.state for n, o in self.mgr.objects.items()},
-            statuses=statuses,
-        )

@@ -9,7 +9,7 @@ from adtxn.workload import ObjectDecl, TxnDecl, Workload
 def replay_history(workload: Workload, history: History) -> dict[str, object]:
     """Reconstruct all monitors from the event stream; raises on any drift.
     Returns the final states."""
-    return _Replayer(workload).replay(history)
+    return _Replayer(workload).replay(history).final_states
 
 
 def waits_for_graph(txns) -> dict[int, set[int]]:

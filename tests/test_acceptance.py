@@ -71,8 +71,8 @@ def test_criterion_01_tables_sound_by_brute_force(capsys):
         assert rc == 0, f"verify-tables {adt} reported violations"
     elapsed = time.monotonic() - t0
     lines = [l for l in capsys.readouterr().out.splitlines() if l]
-    # five checks per type, and the set's conflict keys
-    assert len(lines) == 5 * len(jobs) + 1
+    # four checks per type, and the set's conflict keys
+    assert len(lines) == 4 * len(jobs) + 1
     assert any(l.startswith("PASS set keys ") for l in lines)
     for line in lines:
         assert line.startswith("PASS "), line

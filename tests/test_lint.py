@@ -418,6 +418,38 @@ def test_oracles_reaches_the_steps_only_through_the_shared_quantum():
     assert named == QUANTUM_STEPS - {"invoke"}
     assert calls == ["oracles:_step", "simulate:run"]
 
+def _calls_to(root, names):
+    """The calls under `root` of a function or method named in `names`."""
+    return [node for node in ast.walk(root) if isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] in names]
+
+
+def test_a_run_and_its_replay_share_one_setup_and_one_account():
+    # `simulate.engine` builds the manager, each object at its initial
+    # state and a cursor per declared txn; `simulate.account` says what a
+    # finished run is: all drained, every declared txn ended, and the
+    # states, statuses and metrics that follow. The scheduler and the
+    # history replay each call both once, and `oracles` builds and counts
+    # none of it itself
+    own = {"TransactionManager", "_Activity", "add_object", "compute_metrics"}
+    oracles = _module("oracles.py")
+    found = [f"oracles.py:{node.lineno} {ast.unparse(node.func)}"
+             for node in _calls_to(oracles, own)]
+    found += [f"oracles.py:{node.lineno} imports {alias.name}" for node in ast.walk(oracles)
+              if isinstance(node, ast.ImportFrom) for alias in node.names if alias.name in own]
+    calls, inside = 0, []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += len(_calls_to(tree, ("engine", "account")))
+        inside += [f"{path.name}:{cls.name}.{ast.unparse(node.func)}" for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef)
+                   for node in _calls_to(cls, ("engine", "account"))]
+    assert found == []
+    assert sorted(inside) == ["oracles.py:_Replayer.account", "oracles.py:_Replayer.engine",
+                              "simulate.py:_Simulation.account", "simulate.py:_Simulation.engine"]
+    assert calls == len(inside)
+
+
 def _kind(node, kinds):
     return (isinstance(node, ast.Attribute) and node.attr in kinds
             and isinstance(node.value, ast.Name) and node.value.id == "hist")

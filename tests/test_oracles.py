@@ -187,7 +187,7 @@ def test_transparency_rejects_visible_residue():
     res.statuses["T1"] = TxnStatus.ABORTED
     stage, verdict = check_run(res)
     assert stage == "replay" and not verdict.ok
-    assert verdict.detail == "the run says T1 is aborted, its history committed"
+    assert verdict.detail == "the run says T1 is aborted, its replay committed"
     res.final_states["s"] = ("a",)
     assert check_run(res)[0] == "replay"
     # the aborted txns are those the ABORT events name: plant T2's undone
@@ -600,7 +600,7 @@ def test_the_statuses_and_the_commits_are_the_historys():
     extra = dataclasses.replace(res, statuses={**res.statuses, "T9": TxnStatus.COMMITTED})
     stage, verdict = check_run(extra)
     assert (stage, verdict.detail) == (
-        "replay", "the run says T9 is committed, its history absent")
+        "replay", "the run says T9 is committed, its replay absent")
     # the committed txns are those the COMMIT events name, each declared
     # and named once
     assert check_serializable(renamed).detail == (
@@ -609,6 +609,29 @@ def test_the_statuses_and_the_commits_are_the_historys():
         e._replace(txn="T1") if e.kind == hist.COMMIT else e for e in ev]))
     assert check_serializable(twice).detail == (
         "COMMIT events ['T1', 'T1'] do not each name a declared txn once")
+
+
+def test_replay_rejects_a_history_that_never_begins_a_declared_txn():
+    # with every T2 event deleted, the rest is T1's run alone, on an object
+    # T2 never touches, so every event is the one owed; only the account at
+    # the end of the history, which asks each declared txn to have ended,
+    # sees T2 missing, and it needs no run to compare with
+    res = run_simulated(parse_workload("""\
+object a stack ()
+object b stack ()
+txn T1
+  op a PUSH x
+end commit
+txn T2
+  op b PUSH y
+end commit
+schedule steps T1 T1 T2 T2
+"""))
+    bad = doctored(res.history, lambda ev: [e for e in ev if e.txn != "T2"])
+    with pytest.raises(HistoryReplayError,
+                       match="^end of history: T2 did not commit or abort$"):
+        replay_history(res.workload, bad)
+    assert check_run(dataclasses.replace(res, history=bad))[0] == "replay"
 
 
 def test_replay_rejects_a_reused_invocation_id():
@@ -1031,7 +1054,7 @@ def test_validate_run_refuses_broken_metrics_under_optimization():
         print("stage:", check_run(res)[0])
         """)
     assert "rejected: more wakeups than blocks" in out
-    assert "verdict: the run counts 3 wakeups, its history 1" in out
+    assert "verdict: the run says the count of wakeups is 3, its replay 1" in out
     assert "stage: replay" in out
 
 
@@ -1040,14 +1063,14 @@ def test_a_forged_high_water_mark_fails_the_replay_naming_its_object():
     # monitors counted, not copied from the run
     res = run_simulated(parse_workload(DEADLOCK))
     assert res.metrics.max_in_execution == {"A": 1, "B": 1}
-    for forged, detail in (({"A": 6, "B": 1}, "6 on A, its replay 1"),
-                           ({"A": 1, "B": 0}, "0 on B, its replay 1"),
-                           ({"A": 1}, "absent on B, its replay 1"),
-                           ({"A": 1, "B": 1, "C": 2}, "2 on C, its replay absent")):
+    for forged, detail in (({"A": 6, "B": 1}, "A is 6, its replay 1"),
+                           ({"A": 1, "B": 0}, "B is 0, its replay 1"),
+                           ({"A": 1}, "B is absent, its replay 1"),
+                           ({"A": 1, "B": 1, "C": 2}, "C is 2, its replay absent")):
         metrics = dataclasses.replace(res.metrics, max_in_execution=forged)
         stage, verdict = check_run(dataclasses.replace(res, metrics=metrics))
-        assert (stage, verdict.detail) == ("replay",
-                                           f"the run counts max_in_execution {detail}")
+        assert (stage, verdict.detail) == (
+            "replay", f"the run says max_in_execution on {detail}")
 
 
 def test_metrics_are_the_history_counted_kind_by_kind(mixed_results):
