@@ -21,9 +21,8 @@ from .history import History, Metrics, compute_metrics, render_trace
 from .manager import (TransactionAborted, TransactionManager, TransactionRecord,
                       TxnStatus)
 from .monitor import AdmitOutcome, ManagedObject
-from .oracles import (check_abort_transparency, check_serializable,
-                      replay_serial, validate_run)
-from .simulate import RunResult, ScheduleStuck, SimulationError, run_simulated
+from .oracles import check_serializable, replay_serial, validate_run
+from .simulate import RunResult, SimulationError, run_simulated
 from .tables import (CommutTables, InCommutEntry, OutCommutEntry,
                      commute_with_in, commute_with_in_out, try_deduce)
 from .validate import validate_adt

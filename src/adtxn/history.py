@@ -4,11 +4,11 @@ The trace file format is one line per event,
 
     <index> <kind> txn=<name> obj=<name|-> op=<OP|-> in=[...] out=[...]
 
-and is the exchange format the oracles and the determinism checks compare
-byte for byte. Events additionally carry the invocation id in memory (not in
-the file). The history replay's own engine numbers invocations as the
-run's did, and the replay compares the id as one field of every event;
-`bench/run.py` reads it at BLOCK and WAKE to time waits.
+and is what the determinism checks compare byte for byte; the oracles
+judge the in-memory `History`. Events additionally carry the invocation id
+in memory (not in the file). The history replay's own engine numbers
+invocations as the run's did, and the replay compares the id as one field
+of every event; `bench/run.py` reads it at BLOCK and WAKE to time waits.
 """
 
 from __future__ import annotations
@@ -87,9 +87,6 @@ class History:
     def __len__(self):
         return len(self.events)
 
-    def count(self, kind: str) -> int:
-        return sum(1 for e in self.events if e.kind == kind)
-
 
 def render_trace(history: History) -> str:
     return "".join(e.render() + "\n" for e in history)
@@ -152,11 +149,12 @@ def check_metric_identities(m: Metrics):
     """Accounting identities every run must satisfy.
 
     Each invocation that reaches a monitor ends in exactly one of:
-    executed, deduced, or withdrawn while still blocked.
+    executed, deduced, or withdrawn while still blocked; and each BLOCK
+    ends in exactly one WAKE or one WITHDRAW.
     """
     if m.executions + m.deductions + m.withdrawals != m.invocations:
         raise MetricIdentityError(f"invocation accounting broken: {m}")
-    if m.blocks < m.wakeups:
-        raise MetricIdentityError(f"more wakeups than blocks: {m}")
+    if m.blocks != m.wakeups + m.withdrawals:
+        raise MetricIdentityError(f"blocks are not wakeups plus withdrawals: {m}")
     if m.victims > m.aborts:
         raise MetricIdentityError(f"victims not a subset of aborts: {m}")

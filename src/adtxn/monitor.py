@@ -142,8 +142,9 @@ release section (`complete`, `finish`, `withdraw`) returns its report,
 (woken, shed): the ops it admitted and the ids of the waiters whose edge
 to the op it removed, each in id order, so woken is a subset of shed; a
 section that shed nothing returns one shared empty pair.
-The caller owns waking the woken ops' transactions, and the history
-replay takes one waited-for op off each shed waiter's count.
+The caller, the manager's `_release`, wakes the woken ops' transactions;
+the strict check confirms that shed names exactly the waiters whose edge
+to the op is gone.
 
 Conflicts are never recorded between operations of the same transaction:
 transactions are sequential, so their own ops are already ordered and

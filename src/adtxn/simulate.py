@@ -20,9 +20,10 @@ the history replay in `oracles` calls it on its own manager for the
 transaction each quantum-opening event names. So the schedule, or the
 history, supplies only the picks, and the declared steps supply the calls.
 In the same way `engine` is the one setup of a run, the manager on its
-sink with each declared object at its initial state and a cursor per
-declared txn, and `account` the one account of a finished one: every
-object drained, every declared txn committed or aborted, and the final
+sink with each declared object at its initial state and the one map from
+each declared txn's name to its cursor, and `account` the one account of a
+finished one: every object drained, every declared txn committed or
+aborted, one INVERSE per undo entry of an aborted txn, and the final
 states, statuses and metrics that follow. The simulation and the history
 replay each call both, so a replay's result is a `RunResult` like the
 run's, and the two are compared whole.
@@ -52,11 +53,13 @@ not execute, parked on a block or lost, or when it finishes; it stays in
 place when its step completes. Each activity woken during the quantum is
 inserted afterwards at its declaration position; the resumed one, if its
 own call was admitted while it resolved a deadlock, is still on the list.
-The run ends when the list is empty; a record still ACTIVE then means the
-schedule is stuck. The list must stay in declaration order, exactly as a
-scan of all activities would give it, because the seeded schedule picks
-with `rng.choice`, which indexes it: any other order would pick different
-transactions and change the trace.
+The run ends when the list is empty, and `account` alone says whether it
+finished: READY empties with a txn still ACTIVE only when a waits-for
+cycle went unresolved or a wake was lost, an engine fault that the
+account refuses as it refuses the same history in a replay. The list must
+stay in declaration order, exactly as a scan of all activities would give
+it, because the seeded schedule picks with `rng.choice`, which indexes it:
+any other order would pick different transactions and change the trace.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ from .workload import (ExplicitSchedule, RandomSchedule, TxnDecl, Workload,
                        initial_state)
 
 # enum members as globals (see the `core` docstring)
-_ACTIVE, _COMMITTED, _ABORTED = TxnStatus.ACTIVE, TxnStatus.COMMITTED, TxnStatus.ABORTED
+_COMMITTED, _ABORTED = TxnStatus.COMMITTED, TxnStatus.ABORTED
 _EXECUTED = Lifecycle.EXECUTED
 _new_tuple = tuple.__new__
 _by_index = attrgetter("index")
@@ -83,10 +86,6 @@ _by_index = attrgetter("index")
 
 class SimulationError(FrameworkError):
     pass
-
-
-class ScheduleStuck(SimulationError):
-    """No transaction is runnable but the workload has not finished."""
 
 
 class StepLimitExceeded(SimulationError):
@@ -156,35 +155,48 @@ class RunResult:
 
 def engine(workload: Workload, sink, strict: bool = True, on_wake=None):
     """(manager, cursors): a `TransactionManager` that emits into `sink`,
-    with each declared object at its initial state, and a cursor per
-    declared txn, in declaration order. The one setup of a run and of its
-    history replay."""
+    with each declared object at its initial state, and `{name: cursor}`
+    over the declared txns, in declaration order. The one setup of a run
+    and of its history replay, and the one map of a run's txn names: a
+    name declared twice raises `SimulationError`."""
     mgr = TransactionManager(sink, strict=strict, on_wake=on_wake)
     for decl in workload.objects:
         mgr.add_object(decl.name, get_adt(decl.adt), initial_state(decl))
-    return mgr, [_Activity(decl, i) for i, decl in enumerate(workload.txns)]
+    cursors = {}
+    for i, decl in enumerate(workload.txns):
+        if decl.name in cursors:
+            raise SimulationError(f"txn {decl.name} is declared twice")
+        cursors[decl.name] = _Activity(decl, i)
+    return mgr, cursors
 
 
 def account(workload: Workload, history: History, mgr: TransactionManager,
-            activities) -> RunResult:
+            cursors) -> RunResult:
     """What a finished run is, the one account of a run and of its history
-    replay: every object drained and every declared txn committed or
-    aborted, or this raises; then the final states, the statuses and the
-    metrics that follow, each object's `max_in_execution` as its monitor
-    counted it."""
+    replay: every object drained, every declared txn committed or aborted,
+    and one INVERSE event per undo entry of an aborted txn, or this raises;
+    then the final states, the statuses and the metrics that follow, each
+    object's `max_in_execution` as its monitor counted it."""
     for obj in mgr.objects.values():
         if obj.live:
             raise MonitorInvariantError(f"{obj.name} still holds invocations")
-    statuses = {}
-    for act in activities:
-        if act.rec is None or act.rec.status not in (_COMMITTED, _ABORTED):
-            raise ManagerInvariantError(f"{act.decl.name} did not commit or abort")
-        statuses[act.decl.name] = act.rec.status
+    statuses, undone = {}, 0
+    for name, act in cursors.items():
+        rec = act.rec
+        if rec is None or rec.status not in (_COMMITTED, _ABORTED):
+            raise ManagerInvariantError(f"{name} did not commit or abort")
+        if rec.status is _ABORTED:
+            undone += len(rec.undo)
+        statuses[name] = rec.status
     high = {name: obj.max_in_execution for name, obj in mgr.objects.items()}
+    metrics = compute_metrics(history, high)
+    if metrics.inverses != undone:
+        raise ManagerInvariantError(f"{metrics.inverses} INVERSE events for "
+                                    f"{undone} undo entries of aborted txns")
     return RunResult(
         workload=workload,
         history=history,
-        metrics=compute_metrics(history, high),
+        metrics=metrics,
         final_states={n: o.state for n, o in mgr.objects.items()},
         statuses=statuses,
     )
@@ -201,9 +213,9 @@ class _Simulation:
         self.history = History()
         # txn ids woken in the current quantum; `run` moves them to READY
         self.wakes = []
-        self.mgr, self.activities = engine(workload, self.history, strict,
-                                           self.wakes.append)
-        self.ready = list(self.activities)    # READY, in declaration order
+        self.mgr, self.cursors = engine(workload, self.history, strict,
+                                        self.wakes.append)
+        self.ready = list(self.cursors.values())    # READY, in declaration order
         sched = workload.schedule
         if isinstance(sched, RandomSchedule):
             self.rng = random.Random(sched.seed if seed is None else seed)
@@ -218,8 +230,8 @@ class _Simulation:
 
     def run(self) -> RunResult:
         steps = 0
-        mgr, ready, woken = self.mgr, self.ready, self.wakes
-        txns, by_name = mgr.txns, {act.decl.name: act for act in self.activities}
+        mgr, ready, woken, cursors = self.mgr, self.ready, self.wakes, self.cursors
+        txns = mgr.txns
         while ready:
             steps += 1
             if self.max_steps is not None and steps > self.max_steps:
@@ -230,17 +242,13 @@ class _Simulation:
                 ready.remove(act)
             if woken:
                 for txn_id in woken:
-                    woke = by_name[txns[txn_id].name]
+                    woke = cursors[txns[txn_id].name]
                     # the resumed activity, woken mid-deadlock-resolution,
                     # never parked and is still on the list
                     if woke is not act:
                         insort(ready, woke, key=_by_index)
                 woken.clear()
-        stuck = [a.decl.name for a in self.activities
-                 if a.rec.status is _ACTIVE]
-        if stuck:
-            raise ScheduleStuck(f"nothing runnable; waiting: {stuck}")
-        return account(self.workload, self.history, mgr, self.activities)
+        return account(self.workload, self.history, mgr, cursors)
 
     # -- scheduling -----------------------------------------------------------
 

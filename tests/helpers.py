@@ -12,6 +12,11 @@ def replay_history(workload: Workload, history: History) -> dict[str, object]:
     return _Replayer(workload).replay(history).final_states
 
 
+def count_kind(history: History, kind: str) -> int:
+    """How many of `history`'s events are of `kind`."""
+    return sum(e.kind == kind for e in history)
+
+
 def waits_for_graph(txns) -> dict[int, set[int]]:
     """The whole waits-for graph of `txns`, each with `id` and `blocked_on`,
     derived afresh: the reference for the rooted walk, `waits_for_edges`,

@@ -430,7 +430,10 @@ def test_a_run_and_its_replay_share_one_setup_and_one_account():
     # finished run is: all drained, every declared txn ended, and the
     # states, statuses and metrics that follow. The scheduler and the
     # history replay each call both once, and `oracles` builds and counts
-    # none of it itself
+    # none of it itself. `engine` builds the one map of a run's txn names
+    # to their cursors, so neither caller builds a map of its own, and the
+    # run has no end rule but the account's: in `simulate` only `account`
+    # reads a txn's status
     own = {"TransactionManager", "_Activity", "add_object", "compute_metrics"}
     oracles = _module("oracles.py")
     found = [f"oracles.py:{node.lineno} {ast.unparse(node.func)}"
@@ -444,6 +447,18 @@ def test_a_run_and_its_replay_share_one_setup_and_one_account():
         inside += [f"{path.name}:{cls.name}.{ast.unparse(node.func)}" for cls in ast.walk(tree)
                    if isinstance(cls, ast.ClassDef)
                    for node in _calls_to(cls, ("engine", "account"))]
+    sim = _module("simulate.py")
+    for path, tree, name in (("oracles.py", oracles, "_Replayer"),
+                             ("simulate.py", sim, "_Simulation")):
+        cls = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == name)
+        found += [f"{path}:{node.lineno} {name} builds a map" for node in ast.walk(cls)
+                  if isinstance(node, (ast.Dict, ast.DictComp))
+                  or isinstance(node, ast.Call) and ast.unparse(node.func) == "dict"]
+    parents = {child: node for node in ast.walk(sim) for child in ast.iter_child_nodes(node)}
+    found += [f"simulate.py:{node.lineno} reads .status" for node in ast.walk(sim)
+              if isinstance(node, ast.Attribute) and node.attr == "status"
+              and _enclosing_function(parents, node).name != "account"]
     assert found == []
     assert sorted(inside) == ["oracles.py:_Replayer.account", "oracles.py:_Replayer.engine",
                               "simulate.py:_Simulation.account", "simulate.py:_Simulation.engine"]

@@ -34,7 +34,7 @@ from adtxn.simulate import run_simulated
 from adtxn.values import item, rational, report
 from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
                             make_step, parse_workload)
-from helpers import replay_history, waits_for_graph
+from helpers import count_kind, replay_history, waits_for_graph
 from test_monitor import run_optimized
 
 OK = report("Ok")
@@ -125,7 +125,7 @@ def test_deduced_ops_hold_their_edges_until_release():
     t1, t2, t3 = mgr.begin("T1"), mgr.begin("T2"), mgr.begin("T3")
     run_op(mgr, t1, "s", "EMPTY")
     run_op(mgr, t2, "s", "POP")             # deduced from T1's answer
-    assert mgr.history.count(hist.DEDUCE) == 1
+    assert count_kind(mgr.history, hist.DEDUCE) == 1
     assert t2.undo == []                    # deduced: nothing to undo
     got = start(mgr, t3, "s", "PUSH", item("a"))
     assert got[0] == "wait"
@@ -149,7 +149,7 @@ def test_withdraw_on_abort_of_a_blocked_transaction():
     mgr.abort(t2)
     tail = kinds(mgr)[-2:]
     assert tail == [hist.ABORT, hist.WITHDRAW]
-    assert mgr.history.count(hist.INVERSE) == 0
+    assert count_kind(mgr.history, hist.INVERSE) == 0
     obj = mgr.objects["s"]
     assert got[2].id not in obj.live and obj.blocked_by == {}
     mgr.commit(t1)
@@ -282,7 +282,7 @@ def test_deadlock_victim_is_the_youngest_and_raises_in_its_own_flow():
     with pytest.raises(TransactionAborted):
         next(gen)
     assert t2.status is TxnStatus.ABORTED
-    assert mgr.history.count(hist.VICTIM) == 1
+    assert count_kind(mgr.history, hist.VICTIM) == 1
     assert next(e.txn for e in mgr.history if e.kind == hist.VICTIM) == "T2"
     assert mgr.objects["B"].state == ()     # T2's push rolled back
     assert finish_wait(got[1]) == (OK,)     # T1 was woken by the rollback
@@ -342,10 +342,10 @@ def test_a_woken_op_is_owed_before_any_other_step():
         with pytest.raises(ManagerInvariantError,
                            match="T2 owes the EXEC of its woken op"):
             step()
-    invokes = mgr.history.count(hist.INVOKE)
+    invokes = count_kind(mgr.history, hist.INVOKE)
     mgr.resume(t2)
     assert pop.lifecycle is Lifecycle.EXECUTED and t2.woken is None
-    assert mgr.history.count(hist.INVOKE) == invokes   # the refusals emitted nothing
+    assert count_kind(mgr.history, hist.INVOKE) == invokes   # the refusals emitted nothing
     with pytest.raises(ManagerInvariantError, match="T2 has no woken op to execute"):
         mgr.resume(t2)
     mgr.commit(t2)
@@ -510,7 +510,7 @@ def test_deadlock_ring_of_thousands_of_transactions():
         run_op(mgr, rec, f"o{i}", "PUSH", item("a"))
     for i in range(1, RING):
         assert start(mgr, txns[i], f"o{i - 1}", "PUSH", item("b"))[0] == "wait"
-    assert mgr.history.count(hist.VICTIM) == 0
+    assert count_kind(mgr.history, hist.VICTIM) == 0
     got = start(mgr, txns[0], f"o{RING - 1}", "PUSH", item("b"))
     assert got == ("done", (OK,))          # woken while resolving, never parked
     victims = [e.txn for e in mgr.history if e.kind == hist.VICTIM]

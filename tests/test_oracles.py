@@ -18,7 +18,7 @@ import pytest
 from adtxn import history as hist
 from adtxn import manager, monitor, oracles
 from adtxn.adts import builtin_names, get_adt
-from adtxn.core import FrameworkError, Lifecycle
+from adtxn.core import Lifecycle
 from adtxn.fuzz import (derive_seed, flip_random_abort, generate_workload,
                         run_pipeline)
 from adtxn.history import History, Metrics, compute_metrics, render_trace
@@ -27,7 +27,6 @@ from adtxn.monitor import AdmitOutcome, ManagedObject
 from adtxn.oracles import (
     HistoryReplayError,
     Observation,
-    check_abort_transparency,
     check_run,
     check_serializable,
     replay_serial,
@@ -38,7 +37,7 @@ from adtxn.tables import commute_with_in, commute_with_in_out, try_deduce
 from adtxn.values import UNIT, item, rational, report
 from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
                             make_step, parse_workload)
-from helpers import replay_history, txn_decl
+from helpers import count_kind, replay_history, txn_decl
 from test_acceptance import (CARD_BLOCK_TRACE, CARD_BLOCK_WORKLOAD,
                              CROSSED_TRACE, CROSSED_WORKLOAD, DEDUCTION_TRACE,
                              DEDUCTION_WORKLOAD, INSERT_HINT_TRACE,
@@ -168,16 +167,12 @@ def test_a_failed_commit_order_is_reported_when_another_order_passes():
 
 
 def test_transparency_accepts_a_real_rollback():
+    # abort transparency is the serializability check: only the committed
+    # txns take part, so the aborted T2 must leave no trace
     res = run_simulated(parse_workload(DEADLOCK))
     assert res.statuses["T2"] is TxnStatus.ABORTED
-    verdict = check_abort_transparency(res)
+    verdict = check_serializable(res)
     assert verdict.ok and verdict.witness == ("T1",)
-
-
-def test_transparency_requires_an_aborted_txn():
-    res = run_simulated(parse_workload(CONTENTIOUS))
-    with pytest.raises(FrameworkError, match="at least one aborted txn"):
-        check_abort_transparency(res)
 
 
 def test_transparency_rejects_visible_residue():
@@ -190,14 +185,14 @@ def test_transparency_rejects_visible_residue():
     assert verdict.detail == "the run says T1 is aborted, its replay committed"
     res.final_states["s"] = ("a",)
     assert check_run(res)[0] == "replay"
-    # the aborted txns are those the ABORT events name: plant T2's undone
-    # push back on B
+    # plant the aborted T2's undone push back on B: the committed T1 alone
+    # does not explain it
     res = run_simulated(parse_workload(DEADLOCK))
     res.final_states["B"] = ("b",) + res.final_states["B"]
-    verdict = check_abort_transparency(res)
+    verdict = check_serializable(res)
     assert not verdict.ok
-    assert verdict.detail.startswith("aborted ['T2'] left a visible residue: ")
-    assert verdict.detail.endswith("the run's final state of B is not the serial replay's")
+    assert verdict.detail == ("commit order ['T1'] is no witness: the run's final "
+                              "state of B is not the serial replay's")
 
 
 # --------------------------------------------------------- history replay
@@ -293,7 +288,7 @@ schedule steps T1 T1 T1
 def test_replay_rejects_a_dropped_abort_step(kind, message):
     # the victim T2 withdraws its blocked push, then undoes its executed one
     res = run_simulated(parse_workload(DEADLOCK))
-    assert res.history.count(kind) == 1
+    assert count_kind(res.history, kind) == 1
     bad = doctored(res.history, lambda ev: [e for e in ev if e.kind != kind])
     with pytest.raises(HistoryReplayError, match=message):
         replay_history(res.workload, bad)
@@ -1053,7 +1048,7 @@ def test_validate_run_refuses_broken_metrics_under_optimization():
         print("verdict:", validate_run(res).detail)
         print("stage:", check_run(res)[0])
         """)
-    assert "rejected: more wakeups than blocks" in out
+    assert "rejected: blocks are not wakeups plus withdrawals" in out
     assert "verdict: the run says the count of wakeups is 3, its replay 1" in out
     assert "stage: replay" in out
 
@@ -1086,6 +1081,35 @@ def test_metrics_are_the_history_counted_kind_by_kind(mixed_results):
         assert got.max_in_execution is not res.metrics.max_in_execution
     with pytest.raises(dataclasses.FrozenInstanceError):
         got.wakeups = 0
+
+
+@pytest.mark.parametrize("kind,error,message,runs", [
+    (hist.WAKE, hist.MetricIdentityError, "^blocks are not wakeups plus withdrawals: ", 334),
+    (hist.INVERSE, manager.ManagerInvariantError,
+     r"^0 INVERSE events for [1-9]\d* undo entries of aborted txns$", 170),
+], ids=["WAKE", "INVERSE"])
+def test_a_run_whose_sink_drops_a_kind_fails_its_own_account(
+        monkeypatch, mixed_results, kind, error, message, runs):
+    # each BLOCK ends in exactly one WAKE or one WITHDRAW, and each undo
+    # entry of an aborted txn lands as one INVERSE; a run whose history
+    # loses every event of either kind fails at the run, in `account`,
+    # exactly where the kind occurs, and runs on unchanged elsewhere
+    emit = History.emit
+
+    def dropping(self, k, *fields):
+        if k != kind:
+            return emit(self, k, *fields)
+
+    monkeypatch.setattr(History, "emit", dropping)
+    failed = 0
+    for res in mixed_results:
+        if count_kind(res.history, kind):
+            failed += 1
+            with pytest.raises(error, match=message):
+                run_simulated(res.workload)
+        else:
+            assert run_simulated(res.workload).trace == res.trace
+    assert failed == runs
 
 
 # ------------------------------------------------------------------ check_run

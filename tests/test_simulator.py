@@ -10,9 +10,10 @@ import pytest
 from adtxn import manager
 from adtxn.history import BEGIN, COMMIT, DEDUCE, EXEC, INVOKE
 from adtxn.manager import TxnStatus
+from adtxn.monitor import MonitorInvariantError
 from adtxn.oracles import check_run
-from adtxn.simulate import (ScheduleStuck, SimulationError, StepLimitExceeded,
-                            _Simulation, run_simulated)
+from adtxn.simulate import (SimulationError, StepLimitExceeded, _Simulation,
+                            run_simulated)
 from adtxn.values import UNIT, item, report
 from adtxn.workload import parse_workload
 from test_manager import _stack_instance
@@ -32,7 +33,7 @@ def picks_checked(monkeypatch):
     steps = [0]
 
     def checked(sim, ready):
-        assert ready == [a for a in sim.activities
+        assert ready == [a for a in sim.cursors.values()
                          if a.rec is None or a.rec.status is TxnStatus.ACTIVE
                          and a.rec.blocked_on is None]
         steps[0] += 1
@@ -193,9 +194,12 @@ def test_ready_list_matches_a_rescan_on_mixed_workloads(picks_checked):
     assert picks_checked[0] > 5_000
 
 
-def test_a_deadlock_left_unresolved_is_a_stuck_schedule(monkeypatch):
+def test_a_deadlock_left_unresolved_fails_the_account(monkeypatch):
+    # READY empties with T1 and T2 still blocked on each other; the run has
+    # no end rule of its own, and its account refuses the monitors that
+    # still hold their ops
     monkeypatch.setattr(manager.TransactionManager, "_resolve", lambda *args: None)
-    with pytest.raises(ScheduleStuck, match=r"waiting: \['T1', 'T2'\]"):
+    with pytest.raises(MonitorInvariantError, match="^A still holds invocations$"):
         run_text("""\
 object A stack ()
 object B stack ()
@@ -272,6 +276,19 @@ def test_an_unknown_schedule_is_refused():
     workload = dataclasses.replace(parse_workload(DEDUCTION), schedule=("T1", "T2"))
     with pytest.raises(SimulationError, match="unknown schedule"):
         run_simulated(workload)
+
+
+def test_a_txn_name_declared_twice_has_no_run():
+    # `engine` builds the one map of a run's txn names, so a workload built
+    # in code with two txns named T1 is refused by the run and by the replay
+    workload = parse_workload(DEDUCTION)
+    twice = dataclasses.replace(workload, txns=tuple(
+        dataclasses.replace(t, name="T1") for t in workload.txns))
+    with pytest.raises(SimulationError, match="^txn T1 is declared twice$"):
+        run_simulated(twice)
+    forged = dataclasses.replace(run_simulated(workload), workload=twice)
+    stage, verdict = check_run(forged)
+    assert (stage, verdict.detail) == ("replay", "txn T1 is declared twice")
 
 
 def test_a_run_and_its_replay_leave_no_cyclic_garbage():
