@@ -43,7 +43,11 @@ call. A memo lookup hashes and compares the call's Values, which is why
 each value has one live `Value` object, so that both are identity and run
 in C (see `values`).
 
-Both memos are derived in `AdtSpec.__post_init__`, so `dataclasses.replace`
+`parse_literal` keeps each initial-state literal's state in
+`AdtSpec.parsed`, keyed by the literal: parsing reads only the spec's
+`parse_state`.
+
+The memos are derived in `AdtSpec.__post_init__`, so `dataclasses.replace`
 starts the copy with empty ones, and a spec rebuilt with other rules never
 sees an answer of the old ones.
 
@@ -256,7 +260,8 @@ class AdtSpec:
     `translated` is `translate_public`'s memo: each call translated so
     far, mapped to its `Translation`. `inverted` is `determine_inverse`'s:
     each executed call's `(op, ins, outs)` so far, mapped to its inverse
-    call, or to None for a NULL inverse.
+    call, or to None for a NULL inverse. `parsed` maps each initial-state
+    literal parsed so far to its state.
 
     `conflict_key(op, ins)`, if declared, names what a private call touches:
     two calls with distinct keys, neither None, commute whatever the state
@@ -287,6 +292,7 @@ class AdtSpec:
         init=False, repr=False, compare=False)
     inverted: dict[tuple, PrivateCall | None] = field(
         init=False, repr=False, compare=False)
+    parsed: dict[str, Any] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # derived here, so `dataclasses.replace` rebuilds them with the rules
@@ -297,6 +303,7 @@ class AdtSpec:
                            _by_op(self.inverses, attrgetter("op")))
         object.__setattr__(self, "translated", {})
         object.__setattr__(self, "inverted", {})
+        object.__setattr__(self, "parsed", {})
 
 
 def _by_op(rules, op_of) -> dict[str, tuple]:
@@ -387,7 +394,8 @@ def public_outs_from_private(rule: TranslationRule, ins: tuple[Value, ...],
     return rule.outs(ins, private_outs)
 
 
-# what `inverted.get` returns for a call not yet kept; None is an answer
+# what `inverted.get` and `parsed.get` return for a key not yet kept; None,
+# and a falsy state, are answers
 _MISS = object()
 
 
@@ -422,3 +430,14 @@ def determine_inverse(spec: AdtSpec, op: str, ins: tuple[Value, ...],
         check_private_ins(spec, inverse)
     spec.inverted[key] = inverse
     return inverse
+
+
+def parse_literal(spec: AdtSpec, literal: str):
+    """The state an initial-state literal writes. Parsing reads only the
+    spec's `parse_state`, so the state is kept in `spec.parsed` under the
+    literal and parsed once per distinct literal. A literal that raises is
+    not kept. Every type's state is immutable, so its runs may share it."""
+    state = spec.parsed.get(literal, _MISS)
+    if state is _MISS:
+        state = spec.parsed[literal] = spec.parse_state(literal)
+    return state

@@ -9,6 +9,7 @@ text. Re-running the text through `check` reproduces the failure.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from .adts import builtin_names, get_adt
 from .simulate import run_simulated
 from .oracles import check_run
 from .values import Tag, Value, boolean, item, rational
-from .workload import (ObjectDecl, OpStep, RandomSchedule, TxnDecl, Workload,
+from .workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
                        make_step, render_workload)
 
 ITEMS = ("a", "b", "c")
@@ -60,7 +61,8 @@ def generate_workload(rng: random.Random, adts=None,
         adt = rng.choice(adts)
         spec = get_adt(adt)
         state = _random_state(rng, adt)
-        objects.append(ObjectDecl(f"o{i + 1}", adt, spec.render_state(state)))
+        objects.append(ObjectDecl(sys.intern(f"o{i + 1}"), adt,
+                                  spec.render_state(state)))
     txns = []
     total_ops = 0
     for t in range(rng.randint(*txns_range)):
@@ -72,19 +74,20 @@ def generate_workload(rng: random.Random, adts=None,
             ins = tuple(_random_arg(rng, tag) for tag in spec.public_ops[op].ins)
             steps.append(make_step(spec, decl.name, op, ins))
             total_ops += 1
-        txns.append(TxnDecl(f"T{t + 1}", tuple(steps), "commit"))
+        txns.append(TxnDecl(sys.intern(f"T{t + 1}"), tuple(steps), "commit"))
     schedule = RandomSchedule(seed=rng.randrange(2 ** 31),
                               max_steps=20 * total_ops + 20)
     return Workload(tuple(objects), tuple(txns), schedule)
 
 
 def flip_random_abort(workload: Workload, rng: random.Random) -> Workload:
-    """Turn one randomly chosen transaction's commit into an abort."""
-    idx = rng.randrange(len(workload.txns))
-    txns = tuple(
-        TxnDecl(t.name, t.steps, "abort" if i == idx else t.terminal)
-        for i, t in enumerate(workload.txns))
-    return Workload(workload.objects, txns, workload.schedule)
+    """Turn one randomly chosen transaction's commit into an abort. The
+    twin shares every other part of `workload`, each other txn included."""
+    txns = workload.txns
+    idx = rng.randrange(len(txns))
+    flipped = TxnDecl(txns[idx].name, txns[idx].steps, "abort")
+    return Workload(workload.objects, txns[:idx] + (flipped,) + txns[idx + 1:],
+                    workload.schedule)
 
 
 def run_pipeline(workload: Workload, seed: int | None = None) -> tuple[bool, str, str]:

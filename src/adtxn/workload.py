@@ -15,6 +15,24 @@ are single tokens in each type's own syntax (stack "a,b" bottom to top, set
 literal means the type's default initial state. Exactly one schedule line is
 required: seeded random interleaving with a step cap, or an explicit token
 list naming which transaction advances one quantum at a time.
+
+A workload's declarations are frozen, slotted dataclasses. Each distinct
+step is one live object: `make_step` and `parse_workload` build every
+`OpStep` through one table keyed by `(obj, op, ins)`, so the thousands of
+steps a corpus holds share the few hundred distinct ones, and a copy or a
+pickle of a step is rebuilt through that table too. Its `ins` are Values,
+themselves one object per `(tag, payload)`, so a key hashes and compares by
+identity. Like the Value tables, the step table never evicts. A step keeps
+no argument text: `render_workload` renders each argument with
+`values.render`, which is the canonical form (a parsed `4/2` is written
+`2`, and `-0` is written `0`), so every generated workload renders as the
+generator wrote it.
+
+Each object literal is parsed once per type: `initial_state` and the
+parser's validation go through `core.parse_literal`, which keeps the state
+in `AdtSpec.parsed`, keyed by the literal. A parsed state is immutable (a
+tuple, a frozenset, a number or a bool), so every run of the literal may
+share it.
 """
 
 from __future__ import annotations
@@ -22,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adts import UnknownAdt, get_adt
-from .core import FrameworkError
+from .core import FrameworkError, parse_literal
 from .values import Value, parse_token, render
 
 
@@ -32,56 +50,70 @@ class WorkloadError(FrameworkError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectDecl:
     name: str
     adt: str
     literal: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpStep:
+    """One op of a txn; build it with `make_step`, which returns the one
+    step for its fields."""
     obj: str
     op: str
     ins: tuple[Value, ...]
-    arg_tokens: tuple[str, ...]
+
+    def __reduce__(self):
+        # rebuilt through the table, so a copy is the interned step
+        return make_step, (None, self.obj, self.op, self.ins)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxnDecl:
     name: str
     steps: tuple[OpStep, ...]
     terminal: str   # "commit" | "abort"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RandomSchedule:
     seed: int
     max_steps: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExplicitSchedule:
     tokens: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Workload:
     objects: tuple[ObjectDecl, ...]
     txns: tuple[TxnDecl, ...]
     schedule: RandomSchedule | ExplicitSchedule
 
 
+# every step built so far, keyed by its fields (see the module docstring)
+_STEPS: dict[tuple[str, str, tuple[Value, ...]], OpStep] = {}
+
+
 def make_step(spec, obj_name: str, op: str, ins: tuple[Value, ...]) -> OpStep:
-    """Build a step programmatically; tokens round-trip through the parser."""
-    return OpStep(obj_name, op, ins, tuple(render(v) for v in ins))
+    """The one step for `(obj_name, op, ins)`; `ins` must be a tuple.
+    `spec` is not read."""
+    key = (obj_name, op, ins)
+    step = _STEPS.get(key)
+    if step is None:
+        step = _STEPS[key] = OpStep(obj_name, op, ins)
+    return step
 
 
 def initial_state(decl: ObjectDecl):
     spec = get_adt(decl.adt)
     if decl.literal is None:
         return spec.initial_state
-    return spec.parse_state(decl.literal)
+    return parse_literal(spec, decl.literal)
 
 
 def parse_workload(text: str) -> Workload:
@@ -123,7 +155,7 @@ def parse_workload(text: str) -> Workload:
                 ins = tuple(parse_token(tag, a) for tag, a in zip(want, args))
             except ValueError as exc:
                 fail(n, str(exc))
-            cur_steps.append(OpStep(obj_name, op, ins, tuple(args)))
+            cur_steps.append(make_step(spec, obj_name, op, ins))
             continue
 
         if head == "end":
@@ -151,7 +183,7 @@ def parse_workload(text: str) -> Workload:
             literal = tok[3] if len(tok) == 4 else None
             if literal is not None:
                 try:
-                    spec.parse_state(literal)
+                    parse_literal(spec, literal)
                 except ValueError as exc:
                     fail(n, str(exc))
             objects.append(ObjectDecl(name, adt, literal))
@@ -212,7 +244,7 @@ def render_workload(w: Workload) -> str:
         lines.append(f"txn {t.name}")
         for s in t.steps:
             lines.append(f"  op {s.obj} {s.op}"
-                         + ("".join(" " + a for a in s.arg_tokens)))
+                         + "".join(" " + render(v) for v in s.ins))
         lines.append(f"end {t.terminal}")
     if isinstance(w.schedule, RandomSchedule):
         lines.append(f"schedule seed {w.schedule.seed} steps {w.schedule.max_steps}")

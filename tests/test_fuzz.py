@@ -47,6 +47,28 @@ def test_flip_random_abort_changes_exactly_one_terminal():
     assert [t.steps for t in flipped.txns] == [t.steps for t in w.txns]
 
 
+def test_the_abort_twin_shares_every_part_it_does_not_flip():
+    for seed in range(20):
+        w = generate_workload(random.Random(seed))
+        flipped = flip_random_abort(w, random.Random(seed))
+        assert flipped.objects is w.objects and flipped.schedule is w.schedule
+        kept = [t is u for t, u in zip(flipped.txns, w.txns)]
+        assert kept.count(False) == 1 and len(kept) == len(w.txns)
+
+
+def test_the_acceptance_corpus_holds_one_step_object_per_distinct_step():
+    # the commit and abort corpora at the acceptance seed, as the
+    # benchmark's corpus workload builds them: 17,990 steps, 354 distinct
+    steps = []
+    for i in range(1000):
+        rng = random.Random(derive_seed(20260816, i))
+        w = generate_workload(rng)
+        for workload in (w, flip_random_abort(w, rng)):
+            steps += [s for t in workload.txns for s in t.steps]
+    assert len(steps) == 17_990
+    assert len({id(s) for s in steps}) == len({(s.obj, s.op, s.ins) for s in steps}) == 354
+
+
 def test_run_pipeline_accepts_a_generated_workload():
     w = generate_workload(random.Random(3))
     ok, stage, detail = run_pipeline(w)

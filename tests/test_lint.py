@@ -5,6 +5,7 @@ from pathlib import Path
 
 from adtxn.history import KINDS
 from adtxn.values import UNIT, Value
+from adtxn.workload import parse_workload
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "adtxn"
@@ -580,3 +581,17 @@ def test_values_are_identity_compared_and_built_only_through_their_constructor()
                     found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert found == []
     assert new_calls >= 5       # the per-op records' tuple.__new__ and Metrics' object.__new__
+
+
+def test_the_workload_declarations_have_no_instance_dict():
+    # a corpus holds thousands of them; each distinct step is one object
+    # (see the `workload` docstring)
+    random_w = parse_workload("object s stack\ntxn T\n op s POP\nend commit\n"
+                              "schedule seed 1 steps 9\n")
+    explicit_w = parse_workload("object s stack\ntxn T\n op s POP\nend commit\n"
+                                "schedule steps T\n")
+    decls = (random_w.objects[0], random_w.txns[0].steps[0], random_w.txns[0],
+             random_w.schedule, explicit_w.schedule, random_w)
+    assert sorted(type(d).__name__ for d in decls) == [
+        "ExplicitSchedule", "ObjectDecl", "OpStep", "RandomSchedule", "TxnDecl", "Workload"]
+    assert [d for d in decls if hasattr(d, "__dict__")] == []

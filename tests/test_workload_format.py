@@ -1,14 +1,21 @@
 """Workload file format: parsing, validation, exact round-trips."""
 
+import copy
+import dataclasses
+import operator
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from adtxn import adts
+from adtxn.adts import get_adt
 from adtxn.fuzz import generate_workload
 from adtxn.simulate import run_simulated
 from adtxn.workload import (
     ExplicitSchedule,
+    ObjectDecl,
     RandomSchedule,
     WorkloadError,
     initial_state,
@@ -34,6 +41,10 @@ end abort
 
 schedule seed 7 steps 40
 """
+
+
+def steps_of(w):
+    return [s for t in w.txns for s in t.steps]
 
 
 def test_parse_good_workload():
@@ -158,6 +169,49 @@ def test_generated_workloads_round_trip():
         w = generate_workload(rng, ["stack", "set", "real", "boolean"])
         text = render_workload(w)
         assert parse_workload(text) == w
+        # each parsed step is the generated one
+        assert all(map(operator.is_, steps_of(parse_workload(text)), steps_of(w)))
+
+
+def test_arguments_render_in_their_canonical_form():
+    text = COUNTER.format(literal="4/2", arg="4/2")
+    w = parse_workload(text)
+    rendered = render_workload(w)
+    assert "  op c ADD 2\n" in rendered and "object c real 4/2\n" in rendered
+    assert parse_workload(rendered) == w
+    w = parse_workload(COUNTER.format(literal="0", arg="-0"))
+    assert "  op c ADD 0\n" in render_workload(w)
+
+
+def test_a_workload_copies_and_pickles_to_an_equal_one_with_the_same_steps():
+    w = parse_workload(GOOD)
+    explicit = parse_workload("object s stack\ntxn T\n op s EMPTY\nend commit\n"
+                              "schedule steps T T\n")
+    for original in (w, explicit):
+        for twin in (copy.copy(original), copy.deepcopy(original),
+                     pickle.loads(pickle.dumps(original))):
+            assert twin == original
+            assert render_workload(twin) == render_workload(original)
+            assert all(map(operator.is_, steps_of(twin), steps_of(original)))
+
+
+def test_each_object_literal_is_parsed_once_per_type(monkeypatch):
+    boolean, calls = get_adt("boolean"), []
+
+    def parse_state(text):
+        calls.append(text)
+        return boolean.parse_state(text)
+
+    # a replaced spec starts with an empty memo; "false" parses to a falsy state
+    initial_state(ObjectDecl("b", "boolean", "true"))
+    spec = dataclasses.replace(boolean, parse_state=parse_state)
+    assert "true" in boolean.parsed and spec.parsed == {}
+    monkeypatch.setitem(adts._REGISTRY, "boolean", spec)
+    text = "object b boolean false\nobject c boolean false\nschedule seed 1 steps 1\n"
+    w = parse_workload(text)
+    assert [initial_state(o) for o in w.objects] == [False, False]
+    assert run_simulated(parse_workload(text)).final_states == {"b": False, "c": False}
+    assert calls == ["false"] and spec.parsed == {"false": False}
 
 
 def test_a_rational_past_the_int_digit_limit_renders_in_the_trace_and_states():
