@@ -10,6 +10,7 @@ cardinality readers block membership writers and vice versa.
 from __future__ import annotations
 
 from itertools import combinations
+from sys import intern
 
 from ..core import AdtSpec, InverseRule, OpSig, PrivateCall, PublicCall, identity_rule
 from ..tables import ALWAYS, CommutTables, InCommutEntry, OutCommutEntry
@@ -46,7 +47,7 @@ def _parse_state(text):
     if not is_item_list(text):
         raise ValueError(f"bad set literal {text!r}")
     parts = text.split(",")
-    state = frozenset(parts)
+    state = frozenset(map(intern, parts))
     if len(state) != len(parts):
         raise ValueError(f"duplicate items in set literal {text!r}")
     return state

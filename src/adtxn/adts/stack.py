@@ -10,6 +10,7 @@ since it only ever runs during aborts.
 from __future__ import annotations
 
 from itertools import product
+from sys import intern
 
 from ..core import (AdtSpec, InverseRule, OpSig, PrivateCall, PublicCall,
                     TranslationRule, identity_rule)
@@ -47,7 +48,7 @@ def _parse_state(text):
         return ()
     if not is_item_list(text):
         raise ValueError(f"bad stack literal {text!r}")
-    return tuple(text.split(","))
+    return tuple(map(intern, text.split(",")))
 
 
 def _render_state(state):

@@ -73,9 +73,12 @@ or aborted, and one INVERSE per undo entry of an aborted txn, so a
 history that never begins a declared txn fails there, with no run to
 compare against. Its result is the replay's account of the
 run: final states, txn statuses, and metrics, the event counts and each
-object's `max_in_execution` as the replay's monitors counted it.
-`validate_run` compares that account with the run's as one value, and
-only when they differ names the first fact that does.
+object's `max_in_execution` as the replay's monitors counted it, and the
+picks it read off the history, the txn of each quantum-opening event,
+which the shared `quantum` recorded as it ran each one. `validate_run`
+compares that account with the run's as one value, picks included, so a
+result whose picks are not its history's fails; only when they differ
+does it name the first fact that does, a pick as `pick <i>`.
 
 The replay keeps no waits-for graph of its own. When an INVOKE's admission
 blocks, its manager runs `_resolve` at once, as the engine does, on the
@@ -276,7 +279,7 @@ class _Replayer:
     def __init__(self, workload: Workload):
         self.workload = workload
         self.due = _Due()
-        self.manager, self.cursors = engine(workload, self.due)
+        self.manager, self.cursors, self.picks = engine(workload, self.due)
 
     def _fail(self, event, msg):
         # callers test their condition first, so a message is only
@@ -295,7 +298,8 @@ class _Replayer:
         if self.due:
             self._fail(None, f"owed {_owed_line(self.due[0])}")
         try:
-            return account(self.workload, history, self.manager, self.cursors)
+            return account(self.workload, history, self.manager, self.cursors,
+                           self.picks)
         except AssertionError as exc:
             self._fail(None, str(exc))
 
@@ -310,7 +314,7 @@ class _Replayer:
             if cursor is None:
                 self._fail(e, f"{e.txn} is not a declared txn")
             try:
-                quantum(self.manager, cursor)
+                quantum(self.manager, cursor, self.picks)
             except ManagerInvariantError as exc:
                 self._fail(e, str(exc))
         owed = due.popleft()
@@ -333,12 +337,12 @@ def _owed_line(owed) -> str:
 
 def validate_run(result: RunResult) -> Verdict:
     """Everything short of serializability: the history replays, and the
-    replay's account of it, its final states, txn statuses and metrics,
-    is the run's. The metrics include each object's most ops in execution
-    at once, which the replay's own monitors count."""
+    replay's account of it, its final states, txn statuses, metrics and
+    picks, is the run's. The metrics include each object's most ops in
+    execution at once, which the replay's own monitors count."""
     replayed = _Replayer(result.workload).replay(result.history)
-    if (result.final_states, result.statuses, result.metrics) == (
-            replayed.final_states, replayed.statuses, replayed.metrics):
+    if (result.final_states, result.statuses, result.metrics, result.picks) == (
+            replayed.final_states, replayed.statuses, replayed.metrics, replayed.picks):
         return Verdict(True, "history replays cleanly")
     said, seen = _facts(result), _facts(replayed)
     fact = next(f for f in {**said, **seen} if said.get(f) != seen.get(f))
@@ -348,8 +352,9 @@ def validate_run(result: RunResult) -> Verdict:
 
 def _facts(result: RunResult) -> dict[str, object]:
     """A run's account fact by fact, under the names a failed
-    `validate_run` shows. A status is named by its txn alone, which holds
-    no space, and every other name holds one, so no two collide."""
+    `validate_run` shows, the i-th pick as `pick <i>`. A status is named
+    by its txn alone, which holds no space, and every other name holds
+    one, so no two collide."""
     metrics = result.metrics
     facts = {f"the final state of {name}": state
              for name, state in result.final_states.items()}
@@ -358,6 +363,7 @@ def _facts(result: RunResult) -> dict[str, object]:
                  for name, _ in hist.METRIC_COUNTS)
     facts.update((f"max_in_execution on {name}", high)
                  for name, high in metrics.max_in_execution.items())
+    facts.update((f"pick {i}", name) for i, name in enumerate(result.picks))
     return facts
 
 

@@ -19,14 +19,20 @@ moves. The simulation calls it for the transaction its schedule picks;
 the history replay in `oracles` calls it on its own manager for the
 transaction each quantum-opening event names. So the schedule, or the
 history, supplies only the picks, and the declared steps supply the calls.
+`quantum` also records each pick: it appends its txn's name, the one
+string object the declaration holds, to the run's list of picks.
 In the same way `engine` is the one setup of a run, the manager on its
-sink with each declared object at its initial state and the one map from
-each declared txn's name to its cursor, and `account` the one account of a
-finished one: every object drained, every declared txn committed or
-aborted, one INVERSE per undo entry of an aborted txn, and the final
-states, statuses and metrics that follow. The simulation and the history
-replay each call both, so a replay's result is a `RunResult` like the
-run's, and the two are compared whole.
+sink with each declared object at its initial state, the one map from
+each declared txn's name to its cursor and the empty list of picks, and
+`account` the one account of a finished one: every object drained, every
+declared txn committed or aborted, one INVERSE per undo entry of an
+aborted txn, and the final states, statuses and metrics that follow, with
+the picks closed into a tuple, `RunResult.picks`. The simulation and the
+history replay each call both, so a replay's result is a `RunResult` like
+the run's, its picks the ones it read off the history, and the two are
+compared whole. A run's picks, as an `ExplicitSchedule` (in a workload
+file, `schedule steps` and the names), replay it byte for byte: each
+names a ready txn when its turn comes, so no token is skipped.
 
 `quantum` drives the manager's plain steps, `begin`, `issue`, `resume`,
 `commit` and `abort`, never the `perform` generator, and the manager's
@@ -34,13 +40,16 @@ wake notice is a list's `append`. So nothing in a run points back at the
 simulation, no generator is made per call, and a finished run is freed by
 reference counting alone.
 
-A schedule is either seeded-random (uniform choice among runnable
-transactions, with a step cap as a safety net against bugs that stall
-progress) or an explicit token list naming which transaction advances next;
-tokens for transactions that are waiting or finished are skipped, and when
-tokens run out the lowest-numbered runnable transaction proceeds. The
-tokens are read once, front to back, so a schedule costs time linear in
-its length, skipped tokens included.
+A schedule is read once, by `pick_policy`, into the run's pick policy,
+`pick(ready) -> cursor`, which `_Simulation._pick` calls once per
+scheduler step; nothing else reads a schedule's fields. A seeded schedule
+is a uniform choice among the runnable transactions, `rng.choice` on
+READY, with a step cap inside the policy as a safety net against bugs that
+stall progress. An explicit schedule is a token list naming which
+transaction advances next; tokens for transactions that are waiting or
+finished are skipped, and when tokens run out the lowest-numbered
+runnable transaction proceeds. The tokens are read once, front to back,
+so a schedule costs time linear in its length, skipped tokens included.
 
 A deadlock victim other than the caller is parked on a block, so it is not
 on the READY list, and it is simply never resumed: its record says
@@ -105,12 +114,14 @@ class _Activity:
         self.next_step = 0
 
 
-def quantum(mgr: TransactionManager, act: _Activity) -> bool:
-    """Run one quantum of `act`'s txn on `mgr`; True when it leaves READY,
-    parked on a block, lost a deadlock or finished. A blocked txn takes no
-    quantum: that is the READY rule, checked here because `abort`, the
-    only step that would take one, withdraws its op. The manager's steps
-    refuse every other txn that is not free to step."""
+def quantum(mgr: TransactionManager, act: _Activity, picks: list) -> bool:
+    """Run one quantum of `act`'s txn on `mgr`, and append its name to
+    `picks`; True when it leaves READY, parked on a block, lost a deadlock
+    or finished. A blocked txn takes no quantum: that is the READY rule,
+    checked here because `abort`, the only step that would take one,
+    withdraws its op. The manager's steps refuse every other txn that is
+    not free to step."""
+    picks.append(act.decl.name)
     rec = act.rec
     if rec is None:
         rec = act.rec = mgr.begin(act.decl.name)
@@ -141,6 +152,7 @@ class RunResult:
     metrics: Metrics
     final_states: dict[str, object]
     statuses: dict[str, TxnStatus]
+    picks: tuple[str, ...]    # the txn of each quantum, in order
 
     @property
     def trace(self) -> str:
@@ -154,11 +166,12 @@ class RunResult:
 
 
 def engine(workload: Workload, sink, strict: bool = True, on_wake=None):
-    """(manager, cursors): a `TransactionManager` that emits into `sink`,
-    with each declared object at its initial state, and `{name: cursor}`
-    over the declared txns, in declaration order. The one setup of a run
-    and of its history replay, and the one map of a run's txn names: a
-    name declared twice raises `SimulationError`."""
+    """(manager, cursors, picks): a `TransactionManager` that emits into
+    `sink`, with each declared object at its initial state, `{name:
+    cursor}` over the declared txns, in declaration order, and the empty
+    list of picks that `quantum` fills. The one setup of a run and of its
+    history replay, and the one map of a run's txn names: a name declared
+    twice raises `SimulationError`."""
     mgr = TransactionManager(sink, strict=strict, on_wake=on_wake)
     for decl in workload.objects:
         mgr.add_object(decl.name, get_adt(decl.adt), initial_state(decl))
@@ -167,16 +180,17 @@ def engine(workload: Workload, sink, strict: bool = True, on_wake=None):
         if decl.name in cursors:
             raise SimulationError(f"txn {decl.name} is declared twice")
         cursors[decl.name] = _Activity(decl, i)
-    return mgr, cursors
+    return mgr, cursors, []
 
 
 def account(workload: Workload, history: History, mgr: TransactionManager,
-            cursors) -> RunResult:
+            cursors, picks) -> RunResult:
     """What a finished run is, the one account of a run and of its history
     replay: every object drained, every declared txn committed or aborted,
     and one INVERSE event per undo entry of an aborted txn, or this raises;
     then the final states, the statuses and the metrics that follow, each
-    object's `max_in_execution` as its monitor counted it."""
+    object's `max_in_execution` as its monitor counted it, and the
+    picks."""
     for obj in mgr.objects.values():
         if obj.live:
             raise MonitorInvariantError(f"{obj.name} still holds invocations")
@@ -199,46 +213,63 @@ def account(workload: Workload, history: History, mgr: TransactionManager,
         metrics=metrics,
         final_states={n: o.state for n, o in mgr.objects.items()},
         statuses=statuses,
+        picks=tuple(picks),
     )
 
 
 def run_simulated(workload: Workload, seed: int | None = None,
                   strict: bool = True) -> RunResult:
-    return _Simulation(workload, seed, strict).run()
+    return _Simulation(workload, pick_policy(workload.schedule, seed), strict).run()
+
+
+def pick_policy(schedule, seed: int | None = None):
+    """`pick(ready) -> cursor`, the one reading of a schedule: a seeded
+    schedule is `rng.choice` over READY, `seed` overriding the schedule's,
+    and raises `StepLimitExceeded` past its step cap; an explicit one reads
+    its tokens once, front to back, skipping each that names no ready txn,
+    and picks the first ready txn once they run out."""
+    if isinstance(schedule, RandomSchedule):
+        choice = random.Random(schedule.seed if seed is None else seed).choice
+        quota = iter(range(schedule.max_steps))
+
+        def pick(ready):
+            for _ in quota:
+                return choice(ready)
+            raise StepLimitExceeded(
+                f"needed more than {schedule.max_steps} scheduler steps")
+    elif isinstance(schedule, ExplicitSchedule):
+        tokens = iter(schedule.tokens)
+
+        def pick(ready):
+            # one pass over the tokens for the whole run, so a schedule of
+            # n tokens costs O(n), skipped ones included
+            for name in tokens:
+                for act in ready:
+                    if act.decl.name == name:
+                        return act
+            return ready[0]
+    else:
+        raise SimulationError(f"unknown schedule {schedule!r}")
+    return pick
 
 
 class _Simulation:
-    def __init__(self, workload, seed, strict):
+    def __init__(self, workload, policy, strict):
         self.workload = workload
+        self.policy = policy
         self.history = History()
         # txn ids woken in the current quantum; `run` moves them to READY
         self.wakes = []
-        self.mgr, self.cursors = engine(workload, self.history, strict,
-                                        self.wakes.append)
+        self.mgr, self.cursors, self.picks = engine(workload, self.history, strict,
+                                                    self.wakes.append)
         self.ready = list(self.cursors.values())    # READY, in declaration order
-        sched = workload.schedule
-        if isinstance(sched, RandomSchedule):
-            self.rng = random.Random(sched.seed if seed is None else seed)
-            self.max_steps = sched.max_steps
-            self.tokens = None
-        elif isinstance(sched, ExplicitSchedule):
-            self.rng = None
-            self.max_steps = None
-            self.tokens = iter(sched.tokens)
-        else:
-            raise SimulationError(f"unknown schedule {sched!r}")
 
     def run(self) -> RunResult:
-        steps = 0
         mgr, ready, woken, cursors = self.mgr, self.ready, self.wakes, self.cursors
         txns = mgr.txns
         while ready:
-            steps += 1
-            if self.max_steps is not None and steps > self.max_steps:
-                raise StepLimitExceeded(
-                    f"needed more than {self.max_steps} scheduler steps")
             act = self._pick(ready)
-            if quantum(mgr, act):
+            if quantum(mgr, act, self.picks):
                 ready.remove(act)
             if woken:
                 for txn_id in woken:
@@ -248,18 +279,8 @@ class _Simulation:
                     if woke is not act:
                         insort(ready, woke, key=_by_index)
                 woken.clear()
-        return account(self.workload, self.history, mgr, cursors)
-
-    # -- scheduling -----------------------------------------------------------
+        return account(self.workload, self.history, mgr, cursors, self.picks)
 
     def _pick(self, ready):
-        if self.rng is not None:
-            return self.rng.choice(ready)
-        # one pass over the tokens for the whole run, so a schedule of n
-        # tokens costs O(n), skipped ones included
-        for name in self.tokens:
-            for act in ready:
-                if act.decl.name == name:
-                    return act
-            # tokens naming waiting or finished txns are skipped
-        return ready[0]
+        # the one call per scheduler step
+        return self.policy(ready)

@@ -32,7 +32,8 @@ Each object literal is parsed once per type: `initial_state` and the
 parser's validation go through `core.parse_literal`, which keeps the state
 in `AdtSpec.parsed`, keyed by the literal. A parsed state is immutable (a
 tuple, a frozenset, a number or a bool), so every run of the literal may
-share it.
+share it. The set and stack parsers intern each item string, so the
+literals in the memo that share an item share one string object.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def parse_workload(text: str) -> Workload:
     objects: list[ObjectDecl] = []
     txns: list[TxnDecl] = []
     names: set[str] = set()       # the txns declared so far
-    schedule = None
+    schedule, schedule_line = None, 0
     adts_by_obj = {}
     cur_name = None
     cur_steps: list[OpStep] = []
@@ -202,6 +203,7 @@ def parse_workload(text: str) -> Workload:
         if head == "schedule":
             if schedule is not None:
                 fail(n, "more than one schedule line")
+            schedule_line = n
             if len(tok) >= 2 and tok[1] == "seed":
                 if len(tok) != 5 or tok[3] != "steps":
                     fail(n, "expected: schedule seed <N> steps <M>")
@@ -230,8 +232,7 @@ def parse_workload(text: str) -> Workload:
     if isinstance(schedule, ExplicitSchedule):
         for name in schedule.tokens:
             if name not in names:
-                raise WorkloadError(len(text.splitlines()) + 1,
-                                    f"schedule names unknown txn {name!r}")
+                raise WorkloadError(schedule_line, f"schedule names unknown txn {name!r}")
     return Workload(tuple(objects), tuple(txns), schedule)
 
 

@@ -434,20 +434,28 @@ def test_a_run_and_its_replay_share_one_setup_and_one_account():
     # none of it itself. `engine` builds the one map of a run's txn names
     # to their cursors, so neither caller builds a map of its own, and the
     # run has no end rule but the account's: in `simulate` only `account`
-    # reads a txn's status
+    # reads a txn's status. `engine` builds the one list of picks too,
+    # `quantum` alone appends to it and `account` closes it, so neither
+    # driver stores a list of picks but `engine`'s. A schedule is read once,
+    # into a pick policy: in `simulate` only `pick_policy` reads a
+    # schedule's fields or keeps an rng, and the run loop counts no steps
     own = {"TransactionManager", "_Activity", "add_object", "compute_metrics"}
     oracles = _module("oracles.py")
     found = [f"oracles.py:{node.lineno} {ast.unparse(node.func)}"
              for node in _calls_to(oracles, own)]
     found += [f"oracles.py:{node.lineno} imports {alias.name}" for node in ast.walk(oracles)
               if isinstance(node, ast.ImportFrom) for alias in node.names if alias.name in own]
-    calls, inside = 0, []
+    calls, inside, appends = 0, [], []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         calls += len(_calls_to(tree, ("engine", "account")))
         inside += [f"{path.name}:{cls.name}.{ast.unparse(node.func)}" for cls in ast.walk(tree)
                    if isinstance(cls, ast.ClassDef)
                    for node in _calls_to(cls, ("engine", "account"))]
+        up = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        appends += [f"{path.name}:{_enclosing_function(up, node).name}"
+                    for node in _calls_to(tree, ("append", "extend", "insert"))
+                    if ast.unparse(node.func.value).split(".")[-1] == "picks"]
     sim = _module("simulate.py")
     for path, tree, name in (("oracles.py", oracles, "_Replayer"),
                              ("simulate.py", sim, "_Simulation")):
@@ -456,11 +464,28 @@ def test_a_run_and_its_replay_share_one_setup_and_one_account():
         found += [f"{path}:{node.lineno} {name} builds a map" for node in ast.walk(cls)
                   if isinstance(node, (ast.Dict, ast.DictComp))
                   or isinstance(node, ast.Call) and ast.unparse(node.func) == "dict"]
+        stores = [node for node in ast.walk(cls) if isinstance(node, ast.Assign)
+                  and any(isinstance(target, (ast.Name, ast.Attribute))
+                          and ast.unparse(target).split(".")[-1] == "picks"
+                          for top in node.targets for target in ast.walk(top))]
+        found += [f"{path}:{node.lineno} {name} stores picks" for node in stores
+                  if not (isinstance(node.value, ast.Call)
+                          and ast.unparse(node.value.func) == "engine")]
+        found += [f"{path}: {name} stores no picks"] * (len(stores) != 1)
+    run = _function(cls.body, "run")        # `_Simulation.run`
+    found += [f"simulate.py:{node.lineno} _Simulation.run counts" for node in ast.walk(run)
+              if isinstance(node, ast.AugAssign)
+              or node in _calls_to(run, ("count", "enumerate", "range"))]
     parents = {child: node for node in ast.walk(sim) for child in ast.iter_child_nodes(node)}
     found += [f"simulate.py:{node.lineno} reads .status" for node in ast.walk(sim)
               if isinstance(node, ast.Attribute) and node.attr == "status"
               and _enclosing_function(parents, node).name != "account"]
+    policy = {id(node) for node in ast.walk(_function(sim.body, "pick_policy"))}
+    found += [f"simulate.py:{node.lineno} reads .{node.attr}" for node in ast.walk(sim)
+              if isinstance(node, ast.Attribute)
+              and node.attr in ("seed", "max_steps", "tokens", "rng") and id(node) not in policy]
     assert found == []
+    assert appends == ["simulate.py:quantum"]
     assert sorted(inside) == ["oracles.py:_Replayer.account", "oracles.py:_Replayer.engine",
                               "simulate.py:_Simulation.account", "simulate.py:_Simulation.engine"]
     assert calls == len(inside)

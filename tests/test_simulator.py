@@ -15,7 +15,7 @@ from adtxn.oracles import check_run
 from adtxn.simulate import (SimulationError, StepLimitExceeded, _Simulation,
                             run_simulated)
 from adtxn.values import UNIT, item, report
-from adtxn.workload import parse_workload
+from adtxn.workload import ExplicitSchedule, parse_workload, render_workload
 from test_manager import _stack_instance
 from test_oracles import _mixed_workloads
 
@@ -83,6 +83,43 @@ def test_token_schedule_replays_exactly():
     assert res.metrics.deductions == 1
     assert res.metrics.blocks == 0
     assert answers(res, "T2", DEDUCE) == [(UNIT, report("EmptyStack"))]
+
+
+def test_a_run_records_the_txn_of_each_quantum_as_its_picks():
+    # the last T2 token comes after every txn finished, so it goes unused;
+    # each pick is the name object its declaration holds
+    res = run_text(DEDUCTION)
+    assert res.picks == ("T1", "T2", "T2", "T1")
+    names = {t.name: t.name for t in res.workload.txns}
+    assert all(pick is names[pick] for pick in res.picks)
+
+
+def test_every_mixed_run_replays_from_its_own_picks(picks_checked):
+    # a run's picks, written as `schedule steps ...`, name a ready txn at
+    # each scheduler step, so they replay the run byte for byte and are
+    # recorded again as they were; one pick per scheduler step
+    picks = 0
+    for workload in _mixed_workloads():
+        res = run_simulated(workload)
+        pinned = dataclasses.replace(workload, schedule=ExplicitSchedule(res.picks))
+        again = run_simulated(parse_workload(render_workload(pinned)))
+        assert again.trace == res.trace and again.picks == res.picks
+        assert again.rendered_states() == res.rendered_states()
+        picks += len(res.picks)
+    assert picks_checked[0] == 2 * picks > 5_000
+
+
+@pytest.mark.parametrize("doctor,detail", [
+    (lambda p: (p[1], p[0]) + p[2:], "the run says pick 0 is T2, its replay T1"),
+    (lambda p: p[:-1], "the run says pick 3 is absent, its replay T1"),
+], ids=["swapped", "dropped"])
+def test_a_result_whose_picks_are_not_its_history_s_fails_at_replay(doctor, detail):
+    # the replay's account carries the picks it read off the history, and
+    # is compared with the run's whole
+    res = run_text(DEDUCTION)
+    doctored = dataclasses.replace(res, picks=doctor(res.picks))
+    stage, verdict = check_run(doctored)
+    assert (stage, verdict.ok, verdict.detail) == ("replay", False, detail)
 
 
 def test_tokens_for_waiting_txns_are_skipped():

@@ -11,6 +11,7 @@ import pytest
 
 from adtxn import adts
 from adtxn.adts import get_adt
+from adtxn.core import parse_literal
 from adtxn.fuzz import generate_workload
 from adtxn.simulate import run_simulated
 from adtxn.workload import (
@@ -104,6 +105,8 @@ def test_render_parse_round_trip_is_exact():
      5, "positive"),
     ("object s stack\ntxn T\n op s POP\nend commit\nschedule later\n", 5, "expected"),
     ("object s stack\nfrobnicate\nschedule seed 1 steps 1\n", 2, "unrecognized"),
+    ("object s stack\ntxn T\n op s POP\nend commit\nschedule steps T U\n# last\n",
+     5, "unknown txn"),
 ])
 def test_errors_carry_line_numbers(bad, line, hint):
     with pytest.raises(WorkloadError) as exc:
@@ -212,6 +215,20 @@ def test_each_object_literal_is_parsed_once_per_type(monkeypatch):
     assert [initial_state(o) for o in w.objects] == [False, False]
     assert run_simulated(parse_workload(text)).final_states == {"b": False, "c": False}
     assert calls == ["false"] and spec.parsed == {"false": False}
+
+
+def test_literals_that_share_an_item_share_its_string():
+    # the set and stack parsers intern each item, so the literal memo holds
+    # one string per distinct item however many literals name it; the
+    # items are joined at run time, so no compiled constant is shared
+    shared, other = "".join(["shared", "Item"]), "".join(["other", "Item"])
+    states = [parse_literal(get_adt("set"), f"{shared},{other}1"),
+              parse_literal(get_adt("set"), f"{other}2,{shared}"),
+              parse_literal(get_adt("stack"), f"{other}3,{shared}")]
+    held = [x for state in states for x in state if x == shared]
+    assert len(held) == 3 and all(x is held[0] for x in held)
+    assert get_adt("set").render_state(states[1]) == "otherItem2,sharedItem"
+    assert get_adt("stack").render_state(states[2]) == "otherItem3,sharedItem"
 
 
 def test_a_rational_past_the_int_digit_limit_renders_in_the_trace_and_states():
