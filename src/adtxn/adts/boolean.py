@@ -5,13 +5,18 @@ AND with true, OR with false or XOR with false is NULL outright; AND with
 false and OR with true become assignments; XOR with true is a NOT. Only READ
 returns anything publicly; the assignment's before-image is a hidden
 out-param.
+
+SETTO and READ are the shared cell's (see `cell`): their translation and
+inverse rules, their READ/READ in-entry, the whole out-table and their
+signatures. This module adds only NOT's rules and its in-entry.
 """
 
 from __future__ import annotations
 
 from ..core import AdtSpec, InverseRule, OpSig, PrivateCall, PublicCall, TranslationRule
-from ..tables import ALWAYS, CommutTables, InCommutEntry, OutCommutEntry
+from ..tables import ALWAYS, CommutTables, InCommutEntry
 from ..values import FALSE, TRUE, Tag, boolean
+from . import cell
 
 
 def _apply(state, op, ins):
@@ -59,56 +64,31 @@ def _to(value):
     return lambda ins: PrivateCall("SETTO", (value,))
 
 
-_NO_OUTS = lambda ins, pouts: ()
-
 _TRANSLATION = (
     TranslationRule("AND", when=lambda ins: ins[0] == TRUE, null=True),
     TranslationRule("AND", when=lambda ins: ins[0] == FALSE,
-                    target=_to(FALSE), outs=_NO_OUTS),
+                    target=_to(FALSE)),
     TranslationRule("OR", when=lambda ins: ins[0] == FALSE, null=True),
     TranslationRule("OR", when=lambda ins: ins[0] == TRUE,
-                    target=_to(TRUE), outs=_NO_OUTS),
+                    target=_to(TRUE)),
     TranslationRule("XOR", when=lambda ins: ins[0] == FALSE, null=True),
     TranslationRule("XOR", when=lambda ins: ins[0] == TRUE,
-                    target=lambda ins: PrivateCall("NOT", ()), outs=_NO_OUTS),
+                    target=lambda ins: PrivateCall("NOT", ())),
     TranslationRule("NOT", when=lambda ins: True,
-                    target=lambda ins: PrivateCall("NOT", ()), outs=_NO_OUTS),
-    TranslationRule("SETTO", when=lambda ins: True,
-                    target=lambda ins: PrivateCall("SETTO", ins), outs=_NO_OUTS),
-    TranslationRule("READ", when=lambda ins: True,
-                    target=lambda ins: PrivateCall("READ", ()),
-                    outs=lambda ins, pouts: pouts),
-)
+                    target=lambda ins: PrivateCall("NOT", ())),
+) + cell.TRANSLATION
 
 _INVERSES = (
     InverseRule("NOT", when=lambda i, o: True,
                 target=lambda i, o: PrivateCall("NOT", ())),
-    InverseRule("SETTO", when=lambda i, o: i[0] == o[0], null=True),
-    InverseRule("SETTO", when=lambda i, o: i[0] != o[0],
-                target=lambda i, o: PrivateCall("SETTO", (o[0],))),
-    InverseRule("READ", when=lambda i, o: True, null=True),
-)
+) + cell.INVERSES
 
 _IN_ENTRIES = (
     InCommutEntry("NOT", "NOT", when=ALWAYS),
-    InCommutEntry("READ", "READ", when=ALWAYS),
-)
-
-_OUT_ENTRIES = (
-    OutCommutEntry("READ", "READ", when=lambda ei, eo, ii: True,
-                   deduce=lambda ei, eo, ii: (eo[0],)),
-    OutCommutEntry("SETTO", "READ",
-                   when=lambda ei, eo, ii: eo[0] == ei[0],
-                   deduce=lambda ei, eo, ii: (ei[0],)),
-    OutCommutEntry("SETTO", "SETTO",
-                   when=lambda ei, eo, ii: eo[0] == ei[0] and ii[0] == ei[0],
-                   deduce=lambda ei, eo, ii: (ei[0],)),
-    OutCommutEntry("READ", "SETTO",
-                   when=lambda ei, eo, ii: ii[0] == eo[0],
-                   deduce=lambda ei, eo, ii: (eo[0],)),
-)
+) + cell.IN_ENTRIES
 
 _BOOL_IN = OpSig((Tag.BOOLEAN,), ())
+_CELL_PUBLIC, _CELL_PRIVATE = cell.signatures(Tag.BOOLEAN)
 
 BOOLEAN = AdtSpec(
     name="boolean",
@@ -117,17 +97,15 @@ BOOLEAN = AdtSpec(
         "OR": _BOOL_IN,
         "XOR": _BOOL_IN,
         "NOT": OpSig((), ()),
-        "SETTO": _BOOL_IN,
-        "READ": OpSig((), (Tag.BOOLEAN,)),
+        **_CELL_PUBLIC,
     },
     private_ops={
         "NOT": OpSig((), ()),
-        "SETTO": OpSig((Tag.BOOLEAN,), (Tag.BOOLEAN,)),
-        "READ": OpSig((), (Tag.BOOLEAN,)),
+        **_CELL_PRIVATE,
     },
     translation=_TRANSLATION,
     inverses=_INVERSES,
-    tables=CommutTables(_IN_ENTRIES, _OUT_ENTRIES),
+    tables=CommutTables(_IN_ENTRIES, cell.OUT_ENTRIES),
     apply=_apply,
     initial_state=False,
     parse_state=_parse_state,

@@ -15,6 +15,10 @@ is exact either way, so undo restores states bit-exactly and the oracles
 can compare with ==; an integral counter runs on ints, in C. No float
 exists anywhere: `int / int` would make one, so the one division takes a
 Fraction operand.
+
+SETTO and READ are the shared cell's (see `cell`): their translation and
+inverse rules, their READ/READ in-entry, the whole out-table and their
+signatures. This module adds the arithmetic's rules and in-entries.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ..core import AdtSpec, InverseRule, OpSig, PrivateCall, PublicCall, TranslationRule
-from ..tables import ALWAYS, CommutTables, InCommutEntry, OutCommutEntry
-from ..core import PreconditionViolated
+from ..core import (AdtSpec, InverseRule, OpSig, PreconditionViolated, PrivateCall,
+                    PublicCall, TranslationRule)
+from ..tables import ALWAYS, CommutTables, InCommutEntry
 from ..values import Tag, canonical, parse_rational, rational, render_rational
+from . import cell
 
 
 def _apply(state, op, ins):
@@ -102,36 +107,24 @@ def _probe_public_calls(bound):
 _TRANSLATION = (
     TranslationRule("MULTIPLY", when=lambda ins: ins[0].payload == 0,
                     target=lambda ins: PrivateCall("SETTO", (rational(0),)),
-                    outs=lambda ins, pouts: (),
                     note="zero factor is an assignment"),
     TranslationRule("MULTIPLY", when=lambda ins: ins[0].payload == 1,
                     null=True, note="unit factor changes nothing"),
     TranslationRule("MULTIPLY",
                     when=lambda ins: abs(ins[0].payload) >= 1
                     and ins[0].payload not in (0, 1),
-                    target=lambda ins: PrivateCall("MULTIPLY", ins),
-                    outs=lambda ins, pouts: ()),
+                    target=lambda ins: PrivateCall("MULTIPLY", ins)),
     TranslationRule("MULTIPLY",
                     when=lambda ins: 0 < abs(ins[0].payload) < 1,
                     target=lambda ins: PrivateCall(
                         "DIVIDE", (rational(Fraction(1) / ins[0].payload),)),
-                    outs=lambda ins, pouts: (),
                     note="small factor becomes a large divisor"),
     TranslationRule("ADD", when=lambda ins: ins[0].payload > 0,
-                    target=lambda ins: PrivateCall("ADD", ins),
-                    outs=lambda ins, pouts: ()),
+                    target=lambda ins: PrivateCall("ADD", ins)),
     TranslationRule("ADD", when=lambda ins: ins[0].payload < 0,
-                    target=lambda ins: PrivateCall("SUB", (rational(-ins[0].payload),)),
-                    outs=lambda ins, pouts: ()),
+                    target=lambda ins: PrivateCall("SUB", (rational(-ins[0].payload),))),
     TranslationRule("ADD", when=lambda ins: ins[0].payload == 0, null=True),
-    TranslationRule("SETTO", when=lambda ins: True,
-                    target=lambda ins: PrivateCall("SETTO", ins),
-                    outs=lambda ins, pouts: (),
-                    note="before-image stays hidden"),
-    TranslationRule("READ", when=lambda ins: True,
-                    target=lambda ins: PrivateCall("READ", ()),
-                    outs=lambda ins, pouts: pouts),
-)
+) + cell.TRANSLATION
 
 _INVERSES = (
     # DIVIDE(-1) would be out of domain, so inverting by -1 multiplies again.
@@ -145,12 +138,7 @@ _INVERSES = (
                 target=lambda i, o: PrivateCall("SUB", i)),
     InverseRule("SUB", when=lambda i, o: True,
                 target=lambda i, o: PrivateCall("ADD", i)),
-    InverseRule("SETTO", when=lambda i, o: i[0] == o[0], null=True,
-                note="wrote the value already there"),
-    InverseRule("SETTO", when=lambda i, o: i[0] != o[0],
-                target=lambda i, o: PrivateCall("SETTO", (o[0],))),
-    InverseRule("READ", when=lambda i, o: True, null=True),
-)
+) + cell.INVERSES
 
 
 # Additions commute with additions and multiplications with multiplications,
@@ -162,46 +150,28 @@ _IN_ENTRIES = (
     InCommutEntry("MULTIPLY", "MULTIPLY", when=ALWAYS),
     InCommutEntry("MULTIPLY", "DIVIDE", when=ALWAYS),
     InCommutEntry("DIVIDE", "DIVIDE", when=ALWAYS),
-    InCommutEntry("READ", "READ", when=ALWAYS),
-)
-
-_OUT_ENTRIES = (
-    OutCommutEntry("READ", "READ", when=lambda ei, eo, ii: True,
-                   deduce=lambda ei, eo, ii: (eo[0],)),
-    OutCommutEntry("SETTO", "READ",
-                   when=lambda ei, eo, ii: eo[0] == ei[0],
-                   deduce=lambda ei, eo, ii: (ei[0],),
-                   note="assignment that changed nothing acts as a read"),
-    OutCommutEntry("SETTO", "SETTO",
-                   when=lambda ei, eo, ii: eo[0] == ei[0] and ii[0] == ei[0],
-                   deduce=lambda ei, eo, ii: (ei[0],)),
-    OutCommutEntry("READ", "SETTO",
-                   when=lambda ei, eo, ii: ii[0] == eo[0],
-                   deduce=lambda ei, eo, ii: (eo[0],),
-                   note="writing back the value just read"),
-)
+) + cell.IN_ENTRIES
 
 _RAT = OpSig((Tag.RATIONAL,), ())
+_CELL_PUBLIC, _CELL_PRIVATE = cell.signatures(Tag.RATIONAL)
 
 REAL = AdtSpec(
     name="real",
     public_ops={
         "MULTIPLY": _RAT,
         "ADD": _RAT,
-        "SETTO": _RAT,
-        "READ": OpSig((), (Tag.RATIONAL,)),
+        **_CELL_PUBLIC,
     },
     private_ops={
         "MULTIPLY": _RAT,
         "DIVIDE": _RAT,
         "ADD": _RAT,
         "SUB": _RAT,
-        "SETTO": OpSig((Tag.RATIONAL,), (Tag.RATIONAL,)),
-        "READ": OpSig((), (Tag.RATIONAL,)),
+        **_CELL_PRIVATE,
     },
     translation=_TRANSLATION,
     inverses=_INVERSES,
-    tables=CommutTables(_IN_ENTRIES, _OUT_ENTRIES),
+    tables=CommutTables(_IN_ENTRIES, cell.OUT_ENTRIES),
     apply=_apply,
     initial_state=0,
     parse_state=parse_rational,

@@ -150,20 +150,18 @@ def _conflict_key(op, ins):
 
 _ITEM_SIG = OpSig((Tag.ITEM,), (Tag.REPORT,))
 
+# every public op is its own private op
+_OPS = {
+    "INSERT": _ITEM_SIG,
+    "DELETE": _ITEM_SIG,
+    "IN": OpSig((Tag.ITEM,), (Tag.BOOLEAN,)),
+    "CARD": OpSig((), (Tag.RATIONAL,)),
+}
+
 SET = AdtSpec(
     name="set",
-    public_ops={
-        "INSERT": _ITEM_SIG,
-        "DELETE": _ITEM_SIG,
-        "IN": OpSig((Tag.ITEM,), (Tag.BOOLEAN,)),
-        "CARD": OpSig((), (Tag.RATIONAL,)),
-    },
-    private_ops={
-        "INSERT": _ITEM_SIG,
-        "DELETE": _ITEM_SIG,
-        "IN": OpSig((Tag.ITEM,), (Tag.BOOLEAN,)),
-        "CARD": OpSig((), (Tag.RATIONAL,)),
-    },
+    public_ops=_OPS,
+    private_ops=_OPS,
     translation=_TRANSLATION,
     inverses=_INVERSES,
     tables=CommutTables(_IN_ENTRIES, _OUT_ENTRIES),

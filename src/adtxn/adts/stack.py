@@ -108,42 +108,37 @@ _IN_ENTRIES = (
 
 _TRUE = boolean(True)
 
-
-def _nine(executed_op, incoming_op, when, deduce, note=""):
-    return OutCommutEntry(executed_op, incoming_op, when=when, deduce=deduce, note=note)
-
-
 # Out-table: nine entries, each keyed on the executed op having observed an
 # empty stack, each able to answer the incoming op outright.
 _OUT_ENTRIES = (
-    _nine("POP", "POP",
-          when=lambda ei, eo, ii: eo[1] == EMPTY_STACK,
-          deduce=lambda ei, eo, ii: (UNIT, EMPTY_STACK)),
-    _nine("POP", "EMPTY",
-          when=lambda ei, eo, ii: eo[1] == EMPTY_STACK,
-          deduce=lambda ei, eo, ii: (_TRUE,)),
-    _nine("POP", "CLEAR",
-          when=lambda ei, eo, ii: eo[1] == EMPTY_STACK,
-          deduce=lambda ei, eo, ii: (ALREADY_EMPTY, seq(()))),
-    _nine("EMPTY", "POP",
-          when=lambda ei, eo, ii: eo[0] == _TRUE,
-          deduce=lambda ei, eo, ii: (UNIT, EMPTY_STACK)),
-    _nine("EMPTY", "EMPTY",
-          when=lambda ei, eo, ii: True,
-          deduce=lambda ei, eo, ii: (eo[0],),
-          note="second test repeats the first answer"),
-    _nine("EMPTY", "CLEAR",
-          when=lambda ei, eo, ii: eo[0] == _TRUE,
-          deduce=lambda ei, eo, ii: (ALREADY_EMPTY, seq(()))),
-    _nine("CLEAR", "POP",
-          when=lambda ei, eo, ii: eo[0] == ALREADY_EMPTY,
-          deduce=lambda ei, eo, ii: (UNIT, EMPTY_STACK)),
-    _nine("CLEAR", "EMPTY",
-          when=lambda ei, eo, ii: eo[0] == ALREADY_EMPTY,
-          deduce=lambda ei, eo, ii: (_TRUE,)),
-    _nine("CLEAR", "CLEAR",
-          when=lambda ei, eo, ii: eo[0] == ALREADY_EMPTY,
-          deduce=lambda ei, eo, ii: (ALREADY_EMPTY, seq(()))),
+    OutCommutEntry("POP", "POP",
+                   when=lambda ei, eo, ii: eo[1] == EMPTY_STACK,
+                   deduce=lambda ei, eo, ii: (UNIT, EMPTY_STACK)),
+    OutCommutEntry("POP", "EMPTY",
+                   when=lambda ei, eo, ii: eo[1] == EMPTY_STACK,
+                   deduce=lambda ei, eo, ii: (_TRUE,)),
+    OutCommutEntry("POP", "CLEAR",
+                   when=lambda ei, eo, ii: eo[1] == EMPTY_STACK,
+                   deduce=lambda ei, eo, ii: (ALREADY_EMPTY, seq(()))),
+    OutCommutEntry("EMPTY", "POP",
+                   when=lambda ei, eo, ii: eo[0] == _TRUE,
+                   deduce=lambda ei, eo, ii: (UNIT, EMPTY_STACK)),
+    OutCommutEntry("EMPTY", "EMPTY",
+                   when=lambda ei, eo, ii: True,
+                   deduce=lambda ei, eo, ii: (eo[0],),
+                   note="second test repeats the first answer"),
+    OutCommutEntry("EMPTY", "CLEAR",
+                   when=lambda ei, eo, ii: eo[0] == _TRUE,
+                   deduce=lambda ei, eo, ii: (ALREADY_EMPTY, seq(()))),
+    OutCommutEntry("CLEAR", "POP",
+                   when=lambda ei, eo, ii: eo[0] == ALREADY_EMPTY,
+                   deduce=lambda ei, eo, ii: (UNIT, EMPTY_STACK)),
+    OutCommutEntry("CLEAR", "EMPTY",
+                   when=lambda ei, eo, ii: eo[0] == ALREADY_EMPTY,
+                   deduce=lambda ei, eo, ii: (_TRUE,)),
+    OutCommutEntry("CLEAR", "CLEAR",
+                   when=lambda ei, eo, ii: eo[0] == ALREADY_EMPTY,
+                   deduce=lambda ei, eo, ii: (ALREADY_EMPTY, seq(()))),
 )
 
 STACK = AdtSpec(

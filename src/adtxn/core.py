@@ -43,6 +43,12 @@ call. A memo lookup hashes and compares the call's Values, which is why
 each value has one live `Value` object, so that both are identity and run
 in C (see `values`).
 
+On a memo miss both select their rule through `select_rule`, the one
+policy that exactly one rule of the op matches: none raises
+`NoRuleMatches` and several raise a "rules overlap" `FrameworkError`, each
+message naming the call's ins (and an inverse's outs). Only a failed
+selection formats its message, and a memo hit never selects.
+
 `parse_literal` keeps each initial-state literal's state in
 `AdtSpec.parsed`, keyed by the literal: parsing reads only the spec's
 `parse_state`.
@@ -196,8 +202,9 @@ class TranslationRule:
 
     null=True marks the NULL direct operation: public outs are computed by
     `outs` from the in-params and the object is never involved. Otherwise
-    `target` builds the private call and `outs` (if the public op returns
-    anything) projects the private out-params to the public ones.
+    `target` builds the private call and `outs` projects the private
+    out-params to the public ones. A rule of a public op that answers
+    nothing leaves `outs` None, which reads as `()` either way.
     """
     public_op: str
     when: Callable[[tuple[Value, ...]], bool]
@@ -349,6 +356,22 @@ def check_outs(spec: AdtSpec, op: str, outs: tuple[Value, ...]):
                 f"got {got.tag.value}")
 
 
+def select_rule(spec: AdtSpec, kind: str, rules_by_op: dict[str, tuple], op: str,
+                args: tuple):
+    """The one rule of `op` in `rules_by_op` whose condition holds of
+    `args`: `(ins,)` for a translation rule, `(ins, outs)` for an inverse
+    rule. None holding raises `NoRuleMatches`, and more than one raises
+    `FrameworkError`; only then is a message formatted."""
+    matches = [r for r in rules_by_op.get(op, ()) if r.when(*args)]
+    if len(matches) == 1:
+        return matches[0]
+    call = f"{spec.name}.{op}{'->'.join(map(render_params, args))}"
+    if not matches:
+        raise NoRuleMatches(f"no {kind} rule matches {call}")
+    notes = ", ".join(m.note or "?" for m in matches)
+    raise FrameworkError(f"{kind} rules overlap for {call}: {notes}")
+
+
 def translate_public(spec: AdtSpec, call: PublicCall) -> Translation:
     """Resolve a public call to its private call or to a NULL direct op.
 
@@ -366,15 +389,8 @@ def translate_public(spec: AdtSpec, call: PublicCall) -> Translation:
     if tr is not None:
         return tr
     check_public_ins(spec, call)
-    matches = [r for r in spec.translation_by_op.get(call.op, ())
-               if r.when(call.ins)]
-    if not matches:
-        raise NoRuleMatches(f"no translation rule matches {spec.name}.{call!r}")
-    if len(matches) > 1:
-        notes = ", ".join(m.note or "?" for m in matches)
-        raise FrameworkError(
-            f"translation rules overlap for {spec.name}.{call!r}: {notes}")
-    rule = matches[0]
+    rule = select_rule(spec, "translation", spec.translation_by_op, call.op,
+                       (call.ins,))
     if rule.null:
         outs = rule.outs(call.ins) if rule.outs else ()
         tr = Translation(rule, None, outs)
@@ -414,15 +430,7 @@ def determine_inverse(spec: AdtSpec, op: str, ins: tuple[Value, ...],
     inverse = spec.inverted.get(key, _MISS)
     if inverse is not _MISS:
         return inverse
-    matches = [r for r in spec.inverses_by_op.get(op, ()) if r.when(ins, outs)]
-    if not matches:
-        raise NoRuleMatches(
-            f"no inverse rule matches {spec.name}.{op}{render_params(ins)}"
-            f"->{render_params(outs)}")
-    if len(matches) > 1:
-        notes = ", ".join(m.note or "?" for m in matches)
-        raise FrameworkError(f"inverse rules overlap for {spec.name}.{op}: {notes}")
-    rule = matches[0]
+    rule = select_rule(spec, "inverse", spec.inverses_by_op, op, (ins, outs))
     if rule.null:
         inverse = None
     else:

@@ -1,5 +1,7 @@
 """Test-only references and lookups the package itself does not need."""
 
+from adtxn import history as hist
+from adtxn import manager
 from adtxn.history import History
 from adtxn.manager import ManagerInvariantError
 from adtxn.oracles import _Replayer
@@ -15,6 +17,18 @@ def replay_history(workload: Workload, history: History) -> dict[str, object]:
 def count_kind(history: History, kind: str) -> int:
     """How many of `history`'s events are of `kind`."""
     return sum(e.kind == kind for e in history)
+
+
+def undo_oldest_first(rec):
+    """`manager.abort_plan` without the `reversed`: a planted fault that
+    undoes a txn's effects oldest first. The engine and the history replay
+    erase a txn through the same plan, so only the serial replay sees it."""
+    plan = [(hist.WITHDRAW, *rec.blocked_on, None)] if rec.blocked_on else []
+    plan += [(hist.INVERSE, u.obj, u.inv, u.call) for u in rec.undo]
+    undone = {u.inv.id for u in rec.undo}
+    plan += [(manager.RELEASE, obj, inv, None) for obj, inv in rec.release_order()
+             if inv.id not in undone]
+    return plan
 
 
 def waits_for_graph(txns) -> dict[int, set[int]]:

@@ -4,9 +4,11 @@ import dataclasses
 
 import pytest
 
-from adtxn import cli, monitor, tables
+from adtxn import cli, manager, monitor, tables
 from adtxn.cli import main
 from adtxn.history import History
+from adtxn.workload import parse_workload
+from helpers import undo_oldest_first
 
 DEDUCTION = """\
 object s stack ()
@@ -228,6 +230,22 @@ def test_fuzz_smoke(capsys):
     out = capsys.readouterr().out
     assert "mode=commit: 10/10 runs passed" in out
     assert "mode=abort: 10/10 runs passed" in out
+
+
+def test_fuzz_prints_each_failure_minimized_and_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(manager, "abort_plan", undo_oldest_first)
+    assert main(["fuzz", "--seed", "0", "--runs", "50"]) == 1
+    out = capsys.readouterr().out
+    assert "mode=commit: 50/50 runs passed" in out
+    assert "mode=abort: 47/50 runs passed" in out
+    fails = [l for l in out.splitlines() if l.startswith("FAIL ")]
+    assert len(fails) == 3
+    assert all(l.startswith("FAIL mode=abort run=") and " stage=serializability: " in l
+               for l in fails)
+    # each failure is followed by its minimized workload, which parses
+    for text in out.split("  minimized workload:\n")[1:]:
+        lines = [l[4:] for l in text.splitlines() if l.startswith("    ")]
+        assert lines and parse_workload("\n".join(lines)).txns
 
 
 def test_fuzz_no_aborts_skips_the_second_mode(capsys):

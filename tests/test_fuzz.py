@@ -6,6 +6,7 @@ import random
 import pytest
 
 from adtxn import fuzz as fuzz_module
+from adtxn import manager
 from adtxn.fuzz import (
     ShrinkError,
     derive_seed,
@@ -15,7 +16,10 @@ from adtxn.fuzz import (
     minimize,
     run_pipeline,
 )
+from adtxn.oracles import check_run
+from adtxn.simulate import run_simulated
 from adtxn.workload import RandomSchedule, parse_workload, render_workload
+from helpers import undo_oldest_first
 
 
 def test_derived_seeds_are_stable_and_distinct():
@@ -146,3 +150,14 @@ def test_a_failure_that_passes_once_shrunk_is_refused(monkeypatch):
     monkeypatch.setattr(fuzz_module, "minimize", lambda workload, still_fails: workload)
     with pytest.raises(ShrinkError, match="passed once shrunk"):
         fuzz(1, runs=1)
+
+
+def test_fuzz_reports_a_planted_fault_with_a_workload_that_fails_alike(monkeypatch):
+    monkeypatch.setattr(manager, "abort_plan", undo_oldest_first)
+    report = fuzz(0, runs=50, with_abort=True)
+    assert not report.ok and report.runs == 50
+    assert [f.stage for f in report.failures] == ["serializability"] * 3
+    for f in report.failures:
+        assert f.seed == derive_seed(0, f.run_index)
+        stage, verdict = check_run(run_simulated(parse_workload(f.workload_text)))
+        assert (stage, verdict.detail) == (f.stage, f.detail)

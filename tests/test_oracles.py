@@ -37,7 +37,7 @@ from adtxn.tables import commute_with_in, commute_with_in_out, try_deduce
 from adtxn.values import UNIT, item, rational, report
 from adtxn.workload import (ObjectDecl, RandomSchedule, TxnDecl, Workload,
                             make_step, parse_workload)
-from helpers import count_kind, replay_history, txn_decl
+from helpers import count_kind, replay_history, txn_decl, undo_oldest_first
 from test_acceptance import (CARD_BLOCK_TRACE, CARD_BLOCK_WORKLOAD,
                              CROSSED_TRACE, CROSSED_WORKLOAD, DEDUCTION_TRACE,
                              DEDUCTION_WORKLOAD, INSERT_HINT_TRACE,
@@ -142,6 +142,24 @@ def test_check_serializable_rejects_a_wrong_observation():
     assert not verdict.ok
     assert verdict.detail.endswith("T2 step 0 saw s POP [] -> [b,Ok], the serial "
                                    "replay gives s POP [] -> [a,Ok]")
+
+
+def test_check_serializable_names_a_step_the_history_never_answered():
+    w = parse_workload("""\
+object s set {}
+txn T1
+  op s INSERT a
+  op s IN a
+end commit
+schedule steps T1 T1 T1
+""")
+    res = run_simulated(w)
+    last = max(e.index for e in res.history if e.kind == hist.EXEC)
+    history = doctored(res.history, lambda ev: [e for e in ev if e.index != last])
+    verdict = check_serializable(dataclasses.replace(res, history=history))
+    assert not verdict.ok
+    assert verdict.detail == ("commit order ['T1'] is no witness: T1 step 1 saw "
+                              "no step, the serial replay gives s IN [a] -> [true]")
 
 
 def commit_order(result):
@@ -1141,16 +1159,7 @@ def test_a_fault_in_a_shared_step_is_caught_only_by_the_serial_replay(monkeypatc
     # `abort_plan`, so a plan that undoes oldest first moves both alike and
     # the history replay passes every run; only the serial replay, which
     # shares nothing with the engine, sees the states or answers it leaves
-    def oldest_first(rec):
-        # `abort_plan` without the `reversed`
-        plan = [(hist.WITHDRAW, *rec.blocked_on, None)] if rec.blocked_on else []
-        plan += [(hist.INVERSE, u.obj, u.inv, u.call) for u in rec.undo]
-        undone = {u.inv.id for u in rec.undo}
-        plan += [(manager.RELEASE, obj, inv, None) for obj, inv in rec.release_order()
-                 if inv.id not in undone]
-        return plan
-
-    monkeypatch.setattr(manager, "abort_plan", oldest_first)
+    monkeypatch.setattr(manager, "abort_plan", undo_oldest_first)
     stages = Counter()
     for workload in _mixed_workloads():
         stage, verdict = check_run(run_simulated(workload))

@@ -430,3 +430,82 @@ def test_a_raising_inverse_is_never_kept():
                 determine_inverse(spec, op, ins, outs)
             assert spec.inverted == before, op
     assert list(stack.inverted) == [("PUSH", (item("a"),), (OK,))]
+
+
+# ------------------------------------------------------------ one selector
+
+def test_translation_and_inverse_select_through_one_function(monkeypatch):
+    from adtxn import core
+    selected = []
+    select = core.select_rule
+
+    def counted(spec, kind, *args):
+        selected.append(kind)
+        return select(spec, kind, *args)
+
+    monkeypatch.setattr(core, "select_rule", counted)
+    spec = dataclasses.replace(SET)     # same rules, empty memos
+    call = PublicCall("INSERT", (item("a"),))
+    for _ in range(2):
+        translate_public(spec, call)
+        determine_inverse(spec, "INSERT", (item("a"),), (OK,))
+    # a memo hit never reaches the selector
+    assert selected == ["translation", "inverse"]
+
+
+def test_a_selection_formats_a_message_only_when_it_fails(monkeypatch):
+    from adtxn import core
+
+    def refuse(params):
+        raise AssertionError("formatted a message")
+
+    monkeypatch.setattr(core, "render_params", refuse)
+    for name in builtin_names():
+        spec = dataclasses.replace(get_adt(name))   # every call a miss
+        for call in spec.probe_public_calls(3):
+            translate_public(spec, call)
+        for state in spec.enumerate_states(2):
+            for call in spec.probe_calls(2):
+                outs = spec.apply(state, call.op, call.ins)[1]
+                determine_inverse(spec, call.op, call.ins, outs)
+    monkeypatch.undo()
+    # each refusal names the call's ins, and an inverse's outs too
+    real = dataclasses.replace(REAL, translation=REAL.translation + (
+        TranslationRule("ADD", when=lambda ins: True, null=True, note="dup"),))
+    sets = dataclasses.replace(SET, inverses=SET.inverses + (
+        InverseRule("IN", when=lambda i, o: True, null=True, note="dup"),))
+    cases = [(lambda: translate_public(real, PublicCall("ADD", (rational(5),))),
+              "translation rules overlap for real.ADD[5]: ?, dup"),
+             (lambda: determine_inverse(sets, "IN", (item("a"),), (TRUE,)),
+              "inverse rules overlap for set.IN[a]->[true]: ?, dup"),
+             (lambda: determine_inverse(STACK, "POP", (), (UNIT, report("Lost"))),
+              "no inverse rule matches stack.POP[]->[_,Lost]")]
+    for select, message in cases:
+        with pytest.raises(FrameworkError) as caught:
+            select()
+        assert str(caught.value) == message
+
+
+# ------------------------------------------------------------ the shared cell
+
+def test_real_and_boolean_hold_one_cell():
+    # SETTO and READ are one cell's: both types hold the very same rule and
+    # entry objects, after their own, since the first matching one decides
+    def cell(spec):
+        tables = spec.tables
+        return (spec.translation[-2:], spec.inverses[-3:],
+                tables.in_entries[-1:], tables.out_entries)
+    for spec in (REAL, BOOLEAN):
+        translation, inverses, in_entries, out_entries = cell(spec)
+        assert [r.public_op for r in translation] == ["SETTO", "READ"]
+        assert [r.op for r in inverses] == ["SETTO", "SETTO", "READ"]
+        assert [(e.op_a, e.op_b) for e in in_entries] == [("READ", "READ")]
+        assert [(e.executed_op, e.incoming_op) for e in out_entries] == [
+            ("READ", "READ"), ("SETTO", "READ"), ("SETTO", "SETTO"), ("READ", "SETTO")]
+        # nothing else of the type is on SETTO or READ
+        assert spec.translation_by_op["SETTO"] + spec.translation_by_op["READ"] \
+            == translation
+        assert spec.inverses_by_op["SETTO"] + spec.inverses_by_op["READ"] == inverses
+    for mine, theirs in zip(cell(REAL), cell(BOOLEAN)):
+        assert len(mine) == len(theirs)
+        assert all(a is b for a, b in zip(mine, theirs))

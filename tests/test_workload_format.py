@@ -107,6 +107,19 @@ def test_render_parse_round_trip_is_exact():
     ("object s stack\nfrobnicate\nschedule seed 1 steps 1\n", 2, "unrecognized"),
     ("object s stack\ntxn T\n op s POP\nend commit\nschedule steps T U\n# last\n",
      5, "unknown txn"),
+    ("object s stack\ntxn T\n op s\nend commit\nschedule seed 1 steps 1\n",
+     3, "op needs an object and an operation name"),
+    ("object s stack\nend commit\nschedule seed 1 steps 1\n", 2, "end outside a txn block"),
+    ("object s stack\ntxn T\nobject r real\nend commit\nschedule seed 1 steps 1\n",
+     3, "expected op/end inside txn block"),
+    ("object s\nschedule seed 1 steps 1\n",
+     1, "object takes a name, a type and an optional literal"),
+    ("object s stack\ntxn T U\n op s POP\nend commit\nschedule seed 1 steps 1\n",
+     2, "txn takes exactly a name"),
+    ("object s stack\ntxn T\n op s POP\nend commit\nschedule seed 1 steps 1 2\n",
+     5, "expected: schedule seed <N> steps <M>"),
+    ("object s stack\ntxn T\n op s POP\nend commit\nschedule steps\n",
+     5, "explicit schedule needs at least one txn name"),
 ])
 def test_errors_carry_line_numbers(bad, line, hint):
     with pytest.raises(WorkloadError) as exc:
