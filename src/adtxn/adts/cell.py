@@ -35,8 +35,8 @@ IN_ENTRIES = (
     InCommutEntry("READ", "READ", when=ALWAYS),
 )
 
-# Each entry deduces, and the first matching one decides: they come last in
-# a type's out-table, in this order.
+# Each entry deduces. They come last in a type's out-table, in this order,
+# and no type has another entry on their pairs.
 OUT_ENTRIES = (
     OutCommutEntry("READ", "READ", when=lambda ei, eo, ii: True,
                    deduce=lambda ei, eo, ii: (eo[0],)),

@@ -15,7 +15,7 @@ from sys import intern
 from ..core import (AdtSpec, InverseRule, OpSig, PrivateCall, PublicCall,
                     TranslationRule, identity_rule)
 from ..tables import ALWAYS, CommutTables, InCommutEntry, OutCommutEntry
-from ..values import Tag, UNIT, Value, boolean, is_item_list, item, render, report, seq
+from ..values import TRUE, Tag, UNIT, boolean, is_item_list, item, report, seq
 
 OK = report("Ok")
 EMPTY_STACK = report("EmptyStack")
@@ -64,9 +64,8 @@ def _enumerate_states(bound):
 def _probe_calls(bound):
     calls = [PrivateCall("PUSH", (item(x),)) for x in _ALPHABET]
     calls += [PrivateCall("POP", ()), PrivateCall("EMPTY", ()), PrivateCall("CLEAR", ())]
-    restore_depth = min(bound, 2)
     calls += [PrivateCall("RESTORE", (seq(item(x) for x in s),))
-              for s in _enumerate_states(restore_depth)]
+              for s in _enumerate_states(bound)]
     return calls
 
 
@@ -106,8 +105,6 @@ _IN_ENTRIES = (
     InCommutEntry("EMPTY", "EMPTY", when=ALWAYS),
 )
 
-_TRUE = boolean(True)
-
 # Out-table: nine entries, each keyed on the executed op having observed an
 # empty stack, each able to answer the incoming op outright.
 _OUT_ENTRIES = (
@@ -116,26 +113,26 @@ _OUT_ENTRIES = (
                    deduce=lambda ei, eo, ii: (UNIT, EMPTY_STACK)),
     OutCommutEntry("POP", "EMPTY",
                    when=lambda ei, eo, ii: eo[1] == EMPTY_STACK,
-                   deduce=lambda ei, eo, ii: (_TRUE,)),
+                   deduce=lambda ei, eo, ii: (TRUE,)),
     OutCommutEntry("POP", "CLEAR",
                    when=lambda ei, eo, ii: eo[1] == EMPTY_STACK,
                    deduce=lambda ei, eo, ii: (ALREADY_EMPTY, seq(()))),
     OutCommutEntry("EMPTY", "POP",
-                   when=lambda ei, eo, ii: eo[0] == _TRUE,
+                   when=lambda ei, eo, ii: eo[0] == TRUE,
                    deduce=lambda ei, eo, ii: (UNIT, EMPTY_STACK)),
     OutCommutEntry("EMPTY", "EMPTY",
                    when=lambda ei, eo, ii: True,
                    deduce=lambda ei, eo, ii: (eo[0],),
                    note="second test repeats the first answer"),
     OutCommutEntry("EMPTY", "CLEAR",
-                   when=lambda ei, eo, ii: eo[0] == _TRUE,
+                   when=lambda ei, eo, ii: eo[0] == TRUE,
                    deduce=lambda ei, eo, ii: (ALREADY_EMPTY, seq(()))),
     OutCommutEntry("CLEAR", "POP",
                    when=lambda ei, eo, ii: eo[0] == ALREADY_EMPTY,
                    deduce=lambda ei, eo, ii: (UNIT, EMPTY_STACK)),
     OutCommutEntry("CLEAR", "EMPTY",
                    when=lambda ei, eo, ii: eo[0] == ALREADY_EMPTY,
-                   deduce=lambda ei, eo, ii: (_TRUE,)),
+                   deduce=lambda ei, eo, ii: (TRUE,)),
     OutCommutEntry("CLEAR", "CLEAR",
                    when=lambda ei, eo, ii: eo[0] == ALREADY_EMPTY,
                    deduce=lambda ei, eo, ii: (ALREADY_EMPTY, seq(()))),

@@ -274,7 +274,7 @@ class AdtSpec:
     two calls with distinct keys, neither None, commute whatever the state
     and their results, and neither can deduce the other's answer. The
     monitor then tests an incoming op only against live ops under its own
-    key and under None; `validate.check_keys` sweeps the claim. A None key
+    key and under None; `validate.check_pairs` sweeps the claim. A None key
     means the call may conflict with anything.
     """
     name: str

@@ -120,8 +120,13 @@ def minimize(workload: Workload, still_fails) -> Workload:
 
 
 def _shrinks(w: Workload):
-    """`w` less one whole transaction, each in turn while more than one is
-    left, then less one op, each in turn."""
+    """`w` less every object that no step names, if there is one; then less
+    one whole transaction, each in turn while more than one is left; then
+    less one op, each in turn. The schedule picks among txns only, so an
+    unnamed object takes no part in the run."""
+    named = {step.obj for txn in w.txns for step in txn.steps}
+    if any(o.name not in named for o in w.objects):
+        yield Workload(tuple(o for o in w.objects if o.name in named), w.txns, w.schedule)
     if len(w.txns) > 1:
         for i in range(len(w.txns)):
             yield Workload(w.objects, w.txns[:i] + w.txns[i + 1:], w.schedule)

@@ -45,7 +45,7 @@ over without a query. Skipping these is exact, not a heuristic:
     parameter.
 
 So every skipped query would have answered "commutes". The key claim is a
-claim about the tables, proved by `verify-tables` (`validate.check_keys`)
+claim about the tables, proved by `verify-tables` (`validate.check_pairs`)
 for every probe pair with distinct keys in every bounded state, and
 re-tested at run time by `_admission_safety`, which still scans all of
 `live`.
@@ -59,7 +59,7 @@ Then `try_deduce` reads the same executed ops a scan of `live` would, in
 another order; every deduction must agree, so the answer is the same.
 When the counts differ, an executed op sits under another key, and the
 scan of `live` would have stopped there with no deduction
-(`validate.check_keys` sweeps "a deducing entry matches" across keys). The
+(`validate.check_pairs` sweeps "a deducing entry matches" across keys). The
 pending ops are still read from all of `live`. So a false key claim could
 only cost a deduction, never make one. An op without a key, and every op
 of a type without keys, has `try_deduce` read all of `live`, lazily, up to

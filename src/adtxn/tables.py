@@ -4,8 +4,7 @@ Two tables per data type, one policy: absence means conflict.
 
 The in-table answers from in-parameters alone and is consulted against
 operations whose results are not yet known (blocked or executing). Entries
-are unordered: storing PUSH/PUSH once covers both argument orders, and the
-query tries both.
+are unordered: storing PUSH/PUSH once covers both argument orders.
 
 The out-table is consulted against *executed* operations, whose
 out-parameters exist, so its entries are ordered (executed first) and its
@@ -22,21 +21,22 @@ matches; the fallback never deduces.
 
 The out-query answers only whether the pair commutes. Admission and
 out-control need nothing more, so no deduction is evaluated for them; the
-deduction is read only by `try_deduce`, from the same first matching entry.
+deduction is read only by `try_deduce`, from the same entry.
 
-Every query names one op pair, so `CommutTables` indexes its entries by
-pair once, when it is built (and rebuilt with it, as by
-`dataclasses.replace`), and a query reads only its own pair's entries:
+Each table is a matrix over op pairs with one condition in each cell:
+`CommutTables` refuses a second in-entry on one unordered pair, and a second
+out-entry on one ordered pair, when it is built. A cell that needs a case
+split writes it inside its one condition. Every query names one op pair, so
+the tables index their entries by pair once, when built (and rebuilt with
+them, as by `dataclasses.replace`), and a query reads only its own cell:
 
-* `in_by_pair[(x, y)]` holds `(when, swapped)` for every in-entry on ops x
+* `in_by_pair[(x, y)]` holds `(when, swapped)` for the in-entry on ops x
   and y, stored under both orders: an X/Y entry sits under (x, y) as is and
   under (y, x) swapped, so the query calls `when` with the arguments in the
-  entry's order. An entry on one op twice (X/X) sits under (x, x) both ways.
-* `out_by_pair[(executed, incoming)]` holds the out-entries for that pair.
-
-Both keep table order. For the in-table that only fixes which condition
-runs first, but the *first* matching out-entry decides the deduction, so
-its order is part of the answer.
+  entry's order. An entry on one op twice (X/X) sits under (x, x) once, as
+  is, so its condition runs once per query, on the arguments in query
+  order; `verify-tables` sweeps both orders.
+* `out_by_pair[(executed, incoming)]` holds the out-entry for that pair.
 
 Two more facts are derived at the same time, for the monitor's admission:
 
@@ -54,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .core import FrameworkError
 from .values import Value
 
 # Condition/deduction signatures:
@@ -93,34 +94,40 @@ class OutCommutEntry:
     note: str = ""
 
 
+def _one_per_pair(by_pair: dict, pair: tuple[str, str], cell, kind: str) -> None:
+    """Put `cell` under `pair`, refusing a second entry on one pair: each
+    table cell holds one condition."""
+    if pair in by_pair:
+        raise FrameworkError(f"two {kind}-entries on {pair[0]}/{pair[1]}")
+    by_pair[pair] = cell
+
+
 @dataclass(frozen=True)
 class CommutTables:
     in_entries: tuple[InCommutEntry, ...]
     out_entries: tuple[OutCommutEntry, ...]
-    in_by_pair: dict[tuple[str, str], tuple[tuple[Callable, bool], ...]] = field(
+    in_by_pair: dict[tuple[str, str], tuple[Callable, bool]] = field(
         init=False, repr=False, compare=False)
-    out_by_pair: dict[tuple[str, str], tuple[OutCommutEntry, ...]] = field(
+    out_by_pair: dict[tuple[str, str], OutCommutEntry] = field(
         init=False, repr=False, compare=False)
     always: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
     deducible: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        in_by_pair: dict[tuple[str, str], list] = {}
-        for e in self.in_entries:
-            in_by_pair.setdefault((e.op_a, e.op_b), []).append((e.when, False))
-            in_by_pair.setdefault((e.op_b, e.op_a), []).append((e.when, True))
-        out_by_pair: dict[tuple[str, str], list] = {}
-        for e in self.out_entries:
-            out_by_pair.setdefault((e.executed_op, e.incoming_op), []).append(e)
-        object.__setattr__(self, "in_by_pair",
-                           {k: tuple(v) for k, v in in_by_pair.items()})
-        object.__setattr__(self, "out_by_pair",
-                           {k: tuple(v) for k, v in out_by_pair.items()})
+        in_by_pair: dict[tuple[str, str], tuple[Callable, bool]] = {}
         always: dict[str, set[str]] = {}
         for e in self.in_entries:
+            _one_per_pair(in_by_pair, (e.op_a, e.op_b), (e.when, False), "in")
+            if e.op_a != e.op_b:
+                in_by_pair[(e.op_b, e.op_a)] = (e.when, True)
             if e.when is ALWAYS:
                 always.setdefault(e.op_a, set()).add(e.op_b)
                 always.setdefault(e.op_b, set()).add(e.op_a)
+        out_by_pair: dict[tuple[str, str], OutCommutEntry] = {}
+        for e in self.out_entries:
+            _one_per_pair(out_by_pair, (e.executed_op, e.incoming_op), e, "out")
+        object.__setattr__(self, "in_by_pair", in_by_pair)
+        object.__setattr__(self, "out_by_pair", out_by_pair)
         object.__setattr__(self, "always",
                            {k: frozenset(v) for k, v in always.items()})
         object.__setattr__(self, "deducible", frozenset(
@@ -129,16 +136,16 @@ class CommutTables:
 
 def commute_with_in(tables: CommutTables, a, b) -> bool:
     """Unordered in-parameter commutativity of two calls (.op/.ins duck type)."""
-    for when, swapped in tables.in_by_pair.get((a.op, b.op), ()):
-        if when(b.ins, a.ins) if swapped else when(a.ins, b.ins):
-            return True
-    return False
+    when, swapped = tables.in_by_pair.get((a.op, b.op), (None, False))
+    if when is None:
+        return False
+    return when(b.ins, a.ins) if swapped else when(a.ins, b.ins)
 
 
 def _out_entry_for(tables: CommutTables, executed, incoming) -> OutCommutEntry | None:
-    for e in tables.out_by_pair.get((executed.op, incoming.op), ()):
-        if e.when(executed.ins, executed.outs, incoming.ins):
-            return e
+    e = tables.out_by_pair.get((executed.op, incoming.op))
+    if e is not None and e.when(executed.ins, executed.outs, incoming.ins):
+        return e
     return None
 
 

@@ -2,16 +2,16 @@
 
 Commutativity tables, inverse rules and translation rules are data, and
 data can lie. These sweeps enumerate every bounded state against every
-probe invocation (pairs of them, in both orders, for the tables) and check
-the claims by executing the reference semantics:
+probe invocation (every ordered pair of them, for the tables) and check the
+claims by executing the reference semantics:
 
 * translation: every public probe resolves to exactly one rule, and the
   projected public outs have the declared shape in every state;
 * inverses: every executed probe selects exactly one rule; NULL rules only
   ever fire when the state did not move, and applying a named inverse
   restores the pre-state exactly;
-* in-table: when an entry says two calls commute, both execution orders
-  must agree on the final state and on both calls' out-params;
+* in-table: when the in-query says two calls commute, both execution
+  orders must agree on the final state and on both calls' out-params;
 * out-table: same two-sided agreement under the entry's condition, plus any
   deduction must equal, pointwise, what executing would have returned;
 * keys, for a type that declares `conflict_key`: two calls under distinct
@@ -20,13 +20,17 @@ the claims by executing the reference semantics:
   such pairs on this claim. The in-query's verdict covers the out-query's
   too, which falls back to the in-table (see `tables`).
 
+The last three come from one sweep, `check_pairs`, over every query the
+monitor can make: each ordered probe pair in each bounded state, running
+both orders at most once. Two entries can never answer one pair, since
+`CommutTables` refuses them when built.
+
 Costs are exponential in the bound and that is fine; bounds stay small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .core import (AdtSpec, FrameworkError, determine_inverse,
                    public_outs_from_private, translate_public)
@@ -59,10 +63,6 @@ def _shape_ok(sig, outs) -> bool:
     return all(v.tag is t or v.tag is _UNIT for v, t in zip(outs, sig.outs))
 
 
-def _fmt(state, spec):
-    return spec.render_state(state)
-
-
 def check_translation(spec: AdtSpec, bound: int) -> CheckReport:
     violations = []
     cases = 0
@@ -86,7 +86,7 @@ def check_translation(spec: AdtSpec, bound: int) -> CheckReport:
             if not _shape_ok(sig, pub):
                 violations.append(Violation(
                     "translation",
-                    f"{call!r} from {_fmt(s, spec)}: projected outs "
+                    f"{call!r} from {spec.render_state(s)}: projected outs "
                     f"{render_params(pub)} have the wrong shape"))
                 break
     return CheckReport("translation", cases, tuple(violations))
@@ -108,15 +108,15 @@ def check_inverses(spec: AdtSpec, bound: int) -> CheckReport:
                 if after != s:
                     violations.append(Violation(
                         "inverses",
-                        f"{call!r} from {_fmt(s, spec)} got a NULL inverse "
-                        f"but moved the state to {_fmt(after, spec)}"))
+                        f"{call!r} from {spec.render_state(s)} got a NULL inverse "
+                        f"but moved the state to {spec.render_state(after)}"))
                 continue
             restored, _ = spec.apply(after, inverse.op, inverse.ins)
             if restored != s:
                 violations.append(Violation(
                     "inverses",
-                    f"{call!r} from {_fmt(s, spec)}: inverse {inverse!r} "
-                    f"landed on {_fmt(restored, spec)}"))
+                    f"{call!r} from {spec.render_state(s)}: inverse {inverse!r} "
+                    f"landed on {spec.render_state(restored)}"))
     return CheckReport("inverses", cases, tuple(violations))
 
 
@@ -127,7 +127,7 @@ def _both_orders_agree(spec, s, p, q):
     t1, q_first = spec.apply(s, q.op, q.ins)
     t2, p_second = spec.apply(t1, p.op, p.ins)
     if s2 != t2:
-        return False, f"states diverge: {_fmt(s2, spec)} vs {_fmt(t2, spec)}"
+        return False, f"states diverge: {spec.render_state(s2)} vs {spec.render_state(t2)}"
     if p_first != p_second:
         return False, (f"{p.op} answers depend on order: "
                        f"{render_params(p_first)} vs {render_params(p_second)}")
@@ -137,104 +137,70 @@ def _both_orders_agree(spec, s, p, q):
     return True, ""
 
 
-def check_in_table(spec: AdtSpec, bound: int) -> CheckReport:
-    violations = []
-    cases = 0
+def check_pairs(spec: AdtSpec, bound: int) -> list[CheckReport]:
+    """The in-table, out-table and, for a type with conflict keys, keys
+    reports, from one sweep over each ordered probe pair p, q in each
+    bounded state. The in-table and keys reports stop sweeping a pair at
+    its first violation; the out-table report sweeps on. A pair under
+    distinct keys must be claimed by the in-query, so the keys report reads
+    the in-table's run of both orders."""
+    tables, key, render = spec.tables, spec.conflict_key, spec.render_state
+    states = list(spec.enumerate_states(bound))
     probes = spec.probe_calls(bound)
-    for p, q in combinations_with_replacement(probes, 2):
-        if (p.op, q.op) not in spec.tables.in_by_pair:
-            continue
-        if not commute_with_in(spec.tables, p, q):
-            continue
-        for s in spec.enumerate_states(bound):
-            cases += 1
-            ok, detail = _both_orders_agree(spec, s, p, q)
-            if not ok:
-                violations.append(Violation(
-                    "in-table",
-                    f"{p!r} vs {q!r} from {_fmt(s, spec)}: {detail}"))
-                break
-    return CheckReport("in-table", cases, tuple(violations))
-
-
-def check_out_table(spec: AdtSpec, bound: int) -> CheckReport:
-    violations = []
-    cases = 0
-    probes = spec.probe_calls(bound)
+    names = ("in-table", "out-table") + (("keys",) if key is not None else ())
+    cases = dict.fromkeys(names, 0)
+    found: list[Violation] = []
     for p in probes:
         for q in probes:
-            entries = spec.tables.out_by_pair.get((p.op, q.op))
-            if entries is None:
+            in_open = commute_with_in(tables, p, q)
+            entry = tables.out_by_pair.get((p.op, q.op))
+            kp, kq = (key(p.op, p.ins), key(q.op, q.ins)) if key else (None, None)
+            keys_open = kp is not None and kq is not None and kp != kq
+            pair = f"{p!r} (key {kp!r}) vs {q!r} (key {kq!r})" if keys_open else ""
+            if keys_open and not in_open:
+                found.append(Violation("keys", f"{pair}: the in-query says conflict"))
+                keys_open = False
+            if not in_open and entry is None:
                 continue
-            for s in spec.enumerate_states(bound):
+            for s in states:
                 s1, p_outs = spec.apply(s, p.op, p.ins)
-                matches = [e for e in entries if e.when(p.ins, p_outs, q.ins)]
-                if len(matches) > 1:
-                    violations.append(Violation(
-                        "out-table",
-                        f"{len(matches)} entries overlap on executed {p!r} "
-                        f"-> {render_params(p_outs)} vs incoming {q!r}"))
+                matched = entry is not None and entry.when(p.ins, p_outs, q.ins)
+                if not (in_open or matched):
                     continue
-                if not matches:
-                    continue
-                cases += 1
-                entry = matches[0]
                 ok, detail = _both_orders_agree(spec, s, p, q)
-                if not ok:
-                    violations.append(Violation(
-                        "out-table",
-                        f"executed {p!r} vs incoming {q!r} from "
-                        f"{_fmt(s, spec)}: {detail}"))
-                    continue
-                if entry.deduce is not None:
-                    deduced = entry.deduce(p.ins, p_outs, q.ins)
-                    _, actual = spec.apply(s1, q.op, q.ins)
-                    if deduced != actual:
-                        violations.append(Violation(
+                if in_open:
+                    cases["in-table"] += 1
+                    if not ok:
+                        found.append(Violation(
+                            "in-table", f"{p!r} vs {q!r} from {render(s)}: {detail}"))
+                        in_open = False
+                if matched:
+                    cases["out-table"] += 1
+                    if not ok:
+                        found.append(Violation(
                             "out-table",
-                            f"deduction for {q!r} after {p!r} from "
-                            f"{_fmt(s, spec)} says {render_params(deduced)}, "
-                            f"execution says {render_params(actual)}"))
-    return CheckReport("out-table", cases, tuple(violations))
-
-
-def check_keys(spec: AdtSpec, bound: int) -> CheckReport:
-    violations = []
-    cases = 0
-    tables, key = spec.tables, spec.conflict_key
-    probes = spec.probe_calls(bound)
-    for p in probes:
-        for q in probes:
-            kp, kq = key(p.op, p.ins), key(q.op, q.ins)
-            if kp is None or kq is None or kp == kq:
-                continue
-            pair = f"{p!r} (key {kp!r}) vs {q!r} (key {kq!r})"
-            if not commute_with_in(tables, p, q):
-                violations.append(Violation("keys", f"{pair}: the in-query says conflict"))
-                continue
-            entries = tables.out_by_pair.get((p.op, q.op), ())
-            for s in spec.enumerate_states(bound):
-                cases += 1
-                _, p_outs = spec.apply(s, p.op, p.ins)
-                ok, detail = _both_orders_agree(spec, s, p, q)
-                if any(e.deduce is not None and e.when(p.ins, p_outs, q.ins)
-                       for e in entries):
-                    ok, detail = False, "a deducing entry matches"
-                if not ok:
-                    violations.append(Violation(
-                        "keys", f"{pair} after {render_params(p_outs)} "
-                                f"from {_fmt(s, spec)}: {detail}"))
-                    break
-    return CheckReport("keys", cases, tuple(violations))
+                            f"executed {p!r} vs incoming {q!r} from {render(s)}: {detail}"))
+                    elif entry.deduce is not None:
+                        deduced = entry.deduce(p.ins, p_outs, q.ins)
+                        _, actual = spec.apply(s1, q.op, q.ins)
+                        if deduced != actual:
+                            found.append(Violation(
+                                "out-table",
+                                f"deduction for {q!r} after {p!r} from {render(s)} says "
+                                f"{render_params(deduced)}, execution says "
+                                f"{render_params(actual)}"))
+                if keys_open:
+                    cases["keys"] += 1
+                    if matched and entry.deduce is not None:
+                        ok, detail = False, "a deducing entry matches"
+                    if not ok:
+                        found.append(Violation("keys", f"{pair} after {render_params(p_outs)} "
+                                                       f"from {render(s)}: {detail}"))
+                        keys_open = False
+    return [CheckReport(name, cases[name], tuple(v for v in found if v.check == name))
+            for name in names]
 
 
 def validate_adt(spec: AdtSpec, bound: int = 3) -> list[CheckReport]:
-    reports = [
-        check_translation(spec, bound),
-        check_inverses(spec, bound),
-        check_in_table(spec, bound),
-        check_out_table(spec, bound),
-    ]
-    if spec.conflict_key is not None:
-        reports.append(check_keys(spec, bound))
-    return reports
+    return [check_translation(spec, bound), check_inverses(spec, bound),
+            *check_pairs(spec, bound)]

@@ -206,6 +206,27 @@ def test_check_reports_replay_drift_as_a_failed_stage(wl, capsys, monkeypatch):
     assert "checked 2 run(s), 2 failure(s)" in out
 
 
+SWEEP_AT_DEPTH_3 = """\
+PASS boolean translation cases=10 violations=0
+PASS boolean inverses cases=8 violations=0
+PASS boolean in-table cases=4 violations=0
+PASS boolean out-table cases=8 violations=0
+PASS real translation cases=15 violations=0
+PASS real inverses cases=126 violations=0
+PASS real in-table cases=602 violations=0
+PASS real out-table cases=16 violations=0
+PASS set translation cases=10 violations=0
+PASS set inverses cases=80 violations=0
+PASS set in-table cases=512 violations=0
+PASS set out-table cases=104 violations=0
+PASS set keys cases=432 violations=0
+PASS stack translation cases=5 violations=0
+PASS stack inverses cases=300 violations=0
+PASS stack in-table cases=45 violations=0
+PASS stack out-table cases=23 violations=0
+"""
+
+
 def test_verify_tables_single_and_unknown(capsys):
     assert main(["verify-tables", "boolean"]) == 0
     out = capsys.readouterr().out
@@ -223,6 +244,9 @@ def test_verify_tables_all(capsys):
     assert len(lines) == 17
     assert any(l.startswith("PASS set keys ") for l in lines)
     assert all(l.startswith("PASS") and "cases=" in l for l in lines)
+    # every count at depth 3 is pinned, so a probe that drops out shows here
+    assert main(["verify-tables", "all", "--depth", "3"]) == 0
+    assert capsys.readouterr().out == SWEEP_AT_DEPTH_3
 
 
 def test_fuzz_smoke(capsys):

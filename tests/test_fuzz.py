@@ -96,6 +96,7 @@ def test_minimize_shrinks_to_the_essential_core():
     # predicate: workload still contains a POP on o1; everything else is fat
     w = parse_workload("""\
 object o1 stack a,b
+object o2 set
 txn T1
   op o1 PUSH a
   op o1 EMPTY
@@ -116,6 +117,7 @@ schedule seed 9 steps 100
 
     small = minimize(w, has_pop)
     assert has_pop(small)
+    assert [o.name for o in small.objects] == ["o1"]
     assert len(small.txns) == 1
     assert len(small.txns[0].steps) == 1
     assert small.txns[0].steps[0].op == "POP"
@@ -159,5 +161,8 @@ def test_fuzz_reports_a_planted_fault_with_a_workload_that_fails_alike(monkeypat
     assert [f.stage for f in report.failures] == ["serializability"] * 3
     for f in report.failures:
         assert f.seed == derive_seed(0, f.run_index)
-        stage, verdict = check_run(run_simulated(parse_workload(f.workload_text)))
+        w = parse_workload(f.workload_text)
+        # the shrinker drops every object that no step names
+        assert [o.name for o in w.objects] == ["o1"]
+        stage, verdict = check_run(run_simulated(w))
         assert (stage, verdict.detail) == (f.stage, f.detail)

@@ -7,17 +7,15 @@ import dataclasses
 import pytest
 
 from adtxn.adts import get_adt
-from adtxn.core import InverseRule, PrivateCall, TranslationRule
-from adtxn.tables import CommutTables, InCommutEntry, OutCommutEntry
+from adtxn.core import FrameworkError, InverseRule, PrivateCall, TranslationRule
+from adtxn.tables import ALWAYS, CommutTables, InCommutEntry, OutCommutEntry
 from adtxn.validate import (
-    check_in_table,
     check_inverses,
-    check_keys,
-    check_out_table,
+    check_pairs,
     check_translation,
     validate_adt,
 )
-from adtxn.values import UNIT, item, report
+from adtxn.values import UNIT, item, report, seq
 
 STACK = get_adt("stack")
 
@@ -44,14 +42,21 @@ def with_in_entry(spec, entry):
 
 
 def with_out_entry(spec, entry):
+    """`spec` with `entry` in place of its out-entry on the same pair, if any."""
     t = spec.tables
-    return dataclasses.replace(spec, tables=CommutTables(t.in_entries,
-                                                         t.out_entries + (entry,)))
+    pair = (entry.executed_op, entry.incoming_op)
+    kept = tuple(e for e in t.out_entries if (e.executed_op, e.incoming_op) != pair)
+    return dataclasses.replace(spec, tables=CommutTables(t.in_entries, kept + (entry,)))
+
+
+def pair_report(spec, bound, check):
+    """The `check_pairs` report named `check`."""
+    return next(r for r in check_pairs(spec, bound) if r.check == check)
 
 
 def test_in_table_sweep_catches_a_false_claim():
     liar = with_in_entry(STACK, InCommutEntry("PUSH", "POP", when=lambda a, b: True))
-    rep = check_in_table(liar, bound=3)
+    rep = pair_report(liar, 3, "in-table")
     assert not rep.ok
     assert any("PUSH" in v.detail and "POP" in v.detail for v in rep.violations)
 
@@ -60,7 +65,7 @@ def test_key_sweep_catches_a_lying_key():
     # pushes of distinct items do not commute, so the item is no key for them
     liar = dataclasses.replace(
         STACK, conflict_key=lambda op, ins: ins[0].payload if op == "PUSH" else None)
-    rep = check_keys(liar, bound=3)
+    rep = pair_report(liar, 3, "keys")
     assert not rep.ok
     assert any("PUSH[a] (key 'a') vs PUSH[b] (key 'b'): the in-query says conflict"
                in v.detail for v in rep.violations)
@@ -72,7 +77,7 @@ def test_key_sweep_catches_a_deduction_across_keys():
     # still commutes in both tables, but a deduction now reaches across keys
     liar = with_out_entry(get_adt("set"), OutCommutEntry(
         "IN", "IN", when=lambda ei, eo, ii: True, deduce=lambda ei, eo, ii: (eo[0],)))
-    rep = check_keys(liar, bound=2)
+    rep = pair_report(liar, 2, "keys")
     assert any("a deducing entry matches" in v.detail for v in rep.violations)
 
 
@@ -82,17 +87,20 @@ def test_out_table_sweep_catches_a_false_deduction():
         "EMPTY", "POP",
         when=lambda ei, eo, ii: eo[0].payload is False,
         deduce=lambda ei, eo, ii: (UNIT, report("EmptyStack"))))
-    rep = check_out_table(liar, bound=3)
+    rep = pair_report(liar, 3, "out-table")
     assert not rep.ok
 
 
-def test_out_table_sweep_catches_overlapping_entries():
-    dup = with_out_entry(STACK, OutCommutEntry(
-        "EMPTY", "EMPTY",
-        when=lambda ei, eo, ii: True,
-        deduce=lambda ei, eo, ii: (eo[0],)))
-    rep = check_out_table(dup, bound=2)
-    assert any("overlap" in v.detail for v in rep.violations)
+def test_tables_refuse_a_second_entry_on_one_pair():
+    t = STACK.tables
+    dup = OutCommutEntry("EMPTY", "EMPTY", when=lambda ei, eo, ii: True,
+                         deduce=lambda ei, eo, ii: (eo[0],))
+    with pytest.raises(FrameworkError, match="^two out-entries on EMPTY/EMPTY$"):
+        CommutTables(t.in_entries, t.out_entries + (dup,))
+    # in-entries are unordered: B/A after A/B is a second entry on one pair
+    with pytest.raises(FrameworkError, match="^two in-entries on B/A$"):
+        CommutTables((InCommutEntry("A", "B", when=ALWAYS),
+                      InCommutEntry("B", "A", when=ALWAYS)), ())
 
 
 def test_inverse_sweep_catches_a_false_null():
@@ -111,6 +119,17 @@ def test_inverse_sweep_catches_a_wrong_target():
     liar = dataclasses.replace(STACK, inverses=rules)
     rep = check_inverses(liar, bound=2)
     assert not rep.ok
+
+
+def test_inverse_sweep_probes_restore_at_the_swept_depth():
+    # a RESTORE inverse that is wrong only for content of three items or more
+    def target(i, o):
+        return PrivateCall("RESTORE", (o[0] if len(i[0].payload) < 3 else seq(()),))
+    rules = tuple(r for r in STACK.inverses if r.op != "RESTORE")
+    rules += (InverseRule("RESTORE", when=lambda i, o: True, target=target),)
+    liar = dataclasses.replace(STACK, inverses=rules)
+    assert [(r.check, len(r.violations)) for r in validate_adt(liar, 3) if not r.ok] \
+        == [("inverses", 112)]
 
 
 def test_translation_sweep_catches_overlapping_rules():

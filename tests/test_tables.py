@@ -1,6 +1,7 @@
 """Commutativity table queries: unordered in-matching, out-entry deductions,
-the in-table fallback, and the deduction rule; the per-pair index against a
-linear scan of the entries; soundness checks that hold under `python -O`."""
+the in-table fallback, and the deduction rule; the per-pair index, one entry
+per pair, against a linear scan of the entries; soundness checks that hold
+under `python -O`."""
 
 import dataclasses
 import os
@@ -150,11 +151,12 @@ def test_try_deduce_blocked_by_pending_conflicts():
 # ------------------------------------------ the pair index vs a linear scan
 
 def scan_commute_with_in(tables, a, b):
+    """The pair's one in-entry decides, in its own argument order."""
     for e in tables.in_entries:
-        if e.op_a == a.op and e.op_b == b.op and e.when(a.ins, b.ins):
-            return True
-        if e.op_a == b.op and e.op_b == a.op and e.when(b.ins, a.ins):
-            return True
+        if e.op_a == a.op and e.op_b == b.op:
+            return e.when(a.ins, b.ins)
+        if e.op_a == b.op and e.op_b == a.op:
+            return e.when(b.ins, a.ins)
     return False
 
 
@@ -167,8 +169,8 @@ def scan_out_entry_for(tables, executed, incoming):
 
 
 def scan_commute_with_in_out(tables, executed, incoming):
-    """(commutes, deduced) as the first matching out-entry, else the
-    in-table, decides."""
+    """(commutes, deduced) as the matching out-entry, else the in-table,
+    decides."""
     e = scan_out_entry_for(tables, executed, incoming)
     if e is not None:
         return True, e.deduce(executed.ins, executed.outs, incoming.ins) if e.deduce else None
@@ -206,16 +208,14 @@ def _before(a, b):
     return a[0].payload < b[0].payload
 
 
-# An asymmetric in-entry, two out-entries overlapping on executed A vs
-# incoming B, and one on executed A vs incoming C whose deduction echoes the
-# executed op's argument, so two executed As can disagree.
+# An asymmetric in-entry, an out-entry on executed A vs incoming B, and one
+# on executed A vs incoming C whose deduction echoes the executed op's
+# argument, so two executed As can disagree.
 SYNTH = CommutTables(
     in_entries=(InCommutEntry("A", "B", when=_before),),
     out_entries=(
         OutCommutEntry("A", "B", when=lambda ei, eo, ii: ei[0] == ii[0],
                        deduce=lambda ei, eo, ii: (item("first"),)),
-        OutCommutEntry("A", "B", when=lambda ei, eo, ii: True,
-                       deduce=lambda ei, eo, ii: (item("second"),)),
         OutCommutEntry("A", "C", when=lambda ei, eo, ii: True,
                        deduce=lambda ei, eo, ii: ei),
     ))
@@ -236,10 +236,27 @@ def test_pair_index_swaps_an_asymmetric_in_entry():
             assert commute_with_in(SYNTH, x, y) == scan_commute_with_in(SYNTH, x, y)
 
 
-def test_pair_index_keeps_the_first_matching_out_entry():
+def test_an_entry_on_one_op_twice_runs_once_per_query():
+    calls = []
+
+    def never(ins_a, ins_b):
+        calls.append((ins_a, ins_b))
+        return False
+
+    tables = CommutTables((InCommutEntry("A", "A", when=never),), ())
+    a, b = Ex("A", [item("a")]), Ex("A", [item("b")])
+    assert not commute_with_in(tables, a, b)
+    # once, with the arguments in query order
+    assert calls == [(a.ins, b.ins)]
+
+
+def test_pair_index_holds_one_out_entry_per_pair():
+    assert SYNTH.out_by_pair == {("A", "B"): SYNTH.out_entries[0],
+                                 ("A", "C"): SYNTH.out_entries[1]}
     executed = Ex("A", [item("a")], [OK])
     assert out_answer(SYNTH, executed, Ex("B", [item("a")])) == (True, (item("first"),))
-    assert out_answer(SYNTH, executed, Ex("B", [item("b")])) == (True, (item("second"),))
+    # the entry's condition fails: the in-table decides, and deduces nothing
+    assert out_answer(SYNTH, executed, Ex("B", [item("b")])) == (True, None)
     # out-entries are ordered: executed B vs incoming A falls back to the in-table
     assert out_answer(SYNTH, Ex("B", [item("b")], [OK]), Ex("A", [item("a")])) \
         == (True, None)
@@ -249,10 +266,9 @@ def test_pair_index_keeps_the_first_matching_out_entry():
 
 
 def test_replace_rebuilds_the_pair_index():
-    reordered = dataclasses.replace(SYNTH, out_entries=SYNTH.out_entries[::-1])
+    no_a_b = dataclasses.replace(SYNTH, out_entries=SYNTH.out_entries[1:])
     executed = Ex("A", [item("a")], [OK])
-    assert out_answer(reordered, executed, Ex("B", [item("a")])) \
-        == (True, (item("second"),))
+    assert out_answer(no_a_b, executed, Ex("B", [item("a")])) == (False, None)
     fewer = dataclasses.replace(SYNTH, in_entries=())
     assert not commute_with_in(fewer, Ex("A", [item("a")]), Ex("B", [item("b")]))
     # the index is derived: it takes no part in equality or the repr

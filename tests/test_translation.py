@@ -490,7 +490,7 @@ def test_a_selection_formats_a_message_only_when_it_fails(monkeypatch):
 
 def test_real_and_boolean_hold_one_cell():
     # SETTO and READ are one cell's: both types hold the very same rule and
-    # entry objects, after their own, since the first matching one decides
+    # entry objects, after their own
     def cell(spec):
         tables = spec.tables
         return (spec.translation[-2:], spec.inverses[-3:],
