@@ -31,8 +31,11 @@ walk, the abort plan and the resolution's prune read only the blocked op.
 Deadlock is handled at block time, by `_resolve`. The waits-for graph
 is derived on demand from the monitors' edge ledgers, and the youngest
 transaction on a cycle (the largest id, the one with the least work
-behind it) is aborted outright; this repeats until no cycle runs through
-the blocked transaction, so it sleeps only on live, cycle-free waits. A blocker is live on the waiter's
+behind it) is named VICTIM and aborted outright, through the same `abort`
+a transaction that asks to abort takes, so the undo discipline has one
+definition; this repeats until no cycle runs through the blocked
+transaction, so it sleeps only on live, cycle-free waits. Only `commit`
+and `abort` end a transaction. A blocker is live on the waiter's
 own object, so its owner is read from that monitor's `live` map, never
 searched for. An edge from a transaction to itself is refused, not made
 into a cycle of one.
@@ -364,16 +367,31 @@ class TransactionManager:
         rec.status = _COMMITTED
 
     def abort(self, rec: TransactionRecord):
-        """Erase a transaction by running its `abort_plan`.
+        """Erase a transaction: emit its ABORT, then run its `abort_plan`,
+        emitting each WITHDRAW and INVERSE, and leave it ABORTED.
 
         Never fails and never blocks; that is what makes two-phase locking
         with inverse undo livable. Unlike the other steps it takes a
-        blocked transaction, and withdraws its op.
+        blocked transaction, and withdraws its op. A transaction that asks
+        to abort and a deadlock's victim abort through this one step.
         """
         if rec.status is not _ACTIVE or rec.woken:
             _refuse(rec)
-        self.history.emit(hist.ABORT, rec.name, None, None, (), (), None)
-        self._erase(rec)
+        emit = self.history.emit
+        emit(hist.ABORT, rec.name, None, None, (), (), None)
+        for kind, obj, inv, call in abort_plan(rec):
+            if kind == hist.WITHDRAW:
+                emit(hist.WITHDRAW, rec.name, obj.name, inv.op, inv.ins, (), inv.id)
+                rec.blocked_on = None
+                woken, shed = obj.withdraw(inv)
+            else:
+                if kind == hist.INVERSE:
+                    outs = obj.apply_inverse(call)
+                    emit(hist.INVERSE, rec.name, obj.name, call.op, call.ins, outs, inv.id)
+                woken, shed = obj.finish(inv)
+            if shed:
+                self._release(obj, inv, woken, shed)
+        rec.status = _ABORTED
 
     # -- steps --------------------------------------------------------------------
     # Each release section a step runs returns (woken, shed): the ops it
@@ -405,41 +423,20 @@ class TransactionManager:
             if self.on_wake:
                 self.on_wake(w.txn)
 
-    def _erase(self, rec: TransactionRecord):
-        """Run `rec`'s whole `abort_plan`, emitting each WITHDRAW and
-        INVERSE, and leave it ABORTED."""
-        emit = self.history.emit
-        for kind, obj, inv, call in abort_plan(rec):
-            if kind == hist.WITHDRAW:
-                emit(hist.WITHDRAW, rec.name, obj.name, inv.op, inv.ins, (), inv.id)
-                rec.blocked_on = None
-                woken, shed = obj.withdraw(inv)
-            else:
-                if kind == hist.INVERSE:
-                    outs = obj.apply_inverse(call)
-                    emit(hist.INVERSE, rec.name, obj.name, call.op, call.ins, outs, inv.id)
-                woken, shed = obj.finish(inv)
-            if shed:
-                self._release(obj, inv, woken, shed)
-        rec.status = _ABORTED
-
     def _resolve(self, rec: TransactionRecord):
         """Abort victims until no cycle runs through `rec`, which just
-        blocked, emitting each victim's VICTIM and ABORT before its
-        `_erase`. The search runs on `waits_for_edges` from `rec`, pruned
-        in place after each victim; see the module docstring for why that
-        finds every cycle, and the same ones."""
+        blocked: emit each victim's VICTIM, then `abort` it. The search
+        runs on `waits_for_edges` from `rec`, pruned in place after each
+        victim; see the module docstring for why that finds every cycle,
+        and the same ones."""
         txns, adj = self.txns, self.waits_for_edges(rec.id)
         while True:
             cycle = find_cycle(adj)
             if cycle is None:
                 return
             victim = txns[max(cycle)]
-            if victim.status is not _ACTIVE:
-                raise ManagerInvariantError(f"{victim.name} is {victim.status.value}")
             self.history.emit(hist.VICTIM, victim.name, None, None, (), (), None)
-            self.history.emit(hist.ABORT, victim.name, None, None, (), (), None)
-            self._erase(victim)
+            self.abort(victim)
             if rec.blocked_on is None:
                 return
             # prune in place rather than walk again (the victim is unblocked

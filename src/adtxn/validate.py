@@ -22,8 +22,9 @@ claims by executing the reference semantics:
 
 The last three come from one sweep, `check_pairs`, over every query the
 monitor can make: each ordered probe pair in each bounded state, running
-both orders at most once. Two entries can never answer one pair, since
-`CommutTables` refuses them when built.
+both orders at most once and each apply once: p from the state, then q
+after p, q from the state and p after q. Two entries can never answer one
+pair, since `CommutTables` refuses them when built.
 
 Costs are exponential in the bound and that is fine; bounds stay small.
 """
@@ -120,21 +121,22 @@ def check_inverses(spec: AdtSpec, bound: int) -> CheckReport:
     return CheckReport("inverses", cases, tuple(violations))
 
 
-def _both_orders_agree(spec, s, p, q):
-    """Run p;q and q;p from s. Returns (ok, detail)."""
-    s1, p_first = spec.apply(s, p.op, p.ins)
+def _both_orders_agree(spec, s, p, q, s1, p_first):
+    """Run q after p, whose apply from s gave (s1, p_first), and p after q
+    from s. Returns (ok, detail, q's outs after p)."""
     s2, q_second = spec.apply(s1, q.op, q.ins)
     t1, q_first = spec.apply(s, q.op, q.ins)
     t2, p_second = spec.apply(t1, p.op, p.ins)
+    detail = ""
     if s2 != t2:
-        return False, f"states diverge: {spec.render_state(s2)} vs {spec.render_state(t2)}"
-    if p_first != p_second:
-        return False, (f"{p.op} answers depend on order: "
-                       f"{render_params(p_first)} vs {render_params(p_second)}")
-    if q_first != q_second:
-        return False, (f"{q.op} answers depend on order: "
-                       f"{render_params(q_second)} vs {render_params(q_first)}")
-    return True, ""
+        detail = f"states diverge: {spec.render_state(s2)} vs {spec.render_state(t2)}"
+    elif p_first != p_second:
+        detail = (f"{p.op} answers depend on order: "
+                  f"{render_params(p_first)} vs {render_params(p_second)}")
+    elif q_first != q_second:
+        detail = (f"{q.op} answers depend on order: "
+                  f"{render_params(q_second)} vs {render_params(q_first)}")
+    return not detail, detail, q_second
 
 
 def check_pairs(spec: AdtSpec, bound: int) -> list[CheckReport]:
@@ -167,7 +169,7 @@ def check_pairs(spec: AdtSpec, bound: int) -> list[CheckReport]:
                 matched = entry is not None and entry.when(p.ins, p_outs, q.ins)
                 if not (in_open or matched):
                     continue
-                ok, detail = _both_orders_agree(spec, s, p, q)
+                ok, detail, q_outs = _both_orders_agree(spec, s, p, q, s1, p_outs)
                 if in_open:
                     cases["in-table"] += 1
                     if not ok:
@@ -182,13 +184,12 @@ def check_pairs(spec: AdtSpec, bound: int) -> list[CheckReport]:
                             f"executed {p!r} vs incoming {q!r} from {render(s)}: {detail}"))
                     elif entry.deduce is not None:
                         deduced = entry.deduce(p.ins, p_outs, q.ins)
-                        _, actual = spec.apply(s1, q.op, q.ins)
-                        if deduced != actual:
+                        if deduced != q_outs:
                             found.append(Violation(
                                 "out-table",
                                 f"deduction for {q!r} after {p!r} from {render(s)} says "
                                 f"{render_params(deduced)}, execution says "
-                                f"{render_params(actual)}"))
+                                f"{render_params(q_outs)}"))
                 if keys_open:
                     cases["keys"] += 1
                     if matched and entry.deduce is not None:

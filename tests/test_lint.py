@@ -239,7 +239,7 @@ def _function(body, name):
 # that emit them, for the run and for the replay's own manager alike;
 # `abort_plan` names its steps' kinds
 CAUSED = {"DEDUCE", "BLOCK", "EXEC", "WAKE", "WITHDRAW", "INVERSE", "VICTIM"}
-SHARED_STEPS = {"invoke", "_execute", "_release", "_erase", "commit", "_resolve"}
+SHARED_STEPS = {"invoke", "_execute", "_release", "abort", "commit", "_resolve"}
 RELEASES = ("complete", "finish", "withdraw")
 
 
@@ -386,6 +386,33 @@ def test_only_the_manager_writes_the_op_a_record_waits_on():
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert found == []
     assert writes >= 4          # the BLOCK, the WAKE, the EXEC and the WITHDRAW
+
+
+def test_only_commit_and_abort_end_a_transaction():
+    # a transaction ends in one of two steps of the manager: `commit` emits
+    # every COMMIT and `abort` every ABORT, a deadlock victim's included,
+    # and no other function of the package writes a record's `status`, by
+    # assignment, `del`, `setattr` or a constructor keyword
+    ends = {"ABORT": set(), "COMMIT": set()}
+    writers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and node.args and _kind(node.args[0], set(ends)):
+                where = ends[node.args[0].attr]
+            elif (isinstance(node, ast.Attribute) and node.attr == "status"
+                    and isinstance(node.ctx, (ast.Store, ast.Del))
+                    or isinstance(node, ast.keyword) and node.arg == "status"
+                    or isinstance(node, ast.Call) and ast.unparse(node.func) == "setattr"
+                    and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value == "status"):
+                where = writers
+            else:
+                continue
+            where.add(f"{path.relative_to(SRC)}:{_enclosing_function(parents, node).name}")
+    assert ends == {"ABORT": {"manager.py:abort"}, "COMMIT": {"manager.py:commit"}}
+    assert writers == {"manager.py:abort", "manager.py:commit"}
 
 
 # the manager's steps a quantum takes; `issue` invokes a non-NULL call

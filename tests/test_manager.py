@@ -624,12 +624,27 @@ def test_a_victim_chosen_off_the_cycle_is_refused(monkeypatch):
             victim = next(t for t in mgr.txns.values() if t.name == "T3")
             assert victim.status is TxnStatus.ACTIVE and victim.blocked_on is None
             mgr.history.emit(hist.VICTIM, victim.name)
-            mgr.history.emit(hist.ABORT, victim.name)
-            mgr._erase(victim)
+            mgr.abort(victim)
 
     monkeypatch.setattr(TransactionManager, "_resolve", off_the_cycle)
     with pytest.raises(ManagerInvariantError, match="T3 is aborted"):
         run_simulated(parse_workload(WAITING_ON_A_DEADLOCK))
+
+
+def test_a_committed_victim_is_refused_by_abort(monkeypatch):
+    # a planted search that names a committed txn as the cycle: the
+    # resolution names it VICTIM, and `abort` refuses to erase it
+    mgr = TransactionManager()
+    mgr.add_object("s", get_adt("stack"))
+    t1 = mgr.begin("T1")
+    mgr.commit(t1)
+    t2, t3 = mgr.begin("T2"), mgr.begin("T3")
+    assert start(mgr, t2, "s", "PUSH", item("a"))[0] == "done"
+    monkeypatch.setattr(manager, "find_cycle", lambda adj: [t1.id])
+    with pytest.raises(ManagerInvariantError, match="^T1 is committed, not active$"):
+        start(mgr, t3, "s", "PUSH", item("b"))
+    assert mgr.history.events[-1].kind == hist.VICTIM
+    assert t1.status is TxnStatus.COMMITTED
 
 
 def test_transaction_status_checks_hold_under_optimization():

@@ -1,5 +1,6 @@
 """The measuring scripts under scripts/ run and report consistent figures."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +28,15 @@ def test_held_memory_passes_every_hot_stack_instance():
     out = run_script("scripts/held_memory.py", "hot_stack")
     assert out.startswith("hot_stack seed 20260816: 64 instances")
     assert "after one simulate-and-check pass (0 failed):" in out
+
+
+def test_scaling_counts_the_five_set_family_exactly():
+    # (waits-for edges walked plus one per walk, live ops `_screen` read):
+    # exact, equal in the run and in its replay, and unmoved by any change
+    # that leaves the deadlock and admission work alone
+    spec = importlib.util.spec_from_file_location("scaling", ROOT / "scripts/scaling.py")
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    for n, counts in ((250, (3_298, 35_779)), (500, (53_864, 127_919))):
+        stages = scaling.measure(n)
+        assert [s[:2] for s in stages.values()] == [counts, counts]

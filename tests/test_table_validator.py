@@ -8,7 +8,8 @@ import pytest
 
 from adtxn.adts import get_adt
 from adtxn.core import FrameworkError, InverseRule, PrivateCall, TranslationRule
-from adtxn.tables import ALWAYS, CommutTables, InCommutEntry, OutCommutEntry
+from adtxn.tables import (ALWAYS, CommutTables, InCommutEntry, OutCommutEntry,
+                          commute_with_in)
 from adtxn.validate import (
     check_inverses,
     check_pairs,
@@ -147,3 +148,64 @@ def test_translation_sweep_catches_a_gap():
     liar = dataclasses.replace(STACK, translation=rules)
     rep = check_translation(liar, bound=2)
     assert not rep.ok
+
+
+def test_translation_sweep_catches_null_outs_of_the_wrong_arity():
+    rules = tuple(r for r in STACK.translation if r.public_op != "EMPTY")
+    rules += (TranslationRule("EMPTY", when=lambda ins: True, null=True,
+                              outs=lambda ins: ()),)
+    rep = check_translation(dataclasses.replace(STACK, translation=rules), bound=2)
+    assert [v.detail for v in rep.violations] == ["EMPTY[]: NULL outs have the wrong shape"]
+
+
+def test_translation_sweep_catches_projected_outs_of_the_wrong_tag():
+    # CLEAR answers its report; this rule projects the popped content instead
+    rules = tuple(r for r in STACK.translation if r.public_op != "CLEAR")
+    rules += (TranslationRule("CLEAR", when=lambda ins: True,
+                              target=lambda ins: PrivateCall("CLEAR", ins),
+                              outs=lambda ins, pouts: (pouts[1],)),)
+    rep = check_translation(dataclasses.replace(STACK, translation=rules), bound=2)
+    assert [v.detail for v in rep.violations] == [
+        "CLEAR[] from (): projected outs [()] have the wrong shape"]
+
+
+def test_inverse_sweep_reports_a_rule_error():
+    rules = tuple(r for r in STACK.inverses if r.op != "EMPTY")
+    rep = check_inverses(dataclasses.replace(STACK, inverses=rules), bound=1)
+    assert rep.violations and all(v.detail.startswith("EMPTY[]: ") for v in rep.violations)
+    assert len(rep.violations) == len(list(STACK.enumerate_states(1)))
+
+
+def test_in_table_sweep_catches_the_first_calls_answer_moving_with_order():
+    # EMPTY and PUSH leave one state in either order, but EMPTY's answer moves
+    liar = with_in_entry(STACK, InCommutEntry("EMPTY", "PUSH", when=ALWAYS))
+    details = [v.detail for v in pair_report(liar, 3, "in-table").violations]
+    assert "EMPTY[] vs PUSH[a] from (): EMPTY answers depend on order: " \
+        "[true] vs [false]" in details
+
+
+def test_the_pair_sweep_applies_each_op_once():
+    # each visited (pair, state) applies p from the state once, and each
+    # swept case three more: q after p, q from the state and p after q
+    calls = 0
+
+    def apply(s, op, ins):
+        nonlocal calls
+        calls += 1
+        return STACK.apply(s, op, ins)
+
+    check_pairs(dataclasses.replace(STACK, apply=apply), 3)
+    tables, probes = STACK.tables, STACK.probe_calls(3)
+    visited = swept = 0
+    for p in probes:
+        for q in probes:
+            in_open = commute_with_in(tables, p, q)
+            entry = tables.out_by_pair.get((p.op, q.op))
+            if not in_open and entry is None:
+                continue
+            for s in STACK.enumerate_states(3):
+                visited += 1
+                _, outs = STACK.apply(s, p.op, p.ins)
+                swept += in_open or entry.when(p.ins, outs, q.ins)
+    assert calls == visited + 3 * swept
+    assert (visited, swept) == (165, 53)
