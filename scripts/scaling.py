@@ -1,15 +1,19 @@
-"""Count the deadlock and admission work of the five-set family as it grows.
+"""Count the deadlock and admission work of two workload families as they grow.
 
 Usage: python scripts/scaling.py [N]
-       (default: N = 250; sizes N, 2N and 4N)
+       (default: N = 250; sizes N, 2N and 4N of each family)
 
 The five-set family: objects o1..o5 of type set, and txns T1..TN, each of
 three steps and ending `commit`. One `random.Random(3)` draws, for each
 step in order, the object, then the op (INSERT, DELETE or IN), then the
 item i0..i49. The schedule is `RandomSchedule(1, 60 * N + 20)`.
 
-For each size the script simulates the workload and then judges the run
-with `oracles.check_run`, and prints for each of the two stages:
+The push chain: one empty stack s, and one txn T1 of N steps `PUSH a`,
+ending `abort`. The schedule is `RandomSchedule(1, 2 * N + 20)`. No op
+ever waits, and each push is admitted against every push before it.
+
+For each family and size the script simulates the workload and then judges
+the run with `oracles.check_run`, and prints for each of the two stages:
 
 * walked: the edges `TransactionManager.waits_for_edges` returns, plus one
   per walk;
@@ -58,6 +62,15 @@ def five_sets(n: int) -> Workload:
                     RandomSchedule(1, 60 * n + 20))
 
 
+def push_chain(n: int) -> Workload:
+    push = make_step(None, "s", "PUSH", (item("a"),))
+    return Workload((ObjectDecl("s", "stack"),), (TxnDecl("T1", (push,) * n, "abort"),),
+                    RandomSchedule(1, 2 * n + 20))
+
+
+FAMILIES = {"five-set": five_sets, "push chain": push_chain}
+
+
 @contextmanager
 def counting():
     """Wrap the two counted methods; yields the [walked, screened] tally."""
@@ -80,10 +93,9 @@ def counting():
         TransactionManager.waits_for_edges, ManagedObject._screen = walk, screen
 
 
-def measure(n: int) -> dict[str, tuple[int, int, float]]:
-    """{stage: (walked, screened, seconds)} for simulate and check_run at
-    size n. Raises RuntimeError if `check_run` fails."""
-    workload = five_sets(n)
+def measure(workload: Workload) -> dict[str, tuple[int, int, float]]:
+    """{stage: (walked, screened, seconds)} for simulate and check_run of
+    `workload`. Raises RuntimeError if `check_run` fails."""
     with counting() as tally:
         t0 = time.perf_counter()
         result = run_simulated(workload)
@@ -93,7 +105,7 @@ def measure(n: int) -> dict[str, tuple[int, int, float]]:
         stage, verdict = check_run(result)
         checked = (*tally, time.perf_counter() - t0)
     if stage is not None:
-        raise RuntimeError(f"N={n}: check_run fails at {stage}: {verdict.detail}")
+        raise RuntimeError(f"check_run fails at {stage}: {verdict.detail}")
     return {"simulate": simulated, "check_run": checked}
 
 
@@ -101,15 +113,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n", nargs="?", type=int, default=250)
     args = parser.parse_args(argv)
-    print(f"{'N':>6} {'stage':<9} {'walked':>12} {'screened':>12} {'seconds':>9}")
-    for n in (args.n, 2 * args.n, 4 * args.n):
-        try:
-            stages = measure(n)
-        except RuntimeError as exc:
-            print(exc)
-            return 1
-        for stage, (walked, screened, seconds) in stages.items():
-            print(f"{n:>6} {stage:<9} {walked:>12,} {screened:>12,} {seconds:>9.3f}")
+    print(f"{'family':<10} {'N':>6} {'stage':<9} {'walked':>12} {'screened':>12} "
+          f"{'seconds':>9}")
+    for family, build in FAMILIES.items():
+        for n in (args.n, 2 * args.n, 4 * args.n):
+            try:
+                stages = measure(build(n))
+            except RuntimeError as exc:
+                print(f"{family} N={n}: {exc}")
+                return 1
+            for stage, (walked, screened, seconds) in stages.items():
+                print(f"{family:<10} {n:>6} {stage:<9} {walked:>12,} {screened:>12,} "
+                      f"{seconds:>9.3f}")
     return 0
 
 

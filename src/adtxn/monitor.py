@@ -52,18 +52,17 @@ re-tested at run time by `_admission_safety`, which still scans all of
 
 Deduction is keyed too. A deduction needs every executed op to pin the
 answer, and the key claim says an op under another key cannot pin it. So
-for an incoming op with a key, `_screen` gathers the executed ops of its
-key's group and `None`'s, and asks `try_deduce` only if there are
-`executed` of them, that is, if no executed op sits under another key.
-Then `try_deduce` reads the same executed ops a scan of `live` would, in
-another order; every deduction must agree, so the answer is the same.
-When the counts differ, an executed op sits under another key, and the
-scan of `live` would have stopped there with no deduction
-(`validate.check_pairs` sweeps "a deducing entry matches" across keys). The
-pending ops are still read from all of `live`. So a false key claim could
-only cost a deduction, never make one. An op without a key, and every op
-of a type without keys, has `try_deduce` read all of `live`, lazily, up to
-the first executed op that cannot pin the answer.
+`_screen` gathers, in one list, the executed ops of the groups it reads
+for conflicts: its key's group and `None`'s, or all of `live` for an op
+without a key and every op of a type without keys. It asks `try_deduce`
+only if there are `executed` of them, that is, if no executed op sits
+under another key. Then `try_deduce` reads the same executed ops a scan
+of `live` would, for an op with a key in another order; every deduction
+must agree, so the answer is the same. When the counts differ, an executed
+op sits under another key, and the scan of `live` would have stopped there
+with no deduction (`validate.check_pairs` sweeps "a deducing entry
+matches" across keys). The pending ops are still read from all of `live`.
+So a false key claim could only cost a deduction, never make one.
 
 In strict mode a section checks what it changed, not the whole object. The
 invariant is a conjunction of predicates on one op each (live exactly while
@@ -116,11 +115,15 @@ report. tests/test_strict_faults.py keeps the single loop as a reference and
 requires the two to agree at every section of several hundred runs, with
 and without a planted fault in a section.
 
-The whole-object `_check()` also compares `running` with the ops in
-execution and checks that every live op is filed exactly once, under the
-key its type gives it, that no group is empty, `None`'s included, and that
-nothing else is filed: facts over the object that no scoped check can see.
-A scoped check verifies the filing of its own op.
+The whole-object `_check()` first checks what no scoped check can see:
+the stage of every op by the id it is filed under in `live`, and of every
+dead id still holding an edge; `running` and `executed` against the
+stages; and that every live op is filed exactly once in the index, under
+the key its type gives it, that no group is empty, `None`'s included, and
+that nothing else is filed. Then every edge has a live end, so it runs the
+scoped check of each live op with all its waiters and blockers as peers,
+which reads every edge from both sides: the edge rules are stated once, in
+`_check`. A scoped check verifies the filing of its own op.
 
 A direct admission needs no separate safety check: admit's empty conflict
 set was computed over the same live ops with the same queries, and is the
@@ -269,16 +272,10 @@ class ManagedObject:
             near, keyless = by_key.get(inv.key, _NO_OPS), by_key.get(None)
             groups = (near, keyless) if keyless else (near,)
         if inv.op in tables.deducible:
-            if inv.key is None:
-                executed = (other for other in live.values()
-                            if other.lifecycle is _EXECUTED)
-            else:
-                executed = [other for group in groups for other in group.values()
-                            if other.lifecycle is _EXECUTED]
-                if len(executed) != self.executed:
-                    # one sits under another key, so it cannot pin the answer
-                    executed = None
-            if executed is not None:
+            executed = [other for group in groups for other in group.values()
+                        if other.lifecycle is _EXECUTED]
+            # with fewer, one sits under another key and cannot pin the answer
+            if len(executed) == self.executed:
                 deduced = try_deduce(
                     tables, inv, executed,
                     (other for other in live.values() if other.lifecycle is not _EXECUTED))
@@ -482,9 +479,10 @@ class ManagedObject:
         op and each peer, read from both sides; and the section's report:
         `shed` lists, in order, exactly the waiters whose edge to the op is
         gone. A blocked op's own edges are read from its side. With no op,
-        every live op, every edge and the whole index. The module docstring
-        says what each stage checks, and why the first, after every
-        section, keeps the whole invariant.
+        the whole object (`_check_whole`): what no scope sees, then each
+        live op with all its edges. The module docstring says what each
+        stage checks, and why the first, after every section, keeps the
+        whole invariant.
         """
         if not self.strict:
             return
@@ -590,6 +588,9 @@ class ManagedObject:
     def _check_whole(self):
         live, blocks, blocked_by = self.live, self.blocks, self.blocked_by
         stages = [self._check_stage(i) for i in live]
+        for i in chain(blocks, blocked_by):
+            if i not in live:
+                self._check_stage(i)    # a dead op holding an edge: raises
         waiting, running = stages.count(_BLOCKED), stages.count(_RUNNING)
         if running != self.running:
             raise MonitorInvariantError(f"{self.name}: {self.running} counted running, "
@@ -598,22 +599,6 @@ class ManagedObject:
         if len(live) - waiting - running != self.executed:
             raise MonitorInvariantError(f"{self.name}: {self.executed} counted executed, "
                                         f"{len(live) - waiting - running} executed")
-        # with each blocked op waiting, the keys of blocked_by are the blocked ops
-        if len(blocked_by) != waiting:
-            raise MonitorInvariantError(f"{self.name}: blocked_by vs blocked drift")
-        edges = 0
-        for b, waiters in blocks.items():
-            if b not in live:
-                raise MonitorInvariantError(f"{self.name}: edges from dead op {b}")
-            for w in waiters:
-                if w not in blocked_by:
-                    raise MonitorInvariantError(f"{self.name}: edge to non-blocked {w}")
-                if b >= w or b not in blocked_by[w]:
-                    raise MonitorInvariantError(f"{self.name}: edge {b}->{w} broken")
-            edges += len(waiters)
-        # every blocks edge is in blocked_by, so equal totals make them mirrors
-        if sum(map(len, blocked_by.values())) != edges:
-            raise MonitorInvariantError(f"{self.name}: blocks and blocked_by differ")
         # each filed op is live and filed under the key its type gives it (a
         # dict holds it at most once there), so as many filed as live means
         # each live op is filed once; a type without keys files nothing
@@ -629,3 +614,7 @@ class ManagedObject:
             filed += len(group)
         if conflict_key is not None and filed != len(live):
             raise MonitorInvariantError(f"{self.name}: {len(live)} live, {filed} filed")
+        # every edge has a live end, so the scoped check of each live op
+        # with all its edges as peers reads every edge from both sides
+        for i, inv in live.items():
+            self._check(inv, sorted(blocks.get(i, ())), (), sorted(blocked_by.get(i, ())))

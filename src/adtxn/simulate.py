@@ -44,11 +44,14 @@ A schedule is read once, by `pick_policy`, into the run's pick policy,
 `pick(ready) -> cursor`, which `_Simulation._pick` calls once per
 scheduler step; nothing else reads a schedule's fields. A seeded schedule
 is a uniform choice among the runnable transactions, `rng.choice` on
-READY, with a step cap inside the policy as a safety net against bugs that
-stall progress. An explicit schedule is a token list naming which
-transaction advances next; tokens for transactions that are waiting or
-finished are skipped, and when tokens run out the lowest-numbered
-runnable transaction proceeds. The tokens are read once, front to back,
+READY, with a step cap inside the policy. The cap bounds a legal run's
+length: each quantum advances its txn's cursor, runs an EXEC its wake
+owed, or ends the txn, so a run takes at most the sum over its txns of
+2 * steps + 1 quanta. A stall does not run into the cap: it empties READY,
+and the run fails in `account`. An explicit schedule is a token list
+naming which transaction advances next; tokens for transactions that are
+waiting or finished are skipped, and when tokens run out the
+lowest-numbered runnable transaction proceeds. The tokens are read once, front to back,
 so a schedule costs time linear in its length, skipped tokens included.
 
 A deadlock victim other than the caller is parked on a block, so it is not

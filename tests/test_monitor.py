@@ -4,6 +4,7 @@ wakeups at completion vs finish, withdrawal, and the invariant checker."""
 import dataclasses
 import itertools
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -292,7 +293,7 @@ def test_keyed_deduction_asks_only_when_its_groups_hold_every_executed_op(monkey
     assert sets.admit(probe) is AdmitOutcome.DEDUCED and probe.outs == (TRUE,)
     assert asked == [([insert_a.id], [reader.id, writer.id])]
     assert sets.executed == 2
-    # an unkeyed op reads every live op, lazily, as before
+    # an unkeyed op reads every live op, as before
     asked.clear()
     assert sets.admit(ids.inv(6, "CARD")) is AdmitOutcome.BLOCKED
     assert asked == [([insert_a.id, probe.id], [reader.id, writer.id])]
@@ -422,6 +423,58 @@ def test_scoped_check_reads_an_edge_from_both_sides():
         obj._check(pusher, [popper.id])
 
 
+def _executed_and_blocked():
+    """A stack where T1's PUSH a (inv 1) is executed and T2's POP (inv 2)
+    is blocked on it."""
+    obj, ids = make_object(), Ids()
+    pusher = ids.inv(1, "PUSH", item("a"))
+    obj.admit(pusher)
+    obj.complete(pusher, obj.execute(pusher))
+    obj.admit(ids.inv(2, "POP"))
+    assert [inv.lifecycle for inv in obj.live.values()] == [
+        Lifecycle.EXECUTED, Lifecycle.BLOCKED]
+    return obj
+
+
+def _one_in_execution():
+    obj, ids = make_object(), Ids()
+    obj.admit(ids.inv(1, "PUSH", item("a")))
+    assert obj.live[1].lifecycle is Lifecycle.IN_EXECUTION
+    return obj
+
+
+# (start, one lie planted in its bookkeeping, what the whole-object check
+# says). Misfiled comes first: only the stage check under the op's key in
+# `live` reads the id, so a check that reached ops by `live.values()` alone
+# would pass it
+WHOLE_CHECK_LIES = [
+    (_one_in_execution, lambda obj: obj.live.update({7: obj.live.pop(1)}), "misfiled"),
+    (_executed_and_blocked, lambda obj: obj.blocked_by.update({99: {1}}),
+     "s: 99 waits but is not blocked"),
+    (_executed_and_blocked, lambda obj: obj.blocks.update({99: {2}}),
+     "s: edges from dead op 99"),
+    (_executed_and_blocked, lambda obj: setattr(obj.live[2], "outs", (OK,)),
+     "blocked with outs or executions"),
+    (_one_in_execution, lambda obj: setattr(obj.live[1], "outs", (OK,)),
+     "in execution with outs"),
+    (_executed_and_blocked, lambda obj: obj.blocks[1].add(1), "s: edge 1->1 broken"),
+    (_executed_and_blocked, lambda obj: obj.blocks.pop(1), "s: edge 1->2 broken"),
+]
+
+
+def test_the_whole_check_catches_each_lie_with_its_own_message():
+    for start, lie, message in WHOLE_CHECK_LIES:
+        obj = start()
+        obj._check()
+        lie(obj)
+        with pytest.raises(MonitorInvariantError, match=re.escape(message)):
+            obj._check()
+    # a scoped check given a report with no waiter behind it
+    obj = _executed_and_blocked()
+    with pytest.raises(MonitorInvariantError, match=re.escape("s: shed [2] with no waiter")):
+        obj._check(obj.live[1], (), [2])
+
+
 def run_optimized(body):
     """Run `body` under `python -O` after the imports every script here
     needs; returns its stdout."""
@@ -477,6 +530,20 @@ def test_index_tampering_is_noticed_under_optimization():
         """)
     assert out.count("rejected:") == 2
     assert "misfiled in the index" in out and "1 live, 0 filed" in out
+
+
+def test_the_whole_check_catches_each_lie_under_optimization():
+    out = run_optimized("""\
+        from test_monitor import WHOLE_CHECK_LIES
+        for start, lie, message in WHOLE_CHECK_LIES:
+            obj = start()
+            lie(obj)
+            try:
+                obj._check()
+            except MonitorInvariantError as exc:
+                print("rejected:", message in str(exc))
+        """)
+    assert out == "rejected: True\n" * len(WHOLE_CHECK_LIES)
 
 
 def test_double_execution_is_refused_under_optimization():

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from adtxn import manager
+from adtxn.fuzz import derive_seed, flip_random_abort, generate_workload
 from adtxn.history import BEGIN, COMMIT, DEDUCE, EXEC, INVOKE
 from adtxn.manager import TxnStatus
 from adtxn.monitor import MonitorInvariantError
@@ -107,6 +108,25 @@ def test_every_mixed_run_replays_from_its_own_picks(picks_checked):
         assert again.rendered_states() == res.rendered_states()
         picks += len(res.picks)
     assert picks_checked[0] == 2 * picks > 5_000
+
+
+def test_a_run_takes_at_most_two_quanta_per_step_and_one_to_end():
+    # each quantum advances its txn's cursor, runs an EXEC its wake owed or
+    # ends the txn, so a run takes at most sum(2 * steps + 1) quanta. The
+    # batch: the mixed runs, then the first 200 corpus instances at seed 4242
+    # (the mixed runs start with the first 400 at 20260816)
+    batch = _mixed_workloads()
+    for i in range(100):
+        rng = random.Random(derive_seed(4242, i))
+        workload = generate_workload(rng)
+        batch += [workload, flip_random_abort(workload, rng)]
+    highest = 0
+    for workload in batch:
+        bound = sum(2 * len(txn.steps) + 1 for txn in workload.txns)
+        quanta = len(run_simulated(workload).picks)
+        assert quanta <= bound, workload
+        highest = max(highest, quanta / bound)
+    assert len(batch) == 606 and highest > 0.8
 
 
 @pytest.mark.parametrize("doctor,detail", [
