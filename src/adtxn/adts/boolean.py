@@ -15,8 +15,11 @@ from __future__ import annotations
 
 from ..core import AdtSpec, InverseRule, OpSig, PrivateCall, PublicCall, TranslationRule
 from ..tables import ALWAYS, CommutTables, InCommutEntry
-from ..values import FALSE, TRUE, Tag, boolean
+from ..values import FALSE, TRUE, Tag, boolean, parse_token, render
 from . import cell
+
+# the enum member as a global (see the `core` docstring)
+_BOOLEAN = Tag.BOOLEAN
 
 
 def _apply(state, op, ins):
@@ -30,15 +33,11 @@ def _apply(state, op, ins):
 
 
 def _parse_state(text):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ValueError(f"bad boolean literal {text!r}")
+    return parse_token(_BOOLEAN, text).payload
 
 
 def _render_state(state):
-    return "true" if state else "false"
+    return render(boolean(state))
 
 
 def _enumerate_states(bound):
@@ -87,8 +86,8 @@ _IN_ENTRIES = (
     InCommutEntry("NOT", "NOT", when=ALWAYS),
 ) + cell.IN_ENTRIES
 
-_BOOL_IN = OpSig((Tag.BOOLEAN,), ())
-_CELL_PUBLIC, _CELL_PRIVATE = cell.signatures(Tag.BOOLEAN)
+_BOOL_IN = OpSig((_BOOLEAN,), ())
+_CELL_PUBLIC, _CELL_PRIVATE = cell.signatures(_BOOLEAN)
 
 BOOLEAN = AdtSpec(
     name="boolean",

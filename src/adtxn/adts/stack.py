@@ -138,18 +138,18 @@ _OUT_ENTRIES = (
                    deduce=lambda ei, eo, ii: (ALREADY_EMPTY, seq(()))),
 )
 
+# the signatures public and private levels share; CLEAR hides its content
+_BOTH_LEVELS = {
+    "PUSH": OpSig((Tag.ITEM,), (Tag.REPORT,)),
+    "POP": OpSig((), (Tag.ITEM, Tag.REPORT)),
+    "EMPTY": OpSig((), (Tag.BOOLEAN,)),
+}
+
 STACK = AdtSpec(
     name="stack",
-    public_ops={
-        "PUSH": OpSig((Tag.ITEM,), (Tag.REPORT,)),
-        "POP": OpSig((), (Tag.ITEM, Tag.REPORT)),
-        "EMPTY": OpSig((), (Tag.BOOLEAN,)),
-        "CLEAR": OpSig((), (Tag.REPORT,)),
-    },
+    public_ops={**_BOTH_LEVELS, "CLEAR": OpSig((), (Tag.REPORT,))},
     private_ops={
-        "PUSH": OpSig((Tag.ITEM,), (Tag.REPORT,)),
-        "POP": OpSig((), (Tag.ITEM, Tag.REPORT)),
-        "EMPTY": OpSig((), (Tag.BOOLEAN,)),
+        **_BOTH_LEVELS,
         "CLEAR": OpSig((), (Tag.REPORT, Tag.SEQ)),
         "RESTORE": OpSig((Tag.SEQ,), (Tag.SEQ,)),
     },

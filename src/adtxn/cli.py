@@ -9,10 +9,11 @@
 abort twins: the same N workloads, each with one transaction's commit
 turned into an abort. `--no-aborts` checks the commit batch alone.
 
-Exit codes: 0 everything passed, 1 an oracle or table check failed,
-2 the input was unusable: an unreadable workload, an unknown type, a
-flag below the floor its subcommand sets, or a workload the simulator
-cannot run.
+Exit codes: 0 everything passed, 1 an oracle or table check failed (for
+`check`, also a run that raised an engine fault, reported as its `run`
+stage), 2 the input was unusable: an unreadable workload, an unknown
+type, a flag below the floor its subcommand sets, or a workload the
+simulator cannot run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import argparse
 import sys
 
 from .adts import UnknownAdt, builtin_names, get_adt
-from .fuzz import fuzz
+from .core import FrameworkError
+from .fuzz import fuzz, run_fault
 from .history import render_trace
 from .oracles import check_run
 from .simulate import SimulationError, run_simulated
@@ -80,11 +82,16 @@ def _cmd_check(args) -> int:
         seeds = [None]   # an explicit schedule admits exactly one interleaving
     failures = 0
     for seed in seeds:
+        label = "seed=-" if seed is None else f"seed={seed}"
         try:
-            stage, verdict = check_run(run_simulated(workload, seed=seed))
+            result = run_simulated(workload, seed=seed)
         except SimulationError as exc:
             return _unusable(exc)
-        label = "seed=-" if seed is None else f"seed={seed}"
+        except (AssertionError, FrameworkError) as exc:     # an engine fault fails the run
+            failures += 1
+            print(f"FAIL {label} run: {run_fault(exc)}")
+            continue
+        stage, verdict = check_run(result)
         if stage is not None:
             failures += 1
             print(f"FAIL {label} {stage}: {verdict.detail}")

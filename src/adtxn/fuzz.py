@@ -97,9 +97,14 @@ def run_pipeline(workload: Workload, seed: int | None = None) -> tuple[bool, str
     try:
         result = run_simulated(workload, seed=seed)
     except Exception as exc:                      # noqa: BLE001 - oracle boundary
-        return False, "run", f"{type(exc).__name__}: {exc}"
+        return False, "run", run_fault(exc)
     stage, verdict = check_run(result)
     return (True, "", "") if stage is None else (False, stage, verdict.detail)
+
+
+def run_fault(exc: Exception) -> str:
+    """The detail of a run that raised, as a failed `run` stage reports it."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 def minimize(workload: Workload, still_fails) -> Workload:

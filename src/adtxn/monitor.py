@@ -68,7 +68,8 @@ In strict mode a section checks what it changed, not the whole object. The
 invariant is a conjunction of predicates on one op each (live exactly while
 blocked, in execution or executed, with the outs and execution count its
 stage implies; blocked exactly when it waits on a non-empty blocker set;
-holding no edges once dead; wait-listed by no one while in execution) and
+holding no edges once dead, and no empty waiter set while live;
+wait-listed by no one while in execution) and
 on one edge each (in both directions of the ledger or in neither; from a
 smaller id to a larger one; from a live op to a blocked one). A predicate
 turns false only when something it reads changes, and a section changes
@@ -84,11 +85,14 @@ waiters, shed, blockers)` over exactly those shows it holds after:
   * `withdraw` passes the op, its former waiters and its blockers.
 
 Each passes its report too (below), `shed`: the former waiters that shed
-their edge to the op. `_check` demands that it name, in order, exactly
-the waiters whose edge is gone from both maps. The engine and the replay
-act on the report alone, so a section that sheds an edge it does not
-report, or reports one it kept, fails here rather than in their
-bookkeeping.
+their edge to the op. `_check` states the report rule once, after the
+edges: `shed` names, in order, exactly the waiters whose edge is gone
+from both maps, that is, those the op's waiter set no longer keeps. The
+engine and the replay act on the report alone, so a section that sheds an
+edge it does not report, or reports one it kept, fails here rather than
+in their bookkeeping. Last comes the waiter-set rule: a section that
+empties a waiter set deletes it, so neither the op's own set nor that of a
+blocker `withdraw` took the op from may be left in `blocks` empty.
 
 The scoped check sends the op and each peer through one per-op stage
 predicate, `_check_stage`, which the whole-object check loops over too. It
@@ -110,20 +114,23 @@ an op in execution that no set lists has no edge into it, from itself or
 from a peer. What `_check` adds is its own: the op's filing under its
 key, no edge from the op to itself, each blocker of a blocked op live,
 earlier and listing it, and, in one pass over the peers with each one's
-stage, the edges between op and peer, read from both maps, and the
-report. tests/test_strict_faults.py keeps the single loop as a reference and
+stage, the edges between op and peer, read from both maps; then the
+report and the waiter-set rule, each stated once for every branch.
+tests/test_strict_faults.py keeps the single loop as a reference and
 requires the two to agree at every section of several hundred runs, with
 and without a planted fault in a section.
 
 The whole-object `_check()` first checks what no scoped check can see:
 the stage of every op by the id it is filed under in `live`, and of every
 dead id still holding an edge; `running` and `executed` against the
-stages; and that every live op is filed exactly once in the index, under
-the key its type gives it, that no group is empty, `None`'s included, and
-that nothing else is filed. Then every edge has a live end, so it runs the
-scoped check of each live op with all its waiters and blockers as peers,
-which reads every edge from both sides: the edge rules are stated once, in
-`_check`. A scoped check verifies the filing of its own op.
+stages; and the key index, compared whole with the one `live` implies
+(each live op under the key its type gives it, which it must also store;
+nothing for a type without keys), key by key, so an empty group, a
+misfiled op and an unfiled one all read "key k misfiled in the index".
+Then every edge has a live end, so it runs the scoped check of each live
+op with all its waiters and blockers as peers, which reads every edge from
+both sides: the edge rules are stated once, in `_check`. A scoped check
+verifies the filing of its own op.
 
 A direct admission needs no separate safety check: admit's empty conflict
 set was computed over the same live ops with the same queries, and is the
@@ -476,9 +483,10 @@ class ManagedObject:
         Given an op, that is the op's filing; the stage of the op and of
         each peer, its former `waiters` and its former `blockers`, through
         `_check_stage`; no edge from the op to itself; the edges between the
-        op and each peer, read from both sides; and the section's report:
-        `shed` lists, in order, exactly the waiters whose edge to the op is
-        gone. A blocked op's own edges are read from its side. With no op,
+        op and each peer, read from both sides; the section's report: `shed`
+        lists, in order, exactly the waiters whose edge to the op is gone;
+        and no empty waiter set left in `blocks` for the op or a blocker. A
+        blocked op's own edges are read from its side. With no op,
         the whole object (`_check_whole`): what no scope sees, then each
         live op with all its edges. The module docstring says what each
         stage checks, and why the first, after every section, keeps the
@@ -501,50 +509,52 @@ class ManagedObject:
         # from a dead one
         in_edges = blocked_by.get(inv_id) if stage is _BLOCKED else None
         out_edges = None if stage is None else blocks.get(inv_id)
+        kept = out_edges or ()
         # no edge from the op to itself; one into it from itself is caught
         # with its other blockers below
-        if out_edges and inv_id in out_edges:
+        if inv_id in kept:
             raise MonitorInvariantError(f"{self.name}: edge {inv_id}->{inv_id} broken")
-        if not (waiters or blockers):
-            if shed:
-                raise MonitorInvariantError(f"{self.name}: shed {list(shed)} with no waiter")
-        elif out_edges or in_edges:
-            # per peer, its stage and the edges between it and the op: in
-            # both maps or in neither, and forward; the stages make them
-            # run from a live op to a blocked one
-            out_edges, in_edges = out_edges or (), in_edges or ()
-            for i in chain(waiters, blockers):
-                check_stage(i)
-                there = i in out_edges
-                if there != (inv_id in blocked_by.get(i, ())) or there and inv_id >= i:
-                    raise MonitorInvariantError(f"{self.name}: edge {inv_id}->{i} broken")
-                there = inv_id in blocks.get(i, ())
-                if there != (i in in_edges) or there and i >= inv_id:
-                    raise MonitorInvariantError(f"{self.name}: edge {i}->{inv_id} broken")
-            if list(shed) != [i for i in waiters if i not in out_edges]:
-                raise MonitorInvariantError(
-                    f"{self.name}: {inv_id} shed {list(shed)} of waiters {list(waiters)}, "
-                    f"kept {sorted(out_edges)}")
-        else:
-            # the op holds no edge, so no peer may hold one to or from it,
-            # and every waiter shed its edge. A measured fast path: folded
-            # into the branch above, it gave the same digests but cost the
-            # `hot_stack` bench workload 2-4% in simulate and in check
-            for i in chain(waiters, blockers):
-                check_stage(i)
-                if inv_id in blocked_by.get(i, ()):
-                    raise MonitorInvariantError(f"{self.name}: edge {inv_id}->{i} broken")
-                if inv_id in blocks.get(i, ()):
-                    raise MonitorInvariantError(f"{self.name}: edge {i}->{inv_id} broken")
-            if list(shed) != list(waiters):
-                raise MonitorInvariantError(
-                    f"{self.name}: {inv_id} shed {list(shed)} of waiters {list(waiters)}, "
-                    f"kept none")
+        if waiters or blockers:
+            if kept or in_edges:
+                # per peer, its stage and the edges between it and the op:
+                # in both maps or in neither, and forward; the stages make
+                # them run from a live op to a blocked one
+                in_edges = in_edges or ()
+                for i in chain(waiters, blockers):
+                    check_stage(i)
+                    there = i in kept
+                    if there != (inv_id in blocked_by.get(i, ())) or there and inv_id >= i:
+                        raise MonitorInvariantError(f"{self.name}: edge {inv_id}->{i} broken")
+                    there = inv_id in blocks.get(i, ())
+                    if there != (i in in_edges) or there and i >= inv_id:
+                        raise MonitorInvariantError(f"{self.name}: edge {i}->{inv_id} broken")
+            else:
+                # the op holds no edge, so no peer may hold one to or from
+                # it. A measured fast path: folded into the branch above, it
+                # gave the same digests but cost the `hot_stack` bench
+                # workload 2-4% in simulate and in check
+                for i in chain(waiters, blockers):
+                    check_stage(i)
+                    if inv_id in blocked_by.get(i, ()):
+                        raise MonitorInvariantError(f"{self.name}: edge {inv_id}->{i} broken")
+                    if inv_id in blocks.get(i, ()):
+                        raise MonitorInvariantError(f"{self.name}: edge {i}->{inv_id} broken")
         if in_edges:
             # the op's own blockers: the op is blocked, as checked above
             for b in in_edges:
                 if b >= inv_id or inv_id not in blocks.get(b, ()) or b not in live:
                     raise MonitorInvariantError(f"{self.name}: edge {b}->{inv_id} broken")
+        # the report: shed names, in order, the waiters whose edge is gone
+        if (shed or waiters) and list(shed) != [i for i in waiters if i not in kept]:
+            raise MonitorInvariantError(
+                f"{self.name}: {inv_id} shed {list(shed)} of waiters {list(waiters)}, "
+                f"kept {sorted(kept)}")
+        # no emptied waiter set stays in `blocks`: not the op's own, nor the
+        # set of a blocker `withdraw` took the op from
+        if out_edges is not None and not out_edges or blockers and set() in map(
+                blocks.get, blockers):
+            raise MonitorInvariantError(
+                f"{self.name}: {inv_id} left an empty waiter set in blocks")
 
     def _check_stage(self, i: int):
         """Check op i's stage, and return it (None for a dead op): a live
@@ -599,21 +609,17 @@ class ManagedObject:
         if len(live) - waiting - running != self.executed:
             raise MonitorInvariantError(f"{self.name}: {self.executed} counted executed, "
                                         f"{len(live) - waiting - running} executed")
-        # each filed op is live and filed under the key its type gives it (a
-        # dict holds it at most once there), so as many filed as live means
-        # each live op is filed once; a type without keys files nothing
-        conflict_key = self.spec.conflict_key
-        filed = 0
-        for key, group in self.by_key.items():
-            if not group:
-                raise MonitorInvariantError(f"{self.name}: empty key {key!r} filed")
-            for i, inv in group.items():
-                if live.get(i) is not inv or conflict_key is None or \
-                        inv.key != key or conflict_key(inv.op, inv.ins) != key:
-                    raise MonitorInvariantError(f"{inv!r} misfiled in the index")
-            filed += len(group)
-        if conflict_key is not None and filed != len(live):
-            raise MonitorInvariantError(f"{self.name}: {len(live)} live, {filed} filed")
+        # the key index is `live` filed by key: each live op under the key
+        # its type gives it and it stores, and nothing else (no index at all
+        # for a type without keys)
+        conflict_key, by_key, implied = self.spec.conflict_key, self.by_key, {}
+        if conflict_key is not None:
+            for i, inv in live.items():
+                implied.setdefault(conflict_key(inv.op, inv.ins), {})[i] = inv
+        for k in chain(by_key, implied):
+            group = implied.get(k)
+            if by_key.get(k) != group or any(inv.key != k for inv in group.values()):
+                raise MonitorInvariantError(f"{self.name}: key {k!r} misfiled in the index")
         # every edge has a live end, so the scoped check of each live op
         # with all its edges as peers reads every edge from both sides
         for i, inv in live.items():

@@ -206,6 +206,30 @@ def test_check_reports_replay_drift_as_a_failed_stage(wl, capsys, monkeypatch):
     assert "checked 2 run(s), 2 failure(s)" in out
 
 
+def test_check_reports_an_engine_fault_as_a_failed_run_and_goes_on(wl, capsys, monkeypatch):
+    def enter_execution(self, inv):
+        self.running += 1       # planted: the op never moves to in-execution
+
+    monkeypatch.setattr(monitor.ManagedObject, "_enter_execution", enter_execution)
+    text = "object s stack ()\ntxn T1\n  op s PUSH a\nend commit\n" \
+           "schedule seed 10 steps 100\n"
+    assert main(["check", wl(text), "--runs", "2"]) == 1
+    fault = "run: MonitorInvariantError: inv#1(txn=1 s.PUSH[a]->? new) misfiled"
+    assert capsys.readouterr().out == (
+        f"FAIL seed=10 {fault}\n"
+        f"FAIL seed=11 {fault}\n"
+        "checked 2 run(s), 2 failure(s)\n")
+
+
+def test_check_of_a_workload_the_simulator_cannot_run_exits_2(wl, capsys):
+    text = "object s stack\ntxn T\n op s PUSH a\n op s POP\nend commit\n" \
+           "schedule seed 1 steps 1\n"
+    assert main(["check", wl(text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: needed more than 1 scheduler steps")
+
+
 SWEEP_AT_DEPTH_3 = """\
 PASS boolean translation cases=10 violations=0
 PASS boolean inverses cases=8 violations=0

@@ -1,9 +1,13 @@
 """The measuring scripts under scripts/ run and report consistent figures."""
 
 import importlib.util
+import json
+import math
+import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,22 +42,63 @@ def _scaling():
     return scaling
 
 
+# per family: the sizes N and 2N it is counted at, and for each count the
+# exact figures there and a ceiling on the doubling exponent log2(c(2N)/c(N))
+LEDGER = json.loads((ROOT / "tests/scaling_ledger.json").read_text())
+COUNTS = ("walked", "screened")
+
+
+def doubling_exponent(small, large):
+    """log2 of a count's growth from N to 2N; a count that stays 0 grows by 0."""
+    if small == 0:
+        return 0.0 if large == 0 else math.inf
+    return math.log2(large / small)
+
+
+def _check_family(family):
+    # each count exact, equal in the run and in its replay, and under its
+    # ceiling; a change that moves the deadlock or admission work updates
+    # the ledger, and says why when it raises a ceiling
+    scaling, entry = _scaling(), LEDGER[family]
+    measured = {c: [] for c in COUNTS}
+    for n in entry["sizes"]:
+        simulated, checked = (s[:2] for s in
+                              scaling.measure(scaling.FAMILIES[family](n)).values())
+        assert simulated == checked
+        for count, figure in zip(COUNTS, simulated):
+            measured[count].append(figure)
+    for count in COUNTS:
+        assert measured[count] == entry[count]["counts"], count
+        assert doubling_exponent(*measured[count]) <= entry[count]["ceiling"], count
+
+
 def test_scaling_counts_the_five_set_family_exactly():
-    # (waits-for edges walked plus one per walk, live ops `_screen` read):
-    # exact, equal in the run and in its replay, and unmoved by any change
-    # that leaves the deadlock and admission work alone
-    scaling = _scaling()
-    for n, counts in ((250, (3_298, 35_779)), (500, (53_864, 127_919))):
-        stages = scaling.measure(scaling.five_sets(n))
-        assert [s[:2] for s in stages.values()] == [counts, counts]
+    _check_family("five-set")
 
 
 def test_scaling_counts_the_push_chain_exactly():
     # no op waits, and push i reads the i - 1 pushes before it: N(N-1)/2
-    scaling = _scaling()
-    for n, counts in ((500, (0, 124_750)), (1_000, (0, 499_500))):
-        stages = scaling.measure(scaling.push_chain(n))
-        assert [s[:2] for s in stages.values()] == [counts, counts]
+    _check_family("push chain")
+
+
+def test_scaling_counts_do_not_depend_on_the_hash_seed():
+    script = textwrap.dedent("""\
+        import json, sys
+        from pathlib import Path
+        sys.path.insert(0, "scripts")
+        import scaling
+        ledger = json.loads(Path("tests/scaling_ledger.json").read_text())
+        print(json.dumps({family: [scaling.measure(scaling.FAMILIES[family](n))["simulate"][:2]
+                                   for n in entry["sizes"]]
+                          for family, entry in ledger.items()}))
+        """)
+    ledger = {family: [list(pair) for pair in zip(*(entry[c]["counts"] for c in COUNTS))]
+              for family, entry in LEDGER.items()}
+    for seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, capture_output=True,
+                              text=True, timeout=120, env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ledger, seed
 
 
 def test_unreached_lists_the_statements_a_test_file_never_ran():

@@ -15,6 +15,7 @@ whole check after every finish, also under `python -O`.
 """
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -24,7 +25,7 @@ from adtxn.monitor import ManagedObject, MonitorInvariantError
 from adtxn.simulate import run_simulated
 from adtxn.tables import TableSoundnessError, commute_with_in_out
 from test_manager import _stack_instance
-from test_monitor import run_optimized
+from test_monitor import _executed_and_blocked, run_optimized
 from test_oracles import _mixed_workloads
 
 
@@ -33,7 +34,8 @@ def reference_check(obj, op, waiters, shed, blockers):
     peers, its former waiters and blockers: each one's stage, then the
     edges between it and the op from both maps, then a blocked op's own
     blockers, then the section's report: the waiters that lost their edge,
-    in order."""
+    in order, then that neither the op nor a blocker keeps an emptied
+    waiter set in `blocks`."""
     live, blocks, blocked_by = obj.live, obj.blocks, obj.blocked_by
     inv_id = op.id
     out_edges, in_edges = blocks.get(inv_id, ()), blocked_by.get(inv_id, ())
@@ -78,6 +80,9 @@ def reference_check(obj, op, waiters, shed, blockers):
             raise MonitorInvariantError(f"{obj.name}: edge {b}->{inv_id} broken")
     if list(shed) != [i for i in waiters if i not in out_edges]:
         raise MonitorInvariantError(f"{obj.name}: shed {list(shed)} misreported")
+    for i in (inv_id, *blockers):
+        if blocks.get(i) == set():
+            raise MonitorInvariantError(f"{obj.name}: {i} keeps an empty waiter set")
 
 
 # -- the planted faults: each a section with one step left out or bent --------
@@ -179,6 +184,17 @@ def withdraw_keeps_inbound_edges(self, inv):
     return woken, shed
 
 
+def withdraw_keeps_an_emptied_waiter_set(self, inv):
+    if inv.lifecycle is not Lifecycle.BLOCKED:
+        raise MonitorInvariantError(f"{inv!r} withdrawn but not blocked")
+    woken, shed = self._drop(inv)
+    blockers = self.blocked_by.pop(inv.id)
+    for b in blockers:
+        self.blocks[b].remove(inv.id)   # planted: an emptied set stays filed
+    self._check(inv, shed, shed, blockers)
+    return woken, shed
+
+
 def screen_skips_executed(self, inv):
     deduced, conflicts = _screen(self, inv)
     if deduced is not None:
@@ -198,6 +214,8 @@ FAULTS = {
                                MonitorInvariantError),
     "withdraw_keeps_inbound_edges": ("withdraw", withdraw_keeps_inbound_edges, 261,
                                      MonitorInvariantError),
+    "withdraw_keeps_an_emptied_waiter_set": ("withdraw", withdraw_keeps_an_emptied_waiter_set,
+                                             259, MonitorInvariantError),
     "finish_keeps_live": ("finish", _finish(keep_live=True), 411, MonitorInvariantError),
     "complete_cuts_blockers_early": ("complete", _complete(cut_early=True), 9,
                                      MonitorInvariantError),
@@ -270,6 +288,17 @@ def test_each_planted_fault_fails_the_same_runs(monkeypatch, capsys, batch, faul
               f"first: {type(first).__name__}: {first}")
     assert disagreed == []
     assert raised == Counter({error: runs})
+
+
+def test_a_withdraw_that_keeps_an_emptied_waiter_set_fails_its_own_check(monkeypatch):
+    # T2's POP (inv 2) waits on T1's executed PUSH (inv 1) alone, so taking
+    # it out of inv 1's waiter set empties that set
+    obj = _executed_and_blocked()
+    monkeypatch.setattr(ManagedObject, "withdraw", withdraw_keeps_an_emptied_waiter_set)
+    with pytest.raises(MonitorInvariantError,
+                       match=re.escape("s: 2 left an empty waiter set in blocks")):
+        obj.withdraw(obj.live[2])
+    assert obj.blocks == {1: set()}
 
 
 def test_a_finish_that_keeps_counting_the_op_fails_the_whole_check(monkeypatch, capsys, batch):
