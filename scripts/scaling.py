@@ -19,10 +19,15 @@ the run with `oracles.check_run`, and prints for each of the two stages:
   per walk;
 * screened: `len(obj.live)` summed over the calls of `ManagedObject._screen`,
   the live ops admission reads;
+* searched: the edges handed to `manager.find_cycle`, plus one per call. The
+  search runs again on the pruned graph after each victim, so it can be
+  handed an edge many times;
 * seconds: the stage's wall time, the wrappers' calls included.
 
-The counts come from wrapping the two methods for the run; nothing under
-src/ counts. They are exact and repeat on any host; the times do not.
+The counts come from wrapping the two methods and the module function
+`manager.find_cycle`, which the run's and the replay's managers both call,
+for the run; nothing under src/ counts. They are exact and repeat on any
+host; the times do not.
 Exits 1 if `check_run` fails.
 """
 
@@ -36,6 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src")]
 
+from adtxn import manager  # noqa: E402
 from adtxn.manager import TransactionManager  # noqa: E402
 from adtxn.monitor import ManagedObject  # noqa: E402
 from adtxn.oracles import check_run  # noqa: E402
@@ -73,9 +79,11 @@ FAMILIES = {"five-set": five_sets, "push chain": push_chain}
 
 @contextmanager
 def counting():
-    """Wrap the two counted methods; yields the [walked, screened] tally."""
-    tally = [0, 0]
-    walk, screen = TransactionManager.waits_for_edges, ManagedObject._screen
+    """Wrap the three counted functions; yields the [walked, screened,
+    searched] tally."""
+    tally = [0, 0, 0]
+    walk, screen, search = (TransactionManager.waits_for_edges, ManagedObject._screen,
+                            manager.find_cycle)
 
     def waits_for_edges(self, root):
         adj = walk(self, root)
@@ -86,21 +94,27 @@ def counting():
         tally[1] += len(self.live)
         return screen(self, inv)
 
+    def find_cycle(adj):
+        tally[2] += 1 + sum(len(waits) for waits in adj.values())
+        return search(adj)
+
     TransactionManager.waits_for_edges, ManagedObject._screen = waits_for_edges, _screen
+    manager.find_cycle = find_cycle
     try:
         yield tally
     finally:
         TransactionManager.waits_for_edges, ManagedObject._screen = walk, screen
+        manager.find_cycle = search
 
 
-def measure(workload: Workload) -> dict[str, tuple[int, int, float]]:
-    """{stage: (walked, screened, seconds)} for simulate and check_run of
-    `workload`. Raises RuntimeError if `check_run` fails."""
+def measure(workload: Workload) -> dict[str, tuple[int, int, int, float]]:
+    """{stage: (walked, screened, searched, seconds)} for simulate and
+    check_run of `workload`. Raises RuntimeError if `check_run` fails."""
     with counting() as tally:
         t0 = time.perf_counter()
         result = run_simulated(workload)
         simulated = (*tally, time.perf_counter() - t0)
-        tally[:] = [0, 0]
+        tally[:] = [0, 0, 0]
         t0 = time.perf_counter()
         stage, verdict = check_run(result)
         checked = (*tally, time.perf_counter() - t0)
@@ -114,7 +128,7 @@ def main(argv=None) -> int:
     parser.add_argument("n", nargs="?", type=int, default=250)
     args = parser.parse_args(argv)
     print(f"{'family':<10} {'N':>6} {'stage':<9} {'walked':>12} {'screened':>12} "
-          f"{'seconds':>9}")
+          f"{'searched':>12} {'seconds':>9}")
     for family, build in FAMILIES.items():
         for n in (args.n, 2 * args.n, 4 * args.n):
             try:
@@ -122,9 +136,9 @@ def main(argv=None) -> int:
             except RuntimeError as exc:
                 print(f"{family} N={n}: {exc}")
                 return 1
-            for stage, (walked, screened, seconds) in stages.items():
+            for stage, (walked, screened, searched, seconds) in stages.items():
                 print(f"{family:<10} {n:>6} {stage:<9} {walked:>12,} {screened:>12,} "
-                      f"{seconds:>9.3f}")
+                      f"{searched:>12,} {seconds:>9.3f}")
     return 0
 
 

@@ -80,9 +80,11 @@ waiters, shed, blockers)` over exactly those shows it holds after:
   * `admit` passes the new op alone. When it blocks, all its edges are new
     and are read from its side (each blocker lists it, precedes it and is
     live); nothing about the blockers' own stages moved.
-  * `complete` and `finish` pass the op and its former waiters, whether
-    they were woken or still wait on others; with no waiters, the op alone.
-  * `withdraw` passes the op, its former waiters and its blockers.
+  * `complete`, `finish` and `withdraw` end in one release tail, `_shed`
+    (below), which passes the op and the waiters the section read from
+    `blocks` before it changed anything, whether they were woken, still
+    wait on others or kept their edge; `withdraw`'s tail passes its
+    blockers too. `complete` with no waiters passes the op alone.
 
 Each passes its report too (below), `shed`: the former waiters that shed
 their edge to the op. `_check` states the report rule once, after the
@@ -90,7 +92,11 @@ edges: `shed` names, in order, exactly the waiters whose edge is gone
 from both maps, that is, those the op's waiter set no longer keeps. The
 engine and the replay act on the report alone, so a section that sheds an
 edge it does not report, or reports one it kept, fails here rather than
-in their bookkeeping. Last comes the waiter-set rule: a section that
+in their bookkeeping. Since the waiters are those the section started
+with, not those it reported, a section that sheds too few edges fails
+here too: the dead op of a drop that keeps a waiter set reads "edges from
+dead op", and a waiter whose `blocked_by` entry still names it reads
+"edge ...->... broken". Last comes the waiter-set rule: a section that
 empties a waiter set deletes it, so neither the op's own set nor that of a
 blocker `withdraw` took the op from may be left in `blocks` empty.
 
@@ -134,7 +140,7 @@ verifies the filing of its own op.
 
 A direct admission needs no separate safety check: admit's empty conflict
 set was computed over the same live ops with the same queries, and is the
-certificate. An op woken through `_shed_edges` enters execution at a moment
+certificate. An op woken in the release tail enters execution at a moment
 admit never checked, so it alone is re-tested against the live ops
 (`_admission_safety`). That no section touches more than it passes is
 tested too: tests/test_oracles.py runs the whole-object `_check()` and the
@@ -143,18 +149,23 @@ admission re-test after every section of several hundred runs.
 Blocking is tracked as a ledger kept in both directions: `blocks[b]` holds
 the ids waiting on b, and `blocked_by[w]` holds the ids w still waits on.
 Each edge is in both or in neither, so a blocker's waiters and a waiter's
-blockers are each one lookup. When a waiter's last blocker goes, the op
-moves to in-execution immediately, inside the same entry section that
-removed the edge, so "blocked iff it has a blocker" is never observably
-false. `finish` and `withdraw` leave through one drop, `_drop`: the op
-leaves `live` and the index, and every waiter sheds its edge to it. Each
-release section (`complete`, `finish`, `withdraw`) returns its report,
-(woken, shed): the ops it admitted and the ids of the waiters whose edge
-to the op it removed, each in id order, so woken is a subset of shed; a
-section that shed nothing returns one shared empty pair.
-The caller, the manager's `_release`, wakes the woken ops' transactions;
-the strict check confirms that shed names exactly the waiters whose edge
-to the op is gone.
+blockers are each one lookup. `admit` alone adds edges. They leave in one
+release tail, `_shed(op, waiters, shed, blockers)`, which each release
+section (`complete`, `finish`, `withdraw`) ends with: for each waiter in
+`shed` it drops the edge op -> w from both maps, the whole waiter set in
+one step when every waiter sheds; it admits each waiter left with no
+blocker, in the same entry section that removed the edge, so "blocked iff
+it has a blocker" is never observably false; and it runs the section's
+check. `complete` sheds the waiters that out-commute with the op; `finish`
+and `withdraw` take the op out of `live` and the index (`_unfile`) and
+shed every waiter. `withdraw` first drops the edges into the op, in its
+own loop over the op's blockers; a lint test holds that nothing else
+removes an edge. Each release section returns its report, (woken, shed):
+the ops it admitted and the ids of the waiters whose edge to the op it
+removed, each in id order, so woken is a subset of shed; a section that
+shed nothing returns one shared empty pair. The caller, the manager's
+`_release`, wakes the woken ops' transactions; the strict check confirms
+that shed names exactly the waiters whose edge to the op is gone.
 
 Conflicts are never recorded between operations of the same transaction:
 transactions are sequential, so their own ops are already ordered and
@@ -234,9 +245,7 @@ class ManagedObject:
         if conflict_key is not None:
             inv.key = conflict_key(inv.op, inv.ins)
         deduced, conflicts = self._screen(inv) if self.live else (None, None)
-        self.live[inv.id] = inv
-        if conflict_key is not None:
-            self._file(inv)
+        self._file(inv)
         if deduced is not None:
             check_outs(self.spec, inv.op, deduced)
             inv.outs = deduced
@@ -326,27 +335,18 @@ class ManagedObject:
         """
         if inv.lifecycle is not _RUNNING:
             raise MonitorInvariantError(f"{inv!r} completed outside execution")
+        waiting = self.blocks.get(inv.id)
         inv.outs = outs
         inv.lifecycle = _EXECUTED
         self.running -= 1
         self.executed += 1
-        inv_id = inv.id
-        waiting = self.blocks.get(inv_id)
         if waiting is None:
             self._check(inv)
             return _NOTHING
         live, tables = self.live, self.spec.tables
         waiters = sorted(waiting)
-        shed = [wid for wid in waiters if commute_with_in_out(tables, inv, live[wid])]
-        if not shed:
-            self._check(inv, waiters, shed)
-            return _NOTHING
-        waiting.difference_update(shed)
-        if not waiting:
-            del self.blocks[inv_id]
-        woken = self._shed_edges(shed, inv_id)
-        self._check(inv, waiters, shed)
-        return woken, shed
+        return self._shed(inv, waiters, [
+            wid for wid in waiters if commute_with_in_out(tables, inv, live[wid])])
 
     # -- release: transaction outcome reached -------------------------------
 
@@ -355,10 +355,10 @@ class ManagedObject:
         Returns (woken, shed), as `complete` does; every waiter sheds."""
         if inv.lifecycle is not _EXECUTED:
             raise MonitorInvariantError(f"{inv!r} finished before it executed")
+        waiters = sorted(self.blocks.get(inv.id, ()))
         self.executed -= 1
-        report = self._drop(inv)
-        self._check(inv, report[1], report[1])
-        return report
+        self._unfile(inv)
+        return self._shed(inv, waiters, waiters)
 
     def withdraw(self, inv: PrivateInvocation) -> tuple:
         """Remove a still-blocked op entirely (its transaction is aborting).
@@ -369,16 +369,16 @@ class ManagedObject:
         """
         if inv.lifecycle is not _BLOCKED:
             raise MonitorInvariantError(f"{inv!r} withdrawn but not blocked")
-        report = self._drop(inv)
-        # then drop the edges that pointed at the withdrawn op itself
         inv_id, blocks = inv.id, self.blocks
+        waiters = sorted(blocks.get(inv_id, ()))
+        self._unfile(inv)
+        # the edges into the withdrawn op go here, those out of it in the tail
         blockers = self.blocked_by.pop(inv_id)
         for b in blockers:
             blocks[b].remove(inv_id)
             if not blocks[b]:
                 del blocks[b]
-        self._check(inv, report[1], report[1], blockers)
-        return report
+        return self._shed(inv, waiters, waiters, blockers)
 
     # -- undo path -----------------------------------------------------------
 
@@ -397,31 +397,24 @@ class ManagedObject:
     # -- internals ------------------------------------------------------------
 
     def _file(self, inv: PrivateInvocation):
-        group = self.by_key.get(inv.key)
-        if group is None:
-            self.by_key[inv.key] = {inv.id: inv}
-        else:
-            group[inv.id] = inv
+        """File inv in `live` and, for a type with keys, in its key's group."""
+        self.live[inv.id] = inv
+        if self.spec.conflict_key is not None:
+            group = self.by_key.get(inv.key)
+            if group is None:
+                self.by_key[inv.key] = {inv.id: inv}
+            else:
+                group[inv.id] = inv
 
     def _unfile(self, inv: PrivateInvocation):
-        group = self.by_key[inv.key]
-        del group[inv.id]
-        if not group:
-            del self.by_key[inv.key]
-
-    def _drop(self, inv: PrivateInvocation) -> tuple:
-        """Take inv out of `live` and the index, and shed every edge from it
-        to its waiters (`_shed_edges`). Returns (woken, shed)."""
-        inv_id = inv.id
-        del self.live[inv_id]
-        if self.spec.conflict_key is not None:
-            self._unfile(inv)
+        """Take inv out of `live` and its key's group: it is finished."""
+        del self.live[inv.id]
         inv.lifecycle = _FINISHED
-        waiting = self.blocks.pop(inv_id, None)
-        if not waiting:
-            return _NOTHING
-        shed = sorted(waiting)
-        return self._shed_edges(shed, inv_id), shed
+        if self.spec.conflict_key is not None:
+            group = self.by_key[inv.key]
+            del group[inv.id]
+            if not group:
+                del self.by_key[inv.key]
 
     def _enter_execution(self, inv: PrivateInvocation):
         inv.lifecycle = _RUNNING
@@ -429,16 +422,27 @@ class ManagedObject:
         if self.running > self.max_in_execution:
             self.max_in_execution = self.running
 
-    def _shed_edges(self, waiters: list[int], blocker_id: int) -> list[PrivateInvocation]:
-        """Drop the edge blocker -> w from `blocked_by` for each w in
-        `waiters`, in order; the caller has already dropped them from
-        `blocks`. Admits each waiter whose last edge that was, and returns
-        those, in order."""
+    def _shed(self, inv: PrivateInvocation, waiters: list[int], shed: list[int],
+              blockers: Sequence[int] = ()) -> tuple:
+        """The release tail of `complete`, `finish` and `withdraw`: drop the
+        edge inv -> w from both maps for each w in `shed`, a subset of
+        `waiters`, the op's waiters in id order as the section found them;
+        admit each waiter left with no blocker, in order; then check the
+        section against those `waiters` and its `blockers`. Returns
+        (woken, shed), or `_NOTHING` when `shed` is empty."""
+        if not shed:
+            self._check(inv, waiters, shed, blockers)
+            return _NOTHING
+        inv_id, blocks = inv.id, self.blocks
+        if len(shed) == len(waiters):
+            del blocks[inv_id]
+        else:
+            blocks[inv_id].difference_update(shed)
         live, blocked_by, strict, woken = self.live, self.blocked_by, self.strict, []
-        for wid in waiters:
-            blockers = blocked_by[wid]
-            blockers.remove(blocker_id)
-            if blockers:
+        for wid in shed:
+            waits = blocked_by[wid]
+            waits.remove(inv_id)
+            if waits:
                 continue
             del blocked_by[wid]
             waiter = live[wid]
@@ -448,7 +452,8 @@ class ManagedObject:
                 # recorded against the live ops as they stood then
                 self._admission_safety(waiter)
             woken.append(waiter)
-        return woken
+        self._check(inv, waiters, shed, blockers)
+        return woken, shed
 
     # no caller: kept because bench/tracer.py patches it by name (ROADMAP item 8)
     def find_invocation(self, inv_id: int) -> PrivateInvocation:

@@ -94,7 +94,7 @@ Each woken txn owes its WAKE, and its next quantum is then its woken
 op's EXEC, which the manager's record holds until then; between
 events the only op in execution is one a wake admitted. The strict
 monitors check that the report names exactly the waiters whose edge to
-the op is gone.
+the op is gone, of those the section started with.
 
 The replay's monitors are strict, so each of their entry sections (`admit`,
 `complete`, `finish`, `withdraw`) ends by checking the ops and edges it

@@ -64,25 +64,26 @@ def test_every_true_division_has_a_fraction_operand():
     assert divisions >= 2        # the real type's DIVIDE and its small-factor translation
 
 
-def _is_self_check(stmt):
-    return (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
-            and isinstance(stmt.value.func, ast.Attribute)
-            and stmt.value.func.attr == "_check"
-            and isinstance(stmt.value.func.value, ast.Name)
-            and stmt.value.func.value.id == "self")
+def _is_self_call(node, name):
+    """Is `node` a call `self.<name>(...)`?"""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "self")
 
 
 def test_every_entry_section_checks_right_before_it_returns():
     # the history replay trusts each monitor to have been checked since its
     # last change, so every way out of an entry section is `self._check(...)`
-    # then `return`; a section also may not fall off its end unchecked
+    # then `return`, or `return self._shed(...)`, the release tail, whose
+    # own ways out are held to the same rule; a section also may not fall
+    # off its end unchecked
     tree = ast.parse((SRC / "monitor.py").read_text(encoding="utf-8"))
     cls = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "ManagedObject")
     sections = {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)
-                and node.name in ("admit", "complete", "finish", "withdraw")}
-    assert len(sections) == 4
-    bad, returns = [], 0
+                and node.name in ("admit", "complete", "finish", "withdraw", "_shed")}
+    assert len(sections) == 5
+    bad, returns, tails = [], 0, 0
     for name, func in sections.items():
         if not isinstance(func.body[-1], ast.Return):
             bad.append(f"{name} ends without a return")
@@ -92,12 +93,17 @@ def test_every_entry_section_checks_right_before_it_returns():
                 if not isinstance(body, list):
                     continue
                 for i, stmt in enumerate(body):
-                    if isinstance(stmt, ast.Return):
-                        returns += 1
-                        if i == 0 or not _is_self_check(body[i - 1]):
-                            bad.append(f"{name}:{stmt.lineno} returns unchecked")
+                    if not isinstance(stmt, ast.Return):
+                        continue
+                    returns += 1
+                    if name != "_shed" and _is_self_call(stmt.value, "_shed"):
+                        tails += 1
+                    elif i == 0 or not (isinstance(body[i - 1], ast.Expr)
+                                        and _is_self_call(body[i - 1].value, "_check")):
+                        bad.append(f"{name}:{stmt.lineno} returns unchecked")
     assert bad == []
-    assert returns >= 6          # admit returns three ways, each other section at least once
+    # admit returns three ways, complete two, the tail two, each drop once
+    assert (returns, tails) == (9, 3)
 
 
 def _assigned_attributes(func):
@@ -132,8 +138,10 @@ def test_the_monitor_counts_move_only_where_their_ops_change_stage():
                       "running": {"_enter_execution", "complete"}}
 
 
-# the calls that change a dict in place
-MUTATORS = {"pop", "popitem", "clear", "update", "setdefault", "__setitem__", "__delitem__"}
+# the calls that change a dict or a set in place
+MUTATORS = {"pop", "popitem", "clear", "update", "setdefault", "__setitem__", "__delitem__",
+            "add", "remove", "discard", "difference_update", "intersection_update",
+            "symmetric_difference_update"}
 
 
 def _map_writes(func, attrs):
@@ -205,25 +213,50 @@ def _map_writes(func, attrs):
     return written
 
 
-def test_the_live_ops_and_their_index_each_have_one_writer_per_change():
-    # `live` changes only when an op is admitted or dropped, and the key
-    # index only when an op is filed or unfiled; no module outside the
-    # monitor writes either, and the index has one map, an op without a
-    # key filed under None
-    writers = {"live": set(), "by_key": set()}
-    stale = []
+def _writers(maps):
+    """{map name: the package functions that write it}, for each name in
+    `maps`, and the places that still name the retired `unkeyed` map."""
+    writers, stale = {name: set() for name in maps}, []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for name in _map_writes(node, set(writers)):
+                for name in _map_writes(node, maps):
                     writers[name].add(f"{path.name}:{node.name}")
             if (isinstance(node, ast.Attribute) and node.attr == "unkeyed"
                     or isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == "unkeyed"):
                 stale.append(f"{path.name}:{node.lineno}")
-    assert writers == {"live": {"monitor.py:admit", "monitor.py:_drop"},
-                       "by_key": {"monitor.py:_file", "monitor.py:_unfile"}}
+    return writers, stale
+
+
+def test_the_live_ops_and_their_index_each_have_one_writer_per_change():
+    # `live` and the key index change only when an op is filed or unfiled;
+    # no module outside the monitor writes either, and the index has one
+    # map, an op without a key filed under None
+    writers, stale = _writers({"live", "by_key"})
+    filing = {"monitor.py:_file", "monitor.py:_unfile"}
+    assert writers == {"live": filing, "by_key": filing}
     assert stale == []
+
+
+def test_edges_leave_only_in_the_release_tail_and_in_withdraws_loop():
+    # the edge ledger, `blocks` and `blocked_by`, gains edges only in
+    # `admit` and loses them only in the release tail, `_shed`, and in
+    # `withdraw`'s loop over the withdrawn op's blockers, so each release
+    # section's check reads every edge it removed; no module outside the
+    # monitor writes either map
+    writers, _ = _writers({"blocks", "blocked_by"})
+    ledger = {"monitor.py:admit", "monitor.py:_shed", "monitor.py:withdraw"}
+    assert writers == {"blocks": ledger, "blocked_by": ledger}
+    # withdraw writes them only where it takes its blockers and loops over them
+    cls = next(node for node in _module("monitor.py").body
+               if isinstance(node, ast.ClassDef) and node.name == "ManagedObject")
+    withdraw = _function(cls.body, "withdraw")
+    rest = [stmt for stmt in withdraw.body
+            if not (isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "blockers"
+                    or isinstance(stmt, ast.For) and ast.unparse(stmt.iter) == "blockers")]
+    assert len(rest) == len(withdraw.body) - 2
+    assert _map_writes(ast.Module(body=rest, type_ignores=[]), {"blocks", "blocked_by"}) == set()
 
 
 def _module(name):

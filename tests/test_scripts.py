@@ -45,7 +45,7 @@ def _scaling():
 # per family: the sizes N and 2N it is counted at, and for each count the
 # exact figures there and a ceiling on the doubling exponent log2(c(2N)/c(N))
 LEDGER = json.loads((ROOT / "tests/scaling_ledger.json").read_text())
-COUNTS = ("walked", "screened")
+COUNTS = ("walked", "screened", "searched")
 
 
 def doubling_exponent(small, large):
@@ -62,7 +62,7 @@ def _check_family(family):
     scaling, entry = _scaling(), LEDGER[family]
     measured = {c: [] for c in COUNTS}
     for n in entry["sizes"]:
-        simulated, checked = (s[:2] for s in
+        simulated, checked = (s[:len(COUNTS)] for s in
                               scaling.measure(scaling.FAMILIES[family](n)).values())
         assert simulated == checked
         for count, figure in zip(COUNTS, simulated):
@@ -88,7 +88,7 @@ def test_scaling_counts_do_not_depend_on_the_hash_seed():
         sys.path.insert(0, "scripts")
         import scaling
         ledger = json.loads(Path("tests/scaling_ledger.json").read_text())
-        print(json.dumps({family: [scaling.measure(scaling.FAMILIES[family](n))["simulate"][:2]
+        print(json.dumps({family: [scaling.measure(scaling.FAMILIES[family](n))["simulate"][:3]
                                    for n in entry["sizes"]]
                           for family, entry in ledger.items()}))
         """)

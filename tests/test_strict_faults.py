@@ -1,8 +1,9 @@
 """Planted faults in the monitor's entry sections, and the strict check that
 must catch them.
 
-Each fault is a copy of one section with one bookkeeping step left out or
-bent, monkeypatched over the real one. The batch is the 406
+Each fault is a copy of one section, or of the release tail `_shed` that
+`complete`, `finish` and `withdraw` end in, with one bookkeeping step left
+out or bent, monkeypatched over the real one. The batch is the 406
 `_mixed_workloads()` runs plus five 50-txn single-stack instances. For each
 fault the test counts the runs that raise, and with what, and it runs the
 scoped `_check` next to `reference_check`, the scoped check as it was
@@ -16,6 +17,7 @@ whole check after every finish, also under `python -O`.
 
 import random
 import re
+import traceback
 from collections import Counter
 
 import pytest
@@ -23,7 +25,7 @@ import pytest
 from adtxn.core import Lifecycle, Origin
 from adtxn.monitor import ManagedObject, MonitorInvariantError
 from adtxn.simulate import run_simulated
-from adtxn.tables import TableSoundnessError, commute_with_in_out
+from adtxn.tables import TableSoundnessError
 from test_manager import _stack_instance
 from test_monitor import _executed_and_blocked, run_optimized
 from test_oracles import _mixed_workloads
@@ -85,114 +87,102 @@ def reference_check(obj, op, waiters, shed, blockers):
             raise MonitorInvariantError(f"{obj.name}: {i} keeps an empty waiter set")
 
 
-# -- the planted faults: each a section with one step left out or bent --------
+# -- the planted faults: each a section or the tail, one step left out or bent --
 
-def shed_keeps_blocked_by(self, waiters, blocker_id):
-    woken = []
-    for wid in waiters:
-        blockers = self.blocked_by[wid]
-        blockers.remove(blocker_id)
-        if blockers:
-            continue
-        # planted: the emptied blocker set stays in blocked_by
-        waiter = self.live[wid]
-        self._enter_execution(waiter)
-        if self.strict:
-            self._admission_safety(waiter)
-        woken.append(waiter)
-    return woken
-
-
-def _complete(discard=True, cut_early=False, report_shed=True, report_kept=False):
-    def complete(self, inv, outs):
-        if inv.lifecycle is not Lifecycle.IN_EXECUTION:
-            raise MonitorInvariantError(f"{inv!r} completed outside execution")
-        inv.outs = outs
-        inv.lifecycle = Lifecycle.EXECUTED
-        self.running -= 1
-        self.executed += 1
-        waiting = self.blocks.get(inv.id)
-        if waiting is None:
-            self._check(inv)
-            return (), ()
-        waiters = sorted(waiting)
-        shed = [wid for wid in waiters
-                if commute_with_in_out(self.spec.tables, inv, self.live[wid])]
+def _tail(keep_blocked_by=False, drop_all_but_last=False, discard=True, cut_early=False,
+          report_shed=True, report_kept=False):
+    """The release tail `_shed`, with a planted fault. A drop's op has left
+    `live` and `complete`'s has not, so each fault bends only the sections
+    it names: `drop_all_but_last` those of `finish` and `withdraw`; `discard`,
+    `cut_early`, `report_shed` and `report_kept` those of `complete`."""
+    def _shed(self, inv, waiters, shed, blockers=()):
+        inv_id, completing = inv.id, inv.id in self.live
         if not shed:
             # planted, with report_kept: a waiter that keeps its edge is
             # reported shed
-            reported = waiters[:1] if report_kept else []
-            self._check(inv, waiters, reported)
+            reported = waiters[:1] if report_kept and completing else shed
+            self._check(inv, waiters, reported, blockers)
             return (), reported
-        if discard:
-            waiting.difference_update(shed)
-        # else planted: `blocks` keeps the shed edges
-        if not waiting:
-            del self.blocks[inv.id]
-        if cut_early:
+        if drop_all_but_last and not completing:
+            # planted: the drop takes the whole waiter set but sheds, and
+            # reports, all its waiters but the last
+            del self.blocks[inv_id]
+            shed = shed[:-1]
+        elif completing and not discard:
+            pass                    # planted: `blocks` keeps the shed edges
+        elif len(shed) == len(waiters):
+            del self.blocks[inv_id]
+        else:
+            self.blocks[inv_id].difference_update(shed)
+        if cut_early and completing:
             # planted: the waiters forget their other blockers, which still
             # list them
             for wid in shed:
-                self.blocked_by[wid].intersection_update((inv.id,))
-        woken = self._shed_edges(shed, inv.id)
+                self.blocked_by[wid].intersection_update((inv_id,))
+        woken = []
+        for wid in shed:
+            waits = self.blocked_by[wid]
+            waits.remove(inv_id)
+            if waits:
+                continue
+            if not keep_blocked_by:
+                del self.blocked_by[wid]
+            # else planted: the emptied blocker set stays in blocked_by
+            waiter = self.live[wid]
+            self._enter_execution(waiter)
+            if self.strict:
+                self._admission_safety(waiter)
+            woken.append(waiter)
         reported = shed
-        if not report_shed:
+        if completing and not report_shed:
             reported = shed[1:]     # planted: a shed edge goes unreported
-        elif report_kept:
+        elif completing and report_kept:
             reported = waiters      # planted: the kept edges are reported shed
-        self._check(inv, waiters, reported)
+        self._check(inv, waiters, reported, blockers)
         return woken, reported
-    return complete
+    return _shed
 
 
 def _finish(keep_live=False, count_down=True):
     def finish(self, inv):
         if inv.lifecycle is not Lifecycle.EXECUTED:
             raise MonitorInvariantError(f"{inv!r} finished before it executed")
-        if not keep_live:
-            del self.live[inv.id]
-        # else planted: the op stays in `live`
-        if self.spec.conflict_key is not None:
-            self._unfile(inv)
-        inv.lifecycle = Lifecycle.FINISHED
+        waiters = sorted(self.blocks.get(inv.id, ()))
         if count_down:
             self.executed -= 1
         # else planted: `executed` still counts the finished op
-        waiting = self.blocks.pop(inv.id, None)
-        if not waiting:
-            self._check(inv)
-            return (), ()
-        shed = sorted(waiting)
-        woken = self._shed_edges(shed, inv.id)
-        self._check(inv, shed, shed)
-        return woken, shed
+        if not keep_live:
+            self._unfile(inv)
+        else:
+            # planted: the op stays in `live`, though not in the index
+            inv.lifecycle = Lifecycle.FINISHED
+            if self.spec.conflict_key is not None:
+                del self.by_key[inv.key][inv.id]
+                if not self.by_key[inv.key]:
+                    del self.by_key[inv.key]
+        return self._shed(inv, waiters, waiters)
     return finish
 
 
 def withdraw_keeps_inbound_edges(self, inv):
     if inv.lifecycle is not Lifecycle.BLOCKED:
         raise MonitorInvariantError(f"{inv!r} withdrawn but not blocked")
-    del self.live[inv.id]
-    if self.spec.conflict_key is not None:
-        self._unfile(inv)
-    shed = sorted(self.blocks.pop(inv.id, ()))
-    woken = self._shed_edges(shed, inv.id)
+    waiters = sorted(self.blocks.get(inv.id, ()))
+    self._unfile(inv)
     # planted: the blockers' `blocks` sets keep the withdrawn op
     blockers = self.blocked_by.pop(inv.id)
-    inv.lifecycle = Lifecycle.FINISHED
-    self._check(inv, shed, shed, blockers)
-    return woken, shed
+    return self._shed(inv, waiters, waiters, blockers)
 
 
 def withdraw_keeps_an_emptied_waiter_set(self, inv):
     if inv.lifecycle is not Lifecycle.BLOCKED:
         raise MonitorInvariantError(f"{inv!r} withdrawn but not blocked")
-    woken, shed = self._drop(inv)
+    waiters = sorted(self.blocks.get(inv.id, ()))
+    self._unfile(inv)
     blockers = self.blocked_by.pop(inv.id)
     for b in blockers:
         self.blocks[b].remove(inv.id)   # planted: an emptied set stays filed
-    self._check(inv, shed, shed, blockers)
-    return woken, shed
+    return self._shed(inv, waiters, waiters, blockers)
 
 
 def screen_skips_executed(self, inv):
@@ -208,20 +198,20 @@ _screen = ManagedObject._screen
 
 # (method, variant, runs that raise, the error they raise) at 411 runs
 FAULTS = {
-    "shed_keeps_blocked_by": ("_shed_edges", shed_keeps_blocked_by, 339,
+    "shed_keeps_blocked_by": ("_shed", _tail(keep_blocked_by=True), 339,
                               MonitorInvariantError),
-    "complete_skips_discard": ("complete", _complete(discard=False), 14,
-                               MonitorInvariantError),
+    "drop_sheds_all_but_the_last": ("_shed", _tail(drop_all_but_last=True), 339,
+                                    MonitorInvariantError),
+    "complete_skips_discard": ("_shed", _tail(discard=False), 14, MonitorInvariantError),
     "withdraw_keeps_inbound_edges": ("withdraw", withdraw_keeps_inbound_edges, 261,
                                      MonitorInvariantError),
     "withdraw_keeps_an_emptied_waiter_set": ("withdraw", withdraw_keeps_an_emptied_waiter_set,
                                              259, MonitorInvariantError),
     "finish_keeps_live": ("finish", _finish(keep_live=True), 411, MonitorInvariantError),
-    "complete_cuts_blockers_early": ("complete", _complete(cut_early=True), 9,
-                                     MonitorInvariantError),
-    "complete_hides_a_shed_edge": ("complete", _complete(report_shed=False), 14,
+    "complete_cuts_blockers_early": ("_shed", _tail(cut_early=True), 9, MonitorInvariantError),
+    "complete_hides_a_shed_edge": ("_shed", _tail(report_shed=False), 14,
                                    MonitorInvariantError),
-    "complete_reports_a_kept_edge": ("complete", _complete(report_kept=True), 59,
+    "complete_reports_a_kept_edge": ("_shed", _tail(report_kept=True), 59,
                                      MonitorInvariantError),
     # a conflict admit missed shows as executed ops that pin different answers
     "admit_skips_executed": ("_screen", screen_skips_executed, 2, TableSoundnessError),
@@ -299,6 +289,31 @@ def test_a_withdraw_that_keeps_an_emptied_waiter_set_fails_its_own_check(monkeyp
                        match=re.escape("s: 2 left an empty waiter set in blocks")):
         obj.withdraw(obj.live[2])
     assert obj.blocks == {1: set()}
+
+
+def test_a_drop_that_sheds_all_its_waiters_but_the_last_fails_its_own_check(monkeypatch,
+                                                                            batch):
+    # the section is checked against the waiters it started with, so the
+    # last one, still waiting on the dead op, is read as a peer. Checked
+    # against the waiters it reported, the same fault passed every scoped
+    # check, and its runs failed later, most at their end with "o1 still
+    # holds invocations"
+    monkeypatch.setattr(ManagedObject, "_shed", _tail(drop_all_but_last=True))
+    obj = _executed_and_blocked()
+    with pytest.raises(MonitorInvariantError, match=re.escape("s: edge 1->2 broken")):
+        obj.finish(obj.live[1])
+    # across the batch, each run that raises does so in a drop's own check
+    raised = Counter()
+    for workload in batch:
+        try:
+            run_simulated(workload)
+        except MonitorInvariantError as exc:
+            frames = [f.name for f in traceback.extract_tb(exc.__traceback__)]
+            scoped = (frames[-1] in ("_check", "_check_stage") and "_shed" in frames
+                      and re.search(r"edge \d+->\d+ broken|edges from dead op", str(exc)))
+            raised[frames[frames.index("_shed") - 1] if scoped else str(exc)] += 1
+    assert set(raised) == {"finish", "withdraw"}, raised
+    assert sum(raised.values()) == FAULTS["drop_sheds_all_but_the_last"][2]
 
 
 def test_a_finish_that_keeps_counting_the_op_fails_the_whole_check(monkeypatch, capsys, batch):
